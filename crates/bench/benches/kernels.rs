@@ -1,6 +1,6 @@
 //! Micro-benchmarks of the hot kernels: sign packing, SCF block filtering,
-//! top-k selection, ITQ rotation, full-precision scoring, and the DRAM
-//! channel scheduler. Runs on the in-repo timing harness
+//! top-k selection, ITQ training and rotation, full-precision scoring, and
+//! the DRAM channel scheduler. Runs on the in-repo timing harness
 //! ([`longsight_bench::timing`]); output shape matches the old criterion
 //! goldens in `results/kernels.txt`.
 
@@ -85,6 +85,32 @@ fn bench_itq() {
     let rot = ItqRotation::train(&data, &ItqConfig::default());
     let v = rng.normal_vec(64);
     bench_report("itq_apply_64d", None, || rot.apply(black_box(&v)));
+
+    // The trace-sweep shapes: training on 1024 unit keys of dimension 128
+    // (thirty Procrustes SVDs of a 128×128 matrix), then rotating and
+    // packing the sign bits of a 32K-key trace.
+    let mut train = Matrix::random_gaussian(1024, 128, &mut rng);
+    for r in 0..train.rows() {
+        let row = train.row_mut(r);
+        let norm = vecops::l2_norm(row).max(1e-9);
+        row.iter_mut().for_each(|x| *x /= norm);
+    }
+    bench_report("itq_train_1024x128_30it", None, || {
+        ItqRotation::train(
+            black_box(&train),
+            &ItqConfig {
+                iterations: 30,
+                seed: 11,
+            },
+        )
+    });
+    let rot = ItqRotation::train(&train, &ItqConfig::default());
+    let keys = Matrix::random_gaussian(32_768, 128, &mut rng);
+    bench_report("itq_rotate_32k_keys", Some(keys.rows() as u64), || {
+        let mut arena = SignArena::new(128);
+        rot.rotate_and_pack(black_box(keys.data()), &mut arena);
+        arena
+    });
 }
 
 fn bench_dram() {

@@ -152,12 +152,11 @@ impl AttentionBackend for LongSightBackend {
 
         // Sync rotated sign bits for keys that have left the window — the
         // functional equivalent of flushing Key Sign Objects to DReX. The
-        // arena append packs lanes in place; no per-key SignBits exists.
+        // batch kernel packs lanes in place; no per-key SignBits exists.
         let arena = &mut self.arenas[head_idx];
         let keys = req.history.keys();
-        while arena.len() < window_start {
-            let i = arena.len();
-            rotation.signs_into(keys.get(i), arena);
+        if arena.len() < window_start {
+            rotation.rotate_and_pack(keys.slice(arena.len()..window_start), arena);
         }
 
         let n = req.position + 1;

@@ -50,7 +50,7 @@ pub use baseline_filters::{
     blockwise_surviving_indices, compare_granularity, GranularityComparison, LshFilter,
 };
 pub use hybrid::{HybridConfig, LongSightBackend};
-pub use itq::{ItqConfig, ItqRotation, RotationTable};
+pub use itq::{ItqConfig, ItqRotation, RotationTable, ROTATE_BLOCK_KEYS, ROTATE_CHUNK_KEYS};
 pub use quant_filter::{QuantFilter, QuantVec, SCF_BYTES_LOADED_FRACTION};
 pub use scf::{
     filter_block, filter_block_packed, scf_pass, surviving_indices, ThresholdTable, PFU_BLOCK_KEYS,

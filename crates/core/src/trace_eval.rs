@@ -19,8 +19,8 @@ use crate::hybrid::HybridConfig;
 use crate::itq::ItqRotation;
 use crate::scf::{filter_block_packed, PFU_BLOCK_KEYS};
 use crate::stats::FilterStats;
+use longsight_model::attend_over_kv;
 use longsight_model::tracegen::HeadTrace;
-use longsight_model::{attend_over_indices, HeadKv};
 use longsight_tensor::{vecops, SignArena, TopK};
 
 /// Quality of the hybrid pipeline on one head trace.
@@ -60,16 +60,9 @@ pub fn evaluate_trace(
     // Precompute rotated sign bits for all keys into one packed arena (the
     // Key Sign Object region the PFUs scan).
     let mut key_signs = SignArena::new(d);
-    for k in trace.keys.iter() {
-        rotation.signs_into(k, &mut key_signs);
-    }
+    rotation.rotate_and_pack(trace.keys.slice(0..n), &mut key_signs);
     let key_signs = &key_signs;
-
-    // Build a HeadKv view for the shared attention kernel.
-    let mut history = HeadKv::new(d);
-    for i in 0..n {
-        history.push(trace.keys.get(i), trace.values.get(i));
-    }
+    let (keys, values) = (&trace.keys, &trace.values);
 
     let window_start = n.saturating_sub(config.window);
     let sinks_end = config.sinks.min(window_start);
@@ -105,7 +98,7 @@ pub fn evaluate_trace(
             let block_end = (block + PFU_BLOCK_KEYS).min(window_start);
             let bitmap = filter_block_packed(&q_signs, key_signs, block..block_end, threshold);
             for i in block..block_end {
-                let s = vecops::dot(q, history.keys().get(i));
+                let s = vecops::dot(q, keys.get(i));
                 true_top.push(s, i);
                 if bitmap >> (i - block) & 1 == 1 {
                     scored += 1;
@@ -130,8 +123,8 @@ pub fn evaluate_trace(
             .filter(|i| candidates.binary_search(i).is_ok())
             .count();
 
-        let hybrid_out = attend_over_indices(q, &history, &candidates, scale);
-        let dense_out = attend_over_indices(q, &history, &all, scale);
+        let hybrid_out = attend_over_kv(q, keys, values, &candidates, scale);
+        let dense_out = attend_over_kv(q, keys, values, &all, scale);
         let diff: f32 = hybrid_out
             .iter()
             .zip(&dense_out)

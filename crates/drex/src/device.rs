@@ -225,17 +225,19 @@ impl DrexDevice {
                 available: self.capacity() - self.bytes_used,
             });
         }
-        let rotation = self.rotations.get(layer, kv_head).clone();
+        let rotation = self.rotations.get(layer, kv_head);
         let store = &mut self.users[user as usize].heads[layer * self.kv_heads + kv_head];
+        let first = store.keys.len();
         for (k, v) in keys.iter().zip(values) {
             let mut kq = k.clone();
             quantize_bf16_in_place(&mut kq);
             let mut vq = v.clone();
             quantize_bf16_in_place(&mut vq);
-            rotation.signs_into(&kq, &mut store.signs);
             store.keys.push(&kq);
             store.values.push(&vq);
         }
+        let block = store.keys.slice(first..store.keys.len());
+        rotation.rotate_and_pack(block, &mut store.signs);
         self.bytes_used += add;
         Ok(())
     }

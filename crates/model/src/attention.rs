@@ -12,7 +12,7 @@
 //!   (StreamingLLM-style, the paper's software baseline in Fig 10).
 
 use crate::kv::HeadKv;
-use longsight_tensor::vecops;
+use longsight_tensor::{vecops, FlatVecs};
 
 /// One grouped-query attention request: all query heads that share a single
 /// KV head, for one token position in one layer.
@@ -51,10 +51,11 @@ pub trait AttentionBackend {
 }
 
 /// Computes softmax attention over an explicit set of candidate token
-/// indices.
+/// indices of a [`HeadKv`] history.
 ///
 /// Shared by every backend: dense attention passes `0..=position`, sparse
 /// backends pass the union of window, sinks, and retrieved top-k indices.
+/// Delegates to [`attend_over_kv`].
 ///
 /// # Panics
 ///
@@ -65,12 +66,27 @@ pub fn attend_over_indices(
     candidates: &[usize],
     scale: f32,
 ) -> Vec<f32> {
+    attend_over_kv(q, history.keys(), history.values(), candidates, scale)
+}
+
+/// The attention kernel: softmax attention of `q` over the candidate rows
+/// of borrowed key and value stores (e.g. a trace's, with no copy into a
+/// [`HeadKv`]).
+///
+/// # Panics
+///
+/// Panics if `candidates` is empty or contains an index beyond either store.
+pub fn attend_over_kv(
+    q: &[f32],
+    keys: &FlatVecs,
+    values: &FlatVecs,
+    candidates: &[usize],
+    scale: f32,
+) -> Vec<f32> {
     assert!(
         !candidates.is_empty(),
         "attention needs at least one candidate"
     );
-    let keys = history.keys();
-    let values = history.values();
     let mut scores: Vec<f32> = candidates
         .iter()
         .map(|&i| vecops::dot(q, keys.get(i)) * scale)

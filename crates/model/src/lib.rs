@@ -50,8 +50,8 @@ mod transformer;
 mod weights;
 
 pub use attention::{
-    attend_over_indices, attend_with_scores, AttentionBackend, AttentionRequest, DenseBackend,
-    SlidingWindowBackend,
+    attend_over_indices, attend_over_kv, attend_with_scores, AttentionBackend, AttentionRequest,
+    DenseBackend, SlidingWindowBackend,
 };
 pub use config::ModelConfig;
 pub use generate::{Generator, Sampling};

@@ -234,14 +234,21 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
             Some(c) if *c < 0x20 => {
                 return Err(format!("control byte in string at {pos}", pos = *pos));
             }
-            Some(_) => {
-                // Consume one UTF-8 scalar; the source is a &str so bytes
-                // here are always valid UTF-8.
-                let s = &bytes[*pos..];
-                let text = std::str::from_utf8(s).map_err(|e| e.to_string())?;
-                let c = text.chars().next().ok_or("empty string tail")?;
-                out.push(c);
-                *pos += c.len_utf8();
+            Some(&lead) => {
+                // Consume one UTF-8 scalar, its length read from the leading
+                // byte. The source is a &str, so the scalar is valid UTF-8;
+                // decoding only its own bytes keeps the parse linear.
+                let len = match lead {
+                    0x00..=0x7F => 1,
+                    0xC0..=0xDF => 2,
+                    0xE0..=0xEF => 3,
+                    _ => 4,
+                };
+                let scalar = bytes
+                    .get(*pos..*pos + len)
+                    .ok_or("truncated UTF-8 scalar")?;
+                out.push_str(std::str::from_utf8(scalar).map_err(|e| e.to_string())?);
+                *pos += len;
             }
         }
     }
@@ -359,6 +366,27 @@ mod tests {
         let mut enc = String::new();
         escape_into(&mut enc, s);
         assert_eq!(parse(&enc).unwrap(), Value::Str(s.to_string()));
+    }
+
+    #[test]
+    fn string_heavy_document_parses_in_linear_time() {
+        // Over 8 MB of strings mixing 1-, 2-, 3- and 4-byte scalars and
+        // escapes: re-validating the remaining input for every character
+        // would take on the order of an hour here.
+        let piece = "trace \u{e9}v\u{e9}nement \u{2192} \u{1F600} \"q\" \\ tab\t ctrl\u{1} end\n";
+        let long: String = piece.repeat(1 << 12);
+        let texts: Vec<String> = (0..48).map(|i| format!("{i}:{long}")).collect();
+        let mut doc = String::from("[");
+        for (i, text) in texts.iter().enumerate() {
+            if i > 0 {
+                doc.push(',');
+            }
+            escape_into(&mut doc, text);
+        }
+        doc.push(']');
+        assert!(doc.len() >= 8 << 20, "document is {} bytes", doc.len());
+        let want = Value::Arr(texts.into_iter().map(Value::Str).collect());
+        assert_eq!(parse(&doc).unwrap(), want);
     }
 
     #[test]

@@ -101,6 +101,15 @@ impl FlatVecs {
         &mut self.data[start..start + self.dim]
     }
 
+    /// Borrows vectors `range` as one contiguous key-major slice.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range exceeds `len`.
+    pub fn slice(&self, range: core::ops::Range<usize>) -> &[f32] {
+        &self.data[range.start * self.dim..range.end * self.dim]
+    }
+
     /// Iterates over the stored vectors as slices.
     pub fn iter(&self) -> impl Iterator<Item = &[f32]> {
         self.data.chunks_exact(self.dim)

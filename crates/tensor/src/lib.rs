@@ -6,8 +6,8 @@
 //! * [`Matrix`] — a row-major `f32` matrix with the handful of BLAS-like
 //!   operations the transformer substrate needs,
 //! * [`vecops`] — vector kernels (dot products, softmax, normalization),
-//! * [`linalg`] — Jacobi eigendecomposition and one-sided Jacobi SVD, used by
-//!   the ITQ rotation trainer,
+//! * [`linalg`] — one-sided Jacobi SVD and the orthogonal Procrustes solve,
+//!   used by the ITQ rotation trainer,
 //! * [`SignBits`] — bit-packed sign vectors with popcount-based concordance,
 //!   the data structure behind Sign-Concordance Filtering,
 //! * [`SignArena`] — a contiguous key-major arena of packed sign lanes, the

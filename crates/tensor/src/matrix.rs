@@ -215,6 +215,35 @@ impl Matrix {
         out
     }
 
+    /// `selfᵀ · rhs` without materializing the transpose.
+    ///
+    /// Bit-identical to `self.transpose().matmul(rhs)`: every output element
+    /// accumulates over the shared row index in ascending order and skips
+    /// zero entries of `self`, exactly as [`Matrix::matmul`] does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.rows() != rhs.rows()`.
+    pub fn transpose_matmul(&self, rhs: &Matrix) -> Matrix {
+        assert_eq!(
+            self.rows, rhs.rows,
+            "transpose_matmul shape mismatch: ({}x{})ᵀ · {}x{}",
+            self.rows, self.cols, rhs.rows, rhs.cols
+        );
+        let mut out = Matrix::zeros(self.cols, rhs.cols);
+        for (a_row, b_row) in self.iter_rows().zip(rhs.iter_rows()) {
+            for (out_row, &a) in out.data.chunks_exact_mut(rhs.cols).zip(a_row) {
+                if a == 0.0 {
+                    continue;
+                }
+                for (o, &b) in out_row.iter_mut().zip(b_row) {
+                    *o += a * b;
+                }
+            }
+        }
+        out
+    }
+
     /// Matrix–vector product `self · v`.
     ///
     /// # Panics
@@ -383,6 +412,22 @@ mod tests {
         let b = Matrix::from_rows(&[vec![5.0, 6.0], vec![7.0, 8.0]]);
         let c = a.matmul(&b);
         assert_eq!(c.data(), &[19.0, 22.0, 43.0, 50.0]);
+    }
+
+    #[test]
+    fn transpose_matmul_is_bit_identical_to_transposing_first() {
+        let mut rng = SimRng::seed_from(4);
+        let mut a = Matrix::random_gaussian(37, 11, &mut rng);
+        for r in (0..37).step_by(3) {
+            a.set(r, r % 11, 0.0);
+            a.set(r, (r + 1) % 11, -0.0);
+        }
+        let b = Matrix::from_fn(37, 5, |r, c| if (r * 7 + c) % 3 == 0 { -1.0 } else { 1.0 });
+        let bits = |m: &Matrix| m.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&a.transpose_matmul(&b)),
+            bits(&a.transpose().matmul(&b))
+        );
     }
 
     #[test]

@@ -6,6 +6,14 @@
 //! XOR and popcount instructions, exactly the operation the in-DRAM filter
 //! units implement.
 
+/// Packs the signs of up to 64 values into one word: bit `i` is set when
+/// `lane[i] < 0.0`. Branch-free, so random signs cost no mispredictions.
+fn pack_word(lane: &[f32]) -> u64 {
+    lane.iter()
+        .enumerate()
+        .fold(0, |w, (i, &x)| w | u64::from(x < 0.0) << i)
+}
+
 /// A bit-packed vector of sign bits.
 ///
 /// Bit `i` is **1** when dimension `i` of the source vector is negative
@@ -34,14 +42,10 @@ impl SignBits {
     /// `-0.0` and NaN compare as non-negative here: the bit is set only when
     /// `x < 0.0`, so packing is a pure function of that comparison.
     pub fn from_slice(v: &[f32]) -> Self {
-        let dim = v.len();
-        let mut packed = vec![0u64; dim.div_ceil(64)];
-        for (i, &x) in v.iter().enumerate() {
-            if x < 0.0 {
-                packed[i / 64] |= 1u64 << (i % 64);
-            }
+        Self {
+            dim: v.len(),
+            words: v.chunks(64).map(pack_word).collect(),
         }
-        Self { dim, words: packed }
     }
 
     /// Dimensionality of the source vector.
@@ -174,13 +178,7 @@ impl SignArena {
     /// Panics if `v.len() != dim`.
     pub fn push_signs_of(&mut self, v: &[f32]) {
         assert_eq!(v.len(), self.dim, "sign vector dimension mismatch");
-        let base = self.words.len();
-        self.words.resize(base + self.words_per_key, 0);
-        for (i, &x) in v.iter().enumerate() {
-            if x < 0.0 {
-                self.words[base + i / 64] |= 1u64 << (i % 64);
-            }
-        }
+        self.words.extend(v.chunks(64).map(pack_word));
         self.len += 1;
     }
 
@@ -193,6 +191,18 @@ impl SignArena {
         assert_eq!(bits.dim(), self.dim, "sign vector dimension mismatch");
         self.words.extend_from_slice(bits.words());
         self.len += 1;
+    }
+
+    /// Appends every key of `other`, in order — how per-chunk arenas packed
+    /// in parallel are joined.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the dimensions differ.
+    pub fn append(&mut self, other: &SignArena) {
+        assert_eq!(other.dim, self.dim, "sign vector dimension mismatch");
+        self.words.extend_from_slice(&other.words);
+        self.len += other.len;
     }
 
     /// The packed lanes of key `i`.

@@ -13,8 +13,8 @@ use longsight_bench::print_table;
 use longsight_model::ModelConfig;
 use longsight_obs::Recorder;
 use longsight_sched::{RouterPolicy, SchedPolicy, SloClass, SloMix};
-use longsight_system::serving::{simulate_fleet, SchedOptions, WorkloadConfig};
-use longsight_system::{LongSightConfig, LongSightSystem, ServingSystem};
+use longsight_system::serving::{simulate_fleet, FleetFaultOptions, SchedOptions, WorkloadConfig};
+use longsight_system::{LongSightConfig, LongSightSystem, ServingSystem, SessionOptions};
 
 fn main() {
     let model = ModelConfig::llama3_1b();
@@ -50,7 +50,16 @@ fn main() {
                 })
                 .collect();
             let mut rec = Recorder::disabled();
-            let (m, rep) = simulate_fleet(&mut fleet, &model, &wl, &opts, router, &mut rec);
+            let (m, rep) = simulate_fleet(
+                &mut fleet,
+                &model,
+                &wl,
+                &opts,
+                router,
+                &FleetFaultOptions::disabled(),
+                &SessionOptions::disabled(),
+                &mut rec,
+            );
             assert_eq!(
                 rep.audit_violation, None,
                 "fleet audit must pass for every cell"

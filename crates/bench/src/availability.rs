@@ -16,7 +16,8 @@
 
 use longsight_faults::{FaultInjector, FaultKind, FaultProfile, RetryPolicy};
 use longsight_model::ModelConfig;
-use longsight_system::serving::{simulate_with_faults, ServeMetrics, WorkloadConfig};
+use longsight_obs::Recorder;
+use longsight_system::serving::{simulate_observed, ServeMetrics, WorkloadConfig};
 use longsight_system::slo::{max_users_under_slo, SloCapacity};
 use longsight_system::{LongSightConfig, LongSightSystem};
 
@@ -108,7 +109,14 @@ pub fn serving_sweep(
         let mut sys = LongSightSystem::new(LongSightConfig::paper_default(), model.clone());
         let inj = FaultInjector::new(FaultProfile::scaled(rate), seed);
         let retry = RetryPolicy::serving_default();
-        let (metrics, log) = simulate_with_faults(&mut sys, model, workload, &inj, &retry);
+        let (metrics, log) = simulate_observed(
+            &mut sys,
+            model,
+            workload,
+            Some((&inj, &retry)),
+            &mut Recorder::disabled(),
+            None,
+        );
         points.push(ServingFaultPoint {
             rate,
             metrics,

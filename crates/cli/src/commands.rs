@@ -15,8 +15,8 @@ use longsight_model::{
 use longsight_obs::{BurnConfig, Recorder};
 use longsight_sched::{BreakerConfig, RouterPolicy, SchedPolicy, SloMix};
 use longsight_system::serving::{
-    simulate_fleet_faulty, simulate_fleet_sessions, simulate_observed, simulate_scheduled,
-    FleetFaultOptions, SchedOptions, ServeMetrics, WorkloadConfig,
+    simulate_fleet, simulate_observed, simulate_scheduled, FleetFaultOptions, SchedOptions,
+    ServeMetrics, WorkloadConfig,
 };
 use longsight_system::{
     AttAccSystem, GpuOnlySystem, LongSightConfig, LongSightSystem, LookaheadConfig, ServingSystem,
@@ -651,13 +651,6 @@ pub fn loadtest(a: &Args) -> Result<(), String> {
                 .into(),
         );
     }
-    if sess.is_active() && fopts.is_active() {
-        return Err(
-            "--sessions cannot combine with --crash-profile/--breaker/--shed-cap (the session \
-             driver runs the fleet fault-free)"
-                .into(),
-        );
-    }
     if replicas > 1 || sess.is_active() {
         if injected {
             return Err(
@@ -674,11 +667,16 @@ pub fn loadtest(a: &Args) -> Result<(), String> {
         for _ in 0..replicas {
             systems.push(build_system(sys_name, model.clone(), lookahead)?);
         }
-        let (m, fleet) = if sess.is_active() {
-            simulate_fleet_sessions(&mut systems, &model, &wl, &opts, router, &sess, &mut rec)
-        } else {
-            simulate_fleet_faulty(&mut systems, &model, &wl, &opts, router, &fopts, &mut rec)
-        };
+        let (m, fleet) = simulate_fleet(
+            &mut systems,
+            &model,
+            &wl,
+            &opts,
+            router,
+            &fopts,
+            &sess,
+            &mut rec,
+        );
         println!(
             "{} x{replicas} under {:.1} req/s for {:.0}s ({}-{} ctx tokens), {} scheduler, {} router:",
             systems[0].name(),
@@ -1405,16 +1403,27 @@ mod tests {
         assert!(orphan.contains("--sessions"), "{orphan}");
         assert!(loadtest(&args(&["--reuse", "0.5"])).is_err());
         assert!(loadtest(&args(&["--prefix-cache", "512"])).is_err());
-        // The session driver runs the fleet fault-free.
-        assert!(loadtest(&args(&[
+    }
+
+    #[test]
+    fn sessions_compose_with_replica_crashes() {
+        // `loadtest` returns an error on any fleet or session audit
+        // violation, so success means the composed run audited clean.
+        loadtest(&args(&[
             "--replicas",
             "2",
             "--sessions",
             "4",
             "--crash-profile",
             "mild",
+            "--ctx-min",
+            "16384",
+            "--ctx-max",
+            "32768",
+            "--duration",
+            "8",
         ]))
-        .is_err());
+        .unwrap();
     }
 
     #[test]

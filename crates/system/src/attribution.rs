@@ -22,6 +22,7 @@
 //! unoverlapped chain exactly (see [`SpecSample`]).
 
 use crate::report::{SpecStep, StepReport};
+use crate::serving::percentile;
 
 /// Names of the attribution components, in table order. The first eight
 /// are always populated; `spec_miss` and `overlap_hidden` only with the
@@ -136,15 +137,6 @@ pub struct SpecSample {
     pub overlap_hidden_ns: f64,
     /// Re-filter penalty actually charged (0 unless a miss), ns.
     pub penalty_ns: f64,
-}
-
-/// Same nearest-rank percentile the serving metrics use.
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[idx]
 }
 
 /// Per-token latency attribution collected across a serving run.

@@ -14,6 +14,13 @@
 //! a paged-memory decision over HBM window pages and DReX tail pages,
 //! prefill is chunked and overlapped with decode, and best-effort requests
 //! are evicted to DReX-resident state when higher classes need HBM.
+//!
+//! One replica's synchronized step exists once, in `ReplicaSim::step`.
+//! The single-replica entry points drive one standalone replica through
+//! their own arrival loop; [`simulate_fleet`] is the one fleet loop, where
+//! replica fault domains ([`FleetFaultOptions`]) and multi-turn sessions
+//! ([`SessionOptions`]) compose. Every driver ends in the same
+//! [`ServeMetrics`] aggregation.
 
 use crate::attribution::{
     attribution_parts, SpecCharge, SpecSample, TokenAttribution, OVERLAP_HIDDEN, SPEC_MISS,
@@ -21,7 +28,7 @@ use crate::attribution::{
 use crate::degrade::{resolve_token, DegradeStats, TokenOutcome};
 use crate::prefill::prefill_cost;
 use crate::report::{ServingSystem, SpecStep, StepReport};
-use crate::session::{self, SessionOptions};
+use crate::session::{self, SessionOptions, SessionTurn};
 use longsight_cxl::CxlLink;
 use longsight_drex::SpecSlotPool;
 use longsight_faults::{
@@ -34,9 +41,9 @@ use longsight_obs::json::fmt_f64;
 use longsight_obs::{ArgVal, Recorder, TrackId};
 use longsight_sched::{
     BreakerConfig, BreakerState, CircuitBreaker, FleetFaultSummary, FleetReport, KvDeviceGeometry,
-    Placement, PullRecord, RedispatchRecord, Router, RouterPolicy, SchedConfig, SchedEvent,
-    SchedPolicy, SchedReport, SchedRequest, Scheduler, SessionSummary, ShedRecord, SloBurnSummary,
-    SloClass, SloMix,
+    PagedKvManager, Placement, PullRecord, RedispatchRecord, Router, RouterPolicy, SchedConfig,
+    SchedEvent, SchedPolicy, SchedReport, SchedRequest, Scheduler, SessionSummary, ShedRecord,
+    SloBurnSummary, SloClass, SloMix,
 };
 use longsight_tensor::SimRng;
 use std::collections::HashMap;
@@ -122,8 +129,8 @@ impl SchedOptions {
 }
 
 /// Fleet-level fault-domain and overload-control knobs for
-/// [`simulate_fleet_faulty`]. The [`FleetFaultOptions::disabled`] value
-/// makes that entry point byte-identical to [`simulate_fleet`].
+/// [`simulate_fleet`]. The [`FleetFaultOptions::disabled`] value arms
+/// none of them, and the fleet runs byte-identical to a fault-free one.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetFaultOptions {
     /// Replica crash/recovery and DReX-brownout schedule parameters.
@@ -154,8 +161,8 @@ impl FleetFaultOptions {
     }
 
     /// Whether any fault-domain machinery is armed (crash/brownout
-    /// schedule, breaker, or shedding). When false the fleet driver runs
-    /// the exact legacy code path.
+    /// schedule, breaker, or shedding). When false the fleet interns no
+    /// fault track and reports no fault summary.
     pub fn is_active(&self) -> bool {
         self.profile.is_enabled() || self.breaker.is_some() || self.shed_queue_cap.is_some()
     }
@@ -179,7 +186,6 @@ fn class_queue_cap(base: usize, class: SloClass) -> usize {
     }
 }
 
-/// Trace instant name of a breaker transition.
 /// Routing eligibility for a breaker-guarded fleet. Normally each
 /// replica's breaker state is used as-is, but when *every* breaker is
 /// open the tripped-open ones (slow, not dead) are offered as half-open
@@ -199,6 +205,7 @@ fn breaker_health(bs: &[CircuitBreaker]) -> Vec<BreakerState> {
     health
 }
 
+/// Trace instant name of a breaker transition.
 fn breaker_instant_name(state: BreakerState) -> &'static str {
     match state {
         BreakerState::Closed => "breaker.close",
@@ -417,7 +424,10 @@ impl ServeMetrics {
     }
 }
 
-fn percentile(sorted: &[f64], p: f64) -> f64 {
+/// Nearest-rank percentile over ascending `sorted` samples: index
+/// `round((n - 1) * p)`, and `0.0` for an empty slice. The one percentile
+/// rule of this crate's serving metrics and attribution tables.
+pub(crate) fn percentile(sorted: &[f64], p: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
     }
@@ -425,29 +435,47 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
     sorted[idx]
 }
 
+/// One offered request: a Poisson arrival, or a session turn when `turn`
+/// is set.
 #[derive(Debug, Clone)]
 pub(crate) struct Arrival {
     pub(crate) id: usize,
     pub(crate) arrival_ns: f64,
     pub(crate) context: usize,
     pub(crate) output: usize,
+    pub(crate) class: SloClass,
+    /// Cold prefill cost of the full prompt, ns.
+    pub(crate) prefill_ns: f64,
+    pub(crate) turn: Option<SessionTurn>,
 }
 
-/// Pre-generates the run's arrival process, class draws, and prefill
-/// costs. Both the single-replica loop and the fleet driver draw from this
-/// one function, so the offered load is byte-identical regardless of how
-/// many replicas serve it: arrivals from the workload seed, classes from a
-/// dedicated stream (`seed ^ CLASS_SEED`), prefill costs on the
-/// deterministic parallel map. Vectors come back reversed — pop from the
-/// back in time order.
-fn gen_arrivals(
-    model: &ModelConfig,
-    workload: &WorkloadConfig,
-    mix: &SloMix,
-) -> (Vec<Arrival>, Vec<SloClass>, Vec<f64>) {
+impl Arrival {
+    /// The scheduler's view of this arrival on a replica of geometry `g`,
+    /// priced cold (no prefix reuse).
+    fn request(&self, g: &KvDeviceGeometry) -> SchedRequest {
+        SchedRequest {
+            id: self.id,
+            class: self.class,
+            arrival_ns: self.arrival_ns,
+            context: self.context,
+            output: self.output,
+            prefill_ns: self.prefill_ns,
+            restore_ns: g.restore_ns(self.context),
+            recompute_ns: g.recompute_ns(self.context),
+            pull_ns: f64::INFINITY,
+            prefix_hash: None,
+        }
+    }
+}
+
+/// Pre-generates the run's Poisson arrival process with its class draws
+/// and prefill costs. The single-replica loop and the fleet loop both draw
+/// from this one function, so the offered load is byte-identical
+/// regardless of how many replicas serve it: arrivals from the workload
+/// seed, classes from a dedicated stream (`seed ^ CLASS_SEED`). Comes back
+/// reversed — pop from the back in time order.
+fn gen_arrivals(model: &ModelConfig, workload: &WorkloadConfig, mix: &SloMix) -> Vec<Arrival> {
     let mut rng = SimRng::seed_from(workload.seed);
-    let gpu = GpuSpec::h100_sxm();
-    let link = CxlLink::pcie5_x16();
     let mut arrivals: Vec<Arrival> = Vec::new();
     let mut t = 0.0f64;
     let horizon_ns = workload.duration_s * 1e9;
@@ -466,25 +494,35 @@ fn gen_arrivals(
             arrival_ns: t,
             context,
             output,
+            class: SloClass::Interactive,
+            prefill_ns: 0.0,
+            turn: None,
         });
     }
     // SLO classes draw from their own stream: the arrival process above is
     // identical for every mix (and for the legacy single-class runs).
     let mut class_rng = SimRng::seed_from(workload.seed ^ CLASS_SEED);
-    let mut classes: Vec<SloClass> = arrivals
-        .iter()
-        .map(|_| mix.classify(class_rng.uniform()))
-        .collect();
-    // Each request's prefill cost depends only on its own context length, so
-    // the per-user costs compute up front on the deterministic parallel map
-    // (bit-identical to calling `prefill_cost` at admission time).
-    let mut prefill_ns: Vec<f64> = longsight_exec::deterministic_map(&arrivals, |_, a| {
+    for a in &mut arrivals {
+        a.class = mix.classify(class_rng.uniform());
+    }
+    price_prefill(model, &mut arrivals);
+    arrivals
+}
+
+/// Prices every arrival's cold prefill and reverses the list (pop from the
+/// back in time order). Each cost depends only on the request's own
+/// context length, so they compute up front on the deterministic parallel
+/// map, bit-identical to calling `prefill_cost` at admission time.
+pub(crate) fn price_prefill(model: &ModelConfig, arrivals: &mut [Arrival]) {
+    let gpu = GpuSpec::h100_sxm();
+    let link = CxlLink::pcie5_x16();
+    let costs = longsight_exec::deterministic_map(arrivals, |_, a| {
         prefill_cost(&gpu, &link, model, a.context, 1024).total_ns
     });
-    arrivals.reverse(); // pop from the back in time order
-    prefill_ns.reverse();
-    classes.reverse();
-    (arrivals, classes, prefill_ns)
+    for (a, ns) in arrivals.iter_mut().zip(costs) {
+        a.prefill_ns = ns;
+    }
+    arrivals.reverse();
 }
 
 /// The step-cost cache shared by feasibility probes and step execution,
@@ -536,40 +574,19 @@ pub fn simulate(
     .0
 }
 
-/// [`simulate`] under token-level fault injection.
+/// [`simulate`] with token-level fault injection and observability
+/// attached.
 ///
-/// Each generated token resolves through the retry/deadline degradation
-/// policy ([`crate::degrade::resolve_token`]): sampled offload timeouts cost
-/// the full deadline plus backoff, exhausted retries degrade the token to
-/// dense window-only attention, and hard faults kill the request. The
-/// synchronized batch is paced by its worst token, so a step's latency grows
-/// by the largest penalty in the batch.
-///
-/// Returns the metrics together with the deterministic fault event log —
-/// every decision derives from `(inj.seed, request id, token index,
-/// attempt)`, so two runs with the same seed produce byte-identical logs and
-/// identical metrics at any thread count. With a disabled injector this is
-/// exactly [`simulate`] plus an empty log.
-pub fn simulate_with_faults(
-    system: &mut dyn ServingSystem,
-    model: &ModelConfig,
-    workload: &WorkloadConfig,
-    inj: &FaultInjector,
-    retry: &RetryPolicy,
-) -> (ServeMetrics, FaultLog) {
-    let (m, _, log) = sched_impl(
-        system,
-        model,
-        workload,
-        &SchedOptions::fifo(),
-        Some((inj, retry)),
-        &mut Recorder::disabled(),
-        None,
-    );
-    (m, log)
-}
-
-/// [`simulate`] / [`simulate_with_faults`] with observability attached.
+/// Under `faults`, each generated token resolves through the
+/// retry/deadline degradation policy ([`crate::degrade::resolve_token`]):
+/// sampled offload timeouts cost the full deadline plus backoff, exhausted
+/// retries degrade the token to dense window-only attention, and hard
+/// faults kill the request. The synchronized batch is paced by its worst
+/// token, so a step's latency grows by the largest penalty in the batch.
+/// Every fault decision derives from `(inj.seed, request id, token index,
+/// attempt)`, so two runs with the same seed return byte-identical
+/// [`FaultLog`]s and identical metrics at any thread count; with no (or a
+/// disabled) injector this is exactly [`simulate`] plus an empty log.
 ///
 /// Every decode step emits a `decode.step` span on the `serving` track
 /// (with a nested `decode.retry_wait` child when fault penalties stretch
@@ -582,7 +599,7 @@ pub fn simulate_with_faults(
 /// given, each generated token's latency is decomposed into the eight
 /// attribution components.
 ///
-/// The simulated timeline is bit-identical to the unobserved entry points:
+/// The simulated timeline is bit-identical to an unobserved run:
 /// recording only reads simulation state.
 pub fn simulate_observed(
     system: &mut dyn ServingSystem,
@@ -626,103 +643,64 @@ pub fn simulate_scheduled(
     sched_impl(system, model, workload, opts, faults, rec, attr)
 }
 
-/// Translates scheduler decision events into `sched.*` trace instants.
+/// Translates scheduler decision events into `sched.*` trace instants:
+/// the request id, its class (every event but `sched.degrade`), then the
+/// event's own fields.
 fn flush_sched_events(sched: &mut Scheduler, rec: &mut Recorder, track: TrackId, at_ns: f64) {
     if !rec.is_enabled() {
         return;
     }
     for ev in sched.take_events() {
-        match ev {
-            SchedEvent::Admitted { id, class } => rec.instant_with(
-                track,
-                "sched.admit",
-                at_ns,
-                &[
-                    ("id", ArgVal::U(id as u64)),
-                    ("class", ArgVal::S(class.name())),
-                ],
-            ),
-            SchedEvent::Queued { id, class } => rec.instant_with(
-                track,
-                "sched.queue",
-                at_ns,
-                &[
-                    ("id", ArgVal::U(id as u64)),
-                    ("class", ArgVal::S(class.name())),
-                ],
-            ),
-            SchedEvent::Rejected { id, class } => rec.instant_with(
-                track,
-                "sched.reject",
-                at_ns,
-                &[
-                    ("id", ArgVal::U(id as u64)),
-                    ("class", ArgVal::S(class.name())),
-                ],
-            ),
+        let (name, id, class, extra) = match ev {
+            SchedEvent::Admitted { id, class } => ("sched.admit", id, Some(class), vec![]),
+            SchedEvent::Queued { id, class } => ("sched.queue", id, Some(class), vec![]),
+            SchedEvent::Rejected { id, class } => ("sched.reject", id, Some(class), vec![]),
+            SchedEvent::Failed { id, class } => ("sched.fail", id, Some(class), vec![]),
             SchedEvent::Preempted {
                 id,
                 class,
                 hbm_pages,
-            } => rec.instant_with(
-                track,
+            } => (
                 "sched.preempt",
-                at_ns,
-                &[
-                    ("id", ArgVal::U(id as u64)),
-                    ("class", ArgVal::S(class.name())),
-                    ("hbm_pages", ArgVal::U(hbm_pages as u64)),
-                ],
+                id,
+                Some(class),
+                vec![("hbm_pages", ArgVal::U(hbm_pages as u64))],
             ),
             SchedEvent::Resumed {
                 id,
                 class,
                 cost_ns,
                 restored,
-            } => rec.instant_with(
-                track,
+            } => (
                 "sched.resume",
-                at_ns,
-                &[
-                    ("id", ArgVal::U(id as u64)),
-                    ("class", ArgVal::S(class.name())),
+                id,
+                Some(class),
+                vec![
                     ("cost_ns", ArgVal::F(cost_ns)),
                     ("restored", ArgVal::U(restored as u64)),
                 ],
             ),
-            SchedEvent::Degraded { id, drex_pages } => rec.instant_with(
-                track,
+            SchedEvent::Degraded { id, drex_pages } => (
                 "sched.degrade",
-                at_ns,
-                &[
-                    ("id", ArgVal::U(id as u64)),
-                    ("drex_pages", ArgVal::U(drex_pages as u64)),
-                ],
+                id,
+                None,
+                vec![("drex_pages", ArgVal::U(drex_pages as u64))],
             ),
             SchedEvent::Completed {
                 id,
                 class,
                 latency_ms,
-            } => rec.instant_with(
-                track,
+            } => (
                 "sched.complete",
-                at_ns,
-                &[
-                    ("id", ArgVal::U(id as u64)),
-                    ("class", ArgVal::S(class.name())),
-                    ("latency_ms", ArgVal::F(latency_ms)),
-                ],
+                id,
+                Some(class),
+                vec![("latency_ms", ArgVal::F(latency_ms))],
             ),
-            SchedEvent::Failed { id, class } => rec.instant_with(
-                track,
-                "sched.fail",
-                at_ns,
-                &[
-                    ("id", ArgVal::U(id as u64)),
-                    ("class", ArgVal::S(class.name())),
-                ],
-            ),
-        }
+        };
+        let mut args = vec![("id", ArgVal::U(id as u64))];
+        args.extend(class.map(|c| ("class", ArgVal::S(c.name()))));
+        args.extend(extra);
+        rec.instant_with(track, name, at_ns, &args);
     }
 }
 
@@ -847,6 +825,11 @@ fn spec_pacing(s: &SpecStep, hit_step_ns: f64, misses: usize, denied: usize) -> 
     }
 }
 
+/// The single-replica driver: one standalone [`ReplicaSim`] under its own
+/// arrival loop. Each iteration admits every due arrival, *then* drains
+/// the queue, then steps. Under FIFO `Scheduler::on_arrival` admits ahead
+/// of the queue, so this order (the fleet's `advance` drains first and
+/// injects after) is part of the pinned single-replica timeline.
 fn sched_impl(
     system: &mut dyn ServingSystem,
     model: &ModelConfig,
@@ -854,340 +837,60 @@ fn sched_impl(
     opts: &SchedOptions,
     faults: Option<(&FaultInjector, &RetryPolicy)>,
     rec: &mut Recorder,
-    mut attr: Option<&mut TokenAttribution>,
+    attr: Option<&mut TokenAttribution>,
 ) -> (ServeMetrics, SchedReport, FaultLog) {
-    let faults = faults.filter(|(inj, _)| inj.is_enabled());
-    let mut fault_log = FaultLog::new();
-    let mut degrade = DegradeStats::default();
     let horizon_ns = workload.duration_s * 1e9;
-    let (mut arrivals, mut classes, mut prefill_ns) = gen_arrivals(model, workload, &opts.mix);
-    let total_arrived = arrivals.len();
-
+    let mut arrivals = gen_arrivals(model, workload, &opts.mix);
+    let offered = arrivals.len();
     let geometry = geometry_for(system, opts);
-    let mut sched = Scheduler::new(sched_config_for(&geometry, opts));
-    sched.set_event_recording(rec.is_enabled());
-
-    let mut now = 0.0f64;
-    let mut step_times: Vec<(f64, usize)> = Vec::new();
-    let mut request_latencies: Vec<f64> = Vec::new();
-    let mut generated_tokens = 0usize;
-    let serving_track = rec.track("serving");
-    let faults_track = rec.track("faults");
-    let sched_track = rec.track("sched");
-    let mut fault_cursor = 0usize;
-    // Lazily sized from the first speculated report, so the pool bound
-    // comes from the system's own lookahead config; stays `None` (and the
-    // `spec` track uncreated) for every lookahead-off run.
-    let mut spec_pool: Option<SpecSlotPool> = None;
-    let (mut spec_hits, mut spec_misses, mut spec_denied) = (0usize, 0usize, 0usize);
-    let mut cache: Vec<((usize, usize), Option<StepReport>)> = Vec::new();
-    let mut step_cost = |sys: &mut dyn ServingSystem,
-                         users: usize,
-                         ctx: usize,
-                         rec: &mut Recorder,
-                         at_ns: f64|
-     -> Option<StepReport> {
-        cached_step_cost(&mut cache, sys, users, ctx, rec, at_ns)
-    };
-
-    let ts_on = rec.timeseries.is_enabled();
-    let mut admitted_ts: Vec<f64> = Vec::new();
+    let faults = faults.filter(|(inj, _)| inj.is_enabled());
+    let mut r = ReplicaSim::new(&geometry, opts, rec, None, faults, attr);
     loop {
         // Admission and queue drain are the scheduler's decisions; the step
         // model only answers feasibility. (FIFO issues the exact legacy
         // sequence of feasibility probes, so the step-detail anchors in the
         // trace are unchanged.)
-        {
-            let mut feas = |users: usize, ctx: usize| -> bool {
-                step_cost(system, users, ctx, rec, now).is_some()
-            };
-            while arrivals.last().is_some_and(|a| a.arrival_ns <= now) {
-                let a = arrivals.pop().expect("checked");
-                let pf_ns = prefill_ns.pop().expect("paired with arrivals");
-                let class = classes.pop().expect("paired with arrivals");
-                // Arrival timestamps are staged outside the closure scope
-                // (which holds `rec` via `feas`) and recorded just below.
-                if ts_on {
-                    admitted_ts.push(a.arrival_ns);
-                }
-                let req = SchedRequest {
-                    id: a.id,
-                    class,
-                    arrival_ns: a.arrival_ns,
-                    context: a.context,
-                    output: a.output,
-                    prefill_ns: pf_ns,
-                    restore_ns: geometry.restore_ns(a.context),
-                    recompute_ns: geometry.recompute_ns(a.context),
-                    pull_ns: f64::INFINITY,
-                    prefix_hash: None,
-                };
-                sched.on_arrival(req, &mut feas);
-            }
-            sched.drain_queue(&mut feas);
+        while arrivals.last().is_some_and(|a| a.arrival_ns <= r.now) {
+            let a = arrivals.pop().expect("checked non-empty");
+            rec.timeseries.rate_add("arrivals", a.arrival_ns, 1.0);
+            r.inject(system, rec, a.request(&geometry));
         }
-        flush_sched_events(&mut sched, rec, sched_track, now);
-        if ts_on {
-            for &t in &admitted_ts {
-                rec.timeseries.rate_add("arrivals", t, 1.0);
-            }
-            admitted_ts.clear();
-            sample_sched_timeseries(rec, "", now, &sched);
-        }
-
-        if sched.active_is_empty() {
+        r.drain(system, rec);
+        sample_sched_timeseries(rec, "", r.now, &r.sched);
+        if r.sched.active_is_empty() {
             match arrivals.last() {
                 Some(a) => {
-                    now = a.arrival_ns;
+                    r.now = a.arrival_ns;
                     continue;
                 }
                 None => break,
             }
         }
-
-        // One synchronized step: the decoding members advance one token;
-        // chunked prefill shares the step (SLO-aware only).
-        let plan = sched.plan_step();
-        let report = if plan.decode_users > 0 {
-            Some(
-                step_cost(system, plan.decode_users, plan.max_decode_ctx, rec, now)
-                    .expect("a decode subset of an admitted batch must evaluate"),
-            )
-        } else {
-            None
-        };
-        let mut base_dt = report.map_or(0.0, |r| r.step_ns);
-        // With the lookahead pipeline on, the chain for this step was
-        // issued speculatively at the previous one: resolve every decoding
-        // member against the slot pool before the step's duration is
-        // fixed. Lookahead-off reports carry no `spec`, so this block (and
-        // the `spec` track) never exists on that path.
-        let mut spec_charge: Option<SpecCharge> = None;
-        let mut spec_step_counts = (0usize, 0usize, 0usize);
-        let mut spec_penalty_ns = 0.0f64;
-        if let Some(s) = report.and_then(|r| r.spec) {
-            let pool = spec_pool.get_or_insert_with(|| SpecSlotPool::new(s.slots));
-            let spec_track = rec.track("spec");
-            let (hits, misses, denied) = resolve_spec_step(
-                pool,
-                &s,
-                sched
-                    .active()
-                    .iter()
-                    .filter(|r| r.in_decode)
-                    .map(|r| (r.req.id as u64, r.generated as u64)),
-                faults.map(|(inj, _)| inj),
-                rec,
-                spec_track,
-                now,
-            );
-            let (paced, charge) = spec_pacing(&s, base_dt, misses, denied);
-            base_dt = paced;
-            if charge == SpecCharge::Miss {
-                spec_penalty_ns = s.refilter_penalty_ns;
-            }
-            spec_charge = Some(charge);
-            spec_step_counts = (hits, misses, denied);
-            spec_hits += hits;
-            spec_misses += misses;
-            spec_denied += denied;
-        }
-        // Chunked prefill hides inside the memory-bound decode step; only a
-        // pure-prefill step pays chunk time alone. FIFO plans no chunks, so
-        // `work_dt == base_dt` exactly.
-        let work_dt = base_dt.max(plan.prefill_ns);
-        let mut dt = work_dt;
-        let step_start = now;
-        let mut batch_died = false;
-        if let Some((inj, retry)) = faults {
-            // Resolve every decoding member's token through the degradation
-            // policy. The batch is synchronized, so the worst member's
-            // retry/backoff penalty paces the whole step; hard-failed
-            // requests leave the batch without emitting this token.
-            let mut max_penalty = 0.0f64;
-            let mut dead: Vec<usize> = Vec::new();
-            let mut degraded_ids: Vec<usize> = Vec::new();
-            for r in sched.active() {
-                if !r.in_decode {
-                    continue;
-                }
-                let (outcome, penalty) = resolve_token(
-                    inj,
-                    retry,
-                    r.req.id as u64,
-                    r.generated as u64,
-                    &mut fault_log,
-                );
-                degrade.record(outcome);
-                match outcome {
-                    TokenOutcome::Failed => dead.push(r.req.id),
-                    TokenOutcome::Degraded => {
-                        degraded_ids.push(r.req.id);
-                        max_penalty = max_penalty.max(penalty);
-                    }
-                    TokenOutcome::Completed { .. } => max_penalty = max_penalty.max(penalty),
-                }
-            }
-            // Replay this step's fault events onto the trace (1:1 with the
-            // log) at the step's start time.
-            fault_cursor += fault_log.record_tail_into(fault_cursor, rec, faults_track, step_start);
-            sched.remove_failed(&dead);
-            // A degraded request lost its long-range path: its DReX tail
-            // pages come back to the pool.
-            for id in degraded_ids {
-                sched.on_degraded(id);
-            }
-            dt += max_penalty;
-            batch_died = sched.active_is_empty();
-        }
-        if rec.is_enabled() {
-            if plan.decode_users > 0 {
-                let span = rec.open_with(
-                    serving_track,
-                    "decode.step",
-                    step_start,
-                    &[
-                        ("users", ArgVal::U(plan.users as u64)),
-                        ("ctx", ArgVal::U(plan.max_decode_ctx as u64)),
-                    ],
-                );
-                if dt > work_dt {
-                    // The worst token's deadline overrun paces the batch.
-                    rec.leaf_with(
-                        serving_track,
-                        "decode.retry_wait",
-                        step_start + work_dt,
-                        step_start + dt,
-                        &[("penalty_ns", ArgVal::F(dt - work_dt))],
-                    );
-                }
-                rec.close(span, step_start + dt);
-            } else {
-                rec.leaf_with(
-                    serving_track,
-                    "prefill.step",
-                    step_start,
-                    step_start + dt,
-                    &[
-                        ("users", ArgVal::U(plan.prefill_users as u64)),
-                        ("prefill_ns", ArgVal::F(plan.prefill_ns)),
-                    ],
-                );
-            }
-        }
-        now += dt;
-        if batch_died {
-            flush_sched_events(&mut sched, rec, sched_track, now);
-            continue;
-        }
-        if now > 4.0 * horizon_ns {
+        if !r.step(system, rec, 4.0 * horizon_ns) {
             break; // overload guard: stop accounting far past the window
         }
-        let decoding = sched.decoding_count();
-        if decoding > 0 {
-            step_times.push((dt, decoding));
-            if let (Some(a), Some(r)) = (attr.as_deref_mut(), report.as_ref()) {
-                let parts = attribution_parts(r, dt, spec_charge);
-                a.record_step(parts, dt, decoding.min(64));
-                if let (Some(charge), Some(s)) = (spec_charge, r.spec) {
-                    let (h, m, d) = spec_step_counts;
-                    a.record_spec_step(
-                        SpecSample {
-                            charge,
-                            chain_ns: s.chain_ns,
-                            hit_visible_ns: s.hit_visible_ns,
-                            serial_visible_ns: s.serial_visible_ns,
-                            spec_miss_ns: parts[SPEC_MISS],
-                            overlap_hidden_ns: parts[OVERLAP_HIDDEN],
-                            penalty_ns: spec_penalty_ns,
-                        },
-                        h,
-                        m,
-                        d,
-                    );
-                }
-            }
-            generated_tokens += decoding;
-        }
-        for c in sched.advance_step(dt, now) {
-            request_latencies.push(c.latency_ms);
-            if ts_on {
-                rec.timeseries
-                    .observe_ms("lat.request_ms", now, c.latency_ms);
-                if c.class == SloClass::Interactive {
-                    rec.timeseries.slo_sample(now, c.latency_ms);
-                }
-            }
-        }
-        flush_sched_events(&mut sched, rec, sched_track, now);
-        if ts_on {
-            if decoding > 0 {
-                rec.timeseries.rate_add("tokens", now, decoding as f64);
-            }
-            sample_sched_timeseries(rec, "", now, &sched);
-        }
     }
 
-    let mut token_lat: Vec<f64> = Vec::new();
-    for &(dt, users) in &step_times {
-        for _ in 0..users.min(64) {
-            token_lat.push(dt / 1e6);
-        }
-    }
-    token_lat.sort_by(f64::total_cmp);
-    request_latencies.sort_by(f64::total_cmp);
-
-    let span_s = (now.max(1.0)) / 1e9;
-    let slo_burn = finalize_slo_burn(rec);
-    let metrics = ServeMetrics {
-        completed: request_latencies.len(),
-        rejected: sched.rejected(),
-        in_flight: total_arrived
-            - request_latencies.len()
-            - sched.rejected()
-            - sched.waiting_len()
-            - degrade.failed_requests,
-        throughput_tps: generated_tokens as f64 / span_s,
-        p50_token_ms: percentile(&token_lat, 0.5),
-        p99_token_ms: percentile(&token_lat, 0.99),
-        p50_request_ms: percentile(&request_latencies, 0.5),
-        p99_request_ms: percentile(&request_latencies, 0.99),
-        mean_batch: if step_times.is_empty() {
-            0.0
-        } else {
-            step_times.iter().map(|&(_, u)| u as f64).sum::<f64>() / step_times.len() as f64
-        },
-        retried_tokens: degrade.retried_tokens,
-        degraded_tokens: degrade.degraded_tokens,
-        failed_requests: degrade.failed_requests,
-        degraded_quality_delta: if generated_tokens == 0 {
-            0.0
-        } else {
-            degrade.degraded_tokens as f64 / generated_tokens as f64
-        },
-        spec_hits,
-        spec_misses,
-        spec_denied,
-        slo_burn,
-    };
-    let sched_report = sched.finalize();
+    let (metrics, token_lat, request_lat) =
+        serve_metrics(std::slice::from_ref(&r), offered, 0, 0.0, rec);
+    let sched_report = r.sched.finalize();
     if rec.is_enabled() {
         for &t in &token_lat {
             rec.observe("serving.token_latency_ms", t);
         }
-        for &r in &request_latencies {
-            rec.observe("serving.request_latency_ms", r);
+        for &l in &request_lat {
+            rec.observe("serving.request_latency_ms", l);
         }
         rec.counter_add("serving.completed", metrics.completed as u64);
         rec.counter_add("serving.rejected", metrics.rejected as u64);
-        rec.counter_add("serving.generated_tokens", generated_tokens as u64);
+        rec.counter_add("serving.generated_tokens", r.generated_tokens as u64);
         rec.counter_add("serving.retried_tokens", metrics.retried_tokens as u64);
         rec.counter_add("serving.degraded_tokens", metrics.degraded_tokens as u64);
         rec.counter_add("serving.failed_requests", metrics.failed_requests as u64);
-        rec.counter_add("serving.fault_events", fault_log.len() as u64);
+        rec.counter_add("serving.fault_events", r.fault_log.len() as u64);
         // Speculation counters exist only when a slot pool did: metrics
         // exports of lookahead-off runs keep their exact key set.
-        if let Some(pool) = &spec_pool {
+        if let Some(pool) = &r.spec_pool {
             rec.counter_add("serving.spec_hits", metrics.spec_hits as u64);
             rec.counter_add("serving.spec_misses", metrics.spec_misses as u64);
             rec.counter_add("serving.spec_denied", metrics.spec_denied as u64);
@@ -1203,7 +906,7 @@ fn sched_impl(
         rec.gauge_set("sched.peak_hbm_pages", sched_report.pages.peak_hbm as f64);
         rec.gauge_set("sched.peak_drex_pages", sched_report.pages.peak_drex as f64);
     }
-    (metrics, sched_report, fault_log)
+    (metrics, sched_report, r.fault_log)
 }
 
 /// Records one telemetry sampling point for a scheduler: queue depth per
@@ -1283,27 +986,55 @@ fn finalize_slo_burn(rec: &mut Recorder) -> Option<SloBurnSummary> {
     })
 }
 
-/// One replica's incremental simulation state inside a fleet run: its own
-/// scheduler, page ledger, clock, and step-cost cache. The fleet driver
-/// advances each replica to every arrival time, routes from the live
-/// [`Scheduler::load`] snapshots, and injects into exactly one replica.
-struct ReplicaSim {
+/// A session turn in flight on a replica (session runs only).
+struct PendingTurn {
+    id: usize,
+    /// Content key and page count this turn publishes into the prefix
+    /// cache of the replica it completes on (the next turn's prefix).
+    publish: (u64, usize),
+    /// Cold prefill of a warm turn — one priced against a prefix it pinned
+    /// or pulled. A crash that voids the pin reprices it to this on the
+    /// redispatch target. `None` for cold turns and after a redispatch.
+    cold_prefill_ns: Option<f64>,
+}
+
+/// One replica's incremental simulation state: its own scheduler, page
+/// ledger, clock, step-cost cache and trace tracks.
+///
+/// A standalone replica (`idx = None`) is the single-replica driver's
+/// whole system: unprefixed `serving`/`faults`/`sched`/`spec` tracks and
+/// telemetry series, optional token-level fault injection and per-token
+/// attribution. Replica `i` of a fleet prefixes its tracks and series with
+/// `r{i}.` and injects no token faults; the fleet loop advances it to every
+/// arrival time, routes from its [`Scheduler::load`] snapshot, and injects
+/// into it.
+struct ReplicaSim<'a> {
     sched: Scheduler,
     now: f64,
     step_times: Vec<(f64, usize)>,
-    request_latencies: Vec<f64>,
     generated_tokens: usize,
     cache: Vec<((usize, usize), Option<StepReport>)>,
     serving_track: TrackId,
     sched_track: TrackId,
-    /// Per-replica speculative slot pool: the tentpole pools slots per
-    /// *device*, so replicas share nothing and multi-stream DReX sharing
-    /// happens inside one replica's pool across its batched requests.
+    /// Track and series name prefix: empty standalone, `r{i}.` in a fleet.
+    prefix: String,
+    /// Speculative slot pool, sized from the first speculated report so
+    /// the bound comes from the system's own lookahead config. Slots pool
+    /// per device: replicas share nothing, and multi-stream DReX sharing
+    /// happens inside one replica's pool. Stays `None` — and the `spec`
+    /// track uninterned — on every lookahead-off run.
     spec_pool: Option<SpecSlotPool>,
-    spec_track_name: String,
+    spec_track: Option<TrackId>,
     spec_counts: (usize, usize, usize),
-    /// Telemetry series prefix (`r{idx}.`), mirroring the track names.
-    ts_prefix: String,
+    /// Token-level fault injection and its trace track (standalone only).
+    faults: Option<(&'a FaultInjector, &'a RetryPolicy, TrackId)>,
+    fault_log: FaultLog,
+    /// Entries of `fault_log` already replayed onto the trace.
+    fault_cursor: usize,
+    /// Token outcomes: retries and failures from token faults; degraded
+    /// tokens from token faults or DReX brownouts.
+    degrade: DegradeStats,
+    attr: Option<&'a mut TokenAttribution>,
     /// Crashed and not yet repaired: time passes but no step runs, so
     /// anything queued here wedges until the `Up` event (what a naive
     /// router keeps feeding).
@@ -1311,47 +1042,54 @@ struct ReplicaSim {
     /// Fraction of the DReX offload budget retained this step; `1.0`
     /// outside brownouts, `profile.brownout_topk_factor` inside one.
     brownout_factor: f64,
-    /// Tokens decoded under a shrunken brownout budget.
-    degraded_tokens: usize,
-    /// Completion log with classes, in completion order — the observable
-    /// signal the circuit breaker is driven by.
+    /// Completion log with classes, in completion order: the request
+    /// latency samples, and the observable signal the circuit breaker is
+    /// driven by.
     completions: Vec<(SloClass, f64)>,
-    /// Prefix publications scheduled by the session driver: `(request id,
-    /// content hash, pages)`, inserted into the replica's prefix cache
-    /// when that request completes. Always empty on sessionless runs.
-    pending_publish: Vec<(usize, u64, usize)>,
+    /// Session turns in flight here; always empty on sessionless runs.
+    turns: Vec<PendingTurn>,
 }
 
-impl ReplicaSim {
+impl<'a> ReplicaSim<'a> {
     fn new(
         geometry: &KvDeviceGeometry,
         opts: &SchedOptions,
         rec: &mut Recorder,
-        idx: usize,
+        idx: Option<usize>,
+        faults: Option<(&'a FaultInjector, &'a RetryPolicy)>,
+        attr: Option<&'a mut TokenAttribution>,
     ) -> Self {
         let mut sched = Scheduler::new(sched_config_for(geometry, opts));
         sched.set_event_recording(rec.is_enabled());
+        let prefix = idx.map_or(String::new(), |i| format!("r{i}."));
+        let serving_track = rec.track(&format!("{prefix}serving"));
+        // A standalone replica interns its `faults` track even with no
+        // injector, so every single-replica trace has one track list.
+        let faults_track = idx.is_none().then(|| rec.track("faults"));
+        let sched_track = rec.track(&format!("{prefix}sched"));
         Self {
             sched,
             now: 0.0,
             step_times: Vec::new(),
-            request_latencies: Vec::new(),
             generated_tokens: 0,
             cache: Vec::new(),
-            serving_track: rec.track(&format!("r{idx}.serving")),
-            sched_track: rec.track(&format!("r{idx}.sched")),
+            serving_track,
+            sched_track,
+            prefix,
             spec_pool: None,
-            // Interned lazily on the first speculated step, like the
-            // single-replica `spec` track: lookahead-off fleet traces keep
-            // their exact track list.
-            spec_track_name: format!("r{idx}.spec"),
+            spec_track: None,
             spec_counts: (0, 0, 0),
-            ts_prefix: format!("r{idx}."),
+            faults: faults
+                .zip(faults_track)
+                .map(|((inj, retry), track)| (inj, retry, track)),
+            fault_log: FaultLog::new(),
+            fault_cursor: 0,
+            degrade: DegradeStats::default(),
+            attr,
             down: false,
             brownout_factor: 1.0,
-            degraded_tokens: 0,
             completions: Vec::new(),
-            pending_publish: Vec::new(),
+            turns: Vec::new(),
         }
     }
 
@@ -1367,47 +1105,30 @@ impl ReplicaSim {
     }
 
     /// Runs this replica forward until its clock reaches `t` (idling
-    /// straight to `t` when the batch empties), mirroring the
-    /// single-replica loop: drain the admission queue, plan a step,
-    /// advance. The overload guard caps runaway accounting exactly like
-    /// the single-replica path.
-    fn advance_to(
+    /// straight to `t` when the batch empties), or to completion when `t`
+    /// is `None`: drain the admission queue, step, repeat. Stepping stops
+    /// once the clock is past four horizons, the fleet's overload guard. A
+    /// crashed replica idles: its clock tracks fleet time but no queue
+    /// drains and no step runs until the `Up` event.
+    fn advance(
         &mut self,
         sys: &mut dyn ServingSystem,
         rec: &mut Recorder,
-        t: f64,
+        t: Option<f64>,
         horizon_ns: f64,
     ) {
-        if self.down {
-            // A crashed replica idles: its clock tracks fleet time but no
-            // queue drains and no step runs until the `Up` event.
-            self.now = self.now.max(t);
-            return;
-        }
         loop {
-            self.drain(sys, rec);
-            if self.sched.active_is_empty() {
-                self.now = self.now.max(t);
+            if !self.down {
+                self.drain(sys, rec);
+            }
+            if self.down || self.sched.active_is_empty() {
+                self.now = t.map_or(self.now, |t| self.now.max(t));
                 return;
             }
-            if self.now >= t || self.now > 4.0 * horizon_ns {
+            if t.is_some_and(|t| self.now >= t) || self.now > 4.0 * horizon_ns {
                 return;
             }
-            self.step(sys, rec);
-        }
-    }
-
-    /// Runs this replica to completion after the last arrival.
-    fn drain_all(&mut self, sys: &mut dyn ServingSystem, rec: &mut Recorder, horizon_ns: f64) {
-        if self.down {
-            return;
-        }
-        loop {
-            self.drain(sys, rec);
-            if self.sched.active_is_empty() || self.now > 4.0 * horizon_ns {
-                return;
-            }
-            self.step(sys, rec);
+            self.step(sys, rec, f64::INFINITY);
         }
     }
 
@@ -1422,36 +1143,46 @@ impl ReplicaSim {
         flush_sched_events(&mut self.sched, rec, self.sched_track, self.now);
     }
 
-    /// One synchronized step, identical in structure to the single-replica
-    /// loop's fault-free path (fleet mode does not inject faults).
-    fn step(&mut self, sys: &mut dyn ServingSystem, rec: &mut Recorder) {
+    /// One synchronized step — the only one in the crate. The decoding
+    /// members advance one token; chunked prefill shares the step
+    /// (SLO-aware only). Speculation, brownout contraction and token faults
+    /// pace it in that order: the worst token's retry/backoff penalty
+    /// paces the whole batch, and hard-failed requests leave it without
+    /// emitting this token.
+    ///
+    /// Returns `false` when the step ended past `guard_ns` — the
+    /// single-replica loop's overload guard — leaving it unaccounted; fleets
+    /// pass infinity and guard in [`ReplicaSim::advance`] instead.
+    fn step(&mut self, sys: &mut dyn ServingSystem, rec: &mut Recorder, guard_ns: f64) -> bool {
         let plan = self.sched.plan_step();
-        let report = if plan.decode_users > 0 {
-            Some(
-                cached_step_cost(
-                    &mut self.cache,
-                    sys,
-                    plan.decode_users,
-                    plan.max_decode_ctx,
-                    rec,
-                    self.now,
-                )
-                .expect("a decode subset of an admitted batch must evaluate"),
+        let report = (plan.decode_users > 0).then(|| {
+            cached_step_cost(
+                &mut self.cache,
+                sys,
+                plan.decode_users,
+                plan.max_decode_ctx,
+                rec,
+                self.now,
             )
-        } else {
-            None
-        };
+            .expect("a decode subset of an admitted batch must evaluate")
+        });
         let mut base_dt = report.map_or(0.0, |r| r.step_ns);
-        // Same speculation resolution as the single-replica loop (fleet
-        // mode injects no faults, so no void draws); draws key off the
-        // global request id, so a request resolves identically wherever
-        // the router placed it.
+        // With the lookahead pipeline on, the chain for this step was
+        // issued speculatively at the previous one: resolve every decoding
+        // member against the slot pool before the step's duration is
+        // fixed. Draws key off the global request id, so a request resolves
+        // identically wherever the router placed it. Lookahead-off reports
+        // carry no `spec`, so this block (and the `spec` track) never
+        // exists on that path.
+        let mut spec: Option<(SpecStep, SpecCharge, (usize, usize, usize))> = None;
         if let Some(s) = report.and_then(|r| r.spec) {
             let pool = self
                 .spec_pool
                 .get_or_insert_with(|| SpecSlotPool::new(s.slots));
-            let spec_track = rec.track(&self.spec_track_name);
-            let (hits, misses, denied) = resolve_spec_step(
+            let track = *self
+                .spec_track
+                .get_or_insert_with(|| rec.track(&format!("{}spec", self.prefix)));
+            let counts = resolve_spec_step(
                 pool,
                 &s,
                 self.sched
@@ -1459,41 +1190,96 @@ impl ReplicaSim {
                     .iter()
                     .filter(|r| r.in_decode)
                     .map(|r| (r.req.id as u64, r.generated as u64)),
-                None,
+                self.faults.map(|f| f.0),
                 rec,
-                spec_track,
+                track,
                 self.now,
             );
-            let (paced, _) = spec_pacing(&s, base_dt, misses, denied);
+            let (paced, charge) = spec_pacing(&s, base_dt, counts.1, counts.2);
             base_dt = paced;
-            self.spec_counts.0 += hits;
-            self.spec_counts.1 += misses;
-            self.spec_counts.2 += denied;
+            self.spec_counts.0 += counts.0;
+            self.spec_counts.1 += counts.1;
+            self.spec_counts.2 += counts.2;
+            spec = Some((s, charge, counts));
         }
         if self.brownout_factor < 1.0 {
             // Brownout: the DReX tier runs on a shrunken top-k budget, so
             // the offload share of the step contracts proportionally and
             // every token decoded under it loses part of its long-range
-            // attention (charged below through the degraded-token path).
+            // attention (charged below as a degraded token).
             if let Some(r) = report {
                 let offload = r.breakdown.drex_offload_ns + r.breakdown.cxl_ns;
                 base_dt = (base_dt - (1.0 - self.brownout_factor) * offload).max(0.0);
             }
         }
-        let dt = base_dt.max(plan.prefill_ns);
+        // Chunked prefill hides inside the memory-bound decode step; only a
+        // pure-prefill step pays chunk time alone. FIFO plans no chunks, so
+        // `work_dt == base_dt` exactly.
+        let work_dt = base_dt.max(plan.prefill_ns);
+        let mut dt = work_dt;
         let step_start = self.now;
+        let mut batch_died = false;
+        if let Some((inj, retry, track)) = self.faults {
+            let mut max_penalty = 0.0f64;
+            let mut dead: Vec<usize> = Vec::new();
+            let mut degraded_ids: Vec<usize> = Vec::new();
+            for r in self.sched.active() {
+                if !r.in_decode {
+                    continue;
+                }
+                let (outcome, penalty) = resolve_token(
+                    inj,
+                    retry,
+                    r.req.id as u64,
+                    r.generated as u64,
+                    &mut self.fault_log,
+                );
+                self.degrade.record(outcome);
+                match outcome {
+                    TokenOutcome::Failed => dead.push(r.req.id),
+                    TokenOutcome::Degraded => {
+                        degraded_ids.push(r.req.id);
+                        max_penalty = max_penalty.max(penalty);
+                    }
+                    TokenOutcome::Completed { .. } => max_penalty = max_penalty.max(penalty),
+                }
+            }
+            // Replay this step's fault events onto the trace (1:1 with the
+            // log) at the step's start time.
+            self.fault_cursor +=
+                self.fault_log
+                    .record_tail_into(self.fault_cursor, rec, track, step_start);
+            self.sched.remove_failed(&dead);
+            // A degraded request lost its long-range path: its DReX tail
+            // pages come back to the pool.
+            for id in degraded_ids {
+                self.sched.on_degraded(id);
+            }
+            dt += max_penalty;
+            batch_died = self.sched.active_is_empty();
+        }
         if rec.is_enabled() {
             if plan.decode_users > 0 {
-                rec.leaf_with(
+                let span = rec.open_with(
                     self.serving_track,
                     "decode.step",
                     step_start,
-                    step_start + dt,
                     &[
                         ("users", ArgVal::U(plan.users as u64)),
                         ("ctx", ArgVal::U(plan.max_decode_ctx as u64)),
                     ],
                 );
+                if dt > work_dt {
+                    // The worst token's deadline overrun paces the batch.
+                    rec.leaf_with(
+                        self.serving_track,
+                        "decode.retry_wait",
+                        step_start + work_dt,
+                        step_start + dt,
+                        &[("penalty_ns", ArgVal::F(dt - work_dt))],
+                    );
+                }
+                rec.close(span, step_start + dt);
             } else {
                 rec.leaf_with(
                     self.serving_track,
@@ -1508,35 +1294,53 @@ impl ReplicaSim {
             }
         }
         self.now += dt;
+        if batch_died {
+            flush_sched_events(&mut self.sched, rec, self.sched_track, self.now);
+            return true;
+        }
+        if self.now > guard_ns {
+            return false;
+        }
         let decoding = self.sched.decoding_count();
-        let ts_on = rec.timeseries.is_enabled();
         if decoding > 0 {
             self.step_times.push((dt, decoding));
-            self.generated_tokens += decoding;
-            if ts_on {
-                rec.timeseries.rate_add("tokens", self.now, decoding as f64);
-            }
-            if self.brownout_factor < 1.0 {
-                self.degraded_tokens += decoding;
-                if ts_on {
-                    rec.timeseries.rate_add(
-                        &format!("{}degraded_tok", self.ts_prefix),
-                        self.now,
-                        decoding as f64,
+            if let (Some(a), Some(r)) = (self.attr.as_deref_mut(), report.as_ref()) {
+                let parts = attribution_parts(r, dt, spec.map(|s| s.1));
+                a.record_step(parts, dt, decoding.min(64));
+                if let Some((s, charge, (h, m, d))) = spec {
+                    a.record_spec_step(
+                        SpecSample {
+                            charge,
+                            chain_ns: s.chain_ns,
+                            hit_visible_ns: s.hit_visible_ns,
+                            serial_visible_ns: s.serial_visible_ns,
+                            spec_miss_ns: parts[SPEC_MISS],
+                            overlap_hidden_ns: parts[OVERLAP_HIDDEN],
+                            penalty_ns: if charge == SpecCharge::Miss {
+                                s.refilter_penalty_ns
+                            } else {
+                                0.0
+                            },
+                        },
+                        h,
+                        m,
+                        d,
                     );
                 }
             }
-        }
-        for c in self.sched.advance_step(dt, self.now) {
-            // A completed turn publishes its prefix under its content key
-            // (session runs only; the list stays empty otherwise).
-            if !self.pending_publish.is_empty() {
-                if let Some(pos) = self.pending_publish.iter().position(|p| p.0 == c.id) {
-                    let (_, hash, pages) = self.pending_publish.swap_remove(pos);
-                    self.sched.pages_mut().prefix_insert(hash, pages);
-                }
+            self.generated_tokens += decoding;
+            if self.brownout_factor < 1.0 {
+                self.degrade.degraded_tokens += decoding;
             }
-            self.request_latencies.push(c.latency_ms);
+        }
+        let ts_on = rec.timeseries.is_enabled();
+        for c in self.sched.advance_step(dt, self.now) {
+            // A completed session turn publishes its prefix under its
+            // content key on the replica it completed on.
+            if let Some(pos) = self.turns.iter().position(|t| t.id == c.id) {
+                let (hash, pages) = self.turns.swap_remove(pos).publish;
+                self.sched.pages_mut().prefix_insert(hash, pages);
+            }
             self.completions.push((c.class, c.latency_ms));
             if ts_on {
                 rec.timeseries
@@ -1547,84 +1351,154 @@ impl ReplicaSim {
             }
         }
         flush_sched_events(&mut self.sched, rec, self.sched_track, self.now);
-        sample_sched_timeseries(rec, &self.ts_prefix, self.now, &self.sched);
+        if ts_on {
+            if decoding > 0 {
+                rec.timeseries.rate_add("tokens", self.now, decoding as f64);
+                if self.brownout_factor < 1.0 {
+                    rec.timeseries.rate_add(
+                        &format!("{}degraded_tok", self.prefix),
+                        self.now,
+                        decoding as f64,
+                    );
+                }
+            }
+            sample_sched_timeseries(rec, &self.prefix, self.now, &self.sched);
+        }
+        true
     }
 }
 
-/// Closed-loop serving over a fleet of replicas behind a deterministic
-/// front-end router.
-///
-/// The offered load is generated exactly as in [`simulate_scheduled`]
-/// (same seed, same streams); the router then places each arrival on one
-/// replica — join-shortest-queue on free HBM pages with class-aware
-/// spillover, or round-robin — from [`Scheduler::load`] snapshots taken
-/// after every replica has advanced to the arrival time. Placement is a
-/// pure function of `(seed, arrival index, load)`, so the whole fleet
-/// timeline is bit-identical at any worker-thread count.
-///
-/// With a single system this delegates to the single-replica path and is
-/// bit-identical to [`simulate_scheduled`] (the report comes back wrapped
-/// in a degenerate [`FleetReport`]). This entry point never injects
-/// replica faults; [`simulate_fleet_faulty`] adds the fleet failure
-/// domains on top and is byte-identical to this one when its options are
-/// disabled.
-///
-/// Routing decisions land on the `router` track as `route.place`
-/// instants; each replica gets its own `r<i>.serving` / `r<i>.sched`
-/// tracks.
-///
-/// # Panics
-///
-/// Panics when `systems` is empty.
-pub fn simulate_fleet(
-    systems: &mut [Box<dyn ServingSystem>],
-    model: &ModelConfig,
-    workload: &WorkloadConfig,
-    opts: &SchedOptions,
-    router_policy: RouterPolicy,
+/// The one `ServeMetrics` aggregation every driver ends in: merged token
+/// and request samples, summed counters, the span of the slowest replica.
+/// `offered` arrivals end completed, rejected, waiting, failed, shed
+/// (`shed` of them) or in flight. A degraded token keeps `degraded_keep`
+/// of its long-range top-k budget: zero for a token-fault degradation,
+/// the brownout factor in a fleet. Returns the metrics with the sorted
+/// token and request latency samples.
+fn serve_metrics(
+    replicas: &[ReplicaSim],
+    offered: usize,
+    shed: usize,
+    degraded_keep: f64,
     rec: &mut Recorder,
-) -> (ServeMetrics, FleetReport) {
-    simulate_fleet_faulty(
-        systems,
-        model,
-        workload,
-        opts,
-        router_policy,
-        &FleetFaultOptions::disabled(),
-        rec,
-    )
+) -> (ServeMetrics, Vec<f64>, Vec<f64>) {
+    let mut token_lat: Vec<f64> = Vec::new();
+    let mut request_lat: Vec<f64> = Vec::new();
+    let (mut generated, mut batch_users, mut batch_steps) = (0usize, 0usize, 0usize);
+    let (mut rejected, mut waiting) = (0usize, 0usize);
+    let mut spec = (0usize, 0usize, 0usize);
+    let mut degrade = DegradeStats::default();
+    let mut span_ns = 0.0f64;
+    for r in replicas {
+        for &(dt, users) in &r.step_times {
+            for _ in 0..users.min(64) {
+                token_lat.push(dt / 1e6);
+            }
+            batch_users += users;
+        }
+        batch_steps += r.step_times.len();
+        request_lat.extend(r.completions.iter().map(|c| c.1));
+        generated += r.generated_tokens;
+        rejected += r.sched.rejected();
+        waiting += r.sched.waiting_len();
+        spec.0 += r.spec_counts.0;
+        spec.1 += r.spec_counts.1;
+        spec.2 += r.spec_counts.2;
+        degrade.retried_tokens += r.degrade.retried_tokens;
+        degrade.degraded_tokens += r.degrade.degraded_tokens;
+        degrade.failed_requests += r.degrade.failed_requests;
+        span_ns = span_ns.max(r.now);
+    }
+    token_lat.sort_by(f64::total_cmp);
+    request_lat.sort_by(f64::total_cmp);
+    let completed = request_lat.len();
+    let metrics = ServeMetrics {
+        completed,
+        rejected,
+        in_flight: offered - (completed + rejected + waiting + degrade.failed_requests + shed),
+        throughput_tps: generated as f64 / (span_ns.max(1.0) / 1e9),
+        p50_token_ms: percentile(&token_lat, 0.5),
+        p99_token_ms: percentile(&token_lat, 0.99),
+        p50_request_ms: percentile(&request_lat, 0.5),
+        p99_request_ms: percentile(&request_lat, 0.99),
+        mean_batch: if batch_steps == 0 {
+            0.0
+        } else {
+            batch_users as f64 / batch_steps as f64
+        },
+        retried_tokens: degrade.retried_tokens,
+        degraded_tokens: degrade.degraded_tokens,
+        failed_requests: degrade.failed_requests,
+        degraded_quality_delta: if generated == 0 || degrade.degraded_tokens == 0 {
+            0.0
+        } else {
+            (1.0 - degraded_keep) * degrade.degraded_tokens as f64 / generated as f64
+        },
+        spec_hits: spec.0,
+        spec_misses: spec.1,
+        spec_denied: spec.2,
+        slo_burn: finalize_slo_burn(rec),
+    };
+    (metrics, token_lat, request_lat)
 }
 
-/// [`simulate_fleet`] with fleet-level failure domains armed: a
-/// deterministic replica crash/brownout timeline drawn from
-/// `fopts.fault_seed` (never the workload seed — offered load and fault
-/// schedule are independent streams), per-replica circuit breakers
-/// driving health-aware failover routing, and an SLO-aware admission
-/// controller that sheds arrivals the fleet has no queue room for.
+/// Closed-loop serving over a fleet of replicas behind a deterministic
+/// front-end router: the one fleet loop, where fault domains (`fopts`)
+/// and sessions (`sess`) are independent options that compose.
 ///
-/// A crash evacuates every in-flight request on the replica (its KV pages
-/// are gone) and redispatches each through the router onto a surviving
-/// replica, where it queues behind the restore-vs-recompute rebuild
-/// charge of that replica's [`KvDeviceGeometry`]. Every arrival is placed
-/// once, redispatched with a recorded reason, or shed — never lost; the
-/// [`FleetReport`] audit enforces exactly that.
+/// The router places each arrival on one replica from [`Scheduler::load`]
+/// snapshots taken after every replica has advanced to the arrival time.
+/// Placement is a pure function of `(seed, arrival index, load)`, so the
+/// fleet timeline is bit-identical at any worker-thread count. Decisions
+/// land on the `router` track as `route.place` instants; each replica gets
+/// its own `r<i>.serving` / `r<i>.sched` tracks.
 ///
-/// With [`FleetFaultOptions::disabled`] this runs the legacy code path
-/// op-for-op: placements, metrics, report, and trace are byte-identical
-/// to [`simulate_fleet`].
+/// **Fault domains.** A replica crash/brownout timeline drawn from
+/// `fopts.fault_seed` (independent of the workload seed), per-replica
+/// circuit breakers driving health-aware failover, and an SLO-aware
+/// admission controller that sheds arrivals no replica has queue room
+/// for. A crash evacuates the replica's in-flight set (its KV pages are
+/// gone) and redispatches each request through the router onto a
+/// survivor, where it queues behind the rebuild charge of that replica's
+/// [`KvDeviceGeometry`]. Every arrival is placed once, redispatched with a
+/// recorded reason, or shed — never lost; the [`FleetReport`] audit
+/// enforces it. Fault instants land on a `fleet.faults` track.
+///
+/// **Sessions.** The session generator ([`crate::session`]) replaces the
+/// Poisson process: each session's turns extend one growing context, and
+/// a completed turn publishes its KV prefix under a content hash into its
+/// replica's prefix cache. A follow-up turn resumes cheapest first: a
+/// **local hit** pins the prefix and prefills only the suffix; a
+/// **pooled-DReX pull** from the owning replica pays the target's per-page
+/// restore price × 2 (two fabric hops, the preemption-restore transfer
+/// model) on top of the suffix when that beats re-prefilling, traced as a
+/// `prefix.pull` span on the `sessions` track and logged as a
+/// [`PullRecord`]; otherwise it prefills **cold**. Under
+/// [`RouterPolicy::Affinity`] a resuming turn lands on its owner while the
+/// owner's breaker admits it and it has free HBM, else on cost-aware JSQ
+/// crediting the owner's cached pages. A crash drops its evacuees' pins:
+/// a warm evacuee is repriced to its full cold prefill (a `prefix.lost`
+/// instant) and its pending publication moves with it; a shed follow-up
+/// counts cold. The session audit checks pin and turn conservation.
+///
+/// With one replica and no session workload this is bit-identical to
+/// [`simulate_scheduled`], wrapped in a degenerate [`FleetReport`]; with
+/// both option sets disabled no fault or session track is interned.
 ///
 /// # Panics
 ///
 /// Panics when `systems` is empty, or when fault options are active over
 /// a single-replica fleet (there is nothing to fail over to; the CLI
 /// rejects the combination).
-pub fn simulate_fleet_faulty(
+#[allow(clippy::too_many_arguments)]
+pub fn simulate_fleet(
     systems: &mut [Box<dyn ServingSystem>],
     model: &ModelConfig,
     workload: &WorkloadConfig,
     opts: &SchedOptions,
     router_policy: RouterPolicy,
     fopts: &FleetFaultOptions,
+    sess: &SessionOptions,
     rec: &mut Recorder,
 ) -> (ServeMetrics, FleetReport) {
     assert!(!systems.is_empty(), "fleet needs at least one replica");
@@ -1632,7 +1506,7 @@ pub fn simulate_fleet_faulty(
         systems.len() > 1 || !fopts.is_active(),
         "fleet fault domains need at least two replicas"
     );
-    if systems.len() == 1 {
+    if systems.len() == 1 && !sess.is_active() {
         let (m, rep, _) = sched_impl(systems[0].as_mut(), model, workload, opts, None, rec, None);
         let mut fleet = FleetReport::single(router_policy, rep);
         fleet.slo_burn = m.slo_burn.clone();
@@ -1640,20 +1514,23 @@ pub fn simulate_fleet_faulty(
     }
     let n = systems.len();
     let horizon_ns = workload.duration_s * 1e9;
-    let (mut arrivals, mut classes, mut prefill_ns) = gen_arrivals(model, workload, &opts.mix);
-    let total_arrived = arrivals.len();
+    let mut arrivals = if sess.is_active() {
+        session::gen_session_turns(model, workload, &opts.mix, sess)
+    } else {
+        gen_arrivals(model, workload, &opts.mix)
+    };
+    let offered = arrivals.len();
     let router = Router::new(router_policy, workload.seed);
     let router_track = rec.track("router");
-
     let active = fopts.is_active();
-    // The fault track is interned only when a fault domain is armed, so
-    // disabled runs keep their exact track list.
-    let fault_track = if active {
-        Some(rec.track("fleet.faults"))
+    // Fault and session tracks are interned only when armed, so every run
+    // keeps its exact track list.
+    let track = if active {
+        rec.track("fleet.faults")
     } else {
-        None
+        router_track
     };
-    let track = fault_track.unwrap_or(router_track);
+    let sessions_track = sess.is_active().then(|| rec.track("sessions"));
     let mut events: Vec<ReplicaEvent> = if fopts.profile.is_enabled() {
         fleet_schedule(&fopts.profile, fopts.fault_seed, n, workload.duration_s)
     } else {
@@ -1663,25 +1540,35 @@ pub fn simulate_fleet_faulty(
     let mut breakers: Option<Vec<CircuitBreaker>> = fopts
         .breaker
         .map(|cfg| (0..n).map(|_| CircuitBreaker::new(cfg)).collect());
-    let mut summary = FleetFaultSummary::new(n, total_arrived);
+    let mut summary = FleetFaultSummary::new(n, offered);
     let mut down_since = vec![0.0f64; n];
     let mut fed_completions = vec![0usize; n];
     let mut fed_degraded = vec![0u64; n];
 
-    let mut replicas: Vec<ReplicaSim> = Vec::with_capacity(systems.len());
-    let mut geometries: Vec<KvDeviceGeometry> = Vec::with_capacity(systems.len());
+    let mut replicas: Vec<ReplicaSim> = Vec::with_capacity(n);
+    let mut geometries: Vec<KvDeviceGeometry> = Vec::with_capacity(n);
     for (i, sys) in systems.iter_mut().enumerate() {
         let g = geometry_for(sys.as_ref(), opts);
-        replicas.push(ReplicaSim::new(&g, opts, rec, i));
+        let mut r = ReplicaSim::new(&g, opts, rec, Some(i), None, None);
+        r.sched
+            .pages_mut()
+            .set_prefix_capacity(sess.prefix_cache_pages);
+        replicas.push(r);
         geometries.push(g);
     }
 
-    let mut placements: Vec<Placement> = Vec::with_capacity(total_arrived);
-    while let Some(a) = arrivals.pop() {
-        let pf_ns = prefill_ns.pop().expect("paired with arrivals");
-        let class = classes.pop().expect("paired with arrivals");
-        while events.last().is_some_and(|e| e.at_ns <= a.arrival_ns) {
-            let e = events.pop().expect("checked non-empty");
+    // Content hash -> replica whose cache holds (or will hold) the prefix.
+    let mut owners: HashMap<u64, usize> = HashMap::new();
+    let mut placements: Vec<Placement> = Vec::with_capacity(offered);
+    let (mut sessions_seen, mut local_hits, mut cold_turns) = (0usize, 0usize, 0usize);
+    let mut pulls: Vec<PullRecord> = Vec::new();
+    loop {
+        // Fault events due by the next arrival apply first. Past the last
+        // arrival the rest of the timeline (repairs in particular) runs
+        // before the final drain, so every crashed replica comes back up
+        // and serves out whatever a naive router parked on it.
+        let next = arrivals.last().map_or(f64::INFINITY, |a| a.arrival_ns);
+        while let Some(e) = events.pop_if(|e| e.at_ns <= next) {
             apply_fleet_event(
                 e,
                 &fopts.profile,
@@ -1692,13 +1579,16 @@ pub fn simulate_fleet_faulty(
                 &mut breakers,
                 &mut summary,
                 &mut down_since,
+                &mut owners,
                 horizon_ns,
                 rec,
                 track,
+                sessions_track,
             );
         }
+        let Some(a) = arrivals.pop() else { break };
         for (r, sys) in replicas.iter_mut().zip(systems.iter_mut()) {
-            r.advance_to(sys.as_mut(), rec, a.arrival_ns, horizon_ns);
+            r.advance(sys.as_mut(), rec, Some(a.arrival_ns), horizon_ns);
         }
         if let Some(bs) = breakers.as_mut() {
             feed_breakers(
@@ -1721,346 +1611,79 @@ pub fn simulate_fleet_faulty(
             }
         }
         let loads: Vec<_> = replicas.iter().map(|r| r.sched.load()).collect();
-        let pick = if !active {
-            match router.route(a.id, class, &loads) {
-                Ok(p) => p,
-                // Unreachable over a non-empty fleet; a lost arrival here
-                // would trip the report audit, not vanish silently.
-                Err(_) => continue,
-            }
-        } else {
-            // Health gate first (a naive baseline sees every replica as
-            // closed — it stays blind to downtime and wedges whatever it
-            // places on a dead node), then the admission controller's
-            // per-class queue caps on top.
-            let health: Vec<BreakerState> = match breakers.as_ref() {
-                Some(bs) => breaker_health(bs),
-                None => vec![BreakerState::Closed; n],
-            };
-            let gated: Vec<BreakerState> = match fopts.shed_queue_cap {
-                Some(cap) => health
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &s)| {
-                        if replicas[i].sched.queue_depth(class) >= class_queue_cap(cap, class) {
-                            BreakerState::Open
-                        } else {
-                            s
-                        }
-                    })
-                    .collect(),
-                None => health.clone(),
-            };
-            match router.route_healthy(a.id, class, &loads, &gated) {
-                Ok(p) => p,
-                Err(_) => {
-                    let reason = if health.iter().all(|&s| s == BreakerState::Open) {
-                        "no-healthy-replica"
+        // Health gate first (a naive baseline sees every replica as
+        // closed — it stays blind to downtime and wedges whatever it
+        // places on a dead node), then the admission controller's
+        // per-class queue caps on top.
+        let health: Vec<BreakerState> = match breakers.as_ref() {
+            Some(bs) => breaker_health(bs),
+            None => vec![BreakerState::Closed; n],
+        };
+        let gated: Vec<BreakerState> = match fopts.shed_queue_cap {
+            Some(cap) => health
+                .iter()
+                .enumerate()
+                .map(|(i, &s)| {
+                    if replicas[i].sched.queue_depth(a.class) >= class_queue_cap(cap, a.class) {
+                        BreakerState::Open
                     } else {
-                        "queue-cap"
-                    };
-                    summary.shed.push(ShedRecord {
-                        id: a.id,
-                        class,
-                        at_ns: a.arrival_ns,
-                        reason,
-                    });
-                    if rec.is_enabled() {
-                        rec.instant_with(
-                            track,
-                            "shed",
-                            a.arrival_ns,
-                            &[
-                                ("id", ArgVal::U(a.id as u64)),
-                                ("class", ArgVal::S(class.name())),
-                                ("reason", ArgVal::S(reason)),
-                            ],
-                        );
+                        s
                     }
-                    rec.timeseries.rate_add("fleet.shed", a.arrival_ns, 1.0);
-                    continue;
-                }
-            }
+                })
+                .collect(),
+            None => health.clone(),
         };
-        placements.push((a.id, pick));
-        if rec.is_enabled() {
-            rec.instant_with(
-                router_track,
-                "route.place",
-                a.arrival_ns,
-                &[
-                    ("id", ArgVal::U(a.id as u64)),
-                    ("replica", ArgVal::U(pick as u64)),
-                    ("class", ArgVal::S(class.name())),
-                    ("free_hbm", ArgVal::U(loads[pick].free_hbm() as u64)),
-                ],
-            );
-        }
-        let g = &geometries[pick];
-        let req = SchedRequest {
-            id: a.id,
-            class,
-            arrival_ns: a.arrival_ns,
-            context: a.context,
-            output: a.output,
-            prefill_ns: pf_ns,
-            restore_ns: g.restore_ns(a.context),
-            recompute_ns: g.recompute_ns(a.context),
-            pull_ns: f64::INFINITY,
-            prefix_hash: None,
-        };
-        replicas[pick].inject(systems[pick].as_mut(), rec, req);
-        if rec.timeseries.is_enabled() {
-            rec.timeseries.rate_add("fleet.admit", a.arrival_ns, 1.0);
-            let prefix = replicas[pick].ts_prefix.clone();
-            sample_sched_timeseries(rec, &prefix, a.arrival_ns, &replicas[pick].sched);
-        }
-    }
-    // The tail of the fault timeline (repairs in particular) runs before
-    // the final drain, so every crashed replica comes back up and serves
-    // out whatever a naive router parked on it.
-    while let Some(e) = events.pop() {
-        apply_fleet_event(
-            e,
-            &fopts.profile,
-            &router,
-            &mut replicas,
-            systems,
-            &geometries,
-            &mut breakers,
-            &mut summary,
-            &mut down_since,
-            horizon_ns,
-            rec,
-            track,
-        );
-    }
-    for (r, sys) in replicas.iter_mut().zip(systems.iter_mut()) {
-        r.drain_all(sys.as_mut(), rec, horizon_ns);
-    }
-
-    // Fleet-wide aggregates: merged samples, summed counters, the span of
-    // the slowest replica.
-    let mut token_lat: Vec<f64> = Vec::new();
-    let mut request_latencies: Vec<f64> = Vec::new();
-    let mut generated_tokens = 0usize;
-    let mut batch_users = 0usize;
-    let mut batch_steps = 0usize;
-    let mut rejected = 0usize;
-    let mut waiting = 0usize;
-    let (mut spec_hits, mut spec_misses, mut spec_denied) = (0usize, 0usize, 0usize);
-    let mut degraded_tokens = 0usize;
-    let mut fleet_now = 0.0f64;
-    let mut reports: Vec<SchedReport> = Vec::with_capacity(replicas.len());
-    let mut samples: [(Vec<f64>, Vec<f64>); 3] = Default::default();
-    for r in replicas.iter_mut() {
-        for &(dt, users) in &r.step_times {
-            for _ in 0..users.min(64) {
-                token_lat.push(dt / 1e6);
-            }
-            batch_users += users;
-            batch_steps += 1;
-        }
-        request_latencies.extend_from_slice(&r.request_latencies);
-        generated_tokens += r.generated_tokens;
-        degraded_tokens += r.degraded_tokens;
-        rejected += r.sched.rejected();
-        waiting += r.sched.waiting_len();
-        spec_hits += r.spec_counts.0;
-        spec_misses += r.spec_counts.1;
-        spec_denied += r.spec_counts.2;
-        fleet_now = fleet_now.max(r.now);
-        reports.push(r.sched.finalize());
-        for (i, (tok, req)) in r.sched.class_samples().iter().enumerate() {
-            samples[i].0.extend_from_slice(tok);
-            samples[i].1.extend_from_slice(req);
-        }
-    }
-    token_lat.sort_by(f64::total_cmp);
-    request_latencies.sort_by(f64::total_cmp);
-    let span_s = fleet_now.max(1.0) / 1e9;
-    let shed_total = summary.shed.len();
-    let metrics = ServeMetrics {
-        completed: request_latencies.len(),
-        rejected,
-        in_flight: total_arrived - request_latencies.len() - rejected - waiting - shed_total,
-        throughput_tps: generated_tokens as f64 / span_s,
-        p50_token_ms: percentile(&token_lat, 0.5),
-        p99_token_ms: percentile(&token_lat, 0.99),
-        p50_request_ms: percentile(&request_latencies, 0.5),
-        p99_request_ms: percentile(&request_latencies, 0.99),
-        mean_batch: if batch_steps == 0 {
-            0.0
-        } else {
-            batch_users as f64 / batch_steps as f64
-        },
-        retried_tokens: 0,
-        degraded_tokens,
-        failed_requests: 0,
-        // Brownout tokens keep the HBM window but lose a `1 - factor`
-        // slice of their long-range top-k budget.
-        degraded_quality_delta: if degraded_tokens == 0 {
-            0.0
-        } else {
-            (1.0 - fopts.profile.brownout_topk_factor) * degraded_tokens as f64
-                / generated_tokens.max(1) as f64
-        },
-        spec_hits,
-        spec_misses,
-        spec_denied,
-        slo_burn: finalize_slo_burn(rec),
-    };
-    let fault_counts = (
-        summary.crashes,
-        summary.brownouts,
-        summary.redispatches.len(),
-        summary.shed.len(),
-    );
-    let mut fleet = if active {
-        FleetReport::assemble_with_faults(
-            router_policy,
-            reports,
-            placements,
-            samples,
-            Some(summary),
-        )
-    } else {
-        FleetReport::assemble(router_policy, reports, placements, samples)
-    };
-    fleet.slo_burn = metrics.slo_burn.clone();
-    if rec.is_enabled() {
-        rec.counter_add("serving.completed", metrics.completed as u64);
-        rec.counter_add("serving.rejected", metrics.rejected as u64);
-        rec.counter_add("serving.generated_tokens", generated_tokens as u64);
-        rec.counter_add("router.placements", fleet.placements.len() as u64);
-        rec.gauge_set("serving.throughput_tps", metrics.throughput_tps);
-        rec.gauge_set("serving.mean_batch", metrics.mean_batch);
-        if active {
-            rec.counter_add("fleet.crashes", fault_counts.0 as u64);
-            rec.counter_add("fleet.brownouts", fault_counts.1 as u64);
-            rec.counter_add("fleet.redispatched", fault_counts.2 as u64);
-            rec.counter_add("fleet.shed", fault_counts.3 as u64);
-        }
-    }
-    (metrics, fleet)
-}
-
-/// [`simulate_fleet`] under a multi-turn session workload with the
-/// content-keyed cross-replica prefix cache armed.
-///
-/// The offered load comes from the session generator (see
-/// [`crate::session`]) instead of the Poisson process: each session's
-/// turns extend the same growing context, and every completed turn
-/// publishes its KV-prefix under a content hash into its replica's
-/// prefix-cache carve-out. A follow-up turn then resumes one of three
-/// ways, cheapest first:
-///
-/// 1. **Local hit** — the placement replica still caches the prefix: the
-///    turn pins it and pays prefill only for the suffix (the new user
-///    message).
-/// 2. **Pooled-DReX pull** — another replica owns the prefix: the pages
-///    transfer over the CXL fabric at the target geometry's
-///    per-page restore price × 2 (two fabric hops through the pooled
-///    tier — the same [`longsight_cxl::CxlLink`]-derived transfer model,
-///    and the same CRC-replay fault path, as a preemption restore),
-///    charged on top of the suffix prefill and taken only when cheaper
-///    than re-prefilling from scratch. Pulls are traced as `prefix.pull`
-///    spans on the `sessions` track and logged as [`PullRecord`]s.
-/// 3. **Cold re-prefill** — no usable copy (or the pull is dearer): full
-///    prefill, exactly like a fresh request.
-///
-/// Routing honors session affinity when `router_policy` is
-/// [`RouterPolicy::Affinity`]: a resuming turn lands on its owning
-/// replica while that replica is healthy and under the spillover bonus's
-/// occupancy ceiling, and otherwise falls back to cost-aware JSQ with
-/// the owner's free-page key credited by the cached prefix size.
-///
-/// The scheduler releases each turn's pin on completion, failure, or
-/// crash; the fleet audit checks the pull log is conserved against the
-/// replicas' pin counters (pulled = pinned elsewhere). With
-/// [`SessionOptions::disabled`] this delegates to [`simulate_fleet`]
-/// byte-for-byte.
-///
-/// # Panics
-///
-/// Panics when `systems` is empty.
-pub fn simulate_fleet_sessions(
-    systems: &mut [Box<dyn ServingSystem>],
-    model: &ModelConfig,
-    workload: &WorkloadConfig,
-    opts: &SchedOptions,
-    router_policy: RouterPolicy,
-    sess: &SessionOptions,
-    rec: &mut Recorder,
-) -> (ServeMetrics, FleetReport) {
-    assert!(!systems.is_empty(), "fleet needs at least one replica");
-    if !sess.is_active() {
-        return simulate_fleet(systems, model, workload, opts, router_policy, rec);
-    }
-    let n = systems.len();
-    let horizon_ns = workload.duration_s * 1e9;
-    let (mut arrivals, mut classes, mut prefill_ns, mut turns) =
-        session::gen_session_turns(model, workload, &opts.mix, sess);
-    let total_arrived = arrivals.len();
-    let router = Router::new(router_policy, workload.seed);
-    let router_track = rec.track("router");
-    let sessions_track = rec.track("sessions");
-
-    let mut replicas: Vec<ReplicaSim> = Vec::with_capacity(n);
-    let mut geometries: Vec<KvDeviceGeometry> = Vec::with_capacity(n);
-    for (i, sys) in systems.iter_mut().enumerate() {
-        let g = geometry_for(sys.as_ref(), opts);
-        let mut r = ReplicaSim::new(&g, opts, rec, i);
-        r.sched
-            .pages_mut()
-            .set_prefix_capacity(sess.prefix_cache_pages);
-        replicas.push(r);
-        geometries.push(g);
-    }
-
-    // Content hash -> replica whose cache holds (or will hold) the prefix.
-    let mut owners: HashMap<u64, usize> = HashMap::new();
-    let mut placements: Vec<Placement> = Vec::with_capacity(total_arrived);
-    let mut sessions_seen = 0usize;
-    let mut local_hits = 0usize;
-    let mut cold_turns = 0usize;
-    let mut pulls: Vec<PullRecord> = Vec::new();
-    let states = vec![BreakerState::Closed; n];
-
-    while let Some(a) = arrivals.pop() {
-        let pf_ns = prefill_ns.pop().expect("paired with arrivals");
-        let class = classes.pop().expect("paired with arrivals");
-        let turn = turns.pop().expect("paired with arrivals");
-        if turn.turn == 0 {
+        let turn = a.turn.as_ref();
+        if turn.is_some_and(|t| t.turn == 0) {
             sessions_seen += 1;
         }
-        for (r, sys) in replicas.iter_mut().zip(systems.iter_mut()) {
-            r.advance_to(sys.as_mut(), rec, a.arrival_ns, horizon_ns);
-        }
-        let loads: Vec<_> = replicas.iter().map(|r| r.sched.load()).collect();
         // The owning replica only counts while its cache still holds the
-        // prefix (LRU reclaim or a wipe orphans the owner map entry).
-        let mut owner: Option<usize> = None;
-        let mut owner_pages = 0usize;
-        if let Some(h) = turn.pin_hash {
-            if let Some(&o) = owners.get(&h) {
-                if let Some(p) = replicas[o].sched.pages().prefix_lookup(h) {
-                    owner = Some(o);
-                    owner_pages = p;
-                }
+        // prefix (LRU reclaim or a crash wipe orphans the owner map entry).
+        let owned: Option<(usize, usize)> = turn.and_then(|t| t.pin_hash).and_then(|h| {
+            let o = *owners.get(&h)?;
+            Some((o, replicas[o].sched.pages().prefix_lookup(h)?))
+        });
+        // With no owner or a non-affinity policy this is `route_healthy`,
+        // and over all-Closed states that is `route`.
+        let routed = router.route_affine(
+            a.id,
+            a.class,
+            &loads,
+            &gated,
+            owned.map(|(o, _)| o),
+            owned.map_or(0, |(_, pages)| pages),
+        );
+        let Ok(pick) = routed else {
+            let reason = if health.iter().all(|&s| s == BreakerState::Open) {
+                "no-healthy-replica"
+            } else {
+                "queue-cap"
+            };
+            summary.shed.push(ShedRecord {
+                id: a.id,
+                class: a.class,
+                at_ns: a.arrival_ns,
+                reason,
+            });
+            if rec.is_enabled() {
+                rec.instant_with(
+                    track,
+                    "shed",
+                    a.arrival_ns,
+                    &[
+                        ("id", ArgVal::U(a.id as u64)),
+                        ("class", ArgVal::S(a.class.name())),
+                        ("reason", ArgVal::S(reason)),
+                    ],
+                );
             }
-        }
-        let routed = match router_policy {
-            RouterPolicy::Affinity => {
-                router.route_affine(a.id, class, &loads, &states, owner, owner_pages)
+            rec.timeseries.rate_add("fleet.shed", a.arrival_ns, 1.0);
+            // A shed follow-up never resumed its prefix: it counts cold,
+            // so turn conservation holds.
+            if turn.is_some_and(|t| t.turn > 0) {
+                cold_turns += 1;
             }
-            _ => router.route(a.id, class, &loads),
-        };
-        let pick = match routed {
-            Ok(p) => p,
-            // Unreachable over a non-empty healthy fleet; a lost arrival
-            // here would trip the report audit, not vanish silently.
-            Err(_) => continue,
+            continue;
         };
         placements.push((a.id, pick));
         if rec.is_enabled() {
@@ -2071,176 +1694,112 @@ pub fn simulate_fleet_sessions(
                 &[
                     ("id", ArgVal::U(a.id as u64)),
                     ("replica", ArgVal::U(pick as u64)),
-                    ("class", ArgVal::S(class.name())),
+                    ("class", ArgVal::S(a.class.name())),
                     ("free_hbm", ArgVal::U(loads[pick].free_hbm() as u64)),
                 ],
             );
         }
         let g = &geometries[pick];
-        // Three-way resume pricing: local pin, cross-replica pull, or
-        // cold re-prefill.
-        let mut prefill = pf_ns;
-        let mut pull_field = f64::INFINITY;
-        let mut prefix_hash: Option<u64> = None;
-        if let Some(h) = turn.pin_hash {
-            let suffix_frac = (a.context - turn.prefix_tokens) as f64 / a.context.max(1) as f64;
-            let suffix_ns = pf_ns * suffix_frac;
-            if replicas[pick].sched.pages_mut().prefix_pin(h).is_some() {
-                prefill = suffix_ns;
-                prefix_hash = Some(h);
-                local_hits += 1;
-            } else if let Some(o) = owner.filter(|&o| o != pick) {
-                // Two fabric hops through the pooled tier: source DReX ->
-                // fabric -> target DReX, priced per page by the same
-                // CxlLink-derived transfer model as a preemption restore.
-                let pull_ns = owner_pages as f64 * g.restore_ns_per_page * 2.0;
-                if pull_ns + suffix_ns < pf_ns
-                    && replicas[pick]
-                        .sched
-                        .pages_mut()
-                        .prefix_insert(h, owner_pages)
-                {
-                    let pinned = replicas[pick].sched.pages_mut().prefix_pin(h);
-                    debug_assert_eq!(pinned, Some(owner_pages));
-                    prefill = suffix_ns + pull_ns;
-                    pull_field = pull_ns;
-                    prefix_hash = Some(h);
-                    pulls.push(PullRecord {
-                        id: a.id,
-                        hash: h,
-                        from: o,
-                        to: pick,
-                        pages: owner_pages,
-                        at_ns: a.arrival_ns,
-                    });
-                    if rec.is_enabled() {
+        let mut req = a.request(g);
+        if let Some(t) = turn {
+            match price_resume(
+                &mut req,
+                t,
+                pick,
+                replicas[pick].sched.pages_mut(),
+                owned.filter(|&(o, _)| o != pick),
+                g.restore_ns_per_page,
+            ) {
+                Resume::Local => local_hits += 1,
+                Resume::Pull(p) => {
+                    if let Some(st) = sessions_track {
                         rec.leaf_with(
-                            sessions_track,
+                            st,
                             "prefix.pull",
                             a.arrival_ns,
-                            a.arrival_ns + pull_ns,
+                            a.arrival_ns + req.pull_ns,
                             &[
                                 ("id", ArgVal::U(a.id as u64)),
-                                ("from", ArgVal::U(o as u64)),
+                                ("from", ArgVal::U(p.from as u64)),
                                 ("to", ArgVal::U(pick as u64)),
-                                ("pages", ArgVal::U(owner_pages as u64)),
+                                ("pages", ArgVal::U(p.pages as u64)),
                             ],
                         );
                     }
                     rec.timeseries.rate_add("sessions.pull", a.arrival_ns, 1.0);
+                    pulls.push(p);
                 }
+                Resume::Cold => cold_turns += usize::from(t.turn > 0),
             }
+            // This turn's completion publishes the next turn's prefix.
+            replicas[pick].turns.push(PendingTurn {
+                id: a.id,
+                publish: (
+                    t.publish_hash,
+                    t.publish_tokens.div_ceil(g.page_tokens.max(1)),
+                ),
+                cold_prefill_ns: req.prefix_hash.map(|_| a.prefill_ns),
+            });
+            owners.insert(t.publish_hash, pick);
         }
-        if turn.turn > 0 && prefix_hash.is_none() {
-            cold_turns += 1;
-        }
-        // This turn's completion publishes the next turn's prefix here.
-        let publish_pages = turn.publish_tokens.div_ceil(g.page_tokens.max(1));
-        replicas[pick]
-            .pending_publish
-            .push((a.id, turn.publish_hash, publish_pages));
-        owners.insert(turn.publish_hash, pick);
-        let req = SchedRequest {
-            id: a.id,
-            class,
-            arrival_ns: a.arrival_ns,
-            context: a.context,
-            output: a.output,
-            prefill_ns: prefill,
-            restore_ns: g.restore_ns(a.context),
-            recompute_ns: g.recompute_ns(a.context),
-            pull_ns: pull_field,
-            prefix_hash,
-        };
         replicas[pick].inject(systems[pick].as_mut(), rec, req);
         if rec.timeseries.is_enabled() {
             rec.timeseries.rate_add("fleet.admit", a.arrival_ns, 1.0);
-            let prefix = replicas[pick].ts_prefix.clone();
+            let prefix = replicas[pick].prefix.clone();
             sample_sched_timeseries(rec, &prefix, a.arrival_ns, &replicas[pick].sched);
         }
     }
     for (r, sys) in replicas.iter_mut().zip(systems.iter_mut()) {
-        r.drain_all(sys.as_mut(), rec, horizon_ns);
+        r.advance(sys.as_mut(), rec, None, horizon_ns);
     }
 
-    // Fleet-wide aggregates, exactly as in the fault driver's fault-free
-    // shape: merged samples, summed counters, the span of the slowest
-    // replica.
-    let mut token_lat: Vec<f64> = Vec::new();
-    let mut request_latencies: Vec<f64> = Vec::new();
-    let mut generated_tokens = 0usize;
-    let mut batch_users = 0usize;
-    let mut batch_steps = 0usize;
-    let mut rejected = 0usize;
-    let mut waiting = 0usize;
-    let (mut spec_hits, mut spec_misses, mut spec_denied) = (0usize, 0usize, 0usize);
-    let mut fleet_now = 0.0f64;
-    let mut reports: Vec<SchedReport> = Vec::with_capacity(replicas.len());
+    let (metrics, _, _) = serve_metrics(
+        &replicas,
+        offered,
+        summary.shed.len(),
+        fopts.profile.brownout_topk_factor,
+        rec,
+    );
+    let generated: usize = replicas.iter().map(|r| r.generated_tokens).sum();
+    let mut reports: Vec<SchedReport> = Vec::with_capacity(n);
     let mut samples: [(Vec<f64>, Vec<f64>); 3] = Default::default();
     for r in replicas.iter_mut() {
-        for &(dt, users) in &r.step_times {
-            for _ in 0..users.min(64) {
-                token_lat.push(dt / 1e6);
-            }
-            batch_users += users;
-            batch_steps += 1;
-        }
-        request_latencies.extend_from_slice(&r.request_latencies);
-        generated_tokens += r.generated_tokens;
-        rejected += r.sched.rejected();
-        waiting += r.sched.waiting_len();
-        spec_hits += r.spec_counts.0;
-        spec_misses += r.spec_counts.1;
-        spec_denied += r.spec_counts.2;
-        fleet_now = fleet_now.max(r.now);
         reports.push(r.sched.finalize());
         for (i, (tok, req)) in r.sched.class_samples().iter().enumerate() {
             samples[i].0.extend_from_slice(tok);
             samples[i].1.extend_from_slice(req);
         }
     }
-    token_lat.sort_by(f64::total_cmp);
-    request_latencies.sort_by(f64::total_cmp);
-    let span_s = fleet_now.max(1.0) / 1e9;
-    let metrics = ServeMetrics {
-        completed: request_latencies.len(),
-        rejected,
-        in_flight: total_arrived - request_latencies.len() - rejected - waiting,
-        throughput_tps: generated_tokens as f64 / span_s,
-        p50_token_ms: percentile(&token_lat, 0.5),
-        p99_token_ms: percentile(&token_lat, 0.99),
-        p50_request_ms: percentile(&request_latencies, 0.5),
-        p99_request_ms: percentile(&request_latencies, 0.99),
-        mean_batch: if batch_steps == 0 {
-            0.0
-        } else {
-            batch_users as f64 / batch_steps as f64
-        },
-        retried_tokens: 0,
-        degraded_tokens: 0,
-        failed_requests: 0,
-        degraded_quality_delta: 0.0,
-        spec_hits,
-        spec_misses,
-        spec_denied,
-        slo_burn: finalize_slo_burn(rec),
-    };
-    let mut fleet = FleetReport::assemble(router_policy, reports, placements, samples);
+    let mut fleet = FleetReport::assemble_with_faults(
+        router_policy,
+        reports,
+        placements,
+        samples,
+        active.then_some(summary),
+    );
     fleet.slo_burn = metrics.slo_burn.clone();
-    fleet.attach_sessions(SessionSummary {
-        sessions: sessions_seen,
-        turns: total_arrived,
-        prefix_hits: local_hits,
-        cold_turns,
-        pulls,
-    });
+    if sess.is_active() {
+        fleet.attach_sessions(SessionSummary {
+            sessions: sessions_seen,
+            turns: offered,
+            prefix_hits: local_hits,
+            cold_turns,
+            pulls,
+        });
+    }
     if rec.is_enabled() {
         rec.counter_add("serving.completed", metrics.completed as u64);
         rec.counter_add("serving.rejected", metrics.rejected as u64);
-        rec.counter_add("serving.generated_tokens", generated_tokens as u64);
+        rec.counter_add("serving.generated_tokens", generated as u64);
         rec.counter_add("router.placements", fleet.placements.len() as u64);
         rec.gauge_set("serving.throughput_tps", metrics.throughput_tps);
         rec.gauge_set("serving.mean_batch", metrics.mean_batch);
+        if let Some(f) = &fleet.faults {
+            rec.counter_add("fleet.crashes", f.crashes as u64);
+            rec.counter_add("fleet.brownouts", f.brownouts as u64);
+            rec.counter_add("fleet.redispatched", f.redispatches.len() as u64);
+            rec.counter_add("fleet.shed", f.shed.len() as u64);
+        }
         if let Some(s) = &fleet.sessions {
             rec.counter_add("sessions.turns", s.turns as u64);
             rec.counter_add("sessions.prefix_hits", s.prefix_hits as u64);
@@ -2252,6 +1811,119 @@ pub fn simulate_fleet_sessions(
     (metrics, fleet)
 }
 
+/// [`simulate_fleet`] without a session workload.
+///
+/// # Panics
+///
+/// As [`simulate_fleet`].
+pub fn simulate_fleet_faulty(
+    systems: &mut [Box<dyn ServingSystem>],
+    model: &ModelConfig,
+    workload: &WorkloadConfig,
+    opts: &SchedOptions,
+    router_policy: RouterPolicy,
+    fopts: &FleetFaultOptions,
+    rec: &mut Recorder,
+) -> (ServeMetrics, FleetReport) {
+    let sess = SessionOptions::disabled();
+    simulate_fleet(
+        systems,
+        model,
+        workload,
+        opts,
+        router_policy,
+        fopts,
+        &sess,
+        rec,
+    )
+}
+
+/// [`simulate_fleet`] without fleet fault domains.
+///
+/// # Panics
+///
+/// As [`simulate_fleet`].
+pub fn simulate_fleet_sessions(
+    systems: &mut [Box<dyn ServingSystem>],
+    model: &ModelConfig,
+    workload: &WorkloadConfig,
+    opts: &SchedOptions,
+    router_policy: RouterPolicy,
+    sess: &SessionOptions,
+    rec: &mut Recorder,
+) -> (ServeMetrics, FleetReport) {
+    let fopts = FleetFaultOptions::disabled();
+    simulate_fleet(
+        systems,
+        model,
+        workload,
+        opts,
+        router_policy,
+        &fopts,
+        sess,
+        rec,
+    )
+}
+
+/// How a session turn resumed its prefix (see [`simulate_fleet`]).
+enum Resume {
+    /// Pinned in the placement replica's own cache.
+    Local,
+    /// Pulled from the owning replica over the pooled-DReX fabric.
+    Pull(PullRecord),
+    /// Full prefill: an opening or non-reusable turn, or no cheaper copy.
+    Cold,
+}
+
+/// Prices session turn `turn` on replica `pick`, whose prefix cache is
+/// `pages`, cheapest first: a local pin, then a pull from `owner` (the
+/// other replica holding the prefix, with its page count), else cold.
+/// A warm resume pins the prefix in `pages` and sets `req`'s prefill to
+/// the suffix (plus the pull), its pull price and its prefix handle.
+fn price_resume(
+    req: &mut SchedRequest,
+    turn: &SessionTurn,
+    pick: usize,
+    pages: &mut PagedKvManager,
+    owner: Option<(usize, usize)>,
+    restore_ns_per_page: f64,
+) -> Resume {
+    let Some(h) = turn.pin_hash else {
+        return Resume::Cold;
+    };
+    let cold_ns = req.prefill_ns;
+    let suffix_frac = (req.context - turn.prefix_tokens) as f64 / req.context.max(1) as f64;
+    let suffix_ns = cold_ns * suffix_frac;
+    if pages.prefix_pin(h).is_some() {
+        req.prefill_ns = suffix_ns;
+        req.prefix_hash = Some(h);
+        return Resume::Local;
+    }
+    let Some((from, owner_pages)) = owner else {
+        return Resume::Cold;
+    };
+    // Two fabric hops through the pooled tier: source DReX -> fabric ->
+    // target DReX, priced per page by the same CxlLink-derived transfer
+    // model as a preemption restore.
+    let pull_ns = owner_pages as f64 * restore_ns_per_page * 2.0;
+    if pull_ns + suffix_ns >= cold_ns || !pages.prefix_insert(h, owner_pages) {
+        return Resume::Cold;
+    }
+    let pinned = pages.prefix_pin(h);
+    debug_assert_eq!(pinned, Some(owner_pages));
+    req.prefill_ns = suffix_ns + pull_ns;
+    req.pull_ns = pull_ns;
+    req.prefix_hash = Some(h);
+    Resume::Pull(PullRecord {
+        id: req.id,
+        hash: h,
+        from,
+        to: pick,
+        pages: owner_pages,
+        at_ns: req.arrival_ns,
+    })
+}
+
 /// Applies one replica fault-timeline event to the fleet.
 ///
 /// `Down` advances the replica to the crash instant, evacuates its entire
@@ -2260,9 +1932,12 @@ pub fn simulate_fleet_sessions(
 /// queues behind the target geometry's rebuild charge (full prefill when
 /// caught mid-prefill, restore-vs-recompute otherwise). When every other
 /// replica is also down the evacuee parks on the crashed replica and
-/// resumes after repair — redispatch never loses a request. `Up` restores
-/// the replica (and moves a held-open breaker to half-open); brownout
-/// events toggle the replica's offload-budget factor.
+/// resumes after repair — redispatch never loses a request. An evacuated
+/// session turn takes its pending prefix publication along (the owner map
+/// follows it), and a warm one is repriced to its cold prefill: the prefix
+/// it pinned or pulled died with the replica. `Up` restores the replica
+/// (and moves a held-open breaker to half-open); brownout events toggle
+/// the replica's offload-budget factor.
 #[allow(clippy::too_many_arguments)]
 fn apply_fleet_event(
     e: ReplicaEvent,
@@ -2274,21 +1949,23 @@ fn apply_fleet_event(
     breakers: &mut Option<Vec<CircuitBreaker>>,
     summary: &mut FleetFaultSummary,
     down_since: &mut [f64],
+    owners: &mut HashMap<u64, usize>,
     horizon_ns: f64,
     rec: &mut Recorder,
     track: TrackId,
+    sessions_track: Option<TrackId>,
 ) {
     let r = e.replica;
     match e.kind {
         ReplicaEventKind::Down => {
-            replicas[r].advance_to(systems[r].as_mut(), rec, e.at_ns, horizon_ns);
+            replicas[r].advance(systems[r].as_mut(), rec, Some(e.at_ns), horizon_ns);
             let evac = replicas[r].sched.crash_evacuate();
             replicas[r].down = true;
             down_since[r] = e.at_ns;
             summary.crashes += 1;
             if rec.timeseries.is_enabled() {
                 rec.timeseries.gauge(&format!("r{r}.up"), e.at_ns, 0.0);
-                let prefix = replicas[r].ts_prefix.clone();
+                let prefix = replicas[r].prefix.clone();
                 sample_sched_timeseries(rec, &prefix, e.at_ns, &replicas[r].sched);
             }
             if rec.is_enabled() {
@@ -2302,27 +1979,14 @@ fn apply_fleet_event(
                     ],
                 );
             }
-            if let Some(bs) = breakers.as_mut() {
-                if let Some(s) = bs[r].force_open(e.at_ns) {
-                    if rec.timeseries.is_enabled() {
-                        rec.timeseries
-                            .gauge(&format!("r{r}.breaker"), e.at_ns, breaker_level(s));
-                    }
-                    if rec.is_enabled() {
-                        rec.instant_with(
-                            track,
-                            breaker_instant_name(s),
-                            e.at_ns,
-                            &[("replica", ArgVal::U(r as u64))],
-                        );
-                    }
-                }
+            if let Some(s) = breakers.as_mut().and_then(|bs| bs[r].force_open(e.at_ns)) {
+                record_breaker(rec, track, r, e.at_ns, s);
             }
             // Survivors advance to the crash instant so every failover
             // decision is taken from one consistent snapshot.
             for i in 0..replicas.len() {
                 if i != r && !replicas[i].down {
-                    replicas[i].advance_to(systems[i].as_mut(), rec, e.at_ns, horizon_ns);
+                    replicas[i].advance(systems[i].as_mut(), rec, Some(e.at_ns), horizon_ns);
                 }
             }
             for ev in evac {
@@ -2351,6 +2015,32 @@ fn apply_fleet_event(
                 let mut moved = ev;
                 moved.req.restore_ns = geometries[to].restore_ns(moved.req.context);
                 moved.req.recompute_ns = geometries[to].recompute_ns(moved.req.context);
+                if let Some(pos) = replicas[r].turns.iter().position(|t| t.id == ev.req.id) {
+                    let mut turn = replicas[r].turns.swap_remove(pos);
+                    if let Some(cold_ns) = turn.cold_prefill_ns.take() {
+                        moved.req.prefill_ns = cold_ns;
+                        if let Some(st) = sessions_track {
+                            rec.instant_with(
+                                st,
+                                "prefix.lost",
+                                e.at_ns,
+                                &[
+                                    ("id", ArgVal::U(ev.req.id as u64)),
+                                    ("from", ArgVal::U(r as u64)),
+                                    ("to", ArgVal::U(to as u64)),
+                                    ("ctx", ArgVal::U(ev.req.context as u64)),
+                                    (
+                                        "mid_prefill",
+                                        ArgVal::U(u64::from(ev.prefill_left_ns > 0.0)),
+                                    ),
+                                    ("prefill_ns", ArgVal::F(moved.req.prefill_ns)),
+                                ],
+                            );
+                        }
+                    }
+                    owners.insert(turn.publish.0, to);
+                    replicas[to].turns.push(turn);
+                }
                 replicas[to].sched.on_redispatch(moved);
                 summary.redispatches.push(RedispatchRecord {
                     id: ev.req.id,
@@ -2390,26 +2080,13 @@ fn apply_fleet_event(
                     &[("replica", ArgVal::U(r as u64))],
                 );
             }
-            if let Some(bs) = breakers.as_mut() {
-                if let Some(s) = bs[r].on_recovery() {
-                    if rec.timeseries.is_enabled() {
-                        rec.timeseries
-                            .gauge(&format!("r{r}.breaker"), e.at_ns, breaker_level(s));
-                    }
-                    if rec.is_enabled() {
-                        rec.instant_with(
-                            track,
-                            breaker_instant_name(s),
-                            e.at_ns,
-                            &[("replica", ArgVal::U(r as u64))],
-                        );
-                    }
-                }
+            if let Some(s) = breakers.as_mut().and_then(|bs| bs[r].on_recovery()) {
+                record_breaker(rec, track, r, e.at_ns, s);
             }
         }
         ReplicaEventKind::BrownoutStart => {
             if !replicas[r].down {
-                replicas[r].advance_to(systems[r].as_mut(), rec, e.at_ns, horizon_ns);
+                replicas[r].advance(systems[r].as_mut(), rec, Some(e.at_ns), horizon_ns);
                 replicas[r].brownout_factor = profile.brownout_topk_factor;
                 summary.brownouts += 1;
                 if rec.is_enabled() {
@@ -2426,7 +2103,7 @@ fn apply_fleet_event(
             }
         }
         ReplicaEventKind::BrownoutEnd => {
-            replicas[r].advance_to(systems[r].as_mut(), rec, e.at_ns, horizon_ns);
+            replicas[r].advance(systems[r].as_mut(), rec, Some(e.at_ns), horizon_ns);
             replicas[r].brownout_factor = 1.0;
             if rec.is_enabled() {
                 rec.instant_with(
@@ -2437,6 +2114,24 @@ fn apply_fleet_event(
                 );
             }
         }
+    }
+}
+
+/// Records replica `r`'s breaker moving to `s` outside the per-arrival
+/// feed: its `r{r}.breaker` gauge and a transition instant on the fault
+/// track.
+fn record_breaker(rec: &mut Recorder, track: TrackId, r: usize, at_ns: f64, s: BreakerState) {
+    if rec.timeseries.is_enabled() {
+        rec.timeseries
+            .gauge(&format!("r{r}.breaker"), at_ns, breaker_level(s));
+    }
+    if rec.is_enabled() {
+        rec.instant_with(
+            track,
+            breaker_instant_name(s),
+            at_ns,
+            &[("replica", ArgVal::U(r as u64))],
+        );
     }
 }
 
@@ -2462,7 +2157,7 @@ fn feed_breakers(
                 transitions.push(s);
             }
         }
-        let total = r.degraded_tokens as u64;
+        let total = r.degrade.degraded_tokens as u64;
         if total > fed_degraded[i] {
             let delta = total - fed_degraded[i];
             fed_degraded[i] = total;
@@ -2502,6 +2197,33 @@ mod tests {
             seed,
         };
         simulate(&mut sys, &model, &wl)
+    }
+
+    fn faulted(
+        sys: &mut dyn ServingSystem,
+        model: &ModelConfig,
+        wl: &WorkloadConfig,
+        inj: &FaultInjector,
+        retry: &RetryPolicy,
+    ) -> (ServeMetrics, FaultLog) {
+        let mut rec = Recorder::disabled();
+        simulate_observed(sys, model, wl, Some((inj, retry)), &mut rec, None)
+    }
+
+    #[test]
+    fn percentile_rounds_the_fractional_rank() {
+        let one = [7.0];
+        assert_eq!(percentile(&one, 0.5), 7.0);
+        assert_eq!(percentile(&one, 0.99), 7.0);
+        // n = 2: rank 0.5 rounds half away from zero, 0.99 rounds up.
+        let two = [1.0, 2.0];
+        assert_eq!(percentile(&two, 0.5), 2.0);
+        assert_eq!(percentile(&two, 0.99), 2.0);
+        // n = 101: ranks 50 and 99 exactly (index, not ceil, semantics).
+        let many: Vec<f64> = (0..101).map(f64::from).collect();
+        assert_eq!(percentile(&many, 0.5), 50.0);
+        assert_eq!(percentile(&many, 0.99), 99.0);
+        assert_eq!(percentile(&[], 0.5), 0.0);
     }
 
     #[test]
@@ -2546,7 +2268,7 @@ mod tests {
             seed: 3,
         };
         let plain = simulate(&mut sys, &model, &wl);
-        let (faulted, log) = simulate_with_faults(
+        let (faulted, log) = faulted(
             &mut sys,
             &model,
             &wl,
@@ -2580,7 +2302,7 @@ mod tests {
             7,
         );
         let retry = RetryPolicy::serving_default();
-        let (m, log) = simulate_with_faults(&mut sys, &model, &wl, &inj, &retry);
+        let (m, log) = faulted(&mut sys, &model, &wl, &inj, &retry);
         assert!(
             m.retried_tokens > 0,
             "30% timeouts must force retries: {m:?}"
@@ -2599,7 +2321,7 @@ mod tests {
         );
         assert!(m.throughput_tps <= plain.throughput_tps);
         // Determinism: same seed, same timeline.
-        let (m2, log2) = simulate_with_faults(&mut sys, &model, &wl, &inj, &retry);
+        let (m2, log2) = faulted(&mut sys, &model, &wl, &inj, &retry);
         assert_eq!(m, m2);
         assert_eq!(log.to_text(), log2.to_text());
     }
@@ -2623,8 +2345,7 @@ mod tests {
             },
             13,
         );
-        let (m, _) =
-            simulate_with_faults(&mut sys, &model, &wl, &inj, &RetryPolicy::serving_default());
+        let (m, _) = faulted(&mut sys, &model, &wl, &inj, &RetryPolicy::serving_default());
         assert!(m.failed_requests > 0, "2% per-token hard faults: {m:?}");
         let plain = simulate(&mut sys, &model, &wl);
         assert!(m.completed < plain.completed + m.failed_requests + 1);
@@ -2769,6 +2490,8 @@ mod tests {
             &wl,
             &opts,
             RouterPolicy::JsqSpillover,
+            &FleetFaultOptions::disabled(),
+            &SessionOptions::disabled(),
             &mut Recorder::disabled(),
         );
         let (m2, f2) = simulate_fleet_sessions(

@@ -8,7 +8,7 @@
 //! `longsight-sched` deduplicates: a follow-up that resumes on a replica
 //! still holding the prefix pays prefill only for the suffix, and one that
 //! resumes elsewhere can pull the pages over the pooled-DReX fabric
-//! instead of recomputing (see `simulate_fleet_sessions`).
+//! instead of recomputing (see `simulate_fleet`).
 //!
 //! Determinism follows the same stream discipline as the Poisson
 //! generator: every session owns a private RNG stream keyed off
@@ -19,10 +19,7 @@
 //! is a pure function of `(seed, options)`, byte-identical at any worker
 //! thread count.
 
-use crate::prefill::prefill_cost;
-use crate::serving::{Arrival, WorkloadConfig};
-use longsight_cxl::CxlLink;
-use longsight_gpu::GpuSpec;
+use crate::serving::{price_prefill, Arrival, WorkloadConfig};
 use longsight_model::ModelConfig;
 use longsight_sched::{SloClass, SloMix};
 use longsight_tensor::SimRng;
@@ -39,9 +36,9 @@ const REUSE_SEED: u64 = 0x7265_7573; // "reus"
 /// Stream key of the prefix-hash chain.
 const PREFIX_SEED: u64 = 0x7066_6978; // "pfix"
 
-/// Session workload knobs for `simulate_fleet_sessions`. The
-/// [`SessionOptions::disabled`] value makes that entry point delegate to
-/// the plain fleet driver, byte-identical to a sessionless run.
+/// Session workload knobs for `simulate_fleet`. The
+/// [`SessionOptions::disabled`] value keeps the Poisson workload, and the
+/// fleet runs byte-identical to a sessionless one.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SessionOptions {
     /// Concurrent sessions (0 disables the session workload).
@@ -61,8 +58,8 @@ pub struct SessionOptions {
 }
 
 impl SessionOptions {
-    /// No session workload: `simulate_fleet_sessions` runs the plain
-    /// fleet driver byte-for-byte.
+    /// No session workload: `simulate_fleet` serves the Poisson workload
+    /// byte-for-byte as without sessions.
     pub fn disabled() -> Self {
         Self {
             sessions: 0,
@@ -85,12 +82,9 @@ impl Default for SessionOptions {
     }
 }
 
-/// Session bookkeeping attached to one turn arrival, paired 1:1 with the
-/// `Arrival` vector.
+/// Session bookkeeping carried by one turn arrival.
 #[derive(Debug, Clone)]
-pub(crate) struct TurnInfo {
-    /// Session index.
-    pub(crate) session: usize,
+pub(crate) struct SessionTurn {
     /// Turn index within the session (0 = opening turn).
     pub(crate) turn: usize,
     /// Content key of the prefix this turn can reuse (`None` for opening
@@ -118,20 +112,21 @@ fn splitmix64(mut x: u64) -> u64 {
 /// Pre-generates the session workload: every turn of every session,
 /// flattened and sorted by arrival time, with ids assigned in arrival
 /// order (the fleet audit requires it). Prefill costs compute on the
-/// deterministic parallel map exactly like the Poisson generator's.
-/// Vectors come back reversed — pop from the back in time order.
+/// deterministic parallel map exactly like the Poisson generator's. Comes
+/// back reversed — pop from the back in time order.
 pub(crate) fn gen_session_turns(
     model: &ModelConfig,
     workload: &WorkloadConfig,
     mix: &SloMix,
     sess: &SessionOptions,
-) -> (Vec<Arrival>, Vec<SloClass>, Vec<f64>, Vec<TurnInfo>) {
+) -> Vec<Arrival> {
     struct RawTurn {
         arrival_ns: f64,
         context: usize,
         output: usize,
         class: SloClass,
-        info: TurnInfo,
+        session: usize,
+        info: SessionTurn,
     }
     let horizon_ns = workload.duration_s * 1e9;
     let mut raw: Vec<RawTurn> = Vec::with_capacity(sess.sessions * sess.turns.max(1));
@@ -176,8 +171,8 @@ pub(crate) fn gen_session_turns(
                 context,
                 output,
                 class,
-                info: TurnInfo {
-                    session: s,
+                session: s,
+                info: SessionTurn {
                     turn: k,
                     pin_hash,
                     prefix_tokens,
@@ -190,30 +185,22 @@ pub(crate) fn gen_session_turns(
     raw.sort_by(|a, b| {
         a.arrival_ns
             .total_cmp(&b.arrival_ns)
-            .then(a.info.session.cmp(&b.info.session))
+            .then(a.session.cmp(&b.session))
             .then(a.info.turn.cmp(&b.info.turn))
     });
-    let mut arrivals: Vec<Arrival> = Vec::with_capacity(raw.len());
-    let mut classes: Vec<SloClass> = Vec::with_capacity(raw.len());
-    let mut infos: Vec<TurnInfo> = Vec::with_capacity(raw.len());
-    for (id, rt) in raw.into_iter().enumerate() {
-        arrivals.push(Arrival {
+    let mut arrivals: Vec<Arrival> = raw
+        .into_iter()
+        .enumerate()
+        .map(|(id, rt)| Arrival {
             id,
             arrival_ns: rt.arrival_ns,
             context: rt.context,
             output: rt.output,
-        });
-        classes.push(rt.class);
-        infos.push(rt.info);
-    }
-    let gpu = GpuSpec::h100_sxm();
-    let link = CxlLink::pcie5_x16();
-    let mut prefill_ns: Vec<f64> = longsight_exec::deterministic_map(&arrivals, |_, a| {
-        prefill_cost(&gpu, &link, model, a.context, 1024).total_ns
-    });
-    arrivals.reverse(); // pop from the back in time order
-    classes.reverse();
-    prefill_ns.reverse();
-    infos.reverse();
-    (arrivals, classes, prefill_ns, infos)
+            class: rt.class,
+            prefill_ns: 0.0,
+            turn: Some(rt.info),
+        })
+        .collect();
+    price_prefill(model, &mut arrivals);
+    arrivals
 }

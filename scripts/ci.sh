@@ -20,7 +20,10 @@
 #   9. lookahead smoke: speculative loadtest with a traced run, validated
 #      the same way
 #  10. session smoke: 2-replica session workload under affinity routing
-#      with a traced run, validated the same way
+#      with a traced run, then the same workload under replica crashes
+#      with the breaker on, both validated the same way
+#  10b. serving goldens reproduce: the eight serving benches regenerate
+#      byte-identical to their checked-in results/ goldens
 #  11. perf trajectory gate: `perf-diff --gate results/trajectory.tsv`
 #      re-reads the checked-in goldens and fails on a >10% interactive-p99
 #      regression against the pinned values
@@ -153,6 +156,22 @@ target/release/longsight loadtest --model 1b --duration 8 \
     --sessions 4 --turns 3 --think-time-ms 1500 --reuse 0.9 \
     --trace-out "$obs_tmp/session_trace.json"
 target/release/longsight trace-validate --file "$obs_tmp/session_trace.json"
+target/release/longsight loadtest --model 1b --duration 8 \
+    --ctx-min 16384 --ctx-max 32768 --out-min 16 --out-max 64 \
+    --replicas 2 --router affinity --sched slo-aware \
+    --sessions 4 --turns 3 --think-time-ms 1500 --reuse 0.9 \
+    --crash-profile 0.1 --crash-seed 11 --breaker on \
+    --trace-out "$obs_tmp/session_crash_trace.json"
+target/release/longsight trace-validate --file "$obs_tmp/session_crash_trace.json"
+
+# The serving drivers are pinned by their goldens: every serving bench
+# must regenerate its checked-in results/ file byte for byte.
+echo "== serving goldens reproduce (regenerate and cmp against results/) =="
+for b in serving_loadtest sched_comparison router_scaling availability \
+    fleet_availability lookahead session_reuse slo_capacity; do
+    cargo bench -q -p longsight-bench --bench "$b" --offline >"$obs_tmp/$b.txt"
+    cmp "$obs_tmp/$b.txt" "results/$b.txt"
+done
 
 # Interactive tail-latency trajectory: the checked-in goldens must not
 # regress the interactive p99 request latency more than 10% past the values

@@ -14,9 +14,7 @@
 use longsight::faults::{FaultInjector, FaultKind, FaultProfile, RetryPolicy};
 use longsight::model::ModelConfig;
 use longsight::obs::Recorder;
-use longsight::system::serving::{
-    simulate, simulate_observed, simulate_with_faults, WorkloadConfig,
-};
+use longsight::system::serving::{simulate, simulate_observed, WorkloadConfig};
 use longsight::system::slo::max_users_under_slo;
 use longsight::system::{LongSightConfig, LongSightSystem, LookaheadConfig, ServingSystem};
 
@@ -41,15 +39,16 @@ fn disabled_faults_reproduce_the_fault_free_stack() {
     let b = gated.evaluate(8, 131_072).unwrap();
     assert_eq!(a, b, "disabled fault profile changed the step report");
 
-    // Serving path: simulate_with_faults(disabled) == simulate, empty log.
+    // Serving path: simulate_observed(disabled injector) == simulate, empty log.
     let workload = short_workload();
     let baseline = simulate(&mut plain, &model, &workload);
-    let (faulted, log) = simulate_with_faults(
+    let (faulted, log) = simulate_observed(
         &mut gated,
         &model,
         &workload,
-        &FaultInjector::disabled(),
-        &RetryPolicy::serving_default(),
+        Some((&FaultInjector::disabled(), &RetryPolicy::serving_default())),
+        &mut Recorder::disabled(),
+        None,
     );
     assert_eq!(baseline, faulted);
     assert!(log.is_empty());
@@ -88,7 +87,14 @@ fn degraded_tokens_match_logged_degradation_events() {
     let retry = RetryPolicy::serving_default();
     let inj = FaultInjector::new(profile, 7);
     let mut sys = LongSightSystem::new(LongSightConfig::paper_default(), model.clone());
-    let (metrics, log) = simulate_with_faults(&mut sys, &model, &short_workload(), &inj, &retry);
+    let (metrics, log) = simulate_observed(
+        &mut sys,
+        &model,
+        &short_workload(),
+        Some((&inj, &retry)),
+        &mut Recorder::disabled(),
+        None,
+    );
 
     let degraded_events = log.count_matching(|k| matches!(k, FaultKind::Degraded));
     let timeouts = log.count_matching(|k| matches!(k, FaultKind::Timeout { .. }));
@@ -114,12 +120,13 @@ fn faulted_runs_are_reproducible_under_a_seed() {
     let run = |seed: u64| {
         let inj = FaultInjector::new(FaultProfile::severe(), seed);
         let mut sys = LongSightSystem::new(LongSightConfig::paper_default(), model.clone());
-        simulate_with_faults(
+        simulate_observed(
             &mut sys,
             &model,
             &short_workload(),
-            &inj,
-            &RetryPolicy::serving_default(),
+            Some((&inj, &RetryPolicy::serving_default())),
+            &mut Recorder::disabled(),
+            None,
         )
     };
     let (m1, l1) = run(11);
@@ -155,7 +162,14 @@ fn injected_faults_void_in_flight_slots_without_double_retry() {
         }
         let mut sys = LongSightSystem::new(cfg, model.clone());
         let inj = FaultInjector::new(FaultProfile::scaled(0.2), 11);
-        simulate_with_faults(&mut sys, &model, &workload, &inj, &retry)
+        simulate_observed(
+            &mut sys,
+            &model,
+            &workload,
+            Some((&inj, &retry)),
+            &mut Recorder::disabled(),
+            None,
+        )
     };
     let (off_m, off_log) = run(None);
     let (on_m, on_log) = run(Some(void_only_lookahead()));

@@ -17,9 +17,9 @@ use longsight::model::ModelConfig;
 use longsight::obs::Recorder;
 use longsight::sched::{RouterPolicy, SchedPolicy, SloMix};
 use longsight::system::serving::{
-    simulate_fleet, simulate_scheduled, SchedOptions, WorkloadConfig,
+    simulate_fleet, simulate_scheduled, FleetFaultOptions, SchedOptions, WorkloadConfig,
 };
-use longsight::system::{LongSightConfig, LongSightSystem, ServingSystem};
+use longsight::system::{LongSightConfig, LongSightSystem, ServingSystem, SessionOptions};
 use std::sync::Mutex;
 
 /// The worker-count override is process-global, so tests that sweep it must
@@ -109,6 +109,8 @@ fn single_replica_fleet_is_bit_identical_to_simulate_scheduled() {
         &wl,
         &opts,
         RouterPolicy::JsqSpillover,
+        &FleetFaultOptions::disabled(),
+        &SessionOptions::disabled(),
         &mut Recorder::disabled(),
     );
     assert_eq!(m_direct, m_fleet, "single-replica fleet must cost nothing");
@@ -130,6 +132,8 @@ fn placement_log_is_byte_identical_at_any_thread_count() {
                 &workload(12.0),
                 &skewed_opts(),
                 policy,
+                &FleetFaultOptions::disabled(),
+                &SessionOptions::disabled(),
                 &mut Recorder::disabled(),
             );
             (rep.placement_log(), m.to_text(), rep)
@@ -167,6 +171,8 @@ fn fleet_conserves_arrivals_and_spreads_load() {
         &workload(12.0),
         &skewed_opts(),
         RouterPolicy::JsqSpillover,
+        &FleetFaultOptions::disabled(),
+        &SessionOptions::disabled(),
         &mut Recorder::disabled(),
     );
     assert_eq!(rep.audit_violation, None);
@@ -205,6 +211,8 @@ fn routers_disagree_under_skew() {
             &workload(12.0),
             &skewed_opts(),
             policy,
+            &FleetFaultOptions::disabled(),
+            &SessionOptions::disabled(),
             &mut Recorder::disabled(),
         );
         rep.placement_log()

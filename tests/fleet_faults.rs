@@ -17,19 +17,26 @@
 //! 4. **Conservation under faults.** The audit passes: offered equals
 //!    placed plus shed, redispatches reference previously placed
 //!    requests, and nothing is lost across a crash.
+//! 5. **Sessions compose with fault domains.** A multi-turn session
+//!    workload under replica crashes, breakers and a shed cap keeps pin
+//!    and turn conservation, leaks no pages, and reprices a warm turn
+//!    whose prefix died with its replica to its full cold prefill.
 
+use longsight::cxl::CxlLink;
 use longsight::exec;
 use longsight::faults::{fleet_schedule, timeline_text, ReplicaEventKind, ReplicaFaultProfile};
+use longsight::gpu::GpuSpec;
 use longsight::model::ModelConfig;
-use longsight::obs::Recorder;
+use longsight::obs::{json, Recorder};
 use longsight::sched::{
-    BreakerConfig, BreakerState, CircuitBreaker, RouterPolicy, SchedPolicy, SloBurnSummary,
-    SloClass, SloMix,
+    BreakerConfig, BreakerState, CircuitBreaker, FleetReport, RouterPolicy, SchedPolicy,
+    SloBurnSummary, SloClass, SloMix,
 };
+use longsight::system::prefill::prefill_cost;
 use longsight::system::serving::{
     simulate_fleet, simulate_fleet_faulty, FleetFaultOptions, SchedOptions, WorkloadConfig,
 };
-use longsight::system::{LongSightConfig, LongSightSystem, ServingSystem};
+use longsight::system::{LongSightConfig, LongSightSystem, ServingSystem, SessionOptions};
 use std::sync::Mutex;
 
 /// The worker-count override is process-global, so tests that sweep it must
@@ -113,6 +120,8 @@ fn disabled_fault_options_are_bit_identical_to_simulate_fleet() {
             &workload(),
             &opts(),
             RouterPolicy::JsqSpillover,
+            &FleetFaultOptions::disabled(),
+            &SessionOptions::disabled(),
             &mut Recorder::disabled(),
         )
     };
@@ -318,6 +327,110 @@ fn breaker_mode_diverges_from_naive_routing_under_a_crash() {
 /// formatting or accounting drift in `FleetFaultSummary` rendering or
 /// `timeline_text` must show up as an explicit diff here, not as a silent
 /// change to the checked-in results files.
+/// Sessions under replica crashes with the breaker on and a shed cap: the
+/// composed fleet loop, recorded, returning the report and the trace.
+fn session_crash_run() -> (FleetReport, String) {
+    let model = ModelConfig::llama3_1b();
+    let wl = WorkloadConfig {
+        duration_s: 12.0,
+        ..workload()
+    };
+    let opts = SchedOptions {
+        prefill_chunk_tokens: 128,
+        ..SchedOptions::slo_aware(SloMix::all_interactive())
+    };
+    let fopts = FleetFaultOptions {
+        profile: ReplicaFaultProfile::scaled(0.3),
+        fault_seed: 11,
+        breaker: Some(BreakerConfig::serving_default()),
+        shed_queue_cap: Some(4),
+    };
+    let sess = SessionOptions {
+        sessions: 12,
+        turns: 4,
+        think_time_ms: 1000.0,
+        reuse: 0.9,
+        prefix_cache_pages: 4096,
+    };
+    let mut rec = Recorder::enabled();
+    let (_, rep) = simulate_fleet(
+        &mut fleet_of(2),
+        &model,
+        &wl,
+        &opts,
+        RouterPolicy::Affinity,
+        &fopts,
+        &sess,
+        &mut rec,
+    );
+    (rep, rec.chrome_trace_json())
+}
+
+#[test]
+fn sessions_under_crashes_conserve_pins_and_turns() {
+    let runs = across_thread_counts(|| {
+        let (rep, trace) = session_crash_run();
+        (rep.placement_log(), rep.to_text(), rep, trace)
+    });
+    let (_, (log0, text0, rep, trace)) = &runs[0];
+    for (t, (log, text, _, _)) in &runs[1..] {
+        assert_eq!(log, log0, "placement log differs at {t} threads");
+        assert_eq!(text, text0, "report text differs at {t} threads");
+    }
+
+    assert_eq!(rep.audit_violation, None, "{:?}", rep.audit_violation);
+    let f = rep.faults.as_ref().expect("fault summary attached");
+    let s = rep.sessions.as_ref().expect("session summary attached");
+    assert_eq!(f.offered, rep.placements.len() + f.shed.len());
+    assert!(f.crashes > 0 && !f.shed.is_empty(), "{f:?}");
+    for (i, r) in rep.replicas.iter().enumerate() {
+        assert_eq!(r.leaked_pages, 0, "replica {i} leaked pages");
+    }
+    let pinned: usize = rep.replicas.iter().map(|r| r.pages.prefix_hits).sum();
+    assert_eq!(pinned, s.prefix_hits + s.pulls.len(), "pin conservation");
+    assert_eq!(
+        s.prefix_hits + s.pulls.len() + s.cold_turns,
+        s.turns - s.sessions,
+        "turn conservation"
+    );
+    assert!(s.prefix_hits > 0, "no prefix hit: {s:?}");
+
+    // Every warm evacuee is traced as `prefix.lost`; one caught mid-prefill
+    // must be recharged its full cold prefill on the redispatch target.
+    let doc = json::parse(trace).expect("trace is valid JSON");
+    let events = doc
+        .get("traceEvents")
+        .and_then(|e| e.as_arr())
+        .expect("events");
+    let arg = |e: &json::Value, k: &str| -> f64 {
+        e.get("args")
+            .and_then(|a| a.get(k))
+            .and_then(|v| v.as_f64())
+            .unwrap_or_else(|| panic!("prefix.lost without {k}"))
+    };
+    let model = ModelConfig::llama3_1b();
+    let (gpu, link) = (GpuSpec::h100_sxm(), CxlLink::pcie5_x16());
+    let (mut lost, mut mid_prefill) = (0usize, 0usize);
+    for e in events {
+        if e.get("name").and_then(|n| n.as_str()) != Some("prefix.lost") {
+            continue;
+        }
+        lost += 1;
+        let id = arg(e, "id") as usize;
+        assert!(
+            f.redispatches.iter().any(|r| r.id == id),
+            "warm evacuee {id} has no redispatch record"
+        );
+        if arg(e, "mid_prefill") == 1.0 {
+            mid_prefill += 1;
+            let cold = prefill_cost(&gpu, &link, &model, arg(e, "ctx") as usize, 1024).total_ns;
+            assert_eq!(arg(e, "prefill_ns"), cold, "evacuee {id} not charged cold");
+        }
+    }
+    assert!(lost > 0, "no redispatch of a turn that held a pin");
+    assert!(mid_prefill > 0, "no warm evacuee caught mid-prefill");
+}
+
 #[test]
 fn fault_summary_and_timeline_render_the_pinned_golden_text() {
     let timeline = timeline_text(&fleet_schedule(

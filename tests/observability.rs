@@ -14,9 +14,7 @@ use longsight::faults::{FaultInjector, FaultLog, FaultProfile, RetryPolicy};
 use longsight::model::ModelConfig;
 use longsight::obs::{json, Recorder};
 use longsight::system::attribution::OVERLAP_HIDDEN;
-use longsight::system::serving::{
-    simulate, simulate_observed, simulate_with_faults, ServeMetrics, WorkloadConfig,
-};
+use longsight::system::serving::{simulate, simulate_observed, ServeMetrics, WorkloadConfig};
 use longsight::system::{
     LongSightConfig, LongSightSystem, LookaheadConfig, SpecCharge, TokenAttribution,
 };
@@ -125,11 +123,18 @@ fn disabled_recorder_is_invisible() {
     assert_eq!(plain, observed, "disabled recorder changed the simulation");
     assert!(rec.spans().is_empty() && rec.instants().is_empty());
 
-    // Faulted: same identity against `simulate_with_faults`.
+    // Faulted: same identity against an unrecorded faulted run.
     let inj = FaultInjector::new(FaultProfile::scaled(0.2), 11);
     let retry = RetryPolicy::serving_default();
     let mut plain_sys = LongSightSystem::new(LongSightConfig::paper_default(), model.clone());
-    let (plain_m, plain_log) = simulate_with_faults(&mut plain_sys, &model, &wl, &inj, &retry);
+    let (plain_m, plain_log) = simulate_observed(
+        &mut plain_sys,
+        &model,
+        &wl,
+        Some((&inj, &retry)),
+        &mut Recorder::disabled(),
+        None,
+    );
     let mut obs_sys = LongSightSystem::new(LongSightConfig::paper_default(), model.clone());
     let mut rec = Recorder::disabled();
     let (obs_m, obs_log) = simulate_observed(

@@ -115,7 +115,8 @@ fn trace_eval_metrics_are_bit_identical_across_thread_counts() {
 #[test]
 fn fault_schedule_is_bit_identical_across_thread_counts() {
     use longsight::faults::{FaultInjector, FaultProfile, RetryPolicy};
-    use longsight::system::serving::{simulate_with_faults, WorkloadConfig};
+    use longsight::obs::Recorder;
+    use longsight::system::serving::{simulate_observed, WorkloadConfig};
     use longsight::system::{LongSightConfig, LongSightSystem};
 
     let model = ModelConfig::llama3_8b();
@@ -132,12 +133,13 @@ fn fault_schedule_is_bit_identical_across_thread_counts() {
             ..WorkloadConfig::long_context_chat()
         };
         let inj = FaultInjector::new(FaultProfile::scaled(0.2), 11);
-        let (metrics, log) = simulate_with_faults(
+        let (metrics, log) = simulate_observed(
             &mut serve_sys,
             &model,
             &workload,
-            &inj,
-            &RetryPolicy::serving_default(),
+            Some((&inj, &RetryPolicy::serving_default())),
+            &mut Recorder::disabled(),
+            None,
         );
         (
             layer.log.to_text(),
@@ -280,9 +282,11 @@ fn lookahead_serving_is_bit_identical_across_thread_counts() {
     use longsight::obs::Recorder;
     use longsight::sched::{RouterPolicy, SchedPolicy, SloMix};
     use longsight::system::serving::{
-        simulate_fleet, simulate_observed, SchedOptions, WorkloadConfig,
+        simulate_fleet, simulate_observed, FleetFaultOptions, SchedOptions, WorkloadConfig,
     };
-    use longsight::system::{LongSightConfig, LongSightSystem, LookaheadConfig, ServingSystem};
+    use longsight::system::{
+        LongSightConfig, LongSightSystem, LookaheadConfig, ServingSystem, SessionOptions,
+    };
 
     let runs = across_thread_counts(|| {
         // Traced single-system run with speculation on: metrics, trace
@@ -334,6 +338,8 @@ fn lookahead_serving_is_bit_identical_across_thread_counts() {
             &fleet_wl,
             &opts,
             RouterPolicy::JsqSpillover,
+            &FleetFaultOptions::disabled(),
+            &SessionOptions::disabled(),
             &mut Recorder::disabled(),
         );
         (

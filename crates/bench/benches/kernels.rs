@@ -1,11 +1,15 @@
 //! Micro-benchmarks of the hot kernels: sign packing, SCF block filtering,
-//! top-k selection, ITQ training and rotation, full-precision scoring, and
-//! the DRAM channel scheduler. Runs on the in-repo timing harness
+//! top-k selection, ITQ training and rotation, full-precision scoring, one
+//! trace-quality evaluation, and the DRAM channel scheduler. Runs on the in-repo timing harness
 //! ([`longsight_bench::timing`]); output shape matches the old criterion
 //! goldens in `results/kernels.txt`.
 
+use longsight_bench::fig3::{trace_for, train_trace_itq};
 use longsight_bench::timing::bench_report;
-use longsight_core::{filter_block, filter_block_packed, ItqConfig, ItqRotation, PFU_BLOCK_KEYS};
+use longsight_core::trace_eval::evaluate_trace;
+use longsight_core::{
+    filter_block, filter_block_packed, HybridConfig, ItqConfig, ItqRotation, PFU_BLOCK_KEYS,
+};
 use longsight_dram::{ChannelSim, DramTiming, Request};
 use longsight_tensor::{vecops, Matrix, SignArena, SignBits, SimRng, TopK};
 use std::hint::black_box;
@@ -113,6 +117,19 @@ fn bench_itq() {
     });
 }
 
+fn bench_trace_eval() {
+    // One Fig 3/4 sweep point on the trace_sweep shape: 32 probes over a
+    // 32K-key, d = 128 trace at W = 1024, k = 1024, ITQ threshold 72.
+    // Throughput counts (probe, key) pairs.
+    let trace = trace_for(128, 32_768, 6);
+    let rot = train_trace_itq(&trace, 1024, 6);
+    let cfg = HybridConfig::paper_default();
+    let pairs = (trace.queries.len() * trace.len()) as u64;
+    bench_report("trace_eval/32k_keys", Some(pairs), || {
+        evaluate_trace(black_box(&trace), &rot, &cfg, 72)
+    });
+}
+
 fn bench_dram() {
     let reqs: Vec<Request> = (0..4096)
         .map(|i| Request::read(i % 64, (i / 64) % 32, i % 64))
@@ -129,5 +146,6 @@ fn main() {
     bench_topk();
     bench_scoring();
     bench_itq();
+    bench_trace_eval();
     bench_dram();
 }

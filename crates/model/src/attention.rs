@@ -83,44 +83,46 @@ pub fn attend_over_kv(
     candidates: &[usize],
     scale: f32,
 ) -> Vec<f32> {
-    assert!(
-        !candidates.is_empty(),
-        "attention needs at least one candidate"
-    );
-    let mut scores: Vec<f32> = candidates
+    let scores: Vec<f32> = candidates
         .iter()
         .map(|&i| vecops::dot(q, keys.get(i)) * scale)
         .collect();
-    vecops::softmax_in_place(&mut scores);
-    let mut out = vec![0.0f32; values.dim()];
-    for (&i, &w) in candidates.iter().zip(&scores) {
-        vecops::axpy(w, values.get(i), &mut out);
-    }
-    out
+    mix_values(values, candidates, scores)
 }
 
-/// Computes softmax attention from precomputed raw scores over candidate
-/// indices (used when scores were produced elsewhere, e.g. returned by the
-/// simulated DReX device).
+/// Computes softmax attention from precomputed scores over candidate rows
+/// of a borrowed value store (used when scores were produced elsewhere,
+/// e.g. returned by the simulated DReX device or read from a buffer that
+/// already holds every `q · k`).
+///
+/// `raw_scores[j]` is the softmax input of `candidates[j]`, scale applied.
+/// Given `raw_scores[j] = dot(q, k_j) * scale`, the output is bit-identical
+/// to [`attend_over_kv`]'s.
 ///
 /// # Panics
 ///
-/// Panics if lengths mismatch or `candidates` is empty.
-pub fn attend_with_scores(history: &HeadKv, candidates: &[usize], raw_scores: &[f32]) -> Vec<f32> {
+/// Panics if lengths mismatch, `candidates` is empty, or an index is
+/// beyond the store.
+pub fn attend_with_scores(values: &FlatVecs, candidates: &[usize], raw_scores: &[f32]) -> Vec<f32> {
     assert_eq!(
         candidates.len(),
         raw_scores.len(),
         "score/candidate length mismatch"
     );
+    mix_values(values, candidates, raw_scores.to_vec())
+}
+
+/// Softmax over `scores`, then the weighted sum of the candidate value rows
+/// in candidate order: the one kernel behind both attention entry
+/// points, so they agree bit for bit.
+fn mix_values(values: &FlatVecs, candidates: &[usize], mut scores: Vec<f32>) -> Vec<f32> {
     assert!(
         !candidates.is_empty(),
         "attention needs at least one candidate"
     );
-    let values = history.values();
-    let mut weights = raw_scores.to_vec();
-    vecops::softmax_in_place(&mut weights);
+    vecops::softmax_in_place(&mut scores);
     let mut out = vec![0.0f32; values.dim()];
-    for (&i, &w) in candidates.iter().zip(&weights) {
+    for (&i, &w) in candidates.iter().zip(&scores) {
         vecops::axpy(w, values.get(i), &mut out);
     }
     out
@@ -270,9 +272,8 @@ mod tests {
             .map(|&i| vecops::dot(&q, h.keys().get(i)) * scale)
             .collect();
         let a = attend_over_indices(&q, &h, &cands, scale);
-        let b = attend_with_scores(&h, &cands, &raw);
-        for (x, y) in a.iter().zip(&b) {
-            assert!((x - y).abs() < 1e-6);
-        }
+        let b = attend_with_scores(h.values(), &cands, &raw);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&a), bits(&b));
     }
 }

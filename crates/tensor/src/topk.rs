@@ -118,11 +118,11 @@ impl TopK {
             self.heap.push(entry);
             return true;
         }
-        // Full: replace the current minimum if strictly better.
-        let min = self.heap.peek().expect("non-empty when full");
+        // Full: replace the current minimum in place if strictly better;
+        // dropping the `PeekMut` restores the heap with one sift-down.
+        let mut min = self.heap.peek_mut().expect("non-empty when full");
         if entry.0 > min.0 {
-            self.heap.pop();
-            self.heap.push(entry);
+            *min = entry;
             true
         } else {
             false
@@ -173,6 +173,71 @@ pub fn top_k_indices(scores: &[f32], k: usize) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::check::{run_cases, Gen};
+    use crate::{prop_ensure, prop_ensure_eq};
+
+    /// A score drawn to collide: ties from a small grid, ±0.0, NaN of
+    /// either sign and ±∞, or an arbitrary value.
+    fn score(g: &mut Gen) -> f32 {
+        match g.usize_in(0, 8) {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f32::NAN,
+            3 => -f32::NAN,
+            4 => [f32::INFINITY, f32::NEG_INFINITY][g.usize_in(0, 2)],
+            5 | 6 => g.usize_in(0, 4) as f32 * 0.5,
+            _ => g.f32_in(-3.0, 3.0),
+        }
+    }
+
+    /// The `k` best of `seen` by full sort: descending score under
+    /// `total_cmp`, ties to the lower index.
+    fn oracle(seen: &[ScoredIndex], k: usize) -> Vec<ScoredIndex> {
+        let mut v = seen.to_vec();
+        v.sort_by(|a, b| b.cmp(a));
+        v.truncate(k);
+        v
+    }
+
+    fn bits(v: &[ScoredIndex]) -> Vec<(u32, usize)> {
+        v.iter().map(|s| (s.score.to_bits(), s.index)).collect()
+    }
+
+    #[test]
+    fn push_matches_sort_oracle() {
+        run_cases("topk_push_matches_sort_oracle", 256, |g| {
+            let n = g.usize_in(0, 40);
+            let k = match g.usize_in(0, 4) {
+                0 => 0,
+                1 => 1,
+                2 => n + g.usize_in(1, 4),
+                _ => g.usize_in(0, n + 1),
+            };
+            // Distinct indices in a shuffled order.
+            let mut indices: Vec<usize> = (0..n).collect();
+            for i in (1..n).rev() {
+                indices.swap(i, g.usize_in(0, i + 1));
+            }
+            let mut top = TopK::new(k);
+            let mut seen = Vec::new();
+            for index in indices {
+                let entry = ScoredIndex::new(score(g), index);
+                seen.push(entry);
+                let best = oracle(&seen, k);
+                let kept = top.push(entry.score, entry.index);
+                prop_ensure_eq!(kept, best.iter().any(|s| s.index == index));
+                prop_ensure_eq!(top.len(), best.len());
+                prop_ensure_eq!(
+                    top.min_score().map(f32::to_bits),
+                    best.last().map(|s| s.score.to_bits())
+                );
+            }
+            let got = top.into_sorted_vec();
+            prop_ensure!(got.len() <= k);
+            prop_ensure_eq!(bits(&got), bits(&oracle(&seen, k)));
+            Ok(())
+        });
+    }
 
     #[test]
     fn matches_full_sort() {

@@ -24,6 +24,8 @@
 #      with the breaker on, both validated the same way
 #  10b. serving goldens reproduce: the eight serving benches regenerate
 #      byte-identical to their checked-in results/ goldens
+#  10c. quality goldens reproduce: fig4_pareto (the evaluate_trace sweep)
+#      regenerates byte-identical to its checked-in results/ golden
 #  11. perf trajectory gate: `perf-diff --gate results/trajectory.tsv`
 #      re-reads the checked-in goldens and fails on a >10% interactive-p99
 #      regression against the pinned values
@@ -172,6 +174,14 @@ for b in serving_loadtest sched_comparison router_scaling availability \
     cargo bench -q -p longsight-bench --bench "$b" --offline >"$obs_tmp/$b.txt"
     cmp "$obs_tmp/$b.txt" "results/$b.txt"
 done
+
+# The trace-quality pipeline is pinned the same way: fig4_pareto runs
+# evaluate_trace over its whole W x k x threshold grid (~20 s on a 2-core
+# host). fig3_filter_ratio covers the same code but takes ~2 minutes, so
+# it is regenerated by hand when the pipeline changes.
+echo "== quality goldens reproduce (regenerate fig4_pareto and cmp against results/) =="
+cargo bench -q -p longsight-bench --bench fig4_pareto --offline >"$obs_tmp/fig4_pareto.txt"
+cmp "$obs_tmp/fig4_pareto.txt" results/fig4_pareto.txt
 
 # Interactive tail-latency trajectory: the checked-in goldens must not
 # regress the interactive p99 request latency more than 10% past the values

@@ -1,6 +1,7 @@
 //! Micro-benchmarks of the hot kernels: sign packing, SCF block filtering,
 //! top-k selection, ITQ training and rotation, full-precision scoring, one
-//! trace-quality evaluation, and the DRAM channel scheduler. Runs on the in-repo timing harness
+//! trace-quality evaluation, the DRAM channel scheduler, and the serving
+//! metrics tail over run-length latency samples. Runs on the in-repo timing harness
 //! ([`longsight_bench::timing`]); output shape matches the old criterion
 //! goldens in `results/kernels.txt`.
 
@@ -11,6 +12,7 @@ use longsight_core::{
     filter_block, filter_block_packed, HybridConfig, ItqConfig, ItqRotation, PFU_BLOCK_KEYS,
 };
 use longsight_dram::{ChannelSim, DramTiming, Request};
+use longsight_sched::LatencySamples;
 use longsight_tensor::{vecops, Matrix, SignArena, SignBits, SimRng, TopK};
 use std::hint::black_box;
 
@@ -140,6 +142,42 @@ fn bench_dram() {
     });
 }
 
+fn bench_metrics_tail() {
+    // A fleet_crash-shaped token population: 2 replicas x 3 classes, ~3.8M
+    // samples in 204 runs over 5 distinct step durations. One iteration is
+    // the metrics tail: merge each class across replicas and take its ceil
+    // p50/p99, then merge everything and take the round p50/p99.
+    const STEP_MS: [f64; 5] = [21.25, 22.5, 24.0, 25.75, 31.5];
+    let mut rng = SimRng::seed_from(8);
+    let ledgers: Vec<[LatencySamples; 3]> = (0..2)
+        .map(|_| {
+            [0, 1, 2].map(|_| {
+                let mut s = LatencySamples::new();
+                for _ in 0..34 {
+                    s.push_n(STEP_MS[rng.below(STEP_MS.len())], 18_627);
+                }
+                s
+            })
+        })
+        .collect();
+    let samples: usize = ledgers.iter().flatten().map(LatencySamples::len).sum();
+    bench_report("sched/metrics_tail_3.8m", Some(samples as u64), || {
+        let mut all = LatencySamples::new();
+        let mut acc = 0.0;
+        for class in 0..3 {
+            let mut merged = LatencySamples::new();
+            for replica in &ledgers {
+                merged.append(black_box(&replica[class]));
+            }
+            let sorted = merged.sorted();
+            acc += sorted.percentile_ceil(0.5) + sorted.percentile_ceil(0.99);
+            all.append(&merged);
+        }
+        let sorted = all.sorted();
+        black_box(acc + sorted.percentile_round(0.5) + sorted.percentile_round(0.99))
+    });
+}
+
 fn main() {
     bench_sign_packing();
     bench_scf_block();
@@ -148,4 +186,5 @@ fn main() {
     bench_itq();
     bench_trace_eval();
     bench_dram();
+    bench_metrics_tail();
 }

@@ -11,7 +11,8 @@
 
 use crate::request::SloClass;
 use crate::router::RouterPolicy;
-use crate::scheduler::{percentile, ClassReport, SchedReport};
+use crate::samples::LatencySamples;
+use crate::scheduler::{ClassReport, SchedReport};
 
 /// One routing decision: `(arrival id, replica index)`.
 pub type Placement = (usize, usize);
@@ -222,12 +223,12 @@ impl FleetReport {
     /// Builds the fleet report and runs the cross-replica audit.
     ///
     /// `samples` are the merged per-class `(token, request)` latency
-    /// samples across every replica; they are sorted here.
+    /// samples across every replica.
     pub fn assemble(
         router: RouterPolicy,
         replicas: Vec<SchedReport>,
         placements: Vec<Placement>,
-        samples: [(Vec<f64>, Vec<f64>); 3],
+        samples: [(LatencySamples, LatencySamples); 3],
     ) -> Self {
         Self::assemble_with_faults(router, replicas, placements, samples, None)
     }
@@ -240,16 +241,14 @@ impl FleetReport {
         router: RouterPolicy,
         replicas: Vec<SchedReport>,
         placements: Vec<Placement>,
-        mut samples: [(Vec<f64>, Vec<f64>); 3],
+        samples: [(LatencySamples, LatencySamples); 3],
         faults: Option<FleetFaultSummary>,
     ) -> Self {
         let audit_violation = audit(&replicas, &placements, faults.as_ref());
         let mut per_class: [ClassReport; 3] = Default::default();
         for class in SloClass::ALL {
             let i = class.index();
-            let (ref mut tok, ref mut req) = samples[i];
-            tok.sort_by(f64::total_cmp);
-            req.sort_by(f64::total_cmp);
+            let (tok, req) = (samples[i].0.sorted(), samples[i].1.sorted());
             let sum = |f: fn(&ClassReport) -> usize| -> usize {
                 replicas.iter().map(|r| f(&r.per_class[i])).sum()
             };
@@ -260,10 +259,10 @@ impl FleetReport {
                 failed: sum(|c| c.failed),
                 preempted: sum(|c| c.preempted),
                 tokens: sum(|c| c.tokens),
-                p50_token_ms: percentile(tok, 0.5),
-                p99_token_ms: percentile(tok, 0.99),
-                p50_request_ms: percentile(req, 0.5),
-                p99_request_ms: percentile(req, 0.99),
+                p50_token_ms: tok.percentile_ceil(0.5),
+                p99_token_ms: tok.percentile_ceil(0.99),
+                p50_request_ms: req.percentile_ceil(0.5),
+                p99_request_ms: req.percentile_ceil(0.99),
             };
         }
         Self {
@@ -598,7 +597,7 @@ mod tests {
         }
     }
 
-    fn no_samples() -> [(Vec<f64>, Vec<f64>); 3] {
+    fn no_samples() -> [(LatencySamples, LatencySamples); 3] {
         Default::default()
     }
 
@@ -863,7 +862,7 @@ mod tests {
         // Replica 0 has fast tokens, replica 1 slow ones; the fleet p99
         // must come from the merged population, not an average.
         let mut samples = no_samples();
-        samples[0].0 = vec![1.0, 1.0, 1.0];
+        samples[0].0.push_n(1.0, 3);
         let f = FleetReport::assemble(
             RouterPolicy::JsqSpillover,
             vec![report([2, 0, 0]), report([1, 0, 0])],

@@ -29,6 +29,9 @@
 //!   percentiles over the merged samples) and audits the cross-replica
 //!   invariants: every arrival placed exactly once, arrivals conserved,
 //!   every replica's page ledger clean.
+//! * [`LatencySamples`] is the latency population every report ends in:
+//!   `(value, count)` runs in recording order, whose percentiles are
+//!   bit-identical to sorting the expanded samples.
 //!
 //! The crate is dependency-free and knows nothing about latency models or
 //! observability: feasibility is a callback, costs arrive precomputed on
@@ -45,6 +48,7 @@ pub mod fleet;
 pub mod pages;
 pub mod request;
 pub mod router;
+pub mod samples;
 pub mod scheduler;
 
 pub use fleet::{
@@ -56,6 +60,7 @@ pub use request::{KvDeviceGeometry, ResumePath, SchedRequest, SloClass, SloMix};
 pub use router::{
     BreakerConfig, BreakerState, CircuitBreaker, RouteError, Router, RouterPolicy, SchedLoad,
 };
+pub use samples::{LatencySamples, SortedSamples};
 pub use scheduler::{
     ActiveEntry, ClassReport, Completion, Evacuated, SchedConfig, SchedEvent, SchedPolicy,
     SchedReport, Scheduler, StepPlan,

@@ -21,6 +21,7 @@
 
 use crate::pages::{PageConfig, PageStats, PagedKvManager};
 use crate::request::{SchedRequest, SloClass};
+use crate::samples::LatencySamples;
 
 /// Scheduling policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -294,17 +295,19 @@ struct ClassAccum {
     failed: usize,
     preempted: usize,
     tokens: usize,
-    token_lat_ms: Vec<f64>,
-    request_lat_ms: Vec<f64>,
+    token_lat_ms: LatencySamples,
+    request_lat_ms: LatencySamples,
 }
 
 /// Per-class outcome summary.
 ///
 /// Percentiles use the **ceil nearest-rank** convention:
 /// `sorted[ceil(len × p) - 1]`, the smallest sample with at least `p` of
-/// the population at or below it. In particular, p99 over fewer than 100
-/// samples is the maximum, and p50 of an even-sized population is the
-/// lower median.
+/// the population at or below it ([`SortedSamples::percentile_ceil`]). In
+/// particular, p99 over fewer than 100 samples is the maximum, and p50 of
+/// an even-sized population is the lower median.
+///
+/// [`SortedSamples::percentile_ceil`]: crate::SortedSamples::percentile_ceil
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ClassReport {
     /// Requests that arrived in this class.
@@ -410,22 +413,6 @@ impl SchedReport {
         }
         out
     }
-}
-
-/// Ceil nearest-rank percentile: the smallest sample such that at least
-/// `p` of the population is ≤ it, i.e. `sorted[ceil(len × p) - 1]`.
-///
-/// The previous `.round()` nearest-rank collapsed p99 over small samples
-/// onto p50-adjacent ranks (and rounded half *up* at p50, picking the
-/// upper median); the ceil convention is monotone in `p` and pins p99 of
-/// a <100-sample population to the maximum, which is what the SLO tables
-/// report.
-pub(crate) fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = (sorted.len() as f64 * p).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
 /// The continuous-batching scheduler state machine.
@@ -633,13 +620,8 @@ impl Scheduler {
     /// recording order. Fleet roll-ups merge these across replicas and
     /// recompute percentiles over the union — averaging per-replica
     /// percentiles would be wrong.
-    pub fn class_samples(&self) -> [(&[f64], &[f64]); 3] {
-        [0, 1, 2].map(|i| {
-            (
-                self.class[i].token_lat_ms.as_slice(),
-                self.class[i].request_lat_ms.as_slice(),
-            )
-        })
+    pub fn class_samples(&self) -> [(&LatencySamples, &LatencySamples); 3] {
+        [0, 1, 2].map(|i| (&self.class[i].token_lat_ms, &self.class[i].request_lat_ms))
     }
 
     fn alloc_tracked(&mut self, id: usize, hbm: usize, drex: usize) {
@@ -1031,8 +1013,10 @@ impl Scheduler {
     /// finished requests retire (freeing their pages). Returns completions
     /// in batch order.
     pub fn advance_step(&mut self, dt: f64, now: f64) -> Vec<Completion> {
-        let chunks = std::mem::take(&mut self.chunks);
-        for (id, chunk) in chunks {
+        // Indexed, then cleared: the buffer keeps its capacity for the next
+        // plan instead of being reallocated every chunked step.
+        for c in 0..self.chunks.len() {
+            let (id, chunk) = self.chunks[c];
             if let Some(a) = self.active.iter_mut().find(|a| a.req.id == id) {
                 a.prefill_left_ns -= chunk;
                 if a.prefill_left_ns <= 1e-6 {
@@ -1042,21 +1026,27 @@ impl Scheduler {
                 self.prefill_work_ns += chunk;
             }
         }
+        self.chunks.clear();
         // Per-class token latencies, capped at 64 per step like the global
-        // serving histogram.
-        let mut counted = 0usize;
+        // serving histogram: the first 64 decoding members in batch order
+        // count, then each class records its share as one run.
+        let mut counted = [0usize; 3];
+        let mut total = 0usize;
         for i in 0..self.active.len() {
             if !self.active[i].in_decode {
                 continue;
             }
             let cls = self.active[i].req.class.index();
-            if counted < 64 {
-                self.class[cls].token_lat_ms.push(dt / 1e6);
-                counted += 1;
+            if total < 64 {
+                counted[cls] += 1;
+                total += 1;
             }
             self.class[cls].tokens += 1;
             self.active[i].remaining -= 1;
             self.active[i].generated += 1;
+        }
+        for (acc, n) in self.class.iter_mut().zip(counted) {
+            acc.token_lat_ms.push_n(dt / 1e6, n);
         }
         let mut done = Vec::new();
         let mut i = 0;
@@ -1122,9 +1112,8 @@ impl Scheduler {
             }
         }
         let mut per_class: [ClassReport; 3] = Default::default();
-        for (out, acc) in per_class.iter_mut().zip(self.class.iter_mut()) {
-            acc.token_lat_ms.sort_by(f64::total_cmp);
-            acc.request_lat_ms.sort_by(f64::total_cmp);
+        for (out, acc) in per_class.iter_mut().zip(self.class.iter()) {
+            let (tok, req) = (acc.token_lat_ms.sorted(), acc.request_lat_ms.sorted());
             *out = ClassReport {
                 arrived: acc.arrived,
                 completed: acc.completed,
@@ -1132,10 +1121,10 @@ impl Scheduler {
                 failed: acc.failed,
                 preempted: acc.preempted,
                 tokens: acc.tokens,
-                p50_token_ms: percentile(&acc.token_lat_ms, 0.5),
-                p99_token_ms: percentile(&acc.token_lat_ms, 0.99),
-                p50_request_ms: percentile(&acc.request_lat_ms, 0.5),
-                p99_request_ms: percentile(&acc.request_lat_ms, 0.99),
+                p50_token_ms: tok.percentile_ceil(0.5),
+                p99_token_ms: tok.percentile_ceil(0.99),
+                p50_request_ms: req.percentile_ceil(0.5),
+                p99_request_ms: req.percentile_ceil(0.99),
             };
         }
         SchedReport {
@@ -1340,36 +1329,6 @@ mod tests {
         assert_eq!(s.pages().drex_used(), 0);
         s.on_degraded(0); // idempotent
         assert_eq!(s.pages().drex_used(), 0);
-    }
-
-    #[test]
-    fn percentile_uses_ceil_nearest_rank() {
-        // p99 over any sample smaller than 100 must be the maximum: with
-        // the old `.round()` convention a 4-sample p99 landed on index
-        // round(3 × 0.99) = 3 (correct) but a 50-sample p99 landed on
-        // round(49 × 0.99) = 49 only by luck of rounding — and p50 of an
-        // even population rounded *up* to the upper median.
-        let four = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(percentile(&four, 0.99), 4.0);
-        assert_eq!(percentile(&four, 0.5), 2.0, "lower median");
-        assert_eq!(percentile(&four, 1.0), 4.0);
-        assert_eq!(percentile(&four, 0.0), 1.0, "rank clamps to 1");
-        let one = [7.0];
-        assert_eq!(percentile(&one, 0.5), 7.0);
-        assert_eq!(percentile(&one, 0.99), 7.0);
-        assert_eq!(percentile(&[], 0.99), 0.0);
-        // 50 samples: ceil(50 × 0.99) = 50 → the maximum, and
-        // ceil(50 × 0.5) = 25 → the lower median.
-        let fifty: Vec<f64> = (1..=50).map(|i| i as f64).collect();
-        assert_eq!(percentile(&fifty, 0.99), 50.0);
-        assert_eq!(percentile(&fifty, 0.5), 25.0);
-        // Monotone in p.
-        let mut last = f64::NEG_INFINITY;
-        for i in 0..=20 {
-            let v = percentile(&fifty, i as f64 / 20.0);
-            assert!(v >= last);
-            last = v;
-        }
     }
 
     #[test]

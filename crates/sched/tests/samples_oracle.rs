@@ -1,0 +1,168 @@
+//! [`LatencySamples`] against the population it compresses, on the in-repo
+//! [`check`](longsight_tensor::check) runner (replay a failure with
+//! `LONGSIGHT_PROP_SEED`).
+//!
+//! The oracle is the expanded `Vec<f64>` in recording order and its copy
+//! sorted by `f64::total_cmp`, with the two slice percentiles the ledger
+//! replaced. Every comparison is by `to_bits()`: the ledger must return
+//! the very sample the sorted slice holds, not just an equal one.
+
+use longsight_sched::LatencySamples;
+use longsight_tensor::check::{run_cases, run_seed, Gen};
+use longsight_tensor::{prop_ensure, prop_ensure_eq};
+
+/// The former scheduler rule: `sorted[ceil(len × p) - 1]`, rank clamped
+/// to `1..=len`.
+fn oracle_ceil(sorted: &[f64], p: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    let rank = (sorted.len() as f64 * p).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1]
+}
+
+/// The former serving rule: `sorted[round((len - 1) × p)]`.
+fn oracle_round(sorted: &[f64], p: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    sorted[((sorted.len() - 1) as f64 * p).round() as usize]
+}
+
+/// One sample value: mostly from a small pool, so runs repeat and sorted
+/// runs tie, with signed zeros and both NaN signs among them.
+fn value(g: &mut Gen) -> f64 {
+    const POOL: [f64; 8] = [0.0, -0.0, 1.5, 2.25, -3.0, 7.0, f64::NAN, -f64::NAN];
+    match g.usize_in(0, 4) {
+        0 => g.f64_in(-10.0, 10.0),
+        _ => POOL[g.usize_in(0, POOL.len())],
+    }
+}
+
+/// A random ledger and its expansion in recording order. Counts include 0
+/// (a no-op push) and runs long enough to straddle percentile ranks.
+fn ledger(g: &mut Gen) -> (LatencySamples, Vec<f64>) {
+    let mut s = LatencySamples::new();
+    let mut flat = Vec::new();
+    for _ in 0..g.usize_in(0, 12) {
+        let v = value(g);
+        let n = match g.usize_in(0, 4) {
+            0 => 0,
+            1 => 1,
+            2 => g.usize_in(1, 8),
+            _ => g.usize_in(1, 70),
+        };
+        s.push_n(v, n);
+        flat.extend(std::iter::repeat_n(v, n));
+    }
+    (s, flat)
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Every read of `s` equals the same read of the expanded `flat`.
+fn matches_oracle(g: &mut Gen, s: &LatencySamples, flat: &[f64]) -> Result<(), String> {
+    prop_ensure_eq!(s.len(), flat.len());
+    prop_ensure_eq!(s.is_empty(), flat.is_empty());
+    prop_ensure!(s.runs().iter().all(|&(_, n)| n > 0), "zero-count run");
+    prop_ensure_eq!(
+        s.sum().to_bits(),
+        flat.iter().sum::<f64>().to_bits(),
+        "recording-order sum"
+    );
+    let mut sorted = flat.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let view = s.sorted();
+    prop_ensure_eq!(view.len(), sorted.len());
+    prop_ensure_eq!(
+        bits(&view.iter().collect::<Vec<_>>()),
+        bits(&sorted),
+        "ascending expansion"
+    );
+    prop_ensure_eq!(view.get(sorted.len()), None, "index past the end");
+    let random_p = g.f64_in(0.0, 1.0);
+    for p in [0.0, 0.5, 0.99, 1.0, random_p] {
+        prop_ensure_eq!(
+            view.percentile_ceil(p).to_bits(),
+            oracle_ceil(&sorted, p).to_bits(),
+            "ceil rank at p = {p} over {} samples",
+            sorted.len()
+        );
+        prop_ensure_eq!(
+            view.percentile_round(p).to_bits(),
+            oracle_round(&sorted, p).to_bits(),
+            "round rank at p = {p} over {} samples",
+            sorted.len()
+        );
+    }
+    Ok(())
+}
+
+fn single_ledger(g: &mut Gen) -> Result<(), String> {
+    let (s, flat) = ledger(g);
+    matches_oracle(g, &s, &flat)
+}
+
+/// 1–4 ledgers appended in a random order equal their concatenation in
+/// that order.
+fn merged_ledgers(g: &mut Gen) -> Result<(), String> {
+    let parts: Vec<_> = (0..g.usize_in(1, 5)).map(|_| ledger(g)).collect();
+    let mut order: Vec<usize> = (0..parts.len()).collect();
+    for i in (1..order.len()).rev() {
+        order.swap(i, g.usize_in(0, i + 1));
+    }
+    let mut merged = LatencySamples::new();
+    let mut flat = Vec::new();
+    for &i in &order {
+        merged.append(&parts[i].0);
+        flat.extend_from_slice(&parts[i].1);
+    }
+    matches_oracle(g, &merged, &flat)
+}
+
+#[test]
+fn ledger_matches_the_expanded_population() {
+    run_cases("ledger_matches_the_expanded_population", 400, single_ledger);
+}
+
+#[test]
+fn merged_ledgers_match_the_concatenated_population() {
+    run_cases(
+        "merged_ledgers_match_the_concatenated_population",
+        300,
+        merged_ledgers,
+    );
+}
+
+#[test]
+fn edge_populations_match_the_oracle() {
+    run_seed("edge_populations_match_the_oracle", 0, |g| {
+        // Empty, one sample, zero-count pushes only, and signed zeros and
+        // NaNs of both signs tied across runs.
+        matches_oracle(g, &LatencySamples::new(), &[])?;
+        let mut one = LatencySamples::new();
+        one.push(4.5);
+        matches_oracle(g, &one, &[4.5])?;
+        let mut zeros = LatencySamples::new();
+        zeros.push_n(1.0, 0);
+        zeros.push_n(f64::NAN, 0);
+        matches_oracle(g, &zeros, &[])?;
+        let mut mixed = LatencySamples::new();
+        let mut flat = Vec::new();
+        for (v, n) in [
+            (0.0, 3),
+            (-0.0, 2),
+            (f64::NAN, 1),
+            (0.0, 4),
+            (-f64::NAN, 2),
+            (-0.0, 1),
+            (1.0, 5),
+        ] {
+            mixed.push_n(v, n);
+            flat.extend(std::iter::repeat_n(v, n));
+        }
+        matches_oracle(g, &mixed, &flat)
+    });
+}

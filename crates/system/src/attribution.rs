@@ -22,7 +22,7 @@
 //! unoverlapped chain exactly (see [`SpecSample`]).
 
 use crate::report::{SpecStep, StepReport};
-use crate::serving::percentile;
+use longsight_sched::LatencySamples;
 
 /// Names of the attribution components, in table order. The first eight
 /// are always populated; `spec_miss` and `overlap_hidden` only with the
@@ -146,11 +146,12 @@ pub struct SpecSample {
 /// percentiles), per component, in milliseconds. The `total` population
 /// stores each token's full step latency directly — not the component sum
 /// — so its percentiles are bit-identical to the run's reported token
-/// latency.
+/// latency. Every population is a run-length [`LatencySamples`]: a step
+/// adds one run of `weight` equal samples per population.
 #[derive(Debug, Clone, Default)]
 pub struct TokenAttribution {
-    samples: [Vec<f64>; 10],
-    totals: Vec<f64>,
+    samples: [LatencySamples; 10],
+    totals: LatencySamples,
     spec_hits: usize,
     spec_misses: usize,
     spec_denied: usize,
@@ -168,12 +169,10 @@ impl TokenAttribution {
     /// latency, and `weight` the number of token samples the step
     /// contributes.
     pub fn record_step(&mut self, parts: [f64; 10], dt_ns: f64, weight: usize) {
-        for _ in 0..weight {
-            for (c, &p) in parts.iter().enumerate() {
-                self.samples[c].push(p / 1e6);
-            }
-            self.totals.push(dt_ns / 1e6);
+        for (c, &p) in parts.iter().enumerate() {
+            self.samples[c].push_n(p / 1e6, weight);
         }
+        self.totals.push_n(dt_ns / 1e6, weight);
     }
 
     /// Records one speculated step's per-member resolution counts and its
@@ -228,14 +227,17 @@ impl TokenAttribution {
         Self::stats_of(&self.totals)
     }
 
-    fn stats_of(samples: &[f64]) -> (f64, f64, f64) {
+    fn stats_of(samples: &LatencySamples) -> (f64, f64, f64) {
         if samples.is_empty() {
             return (0.0, 0.0, 0.0);
         }
-        let mean = samples.iter().sum::<f64>() / samples.len() as f64;
-        let mut sorted = samples.to_vec();
-        sorted.sort_by(f64::total_cmp);
-        (mean, percentile(&sorted, 0.5), percentile(&sorted, 0.99))
+        let mean = samples.sum() / samples.len() as f64;
+        let sorted = samples.sorted();
+        (
+            mean,
+            sorted.percentile_round(0.5),
+            sorted.percentile_round(0.99),
+        )
     }
 
     /// The attribution table: one row per component plus a total row. The

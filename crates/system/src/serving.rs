@@ -41,9 +41,9 @@ use longsight_obs::json::fmt_f64;
 use longsight_obs::{ArgVal, Recorder, TrackId};
 use longsight_sched::{
     BreakerConfig, BreakerState, CircuitBreaker, FleetFaultSummary, FleetReport, KvDeviceGeometry,
-    PagedKvManager, Placement, PullRecord, RedispatchRecord, Router, RouterPolicy, SchedConfig,
-    SchedEvent, SchedPolicy, SchedReport, SchedRequest, Scheduler, SessionSummary, ShedRecord,
-    SloBurnSummary, SloClass, SloMix,
+    LatencySamples, PagedKvManager, Placement, PullRecord, RedispatchRecord, Router, RouterPolicy,
+    SchedConfig, SchedEvent, SchedPolicy, SchedReport, SchedRequest, Scheduler, SessionSummary,
+    ShedRecord, SloBurnSummary, SloClass, SloMix, SortedSamples,
 };
 use longsight_tensor::SimRng;
 use std::collections::HashMap;
@@ -422,17 +422,6 @@ impl ServeMetrics {
             },
         })
     }
-}
-
-/// Nearest-rank percentile over ascending `sorted` samples: index
-/// `round((n - 1) * p)`, and `0.0` for an empty slice. The one percentile
-/// rule of this crate's serving metrics and attribution tables.
-pub(crate) fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[idx]
 }
 
 /// One offered request: a Poisson arrival, or a session turn when `turn`
@@ -875,10 +864,10 @@ fn sched_impl(
         serve_metrics(std::slice::from_ref(&r), offered, 0, 0.0, rec);
     let sched_report = r.sched.finalize();
     if rec.is_enabled() {
-        for &t in &token_lat {
+        for t in token_lat.iter() {
             rec.observe("serving.token_latency_ms", t);
         }
-        for &l in &request_lat {
+        for l in request_lat.iter() {
             rec.observe("serving.request_latency_ms", l);
         }
         rec.counter_add("serving.completed", metrics.completed as u64);
@@ -1011,7 +1000,13 @@ struct PendingTurn {
 struct ReplicaSim<'a> {
     sched: Scheduler,
     now: f64,
-    step_times: Vec<(f64, usize)>,
+    /// Token latencies, ms: each decode step's duration, once per decoding
+    /// member up to 64.
+    token_lat: LatencySamples,
+    /// Decoding members summed over decode steps, and the decode step
+    /// count: the mean batch size.
+    batch_users: usize,
+    batch_steps: usize,
     generated_tokens: usize,
     cache: Vec<((usize, usize), Option<StepReport>)>,
     serving_track: TrackId,
@@ -1070,7 +1065,9 @@ impl<'a> ReplicaSim<'a> {
         Self {
             sched,
             now: 0.0,
-            step_times: Vec::new(),
+            token_lat: LatencySamples::new(),
+            batch_users: 0,
+            batch_steps: 0,
             generated_tokens: 0,
             cache: Vec::new(),
             serving_track,
@@ -1303,7 +1300,9 @@ impl<'a> ReplicaSim<'a> {
         }
         let decoding = self.sched.decoding_count();
         if decoding > 0 {
-            self.step_times.push((dt, decoding));
+            self.token_lat.push_n(dt / 1e6, decoding.min(64));
+            self.batch_users += decoding;
+            self.batch_steps += 1;
             if let (Some(a), Some(r)) = (self.attr.as_deref_mut(), report.as_ref()) {
                 let parts = attribution_parts(r, dt, spec.map(|s| s.1));
                 a.record_step(parts, dt, decoding.min(64));
@@ -1381,23 +1380,21 @@ fn serve_metrics(
     shed: usize,
     degraded_keep: f64,
     rec: &mut Recorder,
-) -> (ServeMetrics, Vec<f64>, Vec<f64>) {
-    let mut token_lat: Vec<f64> = Vec::new();
-    let mut request_lat: Vec<f64> = Vec::new();
+) -> (ServeMetrics, SortedSamples, SortedSamples) {
+    let mut token_lat = LatencySamples::new();
+    let mut request_lat = LatencySamples::new();
     let (mut generated, mut batch_users, mut batch_steps) = (0usize, 0usize, 0usize);
     let (mut rejected, mut waiting) = (0usize, 0usize);
     let mut spec = (0usize, 0usize, 0usize);
     let mut degrade = DegradeStats::default();
     let mut span_ns = 0.0f64;
     for r in replicas {
-        for &(dt, users) in &r.step_times {
-            for _ in 0..users.min(64) {
-                token_lat.push(dt / 1e6);
-            }
-            batch_users += users;
+        token_lat.append(&r.token_lat);
+        batch_users += r.batch_users;
+        batch_steps += r.batch_steps;
+        for c in &r.completions {
+            request_lat.push(c.1);
         }
-        batch_steps += r.step_times.len();
-        request_lat.extend(r.completions.iter().map(|c| c.1));
         generated += r.generated_tokens;
         rejected += r.sched.rejected();
         waiting += r.sched.waiting_len();
@@ -1409,18 +1406,17 @@ fn serve_metrics(
         degrade.failed_requests += r.degrade.failed_requests;
         span_ns = span_ns.max(r.now);
     }
-    token_lat.sort_by(f64::total_cmp);
-    request_lat.sort_by(f64::total_cmp);
+    let (token_lat, request_lat) = (token_lat.sorted(), request_lat.sorted());
     let completed = request_lat.len();
     let metrics = ServeMetrics {
         completed,
         rejected,
         in_flight: offered - (completed + rejected + waiting + degrade.failed_requests + shed),
         throughput_tps: generated as f64 / (span_ns.max(1.0) / 1e9),
-        p50_token_ms: percentile(&token_lat, 0.5),
-        p99_token_ms: percentile(&token_lat, 0.99),
-        p50_request_ms: percentile(&request_lat, 0.5),
-        p99_request_ms: percentile(&request_lat, 0.99),
+        p50_token_ms: token_lat.percentile_round(0.5),
+        p99_token_ms: token_lat.percentile_round(0.99),
+        p50_request_ms: request_lat.percentile_round(0.5),
+        p99_request_ms: request_lat.percentile_round(0.99),
         mean_batch: if batch_steps == 0 {
             0.0
         } else {
@@ -1762,12 +1758,12 @@ pub fn simulate_fleet(
     );
     let generated: usize = replicas.iter().map(|r| r.generated_tokens).sum();
     let mut reports: Vec<SchedReport> = Vec::with_capacity(n);
-    let mut samples: [(Vec<f64>, Vec<f64>); 3] = Default::default();
+    let mut samples: [(LatencySamples, LatencySamples); 3] = Default::default();
     for r in replicas.iter_mut() {
         reports.push(r.sched.finalize());
-        for (i, (tok, req)) in r.sched.class_samples().iter().enumerate() {
-            samples[i].0.extend_from_slice(tok);
-            samples[i].1.extend_from_slice(req);
+        for (i, (tok, req)) in r.sched.class_samples().into_iter().enumerate() {
+            samples[i].0.append(tok);
+            samples[i].1.append(req);
         }
     }
     let mut fleet = FleetReport::assemble_with_faults(
@@ -2208,22 +2204,6 @@ mod tests {
     ) -> (ServeMetrics, FaultLog) {
         let mut rec = Recorder::disabled();
         simulate_observed(sys, model, wl, Some((inj, retry)), &mut rec, None)
-    }
-
-    #[test]
-    fn percentile_rounds_the_fractional_rank() {
-        let one = [7.0];
-        assert_eq!(percentile(&one, 0.5), 7.0);
-        assert_eq!(percentile(&one, 0.99), 7.0);
-        // n = 2: rank 0.5 rounds half away from zero, 0.99 rounds up.
-        let two = [1.0, 2.0];
-        assert_eq!(percentile(&two, 0.5), 2.0);
-        assert_eq!(percentile(&two, 0.99), 2.0);
-        // n = 101: ranks 50 and 99 exactly (index, not ceil, semantics).
-        let many: Vec<f64> = (0..101).map(f64::from).collect();
-        assert_eq!(percentile(&many, 0.5), 50.0);
-        assert_eq!(percentile(&many, 0.99), 99.0);
-        assert_eq!(percentile(&[], 0.5), 0.0);
     }
 
     #[test]

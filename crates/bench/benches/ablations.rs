@@ -14,7 +14,7 @@
 use longsight_bench::{fmt_ns, print_table};
 use longsight_cxl::CxlLink;
 use longsight_dram::{ChannelSim, DramTiming, Request};
-use longsight_drex::{time_slice_offload, DrexParams, HeadOffloadSpec};
+use longsight_drex::{try_time_slice_offload, DrexParams, HeadOffloadSpec};
 use longsight_model::ModelConfig;
 use longsight_system::{LongSightConfig, LongSightSystem, ServingSystem};
 use longsight_tensor::SimRng;
@@ -83,7 +83,8 @@ fn main() {
             k: 1024,
             survivors: keys / 20,
         };
-        let t = time_slice_offload(&params, &spec, keys, keys / 20, 3);
+        let t = try_time_slice_offload(&params, &spec, keys, keys / 20, 3, None)
+            .expect("valid slice spec");
         rows.push(vec![
             keys.to_string(),
             (keys.div_ceil(1024) * 8).min(1024).to_string(),
@@ -155,7 +156,8 @@ fn main() {
             k: 1024,
             survivors: 131_072 / 20,
         };
-        let t = time_slice_offload(&p, &spec, 131_072, 131_072 / 20, 9);
+        let t = try_time_slice_offload(&p, &spec, 131_072, 131_072 / 20, 9, None)
+            .expect("valid slice spec");
         rows.push(vec![
             width.to_string(),
             fmt_ns(t.filter_ns),

@@ -3,22 +3,9 @@
 //! lengths and user counts. Missing entries ("-") mean the configuration
 //! does not fit in memory, as in the paper.
 
-use longsight_bench::fig7::{headline_speedup, sweep, Fig7Point};
+use longsight_bench::fig7::{headline_speedup, sweep};
 use longsight_bench::{fmt_ctx, print_table};
 use longsight_model::ModelConfig;
-
-/// Median wall-clock of `runs` full sweeps, plus the last sweep's rows.
-fn timed_sweep(model: &ModelConfig, users: &[usize], runs: usize) -> (f64, Vec<Fig7Point>) {
-    let mut times = Vec::with_capacity(runs);
-    let mut points = Vec::new();
-    for _ in 0..runs {
-        let start = std::time::Instant::now();
-        points = sweep(model, users);
-        times.push(start.elapsed().as_secs_f64() * 1e3);
-    }
-    times.sort_by(f64::total_cmp);
-    (times[runs / 2], points)
-}
 
 fn main() {
     for model in [ModelConfig::llama3_1b(), ModelConfig::llama3_8b()] {
@@ -62,43 +49,24 @@ fn main() {
             model.name
         );
     }
-    // Serial vs. parallel wall clock on the same grid (the serving sweep is
-    // the repo's hottest simulation path). Results must match bit-for-bit.
+    // The serving sweep is the repo's hottest simulation path: a parallel
+    // sweep must reproduce the serial one bit-for-bit. Nothing host-timed is
+    // printed, so this whole output is a byte-comparable golden; the scan
+    // kernel's wall-clock table lives in the `kernels` bench.
     let model = ModelConfig::llama3_8b();
     let users = [1usize, 4, 16, 0];
     longsight_exec::set_thread_count(1);
-    let (serial_ms, serial_pts) = timed_sweep(&model, &users, 5);
+    let serial = sweep(&model, &users);
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let threads = cores.max(4);
-    longsight_exec::set_thread_count(threads);
-    let (par_ms, par_pts) = timed_sweep(&model, &users, 5);
+    longsight_exec::set_thread_count(cores.max(4));
+    let parallel = sweep(&model, &users);
     longsight_exec::set_thread_count(0);
-    let identical = serial_pts == par_pts;
-    // The ratio only reflects parallel efficiency when the host actually has
-    // spare cores; on a 1-core host the 4-thread run just pays scheduling
-    // overhead. Recording the core count keeps the checked-in line honest.
-    println!(
-        "\nthreads-speedup: fig7 sweep ({}) 1 thread {serial_ms:.1} ms -> {threads} threads {par_ms:.1} ms = {:.2}x on a {cores}-core host (bit-identical: {})",
-        model.name,
-        serial_ms / par_ms,
-        if identical { "yes" } else { "NO" }
+    assert!(
+        serial == parallel,
+        "parallel sweep diverged from serial sweep"
     );
-    assert!(identical, "parallel sweep diverged from serial sweep");
-
-    // Host scan-kernel microbench: per-key SignBits walk vs the bitplane
-    // SignArena kernel that the hybrid/trace/device scans run on. Wall-clock
-    // numbers vary by host; the packed row's ns/key is pinned (generously)
-    // in results/trajectory.tsv and its bit-identity is asserted here and in
-    // the scf_kernel ci smoke.
-    let kb = longsight_bench::fig7::scan_kernel_bench(65_536, 128);
-    print_table(
-        "SCF scan kernel: per-key vs bitplane-packed (host wall-clock)",
-        &["kernel", "keys", "dim", "ns per key", "speedup"],
-        &longsight_bench::fig7::scan_kernel_rows(&kb),
-    );
-    assert!(kb.identical, "packed kernel diverged from per-key scan");
 
     println!("\npaper: up to 8.1-9.6x higher throughput and 3.6-11.9x higher tokens/s/user");
     println!("at the maximum context supported by one GPU; only LongSight reaches 1M");

@@ -3,9 +3,13 @@
 //! trace-quality evaluation, the DRAM channel scheduler, and the serving
 //! metrics tail over run-length latency samples. Runs on the in-repo timing harness
 //! ([`longsight_bench::timing`]); output shape matches the old criterion
-//! goldens in `results/kernels.txt`.
+//! goldens in `results/kernels.txt`. Ends with the SCF scan-kernel table
+//! (per-key walk vs bitplane-packed) whose packed ns/key
+//! `results/trajectory.tsv` pins.
 
 use longsight_bench::fig3::{trace_for, train_trace_itq};
+use longsight_bench::fig7::{scan_kernel_bench, scan_kernel_rows};
+use longsight_bench::print_table;
 use longsight_bench::timing::bench_report;
 use longsight_core::trace_eval::evaluate_trace;
 use longsight_core::{
@@ -178,6 +182,20 @@ fn bench_metrics_tail() {
     });
 }
 
+fn bench_scan_kernel() {
+    // The full SCF scan over a 64K-key region: per-key `scf_pass` walk vs
+    // the bitplane kernel the hybrid/trace/device scans run on. The packed
+    // row's ns/key is the trajectory-gated one; bit-identity is asserted
+    // here and in the scf_kernel ci smoke.
+    let kb = scan_kernel_bench(65_536, 128);
+    print_table(
+        "SCF scan kernel: per-key vs bitplane-packed (host wall-clock)",
+        &["kernel", "keys", "dim", "ns per key", "speedup"],
+        &scan_kernel_rows(&kb),
+    );
+    assert!(kb.identical, "packed kernel diverged from per-key scan");
+}
+
 fn main() {
     bench_sign_packing();
     bench_scf_block();
@@ -187,4 +205,5 @@ fn main() {
     bench_trace_eval();
     bench_dram();
     bench_metrics_tail();
+    bench_scan_kernel();
 }

@@ -1,9 +1,9 @@
 //! SCF scan-kernel smoke: times the per-key `scf_pass` walk against the
 //! bitplane `filter_block_packed` kernel over the same packed sign store and
 //! asserts the packed path is both bit-identical and faster. This is the
-//! fast CI guard for the kernel speedup (the full fig7 bench prints the same
-//! table inside its golden); `perf-diff --gate` pins the packed row's
-//! absolute ns/key via `results/trajectory.tsv`.
+//! fast CI guard for the kernel speedup (the `kernels` bench prints the same
+//! table into `results/kernels.txt`); `perf-diff --gate` pins the packed
+//! row's absolute ns/key there via `results/trajectory.tsv`.
 
 use longsight_bench::fig7::{scan_kernel_bench, scan_kernel_rows};
 use longsight_bench::print_table;

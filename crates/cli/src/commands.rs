@@ -964,7 +964,8 @@ pub fn offload(a: &Args) -> Result<(), String> {
         cfg = cfg.with_lookahead(la);
     }
     let sys = LongSightSystem::new(cfg, model);
-    let (observed, p) = sys.drex_layer_traced(users, ctx, &mut rec, 0.0);
+    let layer = sys.drex_layer_traced(users, ctx, &mut rec, 0.0);
+    let (observed, p) = (layer.observed_ns, layer.profile);
     if rec.is_enabled() {
         rec.gauge_set("offload.observed_us", observed / 1e3);
         rec.gauge_set("offload.queue_wait_us", p.queue_wait_ns / 1e3);
@@ -979,22 +980,18 @@ pub fn offload(a: &Args) -> Result<(), String> {
     println!("  queue wait  {:>10.2} us", p.queue_wait_ns / 1e3);
     println!("  value/CXL   {:>10.2} us", p.value_cxl_ns / 1e3);
     println!("  observed    {:>10.2} us (last user)", observed / 1e3);
-    if lookahead.is_some_and(|la| la.enabled) {
-        // The issue/complete halves the lookahead pipeline puts in flight:
-        // issue covers the speculative chain up to device-ready, complete
-        // the polling + value read the GPU pays at use time.
-        let mut quiet = Recorder::disabled();
-        if let Some(issued) = sys.drex_layer_issue(users, ctx, &mut quiet, 0.0) {
-            let (complete_observed, _) = sys.drex_layer_complete(&issued, &mut quiet, 0.0);
-            println!(
-                "  issue ready {:>10.2} us (speculative half: filter->topk + queue)",
-                issued.ready_rel_ns / 1e3
-            );
-            println!(
-                "  complete    {:>10.2} us (poll + value read at use time)",
-                (complete_observed - issued.ready_rel_ns) / 1e3
-            );
-        }
+    if lookahead.is_some_and(|la| la.enabled) && observed > 0.0 {
+        // The halves the lookahead pipeline splits the layer into: issue
+        // covers the speculative chain up to device-ready, complete the
+        // polling + value read the GPU pays at use time.
+        println!(
+            "  issue ready {:>10.2} us (speculative half: filter->topk + queue)",
+            layer.ready_ns / 1e3
+        );
+        println!(
+            "  complete    {:>10.2} us (poll + value read at use time)",
+            (observed - layer.ready_ns) / 1e3
+        );
     }
     if injected {
         let f = sys.drex_layer_faulty(users, ctx);

@@ -342,9 +342,9 @@ struct GateSpec {
 /// `router_scaling/2r/jsq/...`, `lookahead/32slots/0.25ms/p99_token_ms`,
 /// `fleet_availability/2r/0.10/breaker/...`,
 /// `session_reuse/2r/0.90/affinity/...`, and
-/// `fig7_kernel/packed/ns_per_key` (the host scan-kernel row — the pinned
-/// value is ns per key, not ms, and wall-clock, so its threshold is set
-/// generously in the trajectory file).
+/// `kernels/packed/ns_per_key` (the host scan-kernel row of
+/// `results/kernels.txt` — the pinned value is ns per key, not ms, and
+/// wall-clock, so its threshold is set generously in the trajectory file).
 fn gate_spec(key: &str) -> Result<GateSpec, String> {
     let parts: Vec<&str> = key.split('/').collect();
     let part = |i: usize| -> Result<&str, String> {
@@ -428,14 +428,14 @@ fn gate_spec(key: &str) -> Result<GateSpec, String> {
                 field: 9,
             })
         }
-        "fig7_kernel" => {
+        "kernels" => {
             if part(1)? != "packed" || part(2)? != "ns_per_key" {
                 return Err(format!(
-                    "key '{key}': only fig7_kernel/packed/ns_per_key is pinned"
+                    "key '{key}': only kernels/packed/ns_per_key is pinned"
                 ));
             }
             Ok(GateSpec {
-                file: "results/fig7_throughput.txt",
+                file: "results/kernels.txt",
                 matchers: vec![(1, "packed scan".to_string())],
                 field: 4,
             })
@@ -634,11 +634,12 @@ mod tests {
         assert_eq!(s.field, 9);
         assert!(gate_spec("session_reuse/2/0.90/affinity/x").is_err());
         assert!(gate_spec("unknown_table/1/2").is_err());
-        let s = gate_spec("fig7_kernel/packed/ns_per_key").unwrap();
-        assert_eq!(s.file, "results/fig7_throughput.txt");
+        let s = gate_spec("kernels/packed/ns_per_key").unwrap();
+        assert_eq!(s.file, "results/kernels.txt");
         assert_eq!(s.matchers, vec![(1, "packed scan".to_string())]);
         assert_eq!(s.field, 4);
-        assert!(gate_spec("fig7_kernel/perkey/ns_per_key").is_err());
+        assert!(gate_spec("kernels/perkey/ns_per_key").is_err());
+        assert!(gate_spec("fig7_kernel/packed/ns_per_key").is_err());
     }
 
     #[test]
@@ -648,7 +649,7 @@ mod tests {
  per-key scan | 65536 | 128 | 4.872      | 1.00x
  packed scan  | 65536 | 128 | 2.867      | 1.70x (bit-identical: yes)
 ";
-        let spec = gate_spec("fig7_kernel/packed/ns_per_key").unwrap();
+        let spec = gate_spec("kernels/packed/ns_per_key").unwrap();
         assert_eq!(table_lookup(&spec, table).unwrap(), 2.867);
     }
 

@@ -24,7 +24,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use longsight_faults::{domain, FaultInjector};
 use longsight_obs::{ArgVal, Recorder, TrackId};
 
 /// Flit window retransmitted per CRC replay round, bytes. PCIe/CXL links
@@ -91,12 +90,6 @@ impl CxlLink {
         polls * self.poll_interval_ns + self.mmio_read_ns
     }
 
-    /// End-to-end time to make the result of `bytes` visible to the GPU:
-    /// polling until `ready_at`, then reading the payload.
-    pub fn observe_and_read_ns(&self, ready_at: f64, bytes: usize) -> f64 {
-        self.polled_completion_ns(ready_at) + self.transfer_ns(bytes)
-    }
-
     /// In-flight transfer accounting for the lookahead pipeline: given a
     /// chain (device work + link transfer) of `in_flight_ns` issued
     /// speculatively one step ahead, and `compute_ns` of GPU work available
@@ -148,30 +141,6 @@ impl CxlLink {
         t
     }
 
-    /// [`CxlLink::polled_completion_ns_with_replays`] that also emits a
-    /// `cxl.poll` span starting at simulated time `start_ns` on `track`.
-    pub fn polled_completion_ns_traced(
-        &self,
-        ready_at: f64,
-        replays: u32,
-        rec: &mut Recorder,
-        track: TrackId,
-        start_ns: f64,
-    ) -> f64 {
-        let t = self.polled_completion_ns_with_replays(ready_at, replays);
-        rec.leaf_with(
-            track,
-            "cxl.poll",
-            start_ns,
-            start_ns + t,
-            &[
-                ("ready_at_ns", ArgVal::F(ready_at)),
-                ("replays", ArgVal::U(replays as u64)),
-            ],
-        );
-        t
-    }
-
     /// [`CxlLink::transfer_ns_with_replays`] that also emits a `cxl.transfer`
     /// span starting at simulated time `start_ns` on `track`. Replay rounds
     /// (CRC retransmits) are recorded as an argument so faulted transfers are
@@ -196,36 +165,6 @@ impl CxlLink {
             ],
         );
         t
-    }
-
-    /// Fault-injected bulk transfer: samples the CRC replay count for this
-    /// transfer's event `stream` from `inj` (deterministically — the count
-    /// depends only on the injector's seed and the stream key) and returns
-    /// `(transfer time, replay rounds)`.
-    pub fn transfer_ns_injected(
-        &self,
-        bytes: usize,
-        inj: &FaultInjector,
-        stream: u64,
-    ) -> (f64, u32) {
-        let replays = inj.link_replays(longsight_faults::stream(domain::LINK, stream, 0, 0));
-        (self.transfer_ns_with_replays(bytes, replays), replays)
-    }
-
-    /// Fault-injected end-to-end observation: polling (inflated by one poll
-    /// round per replay) plus the replayed payload read. Returns
-    /// `(observed time, replay rounds)`.
-    pub fn observe_and_read_ns_injected(
-        &self,
-        ready_at: f64,
-        bytes: usize,
-        inj: &FaultInjector,
-        stream: u64,
-    ) -> (f64, u32) {
-        let replays = inj.link_replays(longsight_faults::stream(domain::LINK, stream, 0, 0));
-        let t = self.polled_completion_ns_with_replays(ready_at, replays)
-            + self.transfer_ns_with_replays(bytes, replays);
-        (t, replays)
     }
 }
 
@@ -302,25 +241,6 @@ mod tests {
     }
 
     #[test]
-    fn injected_transfer_is_deterministic_and_clean_when_disabled() {
-        use longsight_faults::{FaultInjector, FaultProfile};
-        let l = CxlLink::pcie5_x16();
-        let off = FaultInjector::disabled();
-        let (t, r) = l.transfer_ns_injected(4096, &off, 42);
-        assert_eq!(r, 0);
-        assert_eq!(t, l.transfer_ns(4096));
-        let inj = FaultInjector::new(FaultProfile::severe(), 9);
-        let a = l.observe_and_read_ns_injected(1000.0, 4096, &inj, 42);
-        let b = l.observe_and_read_ns_injected(1000.0, 4096, &inj, 42);
-        assert_eq!(a, b, "same stream must reproduce the same replay count");
-        // At severe rates, some stream in a small range replays.
-        let replayed = (0..100u64)
-            .map(|s| l.transfer_ns_injected(4096, &inj, s).1)
-            .any(|r| r > 0);
-        assert!(replayed);
-    }
-
-    #[test]
     fn traced_variants_match_plain_and_emit_spans() {
         let l = CxlLink::pcie5_x16();
         let mut rec = Recorder::enabled();
@@ -329,12 +249,9 @@ mod tests {
         let submit = l.descriptor_submit_ns_traced(256, &mut rec, track, at);
         assert_eq!(submit, l.descriptor_submit_ns(256));
         at += submit;
-        let poll = l.polled_completion_ns_traced(1000.0, 1, &mut rec, track, at);
-        assert_eq!(poll, l.polled_completion_ns_with_replays(1000.0, 1));
-        at += poll;
         let xfer = l.transfer_ns_traced(4096, 2, &mut rec, track, at);
         assert_eq!(xfer, l.transfer_ns_with_replays(4096, 2));
-        assert_eq!(rec.spans().len(), 3);
+        assert_eq!(rec.spans().len(), 2);
         rec.validate_well_formed().unwrap();
 
         // No-op recorder: identical numbers, zero events.

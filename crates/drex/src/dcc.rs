@@ -8,11 +8,10 @@
 //! This module tracks per-NMA busy timelines, which is what produces the
 //! multi-user contention behaviour of Figs 8 (bottom) and 9.
 
-use crate::descriptor::REQUEST_QUEUE_DEPTH;
-use crate::layout::MAX_CONTEXT_SLICE_KEYS;
-use crate::offload::{time_slice_offload, DrexParams, HeadOffloadSpec, HeadOffloadTiming};
+use crate::offload::{
+    slice_layout, try_time_slice_offload, DrexParams, HeadOffloadSpec, HeadOffloadTiming,
+};
 use longsight_cxl::CxlLink;
-use longsight_faults::FaultError;
 use longsight_obs::{ArgVal, Recorder};
 
 /// One head's workload with the packages hosting its slices.
@@ -54,7 +53,6 @@ pub struct DccSim {
     params: DrexParams,
     link: CxlLink,
     nma_busy: Vec<f64>,
-    in_flight: usize,
     served: u64,
 }
 
@@ -70,7 +68,6 @@ impl DccSim {
             params,
             link,
             nma_busy: vec![0.0; packages],
-            in_flight: 0,
             served: 0,
         }
     }
@@ -93,7 +90,6 @@ impl DccSim {
     /// Resets the NMA timelines (new measurement epoch).
     pub fn reset_timelines(&mut self) {
         self.nma_busy.iter_mut().for_each(|t| *t = 0.0);
-        self.in_flight = 0;
     }
 
     /// Schedules pre-timed slice workloads onto the NMA timelines, starting
@@ -145,13 +141,17 @@ impl DccSim {
     /// Submits one request at `arrival_ns`.
     ///
     /// `descriptor_bytes`/`response_bytes` size the CXL transfers; `heads`
-    /// lists each KV head's workload and slice placement.
+    /// lists each KV head's workload and slice placement. Each head's slices
+    /// are laid out by [`slice_layout`], and each slice samples its survivor
+    /// placement with the per-request seed `(served << 16) ^ (head << 8) ^
+    /// slice`.
     ///
     /// # Panics
     ///
-    /// Panics if the hardware queue would overflow (more than 512 requests
-    /// in flight) or a slice placement is inconsistent. Fault-tolerant
-    /// callers should use [`DccSim::try_submit`] instead.
+    /// Panics if a slice placement is inconsistent (one package per Context
+    /// Slice is required) or a head spec is one the hardware cannot run
+    /// (`k` beyond the top-k bound, zero `head_dim`) — both programmer
+    /// errors, not injectable faults.
     pub fn submit(
         &mut self,
         arrival_ns: f64,
@@ -159,48 +159,15 @@ impl DccSim {
         descriptor_bytes: usize,
         response_bytes: usize,
     ) -> RequestTiming {
-        match self.try_submit(arrival_ns, heads, descriptor_bytes, response_bytes) {
-            Ok(t) => t,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// [`DccSim::submit`] with a typed error path: a full hardware queue
-    /// comes back as [`FaultError::QueueOverflow`] so overload propagates as
-    /// a `Result` instead of aborting the simulation.
-    ///
-    /// # Errors
-    ///
-    /// [`FaultError::QueueOverflow`] when more than the hardware queue depth
-    /// of requests are in flight.
-    ///
-    /// # Panics
-    ///
-    /// Still panics on inconsistent slice placements — those are programmer
-    /// errors, not injectable faults.
-    pub fn try_submit(
-        &mut self,
-        arrival_ns: f64,
-        heads: &[HeadWork],
-        descriptor_bytes: usize,
-        response_bytes: usize,
-    ) -> Result<RequestTiming, FaultError> {
-        if self.in_flight >= REQUEST_QUEUE_DEPTH {
-            return Err(FaultError::QueueOverflow {
-                depth: REQUEST_QUEUE_DEPTH,
-            });
-        }
         let submitted_ns = arrival_ns + self.link.descriptor_submit_ns(descriptor_bytes);
 
         let mut device_done = submitted_ns;
         let mut critical = HeadOffloadTiming::default();
         let mut queue_wait: f64 = 0.0;
         for (hi, head) in heads.iter().enumerate() {
-            let slices = head
-                .spec
-                .context_len
-                .div_ceil(MAX_CONTEXT_SLICE_KEYS)
-                .max(1);
+            // An empty head still occupies one (idle) slice placement.
+            let layout = slice_layout(&head.spec, 0);
+            let slices = layout.len().max(1);
             assert_eq!(
                 head.slice_packages.len(),
                 slices,
@@ -210,31 +177,17 @@ impl DccSim {
             );
             let mut head_done = submitted_ns;
             let mut head_worst = HeadOffloadTiming::default();
-            let mut remaining = head.spec.context_len;
-            let mut remaining_survivors = head.spec.survivors;
-            for (si, &pkg) in head.slice_packages.iter().enumerate() {
-                let keys = remaining.min(MAX_CONTEXT_SLICE_KEYS);
-                let survivors = if si + 1 == slices {
-                    remaining_survivors
-                } else {
-                    ((head.spec.survivors as f64) * keys as f64
-                        / head.spec.context_len.max(1) as f64)
-                        .round() as usize
-                }
-                .min(remaining_survivors)
-                .min(keys);
-                remaining -= keys;
-                remaining_survivors -= survivors;
-                if keys == 0 {
-                    continue;
-                }
-                let t = time_slice_offload(
+            for (si, (w, &pkg)) in layout.iter().zip(&head.slice_packages).enumerate() {
+                let seed = (self.served << 16) ^ ((hi as u64) << 8) ^ si as u64;
+                let t = try_time_slice_offload(
                     &self.params,
                     &head.spec,
-                    keys,
-                    survivors,
-                    (self.served << 16) ^ ((hi as u64) << 8) ^ si as u64,
-                );
+                    w.keys,
+                    w.survivors,
+                    seed,
+                    None,
+                )
+                .unwrap_or_else(|e| panic!("head {hi}: {e}"));
                 let slot = pkg % self.nma_busy.len();
                 let nma = &mut self.nma_busy[slot];
                 let start = nma.max(submitted_ns);
@@ -264,14 +217,14 @@ impl DccSim {
         let observed_ns = arrival_ns + self.link.polled_completion_ns(ready_rel) + value_read_ns;
 
         self.served += 1;
-        Ok(RequestTiming {
+        RequestTiming {
             submitted_ns,
             device_done_ns: device_done,
             observed_ns,
             value_read_ns,
             critical_head: critical,
             queue_wait_ns: queue_wait,
-        })
+        }
     }
 }
 
@@ -362,6 +315,7 @@ impl SpecSlotPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layout::MAX_CONTEXT_SLICE_KEYS;
 
     fn head(context: usize, survivors: usize, packages: Vec<usize>) -> HeadWork {
         HeadWork {
@@ -431,16 +385,6 @@ mod tests {
         let crammed = head(2 * MAX_CONTEXT_SLICE_KEYS, 12_000, vec![0, 0]);
         let t_ser = d2.submit(0.0, &[crammed], 1024, 1024);
         assert!(t_par.device_done_ns < t_ser.device_done_ns);
-    }
-
-    #[test]
-    fn try_submit_matches_submit() {
-        let mut a = dcc();
-        let mut b = dcc();
-        let w = vec![head(65_536, 3_000, vec![0])];
-        let t1 = a.submit(0.0, &w, 1024, 1024);
-        let t2 = b.try_submit(0.0, &w, 1024, 1024).unwrap();
-        assert_eq!(t1, t2);
     }
 
     #[test]

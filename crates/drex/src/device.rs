@@ -20,7 +20,6 @@ use longsight_core::{
 use longsight_cxl::CxlLink;
 use longsight_dram::Geometry;
 use longsight_faults::{domain, FaultInjector};
-use longsight_obs::{ArgVal, Recorder};
 use longsight_tensor::{quantize_bf16_in_place, vecops, FlatVecs, SignArena, TopK};
 
 /// Errors returned by device operations.
@@ -245,41 +244,24 @@ impl DrexDevice {
     /// Executes one sparse-attention offload: SCF filter, full-precision
     /// scoring, per-query top-k — over all KV heads of `layer` for `user`.
     ///
+    /// `inj` injects PFU bitmap bit-flips into the *functional* filter
+    /// decisions: a flipped survivor is dropped before scoring (a false
+    /// negative that costs recall), a flipped non-survivor is fetched and
+    /// scored (a false positive that costs time and is usually ranked out).
+    /// Flip decisions derive from `(inj.seed, user, layer, kv_head, key
+    /// index)` alone, so the corrupted result is identical at any thread
+    /// count; [`FaultInjector::disabled`] gives the fault-free offload.
+    ///
     /// # Errors
     ///
     /// Returns [`DeviceError::UnknownUser`] for unregistered users.
     ///
     /// # Panics
     ///
-    /// Panics if `request.queries` does not have one group per KV head or a
-    /// query has the wrong dimension.
+    /// Panics if `request.queries` does not have one group per KV head, a
+    /// query has the wrong dimension, or `k` exceeds the hardware top-k
+    /// bound.
     pub fn offload(
-        &mut self,
-        request: &RequestDescriptor,
-        k: usize,
-        arrival_ns: f64,
-    ) -> Result<OffloadOutcome, DeviceError> {
-        self.offload_with_faults(request, k, arrival_ns, &FaultInjector::disabled())
-    }
-
-    /// [`DrexDevice::offload`] under fault injection: PFU bitmap bit-flips
-    /// corrupt the *functional* filter decisions — a flipped survivor is
-    /// dropped before scoring (a false negative that costs recall), a
-    /// flipped non-survivor is fetched and scored (a false positive that
-    /// costs time and is usually ranked out). Flip decisions derive from
-    /// `(inj.seed, user, layer, kv_head, key index)` alone, so the corrupted
-    /// result is identical at any thread count; with a disabled injector
-    /// this is exactly [`DrexDevice::offload`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeviceError::UnknownUser`] for unregistered users.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `request.queries` does not have one group per KV head or a
-    /// query has the wrong dimension.
-    pub fn offload_with_faults(
         &mut self,
         request: &RequestDescriptor,
         k: usize,
@@ -445,70 +427,6 @@ impl DrexDevice {
         })
     }
 
-    /// [`DrexDevice::offload_with_faults`] that also emits the request's
-    /// span tree on a `drex.device` track: the enclosing `drex.request` span
-    /// (descriptor arrival to GPU-observed completion) with `dcc.queue`,
-    /// `nma.head` (critical chain), and `cxl.value_read` children, plus the
-    /// functional corruption counts as span arguments. Recording derives
-    /// entirely from the returned timing, so the outcome is bit-identical to
-    /// the untraced call.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeviceError::UnknownUser`] for unregistered users.
-    pub fn offload_traced(
-        &mut self,
-        request: &RequestDescriptor,
-        k: usize,
-        arrival_ns: f64,
-        inj: &FaultInjector,
-        rec: &mut Recorder,
-    ) -> Result<OffloadOutcome, DeviceError> {
-        let out = self.offload_with_faults(request, k, arrival_ns, inj)?;
-        if rec.is_enabled() {
-            let t = &out.timing;
-            let track = rec.track("drex.device");
-            let span = rec.open_with(
-                track,
-                "drex.request",
-                arrival_ns,
-                &[
-                    ("user", ArgVal::U(u64::from(request.user))),
-                    ("layer", ArgVal::U(u64::from(request.layer))),
-                    ("false_negatives", ArgVal::U(out.false_negatives as u64)),
-                    ("false_positives", ArgVal::U(out.false_positives as u64)),
-                ],
-            );
-            if t.queue_wait_ns > 0.0 {
-                rec.leaf(
-                    track,
-                    "dcc.queue",
-                    t.submitted_ns,
-                    t.submitted_ns + t.queue_wait_ns,
-                );
-            }
-            let chain = t.critical_head.total_ns();
-            rec.leaf_with(
-                track,
-                "nma.head",
-                t.device_done_ns - chain,
-                t.device_done_ns,
-                &[
-                    ("filter_ns", ArgVal::F(t.critical_head.filter_ns)),
-                    ("fetch_score_ns", ArgVal::F(t.critical_head.fetch_score_ns)),
-                ],
-            );
-            rec.leaf(
-                track,
-                "cxl.value_read",
-                t.observed_ns - t.value_read_ns,
-                t.observed_ns,
-            );
-            rec.close(span, t.observed_ns);
-        }
-        Ok(out)
-    }
-
     /// Maximum context slice size (re-exported convenience).
     pub const MAX_SLICE_KEYS: usize = MAX_CONTEXT_SLICE_KEYS;
 }
@@ -550,7 +468,9 @@ mod tests {
             layer: 0,
             queries: vec![vec![q.clone()], vec![q.clone()]],
         };
-        let out = dev.offload(&req, 8, 0.0).unwrap();
+        let out = dev
+            .offload(&req, 8, 0.0, &FaultInjector::disabled())
+            .unwrap();
 
         // Reference: same pipeline by hand for head 0 (BF16 keys, identity
         // rotation, threshold 6).
@@ -584,7 +504,9 @@ mod tests {
             layer: 0,
             queries: vec![vec![q.clone()], vec![q.clone()]],
         };
-        let out = dev.offload(&req, 200, 0.0).unwrap();
+        let out = dev
+            .offload(&req, 200, 0.0, &FaultInjector::disabled())
+            .unwrap();
         // k >= n and threshold 0: every key retrieved.
         assert_eq!(out.response.hits[0][0].len(), 200);
         // Scores descending.
@@ -605,14 +527,12 @@ mod tests {
             layer: 0,
             queries: vec![vec![q.clone()], vec![q.clone()]],
         };
-        // Disabled injector reproduces the plain offload exactly.
-        let plain = dev.clone().offload(&req, 16, 0.0).unwrap();
-        let off = dev
+        // The disabled injector is the fault-free offload.
+        let plain = dev
             .clone()
-            .offload_with_faults(&req, 16, 0.0, &FaultInjector::disabled())
+            .offload(&req, 16, 0.0, &FaultInjector::disabled())
             .unwrap();
-        assert_eq!(off.response.hits, plain.response.hits);
-        assert_eq!((off.false_negatives, off.false_positives), (0, 0));
+        assert_eq!((plain.false_negatives, plain.false_positives), (0, 0));
         // A certain corruption with a large flip fraction changes results
         // and counts both error directions — identically across two runs.
         let inj = FaultInjector::new(
@@ -623,14 +543,8 @@ mod tests {
             },
             21,
         );
-        let a = dev
-            .clone()
-            .offload_with_faults(&req, 16, 0.0, &inj)
-            .unwrap();
-        let b = dev
-            .clone()
-            .offload_with_faults(&req, 16, 0.0, &inj)
-            .unwrap();
+        let a = dev.clone().offload(&req, 16, 0.0, &inj).unwrap();
+        let b = dev.clone().offload(&req, 16, 0.0, &inj).unwrap();
         assert_eq!(a.response.hits, b.response.hits);
         assert_eq!(
             (a.false_negatives, a.false_positives),
@@ -652,7 +566,8 @@ mod tests {
             queries: vec![vec![], vec![]],
         };
         assert_eq!(
-            dev.offload(&req, 4, 0.0).unwrap_err(),
+            dev.offload(&req, 4, 0.0, &FaultInjector::disabled())
+                .unwrap_err(),
             DeviceError::UnknownUser(9)
         );
         assert!(dev.write_kv_block(3, 0, 0, &[], &[]).is_err());

@@ -18,6 +18,7 @@
 //! use longsight_cxl::CxlLink;
 //! use longsight_dram::Geometry;
 //! use longsight_drex::{DrexDevice, DrexParams, RequestDescriptor};
+//! use longsight_faults::FaultInjector;
 //!
 //! let mut dev = DrexDevice::new(
 //!     DrexParams::paper(),
@@ -30,7 +31,7 @@
 //! let user = dev.register_user();
 //! dev.write_kv_block(user, 0, 0, &[vec![1.0; 8]], &[vec![2.0; 8]])?;
 //! let req = RequestDescriptor { user, layer: 0, queries: vec![vec![vec![1.0; 8]]] };
-//! let out = dev.offload(&req, 4, 0.0)?;
+//! let out = dev.offload(&req, 4, 0.0, &FaultInjector::disabled())?;
 //! assert_eq!(out.response.hits[0][0].len(), 1);
 //! # Ok::<(), longsight_drex::DeviceError>(())
 //! ```
@@ -56,10 +57,8 @@ pub use descriptor::{
 pub use device::{DeviceError, DrexDevice, OffloadOutcome};
 pub use id_address::IdAddress;
 pub use offload::{
-    slice_layout, time_head_offload, time_head_offload_injected, time_slice_offload,
-    try_time_slice_offload, try_time_slice_offload_injected, try_time_slice_offload_traced,
-    DrexParams, FaultedHeadTiming, FaultedSliceTiming, HeadOffloadSpec, HeadOffloadTiming,
-    SliceWork,
+    slice_layout, try_time_head_offload, try_time_slice_offload, DrexParams, FaultedHeadTiming,
+    HeadOffloadSpec, HeadOffloadTiming, SliceWork,
 };
 pub use power::PowerModel;
 pub use response_buffers::{BufferError, ResponseBufferTable};

@@ -145,27 +145,12 @@ impl HeadOffloadTiming {
 /// (seeded for reproducibility) — survivor *sparsity* is what drives the
 /// row-hit behaviour the DRAM simulator measures.
 ///
-/// # Panics
-///
-/// Panics if the spec is inconsistent (`survivors > slice_keys`,
-/// `k > max_k`, zero dimensions). Fault-tolerant callers should use
-/// [`try_time_slice_offload`] instead.
-pub fn time_slice_offload(
-    params: &DrexParams,
-    spec: &HeadOffloadSpec,
-    slice_keys: usize,
-    survivors: usize,
-    seed: u64,
-) -> HeadOffloadTiming {
-    match try_time_slice_offload(params, spec, slice_keys, survivors, seed) {
-        Ok(t) => t,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// [`time_slice_offload`] with a typed error path: inconsistent specs come
-/// back as [`FaultError::InvalidSpec`] instead of aborting, so injected
-/// faults and bad inputs propagate as `Result`s through the serving stack.
+/// With a trace context `(rec, track, start_ns)` the slice also emits its
+/// phase spans on `track`, anchored at simulated time `start_ns`: the serial
+/// `pfu.filter → pfu.bitmap → nma.addr_gen → nma.fetch_score → nma.topk`
+/// chain, with the sampled `dram.channel` activity nested inside the
+/// fetch/score phase. Recording never changes the returned timing; `None`
+/// records into a disabled recorder.
 ///
 /// # Errors
 ///
@@ -178,37 +163,7 @@ pub fn try_time_slice_offload(
     slice_keys: usize,
     survivors: usize,
     seed: u64,
-) -> Result<HeadOffloadTiming, FaultError> {
-    let mut rec = Recorder::disabled();
-    let track = rec.track("nma");
-    try_time_slice_offload_traced(
-        params, spec, slice_keys, survivors, seed, &mut rec, track, 0.0,
-    )
-}
-
-/// [`try_time_slice_offload`] that also emits the slice's phase spans on
-/// `track`, anchored at simulated time `start_ns`: the serial
-/// `pfu.filter → pfu.bitmap → nma.addr_gen → nma.fetch_score → nma.topk`
-/// chain, with the sampled `dram.channel` activity nested inside the
-/// fetch/score phase. With a disabled recorder this *is*
-/// [`try_time_slice_offload`] — same numbers, no events — which is how the
-/// zero-overhead guarantee holds.
-///
-/// # Errors
-///
-/// Same as [`try_time_slice_offload`].
-// Mirrors `try_time_slice_offload` plus the three tracing inputs; a struct
-// would just relocate the same names.
-#[allow(clippy::too_many_arguments)]
-pub fn try_time_slice_offload_traced(
-    params: &DrexParams,
-    spec: &HeadOffloadSpec,
-    slice_keys: usize,
-    survivors: usize,
-    seed: u64,
-    rec: &mut Recorder,
-    track: TrackId,
-    start_ns: f64,
+    trace: Option<(&mut Recorder, TrackId, f64)>,
 ) -> Result<HeadOffloadTiming, FaultError> {
     if spec.head_dim == 0 {
         return Err(FaultError::InvalidSpec("head_dim must be positive".into()));
@@ -229,6 +184,14 @@ pub fn try_time_slice_offload_traced(
         return Ok(HeadOffloadTiming::default());
     }
 
+    let mut quiet = Recorder::disabled();
+    let (rec, track, start_ns) = match trace {
+        Some(trace) => trace,
+        None => {
+            let track = quiet.track("nma");
+            (&mut quiet, track, 0.0)
+        }
+    };
     let slice = ContextSlice::new(0, slice_keys);
     let d = spec.head_dim;
 
@@ -385,7 +348,7 @@ pub fn try_time_slice_offload_traced(
 /// position is distinct and in bounds.
 ///
 /// Requires `1 <= sim_survivors <= sim_keys` (guaranteed by the sampling
-/// setup in [`try_time_slice_offload_traced`]).
+/// setup in [`try_time_slice_offload`]).
 fn survivor_positions(rng: &mut SimRng, sim_keys: usize, sim_survivors: usize) -> Vec<usize> {
     debug_assert!(sim_survivors >= 1 && sim_survivors <= sim_keys);
     let mut positions = Vec::with_capacity(sim_survivors);
@@ -404,25 +367,22 @@ fn survivor_positions(rng: &mut SimRng, sim_keys: usize, sim_survivors: usize) -
 
 /// A slice timing with its injected-fault annotations.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultedSliceTiming {
+struct FaultedSliceTiming {
     /// The (possibly straggler-inflated) phase timing.
-    pub timing: HeadOffloadTiming,
+    timing: HeadOffloadTiming,
     /// Whether this slice's NMA straggled.
-    pub straggled: bool,
-    /// True survivors dropped by a corrupted PFU bitmap (recall loss — the
-    /// keys were filtered out and never scored).
-    pub false_negatives: usize,
-    /// Spurious survivors admitted by the corruption (fetched, scored, and
-    /// ranked out — pure time cost, no recall effect).
-    pub false_positives: usize,
+    straggled: bool,
+    /// True survivors dropped by a corrupted PFU bitmap.
+    false_negatives: usize,
+    /// Spurious survivors admitted by the corruption.
+    false_positives: usize,
 }
 
-/// Times one slice under fault injection.
+/// Times one slice of a head under fault injection.
 ///
-/// `event_key` identifies this slice's offload (e.g. mixed from user, head,
-/// and slice index with [`longsight_faults::stream`]); all fault decisions
-/// derive from `(inj.seed, event_key)` alone, so the outcome is identical at
-/// any thread count. Three fault classes apply:
+/// `event_key` identifies this slice's offload; all fault decisions derive
+/// from `(inj.seed, event_key)` alone, so the outcome is identical at any
+/// thread count. Three fault classes apply:
 ///
 /// * **PFU bit-flips** corrupt the filter bitmap: dropped true survivors are
 ///   reported as `false_negatives` for recall accounting, and spurious
@@ -436,30 +396,24 @@ pub struct FaultedSliceTiming {
 ///   exceeds it, the slice is killed and [`FaultError::SliceTimeout`] is
 ///   returned.
 ///
-/// # Errors
-///
-/// [`FaultError::InvalidSpec`] for inconsistent specs,
-/// [`FaultError::SliceTimeout`] when the slice exceeds `timeout_ns`.
-// The argument list mirrors `try_time_slice_offload` plus the three fault
-// inputs; bundling them into a struct would just move the same eight names.
-#[allow(clippy::too_many_arguments)]
-pub fn try_time_slice_offload_injected(
+/// With a disabled injector and an infinite timeout this is exactly
+/// [`try_time_slice_offload`]: no flips, and a straggler multiplier of 1.0
+/// scales every phase to its own bits.
+fn faulted_slice_offload(
     params: &DrexParams,
     spec: &HeadOffloadSpec,
-    slice_keys: usize,
-    survivors: usize,
-    seed: u64,
+    work: &SliceWork,
     inj: &FaultInjector,
     event_key: u64,
     timeout_ns: f64,
 ) -> Result<FaultedSliceTiming, FaultError> {
     let (false_negatives, false_positives) = inj.bitflips(
         longsight_faults::stream(domain::PFU, event_key, 0, 0),
-        survivors,
-        slice_keys,
+        work.survivors,
+        work.keys,
     );
-    let timed_survivors = (survivors + false_positives).min(slice_keys);
-    let base = try_time_slice_offload(params, spec, slice_keys, timed_survivors, seed)?;
+    let timed_survivors = (work.survivors + false_positives).min(work.keys);
+    let base = try_time_slice_offload(params, spec, work.keys, timed_survivors, work.seed, None)?;
     let mult = inj.straggler_multiplier(longsight_faults::stream(domain::SLICE, event_key, 0, 0));
     let timing = base.scaled(mult);
     if timeout_ns.is_finite() && timing.total_ns() > timeout_ns {
@@ -494,9 +448,9 @@ pub struct SliceWork {
 /// with the final slice absorbing the remainder), and each slice derives its
 /// sampling seed from the head seed and its index.
 ///
-/// This is the single source of truth for the slice recurrence —
-/// [`time_head_offload`] and [`time_head_offload_injected`] both lay out
-/// their slices here, so the faulted and plain paths cannot drift.
+/// This is the single source of truth for the slice recurrence: both
+/// [`try_time_head_offload`] and the DCC's request submission lay out their
+/// slices here.
 pub fn slice_layout(spec: &HeadOffloadSpec, seed: u64) -> Vec<SliceWork> {
     if spec.context_len == 0 {
         return Vec::new();
@@ -540,39 +494,41 @@ pub struct FaultedHeadTiming {
     pub false_positives: usize,
 }
 
-/// [`time_head_offload`] under fault injection: every slice is timed with
-/// [`try_time_slice_offload_injected`] on its own event stream (derived from
-/// `event_key` and the slice index), and the head fails if *any* slice times
-/// out — a partial top-k merge is not a valid attention result.
+/// Times a full head offload whose region may span several Context Slices.
+///
+/// Slices live in different packages and execute in parallel on their NMAs
+/// (§7.1: "multiple or all NMAs can work in parallel on a single attention
+/// request"); the head's latency is the slowest slice plus a small DCC merge
+/// of the partial top-k lists.
+///
+/// With a fault context `(inj, event_key, timeout_ns)` every slice is timed
+/// under injection on its own event stream (derived from `event_key` and the
+/// slice index), and the head fails if *any* slice times out — a partial
+/// top-k merge is not a valid attention result. `None` times the fault-free
+/// head, with zero fault annotations.
 ///
 /// # Errors
 ///
-/// Propagates the first slice's [`FaultError`] in slice order (deterministic
-/// regardless of evaluation order).
-pub fn time_head_offload_injected(
+/// [`FaultError::InvalidSpec`] for inconsistent specs, and
+/// [`FaultError::SliceTimeout`] when a slice exceeds `timeout_ns`. The first
+/// failing slice in slice order wins, regardless of evaluation order.
+pub fn try_time_head_offload(
     params: &DrexParams,
     spec: &HeadOffloadSpec,
     seed: u64,
-    inj: &FaultInjector,
-    event_key: u64,
-    timeout_ns: f64,
+    faults: Option<(&FaultInjector, u64, f64)>,
 ) -> Result<FaultedHeadTiming, FaultError> {
-    if spec.context_len == 0 {
-        return Ok(FaultedHeadTiming::default());
-    }
+    let off = FaultInjector::disabled();
+    let (inj, event_key, timeout_ns) = faults.unwrap_or((&off, 0, f64::INFINITY));
+    // Lay out each slice's work first ([`slice_layout`] is a cheap
+    // sequential recurrence), then time the slices on the parallel map,
+    // mirroring the NMAs that run them concurrently. Folding `max_with` in
+    // slice order afterwards reproduces the serial result bit-for-bit (ties
+    // keep the earlier slice either way).
     let layout = slice_layout(spec, seed);
-    let slices = layout.len();
     let timings = longsight_exec::deterministic_map(&layout, |idx, w| {
-        try_time_slice_offload_injected(
-            params,
-            spec,
-            w.keys,
-            w.survivors,
-            w.seed,
-            inj,
-            longsight_faults::stream(domain::SLICE, event_key, idx as u64, 0),
-            timeout_ns,
-        )
+        let key = longsight_faults::stream(domain::SLICE, event_key, idx as u64, 0);
+        faulted_slice_offload(params, spec, w, inj, key, timeout_ns)
     });
     let mut agg = FaultedHeadTiming::default();
     for t in timings {
@@ -582,53 +538,47 @@ pub fn time_head_offload_injected(
         agg.false_negatives += t.false_negatives;
         agg.false_positives += t.false_positives;
     }
-    if slices > 1 {
-        agg.timing.topk_ns +=
-            (slices - 1) as f64 * spec.k.min(params.max_k) as f64 * params.dcc_merge_per_entry_ns;
+    // DCC merge of partial top-k lists: k entries per extra slice, pipelined.
+    if layout.len() > 1 {
+        agg.timing.topk_ns += (layout.len() - 1) as f64
+            * spec.k.min(params.max_k) as f64
+            * params.dcc_merge_per_entry_ns;
     }
     Ok(agg)
-}
-
-/// Times a full head offload whose region may span several Context Slices.
-///
-/// Slices live in different packages and execute in parallel on their NMAs
-/// (§7.1: "multiple or all NMAs can work in parallel on a single attention
-/// request"); the head's latency is the slowest slice plus a small DCC merge
-/// of the partial top-k lists.
-pub fn time_head_offload(
-    params: &DrexParams,
-    spec: &HeadOffloadSpec,
-    seed: u64,
-) -> HeadOffloadTiming {
-    if spec.context_len == 0 {
-        return HeadOffloadTiming::default();
-    }
-    // Lay out each slice's work first ([`slice_layout`] is a cheap
-    // sequential recurrence) — then time the slices on the parallel map,
-    // mirroring the NMAs that run them concurrently. Folding `max_with` in
-    // slice order afterwards reproduces the serial result bit-for-bit (ties
-    // keep the earlier slice either way).
-    let layout = slice_layout(spec, seed);
-    let slices = layout.len();
-    let timings = longsight_exec::deterministic_map(&layout, |_, w| {
-        time_slice_offload(params, spec, w.keys, w.survivors, w.seed)
-    });
-    let mut worst = HeadOffloadTiming::default();
-    for t in &timings {
-        worst = worst.max_with(t);
-    }
-    // DCC merge of partial top-k lists: k entries per extra slice, pipelined.
-    let mut result = worst;
-    if slices > 1 {
-        result.topk_ns +=
-            (slices - 1) as f64 * spec.k.min(params.max_k) as f64 * params.dcc_merge_per_entry_ns;
-    }
-    result
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn slice(
+        p: &DrexParams,
+        s: &HeadOffloadSpec,
+        keys: usize,
+        survivors: usize,
+        seed: u64,
+    ) -> HeadOffloadTiming {
+        try_time_slice_offload(p, s, keys, survivors, seed, None).unwrap()
+    }
+
+    fn head(p: &DrexParams, s: &HeadOffloadSpec, seed: u64) -> HeadOffloadTiming {
+        try_time_head_offload(p, s, seed, None).unwrap().timing
+    }
+
+    fn faulted(
+        p: &DrexParams,
+        s: &HeadOffloadSpec,
+        inj: &FaultInjector,
+        event_key: u64,
+        timeout_ns: f64,
+    ) -> Result<FaultedSliceTiming, FaultError> {
+        let work = SliceWork {
+            keys: s.context_len,
+            survivors: s.survivors,
+            seed: 4,
+        };
+        faulted_slice_offload(p, s, &work, inj, event_key, timeout_ns)
+    }
 
     fn spec(context: usize, survivors: usize) -> HeadOffloadSpec {
         HeadOffloadSpec {
@@ -644,7 +594,7 @@ mod tests {
     fn filter_time_matches_rtl_constant() {
         let p = DrexParams::paper();
         // One epoch, ≤16 queries: d × 1.25 ns.
-        let t = time_slice_offload(&p, &spec(1024, 0), 1024, 0, 1);
+        let t = slice(&p, &spec(1024, 0), 1024, 0, 1);
         assert!((t.filter_ns - 128.0 * 1.25).abs() < 1e-9);
         assert_eq!(t.fetch_score_ns, 0.0);
     }
@@ -652,8 +602,8 @@ mod tests {
     #[test]
     fn more_survivors_cost_more_fetch_time() {
         let p = DrexParams::paper();
-        let few = time_slice_offload(&p, &spec(65_536, 1_000), 65_536, 1_000, 2);
-        let many = time_slice_offload(&p, &spec(65_536, 20_000), 65_536, 20_000, 2);
+        let few = slice(&p, &spec(65_536, 1_000), 65_536, 1_000, 2);
+        let many = slice(&p, &spec(65_536, 20_000), 65_536, 20_000, 2);
         assert!(many.fetch_score_ns > few.fetch_score_ns);
         assert!(many.total_ns() > few.total_ns());
     }
@@ -663,7 +613,7 @@ mod tests {
         let p = DrexParams::paper();
         // All 65,536 keys survive: 16 MiB of keys over 8 × 17 GB/s.
         let keys = 65_536;
-        let t = time_slice_offload(&p, &spec(keys, keys), keys, keys, 3);
+        let t = slice(&p, &spec(keys, keys), keys, keys, 3);
         let bytes = keys as f64 * 256.0;
         let ideal_ns = bytes / (8.0 * p.dram.channel_bandwidth_gbps());
         assert!(
@@ -683,9 +633,9 @@ mod tests {
         let p = DrexParams::paper();
         // 4 slices worth of context with uniform survivors.
         let big = spec(4 * MAX_CONTEXT_SLICE_KEYS, 40_000);
-        let t_big = time_head_offload(&p, &big, 4);
+        let t_big = head(&p, &big, 4);
         let small = spec(MAX_CONTEXT_SLICE_KEYS, 10_000);
-        let t_small = time_head_offload(&p, &small, 4);
+        let t_small = head(&p, &small, 4);
         // Parallel slices: the 4× context costs roughly one slice's time
         // (plus merge), NOT 4×.
         assert!(
@@ -702,8 +652,8 @@ mod tests {
         // length" (given the 20× filter ratio, survivors scale linearly but
         // the per-epoch overheads amortize).
         let p = DrexParams::paper();
-        let t1 = time_head_offload(&p, &spec(32_768, 32_768 / 20), 7);
-        let t4 = time_head_offload(&p, &spec(4 * 32_768, 4 * 32_768 / 20), 7);
+        let t1 = head(&p, &spec(32_768, 32_768 / 20), 7);
+        let t4 = head(&p, &spec(4 * 32_768, 4 * 32_768 / 20), 7);
         assert!(t4.total_ns() < 4.0 * t1.total_ns());
         assert!(t4.total_ns() > t1.total_ns());
     }
@@ -713,64 +663,60 @@ mod tests {
         let p = DrexParams::paper();
         let mut s = spec(1024, 0);
         s.queries = 32; // two PFU passes
-        let t = time_slice_offload(&p, &s, 1024, 0, 8);
+        let t = slice(&p, &s, 1024, 0, 8);
         assert!((t.filter_ns - 2.0 * 128.0 * 1.25).abs() < 1e-9);
     }
 
     #[test]
-    #[should_panic(expected = "more survivors than keys")]
-    fn inconsistent_survivors_panic() {
-        let p = DrexParams::paper();
-        let _ = time_slice_offload(&p, &spec(100, 200), 100, 200, 9);
-    }
-
-    #[test]
-    fn try_variant_reports_typed_errors() {
+    fn inconsistent_specs_are_typed_errors() {
         let p = DrexParams::paper();
         assert!(matches!(
-            try_time_slice_offload(&p, &spec(100, 200), 100, 200, 9),
+            try_time_slice_offload(&p, &spec(100, 200), 100, 200, 9, None),
             Err(FaultError::InvalidSpec(m)) if m == "more survivors than keys"
         ));
         let mut bad_k = spec(1024, 100);
         bad_k.k = p.max_k + 1;
         assert!(matches!(
-            try_time_slice_offload(&p, &bad_k, 1024, 100, 9),
+            try_time_slice_offload(&p, &bad_k, 1024, 100, 9, None),
             Err(FaultError::InvalidSpec(_))
         ));
-        let ok = try_time_slice_offload(&p, &spec(1024, 100), 1024, 100, 9).unwrap();
-        assert_eq!(ok, time_slice_offload(&p, &spec(1024, 100), 1024, 100, 9));
+        assert!(matches!(
+            try_time_head_offload(&p, &bad_k, 9, None),
+            Err(FaultError::InvalidSpec(_))
+        ));
+    }
+
+    #[test]
+    fn tracing_leaves_the_timing_unchanged() {
+        let p = DrexParams::paper();
+        let s = spec(65_536, 3_000);
+        let mut rec = Recorder::enabled();
+        let track = rec.track("nma");
+        let traced =
+            try_time_slice_offload(&p, &s, 65_536, 3_000, 4, Some((&mut rec, track, 50.0)))
+                .unwrap();
+        assert_eq!(traced, slice(&p, &s, 65_536, 3_000, 4));
+        assert!(rec.spans().len() >= 5, "one span per phase at least");
+        rec.validate_well_formed().unwrap();
     }
 
     #[test]
     fn disabled_injector_reproduces_plain_timing() {
         let p = DrexParams::paper();
         let off = FaultInjector::disabled();
-        let plain = time_slice_offload(&p, &spec(65_536, 3_000), 65_536, 3_000, 4);
-        let injected = try_time_slice_offload_injected(
-            &p,
-            &spec(65_536, 3_000),
-            65_536,
-            3_000,
-            4,
-            &off,
-            99,
-            f64::INFINITY,
-        )
-        .unwrap();
-        assert_eq!(injected.timing, plain);
+        let s = spec(65_536, 3_000);
+        let injected = faulted(&p, &s, &off, 99, f64::INFINITY).unwrap();
+        assert_eq!(injected.timing, slice(&p, &s, 65_536, 3_000, 4));
         assert!(!injected.straggled);
         assert_eq!((injected.false_negatives, injected.false_positives), (0, 0));
-        let head_plain = time_head_offload(&p, &spec(4 * MAX_CONTEXT_SLICE_KEYS, 40_000), 4);
-        let head_injected = time_head_offload_injected(
-            &p,
-            &spec(4 * MAX_CONTEXT_SLICE_KEYS, 40_000),
-            4,
-            &off,
-            99,
-            f64::INFINITY,
-        )
-        .unwrap();
-        assert_eq!(head_injected.timing, head_plain);
+        let big = spec(4 * MAX_CONTEXT_SLICE_KEYS, 40_000);
+        let head_injected =
+            try_time_head_offload(&p, &big, 4, Some((&off, 99, f64::INFINITY))).unwrap();
+        assert_eq!(head_injected.timing, head(&p, &big, 4));
+        assert_eq!(
+            head_injected,
+            try_time_head_offload(&p, &big, 4, None).unwrap()
+        );
     }
 
     #[test]
@@ -784,33 +730,20 @@ mod tests {
             },
             7,
         );
-        let plain = time_slice_offload(&p, &spec(65_536, 3_000), 65_536, 3_000, 4);
-        let faulted = try_time_slice_offload_injected(
-            &p,
-            &spec(65_536, 3_000),
-            65_536,
-            3_000,
-            4,
-            &inj,
-            99,
-            f64::INFINITY,
-        )
-        .unwrap();
-        assert!(faulted.straggled);
-        assert!((faulted.timing.total_ns() - 4.0 * plain.total_ns()).abs() < 1e-6);
-        // The 4x-slowed slice misses a timeout set just above the nominal.
-        let err = try_time_slice_offload_injected(
-            &p,
-            &spec(65_536, 3_000),
-            65_536,
-            3_000,
-            4,
-            &inj,
-            99,
-            plain.total_ns() * 1.5,
-        )
-        .unwrap_err();
+        let s = spec(65_536, 3_000);
+        let plain = slice(&p, &s, 65_536, 3_000, 4);
+        let slowed = faulted(&p, &s, &inj, 99, f64::INFINITY).unwrap();
+        assert!(slowed.straggled);
+        assert!((slowed.timing.total_ns() - 4.0 * plain.total_ns()).abs() < 1e-6);
+        // The 4x-slowed slice misses a timeout set just above the nominal,
+        // and so does the head it belongs to.
+        let timeout = plain.total_ns() * 1.5;
+        let err = faulted(&p, &s, &inj, 99, timeout).unwrap_err();
         assert!(matches!(err, FaultError::SliceTimeout { .. }));
+        assert!(matches!(
+            try_time_head_offload(&p, &s, 4, Some((&inj, 99, timeout))),
+            Err(FaultError::SliceTimeout { .. })
+        ));
     }
 
     #[test]
@@ -821,17 +754,7 @@ mod tests {
             let mut prev = 0.0f64;
             for rate in [0.0, 0.05, 0.2, 0.8] {
                 let inj = FaultInjector::new(longsight_faults::FaultProfile::scaled(rate), 13);
-                let t = try_time_slice_offload_injected(
-                    &p,
-                    &s,
-                    65_536,
-                    3_000,
-                    4,
-                    &inj,
-                    stream_key,
-                    f64::INFINITY,
-                )
-                .unwrap();
+                let t = faulted(&p, &s, &inj, stream_key, f64::INFINITY).unwrap();
                 assert!(
                     t.timing.total_ns() >= prev - 1e-9,
                     "stream {stream_key}: rate {rate} got cheaper"
@@ -852,15 +775,8 @@ mod tests {
             },
             3,
         );
-        let agg = time_head_offload_injected(
-            &p,
-            &spec(2 * MAX_CONTEXT_SLICE_KEYS, 20_000),
-            4,
-            &inj,
-            5,
-            f64::INFINITY,
-        )
-        .unwrap();
+        let s = spec(2 * MAX_CONTEXT_SLICE_KEYS, 20_000);
+        let agg = try_time_head_offload(&p, &s, 4, Some((&inj, 5, f64::INFINITY))).unwrap();
         assert!(agg.false_negatives > 0, "every slice corrupts at rate 1");
         assert!(agg.false_positives > agg.false_negatives);
     }
@@ -868,7 +784,7 @@ mod tests {
     #[test]
     fn empty_context_is_free() {
         let p = DrexParams::paper();
-        let t = time_head_offload(&p, &spec(0, 0), 10);
+        let t = head(&p, &spec(0, 0), 10);
         assert_eq!(t.total_ns(), 0.0);
     }
 
@@ -909,9 +825,10 @@ mod tests {
 
     #[test]
     fn slice_layout_matches_reference_recurrence() {
-        // Pins the shared helper to the recurrence both head paths relied on
-        // before it was extracted: proportional survivor shares, clamped to
-        // the slice, final slice absorbing the remainder, per-slice seeds.
+        // Pins the shared helper to the recurrence the head and DCC paths
+        // relied on before it was extracted: proportional survivor shares,
+        // clamped to the slice, final slice absorbing the remainder,
+        // per-slice seeds.
         for (context, survivors) in [
             (1, 0),
             (MAX_CONTEXT_SLICE_KEYS, 100),
@@ -947,35 +864,13 @@ mod tests {
     }
 
     #[test]
-    fn plain_and_injected_paths_share_one_slice_layout() {
-        // With a disabled injector the faulted head path must time the exact
-        // same per-slice work as the plain path — layout drift between the
-        // two recurrences is what the shared helper rules out.
-        let p = DrexParams::paper();
-        let off = FaultInjector::disabled();
-        for context in [
-            MAX_CONTEXT_SLICE_KEYS - 5,
-            2 * MAX_CONTEXT_SLICE_KEYS + 123,
-            5 * MAX_CONTEXT_SLICE_KEYS,
-        ] {
-            let s = spec(context, context / 20);
-            let plain = time_head_offload(&p, &s, 42);
-            let injected = time_head_offload_injected(&p, &s, 42, &off, 7, f64::INFINITY).unwrap();
-            assert_eq!(injected.timing, plain, "context {context}");
-        }
-    }
-
-    #[test]
     fn dcc_merge_cost_scales_with_the_param() {
         let mut p = DrexParams::paper();
         let s = spec(3 * MAX_CONTEXT_SLICE_KEYS, 30_000);
-        let base = time_head_offload(&p, &s, 4);
+        let base = head(&p, &s, 4);
         p.dcc_merge_per_entry_ns = 0.5;
-        let doubled = time_head_offload(&p, &s, 4);
+        let doubled = head(&p, &s, 4);
         let extra = 2.0 * s.k as f64 * 0.25; // (slices−1) × k × Δcost
         assert!((doubled.topk_ns - base.topk_ns - extra).abs() < 1e-9);
-        let off = FaultInjector::disabled();
-        let injected = time_head_offload_injected(&p, &s, 4, &off, 7, f64::INFINITY).unwrap();
-        assert_eq!(injected.timing, doubled);
     }
 }

@@ -6,8 +6,10 @@ use longsight_cxl::CxlLink;
 use longsight_dram::Geometry;
 use longsight_drex::layout::{ContextSlice, UserPartition, MAX_CONTEXT_SLICE_KEYS};
 use longsight_drex::{
-    time_head_offload, DccSim, DrexDevice, DrexParams, HeadOffloadSpec, HeadWork, RequestDescriptor,
+    try_time_head_offload, DccSim, DrexDevice, DrexParams, HeadOffloadSpec, HeadWork,
+    RequestDescriptor,
 };
+use longsight_faults::FaultInjector;
 use longsight_tensor::check::run_cases;
 use longsight_tensor::{prop_ensure, prop_ensure_eq, SimRng};
 
@@ -61,8 +63,12 @@ fn offload_time_monotone_in_survivors() {
         let sa = ((keys as f64) * frac_a) as usize;
         let sb = (((keys as f64) * (frac_a + extra)) as usize).min(keys);
         let p = DrexParams::paper();
-        let ta = time_head_offload(&p, &spec(sa), 1);
-        let tb = time_head_offload(&p, &spec(sb), 1);
+        let ta = try_time_head_offload(&p, &spec(sa), 1, None)
+            .unwrap()
+            .timing;
+        let tb = try_time_head_offload(&p, &spec(sb), 1, None)
+            .unwrap()
+            .timing;
         prop_ensure!(
             tb.total_ns() >= ta.total_ns() * 0.95,
             "more survivors should not get meaningfully faster: {} vs {}",
@@ -118,7 +124,9 @@ fn device_retrieves_at_most_k() {
             layer: 0,
             queries: vec![vec![rng.normal_vec(16)]],
         };
-        let out = dev.offload(&req, k, 0.0).unwrap();
+        let out = dev
+            .offload(&req, k, 0.0, &FaultInjector::disabled())
+            .unwrap();
         let hits = &out.response.hits[0][0];
         prop_ensure!(hits.len() <= k.min(n));
         // Scores sorted descending.
@@ -141,7 +149,9 @@ fn device_retrieves_at_most_k() {
                 user: u0,
                 ..req.clone()
             };
-            let out0 = dev0.offload(&req0, k, 0.0).unwrap();
+            let out0 = dev0
+                .offload(&req0, k, 0.0, &FaultInjector::disabled())
+                .unwrap();
             prop_ensure!(hits.len() <= out0.response.hits[0][0].len());
         }
         Ok(())

@@ -279,11 +279,6 @@ pub enum FaultError {
         /// Attempts made (initial + retries).
         attempts: u32,
     },
-    /// The DCC request queue would overflow.
-    QueueOverflow {
-        /// Hardware queue depth.
-        depth: usize,
-    },
     /// A workload specification is inconsistent (formerly a panic).
     InvalidSpec(String),
 }
@@ -304,9 +299,6 @@ impl std::fmt::Display for FaultError {
             ),
             FaultError::RetriesExhausted { attempts } => {
                 write!(f, "retries exhausted after {attempts} attempts")
-            }
-            FaultError::QueueOverflow { depth } => {
-                write!(f, "DCC request queue overflow (depth {depth})")
             }
             FaultError::InvalidSpec(msg) => write!(f, "{msg}"),
         }
@@ -1081,9 +1073,6 @@ mod tests {
         assert!(FaultError::RetriesExhausted { attempts: 3 }
             .to_string()
             .contains("3 attempts"));
-        assert!(FaultError::QueueOverflow { depth: 512 }
-            .to_string()
-            .contains("512"));
         assert_eq!(
             FaultError::InvalidSpec("more survivors than keys".into()).to_string(),
             "more survivors than keys"

@@ -38,7 +38,7 @@ pub use attribution::{SpecCharge, SpecSample, TokenAttribution};
 pub use baselines::{AttAccSystem, GpuOnlySystem, SlidingWindowSystem};
 pub use degrade::{DegradeStats, TokenOutcome};
 pub use longsight::{
-    FaultedLayerReport, IssuedLayer, LongSightConfig, LongSightSystem, LookaheadConfig,
+    FaultedLayerReport, LayerTiming, LongSightConfig, LongSightSystem, LookaheadConfig,
     OffloadProfile,
 };
 pub use report::{

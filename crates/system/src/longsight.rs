@@ -17,15 +17,15 @@ use longsight_cxl::CxlLink;
 use longsight_dram::Geometry;
 use longsight_drex::layout::{self, MAX_CONTEXT_SLICE_KEYS};
 use longsight_drex::{
-    time_slice_offload, try_time_slice_offload_traced, DccSim, DrexParams, HeadOffloadSpec,
-    HeadOffloadTiming, REQUEST_QUEUE_DEPTH,
+    try_time_slice_offload, DccSim, DrexParams, HeadOffloadSpec, HeadOffloadTiming,
+    REQUEST_QUEUE_DEPTH,
 };
 use longsight_faults::{
-    domain, stream, FaultInjector, FaultKind, FaultLog, FaultProfile, RetryPolicy,
+    domain, stream, FaultError, FaultInjector, FaultKind, FaultLog, FaultProfile, RetryPolicy,
 };
-use longsight_gpu::{decode_step, GpuSpec};
+use longsight_gpu::{decode_step, DecodeCost, GpuSpec};
 use longsight_model::ModelConfig;
-use longsight_obs::{ArgVal, Recorder};
+use longsight_obs::{ArgVal, Recorder, TrackId};
 
 /// Configuration of a LongSight deployment: one GPU + one DReX unit.
 #[derive(Debug, Clone)]
@@ -141,7 +141,7 @@ impl LookaheadConfig {
 }
 
 /// Detailed timing of one DReX offload under load (drives Fig 8).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct OffloadProfile {
     /// PFU filtering, ns.
     pub filter_ns: f64,
@@ -192,30 +192,18 @@ fn visible_components(profile: &OffloadProfile, visible_ns: f64) -> OffloadCompo
     }
 }
 
-/// The issue half of one layer's DReX offload: descriptor submit, PFU/NMA
-/// chain timing, and DCC slot scheduling for the whole batch — everything
-/// the device pipeline does before the GPU observes completion. This is
-/// what a speculative lookahead slot carries in flight; the complete half
-/// ([`LongSightSystem::drex_layer_complete`]) adds completion polling and
-/// the value read.
-#[derive(Debug, Clone)]
-pub struct IssuedLayer {
-    /// Device completion of the critical user's last slice, ns relative to
-    /// the issue instant.
-    pub ready_rel_ns: f64,
-    /// Worst NMA queueing of the critical user plus the descriptor submit,
-    /// ns.
-    pub queue_wait_ns: f64,
-    /// CXL descriptor submit cost, ns.
-    pub submit_ns: f64,
-    /// Response Descriptor payload, bytes.
-    pub response_bytes: usize,
-    /// Batch size issued.
-    pub users: usize,
-    /// Context Slices per head.
-    pub slices: usize,
-    /// Device-phase timing of the critical (full-size) slice chain.
-    pub chain: HeadOffloadTiming,
+/// One layer's DReX offload timing for a batch, relative to the issue
+/// instant.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct LayerTiming {
+    /// GPU-observed completion of the critical (last-to-finish) user, ns.
+    pub observed_ns: f64,
+    /// Device completion of the critical user's last slice, ns: the half a
+    /// speculative lookahead slot carries in flight. The rest of
+    /// `observed_ns` is completion polling and the value read.
+    pub ready_ns: f64,
+    /// Phase profile of the critical chain.
+    pub profile: OffloadProfile,
 }
 
 /// One layer's offload timing under fault injection, with the degradation
@@ -234,6 +222,71 @@ pub struct FaultedLayerReport {
     pub replay_rounds: usize,
     /// Slice executions that ran on a straggling NMA.
     pub straggled_slices: usize,
+}
+
+/// One layer's offload plan for one sparse region, derived once and shared
+/// by the clean, traced, faulty and mixed layers: the head spec, the timed
+/// full and remainder slice shapes, the CXL byte counts, and every user's
+/// slice placement.
+#[derive(Debug, Clone)]
+struct LayerPlan {
+    /// Per-head offload workload over the region.
+    spec: HeadOffloadSpec,
+    /// Context Slices per head.
+    slices: usize,
+    /// Timing of the full-size slice: the critical chain.
+    full: HeadOffloadTiming,
+    /// Duration of each head's final slice, ns: the remainder shape, or the
+    /// full slice's when the region splits evenly.
+    rem_ns: f64,
+    /// Request Descriptor payload, bytes.
+    desc_bytes: usize,
+    /// CXL descriptor submit cost, ns.
+    submit_ns: f64,
+    /// KV heads per user.
+    kv_heads: usize,
+    /// NMA packages the slices spread over.
+    packages: usize,
+}
+
+impl LayerPlan {
+    /// Response Descriptor payload, bytes: "a list of 1,024 × H top Keys
+    /// and Values" (§7.3.1) — k entries per KV head, shared by the GQA
+    /// group.
+    fn response_bytes(&self) -> usize {
+        self.kv_heads * self.spec.k * (self.spec.head_dim * 2 + 8)
+    }
+
+    /// `user`'s slice executions as `(package, duration ns)`, head-major:
+    /// entry `h * slices + s` is head `h`'s slice `s`.
+    fn works(&self, user: usize) -> Vec<(usize, f64)> {
+        let (kv, slices) = (self.kv_heads, self.slices);
+        let full_ns = self.full.total_ns();
+        let mut works = Vec::with_capacity(kv * slices);
+        for h in 0..kv {
+            for s in 0..slices {
+                let duration = if s + 1 == slices {
+                    self.rem_ns
+                } else {
+                    full_ns
+                };
+                works.push(((user * kv + h + s * kv) % self.packages, duration));
+            }
+        }
+        works
+    }
+}
+
+/// The issue half of one layer's offload: which user of the batch finishes
+/// last on the device, when, and after how much queueing.
+struct IssuedLayer {
+    /// Position of the critical user in the batch.
+    critical: usize,
+    /// Device completion of the critical user's last slice, ns.
+    ready_ns: f64,
+    /// Worst NMA queueing of the critical user plus the descriptor submit,
+    /// ns.
+    queue_wait_ns: f64,
 }
 
 /// The LongSight serving system.
@@ -256,11 +309,103 @@ impl LongSightSystem {
         context.saturating_sub(self.config.hybrid.window + self.config.hybrid.sinks)
     }
 
+    /// Window and sink tokens resident in GPU HBM for a context length.
+    fn resident(&self, context: usize) -> usize {
+        (self.config.hybrid.window + self.config.hybrid.sinks).min(context)
+    }
+
+    /// The GPU side of one decode step at `context`: weights, window
+    /// attention over the resident tokens, ITQ and the top-k merge.
+    fn gpu_step(&self, users: usize, context: usize) -> DecodeCost {
+        let cfg = &self.config;
+        let k_merged = cfg.hybrid.top_k.min(self.region(context));
+        decode_step(
+            &cfg.gpu,
+            &self.model,
+            users,
+            self.resident(context),
+            true,
+            k_merged,
+        )
+    }
+
+    /// Derives the layer plan for a sparse `region` (`None` when it is
+    /// empty). The full and remainder slice shapes take their proportional
+    /// survivor shares and seeds 17 and 18. With a trace context
+    /// `(rec, anchor_ns)` the full-size slice, the critical chain, records
+    /// its phase spans on the `nma.critical` track, anchored where NMA work
+    /// begins: after the descriptor submit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the DReX hardware cannot run the region's spec (a top-k
+    /// beyond its bound). The `evaluate*` entry points reject that as
+    /// [`Infeasible::TopK`] before any timing runs.
+    fn layer_plan(&self, region: usize, trace: Option<(&mut Recorder, f64)>) -> Option<LayerPlan> {
+        if region == 0 {
+            return None;
+        }
+        let cfg = &self.config;
+        let d = self.model.head_dim;
+        let survivors = ((region as f64 / cfg.filter_ratio) as usize).min(region);
+        let spec = HeadOffloadSpec {
+            context_len: region,
+            head_dim: d,
+            queries: self.model.group_size(),
+            k: cfg.hybrid.top_k.min(region),
+            survivors,
+        };
+        let slices = region.div_ceil(MAX_CONTEXT_SLICE_KEYS);
+        let full_keys = region.min(MAX_CONTEXT_SLICE_KEYS);
+        let rem_keys = region - (slices - 1) * MAX_CONTEXT_SLICE_KEYS;
+        let mut shapes = vec![(full_keys, 17u64)];
+        if rem_keys != full_keys {
+            shapes.push((rem_keys, 18));
+        }
+        let desc_bytes = 8 + self.model.q_heads * d * 2;
+        let submit_ns = cfg.link.descriptor_submit_ns(desc_bytes);
+        let time = |&(keys, seed): &(usize, u64), trace: Option<(&mut Recorder, TrackId, f64)>| {
+            let share = ((survivors as f64) * keys as f64 / region as f64).round() as usize;
+            try_time_slice_offload(&cfg.drex, &spec, keys, share.min(keys), seed, trace)
+        };
+        let timings: Result<Vec<HeadOffloadTiming>, FaultError> = match trace {
+            Some((rec, anchor_ns)) => {
+                let track = rec.track("nma.critical");
+                let full = time(&shapes[0], Some((rec, track, anchor_ns + submit_ns)));
+                std::iter::once(full)
+                    .chain(shapes[1..].iter().map(|s| time(s, None)))
+                    .collect()
+            }
+            // The shapes are independent seeded simulations, so they time
+            // concurrently; each returns exactly what a serial call would.
+            None => longsight_exec::deterministic_map(&shapes, |_, s| time(s, None))
+                .into_iter()
+                .collect(),
+        };
+        let timings = timings.unwrap_or_else(|e| panic!("DReX cannot run this layer: {e}"));
+        Some(LayerPlan {
+            spec,
+            slices,
+            full: timings[0],
+            rem_ns: timings[timings.len() - 1].total_ns(),
+            desc_bytes,
+            submit_ns,
+            kv_heads: self.model.kv_heads,
+            packages: cfg.geometry.packages,
+        })
+    }
+
     /// Times one layer's DReX offloads for a batch and returns
     /// `(last-user observed completion ns, profile of the last user)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the DReX hardware cannot run the layer (a top-k beyond its
+    /// bound); [`ServingSystem::evaluate`] reports that as
+    /// [`Infeasible::TopK`] instead.
     pub fn drex_layer(&self, users: usize, context: usize) -> (f64, OffloadProfile) {
-        let mut rec = Recorder::disabled();
-        self.drex_layer_traced(users, context, &mut rec, 0.0)
+        let t = self.drex_layer_traced(users, context, &mut Recorder::disabled(), 0.0);
+        (t.observed_ns, t.profile)
     }
 
     /// [`LongSightSystem::drex_layer`] that also records the layer's
@@ -269,191 +414,132 @@ impl LongSightSystem {
     /// (`nma.critical` track), every user's slice executions on the
     /// per-NMA tracks, the CXL descriptor submit / completion poll / value
     /// transfer (`cxl` track), and the whole offload envelope (`drex`
-    /// track). The returned numbers are bit-identical to the plain call —
+    /// track). The returned numbers are bit-identical to the plain call;
     /// with a disabled recorder this *is* the plain call.
+    ///
+    /// # Panics
+    ///
+    /// Same as [`LongSightSystem::drex_layer`].
     pub fn drex_layer_traced(
         &self,
         users: usize,
         context: usize,
         rec: &mut Recorder,
         anchor_ns: f64,
-    ) -> (f64, OffloadProfile) {
-        match self.drex_layer_issue(users, context, rec, anchor_ns) {
-            Some(issued) => self.drex_layer_complete(&issued, rec, anchor_ns),
-            None => (
-                0.0,
-                OffloadProfile {
-                    filter_ns: 0.0,
-                    bitmap_ns: 0.0,
-                    addr_gen_ns: 0.0,
-                    fetch_score_ns: 0.0,
-                    topk_ns: 0.0,
-                    queue_wait_ns: 0.0,
-                    value_cxl_ns: 0.0,
-                },
-            ),
-        }
+    ) -> LayerTiming {
+        self.uniform_layer(users, context, rec, anchor_ns).1
     }
 
-    /// Issues one layer's offloads for the batch: times the slice chain,
-    /// schedules every user's slices on the NMA pool, and returns the
-    /// in-flight state up to (but not including) completion polling and the
-    /// value read. Returns `None` when there is nothing to offload (empty
-    /// region or batch).
-    ///
-    /// Composing this with [`LongSightSystem::drex_layer_complete`] is
-    /// bit-identical to [`LongSightSystem::drex_layer_traced`] — the split
-    /// exists so the lookahead pipeline can put the issue half in flight a
-    /// step early.
-    pub fn drex_layer_issue(
+    /// Plans and runs one layer for `users` at one `context`, returning the
+    /// plan (`None` when there is nothing to offload) with its timing.
+    fn uniform_layer(
         &self,
         users: usize,
         context: usize,
         rec: &mut Recorder,
         anchor_ns: f64,
-    ) -> Option<IssuedLayer> {
+    ) -> (Option<LayerPlan>, LayerTiming) {
+        let trace = rec.is_enabled().then_some((&mut *rec, anchor_ns));
+        let plan = (users > 0)
+            .then(|| self.layer_plan(self.region(context), trace))
+            .flatten();
+        let batch: Vec<_> = plan
+            .iter()
+            .flat_map(|p| (0..users).map(move |u| (u, p)))
+            .collect();
+        let timing = self.run_layer(&batch, rec, anchor_ns);
+        (plan, timing)
+    }
+
+    /// Runs one layer for a batch of `(user index, plan)`: issue, then
+    /// complete. An empty batch offloads nothing.
+    fn run_layer(
+        &self,
+        batch: &[(usize, &LayerPlan)],
+        rec: &mut Recorder,
+        anchor_ns: f64,
+    ) -> LayerTiming {
+        if batch.is_empty() {
+            return LayerTiming::default();
+        }
+        let issued = self.drex_layer_issue(batch, rec, anchor_ns);
+        self.drex_layer_complete(batch, &issued, rec, anchor_ns)
+    }
+
+    /// Issues one layer's offloads for the batch: schedules every user's
+    /// slices on one NMA pool from the shared descriptor submit. The
+    /// critical user is the last to finish on the device; later users win
+    /// ties.
+    fn drex_layer_issue(
+        &self,
+        batch: &[(usize, &LayerPlan)],
+        rec: &mut Recorder,
+        anchor_ns: f64,
+    ) -> IssuedLayer {
         let cfg = &self.config;
-        let region = self.region(context);
-        let kv = self.model.kv_heads;
-        let d = self.model.head_dim;
-        let k = cfg.hybrid.top_k;
-        let group = self.model.group_size();
-
-        if region == 0 || users == 0 {
-            return None;
-        }
-
-        let survivors_total = ((region as f64 / cfg.filter_ratio) as usize).min(region);
-        let spec = HeadOffloadSpec {
-            context_len: region,
-            head_dim: d,
-            queries: group,
-            k: k.min(region),
-            survivors: survivors_total,
-        };
-
-        // Distinct slice shapes: full slices plus one remainder.
-        let slices = region.div_ceil(MAX_CONTEXT_SLICE_KEYS);
-        let full_keys = region.min(MAX_CONTEXT_SLICE_KEYS);
-        let rem_keys = region - (slices - 1) * MAX_CONTEXT_SLICE_KEYS;
-        let surv = |keys: usize| -> usize {
-            ((survivors_total as f64) * keys as f64 / region as f64).round() as usize
-        };
-        // The full and remainder shapes are independent seeded simulations,
-        // so they time concurrently; each call returns exactly what a serial
-        // call with the same (shape, seed) returns.
-        let slice_timings = if rem_keys == full_keys {
-            vec![time_slice_offload(
-                &cfg.drex,
-                &spec,
-                full_keys,
-                surv(full_keys).min(full_keys),
-                17,
-            )]
-        } else {
-            let shapes = [(full_keys, 17u64), (rem_keys, 18u64)];
-            longsight_exec::deterministic_map(&shapes, |_, &(keys, seed)| {
-                time_slice_offload(&cfg.drex, &spec, keys, surv(keys).min(keys), seed)
-            })
-        };
-        let t_full = slice_timings[0].total_ns();
-        let t_rem = slice_timings.last().expect("non-empty").total_ns();
-
-        // Schedule every user's slices on the NMA pool.
+        let submit = batch[0].1.submit_ns;
         let mut dcc = DccSim::new(cfg.drex.clone(), cfg.link.clone(), cfg.geometry.packages);
-        let desc_bytes = 8 + self.model.q_heads * d * 2;
-        let submit = cfg.link.descriptor_submit_ns(desc_bytes);
-        // Response Descriptor: "a list of 1,024 × H top Keys and Values"
-        // (§7.3.1) — k entries per KV head, shared by the GQA group.
-        let response_bytes = kv * k.min(region) * (d * 2 + 8);
-
-        if rec.is_enabled() {
-            // Phase detail of the critical (full-size) slice, anchored where
-            // NMA work begins — after the descriptor submit.
-            let nma_track = rec.track("nma.critical");
-            let _ = try_time_slice_offload_traced(
-                &cfg.drex,
-                &spec,
-                full_keys,
-                surv(full_keys).min(full_keys),
-                17,
-                rec,
-                nma_track,
-                anchor_ns + submit,
-            );
-        }
         // Shadow scheduler for span emission at absolute sim time: the busy
         // timeline is shift-invariant, so replaying the identical schedule
         // from `anchor_ns + submit` reproduces the real one exactly, offset.
         let mut shadow = rec
             .is_enabled()
             .then(|| DccSim::new(cfg.drex.clone(), cfg.link.clone(), cfg.geometry.packages));
-
-        let mut last_done = 0.0f64;
-        let mut last_wait = 0.0f64;
-        for u in 0..users {
-            let mut works = Vec::with_capacity(kv * slices);
-            for h in 0..kv {
-                for s in 0..slices {
-                    let pkg = (u * kv + h + s * kv) % cfg.geometry.packages;
-                    let dur = if s + 1 == slices { t_rem } else { t_full };
-                    works.push((pkg, dur));
-                }
-            }
+        let mut issued = IssuedLayer {
+            critical: 0,
+            ready_ns: 0.0,
+            queue_wait_ns: 0.0,
+        };
+        for (i, &(u, plan)) in batch.iter().enumerate() {
+            let works = plan.works(u);
             let (done, wait) = dcc.schedule_slices(submit, &works);
             if let Some(sh) = shadow.as_mut() {
                 let label = format!("offload.u{u}");
                 sh.schedule_slices_traced(anchor_ns + submit, &works, rec, &label);
             }
-            if done >= last_done {
-                last_done = done;
-                last_wait = wait;
+            if done >= issued.ready_ns {
+                issued = IssuedLayer {
+                    critical: i,
+                    ready_ns: done,
+                    queue_wait_ns: wait + submit,
+                };
             }
         }
-
-        Some(IssuedLayer {
-            ready_rel_ns: last_done,
-            queue_wait_ns: last_wait + submit,
-            submit_ns: submit,
-            response_bytes,
-            users,
-            slices,
-            chain: slice_timings[0],
-        })
+        issued
     }
 
     /// Completes an issued layer: the GPU polls for device completion, reads
-    /// the top-k values over CXL, and the critical chain's profile is
-    /// decomposed. Returns `(last-user observed completion ns, profile)`,
-    /// both relative to the issue instant.
-    pub fn drex_layer_complete(
+    /// the critical user's top-k values over CXL, and the critical chain's
+    /// profile is decomposed. All times are relative to the issue instant.
+    fn drex_layer_complete(
         &self,
+        batch: &[(usize, &LayerPlan)],
         issued: &IssuedLayer,
         rec: &mut Recorder,
         anchor_ns: f64,
-    ) -> (f64, OffloadProfile) {
+    ) -> LayerTiming {
         let cfg = &self.config;
-        let ready_rel = issued.ready_rel_ns;
-        let value_cxl = cfg.link.polled_completion_ns(ready_rel) - ready_rel
-            + cfg.link.transfer_ns(issued.response_bytes);
-        let observed = ready_rel + value_cxl;
+        let plan = batch[issued.critical].1;
+        let ready = issued.ready_ns;
+        let value_cxl = cfg.link.polled_completion_ns(ready) - ready
+            + cfg.link.transfer_ns(plan.response_bytes());
+        let observed = ready + value_cxl;
 
         if rec.is_enabled() {
             let cxl_track = rec.track("cxl");
-            let desc_bytes = 8 + self.model.q_heads * self.model.head_dim * 2;
-            let _ = cfg
-                .link
-                .descriptor_submit_ns_traced(desc_bytes, rec, cxl_track, anchor_ns);
-            let polled = cfg.link.polled_completion_ns(ready_rel);
+            let _ =
+                cfg.link
+                    .descriptor_submit_ns_traced(plan.desc_bytes, rec, cxl_track, anchor_ns);
+            let polled = cfg.link.polled_completion_ns(ready);
             rec.leaf_with(
                 cxl_track,
                 "cxl.poll",
-                anchor_ns + ready_rel,
+                anchor_ns + ready,
                 anchor_ns + polled,
-                &[("ready_at_ns", ArgVal::F(ready_rel))],
+                &[("ready_at_ns", ArgVal::F(ready))],
             );
             let _ = cfg.link.transfer_ns_traced(
-                issued.response_bytes,
+                plan.response_bytes(),
                 0,
                 rec,
                 cxl_track,
@@ -466,26 +552,27 @@ impl LongSightSystem {
                 anchor_ns,
                 anchor_ns + observed,
                 &[
-                    ("users", ArgVal::U(issued.users as u64)),
-                    ("slices", ArgVal::U(issued.slices as u64)),
+                    ("users", ArgVal::U(batch.len() as u64)),
+                    ("slices", ArgVal::U(plan.slices as u64)),
                     ("queue_wait_ns", ArgVal::F(issued.queue_wait_ns)),
                 ],
             );
         }
 
-        // Decompose the critical chain's device time for the profile (the
-        // full-slice timing computed at issue).
-        let chain = issued.chain;
-        let profile = OffloadProfile {
-            filter_ns: chain.filter_ns,
-            bitmap_ns: chain.bitmap_ns,
-            addr_gen_ns: chain.addr_gen_ns,
-            fetch_score_ns: chain.fetch_score_ns,
-            topk_ns: chain.topk_ns,
-            queue_wait_ns: issued.queue_wait_ns,
-            value_cxl_ns: value_cxl,
-        };
-        (observed, profile)
+        let chain = plan.full;
+        LayerTiming {
+            observed_ns: observed,
+            ready_ns: ready,
+            profile: OffloadProfile {
+                filter_ns: chain.filter_ns,
+                bitmap_ns: chain.bitmap_ns,
+                addr_gen_ns: chain.addr_gen_ns,
+                fetch_score_ns: chain.fetch_score_ns,
+                topk_ns: chain.topk_ns,
+                queue_wait_ns: issued.queue_wait_ns,
+                value_cxl_ns: value_cxl,
+            },
+        }
     }
 
     /// Times one layer's offloads under fault injection with the
@@ -503,60 +590,28 @@ impl LongSightSystem {
     /// not empty out just because one request is retrying), so a faulted
     /// layer is never cheaper than the fault-free one, and every fault
     /// decision derives from `(fault_seed, user, head, slice, attempt)` —
-    /// the timeline is identical at any thread count.
+    /// the timeline is identical at any thread count. The fault rounds
+    /// replay the clean layer's slice timings; no slice is timed twice.
+    ///
+    /// # Panics
+    ///
+    /// Same as [`LongSightSystem::drex_layer`].
     pub fn drex_layer_faulty(&self, users: usize, context: usize) -> FaultedLayerReport {
         let cfg = &self.config;
-        let inj = FaultInjector::new(cfg.faults.clone(), cfg.fault_seed);
-        let retry = cfg.retry;
-        let (clean_ns, profile) = self.drex_layer(users, context);
+        let (plan, clean) = self.uniform_layer(users, context, &mut Recorder::disabled(), 0.0);
         let mut report = FaultedLayerReport {
-            layer_ns: clean_ns,
-            profile,
+            layer_ns: clean.observed_ns,
+            profile: clean.profile,
             log: FaultLog::new(),
             stats: DegradeStats::default(),
             replay_rounds: 0,
             straggled_slices: 0,
         };
-        if !inj.is_enabled() || users == 0 || self.region(context) == 0 {
+        let inj = FaultInjector::new(cfg.faults.clone(), cfg.fault_seed);
+        let Some(plan) = plan.as_ref().filter(|_| inj.is_enabled()) else {
             return report;
-        }
-
-        let region = self.region(context);
-        let kv = self.model.kv_heads;
-        let d = self.model.head_dim;
-        let k = cfg.hybrid.top_k;
-        let group = self.model.group_size();
-        let survivors_total = ((region as f64 / cfg.filter_ratio) as usize).min(region);
-        let spec = HeadOffloadSpec {
-            context_len: region,
-            head_dim: d,
-            queries: group,
-            k: k.min(region),
-            survivors: survivors_total,
         };
-        let slices = region.div_ceil(MAX_CONTEXT_SLICE_KEYS);
-        let full_keys = region.min(MAX_CONTEXT_SLICE_KEYS);
-        let rem_keys = region - (slices - 1) * MAX_CONTEXT_SLICE_KEYS;
-        let surv = |keys: usize| -> usize {
-            ((survivors_total as f64) * keys as f64 / region as f64).round() as usize
-        };
-        let t_full = time_slice_offload(
-            &cfg.drex,
-            &spec,
-            full_keys,
-            surv(full_keys).min(full_keys),
-            17,
-        )
-        .total_ns();
-        let t_rem = if rem_keys == full_keys {
-            t_full
-        } else {
-            time_slice_offload(&cfg.drex, &spec, rem_keys, surv(rem_keys).min(rem_keys), 18)
-                .total_ns()
-        };
-        let desc_bytes = 8 + self.model.q_heads * d * 2;
-        let submit = cfg.link.descriptor_submit_ns(desc_bytes);
-        let response_bytes = kv * k.min(region) * (d * 2 + 8);
+        let retry = cfg.retry;
 
         let mut elapsed = vec![0.0f64; users];
         let mut resolved = vec![false; users];
@@ -569,28 +624,19 @@ impl LongSightSystem {
             let mut dcc = DccSim::new(cfg.drex.clone(), cfg.link.clone(), cfg.geometry.packages);
             let mut observed = vec![0.0f64; users];
             for (u, obs) in observed.iter_mut().enumerate() {
-                let mut works = Vec::with_capacity(kv * slices);
-                for h in 0..kv {
-                    for s in 0..slices {
-                        let pkg = (u * kv + h + s * kv) % cfg.geometry.packages;
-                        let base = if s + 1 == slices { t_rem } else { t_full };
-                        let key = stream(
-                            domain::SLICE,
-                            u as u64,
-                            (h * slices + s) as u64,
-                            attempt as u64,
-                        );
-                        let mult = inj.straggler_multiplier(key);
-                        if mult > 1.0 && !resolved[u] {
-                            report
-                                .log
-                                .push(key, FaultKind::Straggler { multiplier: mult });
-                            report.straggled_slices += 1;
-                        }
-                        works.push((pkg, base * mult));
+                let mut works = plan.works(u);
+                for (i, (_, duration)) in works.iter_mut().enumerate() {
+                    let key = stream(domain::SLICE, u as u64, i as u64, attempt as u64);
+                    let mult = inj.straggler_multiplier(key);
+                    if mult > 1.0 && !resolved[u] {
+                        report
+                            .log
+                            .push(key, FaultKind::Straggler { multiplier: mult });
+                        report.straggled_slices += 1;
                     }
+                    *duration *= mult;
                 }
-                let (done, _) = dcc.schedule_slices(submit, &works);
+                let (done, _) = dcc.schedule_slices(plan.submit_ns, &works);
                 let link_key = stream(domain::LINK, u as u64, attempt as u64, 0);
                 let replays = inj.link_replays(link_key);
                 if replays > 0 && !resolved[u] {
@@ -598,7 +644,9 @@ impl LongSightSystem {
                     report.replay_rounds += replays as usize;
                 }
                 *obs = done + cfg.link.polled_completion_ns_with_replays(done, replays) - done
-                    + cfg.link.transfer_ns_with_replays(response_bytes, replays);
+                    + cfg
+                        .link
+                        .transfer_ns_with_replays(plan.response_bytes(), replays);
             }
             for u in 0..users {
                 if resolved[u] {
@@ -634,143 +682,86 @@ impl LongSightSystem {
         // A faulted layer is paced by its slowest user and never beats the
         // fault-free schedule (multipliers ≥ 1, failed attempts cost the
         // full deadline).
-        report.layer_ns = elapsed.iter().fold(clean_ns, |acc, &e| acc.max(e));
+        report.layer_ns = elapsed.iter().fold(report.layer_ns, |acc, &e| acc.max(e));
         report
     }
 
     /// Times one layer's offloads for a *heterogeneous* batch — one context
     /// length per user (paper §7.3.3: "LongSight does not statically
-    /// allocate equal context lengths to all users"). Returns the last
-    /// user's observed completion.
-    pub fn drex_layer_mixed(&self, contexts: &[usize]) -> f64 {
-        let cfg = &self.config;
-        let kv = self.model.kv_heads;
-        let d = self.model.head_dim;
-        let group = self.model.group_size();
-        let mut dcc = DccSim::new(cfg.drex.clone(), cfg.link.clone(), cfg.geometry.packages);
-        let desc_bytes = 8 + self.model.q_heads * d * 2;
-        let submit = cfg.link.descriptor_submit_ns(desc_bytes);
-
-        // Users overwhelmingly share slice shapes, so first collect the
-        // distinct (keys, survivors) pairs across the whole batch, then time
-        // them concurrently — each timing is an independent seeded
-        // simulation, identical to what the old lazy per-shape cache
-        // computed serially.
-        let mut shapes: Vec<(usize, usize)> = Vec::new();
-        for &ctx in contexts {
-            let region = self.region(ctx);
-            if region == 0 {
-                continue;
-            }
-            let survivors_total = ((region as f64 / cfg.filter_ratio) as usize).min(region);
-            let slices = region.div_ceil(MAX_CONTEXT_SLICE_KEYS);
-            let mut remaining = region;
-            for _ in 0..slices {
-                let keys = remaining.min(MAX_CONTEXT_SLICE_KEYS);
-                remaining -= keys;
-                let survivors =
-                    ((survivors_total as f64) * keys as f64 / region as f64).round() as usize;
-                let shape = (keys, survivors.min(keys));
-                if !shapes.contains(&shape) {
-                    shapes.push(shape);
-                }
-            }
-        }
-        let shape_times = longsight_exec::deterministic_map(&shapes, |_, &(keys, survivors)| {
-            let spec = HeadOffloadSpec {
-                context_len: keys,
-                head_dim: d,
-                queries: group,
-                k: cfg.hybrid.top_k.min(keys.max(1)),
-                survivors,
-            };
-            time_slice_offload(&cfg.drex, &spec, keys, survivors, 23).total_ns()
-        });
-        let slice_time = |keys: usize, survivors: usize| -> f64 {
-            let at = shapes
-                .iter()
-                .position(|&s| s == (keys, survivors))
-                .expect("every scheduled shape was collected above");
-            shape_times[at]
-        };
-
-        let mut last_done = 0.0f64;
-        for (u, &ctx) in contexts.iter().enumerate() {
-            let region = self.region(ctx);
-            if region == 0 {
-                continue;
-            }
-            let survivors_total = ((region as f64 / cfg.filter_ratio) as usize).min(region);
-            let slices = region.div_ceil(MAX_CONTEXT_SLICE_KEYS);
-            let mut works = Vec::with_capacity(kv * slices);
-            let mut remaining = region;
-            for s in 0..slices {
-                let keys = remaining.min(MAX_CONTEXT_SLICE_KEYS);
-                remaining -= keys;
-                let survivors =
-                    ((survivors_total as f64) * keys as f64 / region as f64).round() as usize;
-                let dur = slice_time(keys, survivors.min(keys));
-                for h in 0..kv {
-                    let pkg = (u * kv + h + s * kv) % cfg.geometry.packages;
-                    works.push((pkg, dur));
-                }
-            }
-            let (done, _) = dcc.schedule_slices(submit, &works);
-            let response_bytes = kv * cfg.hybrid.top_k.min(region) * (d * 2 + 8);
-            let observed = done + cfg.link.polled_completion_ns(done) - done
-                + cfg.link.transfer_ns(response_bytes);
-            last_done = last_done.max(observed);
-        }
-        last_done
+    /// allocate equal context lengths to all users"). Each distinct region
+    /// gets its own layer plan, and every user runs its region's plan on
+    /// one shared NMA pool, so a batch of equal contexts is exactly
+    /// [`LongSightSystem::drex_layer`]. Returns `(critical user's observed
+    /// completion ns, its profile)`, the critical user being the last to
+    /// finish on the device.
+    ///
+    /// # Panics
+    ///
+    /// Same as [`LongSightSystem::drex_layer`].
+    pub fn drex_layer_mixed(&self, contexts: &[usize]) -> (f64, OffloadProfile) {
+        let mut regions: Vec<usize> = contexts.iter().map(|&c| self.region(c)).collect();
+        regions.sort_unstable();
+        regions.dedup();
+        // Each plan is an independent seeded simulation: build them
+        // concurrently.
+        let plans = longsight_exec::deterministic_map(&regions, |_, &r| self.layer_plan(r, None));
+        let batch: Vec<(usize, &LayerPlan)> = contexts
+            .iter()
+            .enumerate()
+            .filter_map(|(u, &c)| {
+                let at = regions.binary_search(&self.region(c)).ok()?;
+                plans[at].as_ref().map(|plan| (u, plan))
+            })
+            .collect();
+        let t = self.run_layer(&batch, &mut Recorder::disabled(), 0.0);
+        (t.observed_ns, t.profile)
     }
 
-    /// Evaluates one decode step for a heterogeneous batch (one context per
-    /// user). Throughput counts every user once per step.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first capacity violation.
-    pub fn evaluate_mixed(&mut self, contexts: &[usize]) -> Result<StepReport, Infeasible> {
+    /// The feasibility checks every evaluation shares, run before any
+    /// timing: a top-k the DReX hardware cannot rank, the DCC queue depth,
+    /// and the GPU's resident window at the longest context.
+    fn check_batch(&self, users: usize, max_context: usize) -> Result<(), Infeasible> {
         let cfg = &self.config;
-        let users = contexts.len();
+        let k = cfg.hybrid.top_k.min(self.region(max_context));
+        if k > cfg.drex.max_k {
+            return Err(Infeasible::TopK {
+                k,
+                max_k: cfg.drex.max_k,
+            });
+        }
         if users > REQUEST_QUEUE_DEPTH {
             return Err(Infeasible::QueueDepth);
         }
-        let resident = cfg.hybrid.window + cfg.hybrid.sinks;
+        let resident = self.resident(max_context);
         if !longsight_gpu::fits_in_hbm(&cfg.gpu, &self.model, users, resident) {
             return Err(Infeasible::GpuMemory);
         }
-        // DReX capacity: sum of per-user footprints.
-        let per_token = longsight_drex::layout::ObjectFootprint::for_keys(1, self.model.head_dim)
-            .total()
-            * self.model.kv_heads
-            * self.model.layers;
-        let total: usize = contexts.iter().map(|&c| self.region(c) * per_token).sum();
-        if total > cfg.geometry.total_bytes() {
-            return Err(Infeasible::DrexMemory);
-        }
+        Ok(())
+    }
 
+    /// One decode step from its layer offload time: per layer, serial GPU
+    /// work, then window attention overlapped with the offload. Any
+    /// remainder is visible DReX wait, split along the critical chain's
+    /// `profile`. With lookahead on, the report becomes the hit-path report.
+    /// `context` sizes the GPU work; `report_context` is the context the
+    /// report is labelled with.
+    fn step_report(
+        &self,
+        users: usize,
+        context: usize,
+        report_context: usize,
+        drex_layer_ns: f64,
+        profile: &OffloadProfile,
+    ) -> StepReport {
+        let gpu = self.gpu_step(users, context);
         let layers = self.model.layers as f64;
-        let max_region = contexts.iter().map(|&c| self.region(c)).max().unwrap_or(0);
-        let k_merged = if max_region > 0 {
-            cfg.hybrid.top_k.min(max_region)
-        } else {
-            0
-        };
-        let gpu = decode_step(
-            &cfg.gpu,
-            &self.model,
-            users,
-            resident.min(contexts.iter().copied().max().unwrap_or(0)),
-            true,
-            k_merged,
-        );
-        let drex_layer_ns = self.drex_layer_mixed(contexts);
-
         let gpu_serial_layer = (gpu.weights_ns + gpu.itq_ns + gpu.merge_ns) / layers;
         let attn_layer = gpu.attention_ns / layers;
         let overlap = attn_layer.max(drex_layer_ns);
         let step_ns = (gpu_serial_layer + overlap) * layers;
+
+        // Breakdown: attention is visible up to the overlap; any remainder
+        // is DReX wait (device + CXL attributed proportionally).
         let drex_visible = (drex_layer_ns - attn_layer).max(0.0) * layers;
         let breakdown = StepBreakdown {
             gpu_weights_ns: gpu.weights_ns,
@@ -779,9 +770,48 @@ impl LongSightSystem {
             drex_offload_ns: drex_visible * 0.7,
             cxl_ns: drex_visible * 0.3,
         };
-        let _ = step_ns;
+        // Note: breakdown components are constructed to sum to step_ns.
+        debug_assert!((breakdown.total_ns() - step_ns).abs() < 1e-3 * step_ns.max(1.0));
+        let report = StepReport::from_breakdown(users, report_context, breakdown)
+            .with_offload(visible_components(profile, drex_visible));
+        if !self.config.lookahead.enabled {
+            return report;
+        }
+        self.lookahead_report(
+            report,
+            drex_visible,
+            gpu_serial_layer,
+            attn_layer,
+            drex_layer_ns,
+            profile,
+            layers,
+        )
+    }
+
+    /// Evaluates one decode step for a heterogeneous batch (one context per
+    /// user). Throughput counts every user once per step; the report is
+    /// labelled with the mean context.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first infeasibility: the shared checks at the longest
+    /// context, then DReX capacity for the summed per-user footprints.
+    pub fn evaluate_mixed(&mut self, contexts: &[usize]) -> Result<StepReport, Infeasible> {
+        let users = contexts.len();
+        let max_context = contexts.iter().copied().max().unwrap_or(0);
+        self.check_batch(users, max_context)?;
+        // DReX capacity: sum of per-user footprints.
+        let per_token = longsight_drex::layout::ObjectFootprint::for_keys(1, self.model.head_dim)
+            .total()
+            * self.model.kv_heads
+            * self.model.layers;
+        let total: usize = contexts.iter().map(|&c| self.region(c) * per_token).sum();
+        if total > self.config.geometry.total_bytes() {
+            return Err(Infeasible::DrexMemory);
+        }
+        let (drex_layer_ns, profile) = self.drex_layer_mixed(contexts);
         let avg_ctx = contexts.iter().sum::<usize>() / users.max(1);
-        Ok(StepReport::from_breakdown(users, avg_ctx, breakdown))
+        Ok(self.step_report(users, max_context, avg_ctx, drex_layer_ns, &profile))
     }
 
     /// Evaluates one decode step under fault injection, returning the step
@@ -795,59 +825,19 @@ impl LongSightSystem {
     ///
     /// # Errors
     ///
-    /// Returns the first capacity violation.
+    /// Returns the first infeasibility: a top-k beyond the DReX hardware
+    /// bound, then the queue depth, GPU memory and DReX memory.
     pub fn evaluate_with_faults(
         &mut self,
         users: usize,
         context: usize,
     ) -> Result<(StepReport, FaultLog, DegradeStats), Infeasible> {
-        let cfg = &self.config;
-        let resident = (cfg.hybrid.window + cfg.hybrid.sinks).min(context);
-        if users > REQUEST_QUEUE_DEPTH {
-            return Err(Infeasible::QueueDepth);
-        }
-        if !longsight_gpu::fits_in_hbm(&cfg.gpu, &self.model, users, resident) {
-            return Err(Infeasible::GpuMemory);
-        }
+        self.check_batch(users, context)?;
         if self.drex_max_users(context) < users {
             return Err(Infeasible::DrexMemory);
         }
-
-        let layers = self.model.layers as f64;
-        let k_merged = if self.region(context) > 0 {
-            cfg.hybrid.top_k.min(self.region(context))
-        } else {
-            0
-        };
-        let gpu = decode_step(&cfg.gpu, &self.model, users, resident, true, k_merged);
         let faulted = self.drex_layer_faulty(users, context);
-
-        let attn_layer = gpu.attention_ns / layers;
-        let overlap = attn_layer.max(faulted.layer_ns);
-        let drex_visible = (faulted.layer_ns - attn_layer).max(0.0) * layers;
-        let breakdown = StepBreakdown {
-            gpu_weights_ns: gpu.weights_ns,
-            gpu_attention_ns: attn_layer.min(overlap) * layers,
-            gpu_merge_ns: gpu.itq_ns + gpu.merge_ns,
-            drex_offload_ns: drex_visible * 0.7,
-            cxl_ns: drex_visible * 0.3,
-        };
-        let report = StepReport::from_breakdown(users, context, breakdown)
-            .with_offload(visible_components(&faulted.profile, drex_visible));
-        let report = if self.config.lookahead.enabled {
-            let gpu_serial_layer = (gpu.weights_ns + gpu.itq_ns + gpu.merge_ns) / layers;
-            self.lookahead_report(
-                report,
-                drex_visible,
-                gpu_serial_layer,
-                attn_layer,
-                faulted.layer_ns,
-                &faulted.profile,
-                layers,
-            )
-        } else {
-            report
-        };
+        let report = self.step_report(users, context, context, faulted.layer_ns, &faulted.profile);
         Ok((report, faulted.log, faulted.stats))
     }
 
@@ -919,67 +909,12 @@ impl ServingSystem for LongSightSystem {
     }
 
     fn evaluate(&mut self, users: usize, context: usize) -> Result<StepReport, Infeasible> {
-        if self.config.faults.is_enabled() {
-            return self.evaluate_with_faults(users, context).map(|(r, _, _)| r);
-        }
-        let cfg = &self.config;
-        let resident = (cfg.hybrid.window + cfg.hybrid.sinks).min(context);
-        if users > REQUEST_QUEUE_DEPTH {
-            return Err(Infeasible::QueueDepth);
-        }
-        if !longsight_gpu::fits_in_hbm(&cfg.gpu, &self.model, users, resident) {
-            return Err(Infeasible::GpuMemory);
-        }
-        if self.drex_max_users(context) < users {
-            return Err(Infeasible::DrexMemory);
-        }
-
-        let layers = self.model.layers as f64;
-        let k_merged = if self.region(context) > 0 {
-            cfg.hybrid.top_k.min(self.region(context))
-        } else {
-            0
-        };
-        let gpu = decode_step(&cfg.gpu, &self.model, users, resident, true, k_merged);
-        let (drex_layer_ns, profile) = self.drex_layer(users, context);
-
-        // Per layer: serial GPU work, then window attention overlapped with
-        // the offload.
-        let gpu_serial_layer = (gpu.weights_ns + gpu.itq_ns + gpu.merge_ns) / layers;
-        let attn_layer = gpu.attention_ns / layers;
-        let overlap = attn_layer.max(drex_layer_ns);
-        let step_ns = (gpu_serial_layer + overlap) * layers;
-
-        // Breakdown: attention is visible up to the overlap; any remainder
-        // is DReX wait (device + CXL attributed proportionally).
-        let drex_visible = (drex_layer_ns - attn_layer).max(0.0) * layers;
-        let breakdown = StepBreakdown {
-            gpu_weights_ns: gpu.weights_ns,
-            gpu_attention_ns: attn_layer.min(overlap) * layers,
-            gpu_merge_ns: gpu.itq_ns + gpu.merge_ns,
-            drex_offload_ns: drex_visible * 0.7,
-            cxl_ns: drex_visible * 0.3,
-        };
-        // Note: breakdown components are constructed to sum to step_ns.
-        debug_assert!((breakdown.total_ns() - step_ns).abs() < 1e-3 * step_ns.max(1.0));
-        let report = StepReport::from_breakdown(users, context, breakdown)
-            .with_offload(visible_components(&profile, drex_visible));
-        if self.config.lookahead.enabled {
-            return Ok(self.lookahead_report(
-                report,
-                drex_visible,
-                gpu_serial_layer,
-                attn_layer,
-                drex_layer_ns,
-                &profile,
-                layers,
-            ));
-        }
-        Ok(report)
+        self.evaluate_with_faults(users, context)
+            .map(|(report, _, _)| report)
     }
 
     fn max_users(&self, context: usize) -> usize {
-        let resident = (self.config.hybrid.window + self.config.hybrid.sinks).min(context);
+        let resident = self.resident(context);
         let mut users = 0usize;
         let cap = self.drex_max_users(context);
         while users < cap
@@ -1046,14 +981,9 @@ impl ServingSystem for LongSightSystem {
             return;
         }
         let cfg = &self.config;
-        let resident = (cfg.hybrid.window + cfg.hybrid.sinks).min(context);
+        let resident = self.resident(context);
         let layers = self.model.layers as f64;
-        let k_merged = if self.region(context) > 0 {
-            cfg.hybrid.top_k.min(self.region(context))
-        } else {
-            0
-        };
-        let gpu = decode_step(&cfg.gpu, &self.model, users, resident, true, k_merged);
+        let gpu = self.gpu_step(users, context);
         let gpu_serial_layer = (gpu.weights_ns + gpu.itq_ns + gpu.merge_ns) / layers;
         let attn_layer = gpu.attention_ns / layers;
         let gpu_track = rec.track("gpu");
@@ -1090,7 +1020,9 @@ impl ServingSystem for LongSightSystem {
                 ],
             )
         });
-        let (drex_ns, _) = self.drex_layer_traced(users, context, rec, drex_anchor);
+        let drex_ns = self
+            .drex_layer_traced(users, context, rec, drex_anchor)
+            .observed_ns;
         let layer_drex = faulted
             .as_ref()
             .map_or(drex_ns, |f| f.layer_ns.max(drex_ns));
@@ -1204,15 +1136,10 @@ mod tests {
     #[test]
     fn mixed_batch_matches_uniform_when_contexts_equal() {
         let mut s = system(ModelConfig::llama3_8b());
+        assert_eq!(s.drex_layer_mixed(&[131_072; 4]), s.drex_layer(4, 131_072));
         let uniform = s.evaluate(4, 131_072).unwrap();
         let mixed = s.evaluate_mixed(&[131_072; 4]).unwrap();
-        let rel = (mixed.step_ns - uniform.step_ns).abs() / uniform.step_ns;
-        assert!(
-            rel < 0.05,
-            "uniform-context mixed batch should match evaluate(): {} vs {}",
-            mixed.step_ns,
-            uniform.step_ns
-        );
+        assert_eq!(mixed, uniform, "equal contexts must reproduce evaluate()");
     }
 
     #[test]
@@ -1331,16 +1258,39 @@ mod tests {
     }
 
     #[test]
-    fn issue_and_complete_compose_to_the_fused_layer() {
+    fn traced_layer_reproduces_the_plain_layer() {
         let s = system(ModelConfig::llama3_8b());
-        let (fused_ns, fused_profile) = s.drex_layer(8, 131_072);
-        let mut rec = Recorder::disabled();
-        let issued = s
-            .drex_layer_issue(8, 131_072, &mut rec, 0.0)
-            .expect("non-empty region");
-        let (split_ns, split_profile) = s.drex_layer_complete(&issued, &mut rec, 0.0);
-        assert_eq!(fused_ns.to_bits(), split_ns.to_bits());
-        assert_eq!(fused_profile, split_profile);
-        assert!(issued.ready_rel_ns > 0.0 && issued.ready_rel_ns < split_ns);
+        let (plain_ns, plain_profile) = s.drex_layer(8, 131_072);
+        let mut rec = Recorder::enabled();
+        let traced = s.drex_layer_traced(8, 131_072, &mut rec, 1_000.0);
+        assert_eq!(plain_ns.to_bits(), traced.observed_ns.to_bits());
+        assert_eq!(plain_profile, traced.profile);
+        assert!(traced.ready_ns > 0.0 && traced.ready_ns < traced.observed_ns);
+        assert!(!rec.spans().is_empty());
+        rec.validate_well_formed().unwrap();
+    }
+
+    #[test]
+    fn top_k_beyond_the_hardware_bound_is_infeasible_not_a_panic() {
+        let model = ModelConfig::llama3_8b();
+        let mut cfg = LongSightConfig::paper_default();
+        cfg.hybrid.top_k = 2048;
+        let mut s = LongSightSystem::new(cfg.clone(), model.clone());
+        // This used to panic inside the slice timing.
+        assert!(s.evaluate(4, 131_072).is_err());
+        let want = Infeasible::TopK {
+            k: 2048,
+            max_k: 1024,
+        };
+        assert_eq!(s.evaluate(4, 131_072), Err(want));
+        assert_eq!(s.evaluate_mixed(&[131_072; 4]), Err(want));
+        assert_eq!(
+            want.to_string(),
+            "top-k 2048 exceeds the DReX hardware bound of 1024"
+        );
+        let mut faulty = LongSightSystem::new(cfg.with_faults(FaultProfile::mild(), 3), model);
+        assert_eq!(faulty.evaluate_with_faults(4, 131_072).err(), Some(want));
+        // A region shorter than the hardware bound ranks all of its keys.
+        assert!(s.evaluate(4, 1_500).is_ok());
     }
 }

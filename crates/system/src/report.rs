@@ -183,6 +183,13 @@ pub enum Infeasible {
     DrexMemory,
     /// Batch exceeds the DCC request-queue depth (512).
     QueueDepth,
+    /// The per-head top-k exceeds what the DReX hardware can rank.
+    TopK {
+        /// The top-k the offload would need.
+        k: usize,
+        /// The hardware top-k bound.
+        max_k: usize,
+    },
 }
 
 impl std::fmt::Display for Infeasible {
@@ -191,6 +198,9 @@ impl std::fmt::Display for Infeasible {
             Infeasible::GpuMemory => write!(f, "exceeds GPU HBM capacity"),
             Infeasible::DrexMemory => write!(f, "exceeds DReX memory capacity"),
             Infeasible::QueueDepth => write!(f, "exceeds DCC queue depth"),
+            Infeasible::TopK { k, max_k } => {
+                write!(f, "top-k {k} exceeds the DReX hardware bound of {max_k}")
+            }
         }
     }
 }

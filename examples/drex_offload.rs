@@ -11,6 +11,7 @@ use longsight::cxl::CxlLink;
 use longsight::dram::Geometry;
 use longsight::drex::layout::{UserPartition, MAX_CONTEXT_SLICE_KEYS};
 use longsight::drex::{DrexDevice, DrexParams, RequestDescriptor};
+use longsight::faults::FaultInjector;
 use longsight::tensor::SimRng;
 
 fn main() {
@@ -79,7 +80,9 @@ fn main() {
         layer: 0,
         queries,
     };
-    let out = dev.offload(&req, 64, 0.0).expect("user exists");
+    let out = dev
+        .offload(&req, 64, 0.0, &FaultInjector::disabled())
+        .expect("user exists");
 
     println!("\noffload response (k = 64):");
     for (h, per_query) in out.response.hits.iter().enumerate() {

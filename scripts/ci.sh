@@ -26,6 +26,10 @@
 #      byte-identical to their checked-in results/ goldens
 #  10c. quality goldens reproduce: fig4_pareto (the evaluate_trace sweep)
 #      regenerates byte-identical to its checked-in results/ golden
+#  10d. offload goldens reproduce: ablations, fig7_throughput,
+#      fig8_drex_breakdown, fig9_system_breakdown and fig10_vs_sliding_window
+#      (the DReX offload timing path and the step model) regenerate
+#      byte-identical to their checked-in results/ goldens
 #  11. perf trajectory gate: `perf-diff --gate results/trajectory.tsv`
 #      re-reads the checked-in goldens and fails on a >10% interactive-p99
 #      regression against the pinned values
@@ -182,6 +186,18 @@ done
 echo "== quality goldens reproduce (regenerate fig4_pareto and cmp against results/) =="
 cargo bench -q -p longsight-bench --bench fig4_pareto --offline >"$obs_tmp/fig4_pareto.txt"
 cmp "$obs_tmp/fig4_pareto.txt" results/fig4_pareto.txt
+
+# The DReX offload timing path (slice/head timing, DCC scheduling, the layer
+# plan) and the step model it feeds are pinned by the offload goldens. They
+# carry no wall-clock numbers (fig7's host-timed scan-kernel table lives in
+# results/kernels.txt), so each regenerates byte for byte; together they take
+# well under 10 s on a 2-core host.
+echo "== offload goldens reproduce (regenerate and cmp against results/) =="
+for b in ablations fig7_throughput fig8_drex_breakdown fig9_system_breakdown \
+    fig10_vs_sliding_window; do
+    cargo bench -q -p longsight-bench --bench "$b" --offline >"$obs_tmp/$b.txt"
+    cmp "$obs_tmp/$b.txt" "results/$b.txt"
+done
 
 # Interactive tail-latency trajectory: the checked-in goldens must not
 # regress the interactive p99 request latency more than 10% past the values

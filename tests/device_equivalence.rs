@@ -6,6 +6,7 @@ use longsight::core::{scf_pass, ItqConfig, ItqRotation, RotationTable, Threshold
 use longsight::cxl::CxlLink;
 use longsight::dram::Geometry;
 use longsight::drex::{DrexDevice, DrexParams, RequestDescriptor};
+use longsight::faults::FaultInjector;
 use longsight::tensor::{quantize_bf16_in_place, vecops, SimRng, TopK};
 
 const LAYERS: usize = 2;
@@ -93,7 +94,9 @@ fn device_matches_reference_for_all_heads_and_queries() {
             queries: queries.clone(),
         };
         let k = 16;
-        let out = dev.offload(&req, k, 0.0).unwrap();
+        let out = dev
+            .offload(&req, k, 0.0, &FaultInjector::disabled())
+            .unwrap();
         for h in 0..KV_HEADS {
             let rotation = rotations.get(layer, h);
             let threshold = thresholds.get(layer, h);
@@ -129,7 +132,13 @@ fn device_timing_is_monotone_in_load() {
         queries: q,
     };
     // Back-to-back offloads at the same arrival queue on the same NMAs.
-    let t1 = dev.offload(&req, 32, 0.0).unwrap().timing;
-    let t2 = dev.offload(&req, 32, 0.0).unwrap().timing;
+    let t1 = dev
+        .offload(&req, 32, 0.0, &FaultInjector::disabled())
+        .unwrap()
+        .timing;
+    let t2 = dev
+        .offload(&req, 32, 0.0, &FaultInjector::disabled())
+        .unwrap()
+        .timing;
     assert!(t2.device_done_ns >= t1.device_done_ns);
 }

@@ -12,7 +12,7 @@
 use longsight::core::{
     trace_eval, HybridConfig, ItqRotation, LongSightBackend, RotationTable, ThresholdTable,
 };
-use longsight::drex::{time_head_offload, time_slice_offload, DrexParams, HeadOffloadSpec};
+use longsight::drex::{try_time_head_offload, try_time_slice_offload, DrexParams, HeadOffloadSpec};
 use longsight::exec;
 use longsight::model::tracegen::{generate_head_trace, TraceConfig};
 use longsight::model::{corpus, perplexity, InductionParams, Model, ModelConfig, ModelWeights};
@@ -264,8 +264,8 @@ fn offload_timing_is_bit_identical_across_thread_counts() {
     };
 
     let runs = across_thread_counts(|| {
-        let head = time_head_offload(&params, &spec, 99);
-        let slice = time_slice_offload(&params, &spec, 60_000, 3_000, 17);
+        let head = try_time_head_offload(&params, &spec, 99, None).unwrap();
+        let slice = try_time_slice_offload(&params, &spec, 60_000, 3_000, 17, None).unwrap();
         (head, slice)
     });
     let (_, baseline) = runs[0];

@@ -16,12 +16,19 @@
 //! twin on both total prefill work and interactive p99, that the blind
 //! rows take the pull path, and that affinity never prefills more than
 //! blind routing.
+//!
+//! A second table runs the warm reuse-0.9 cells under replica crashes with
+//! the circuit breaker on (fault domains and sessions composed in one
+//! fleet run): a crash drops its evacuees' prefix pins and reprices warm
+//! ones cold, and the bench asserts the fleet and session audits still
+//! pass in every crash cell.
 
 use longsight_bench::print_table;
+use longsight_faults::ReplicaFaultProfile;
 use longsight_model::ModelConfig;
 use longsight_obs::Recorder;
-use longsight_sched::{RouterPolicy, SchedPolicy, SloClass, SloMix};
-use longsight_system::serving::{simulate_fleet_sessions, SchedOptions, WorkloadConfig};
+use longsight_sched::{BreakerConfig, RouterPolicy, SchedPolicy, SloClass, SloMix};
+use longsight_system::serving::{simulate_fleet, FleetFaultOptions, SchedOptions, WorkloadConfig};
 use longsight_system::{LongSightConfig, LongSightSystem, ServingSystem, SessionOptions};
 
 struct Cell {
@@ -30,9 +37,17 @@ struct Cell {
     hits: usize,
     pulls: usize,
     cold_turns: usize,
+    crashes: usize,
+    redispatches: usize,
 }
 
-fn run(replicas: usize, reuse: f64, cache_pages: usize, policy: RouterPolicy) -> Cell {
+fn run(
+    replicas: usize,
+    reuse: f64,
+    cache_pages: usize,
+    policy: RouterPolicy,
+    fopts: &FleetFaultOptions,
+) -> Cell {
     let model = ModelConfig::llama3_1b();
     let mut fleet: Vec<Box<dyn ServingSystem>> = (0..replicas)
         .map(|_| {
@@ -69,12 +84,13 @@ fn run(replicas: usize, reuse: f64, cache_pages: usize, policy: RouterPolicy) ->
         prefill_slots: 1,
         hbm_watermark: 0.9,
     };
-    let (_, rep) = simulate_fleet_sessions(
+    let (_, rep) = simulate_fleet(
         &mut fleet,
         &model,
         &wl,
         &opts,
         policy,
+        fopts,
         &sess,
         &mut Recorder::disabled(),
     );
@@ -89,19 +105,22 @@ fn run(replicas: usize, reuse: f64, cache_pages: usize, policy: RouterPolicy) ->
         hits: s.prefix_hits,
         pulls: s.pulls.len(),
         cold_turns: s.cold_turns,
+        crashes: rep.faults.as_ref().map_or(0, |f| f.crashes),
+        redispatches: rep.faults.as_ref().map_or(0, |f| f.redispatches.len()),
     }
 }
 
 fn main() {
+    let calm = FleetFaultOptions::disabled();
     let mut rows = Vec::new();
     for replicas in [2usize, 4] {
         for reuse in [0.0f64, 0.5, 0.9] {
-            let warm = run(replicas, reuse, 4096, RouterPolicy::Affinity);
+            let warm = run(replicas, reuse, 4096, RouterPolicy::Affinity, &calm);
             // Ownership-blind routing with the cache still armed: resumes
             // land wherever JSQ sends them, so reuse must go through the
             // pooled-DReX pull path instead of the owner fast path.
-            let blind = run(replicas, reuse, 4096, RouterPolicy::JsqSpillover);
-            let cold = run(replicas, reuse, 0, RouterPolicy::JsqSpillover);
+            let blind = run(replicas, reuse, 4096, RouterPolicy::JsqSpillover, &calm);
+            let cold = run(replicas, reuse, 0, RouterPolicy::JsqSpillover, &calm);
             for (router, cache, c) in [
                 ("affinity", "4096", &warm),
                 ("jsq", "4096", &blind),
@@ -181,4 +200,60 @@ fn main() {
     println!("blind rows exercise the pull path, and affinity prefills no more");
     println!("than blind routing (all asserted). Cold counts follow-ups whose");
     println!("prefix was unusable: edited context or a reuse-rate miss.");
+
+    // Sessions under replica crashes: the same warm reuse-0.9 traffic on a
+    // crash/brownout schedule with the breaker on.
+    let crashy = FleetFaultOptions {
+        profile: ReplicaFaultProfile::scaled(0.1),
+        fault_seed: 11,
+        breaker: Some(BreakerConfig::serving_default()),
+        shed_queue_cap: None,
+    };
+    let mut crash_rows = Vec::new();
+    for replicas in [2usize, 4] {
+        for (router, policy) in [
+            ("affinity", RouterPolicy::Affinity),
+            ("jsq", RouterPolicy::JsqSpillover),
+        ] {
+            let c = run(replicas, 0.9, 4096, policy, &crashy);
+            assert!(
+                c.crashes > 0,
+                "the crash schedule must fire at {replicas} replicas ({router})"
+            );
+            crash_rows.push(vec![
+                format!("{replicas}"),
+                router.to_string(),
+                c.crashes.to_string(),
+                c.redispatches.to_string(),
+                format!("{:.2} s", c.prefill_s),
+                c.hits.to_string(),
+                c.pulls.to_string(),
+                c.cold_turns.to_string(),
+                format!("{:.0} ms", c.p99_ms),
+            ]);
+        }
+    }
+    println!();
+    print_table(
+        "Sessions under replica crashes — reuse 0.90, cache 4096 pg, crash profile 0.10 on fault seed 11, breaker on",
+        &[
+            "Replicas",
+            "Router",
+            "Crashes",
+            "Redisp",
+            "Prefill",
+            "Hits",
+            "Pulls",
+            "Cold",
+            "int p99 req",
+        ],
+        &crash_rows,
+    );
+    println!("\nshape: fault domains and sessions compose in one fleet run. A crash");
+    println!("evacuates the replica's turns, drops their prefix pins, reprices warm");
+    println!("evacuees to their cold prefill, and moves each pending prefix");
+    println!("publication to the redispatch target. Every crash cell passes the");
+    println!("fleet audit (offered = placed + shed, no leaked pages, zero live");
+    println!("pins) and the session audit (hits + pulls + cold = follow-up turns),");
+    println!("all asserted.");
 }

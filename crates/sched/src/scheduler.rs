@@ -146,6 +146,18 @@ impl SchedConfig {
     }
 }
 
+/// Prefill (or resume) work at or under this many ns counts as finished.
+const PREFILL_DONE_NS: f64 = 1e-6;
+
+/// The chunk a prefilling member advances by in a step that starts with
+/// `left` ns of its prefill outstanding. A member whose chunk size is zero
+/// (a zero-prefill request that still owes resume cost) drains it in one
+/// chunk rather than stalling.
+fn planned_chunk(chunk_ns: f64, left: f64) -> f64 {
+    let budget = if chunk_ns > 0.0 { chunk_ns } else { left };
+    budget.min(left)
+}
+
 /// One request in the running batch.
 #[derive(Debug, Clone)]
 pub struct ActiveEntry {
@@ -425,6 +437,10 @@ pub struct Scheduler {
     chunks: Vec<(usize, f64)>,
     events: Vec<SchedEvent>,
     record_events: bool,
+    /// Whether the last [`Scheduler::drain_queue`] pass reached a fixpoint
+    /// and no admission input has changed since, so draining again would
+    /// neither admit nor evict anything (see [`Scheduler::steady_run`]).
+    drained: bool,
     rejected: usize,
     preemptions: usize,
     resumes: usize,
@@ -450,6 +466,7 @@ impl Scheduler {
             chunks: Vec::new(),
             events: Vec::new(),
             record_events: false,
+            drained: true,
             rejected: 0,
             preemptions: 0,
             resumes: 0,
@@ -520,6 +537,7 @@ impl Scheduler {
     /// where they end up is the fleet's bookkeeping.
     pub fn crash_evacuate(&mut self) -> Vec<Evacuated> {
         self.chunks.clear();
+        self.drained = false;
         let active = std::mem::take(&mut self.active);
         let waiting = std::mem::take(&mut self.waiting);
         let mut out = Vec::with_capacity(active.len() + waiting.len());
@@ -565,6 +583,7 @@ impl Scheduler {
     /// requests that had reached decode pay the restore-vs-recompute
     /// resume cost from the device geometry.
     pub fn on_redispatch(&mut self, e: Evacuated) {
+        self.drained = false;
         self.class[e.req.class.index()].arrived += 1;
         let prefill_left_ns = if e.prefill_left_ns > 0.0 {
             e.req.prefill_ns
@@ -600,6 +619,7 @@ impl Scheduler {
     /// scheduler itself only ever *releases* pins (completion, failure,
     /// crash); taking them is a placement decision that lives upstream.
     pub fn pages_mut(&mut self) -> &mut PagedKvManager {
+        self.drained = false;
         &mut self.pages
     }
 
@@ -645,6 +665,7 @@ impl Scheduler {
         req: SchedRequest,
         feasible: &mut dyn FnMut(usize, usize) -> bool,
     ) {
+        self.drained = false;
         self.class[req.class.index()].arrived += 1;
         match self.cfg.policy {
             SchedPolicy::Fifo => {
@@ -736,9 +757,16 @@ impl Scheduler {
     /// class needs HBM pages — and stops at the first head it cannot place
     /// (strict head-of-line, so a lower class can never slip past a blocked
     /// higher class).
+    ///
+    /// An SLO-aware pass always ends at a fixpoint: it stops at a head that
+    /// failed against the final state, and a retry evicts nothing more and
+    /// repeats the same probe. A FIFO pass does only when it admitted
+    /// nothing or emptied the queue; otherwise a request it refused before
+    /// a later admission has not been probed against the grown batch.
     pub fn drain_queue(&mut self, feasible: &mut dyn FnMut(usize, usize) -> bool) {
         match self.cfg.policy {
             SchedPolicy::Fifo => {
+                let before = self.active.len();
                 let mut queue = std::mem::take(&mut self.waiting);
                 queue.retain(|w| {
                     let max_ctx = self
@@ -773,6 +801,7 @@ impl Scheduler {
                     }
                 });
                 self.waiting = queue;
+                self.drained = self.active.len() == before || self.waiting.is_empty();
             }
             SchedPolicy::SloAware => {
                 while let Some(pick) = (0..self.waiting.len())
@@ -782,6 +811,7 @@ impl Scheduler {
                         break;
                     }
                 }
+                self.drained = true;
             }
         }
     }
@@ -942,14 +972,7 @@ impl Scheduler {
                         break;
                     }
                     if !a.in_decode {
-                        // A zero-prefill request can still owe resume cost;
-                        // drain it in one chunk rather than stalling.
-                        let budget = if a.chunk_ns > 0.0 {
-                            a.chunk_ns
-                        } else {
-                            a.prefill_left_ns
-                        };
-                        let chunk = budget.min(a.prefill_left_ns);
+                        let chunk = planned_chunk(a.chunk_ns, a.prefill_left_ns);
                         self.chunks.push((a.req.id, chunk));
                         prefill_ns += chunk;
                         prefill_users += 1;
@@ -972,6 +995,7 @@ impl Scheduler {
         if dead.is_empty() {
             return;
         }
+        self.drained = false;
         let mut i = 0;
         while i < self.active.len() {
             if dead.contains(&self.active[i].req.id) {
@@ -1001,6 +1025,7 @@ impl Scheduler {
             return;
         }
         self.active[i].window_only = true;
+        self.drained = false;
         let freed = self.pages.release_drex(id);
         self.emit(SchedEvent::Degraded {
             id,
@@ -1008,28 +1033,90 @@ impl Scheduler {
         });
     }
 
-    /// Applies one step of duration `dt` ending at simulated time `now`:
-    /// chunked prefill advances, decoding members emit one token each, and
-    /// finished requests retire (freeing their pages). Returns completions
-    /// in batch order.
-    pub fn advance_step(&mut self, dt: f64, now: f64) -> Vec<Completion> {
+    /// How many steps, counting the one [`Scheduler::plan_step`] just
+    /// planned, repeat that plan exactly: at least 1, at most `limit`.
+    ///
+    /// Contexts are frozen at admission, so a step changes the batch only
+    /// when a member completes or finishes its prefill. The run therefore
+    /// ends at the step where the first decoding member emits its last
+    /// token, or where a prefilling member's chunk `min(budget, left)`
+    /// would change bits for the next step or its prefill finishes. The
+    /// chunk progression is replayed in the float order
+    /// [`Scheduler::advance_step`] applies it in. Page ledgers change only
+    /// at admit, evict, resume, degrade, complete and fail, so they bound
+    /// nothing here.
+    ///
+    /// The queue is part of the plan too: the caller drains it before every
+    /// step, and a drain between two steps of a run must be a no-op. It
+    /// reads only the page ledger, the active contexts and the waiting
+    /// set, which a step that completes nothing leaves alone, and it
+    /// repeats probes the step-cost cache already answered — provided the
+    /// previous pass ended at a fixpoint (see [`Scheduler::drain_queue`]).
+    /// When it did not, or an arrival, redispatch, failure, degradation or
+    /// page-ledger edit came after it, the run is one step.
+    pub fn steady_run(&self, limit: usize) -> usize {
+        if !self.drained {
+            return 1;
+        }
+        let mut n = limit;
+        for a in self.active.iter().filter(|a| a.in_decode) {
+            n = n.min(a.remaining);
+        }
+        for &(id, chunk) in &self.chunks {
+            let Some(a) = self.active.iter().find(|a| a.req.id == id) else {
+                continue;
+            };
+            let mut left = a.prefill_left_ns;
+            let mut k = 1;
+            while k < n {
+                let next = left - chunk;
+                if next <= PREFILL_DONE_NS
+                    || planned_chunk(a.chunk_ns, next).to_bits() != chunk.to_bits()
+                {
+                    break;
+                }
+                if next.to_bits() == left.to_bits() {
+                    // The chunk is below half an ulp of what is left: the
+                    // member never progresses, so it never ends a run.
+                    k = n;
+                    break;
+                }
+                left = next;
+                k += 1;
+            }
+            n = k;
+        }
+        n.max(1)
+    }
+
+    /// Applies `n` repeats of the planned step, each of duration `dt`, the
+    /// last ending at simulated time `now`: chunked prefill advances step
+    /// by step (steps outer, chunks inner, so the float sums match `n`
+    /// single steps), decoding members emit `n` tokens each, and finished
+    /// requests retire (freeing their pages). Returns completions in batch
+    /// order. `n` must not exceed [`Scheduler::steady_run`], so nothing
+    /// completes or finishes prefill before the last step.
+    pub fn advance_step(&mut self, dt: f64, n: usize, now: f64) -> Vec<Completion> {
         // Indexed, then cleared: the buffer keeps its capacity for the next
         // plan instead of being reallocated every chunked step.
-        for c in 0..self.chunks.len() {
-            let (id, chunk) = self.chunks[c];
-            if let Some(a) = self.active.iter_mut().find(|a| a.req.id == id) {
-                a.prefill_left_ns -= chunk;
-                if a.prefill_left_ns <= 1e-6 {
-                    a.prefill_left_ns = 0.0;
+        for _ in 0..n {
+            for c in 0..self.chunks.len() {
+                let (id, chunk) = self.chunks[c];
+                if let Some(a) = self.active.iter_mut().find(|a| a.req.id == id) {
+                    a.prefill_left_ns -= chunk;
+                    if a.prefill_left_ns <= PREFILL_DONE_NS {
+                        a.prefill_left_ns = 0.0;
+                    }
+                    self.prefill_chunks += 1;
+                    self.prefill_work_ns += chunk;
                 }
-                self.prefill_chunks += 1;
-                self.prefill_work_ns += chunk;
             }
         }
         self.chunks.clear();
         // Per-class token latencies, capped at 64 per step like the global
         // serving histogram: the first 64 decoding members in batch order
-        // count, then each class records its share as one run.
+        // count, then each class records its share of the `n` steps as one
+        // run (the ledger merges equal bits, so this is `n` pushes).
         let mut counted = [0usize; 3];
         let mut total = 0usize;
         for i in 0..self.active.len() {
@@ -1041,18 +1128,19 @@ impl Scheduler {
                 counted[cls] += 1;
                 total += 1;
             }
-            self.class[cls].tokens += 1;
-            self.active[i].remaining -= 1;
-            self.active[i].generated += 1;
+            self.class[cls].tokens += n;
+            self.active[i].remaining -= n;
+            self.active[i].generated += n;
         }
-        for (acc, n) in self.class.iter_mut().zip(counted) {
-            acc.token_lat_ms.push_n(dt / 1e6, n);
+        for (acc, c) in self.class.iter_mut().zip(counted) {
+            acc.token_lat_ms.push_n(dt / 1e6, c * n);
         }
         let mut done = Vec::new();
         let mut i = 0;
         while i < self.active.len() {
             if self.active[i].remaining == 0 {
                 let a = self.active.remove(i);
+                self.drained = false;
                 let latency_ms = (now - a.req.arrival_ns) / 1e6;
                 self.pages.free_all(a.req.id);
                 if let Some(h) = a.req.prefix_hash {
@@ -1280,7 +1368,7 @@ mod tests {
             }
             let _ = s.plan_step();
             now += 1e6;
-            let _ = s.advance_step(1e6, now);
+            let _ = s.advance_step(1e6, 1, now);
         }
         let rep = s.finalize();
         assert_eq!(rep.preemptions, 1);
@@ -1307,10 +1395,10 @@ mod tests {
         assert_eq!(p1.decode_users, 0);
         assert_eq!(p1.prefill_users, 1);
         assert!((p1.prefill_ns - 1e6).abs() < 1e-6); // half the prefill
-        let _ = s2.advance_step(p1.prefill_ns, 1e6);
+        let _ = s2.advance_step(p1.prefill_ns, 1, 1e6);
         let p2 = s2.plan_step();
         assert_eq!(p2.prefill_users, 1);
-        let _ = s2.advance_step(p2.prefill_ns, 2e6);
+        let _ = s2.advance_step(p2.prefill_ns, 1, 2e6);
         let p3 = s2.plan_step();
         assert_eq!(p3.decode_users, 1, "prefill finished after two chunks");
         let rep = s2.finalize();
@@ -1373,7 +1461,7 @@ mod tests {
         donor.on_arrival(mid, &mut feas);
         donor.drain_queue(&mut feas);
         let _ = donor.plan_step();
-        let _ = donor.advance_step(1e6, 1e6); // id 0 decodes one token
+        let _ = donor.advance_step(1e6, 1, 1e6); // id 0 decodes one token
         let evac = donor.crash_evacuate();
         assert_eq!(evac.len(), 2);
         assert_eq!(evac[0].generated, 1);
@@ -1433,7 +1521,7 @@ mod tests {
         assert_eq!(s.pages().hbm_used(), 4);
         // -1 page: the one-token request completes, dropping usage to 3.
         let _ = s.plan_step();
-        let _ = s.advance_step(1e6, 1e6);
+        let _ = s.advance_step(1e6, 1, 1e6);
         assert_eq!(s.pages().hbm_used(), 3);
         // The boundary decision: may the evicted best-effort member resume
         // right back to the ceiling?
@@ -1497,7 +1585,7 @@ mod tests {
             }
             let _ = s.plan_step();
             now += 1e6;
-            done += s.advance_step(1e6, now).len();
+            done += s.advance_step(1e6, 1, now).len();
         }
         assert_eq!(done, 3);
         assert_eq!(s.pages().prefix_pinned_refs(), 0);
@@ -1540,6 +1628,28 @@ mod tests {
     }
 
     #[test]
+    fn an_unsettled_fifo_drain_limits_the_run_to_one_step() {
+        let mut s = Scheduler::new(SchedConfig::fifo(PageConfig::unbounded(1024), 1024));
+        let mut alone = |users: usize, _ctx: usize| users == 1;
+        s.on_arrival(req(0, SloClass::Interactive, 1024, 20), &mut alone);
+        s.on_arrival(req(1, SloClass::Interactive, 8192, 20), &mut alone);
+        s.on_arrival(req(2, SloClass::Interactive, 1024, 20), &mut alone);
+        assert_eq!(s.waiting_len(), 2);
+        let mut small = |users: usize, ctx: usize| users <= 3 && ctx <= 4096;
+        s.drain_queue(&mut small);
+        assert_eq!(s.active().len(), 2);
+        let _ = s.plan_step();
+        // Request 1 was refused before request 2 grew the batch, so the
+        // next drain probes a new shape: no run may skip it.
+        assert_eq!(s.steady_run(usize::MAX), 1);
+        s.drain_queue(&mut small);
+        assert_eq!(s.active().len(), 2);
+        let _ = s.plan_step();
+        assert_eq!(s.steady_run(usize::MAX), 20);
+        assert_eq!(s.steady_run(5), 5);
+    }
+
+    #[test]
     fn prefill_work_accumulates_executed_chunks() {
         let mut cfg = slo_cfg();
         cfg.pages.hbm_capacity_pages = 100;
@@ -1556,7 +1666,7 @@ mod tests {
             }
             let _ = s.plan_step();
             now += 1e6;
-            let _ = s.advance_step(1e6, now);
+            let _ = s.advance_step(1e6, 1, now);
         }
         let rep = s.finalize();
         assert!((rep.prefill_work_ns - 2e6).abs() < 1e-3);

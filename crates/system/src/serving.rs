@@ -43,7 +43,7 @@ use longsight_sched::{
     BreakerConfig, BreakerState, CircuitBreaker, FleetFaultSummary, FleetReport, KvDeviceGeometry,
     LatencySamples, PagedKvManager, Placement, PullRecord, RedispatchRecord, Router, RouterPolicy,
     SchedConfig, SchedEvent, SchedPolicy, SchedReport, SchedRequest, Scheduler, SessionSummary,
-    ShedRecord, SloBurnSummary, SloClass, SloMix, SortedSamples,
+    ShedRecord, SloBurnSummary, SloClass, SloMix, SortedSamples, StepPlan,
 };
 use longsight_tensor::SimRng;
 use std::collections::HashMap;
@@ -855,7 +855,8 @@ fn sched_impl(
                 None => break,
             }
         }
-        if !r.step(system, rec, 4.0 * horizon_ns) {
+        let until = arrivals.last().map_or(f64::INFINITY, |a| a.arrival_ns);
+        if !r.step(system, rec, until, 4.0 * horizon_ns) {
             break; // overload guard: stop accounting far past the window
         }
     }
@@ -1043,6 +1044,19 @@ struct ReplicaSim<'a> {
     completions: Vec<(SloClass, f64)>,
     /// Session turns in flight here; always empty on sessionless runs.
     turns: Vec<PendingTurn>,
+    /// Longest run a step may take, from [`MAX_RUN`] at construction.
+    #[cfg(test)]
+    max_run: usize,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Run-length cap of every [`ReplicaSim`] built on this thread: tests
+    /// set it to 1 to compare macro-steps against single steps.
+    static MAX_RUN: std::cell::Cell<usize> = const { std::cell::Cell::new(usize::MAX) };
+    /// `(step calls, scheduler steps)` run on this thread, so tests can pin
+    /// run lengths that bit-identity alone would not notice shrinking.
+    static RUN_COUNTS: std::cell::Cell<(usize, usize)> = const { std::cell::Cell::new((0, 0)) };
 }
 
 impl<'a> ReplicaSim<'a> {
@@ -1087,7 +1101,26 @@ impl<'a> ReplicaSim<'a> {
             brownout_factor: 1.0,
             completions: Vec::new(),
             turns: Vec::new(),
+            #[cfg(test)]
+            max_run: MAX_RUN.with(std::cell::Cell::get),
         }
+    }
+
+    /// The longest run [`ReplicaSim::step`] may take.
+    fn run_cap(&self) -> usize {
+        #[cfg(test)]
+        return self.max_run;
+        #[cfg(not(test))]
+        usize::MAX
+    }
+
+    /// Counts one step call advancing `n` scheduler steps (tests only).
+    fn count_run(&self, _n: usize) {
+        #[cfg(test)]
+        RUN_COUNTS.with(|c| {
+            let (calls, steps) = c.get();
+            c.set((calls + 1, steps + _n));
+        });
     }
 
     /// Offers an arriving request to this replica's scheduler.
@@ -1122,10 +1155,13 @@ impl<'a> ReplicaSim<'a> {
                 self.now = t.map_or(self.now, |t| self.now.max(t));
                 return;
             }
-            if t.is_some_and(|t| self.now >= t) || self.now > 4.0 * horizon_ns {
+            let guard = 4.0 * horizon_ns;
+            if t.is_some_and(|t| self.now >= t) || self.now > guard {
                 return;
             }
-            self.step(sys, rec, f64::INFINITY);
+            // A run ending at or past the guard stops early at worst: this
+            // loop then takes the next step exactly as it would have.
+            self.step(sys, rec, t.map_or(guard, |t| t.min(guard)), f64::INFINITY);
         }
     }
 
@@ -1140,17 +1176,39 @@ impl<'a> ReplicaSim<'a> {
         flush_sched_events(&mut self.sched, rec, self.sched_track, self.now);
     }
 
-    /// One synchronized step — the only one in the crate. The decoding
-    /// members advance one token; chunked prefill shares the step
-    /// (SLO-aware only). Speculation, brownout contraction and token faults
-    /// pace it in that order: the worst token's retry/backoff penalty
-    /// paces the whole batch, and hard-failed requests leave it without
-    /// emitting this token.
+    /// One synchronized step — the only one in the crate — repeated over
+    /// a run of identical steps. The decoding members advance one token
+    /// per step; chunked prefill shares the step (SLO-aware only).
+    /// Speculation, brownout contraction and token faults pace it in that
+    /// order: the worst token's retry/backoff penalty paces the whole
+    /// batch, and hard-failed requests leave it without emitting this
+    /// token.
     ///
-    /// Returns `false` when the step ended past `guard_ns` — the
-    /// single-replica loop's overload guard — leaving it unaccounted; fleets
-    /// pass infinity and guard in [`ReplicaSim::advance`] instead.
-    fn step(&mut self, sys: &mut dyn ServingSystem, rec: &mut Recorder, guard_ns: f64) -> bool {
+    /// **Macro-steps.** A step's cost depends only on the batch shape, so
+    /// the plan repeats for [`Scheduler::steady_run`] steps: until a member
+    /// completes or finishes its prefill. The run also stops after the
+    /// first step whose end reaches `until` — the next arrival or fleet
+    /// event, where the driver changes the batch from outside. The clock
+    /// still takes one `now += dt` per step (`k·dt` is not the sum of `k`
+    /// `dt`s in floating point); the counters then move by the run length
+    /// and the scheduler advances all of it in one call. With the
+    /// recorder, the time series or attribution on, each step of the run
+    /// still emits its own `decode.step` span, `tokens` rate, scheduler
+    /// sample and attribution record at its own `now`. A run is always one
+    /// step when a token-fault injector is armed or the step report
+    /// carries speculation: both draw per token.
+    ///
+    /// Returns `false` when a step ended past `guard_ns` — the
+    /// single-replica loop's overload guard — leaving that step
+    /// unaccounted; fleets pass infinity and guard through `until` and
+    /// [`ReplicaSim::advance`] instead.
+    fn step(
+        &mut self,
+        sys: &mut dyn ServingSystem,
+        rec: &mut Recorder,
+        until: f64,
+        guard_ns: f64,
+    ) -> bool {
         let plan = self.sched.plan_step();
         let report = (plan.decode_users > 0).then(|| {
             cached_step_cost(
@@ -1214,7 +1272,6 @@ impl<'a> ReplicaSim<'a> {
         // `work_dt == base_dt` exactly.
         let work_dt = base_dt.max(plan.prefill_ns);
         let mut dt = work_dt;
-        let step_start = self.now;
         let mut batch_died = false;
         if let Some((inj, retry, track)) = self.faults {
             let mut max_penalty = 0.0f64;
@@ -1245,7 +1302,7 @@ impl<'a> ReplicaSim<'a> {
             // log) at the step's start time.
             self.fault_cursor +=
                 self.fault_log
-                    .record_tail_into(self.fault_cursor, rec, track, step_start);
+                    .record_tail_into(self.fault_cursor, rec, track, self.now);
             self.sched.remove_failed(&dead);
             // A degraded request lost its long-range path: its DReX tail
             // pages come back to the pool.
@@ -1255,85 +1312,63 @@ impl<'a> ReplicaSim<'a> {
             dt += max_penalty;
             batch_died = self.sched.active_is_empty();
         }
-        if rec.is_enabled() {
-            if plan.decode_users > 0 {
-                let span = rec.open_with(
-                    self.serving_track,
-                    "decode.step",
-                    step_start,
-                    &[
-                        ("users", ArgVal::U(plan.users as u64)),
-                        ("ctx", ArgVal::U(plan.max_decode_ctx as u64)),
-                    ],
-                );
-                if dt > work_dt {
-                    // The worst token's deadline overrun paces the batch.
-                    rec.leaf_with(
-                        self.serving_track,
-                        "decode.retry_wait",
-                        step_start + work_dt,
-                        step_start + dt,
-                        &[("penalty_ns", ArgVal::F(dt - work_dt))],
-                    );
+        let run = if self.faults.is_some() || spec.is_some() {
+            1
+        } else {
+            self.sched.steady_run(self.run_cap())
+        };
+        let decoding = self.sched.decoding_count();
+        let ts_on = rec.timeseries.is_enabled();
+        // The run's steps, one clock tick each. Only the last step of a
+        // run can complete a request, so every earlier one emits here what
+        // the end of a lone step would: no completion, no scheduler event,
+        // and a scheduler sample of a state no completing-free step
+        // changes. (The single-replica loop's own sample after each step
+        // repeats that gauge at the same `now`; gauges keep the last write
+        // per window, so it adds nothing inside a run.)
+        let mut n = 0usize;
+        let past_guard = loop {
+            if rec.is_enabled() {
+                self.trace_step(rec, &plan, work_dt, dt);
+            }
+            self.now += dt;
+            if batch_died {
+                flush_sched_events(&mut self.sched, rec, self.sched_track, self.now);
+                return true;
+            }
+            if self.now > guard_ns {
+                break true;
+            }
+            n += 1;
+            if decoding > 0 {
+                if let (Some(a), Some(r)) = (self.attr.as_deref_mut(), report.as_ref()) {
+                    attribute_step(a, r, spec, dt, decoding.min(64));
                 }
-                rec.close(span, step_start + dt);
-            } else {
-                rec.leaf_with(
-                    self.serving_track,
-                    "prefill.step",
-                    step_start,
-                    step_start + dt,
-                    &[
-                        ("users", ArgVal::U(plan.prefill_users as u64)),
-                        ("prefill_ns", ArgVal::F(plan.prefill_ns)),
-                    ],
-                );
+            }
+            if n == run || self.now >= until {
+                break false;
+            }
+            if ts_on {
+                self.sample_step(rec, decoding);
+            }
+        };
+        self.count_run(n);
+        if decoding > 0 {
+            self.token_lat.push_n(dt / 1e6, decoding.min(64) * n);
+            self.batch_users += decoding * n;
+            self.batch_steps += n;
+            self.generated_tokens += decoding * n;
+            if self.brownout_factor < 1.0 {
+                self.degrade.degraded_tokens += decoding * n;
             }
         }
-        self.now += dt;
-        if batch_died {
-            flush_sched_events(&mut self.sched, rec, self.sched_track, self.now);
-            return true;
-        }
-        if self.now > guard_ns {
+        let done = self.sched.advance_step(dt, n, self.now);
+        if past_guard {
+            // The steps before the one past the guard completed nothing
+            // (`done` is empty); the guard step itself stays unaccounted.
             return false;
         }
-        let decoding = self.sched.decoding_count();
-        if decoding > 0 {
-            self.token_lat.push_n(dt / 1e6, decoding.min(64));
-            self.batch_users += decoding;
-            self.batch_steps += 1;
-            if let (Some(a), Some(r)) = (self.attr.as_deref_mut(), report.as_ref()) {
-                let parts = attribution_parts(r, dt, spec.map(|s| s.1));
-                a.record_step(parts, dt, decoding.min(64));
-                if let Some((s, charge, (h, m, d))) = spec {
-                    a.record_spec_step(
-                        SpecSample {
-                            charge,
-                            chain_ns: s.chain_ns,
-                            hit_visible_ns: s.hit_visible_ns,
-                            serial_visible_ns: s.serial_visible_ns,
-                            spec_miss_ns: parts[SPEC_MISS],
-                            overlap_hidden_ns: parts[OVERLAP_HIDDEN],
-                            penalty_ns: if charge == SpecCharge::Miss {
-                                s.refilter_penalty_ns
-                            } else {
-                                0.0
-                            },
-                        },
-                        h,
-                        m,
-                        d,
-                    );
-                }
-            }
-            self.generated_tokens += decoding;
-            if self.brownout_factor < 1.0 {
-                self.degrade.degraded_tokens += decoding;
-            }
-        }
-        let ts_on = rec.timeseries.is_enabled();
-        for c in self.sched.advance_step(dt, self.now) {
+        for c in done {
             // A completed session turn publishes its prefix under its
             // content key on the replica it completed on.
             if let Some(pos) = self.turns.iter().position(|t| t.id == c.id) {
@@ -1351,19 +1386,100 @@ impl<'a> ReplicaSim<'a> {
         }
         flush_sched_events(&mut self.sched, rec, self.sched_track, self.now);
         if ts_on {
-            if decoding > 0 {
-                rec.timeseries.rate_add("tokens", self.now, decoding as f64);
-                if self.brownout_factor < 1.0 {
-                    rec.timeseries.rate_add(
-                        &format!("{}degraded_tok", self.prefix),
-                        self.now,
-                        decoding as f64,
-                    );
-                }
-            }
-            sample_sched_timeseries(rec, &self.prefix, self.now, &self.sched);
+            self.sample_step(rec, decoding);
         }
         true
+    }
+
+    /// The trace of one step of `dt` starting at the current `now`: a
+    /// `decode.step` span (with a nested `decode.retry_wait` when fault
+    /// penalties stretch it past `work_dt`), or a `prefill.step` leaf when
+    /// nobody decodes.
+    fn trace_step(&self, rec: &mut Recorder, plan: &StepPlan, work_dt: f64, dt: f64) {
+        let step_start = self.now;
+        if plan.decode_users > 0 {
+            let span = rec.open_with(
+                self.serving_track,
+                "decode.step",
+                step_start,
+                &[
+                    ("users", ArgVal::U(plan.users as u64)),
+                    ("ctx", ArgVal::U(plan.max_decode_ctx as u64)),
+                ],
+            );
+            if dt > work_dt {
+                // The worst token's deadline overrun paces the batch.
+                rec.leaf_with(
+                    self.serving_track,
+                    "decode.retry_wait",
+                    step_start + work_dt,
+                    step_start + dt,
+                    &[("penalty_ns", ArgVal::F(dt - work_dt))],
+                );
+            }
+            rec.close(span, step_start + dt);
+        } else {
+            rec.leaf_with(
+                self.serving_track,
+                "prefill.step",
+                step_start,
+                step_start + dt,
+                &[
+                    ("users", ArgVal::U(plan.prefill_users as u64)),
+                    ("prefill_ns", ArgVal::F(plan.prefill_ns)),
+                ],
+            );
+        }
+    }
+
+    /// The end-of-step time-series samples at the current `now`: decoded
+    /// tokens (and brownout-degraded ones) plus the scheduler snapshot.
+    fn sample_step(&self, rec: &mut Recorder, decoding: usize) {
+        if decoding > 0 {
+            rec.timeseries.rate_add("tokens", self.now, decoding as f64);
+            if self.brownout_factor < 1.0 {
+                rec.timeseries.rate_add(
+                    &format!("{}degraded_tok", self.prefix),
+                    self.now,
+                    decoding as f64,
+                );
+            }
+        }
+        sample_sched_timeseries(rec, &self.prefix, self.now, &self.sched);
+    }
+}
+
+/// Records one decode step of `dt` into the per-token attribution, for
+/// `counted` decoding members, plus its speculation sample when the step
+/// was speculated.
+fn attribute_step(
+    a: &mut TokenAttribution,
+    r: &StepReport,
+    spec: Option<(SpecStep, SpecCharge, (usize, usize, usize))>,
+    dt: f64,
+    counted: usize,
+) {
+    let parts = attribution_parts(r, dt, spec.map(|s| s.1));
+    a.record_step(parts, dt, counted);
+    if let Some((s, charge, (h, m, d))) = spec {
+        a.record_spec_step(
+            SpecSample {
+                charge,
+                chain_ns: s.chain_ns,
+                hit_visible_ns: s.hit_visible_ns,
+                serial_visible_ns: s.serial_visible_ns,
+                spec_miss_ns: parts[SPEC_MISS],
+                overlap_hidden_ns: parts[OVERLAP_HIDDEN],
+                penalty_ns: if charge == SpecCharge::Miss {
+                    s.refilter_penalty_ns
+                } else {
+                    0.0
+                },
+            },
+            h,
+            m,
+            d,
+        );
     }
 }
 
@@ -2486,5 +2602,282 @@ mod tests {
         assert_eq!(m1, m2);
         assert_eq!(f1.placement_log(), f2.placement_log());
         assert_eq!(f1.to_text(), f2.to_text());
+    }
+
+    /// Resets the run-length cap when a capped scope ends, even by panic.
+    struct RunCapScope;
+
+    impl Drop for RunCapScope {
+        fn drop(&mut self) {
+            MAX_RUN.with(|c| c.set(usize::MAX));
+        }
+    }
+
+    /// Runs `f` with every replica built inside capped at `cap`-step runs;
+    /// returns its result and the `(step calls, scheduler steps)` it ran.
+    fn with_run_cap<T>(cap: usize, f: impl FnOnce() -> T) -> (T, (usize, usize)) {
+        let _scope = RunCapScope;
+        MAX_RUN.with(|c| c.set(cap));
+        RUN_COUNTS.with(|c| c.set((0, 0)));
+        let out = f();
+        (out, RUN_COUNTS.with(std::cell::Cell::get))
+    }
+
+    /// One generated driver configuration for the macro-step equivalence
+    /// test.
+    #[derive(Debug)]
+    struct DriverCase {
+        replicas: usize,
+        wl: WorkloadConfig,
+        opts: SchedOptions,
+        router: RouterPolicy,
+        lookahead: bool,
+        recorder: bool,
+        timeseries: bool,
+        attribution: bool,
+        /// Token-fault rate and seed (single replica only).
+        token_faults: Option<(f64, u64)>,
+        fopts: FleetFaultOptions,
+        sess: SessionOptions,
+    }
+
+    fn gen_driver_case(g: &mut longsight_tensor::check::Gen) -> DriverCase {
+        use longsight_faults::ReplicaFaultProfile;
+        let replicas = [1usize, 1, 2, 3][g.usize_in(0, 4)];
+        let fleet = replicas > 1;
+        let sessions = fleet && g.usize_in(0, 3) == 0;
+        let mix = [SloMix::mixed(), SloMix::all_interactive()][g.usize_in(0, 2)];
+        let opts = SchedOptions {
+            policy: if g.bool() {
+                SchedPolicy::SloAware
+            } else {
+                SchedPolicy::Fifo
+            },
+            mix,
+            page_tokens: 1024,
+            prefill_chunk_tokens: [128usize, 1024, 8192, 65_536][g.usize_in(0, 4)],
+            prefill_slots: g.usize_in(1, 4),
+            hbm_watermark: [0.9, 0.2, 0.01][g.usize_in(0, 3)],
+        };
+        let crashes = fleet && g.bool();
+        let fopts = FleetFaultOptions {
+            profile: if crashes {
+                ReplicaFaultProfile::scaled(g.f64_in(0.05, 0.4))
+            } else {
+                ReplicaFaultProfile::disabled()
+            },
+            fault_seed: g.u64_in(0, 64),
+            breaker: (fleet && g.bool()).then(BreakerConfig::serving_default),
+            shed_queue_cap: (fleet && g.bool()).then(|| g.usize_in(1, 8)),
+        };
+        let sess = if sessions {
+            SessionOptions {
+                sessions: g.usize_in(2, 8),
+                turns: g.usize_in(1, 4),
+                think_time_ms: g.f64_in(200.0, 2000.0),
+                reuse: g.f64_in(0.0, 1.0),
+                prefix_cache_pages: [0usize, 4096][g.usize_in(0, 2)],
+            }
+        } else {
+            SessionOptions::disabled()
+        };
+        DriverCase {
+            replicas,
+            wl: WorkloadConfig {
+                arrivals_per_s: g.f64_in(1.0, 12.0),
+                context_tokens: (16_384, [16_384usize, 32_768, 65_536][g.usize_in(0, 3)]),
+                output_tokens: (g.usize_in(1, 16), g.usize_in(16, 96)),
+                duration_s: g.f64_in(1.0, 4.0),
+                seed: g.u64_in(0, 1 << 20),
+            },
+            opts,
+            router: [
+                RouterPolicy::JsqSpillover,
+                RouterPolicy::RoundRobin,
+                RouterPolicy::Affinity,
+            ][g.usize_in(0, if fleet { 3 } else { 1 })],
+            lookahead: g.usize_in(0, 3) == 0,
+            recorder: g.bool(),
+            timeseries: g.bool(),
+            attribution: !fleet && g.bool(),
+            token_faults: (!fleet && g.bool()).then(|| (g.f64_in(0.01, 0.3), g.u64_in(0, 64))),
+            fopts,
+            sess,
+        }
+    }
+
+    /// Every report, log and export of one driver run, as text. `{:?}`
+    /// prints each f64 in its shortest round-trip form, so equal text means
+    /// equal bits.
+    fn run_driver(c: &DriverCase) -> String {
+        use crate::longsight::LookaheadConfig;
+        use crate::TokenAttribution;
+        use longsight_faults::FaultProfile;
+        let model = ModelConfig::llama3_1b();
+        let cfg = if c.lookahead {
+            LongSightConfig::paper_default().with_lookahead(LookaheadConfig::serving_default())
+        } else {
+            LongSightConfig::paper_default()
+        };
+        let mut rec = if c.recorder {
+            Recorder::enabled()
+        } else {
+            Recorder::disabled()
+        };
+        if c.timeseries {
+            rec.enable_timeseries(250e6, longsight_obs::BurnConfig::default());
+        }
+        let mut out = if c.replicas == 1 && !c.sess.is_active() {
+            let mut sys = LongSightSystem::new(cfg, model.clone());
+            let inj = c
+                .token_faults
+                .map(|(rate, seed)| FaultInjector::new(FaultProfile::scaled(rate), seed));
+            let retry = RetryPolicy::serving_default();
+            let mut attr = c.attribution.then(TokenAttribution::new);
+            let (m, rep, log) = simulate_scheduled(
+                &mut sys,
+                &model,
+                &c.wl,
+                &c.opts,
+                inj.as_ref().map(|i| (i, &retry)),
+                &mut rec,
+                attr.as_mut(),
+            );
+            format!("{m:?}\n{rep:?}\n{log:?}\n{attr:?}\n")
+        } else {
+            let mut fleet: Vec<Box<dyn ServingSystem>> = (0..c.replicas)
+                .map(|_| {
+                    Box::new(LongSightSystem::new(cfg.clone(), model.clone()))
+                        as Box<dyn ServingSystem>
+                })
+                .collect();
+            let (m, rep) = simulate_fleet(
+                &mut fleet, &model, &c.wl, &c.opts, c.router, &c.fopts, &c.sess, &mut rec,
+            );
+            format!("{m:?}\n{rep:?}\n{}\n", rep.to_text())
+        };
+        out.push_str(&rec.chrome_trace_json());
+        out.push_str(&rec.metrics_json());
+        out.push_str(&rec.timeseries.to_tsv());
+        out.push_str(&rec.timeseries.to_json());
+        out
+    }
+
+    fn macro_steps_match_single_steps(g: &mut longsight_tensor::check::Gen) -> Result<(), String> {
+        let c = gen_driver_case(g);
+        let (macro_out, (calls, steps)) = with_run_cap(usize::MAX, || run_driver(&c));
+        let (single_out, (single_calls, single_steps)) = with_run_cap(1, || run_driver(&c));
+        longsight_tensor::prop_ensure_eq!(steps, single_steps, "scheduler steps: {c:?}");
+        longsight_tensor::prop_ensure!(calls <= single_calls);
+        if let Some(at) = macro_out
+            .bytes()
+            .zip(single_out.bytes())
+            .position(|(a, b)| a != b)
+            .or_else(|| (macro_out.len() != single_out.len()).then_some(0))
+        {
+            let lo = at.saturating_sub(80);
+            return Err(format!(
+                "outputs differ at byte {at} for {c:?}:\n  macro:  {}\n  single: {}",
+                &macro_out[lo..(at + 80).min(macro_out.len())],
+                &single_out[lo..(at + 80).min(single_out.len())],
+            ));
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn macro_steps_are_byte_identical_to_single_steps() {
+        longsight_tensor::check::run_cases(
+            "macro_steps_are_byte_identical_to_single_steps",
+            96,
+            macro_steps_match_single_steps,
+        );
+    }
+
+    /// Bit-identity alone would still pass if runs silently fell back to
+    /// one step, so the run lengths of one fleet-crash-style config are
+    /// pinned exactly.
+    #[test]
+    fn macro_steps_engage_on_a_crashy_fleet() {
+        use longsight_faults::ReplicaFaultProfile;
+        let model = ModelConfig::llama3_1b();
+        let wl = WorkloadConfig {
+            arrivals_per_s: 8.0,
+            context_tokens: (16_384, 32_768),
+            output_tokens: (32, 128),
+            duration_s: 20.0,
+            seed: 1,
+        };
+        let opts = SchedOptions {
+            prefill_chunk_tokens: 128,
+            ..SchedOptions::slo_aware(SloMix::mixed())
+        };
+        let fopts = FleetFaultOptions {
+            profile: ReplicaFaultProfile::scaled(0.1),
+            fault_seed: 11,
+            breaker: Some(BreakerConfig::serving_default()),
+            shed_queue_cap: Some(256),
+        };
+        let ((_, rep), (calls, steps)) = with_run_cap(usize::MAX, || {
+            let mut fleet: Vec<Box<dyn ServingSystem>> = (0..2)
+                .map(|_| {
+                    Box::new(LongSightSystem::new(
+                        LongSightConfig::paper_default(),
+                        model.clone(),
+                    )) as Box<dyn ServingSystem>
+                })
+                .collect();
+            simulate_fleet(
+                &mut fleet,
+                &model,
+                &wl,
+                &opts,
+                RouterPolicy::JsqSpillover,
+                &fopts,
+                &SessionOptions::disabled(),
+                &mut Recorder::disabled(),
+            )
+        });
+        assert!(rep.faults.as_ref().is_some_and(|f| f.crashes > 0));
+        assert_eq!(
+            (calls, steps),
+            (597, 27_184),
+            "(step calls, scheduler steps)"
+        );
+        assert!(steps >= 10 * calls, "{steps} steps over {calls} calls");
+    }
+
+    /// Token faults and speculation draw per token, so every run under
+    /// them is exactly one step.
+    #[test]
+    fn token_faults_and_lookahead_take_single_steps() {
+        use crate::longsight::LookaheadConfig;
+        use longsight_faults::FaultProfile;
+        let model = ModelConfig::llama3_1b();
+        let wl = WorkloadConfig {
+            arrivals_per_s: 4.0,
+            context_tokens: (32_768, 65_536),
+            output_tokens: (16, 64),
+            duration_s: 5.0,
+            seed: 5,
+        };
+        let inj = FaultInjector::new(FaultProfile::scaled(0.05), 7);
+        let retry = RetryPolicy::serving_default();
+        let (_, (calls, steps)) = with_run_cap(usize::MAX, || {
+            let mut sys = LongSightSystem::new(
+                LongSightConfig::paper_default().with_lookahead(LookaheadConfig::serving_default()),
+                model.clone(),
+            );
+            simulate_scheduled(
+                &mut sys,
+                &model,
+                &wl,
+                &SchedOptions::slo_aware(SloMix::mixed()),
+                Some((&inj, &retry)),
+                &mut Recorder::disabled(),
+                None,
+            )
+        });
+        assert_eq!((calls, steps), (198, 198), "(step calls, scheduler steps)");
     }
 }

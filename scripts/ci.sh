@@ -16,7 +16,9 @@
 #   7. scheduler smoke: SLO-mixed loadtest under the slo-aware policy with
 #      a traced run, validated the same way
 #   8. fleet smokes: multi-replica routing, then the 2-replica crash run
-#      with --timeseries-out validated by `perf-diff --self-check`
+#      with --timeseries-out validated by `perf-diff --self-check`; its
+#      `dashboard` must reproduce results/fleet_timeseries.txt from the
+#      `== fleet_ts.tsv` line on
 #   9. lookahead smoke: speculative loadtest with a traced run, validated
 #      the same way
 #  10. session smoke: 2-replica session workload under affinity routing
@@ -148,6 +150,13 @@ target/release/longsight loadtest --model 1b --rate 10 --duration 6 \
     --timeseries-out "$obs_tmp/fleet_ts.tsv"
 target/release/longsight trace-validate --file "$obs_tmp/fleet_faults_trace.json"
 target/release/longsight perf-diff --self-check "$obs_tmp/fleet_ts.tsv"
+# The fleet telemetry golden covers the time-series path across crashes,
+# brownouts and breakers: the dashboard of this smoke's own export must
+# match it byte for byte. It runs inside $obs_tmp because the panel header
+# names the file as given.
+longsight_bin="$PWD/target/release/longsight"
+(cd "$obs_tmp" && "$longsight_bin" dashboard --file fleet_ts.tsv) >"$obs_tmp/fleet_dashboard.txt"
+sed -n '/^== fleet_ts.tsv/,$p' results/fleet_timeseries.txt | cmp - "$obs_tmp/fleet_dashboard.txt"
 
 echo "== lookahead smoke (speculative loadtest, trace-validate) =="
 target/release/longsight loadtest --model 8b --rate 2 --duration 4 \

@@ -1322,8 +1322,8 @@ impl<'a> ReplicaSim<'a> {
         // The run's steps, one clock tick each. Only the last step of a
         // run can complete a request, so every earlier one emits here what
         // the end of a lone step would: no completion, no scheduler event,
-        // and a scheduler sample of a state no completing-free step
-        // changes. (The single-replica loop's own sample after each step
+        // and a scheduler sample of a state that a step completing nothing
+        // leaves alone. (The single-replica loop's own sample after each step
         // repeats that gauge at the same `now`; gauges keep the last write
         // per window, so it adds nothing inside a run.)
         let mut n = 0usize;

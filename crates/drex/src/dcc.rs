@@ -411,6 +411,33 @@ mod tests {
         assert_eq!(pool.peak_occupancy(), 2);
     }
 
+    /// The two facts a serving step relies on to check a later step of a
+    /// run before taking it: releasing twice at one time is releasing once,
+    /// and after a release `k` issues all succeed exactly when
+    /// `occupancy() + k <= capacity()`.
+    #[test]
+    fn spec_pool_release_is_idempotent_and_issues_fit_the_free_slots() {
+        for slots in 1..=4usize {
+            for t in [0.0, 50.0, 100.0, 150.0, 250.0] {
+                for k in 0..=slots + 1 {
+                    // Chains done at 100, 200 and 300, up to the capacity.
+                    let mut pool = SpecSlotPool::new(slots);
+                    for i in 0..slots.min(3) {
+                        assert!(pool.try_issue(0.0, 100.0 * (i + 1) as f64));
+                    }
+                    let mut once = pool.clone();
+                    once.release_until(t);
+                    pool.release_until(t);
+                    pool.release_until(t);
+                    assert_eq!(format!("{pool:?}"), format!("{once:?}"), "t {t}");
+                    let fits = pool.occupancy() + k <= pool.capacity();
+                    let issued = (0..k).filter(|_| pool.try_issue(t, 10.0)).count();
+                    assert_eq!(issued == k, fits, "slots {slots}, t {t}, k {k}");
+                }
+            }
+        }
+    }
+
     #[test]
     #[should_panic(expected = "speculative slot")]
     fn zero_slot_pool_panics() {

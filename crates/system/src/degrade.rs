@@ -57,6 +57,40 @@ impl DegradeStats {
     }
 }
 
+/// The first fault one token's offload meets.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum FirstFault {
+    /// The request dies; `key` is the token's `domain::HARD` stream.
+    HardFail {
+        /// Stream the fault event is logged under.
+        key: u64,
+    },
+    /// Attempt 0 times out; `key` is the token's `domain::TOKEN` stream.
+    Timeout {
+        /// Stream the fault events are logged under.
+        key: u64,
+    },
+}
+
+/// Draws one token's hard-fail and then its attempt-0 timeout, the two
+/// draws every token takes. `None` means the token completes on its first
+/// attempt: no penalty and nothing logged. [`resolve_token`] starts here,
+/// and the serving step uses it alone to tell a clean step from one that
+/// needs the full resolution.
+pub(crate) fn first_fault(
+    inj: &FaultInjector,
+    request_id: u64,
+    token_idx: u64,
+) -> Option<FirstFault> {
+    let hard_key = stream(domain::HARD, request_id, token_idx, 0);
+    if inj.hard_fails(hard_key) {
+        return Some(FirstFault::HardFail { key: hard_key });
+    }
+    let token_key = stream(domain::TOKEN, request_id, token_idx, 0);
+    inj.attempt_times_out(token_key, 0)
+        .then_some(FirstFault::Timeout { key: token_key })
+}
+
 /// Resolves one token's offload under the retry/deadline policy.
 ///
 /// Returns the outcome and the *extra* latency the faults added on top of
@@ -77,15 +111,18 @@ pub fn resolve_token(
     token_idx: u64,
     log: &mut FaultLog,
 ) -> (TokenOutcome, f64) {
-    let hard_key = stream(domain::HARD, request_id, token_idx, 0);
-    if inj.hard_fails(hard_key) {
-        log.push(hard_key, FaultKind::HardFail);
-        return (TokenOutcome::Failed, retry.offload_deadline_ns);
-    }
-    let token_key = stream(domain::TOKEN, request_id, token_idx, 0);
+    let token_key = match first_fault(inj, request_id, token_idx) {
+        None => return (TokenOutcome::Completed { retries: 0 }, 0.0),
+        Some(FirstFault::HardFail { key }) => {
+            log.push(key, FaultKind::HardFail);
+            return (TokenOutcome::Failed, retry.offload_deadline_ns);
+        }
+        Some(FirstFault::Timeout { key }) => key,
+    };
     let mut penalty = 0.0;
     for attempt in 0..=retry.max_retries {
-        if !inj.attempt_times_out(token_key, attempt) {
+        // Attempt 0's timeout is the one `first_fault` drew.
+        if attempt > 0 && !inj.attempt_times_out(token_key, attempt) {
             return (TokenOutcome::Completed { retries: attempt }, penalty);
         }
         log.push(token_key, FaultKind::Timeout { attempt });

@@ -25,7 +25,7 @@
 use crate::attribution::{
     attribution_parts, SpecCharge, SpecSample, TokenAttribution, OVERLAP_HIDDEN, SPEC_MISS,
 };
-use crate::degrade::{resolve_token, DegradeStats, TokenOutcome};
+use crate::degrade::{first_fault, resolve_token, DegradeStats, TokenOutcome};
 use crate::prefill::prefill_cost;
 use crate::report::{ServingSystem, SpecStep, StepReport};
 use crate::session::{self, SessionOptions, SessionTurn};
@@ -728,12 +728,8 @@ fn sched_config_for(geometry: &KvDeviceGeometry, opts: &SchedOptions) -> SchedCo
 /// Each decoding member `(request id, token index)` tries to occupy one
 /// slot for the chain issued at the previous step. A denied issue (pool
 /// exhausted) leaves the member on the synchronous path. An issued member
-/// then draws its miss on the dedicated `domain::SPEC` stream — stale
-/// speculation (context grew past the speculated region or an
-/// eviction/restore invalidated pages, modeled by `miss_rate`) or, under
-/// fault injection, an in-flight void (the slice timeout/bit-flip classes
-/// hitting the speculative chain). Every decision is a pure function of
-/// `(seed, id, token)`, so the schedule is bit-identical at any thread
+/// then draws its miss ([`spec_miss`]). Every decision is a pure function
+/// of `(seed, id, token)`, so the schedule is bit-identical at any thread
 /// count and across reruns. Emits `spec.issue` / `spec.hit` / `spec.miss`
 /// instants and returns the member counts `(hits, misses, denied)`.
 fn resolve_spec_step(
@@ -753,24 +749,9 @@ fn resolve_spec_step(
             continue;
         }
         if rec.is_enabled() {
-            rec.instant_with(
-                track,
-                "spec.issue",
-                now_ns,
-                &[("id", ArgVal::U(id)), ("tok", ArgVal::U(tok))],
-            );
+            record_spec_instant(rec, track, "spec.issue", now_ns, id, tok);
         }
-        let stale = unit_draw(s.seed, stream(domain::SPEC, id, tok, 0), 0) < s.miss_rate;
-        // An injected fault voids the in-flight slice: the same classes
-        // that would corrupt a synchronous offload (hard slice timeouts,
-        // PFU bit-flips) kill the speculative copy. The draw lives on its
-        // own stream coordinate so the retry ladder's sequence
-        // (`domain::TOKEN`) is untouched — a voided slot charges a miss
-        // and is never double-retried.
-        let voided = inj.is_some_and(|inj| {
-            let void_rate = inj.profile.timeout_rate + inj.profile.bitflip_rate;
-            void_rate > 0.0 && inj.uniform(stream(domain::SPEC, id, tok, 1), 0) < void_rate
-        });
+        let (stale, voided) = spec_miss(s, inj, id, tok);
         if stale || voided {
             misses += 1;
             if rec.is_enabled() {
@@ -788,16 +769,45 @@ fn resolve_spec_step(
         } else {
             hits += 1;
             if rec.is_enabled() {
-                rec.instant_with(
-                    track,
-                    "spec.hit",
-                    now_ns,
-                    &[("id", ArgVal::U(id)), ("tok", ArgVal::U(tok))],
-                );
+                record_spec_instant(rec, track, "spec.hit", now_ns, id, tok);
             }
         }
     }
     (hits, misses, denied)
+}
+
+/// The two miss draws of one issued member's speculated chain, on its own
+/// `domain::SPEC` stream: `(stale, voided)`. Stale speculation (coordinate
+/// 0: the context grew past the speculated region or an eviction/restore
+/// invalidated pages, modeled by `miss_rate`) and, under fault injection,
+/// an in-flight void (coordinate 1: the slice timeout/bit-flip classes
+/// that would corrupt a synchronous offload kill the speculative copy).
+/// The void draw lives off the retry ladder's `domain::TOKEN` stream, so
+/// a voided slot charges a miss and is never double-retried.
+fn spec_miss(s: &SpecStep, inj: Option<&FaultInjector>, id: u64, tok: u64) -> (bool, bool) {
+    let stale = unit_draw(s.seed, stream(domain::SPEC, id, tok, 0), 0) < s.miss_rate;
+    let voided = inj.is_some_and(|inj| {
+        let void_rate = inj.profile.timeout_rate + inj.profile.bitflip_rate;
+        void_rate > 0.0 && inj.uniform(stream(domain::SPEC, id, tok, 1), 0) < void_rate
+    });
+    (stale, voided)
+}
+
+/// A `spec.issue` or `spec.hit` instant of one member's speculated chain.
+fn record_spec_instant(
+    rec: &mut Recorder,
+    track: TrackId,
+    name: &str,
+    now_ns: f64,
+    id: u64,
+    tok: u64,
+) {
+    rec.instant_with(
+        track,
+        name,
+        now_ns,
+        &[("id", ArgVal::U(id)), ("tok", ArgVal::U(tok))],
+    );
 }
 
 /// How a resolved speculation paces the synchronized step: any miss runs
@@ -1194,9 +1204,20 @@ impl<'a> ReplicaSim<'a> {
     /// and the scheduler advances all of it in one call. With the
     /// recorder, the time series or attribution on, each step of the run
     /// still emits its own `decode.step` span, `tokens` rate, scheduler
-    /// sample and attribution record at its own `now`. A run is always one
-    /// step when a token-fault injector is armed or the step report
-    /// carries speculation: both draw per token.
+    /// sample and attribution record at its own `now`.
+    ///
+    /// **Eligibility.** Speculation and token faults draw per token, so a
+    /// run also ends at the first step that is not *clean*: one where some
+    /// decoding member is denied a slot, misses (stale or void), hard-fails
+    /// or times out on attempt 0. A clean step logs no fault, keeps the
+    /// hit-path `dt` (`work_dt + 0.0`, the same bits) and changes only the
+    /// slot pool, the hit count and the `spec.*` instants. The first step
+    /// of a call always resolves in full; it runs alone unless it came out
+    /// clean. Each later step is checked at its own `now` and token index
+    /// ([`ReplicaSim::take_clean_step`]); the first one that is not clean
+    /// ends the run before it, and the next call resolves it in full.
+    /// Checking a step twice is exact: every draw is a pure function of
+    /// `(seed, id, token)`, and `release_until` is idempotent at one `now`.
     ///
     /// Returns `false` when a step ended past `guard_ns` — the
     /// single-replica loop's overload guard — leaving that step
@@ -1273,6 +1294,8 @@ impl<'a> ReplicaSim<'a> {
         let work_dt = base_dt.max(plan.prefill_ns);
         let mut dt = work_dt;
         let mut batch_died = false;
+        // Clean: no draw changed this step's timing or the scheduler.
+        let mut clean = spec.is_none_or(|(_, charge, _)| charge == SpecCharge::Hit);
         if let Some((inj, retry, track)) = self.faults {
             let mut max_penalty = 0.0f64;
             let mut dead: Vec<usize> = Vec::new();
@@ -1289,6 +1312,7 @@ impl<'a> ReplicaSim<'a> {
                     &mut self.fault_log,
                 );
                 self.degrade.record(outcome);
+                clean &= outcome == TokenOutcome::Completed { retries: 0 };
                 match outcome {
                     TokenOutcome::Failed => dead.push(r.req.id),
                     TokenOutcome::Degraded => {
@@ -1312,13 +1336,16 @@ impl<'a> ReplicaSim<'a> {
             dt += max_penalty;
             batch_died = self.sched.active_is_empty();
         }
-        let run = if self.faults.is_some() || spec.is_some() {
-            1
-        } else {
+        let run = if clean {
             self.sched.steady_run(self.run_cap())
+        } else {
+            1
         };
         let decoding = self.sched.decoding_count();
         let ts_on = rec.timeseries.is_enabled();
+        // Only speculation and token faults draw per token, so only they
+        // can leave a later step of the run unclean.
+        let draws = spec.is_some() || self.faults.is_some();
         // The run's steps, one clock tick each. Only the last step of a
         // run can complete a request, so every earlier one emits here what
         // the end of a lone step would: no completion, no scheduler event,
@@ -1346,6 +1373,9 @@ impl<'a> ReplicaSim<'a> {
                 }
             }
             if n == run || self.now >= until {
+                break false;
+            }
+            if draws && !self.take_clean_step(rec, spec.map(|s| s.0), n) {
                 break false;
             }
             if ts_on {
@@ -1388,6 +1418,60 @@ impl<'a> ReplicaSim<'a> {
         if ts_on {
             self.sample_step(rec, decoding);
         }
+        true
+    }
+
+    /// Takes step `k` of a run, starting at the current `now`, if it is
+    /// clean: every decoding member, at token `generated + k`, neither
+    /// hard-fails nor times out on attempt 0 ([`first_fault`]), and under
+    /// speculation gets a slot and passes both miss draws ([`spec_miss`]).
+    /// The full resolution of a clean step logs no fault and keeps the
+    /// hit-path timing, so all it changes is applied here: the slots, the
+    /// hit count and the `spec.issue`/`spec.hit` instants. A step that is
+    /// not clean changes nothing but the pool's `release_until(now)`,
+    /// which the next call's full resolution repeats to the same effect.
+    fn take_clean_step(&mut self, rec: &mut Recorder, spec: Option<SpecStep>, k: usize) -> bool {
+        let Self {
+            sched,
+            now,
+            spec_pool,
+            spec_track,
+            spec_counts,
+            faults,
+            ..
+        } = self;
+        let members = || {
+            sched
+                .active()
+                .iter()
+                .filter(|r| r.in_decode)
+                .map(|r| (r.req.id as u64, (r.generated + k) as u64))
+        };
+        let inj = faults.map(|f| f.0);
+        if let Some(inj) = inj {
+            if members().any(|(id, tok)| first_fault(inj, id, tok).is_some()) {
+                return false;
+            }
+        }
+        let (Some(s), Some(pool), Some(track)) = (spec, spec_pool.as_mut(), *spec_track) else {
+            return true;
+        };
+        pool.release_until(*now);
+        let m = members().count();
+        if pool.occupancy() + m > pool.capacity()
+            || members().any(|(id, tok)| spec_miss(&s, inj, id, tok) != (false, false))
+        {
+            return false;
+        }
+        for (id, tok) in members() {
+            let issued = pool.try_issue(*now, s.chain_ns);
+            debug_assert!(issued, "a clean step's issues fit the pool");
+            if rec.is_enabled() {
+                record_spec_instant(rec, track, "spec.issue", *now, id, tok);
+                record_spec_instant(rec, track, "spec.hit", *now, id, tok);
+            }
+        }
+        spec_counts.0 += m;
         true
     }
 
@@ -2631,7 +2715,7 @@ mod tests {
         wl: WorkloadConfig,
         opts: SchedOptions,
         router: RouterPolicy,
-        lookahead: bool,
+        lookahead: Option<crate::longsight::LookaheadConfig>,
         recorder: bool,
         timeseries: bool,
         attribution: bool,
@@ -2641,7 +2725,13 @@ mod tests {
         sess: SessionOptions,
     }
 
+    /// Clean runs must end at every kind of boundary: small slot pools
+    /// deny issues, miss rates up to 0.3 miss, and token-fault rates down
+    /// to 0.001 leave long clean stretches between faults. Lookahead cases
+    /// reach 256K contexts, where a 1B model's speculated chain outlasts a
+    /// hit step: slots stay busy into the next step and fill mid-run.
     fn gen_driver_case(g: &mut longsight_tensor::check::Gen) -> DriverCase {
+        use crate::longsight::LookaheadConfig;
         use longsight_faults::ReplicaFaultProfile;
         let replicas = [1usize, 1, 2, 3][g.usize_in(0, 4)];
         let fleet = replicas > 1;
@@ -2659,6 +2749,13 @@ mod tests {
             prefill_slots: g.usize_in(1, 4),
             hbm_watermark: [0.9, 0.2, 0.01][g.usize_in(0, 3)],
         };
+        let lookahead = (g.usize_in(0, 3) == 0).then(|| LookaheadConfig {
+            slots: [1usize, 2, 32][g.usize_in(0, 3)],
+            miss_rate: [0.0, 0.02, 0.3][g.usize_in(0, 3)],
+            ..LookaheadConfig::serving_default()
+        });
+        let max_ctx = [16_384usize, 32_768, 65_536, 262_144]
+            [g.usize_in(if lookahead.is_some() { 2 } else { 0 }, 4)];
         let crashes = fleet && g.bool();
         let fopts = FleetFaultOptions {
             profile: if crashes {
@@ -2685,7 +2782,7 @@ mod tests {
             replicas,
             wl: WorkloadConfig {
                 arrivals_per_s: g.f64_in(1.0, 12.0),
-                context_tokens: (16_384, [16_384usize, 32_768, 65_536][g.usize_in(0, 3)]),
+                context_tokens: (16_384, max_ctx),
                 output_tokens: (g.usize_in(1, 16), g.usize_in(16, 96)),
                 duration_s: g.f64_in(1.0, 4.0),
                 seed: g.u64_in(0, 1 << 20),
@@ -2696,11 +2793,12 @@ mod tests {
                 RouterPolicy::RoundRobin,
                 RouterPolicy::Affinity,
             ][g.usize_in(0, if fleet { 3 } else { 1 })],
-            lookahead: g.usize_in(0, 3) == 0,
+            lookahead,
             recorder: g.bool(),
             timeseries: g.bool(),
             attribution: !fleet && g.bool(),
-            token_faults: (!fleet && g.bool()).then(|| (g.f64_in(0.01, 0.3), g.u64_in(0, 64))),
+            token_faults: (!fleet && g.bool())
+                .then(|| (10f64.powf(g.f64_in(-3.0, -0.5)), g.u64_in(0, 64))),
             fopts,
             sess,
         }
@@ -2710,14 +2808,12 @@ mod tests {
     /// prints each f64 in its shortest round-trip form, so equal text means
     /// equal bits.
     fn run_driver(c: &DriverCase) -> String {
-        use crate::longsight::LookaheadConfig;
         use crate::TokenAttribution;
         use longsight_faults::FaultProfile;
         let model = ModelConfig::llama3_1b();
-        let cfg = if c.lookahead {
-            LongSightConfig::paper_default().with_lookahead(LookaheadConfig::serving_default())
-        } else {
-            LongSightConfig::paper_default()
+        let cfg = match c.lookahead {
+            Some(la) => LongSightConfig::paper_default().with_lookahead(la),
+            None => LongSightConfig::paper_default(),
         };
         let mut rec = if c.recorder {
             Recorder::enabled()
@@ -2847,10 +2943,11 @@ mod tests {
         assert!(steps >= 10 * calls, "{steps} steps over {calls} calls");
     }
 
-    /// Token faults and speculation draw per token, so every run under
-    /// them is exactly one step.
+    /// Token faults and speculation draw per token, so a run under them
+    /// ends at the first step that is not clean; the clean stretches in
+    /// between still run as macro-steps.
     #[test]
-    fn token_faults_and_lookahead_take_single_steps() {
+    fn token_faults_and_lookahead_end_runs_at_unclean_steps() {
         use crate::longsight::LookaheadConfig;
         use longsight_faults::FaultProfile;
         let model = ModelConfig::llama3_1b();
@@ -2878,6 +2975,54 @@ mod tests {
                 None,
             )
         });
-        assert_eq!((calls, steps), (198, 198), "(step calls, scheduler steps)");
+        assert_eq!((calls, steps), (140, 198), "(step calls, scheduler steps)");
+    }
+
+    /// The long-context single-replica shape (8B, FIFO, 128K-1M contexts,
+    /// default lookahead, mild token faults without hard failures) over a
+    /// short window: its run lengths pinned exactly, and its metrics and
+    /// fault log equal to single steps.
+    #[test]
+    fn long_context_lookahead_with_token_faults_runs_macro_steps() {
+        use crate::longsight::LookaheadConfig;
+        use longsight_faults::FaultProfile;
+        let model = ModelConfig::llama3_8b();
+        let wl = WorkloadConfig {
+            arrivals_per_s: 2.0,
+            context_tokens: (131_072, 1_048_576),
+            output_tokens: (32, 128),
+            duration_s: 20.0,
+            seed: 1,
+        };
+        let inj = FaultInjector::new(
+            FaultProfile {
+                hard_fail_rate: 0.0,
+                ..FaultProfile::mild()
+            },
+            7,
+        );
+        let retry = RetryPolicy::serving_default();
+        let run = || {
+            let mut sys = LongSightSystem::new(
+                LongSightConfig::paper_default().with_lookahead(LookaheadConfig::serving_default()),
+                model.clone(),
+            );
+            let (m, rep, log) = simulate_scheduled(
+                &mut sys,
+                &model,
+                &wl,
+                &SchedOptions::fifo(),
+                Some((&inj, &retry)),
+                &mut Recorder::disabled(),
+                None,
+            );
+            assert!(m.spec_misses > 0 && m.retried_tokens > 0, "{m:?}");
+            format!("{m:?}\n{rep:?}\n{log:?}")
+        };
+        let (macro_out, (calls, steps)) = with_run_cap(usize::MAX, run);
+        let (single_out, single_counts) = with_run_cap(1, run);
+        assert_eq!(macro_out, single_out);
+        assert_eq!(single_counts, (steps, steps));
+        assert_eq!((calls, steps), (187, 1649), "(step calls, scheduler steps)");
     }
 }

@@ -32,6 +32,9 @@
 #      fig8_drex_breakdown, fig9_system_breakdown and fig10_vs_sliding_window
 #      (the DReX offload timing path and the step model) regenerate
 #      byte-identical to their checked-in results/ goldens
+#  10e. attribution golden reproduces: the four `longsight profile` runs
+#      of results/profile_attribution.txt (fault-free, token faults,
+#      lookahead, both) regenerate byte-identical to it
 #  11. perf trajectory gate: `perf-diff --gate results/trajectory.tsv`
 #      re-reads the checked-in goldens and fails on a >10% interactive-p99
 #      regression against the pinned values
@@ -207,6 +210,23 @@ for b in ablations fig7_throughput fig8_drex_breakdown fig9_system_breakdown \
     cargo bench -q -p longsight-bench --bench "$b" --offline >"$obs_tmp/$b.txt"
     cmp "$obs_tmp/$b.txt" "results/$b.txt"
 done
+
+# The per-token attribution golden is the only one that runs attribution,
+# speculation and token faults together. It prints simulated time only
+# (the host-timed `--host-kernels` table lives in results/kernels.txt), so
+# it regenerates byte for byte in well under a second.
+echo "== attribution golden reproduces (regenerate profile_attribution and cmp against results/) =="
+first=1
+for args in "--model 8b" "--model 8b --fault-profile mild --fault-seed 11" \
+    "--model 8b --lookahead on" \
+    "--model 8b --fault-profile mild --fault-seed 11 --lookahead on"; do
+    [ "$first" = 1 ] || echo
+    first=0
+    echo "\$ longsight profile $args"
+    # $args is unquoted on purpose: it is the word list of one command.
+    target/release/longsight profile $args
+done >"$obs_tmp/profile_attribution.txt"
+cmp "$obs_tmp/profile_attribution.txt" results/profile_attribution.txt
 
 # Interactive tail-latency trajectory: the checked-in goldens must not
 # regress the interactive p99 request latency more than 10% past the values

@@ -434,7 +434,10 @@ pub struct Scheduler {
     pages: PagedKvManager,
     active: Vec<ActiveEntry>,
     waiting: Vec<Waiting>,
+    /// The planned chunks as `(batch slot, ns)`, in plan order.
     chunks: Vec<(usize, f64)>,
+    /// Steps of `chunks` applied since the plan (see [`Scheduler::chunk_step`]).
+    chunk_steps: usize,
     events: Vec<SchedEvent>,
     record_events: bool,
     /// Whether the last [`Scheduler::drain_queue`] pass reached a fixpoint
@@ -464,6 +467,7 @@ impl Scheduler {
             active: Vec::new(),
             waiting: Vec::new(),
             chunks: Vec::new(),
+            chunk_steps: 0,
             events: Vec::new(),
             record_events: false,
             drained: true,
@@ -939,6 +943,7 @@ impl Scheduler {
     /// and how much chunked-prefill work shares the step.
     pub fn plan_step(&mut self) -> StepPlan {
         self.chunks.clear();
+        self.chunk_steps = 0;
         match self.cfg.policy {
             SchedPolicy::Fifo => {
                 for a in &mut self.active {
@@ -967,13 +972,13 @@ impl Scheduler {
                 let mut slots = self.cfg.prefill_slots;
                 let mut prefill_ns = 0.0f64;
                 let mut prefill_users = 0usize;
-                for a in &self.active {
+                for (i, a) in self.active.iter().enumerate() {
                     if slots == 0 {
                         break;
                     }
                     if !a.in_decode {
                         let chunk = planned_chunk(a.chunk_ns, a.prefill_left_ns);
-                        self.chunks.push((a.req.id, chunk));
+                        self.chunks.push((i, chunk));
                         prefill_ns += chunk;
                         prefill_users += 1;
                         slots -= 1;
@@ -991,6 +996,7 @@ impl Scheduler {
     }
 
     /// Removes hard-failed requests from the batch, freeing their pages.
+    /// The planned chunks keep pointing at their members' batch slots.
     pub fn remove_failed(&mut self, dead: &[usize]) {
         if dead.is_empty() {
             return;
@@ -1000,6 +1006,10 @@ impl Scheduler {
         while i < self.active.len() {
             if dead.contains(&self.active[i].req.id) {
                 let a = self.active.remove(i);
+                self.chunks.retain(|c| c.0 != i);
+                for c in &mut self.chunks {
+                    c.0 -= usize::from(c.0 > i);
+                }
                 self.pages.free_all(a.req.id);
                 if let Some(h) = a.req.prefix_hash {
                     self.pages.prefix_unpin(h);
@@ -1033,18 +1043,16 @@ impl Scheduler {
         });
     }
 
-    /// How many steps, counting the one [`Scheduler::plan_step`] just
-    /// planned, repeat that plan exactly: at least 1, at most `limit`.
+    /// An upper bound on how many steps, counting the one
+    /// [`Scheduler::plan_step`] just planned, repeat that plan exactly: at
+    /// least 1, at most `limit`.
     ///
     /// Contexts are frozen at admission, so a step changes the batch only
-    /// when a member completes or finishes its prefill. The run therefore
-    /// ends at the step where the first decoding member emits its last
-    /// token, or where a prefilling member's chunk `min(budget, left)`
-    /// would change bits for the next step or its prefill finishes. The
-    /// chunk progression is replayed in the float order
-    /// [`Scheduler::advance_step`] applies it in. Page ledgers change only
-    /// at admit, evict, resume, degrade, complete and fail, so they bound
-    /// nothing here.
+    /// when a member completes or finishes its prefill. The bound is the
+    /// step where the first decoding member emits its last token; the
+    /// caller ends the run earlier after a [`Scheduler::chunk_step`] that
+    /// returns `false`. Page ledgers change only at admit, evict, resume,
+    /// degrade, complete and fail, so they bound nothing here.
     ///
     /// The queue is part of the plan too: the caller drains it before every
     /// step, and a drain between two steps of a run must be a no-op. It
@@ -1058,60 +1066,44 @@ impl Scheduler {
         if !self.drained {
             return 1;
         }
-        let mut n = limit;
-        for a in self.active.iter().filter(|a| a.in_decode) {
-            n = n.min(a.remaining);
+        let decoders = self.active.iter().filter(|a| a.in_decode);
+        decoders.fold(limit, |n, a| n.min(a.remaining)).max(1)
+    }
+
+    /// Applies one step of every planned chunk, in plan order, and returns
+    /// whether the next step plans the same chunks: every member still has
+    /// prefill left and its chunk `min(budget, left)` keeps its bits. A
+    /// chunk below half an ulp of what is left never progresses, so it
+    /// never ends a run. The caller calls this once per step of a run that
+    /// plans chunks, and nothing else moves prefill.
+    pub fn chunk_step(&mut self) -> bool {
+        self.chunk_steps += 1;
+        let mut same = true;
+        for &(slot, chunk) in &self.chunks {
+            let a = &mut self.active[slot];
+            let next = a.prefill_left_ns - chunk;
+            a.prefill_left_ns = if next <= PREFILL_DONE_NS { 0.0 } else { next };
+            self.prefill_chunks += 1;
+            self.prefill_work_ns += chunk;
+            same &= next > PREFILL_DONE_NS
+                && planned_chunk(a.chunk_ns, next).to_bits() == chunk.to_bits();
         }
-        for &(id, chunk) in &self.chunks {
-            let Some(a) = self.active.iter().find(|a| a.req.id == id) else {
-                continue;
-            };
-            let mut left = a.prefill_left_ns;
-            let mut k = 1;
-            while k < n {
-                let next = left - chunk;
-                if next <= PREFILL_DONE_NS
-                    || planned_chunk(a.chunk_ns, next).to_bits() != chunk.to_bits()
-                {
-                    break;
-                }
-                if next.to_bits() == left.to_bits() {
-                    // The chunk is below half an ulp of what is left: the
-                    // member never progresses, so it never ends a run.
-                    k = n;
-                    break;
-                }
-                left = next;
-                k += 1;
-            }
-            n = k;
-        }
-        n.max(1)
+        same
     }
 
     /// Applies `n` repeats of the planned step, each of duration `dt`, the
-    /// last ending at simulated time `now`: chunked prefill advances step
-    /// by step (steps outer, chunks inner, so the float sums match `n`
-    /// single steps), decoding members emit `n` tokens each, and finished
-    /// requests retire (freeing their pages). Returns completions in batch
-    /// order. `n` must not exceed [`Scheduler::steady_run`], so nothing
-    /// completes or finishes prefill before the last step.
+    /// last ending at simulated time `now`: decoding members emit `n`
+    /// tokens each, and finished requests retire (freeing their pages).
+    /// Returns completions in batch order. `n` must not exceed
+    /// [`Scheduler::steady_run`] or the run [`Scheduler::chunk_step`]
+    /// allows, so nothing completes or finishes prefill before the last
+    /// step; a plan with chunks must have had exactly `n` chunk steps.
     pub fn advance_step(&mut self, dt: f64, n: usize, now: f64) -> Vec<Completion> {
-        // Indexed, then cleared: the buffer keeps its capacity for the next
-        // plan instead of being reallocated every chunked step.
-        for _ in 0..n {
-            for c in 0..self.chunks.len() {
-                let (id, chunk) = self.chunks[c];
-                if let Some(a) = self.active.iter_mut().find(|a| a.req.id == id) {
-                    a.prefill_left_ns -= chunk;
-                    if a.prefill_left_ns <= PREFILL_DONE_NS {
-                        a.prefill_left_ns = 0.0;
-                    }
-                    self.prefill_chunks += 1;
-                    self.prefill_work_ns += chunk;
-                }
-            }
-        }
+        debug_assert!(
+            self.chunks.is_empty() || self.chunk_steps == n,
+            "{n} steps advanced after {} chunk steps",
+            self.chunk_steps
+        );
         self.chunks.clear();
         // Per-class token latencies, capped at 64 per step like the global
         // serving histogram: the first 64 decoding members in batch order
@@ -1234,6 +1226,8 @@ impl Scheduler {
 mod tests {
     use super::*;
     use crate::request::SloMix;
+    use longsight_tensor::check::{run_cases, Gen};
+    use longsight_tensor::prop_ensure_eq;
 
     fn req(id: usize, class: SloClass, context: usize, output: usize) -> SchedRequest {
         SchedRequest {
@@ -1368,6 +1362,7 @@ mod tests {
             }
             let _ = s.plan_step();
             now += 1e6;
+            s.chunk_step();
             let _ = s.advance_step(1e6, 1, now);
         }
         let rep = s.finalize();
@@ -1395,9 +1390,11 @@ mod tests {
         assert_eq!(p1.decode_users, 0);
         assert_eq!(p1.prefill_users, 1);
         assert!((p1.prefill_ns - 1e6).abs() < 1e-6); // half the prefill
+        assert!(s2.chunk_step(), "the second chunk has the same bits");
         let _ = s2.advance_step(p1.prefill_ns, 1, 1e6);
         let p2 = s2.plan_step();
         assert_eq!(p2.prefill_users, 1);
+        assert!(!s2.chunk_step(), "the second chunk finishes the prefill");
         let _ = s2.advance_step(p2.prefill_ns, 1, 2e6);
         let p3 = s2.plan_step();
         assert_eq!(p3.decode_users, 1, "prefill finished after two chunks");
@@ -1461,6 +1458,7 @@ mod tests {
         donor.on_arrival(mid, &mut feas);
         donor.drain_queue(&mut feas);
         let _ = donor.plan_step();
+        donor.chunk_step();
         let _ = donor.advance_step(1e6, 1, 1e6); // id 0 decodes one token
         let evac = donor.crash_evacuate();
         assert_eq!(evac.len(), 2);
@@ -1585,6 +1583,7 @@ mod tests {
             }
             let _ = s.plan_step();
             now += 1e6;
+            s.chunk_step();
             done += s.advance_step(1e6, 1, now).len();
         }
         assert_eq!(done, 3);
@@ -1666,9 +1665,197 @@ mod tests {
             }
             let _ = s.plan_step();
             now += 1e6;
+            s.chunk_step();
             let _ = s.advance_step(1e6, 1, now);
         }
         let rep = s.finalize();
         assert!((rep.prefill_work_ns - 2e6).abs() < 1e-3);
+    }
+
+    /// The run bound [`Scheduler::steady_run`] computed before chunk
+    /// progress moved into [`Scheduler::chunk_step`], kept verbatim (the
+    /// receiver and the `(id, chunk)` plan passed in) as the reference.
+    fn replaced_steady_run(s: &Scheduler, chunks: &[(usize, f64)], limit: usize) -> usize {
+        if !s.drained {
+            return 1;
+        }
+        let mut n = limit;
+        for a in s.active.iter().filter(|a| a.in_decode) {
+            n = n.min(a.remaining);
+        }
+        for &(id, chunk) in chunks {
+            let Some(a) = s.active.iter().find(|a| a.req.id == id) else {
+                continue;
+            };
+            let mut left = a.prefill_left_ns;
+            let mut k = 1;
+            while k < n {
+                let next = left - chunk;
+                if next <= PREFILL_DONE_NS
+                    || planned_chunk(a.chunk_ns, next).to_bits() != chunk.to_bits()
+                {
+                    break;
+                }
+                if next.to_bits() == left.to_bits() {
+                    // The chunk is below half an ulp of what is left: the
+                    // member never progresses, so it never ends a run.
+                    k = n;
+                    break;
+                }
+                left = next;
+                k += 1;
+            }
+            n = k;
+        }
+        n.max(1)
+    }
+
+    /// The chunk loop [`Scheduler::advance_step`] ran over a whole run
+    /// before [`Scheduler::chunk_step`], kept verbatim likewise (it
+    /// indexed the plan only because the plan was a field then).
+    fn replaced_advance_chunks(s: &mut Scheduler, chunks: &[(usize, f64)], n: usize) {
+        for _ in 0..n {
+            for &(id, chunk) in chunks {
+                if let Some(a) = s.active.iter_mut().find(|a| a.req.id == id) {
+                    a.prefill_left_ns -= chunk;
+                    if a.prefill_left_ns <= PREFILL_DONE_NS {
+                        a.prefill_left_ns = 0.0;
+                    }
+                    s.prefill_chunks += 1;
+                    s.prefill_work_ns += chunk;
+                }
+            }
+        }
+    }
+
+    /// What chunk progress leaves behind, by bits: every member's
+    /// `(id, prefill_left_ns)` and the two prefill accumulators.
+    fn chunk_state(s: &Scheduler) -> (Vec<(usize, u64)>, usize, u64) {
+        let left = s
+            .active
+            .iter()
+            .map(|a| (a.req.id, a.prefill_left_ns.to_bits()));
+        (
+            left.collect(),
+            s.prefill_chunks,
+            s.prefill_work_ns.to_bits(),
+        )
+    }
+
+    /// A generated SLO-aware batch — fresh arrivals, mid-prefill
+    /// redispatches and resumes, some with zero-`chunk_ns` resumes or
+    /// chunks below half an ulp of what is left — runs to the end, with
+    /// decoding (and now and then prefilling) members failing between plan
+    /// and run. Each run takes the driver's per-step [`Scheduler::chunk_step`]
+    /// loop on one twin and the replaced replay on the other.
+    fn chunk_steps_match_the_replaced_replay(g: &mut Gen) -> Result<(), String> {
+        let max_context = g.usize_in(64, 3000);
+        // Chunks from one token up to one larger than the largest context.
+        let chunk_tokens = match g.usize_in(0, 4) {
+            0 => 1,
+            1 => g.usize_in(1, 16),
+            2 => g.usize_in(16, max_context),
+            _ => max_context + 1,
+        };
+        let pages = PageConfig::unbounded(64);
+        let mut cfg = SchedConfig::slo_aware(pages, usize::MAX, chunk_tokens);
+        cfg.prefill_slots = g.usize_in(1, 4);
+        let mut s = Scheduler::new(cfg);
+        let mut feas = |_u: usize, _c: usize| true;
+        // Resume costs up to 1e16 ns against sub-ns chunks: some chunks
+        // fall below half an ulp of what is left and never progress.
+        let tiny = g.usize_in(0, 4) == 0;
+        for id in 0..g.usize_in(1, 10) {
+            let prefill_ns = match (g.usize_in(0, 4), tiny) {
+                (0, _) => 0.0,
+                (_, true) => g.f64_in(1e-3, 1.0),
+                (_, false) => g.f64_in(1e3, 3e6),
+            };
+            let resume = |g: &mut Gen| {
+                if tiny {
+                    g.f64_in(1e14, 1e16)
+                } else {
+                    g.f64_in(0.0, 5e5)
+                }
+            };
+            let req = SchedRequest {
+                id,
+                class: SloClass::ALL[g.usize_in(0, 3)],
+                arrival_ns: 0.0,
+                context: g.usize_in(1, max_context + 1),
+                output: g.usize_in(1, 48),
+                prefill_ns,
+                restore_ns: resume(g),
+                recompute_ns: resume(g),
+                pull_ns: f64::INFINITY,
+                prefix_hash: None,
+            };
+            if g.bool() {
+                s.on_arrival(req, &mut feas);
+            } else {
+                // A member that had reached decode resumes (a zero-prefill
+                // one with `chunk_ns` 0); one caught mid-prefill redoes it.
+                let decoded = g.bool();
+                s.on_redispatch(Evacuated {
+                    req,
+                    remaining: req.output,
+                    generated: if decoded { g.usize_in(1, 8) } else { 0 },
+                    prefill_left_ns: if decoded { 0.0 } else { 1.0 },
+                });
+            }
+        }
+        let limit = [1, g.usize_in(2, 9), 10_000][g.usize_in(0, 3)];
+        let (dt, mut now) = (1e5, 0.0);
+        for _ in 0..300 {
+            s.drain_queue(&mut feas);
+            if s.active_is_empty() {
+                break;
+            }
+            let plan = s.plan_step();
+            let planned: Vec<(usize, f64)> = s
+                .chunks
+                .iter()
+                .map(|&(i, c)| (s.active[i].req.id, c))
+                .collect();
+            prop_ensure_eq!(planned.len(), plan.prefill_users, "planned chunks");
+            if g.usize_in(0, 3) == 0 {
+                let mut dead = Vec::new();
+                for a in &s.active {
+                    if g.usize_in(0, if a.in_decode { 3 } else { 10 }) == 0 {
+                        dead.push(a.req.id);
+                    }
+                }
+                s.remove_failed(&dead);
+            }
+            let mut want = s.clone();
+            let want_n = replaced_steady_run(&want, &planned, limit);
+            replaced_advance_chunks(&mut want, &planned, want_n);
+            want.chunks.clear();
+            let run = s.steady_run(limit);
+            let mut n = 0;
+            loop {
+                n += 1;
+                let same_chunks = plan.prefill_users == 0 || s.chunk_step();
+                if n == run || !same_chunks {
+                    break;
+                }
+            }
+            prop_ensure_eq!(n, want_n, "run length");
+            prop_ensure_eq!(chunk_state(&s), chunk_state(&want));
+            now += dt;
+            let done = s.advance_step(dt, n, now);
+            let want_done = want.advance_step(dt, n, now);
+            prop_ensure_eq!(done, want_done);
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn chunk_steps_reproduce_the_replaced_replay() {
+        run_cases(
+            "chunk_steps_reproduce_the_replaced_replay",
+            500,
+            chunk_steps_match_the_replaced_replay,
+        );
     }
 }

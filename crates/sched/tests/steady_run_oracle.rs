@@ -5,11 +5,12 @@
 //! The oracle drives one [`Scheduler`] through the serving driver's
 //! per-step loop: admit due events, drain the queue, plan, cost the step,
 //! `now += dt`, advance one step. A twin scheduler runs the same timeline
-//! in runs of [`Scheduler::steady_run`] steps, ticking the clock once per
-//! step and advancing each run in one [`Scheduler::advance_step`] call. The
-//! serving system's step model is replaced by a deterministic
-//! `(users, ctx) -> dt` cost. Completions, the per-class latency ledgers
-//! and the final reports must agree by bits.
+//! in runs bounded by [`Scheduler::steady_run`], ticking the clock and
+//! taking one [`Scheduler::chunk_step`] per step (a step after which the
+//! chunks change ends the run) and advancing each run in one
+//! [`Scheduler::advance_step`] call. The serving system's step model is
+//! replaced by a deterministic `(users, ctx) -> dt` cost. Completions, the
+//! per-class latency ledgers and the final reports must agree by bits.
 
 use longsight_sched::{
     Completion, Evacuated, PageConfig, SchedConfig, SchedPolicy, SchedRequest, Scheduler, SloClass,
@@ -242,14 +243,18 @@ fn single_steps(case: &Case) -> Outcome {
         );
         now += dt;
         steps += 1;
+        if plan.prefill_users > 0 {
+            s.chunk_step();
+        }
         done.extend(s.advance_step(dt, 1, now));
     }
     outcome(s, done, now, steps)
 }
 
-/// The macro-step loop: one plan per run, one clock tick per step, one
-/// advance per run. The run ends at the scheduler's bound or after the
-/// first step whose end reaches the next event or the guard.
+/// The macro-step loop: one plan per run, one clock tick and chunk step
+/// per step, one advance per run. The run ends at the scheduler's bound,
+/// after a step that changes the chunks, or after the first step whose
+/// end reaches the next event or the guard.
 fn macro_steps(case: &Case) -> Outcome {
     let mut s = Scheduler::new(case.cfg.clone());
     let mut events: Vec<(f64, Event)> = case.events.iter().rev().copied().collect();
@@ -288,7 +293,8 @@ fn macro_steps(case: &Case) -> Outcome {
         loop {
             now += dt;
             n += 1;
-            if n == run || now >= until {
+            let same_chunks = plan.prefill_users == 0 || s.chunk_step();
+            if n == run || now >= until || !same_chunks {
                 break;
             }
         }
@@ -352,4 +358,99 @@ fn a_quiet_decode_batch_runs_to_its_first_completion() {
     let done = s.advance_step(1e5, 25, 25.0 * 1e5);
     assert_eq!(done.len(), 1);
     assert_eq!(done[0].id, 1);
+}
+
+/// A request admitted at time 0 under the pins below.
+fn pin_req(id: usize, context: usize, output: usize, prefill_ns: f64) -> SchedRequest {
+    SchedRequest {
+        id,
+        class: SloClass::Interactive,
+        arrival_ns: 0.0,
+        context,
+        output,
+        prefill_ns,
+        restore_ns: 0.0,
+        recompute_ns: 0.0,
+        pull_ns: f64::INFINITY,
+        prefix_hash: None,
+    }
+}
+
+/// An SLO-aware scheduler with 1024-token chunks that has admitted `reqs`.
+fn chunked(reqs: &[SchedRequest]) -> Scheduler {
+    let cfg = SchedConfig::slo_aware(PageConfig::unbounded(64), usize::MAX, 1024);
+    let mut s = Scheduler::new(cfg);
+    for &r in reqs {
+        s.on_arrival(r, &mut |_, _| true);
+    }
+    s.drain_queue(&mut |_, _| true);
+    s
+}
+
+/// Plans a step and takes the run the driver would: one chunk step per
+/// step, up to the `steady_run` bound or a chunk step that returns false.
+/// Returns the run length.
+fn chunked_run(s: &mut Scheduler, limit: usize) -> usize {
+    let _ = s.plan_step();
+    let run = s.steady_run(limit);
+    let mut n = 0;
+    loop {
+        n += 1;
+        if !s.chunk_step() || n == run {
+            let _ = s.advance_step(1e5, n, n as f64 * 1e5);
+            return n;
+        }
+    }
+}
+
+/// The prefill twin of the pin above: a run of full chunks ends at the
+/// step that finishes the prefill, or one step early when the last chunk
+/// is partial; a chunk below half an ulp never ends a run; and a
+/// prefilling member behind a member that fails still advances.
+#[test]
+fn a_quiet_prefill_runs_to_its_chunk_boundary() {
+    // 4e6 ns over 4096 tokens in 1024-token chunks: four full chunks of
+    // 1e6, beside a member decoding 100 tokens.
+    let mut s = chunked(&[pin_req(0, 512, 100, 0.0), pin_req(1, 4096, 8, 4e6)]);
+    assert_eq!(chunked_run(&mut s, usize::MAX), 4);
+    assert_eq!(s.plan_step().decode_users, 2, "the prefill finished");
+
+    // 1e6 ns over 4000 tokens: three full chunks of 256 000, then a
+    // partial one that the run stops short of.
+    let mut s = chunked(&[pin_req(0, 512, 100, 0.0), pin_req(1, 4000, 8, 1e6)]);
+    assert_eq!(chunked_run(&mut s, usize::MAX), 3);
+    assert!(s.active()[1].prefill_left_ns < 256_000.0);
+    assert_eq!(chunked_run(&mut s, usize::MAX), 1);
+    assert_eq!(s.plan_step().decode_users, 2, "the prefill finished");
+
+    // A resume of 1e16 ns (an ulp of 2) in chunks of 2.5e-4 ns: the member
+    // never progresses, so only the decoder's 25 tokens or the limit end
+    // the run.
+    let mut resumed = pin_req(1, 4096, 8, 1e-3);
+    resumed.restore_ns = 1e16;
+    resumed.recompute_ns = 1e16;
+    let mut s = chunked(&[pin_req(0, 512, 25, 0.0)]);
+    s.on_redispatch(Evacuated {
+        req: resumed,
+        remaining: 8,
+        generated: 1,
+        prefill_left_ns: 0.0,
+    });
+    s.drain_queue(&mut |_, _| true);
+    assert_eq!(chunked_run(&mut s, 7), 7);
+    assert_eq!(chunked_run(&mut s, usize::MAX), 18);
+    assert_eq!(s.active()[0].prefill_left_ns, 1e16);
+    assert_eq!(s.finalize().prefill_chunks, 25);
+
+    // The decoder ahead of the prefilling member fails between plan and
+    // run: the chunk follows its member to the freed slot.
+    let mut s = chunked(&[pin_req(0, 512, 100, 0.0), pin_req(1, 4096, 8, 4e6)]);
+    let _ = s.plan_step();
+    s.remove_failed(&[0]);
+    assert!(s.chunk_step());
+    let _ = s.advance_step(1e5, 1, 1e5);
+    assert_eq!(s.active()[0].req.id, 1);
+    assert_eq!(s.active()[0].prefill_left_ns, 3e6);
+    let rep = s.finalize();
+    assert_eq!((rep.prefill_chunks, rep.prefill_work_ns), (1, 1e6));
 }

@@ -1195,16 +1195,15 @@ impl<'a> ReplicaSim<'a> {
     /// token.
     ///
     /// **Macro-steps.** A step's cost depends only on the batch shape, so
-    /// the plan repeats for [`Scheduler::steady_run`] steps: until a member
-    /// completes or finishes its prefill. The run also stops after the
-    /// first step whose end reaches `until` — the next arrival or fleet
-    /// event, where the driver changes the batch from outside. The clock
-    /// still takes one `now += dt` per step (`k·dt` is not the sum of `k`
-    /// `dt`s in floating point); the counters then move by the run length
-    /// and the scheduler advances all of it in one call. With the
-    /// recorder, the time series or attribution on, each step of the run
-    /// still emits its own `decode.step` span, `tokens` rate, scheduler
-    /// sample and attribution record at its own `now`.
+    /// the plan repeats until a member completes ([`Scheduler::steady_run`])
+    /// or a chunk changes ([`Scheduler::chunk_step`], once per step), or
+    /// until the first step whose end reaches `until`, the next arrival or
+    /// fleet event. The clock takes one `now += dt` per step (`k·dt` is not
+    /// the sum of `k` `dt`s in floating point); the counters move by the run
+    /// length and the scheduler advances the decoders over it in one call.
+    /// With the recorder, the time series or attribution on, each step of
+    /// the run still emits its own `decode.step` span, `tokens` rate,
+    /// scheduler sample and attribution record at its own `now`.
     ///
     /// **Eligibility.** Speculation and token faults draw per token, so a
     /// run also ends at the first step that is not *clean*: one where some
@@ -1346,13 +1345,13 @@ impl<'a> ReplicaSim<'a> {
         // Only speculation and token faults draw per token, so only they
         // can leave a later step of the run unclean.
         let draws = spec.is_some() || self.faults.is_some();
-        // The run's steps, one clock tick each. Only the last step of a
-        // run can complete a request, so every earlier one emits here what
-        // the end of a lone step would: no completion, no scheduler event,
-        // and a scheduler sample of a state that a step completing nothing
-        // leaves alone. (The single-replica loop's own sample after each step
-        // repeats that gauge at the same `now`; gauges keep the last write
-        // per window, so it adds nothing inside a run.)
+        // The run's steps, one clock tick and, when the plan has chunks, one
+        // chunk step each; the guard step and a dead batch's step take none.
+        // Only the last step can complete a request, so every earlier one
+        // emits what the end of a lone step would: no completion, no
+        // scheduler event, and a sample of gauges it leaves alone. (The
+        // single-replica loop's own sample after each step repeats them at
+        // the same `now`; gauges keep the last write per window.)
         let mut n = 0usize;
         let past_guard = loop {
             if rec.is_enabled() {
@@ -1367,12 +1366,13 @@ impl<'a> ReplicaSim<'a> {
                 break true;
             }
             n += 1;
+            let same_chunks = plan.prefill_users == 0 || self.sched.chunk_step();
             if decoding > 0 {
                 if let (Some(a), Some(r)) = (self.attr.as_deref_mut(), report.as_ref()) {
                     attribute_step(a, r, spec, dt, decoding.min(64));
                 }
             }
-            if n == run || self.now >= until {
+            if n == run || self.now >= until || !same_chunks {
                 break false;
             }
             if draws && !self.take_clean_step(rec, spec.map(|s| s.0), n) {

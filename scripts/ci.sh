@@ -41,7 +41,9 @@
 #  12. rustdoc gate (missing/broken docs are errors)
 #  13. full test suite (unit + property + integration + doc tests)
 #  14. benchmark self-tests (perfbench/: tiny run of every workload,
-#      identical results at 1 and 2 threads, BENCHMARK.json matches the code)
+#      identical results at 1 and 2 threads, BENCHMARK.json matches the code),
+#      then, inside a git checkout, one HEAD-vs-HEAD pair of
+#      scripts/bench_pairs.sh (session_mix, --seconds 1)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -245,5 +247,12 @@ cargo test --workspace --offline -q
 
 echo "== perfbench self-tests =="
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
+# The paired-benchmark tool builds a revision in a git worktree, so it
+# runs only where there is git history to build from.
+if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+    echo "== bench_pairs smoke (HEAD vs HEAD, session_mix, 1 pair) =="
+    scripts/bench_pairs.sh HEAD session_mix 1 1 1
+fi
 
 echo "CI gate passed."

@@ -7,7 +7,7 @@
 
 use longsight_bench::fig3::{trace_for, train_trace_itq};
 use longsight_bench::print_table;
-use longsight_core::trace_eval::evaluate_trace;
+use longsight_core::trace_eval::TraceSweep;
 use longsight_core::HybridConfig;
 
 #[derive(Clone, Copy, Debug)]
@@ -30,13 +30,14 @@ fn main() {
     let mut points: Vec<Point> = Vec::new();
     for &window in &windows {
         for &k in &ks {
+            let cfg = HybridConfig {
+                window,
+                sinks: 16,
+                top_k: k,
+            };
+            let sweep = TraceSweep::new(&trace, &rotation, &cfg).expect("a non-empty trace");
             for th in (0..=head_dim as u32).step_by(8) {
-                let cfg = HybridConfig {
-                    window,
-                    sinks: 16,
-                    top_k: k,
-                };
-                let q = evaluate_trace(&trace, &rotation, &cfg, th);
+                let q = sweep.evaluate(th);
                 points.push(Point {
                     window,
                     k,

@@ -1,7 +1,8 @@
 //! Micro-benchmarks of the hot kernels: sign packing, SCF block filtering,
 //! top-k selection, ITQ training and rotation, full-precision scoring, one
-//! trace-quality evaluation, the DRAM channel scheduler, and the serving
-//! metrics tail over run-length latency samples. Runs on the in-repo timing harness
+//! trace-quality evaluation and one eight-threshold sweep of it, the DRAM
+//! channel scheduler, and the serving metrics tail over run-length latency
+//! samples. Runs on the in-repo timing harness
 //! ([`longsight_bench::timing`]); output shape matches the old criterion
 //! goldens in `results/kernels.txt`. Ends with the SCF scan-kernel table
 //! (per-key walk vs bitplane-packed) whose packed ns/key
@@ -11,7 +12,7 @@ use longsight_bench::fig3::{trace_for, train_trace_itq};
 use longsight_bench::fig7::{scan_kernel_bench, scan_kernel_rows};
 use longsight_bench::print_table;
 use longsight_bench::timing::bench_report;
-use longsight_core::trace_eval::evaluate_trace;
+use longsight_core::trace_eval::{evaluate_trace, TraceSweep};
 use longsight_core::{
     filter_block, filter_block_packed, HybridConfig, ItqConfig, ItqRotation, PFU_BLOCK_KEYS,
 };
@@ -133,6 +134,12 @@ fn bench_trace_eval() {
     let pairs = (trace.queries.len() * trace.len()) as u64;
     bench_report("trace_eval/32k_keys", Some(pairs), || {
         evaluate_trace(black_box(&trace), &rot, &cfg, 72)
+    });
+    // The same trace scored once and evaluated at the trace_sweep
+    // workload's eight thresholds.
+    bench_report("trace_sweep/32k_keys_8_thresholds", Some(pairs), || {
+        let sweep = TraceSweep::new(black_box(&trace), &rot, &cfg).expect("a non-empty trace");
+        [64, 68, 70, 72, 74, 76, 78, 80].map(|th| sweep.evaluate(th))
     });
 }
 

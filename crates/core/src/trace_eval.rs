@@ -15,27 +15,42 @@
 //! `DESIGN.md` documents this as the substitution for perplexity at contexts
 //! the forward pass cannot reach.
 //!
-//! # The fused pass
+//! # Score once, sweep thresholds
 //!
-//! Every consumer of a probe's scores (the SCF-region ranking, the hybrid
-//! output and the dense output) needs the same raw dots `q · k`, and dense
-//! attention needs all `n` of them. So probes run in blocks of
-//! `PROBE_BLOCK` = 4: one pass over the key store reads each key row once
-//! and fills a `PROBE_BLOCK × n` buffer of raw scores, which every consumer
-//! then reads; no `(probe, key)` dot is computed twice. Each probe's row turns
-//! into its dense weights in place once its region and hybrid work is done,
-//! and one pass over the value store accumulates every probe's dense output.
-//! On the trace_sweep shape (32K keys, `d = 128`, 32 probes) this reads the
-//! key store once per block instead of twice per probe and the value store
-//! once per block instead of once per probe. On a shared 2-core x86-64
-//! host that cut one call from ~195 to ~135 ms (`DESIGN.md` §4).
+//! Most of an evaluation does not depend on the SCF threshold, so it is
+//! split in two, as DReX writes each key's sign bits once and answers every
+//! decode step from that store (paper §5–6):
 //!
-//! The pass is bit-identical to per-probe attention over
+//! * [`TraceSweep::new`] does the threshold-independent work once: it packs
+//!   every key's rotated sign bits, scores each probe against every key,
+//!   and keeps each probe's raw scores, its exact top-k over the sparse
+//!   region and its dense attention output.
+//! * [`TraceSweep::evaluate`] does the rest per threshold: the SCF scan, the
+//!   hybrid top-k over the survivors, the candidate set and the hybrid
+//!   output.
+//!
+//! [`evaluate_trace`] is one `new` and one `evaluate`. A Fig 3/4/10 sweep
+//! builds one [`TraceSweep`] per configuration and evaluates each of its
+//! thresholds against it.
+//!
+//! Probes run in blocks of `PROBE_BLOCK` = 4: one pass over the key store
+//! fills every probe's raw scores with [`vecops::dot_batch`], which runs the
+//! four probes' independent add chains interleaved, and one pass over the
+//! value store accumulates every probe's dense output. Both top-k lists are
+//! selected in one batch by [`select_top_k`] rather than streamed through a
+//! heap. On the trace_sweep shape (32K keys, `d = 128`, 32 probes) at one
+//! worker thread, eight [`evaluate_trace`] calls spend ~265 ms instead of
+//! ~500 ms in the score pass and ~145 ms instead of ~330 ms in the SCF scan
+//! and top-k, and one sweep over the same eight thresholds takes ~0.3 s
+//! against ~1.7 s for the eight calls (`DESIGN.md` §4).
+//!
+//! Every metric is bit-identical to per-probe attention over
 //! [`longsight_model::attend_over_kv`]: the softmax inputs are the same
-//! `dot(q, k) * scale` products, the softmax runs over the same slice, and
-//! every output still accumulates its value rows in ascending index order.
-//! Per-probe results are folded in probe order, so every metric is
-//! bit-identical at any thread count.
+//! `dot(q, k) * scale` products, the softmax runs over the same slice, every
+//! output still accumulates its value rows in ascending index order, and
+//! the selected top-k lists equal the heaps' in content and order. Per-probe
+//! results are folded in probe order, so every metric is bit-identical at
+//! any thread count.
 
 use crate::hybrid::HybridConfig;
 use crate::itq::ItqRotation;
@@ -43,11 +58,11 @@ use crate::scf::{filter_block_packed, PFU_BLOCK_KEYS};
 use crate::stats::FilterStats;
 use longsight_model::attend_with_scores;
 use longsight_model::tracegen::{HeadTrace, QueryProbe};
-use longsight_tensor::{vecops, FlatVecs, SignArena, TopK};
+use longsight_tensor::{select_top_k, vecops, FlatVecs, ScoredIndex, SignArena, SignBits};
 
 /// Probes that share one pass over the key store and one over the value
-/// store. The score buffer holds `PROBE_BLOCK × n` floats per worker.
-const PROBE_BLOCK: usize = 4;
+/// store ([`vecops::DOT_BATCH`] rows per score call).
+const PROBE_BLOCK: usize = vecops::DOT_BATCH;
 
 /// Quality of the hybrid pipeline on one head trace.
 #[derive(Debug, Clone)]
@@ -63,6 +78,34 @@ pub struct TraceQuality {
     pub stats: FilterStats,
 }
 
+/// Why [`TraceSweep::new`] rejects a trace.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum TraceError {
+    /// The trace holds no keys.
+    EmptyTrace,
+    /// The rotation's dimension differs from the trace's key dimension.
+    DimensionMismatch {
+        /// The rotation's dimension.
+        rotation: usize,
+        /// The trace's key dimension.
+        trace: usize,
+    },
+}
+
+impl std::fmt::Display for TraceError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            TraceError::EmptyTrace => write!(f, "empty trace"),
+            TraceError::DimensionMismatch { rotation, trace } => write!(
+                f,
+                "rotation dimension mismatch: rotation {rotation}, trace keys {trace}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for TraceError {}
+
 /// One probe's contribution to the trace totals.
 struct ProbeQuality {
     topk_hits: usize,
@@ -74,200 +117,304 @@ struct ProbeQuality {
     retrieved: u64,
 }
 
-/// The read-only state every probe block shares.
-struct Pass<'a> {
-    keys: &'a FlatVecs,
+/// One probe's threshold-independent state.
+struct ProbeScores<'a> {
+    probe: &'a QueryProbe,
+    /// The rotated query's sign bits.
+    signs: SignBits,
+    /// Raw `q · k` with every key, in key order.
+    raw: Vec<f32>,
+    /// The exact top-k of the sparse region by raw score.
+    exact: Vec<usize>,
+    /// Dense attention output over every key.
+    dense: Vec<f32>,
+    /// `l2_norm(dense)`, floored at `1e-12`: the relative-error denominator.
+    dense_norm: f32,
+}
+
+/// A head trace scored once for a sweep of SCF thresholds under one
+/// [`HybridConfig`].
+///
+/// # Example
+///
+/// ```
+/// use longsight_core::trace_eval::{evaluate_trace, TraceSweep};
+/// use longsight_core::{HybridConfig, ItqRotation};
+/// use longsight_model::tracegen::{generate_head_trace, TraceConfig};
+/// use longsight_tensor::SimRng;
+///
+/// let trace = generate_head_trace(&TraceConfig::llama_like(64, 1024), &mut SimRng::seed_from(1));
+/// let rotation = ItqRotation::identity(64);
+/// let config = HybridConfig { window: 256, sinks: 16, top_k: 64 };
+/// let sweep = TraceSweep::new(&trace, &rotation, &config)?;
+/// for threshold in [24, 32, 40] {
+///     let q = sweep.evaluate(threshold);
+///     let once = evaluate_trace(&trace, &rotation, &config, threshold);
+///     assert_eq!(q.output_rel_err.to_bits(), once.output_rel_err.to_bits());
+/// }
+/// # Ok::<(), longsight_core::trace_eval::TraceError>(())
+/// ```
+pub struct TraceSweep<'a> {
     values: &'a FlatVecs,
-    key_signs: &'a SignArena,
-    rotation: &'a ItqRotation,
+    /// Keys in the trace.
+    n: usize,
+    /// Every key's rotated sign bits (the Key Sign Object region the PFUs
+    /// scan).
+    key_signs: SignArena,
     top_k: usize,
-    threshold: u32,
     sinks_end: usize,
     window_start: usize,
     scale: f32,
+    probes: Vec<ProbeScores<'a>>,
 }
 
-/// Runs the hybrid pipeline over every query probe of `trace`.
+impl std::fmt::Debug for TraceSweep<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("TraceSweep")
+            .field("keys", &self.n)
+            .field("probes", &self.probes.len())
+            .field("top_k", &self.top_k)
+            .field("sinks_end", &self.sinks_end)
+            .field("window_start", &self.window_start)
+            .finish_non_exhaustive()
+    }
+}
+
+/// Runs the hybrid pipeline over every query probe of `trace`:
+/// [`TraceSweep::new`], then [`TraceSweep::evaluate`] at `threshold`.
 ///
 /// `rotation` is applied to queries and keys before sign extraction (pass
 /// [`ItqRotation::identity`] for raw SCF); `threshold` is this head's SCF
-/// threshold.
+/// threshold. To evaluate several thresholds of one configuration, build
+/// one [`TraceSweep`] instead.
 ///
 /// # Panics
 ///
-/// Panics if the trace is empty or the rotation dimension mismatches.
+/// Panics with the [`TraceError`] that [`TraceSweep::new`] returns: the
+/// trace is empty or the rotation dimension mismatches.
 pub fn evaluate_trace(
     trace: &HeadTrace,
     rotation: &ItqRotation,
     config: &HybridConfig,
     threshold: u32,
 ) -> TraceQuality {
-    assert!(!trace.is_empty(), "empty trace");
-    let n = trace.len();
-    let d = trace.keys.dim();
-    assert_eq!(rotation.dim(), d, "rotation dimension mismatch");
-
-    // Precompute rotated sign bits for all keys into one packed arena (the
-    // Key Sign Object region the PFUs scan).
-    let mut key_signs = SignArena::new(d);
-    rotation.rotate_and_pack(trace.keys.slice(0..n), &mut key_signs);
-
-    let window_start = n.saturating_sub(config.window);
-    let sinks_end = config.sinks.min(window_start);
-    let region = window_start.saturating_sub(sinks_end);
-    let pass = Pass {
-        keys: &trace.keys,
-        values: &trace.values,
-        key_signs: &key_signs,
-        rotation,
-        top_k: config.top_k,
-        threshold,
-        sinks_end,
-        window_start,
-        scale: 1.0 / (d as f32).sqrt(),
-    };
-
-    // Probe blocks are independent evaluations of the same read-only trace
-    // state, so they run on the deterministic parallel map; the per-probe
-    // results are folded serially in probe order below, which keeps the
-    // floating-point `err_sum` reduction order — and therefore every metric
-    // — bit-identical to the serial loop at any thread count.
-    let probes = &trace.queries;
-    let blocks = longsight_exec::map_range(probes.len().div_ceil(PROBE_BLOCK), |b| {
-        let end = ((b + 1) * PROBE_BLOCK).min(probes.len());
-        pass.evaluate_block(&probes[b * PROBE_BLOCK..end])
-    });
-
-    let mut stats = FilterStats::new(1, 1);
-    let mut topk_hits = 0usize;
-    let mut topk_total = 0usize;
-    let mut gt_hits = 0usize;
-    let mut gt_total = 0usize;
-    let mut err_sum = 0.0f64;
-    for p in blocks.into_iter().flatten() {
-        topk_hits += p.topk_hits;
-        topk_total += p.topk_total;
-        gt_hits += p.gt_hits;
-        gt_total += p.gt_total;
-        err_sum += p.rel_err;
-
-        stats.queries += 1;
-        stats.dense_kv += n as u64;
-        stats.window_accessed += (n - window_start) as u64 + sinks_end as u64;
-        stats.sparse_region += region as u64;
-        stats.scored += p.scored;
-        stats.retrieved += p.retrieved;
-        let ph = &mut stats.per_head[0];
-        ph.region += region as u64;
-        ph.scored += p.scored;
-        ph.retrieved += p.retrieved;
-    }
-
-    let probes = trace.queries.len().max(1) as f64;
-    TraceQuality {
-        topk_recall: if topk_total == 0 {
-            1.0
-        } else {
-            topk_hits as f64 / topk_total as f64
-        },
-        ground_truth_recall: if gt_total == 0 {
-            1.0
-        } else {
-            gt_hits as f64 / gt_total as f64
-        },
-        output_rel_err: err_sum / probes,
-        stats,
+    match TraceSweep::new(trace, rotation, config) {
+        Ok(sweep) => sweep.evaluate(threshold),
+        Err(e) => panic!("evaluate_trace: {e}"),
     }
 }
 
-impl Pass<'_> {
-    /// The fused pass over one block of at most [`PROBE_BLOCK`] probes.
-    fn evaluate_block(&self, probes: &[QueryProbe]) -> Vec<ProbeQuality> {
-        let n = self.keys.len();
-
-        // One score pass: each key row is read once for the whole block.
-        // Row `p` of `raw` holds probe `p`'s raw dot with every key.
-        let mut raw = vec![0.0f32; probes.len() * n];
-        for (i, k) in self.keys.iter().enumerate() {
-            for (p, probe) in probes.iter().enumerate() {
-                raw[p * n + i] = vecops::dot(&probe.q, k);
-            }
+impl<'a> TraceSweep<'a> {
+    /// Packs the keys' sign bits and scores every probe of `trace` against
+    /// every key under `config`.
+    ///
+    /// # Errors
+    ///
+    /// [`TraceError::EmptyTrace`] if the trace has no keys, and
+    /// [`TraceError::DimensionMismatch`] if `rotation`'s dimension is not
+    /// the trace's key dimension.
+    pub fn new(
+        trace: &'a HeadTrace,
+        rotation: &ItqRotation,
+        config: &HybridConfig,
+    ) -> Result<Self, TraceError> {
+        if trace.is_empty() {
+            return Err(TraceError::EmptyTrace);
+        }
+        let n = trace.len();
+        let d = trace.keys.dim();
+        if rotation.dim() != d {
+            return Err(TraceError::DimensionMismatch {
+                rotation: rotation.dim(),
+                trace: d,
+            });
         }
 
-        // Region, recall and hybrid work per probe; afterwards each row is
-        // that probe's dense softmax weights.
-        let mut partial: Vec<(ProbeQuality, Vec<f32>)> = probes
-            .iter()
-            .zip(raw.chunks_exact_mut(n))
-            .map(|(probe, row)| self.evaluate_probe(probe, row))
-            .collect();
+        let mut key_signs = SignArena::new(d);
+        rotation.rotate_and_pack(trace.keys.slice(0..n), &mut key_signs);
+        let window_start = n.saturating_sub(config.window);
+        let mut sweep = Self {
+            values: &trace.values,
+            n,
+            key_signs,
+            top_k: config.top_k,
+            sinks_end: config.sinks.min(window_start),
+            window_start,
+            scale: 1.0 / (d as f32).sqrt(),
+            probes: Vec::new(),
+        };
 
-        // One value pass: each value row is read once for the whole block,
-        // and every probe's dense output accumulates rows in ascending order.
-        let mut dense: Vec<Vec<f32>> = vec![vec![0.0f32; self.values.dim()]; probes.len()];
-        for (i, v) in self.values.iter().enumerate() {
-            for (p, out) in dense.iter_mut().enumerate() {
-                vecops::axpy(raw[p * n + i], v, out);
-            }
-        }
-
-        for ((quality, hybrid_out), dense_out) in partial.iter_mut().zip(&dense) {
-            let diff: f32 = hybrid_out
-                .iter()
-                .zip(dense_out)
-                .map(|(a, b)| (a - b) * (a - b))
-                .sum::<f32>()
-                .sqrt();
-            let denom = vecops::l2_norm(dense_out).max(1e-12);
-            quality.rel_err = (diff / denom) as f64;
-        }
-        partial.into_iter().map(|(quality, _)| quality).collect()
+        // Probe blocks are independent, so they run on the deterministic
+        // parallel map; results come back in probe order.
+        let probes = &trace.queries;
+        let blocks = longsight_exec::map_range(probes.len().div_ceil(PROBE_BLOCK), |b| {
+            let end = ((b + 1) * PROBE_BLOCK).min(probes.len());
+            sweep.score_block(&trace.keys, rotation, &probes[b * PROBE_BLOCK..end])
+        });
+        sweep.probes = blocks.into_iter().flatten().collect();
+        Ok(sweep)
     }
 
-    /// One probe's sparse pipeline and hybrid output, read off its row of
-    /// raw scores, which it then turns into dense softmax weights in place.
-    /// Returns the probe's counts (`rel_err` still unset) and hybrid output.
-    fn evaluate_probe(&self, probe: &QueryProbe, row: &mut [f32]) -> (ProbeQuality, Vec<f32>) {
-        let q_signs = self.rotation.signs(&probe.q);
+    /// The pipeline's quality at SCF `threshold`.
+    pub fn evaluate(&self, threshold: u32) -> TraceQuality {
+        // Probes are folded serially in probe order, which keeps the
+        // floating-point `err_sum` reduction order — and therefore every
+        // metric — bit-identical at any thread count.
+        let per_probe = longsight_exec::map_range(self.probes.len(), |p| {
+            self.evaluate_probe(&self.probes[p], threshold)
+        });
 
-        // Sparse pipeline over the region: one PFU epoch per 128-key block
-        // off the packed arena; every key is ranked for the exact
-        // (true_top) side while survivors also feed the hybrid heap, in
-        // ascending key order.
-        let mut top = TopK::new(self.top_k);
-        let mut true_top = TopK::new(self.top_k);
-        let mut scored = 0u64;
+        let n = self.n;
+        let region = self.window_start - self.sinks_end;
+        let mut stats = FilterStats::new(1, 1);
+        let mut topk_hits = 0usize;
+        let mut topk_total = 0usize;
+        let mut gt_hits = 0usize;
+        let mut gt_total = 0usize;
+        let mut err_sum = 0.0f64;
+        for p in per_probe {
+            topk_hits += p.topk_hits;
+            topk_total += p.topk_total;
+            gt_hits += p.gt_hits;
+            gt_total += p.gt_total;
+            err_sum += p.rel_err;
+
+            stats.queries += 1;
+            stats.dense_kv += n as u64;
+            stats.window_accessed += (n - self.window_start) as u64 + self.sinks_end as u64;
+            stats.sparse_region += region as u64;
+            stats.scored += p.scored;
+            stats.retrieved += p.retrieved;
+            let ph = &mut stats.per_head[0];
+            ph.region += region as u64;
+            ph.scored += p.scored;
+            ph.retrieved += p.retrieved;
+        }
+
+        let probes = self.probes.len().max(1) as f64;
+        TraceQuality {
+            topk_recall: if topk_total == 0 {
+                1.0
+            } else {
+                topk_hits as f64 / topk_total as f64
+            },
+            ground_truth_recall: if gt_total == 0 {
+                1.0
+            } else {
+                gt_hits as f64 / gt_total as f64
+            },
+            output_rel_err: err_sum / probes,
+            stats,
+        }
+    }
+
+    /// Scores one block of at most [`PROBE_BLOCK`] probes: one pass over
+    /// the key store for every raw score, one over the value store for
+    /// every dense output.
+    fn score_block(
+        &self,
+        keys: &FlatVecs,
+        rotation: &ItqRotation,
+        probes: &'a [QueryProbe],
+    ) -> Vec<ProbeScores<'a>> {
+        let n = keys.len();
+        let queries: Vec<&[f32]> = probes.iter().map(|p| p.q.as_slice()).collect();
+        let mut raw = vec![vec![0.0f32; n]; probes.len()];
+        let mut dots = [0.0f32; PROBE_BLOCK];
+        let dots = &mut dots[..probes.len()];
+        for (i, k) in keys.iter().enumerate() {
+            vecops::dot_batch(&queries, k, dots);
+            for (row, &s) in raw.iter_mut().zip(dots.iter()) {
+                row[i] = s;
+            }
+        }
+
+        // Dense softmax weights, then one value pass in which every probe's
+        // output accumulates the value rows in ascending order.
+        let weights: Vec<Vec<f32>> = raw
+            .iter()
+            .map(|row| {
+                let mut w: Vec<f32> = row.iter().map(|s| s * self.scale).collect();
+                vecops::softmax_in_place(&mut w);
+                w
+            })
+            .collect();
+        let mut dense = vec![vec![0.0f32; self.values.dim()]; probes.len()];
+        for (i, v) in self.values.iter().enumerate() {
+            for (w, out) in weights.iter().zip(dense.iter_mut()) {
+                vecops::axpy(w[i], v, out);
+            }
+        }
+
+        probes
+            .iter()
+            .zip(raw)
+            .zip(dense)
+            .map(|((probe, raw), dense)| {
+                let region = raw[self.sinks_end..self.window_start]
+                    .iter()
+                    .enumerate()
+                    .map(|(j, &s)| ScoredIndex::new(s, self.sinks_end + j))
+                    .collect();
+                // Collected by reference: an in-place `into_iter` collect
+                // would keep the whole region's allocation per probe.
+                let exact = select_top_k(region, self.top_k)
+                    .iter()
+                    .map(|s| s.index)
+                    .collect();
+                ProbeScores {
+                    probe,
+                    signs: rotation.signs(&probe.q),
+                    raw,
+                    exact,
+                    dense_norm: vecops::l2_norm(&dense).max(1e-12),
+                    dense,
+                }
+            })
+            .collect()
+    }
+
+    /// One probe's sparse pipeline at `threshold`, read off its raw scores.
+    fn evaluate_probe(&self, probe: &ProbeScores, threshold: u32) -> ProbeQuality {
+        let row = &probe.raw;
+
+        // One PFU epoch per 128-key block off the packed arena; survivors
+        // keep their raw scores for the hybrid top-k.
+        let mut survivors = Vec::new();
         let mut block = self.sinks_end;
         while block < self.window_start {
             let block_end = (block + PFU_BLOCK_KEYS).min(self.window_start);
-            let bitmap =
-                filter_block_packed(&q_signs, self.key_signs, block..block_end, self.threshold);
-            for (j, &s) in row[block..block_end].iter().enumerate() {
-                true_top.push(s, block + j);
-                if bitmap >> j & 1 == 1 {
-                    scored += 1;
-                    top.push(s, block + j);
-                }
+            let mut bitmap =
+                filter_block_packed(&probe.signs, &self.key_signs, block..block_end, threshold);
+            while bitmap != 0 {
+                let i = block + bitmap.trailing_zeros() as usize;
+                survivors.push(ScoredIndex::new(row[i], i));
+                bitmap &= bitmap - 1;
             }
             block = block_end;
         }
-        let retrieved: Vec<usize> = top.into_sorted_vec().iter().map(|s| s.index).collect();
-        let exact = true_top.into_sorted_vec();
+        let scored = survivors.len() as u64;
+        let mut retrieved: Vec<usize> = select_top_k(survivors, self.top_k)
+            .iter()
+            .map(|s| s.index)
+            .collect();
+        retrieved.sort_unstable();
 
-        let n = row.len();
+        // Sinks, retrieved region keys and the window are disjoint ranges
+        // in this order, so the candidates come out sorted.
         let mut candidates: Vec<usize> = (0..self.sinks_end).collect();
-        candidates.extend(retrieved.iter().copied());
-        candidates.extend(self.window_start..n);
-        candidates.sort_unstable();
+        candidates.extend(&retrieved);
+        candidates.extend(self.window_start..self.n);
 
         // Exact top-k keys all lie in the region, where the candidate set
-        // holds exactly the retrieved keys, so a binary search of the
-        // sorted candidates counts `exact ∩ retrieved`.
-        let topk_hits = exact
+        // holds exactly the retrieved keys.
+        let topk_hits = probe
+            .exact
             .iter()
-            .filter(|s| candidates.binary_search(&s.index).is_ok())
+            .filter(|i| retrieved.binary_search(i).is_ok())
             .count();
         let gt_hits = probe
+            .probe
             .relevant
             .iter()
             .filter(|i| candidates.binary_search(i).is_ok())
@@ -275,22 +422,22 @@ impl Pass<'_> {
 
         let hybrid_scores: Vec<f32> = candidates.iter().map(|&i| row[i] * self.scale).collect();
         let hybrid_out = attend_with_scores(self.values, &candidates, &hybrid_scores);
+        let diff: f32 = hybrid_out
+            .iter()
+            .zip(&probe.dense)
+            .map(|(a, b)| (a - b) * (a - b))
+            .sum::<f32>()
+            .sqrt();
 
-        for s in row.iter_mut() {
-            *s *= self.scale;
-        }
-        vecops::softmax_in_place(row);
-
-        let quality = ProbeQuality {
+        ProbeQuality {
             topk_hits,
-            topk_total: exact.len(),
+            topk_total: probe.exact.len(),
             gt_hits,
-            gt_total: probe.relevant.len(),
-            rel_err: 0.0,
+            gt_total: probe.probe.relevant.len(),
+            rel_err: (diff / probe.dense_norm) as f64,
             scored,
             retrieved: retrieved.len() as u64,
-        };
-        (quality, hybrid_out)
+        }
     }
 }
 
@@ -303,6 +450,49 @@ mod tests {
     fn trace() -> HeadTrace {
         let mut rng = SimRng::seed_from(42);
         generate_head_trace(&TraceConfig::llama_like(64, 4096), &mut rng)
+    }
+
+    #[test]
+    fn empty_trace_is_an_error() {
+        let empty = HeadTrace {
+            keys: FlatVecs::new(64),
+            values: FlatVecs::new(64),
+            queries: Vec::new(),
+        };
+        let got = TraceSweep::new(
+            &empty,
+            &ItqRotation::identity(64),
+            &HybridConfig::paper_default(),
+        );
+        assert_eq!(got.unwrap_err(), TraceError::EmptyTrace);
+    }
+
+    #[test]
+    fn rotation_dimension_mismatch_is_an_error() {
+        let t = trace();
+        let got = TraceSweep::new(
+            &t,
+            &ItqRotation::identity(32),
+            &HybridConfig::paper_default(),
+        );
+        assert_eq!(
+            got.unwrap_err(),
+            TraceError::DimensionMismatch {
+                rotation: 32,
+                trace: 64
+            }
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "evaluate_trace: rotation dimension mismatch")]
+    fn evaluate_trace_panics_with_the_error() {
+        evaluate_trace(
+            &trace(),
+            &ItqRotation::identity(32),
+            &HybridConfig::paper_default(),
+            0,
+        );
     }
 
     #[test]

@@ -1,17 +1,17 @@
-//! Bit-identity of the fused, probe-blocked `evaluate_trace` against the
-//! per-probe loop it replaced, on the in-repo
+//! Bit-identity of `evaluate_trace` and of a [`TraceSweep`] against the
+//! per-probe loop they replaced, on the in-repo
 //! [`check`](longsight_tensor::check) runner (replay a failure with
 //! `LONGSIGHT_PROP_SEED`).
 //!
 //! `reference_evaluate_trace` below is that loop, verbatim apart from its
-//! name: each probe ranks its region keys by `q · k`, then runs
-//! [`attend_over_kv`] twice (hybrid candidates, then all keys), which
-//! computes each dot again. The fused pass must reproduce every
-//! [`TraceQuality`] field bit for bit at every worker-thread count. This
-//! file is its own test binary because it sets the process-wide thread
-//! count.
+//! name: each probe ranks its region keys by `q · k` through two [`TopK`]
+//! heaps, then runs [`attend_over_kv`] twice (hybrid candidates, then all
+//! keys), which computes each dot again. One-shot calls and every
+//! threshold of one sweep must reproduce every [`TraceQuality`] field bit
+//! for bit at every worker-thread count. This file is its own test binary
+//! because it sets the process-wide thread count.
 
-use longsight_core::trace_eval::{evaluate_trace, TraceQuality};
+use longsight_core::trace_eval::{evaluate_trace, TraceQuality, TraceSweep};
 use longsight_core::{
     filter_block_packed, FilterStats, HybridConfig, ItqConfig, ItqRotation, PFU_BLOCK_KEYS,
 };
@@ -180,6 +180,12 @@ fn context_len(g: &mut Gen) -> usize {
 /// which about one key in eight repeats an earlier key, so equal scores
 /// exercise the top-k tie-break.
 fn trace(g: &mut Gen, d: usize) -> HeadTrace {
+    trace_with_repeats(g, d, 8)
+}
+
+/// [`trace`] with about one Gaussian key in `one_in` repeating an earlier
+/// key.
+fn trace_with_repeats(g: &mut Gen, d: usize, one_in: usize) -> HeadTrace {
     let n = context_len(g);
     let queries = PROBES[g.usize_in(0, PROBES.len())];
     if d.is_multiple_of(2) && n >= 8 && g.bool() {
@@ -192,7 +198,7 @@ fn trace(g: &mut Gen, d: usize) -> HeadTrace {
     let mut keys = FlatVecs::with_capacity(d, n);
     let mut values = FlatVecs::with_capacity(d, n);
     for i in 0..n {
-        let k = if i > 0 && g.usize_in(0, 8) == 0 {
+        let k = if i > 0 && g.usize_in(0, one_in) == 0 {
             keys.get(g.usize_in(0, i)).to_vec()
         } else {
             g.rng().normal_vec(d)
@@ -288,6 +294,57 @@ fn fused_matches_reference(g: &mut Gen) -> Result<(), String> {
     Ok(())
 }
 
+/// One generated case: at 1, 2 and hardware threads, one sweep evaluates
+/// every threshold 0 through d + 1 in a shuffled order, so state leaking
+/// from one `evaluate` into the next would show. Half the Gaussian keys
+/// repeat an earlier key, so tied scores often straddle the top-k cut.
+fn sweep_matches_reference(g: &mut Gen) -> Result<(), String> {
+    let d = DIMS[g.usize_in(0, DIMS.len())];
+    let trace = trace_with_repeats(g, d, 2);
+    let config = config(g, trace.len());
+    let rotation = rotation(g, d);
+    let want: Vec<_> = (0..=d as u32 + 1)
+        .map(|threshold| {
+            bits(&reference_evaluate_trace(
+                &trace, &rotation, &config, threshold,
+            ))
+        })
+        .collect();
+    for threads in [1, 2, 0] {
+        longsight_exec::set_thread_count(threads);
+        let sweep = TraceSweep::new(&trace, &rotation, &config).map_err(|e| e.to_string())?;
+        let mut thresholds: Vec<u32> = (0..=d as u32 + 1).collect();
+        for i in (1..thresholds.len()).rev() {
+            thresholds.swap(i, g.usize_in(0, i + 1));
+        }
+        for threshold in thresholds {
+            let got = bits(&sweep.evaluate(threshold));
+            let want = &want[threshold as usize];
+            prop_ensure_eq!(
+                &got,
+                want,
+                "d={d} n={} probes={} {config:?} threshold={threshold} threads={threads}: \
+                 sweep {got:?} != reference {want:?}",
+                trace.len(),
+                trace.queries.len()
+            );
+        }
+    }
+    longsight_exec::set_thread_count(0);
+    Ok(())
+}
+
+#[test]
+fn sweep_is_bit_identical_to_per_probe_loop_at_every_threshold() {
+    let _guard = THREADS.lock().unwrap_or_else(|e| e.into_inner());
+    run_cases(
+        "sweep_is_bit_identical_to_per_probe_loop_at_every_threshold",
+        32,
+        sweep_matches_reference,
+    );
+    longsight_exec::set_thread_count(0);
+}
+
 #[test]
 fn fused_pass_is_bit_identical_to_per_probe_loop() {
     let _guard = THREADS.lock().unwrap_or_else(|e| e.into_inner());
@@ -316,14 +373,19 @@ fn fused_pass_matches_on_the_paper_shape() {
             sinks: 16,
             top_k: 1024,
         };
-        for threshold in [0, 64, 72, 80, 129] {
-            let want = bits(&reference_evaluate_trace(
-                &trace, &rotation, &config, threshold,
-            ));
-            for threads in [1, 2, 0] {
-                longsight_exec::set_thread_count(threads);
+        let thresholds = [0, 64, 72, 80, 129];
+        let want: Vec<_> = thresholds
+            .iter()
+            .map(|&th| bits(&reference_evaluate_trace(&trace, &rotation, &config, th)))
+            .collect();
+        for threads in [1, 2, 0] {
+            longsight_exec::set_thread_count(threads);
+            let sweep = TraceSweep::new(&trace, &rotation, &config).map_err(|e| e.to_string())?;
+            for (&threshold, want) in thresholds.iter().zip(&want) {
                 let got = bits(&evaluate_trace(&trace, &rotation, &config, threshold));
-                prop_ensure_eq!(got, want, "threshold={threshold} threads={threads}");
+                prop_ensure_eq!(&got, want, "threshold={threshold} threads={threads}");
+                let got = bits(&sweep.evaluate(threshold));
+                prop_ensure_eq!(&got, want, "sweep threshold={threshold} threads={threads}");
             }
         }
         longsight_exec::set_thread_count(0);

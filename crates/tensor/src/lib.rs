@@ -12,7 +12,8 @@
 //!   the data structure behind Sign-Concordance Filtering,
 //! * [`SignArena`] — a contiguous key-major arena of packed sign lanes, the
 //!   block-kernel layout mirroring a DReX Key Sign Object region,
-//! * [`TopK`] — a bounded min-heap for top-*k* selection,
+//! * [`TopK`] — a bounded min-heap for streaming top-*k* selection, and
+//!   [`select_top_k`] — its batch counterpart over a complete score list,
 //! * [`Bf16`] — bfloat16 storage emulation (the paper's models run BF16),
 //! * [`SimRng`] — a seeded in-repo xoshiro256** RNG with the Gaussian helpers
 //!   the synthetic weight/workload generators need,
@@ -52,4 +53,4 @@ pub use flatvecs::FlatVecs;
 pub use matrix::Matrix;
 pub use rng::SimRng;
 pub use sign::{SignArena, SignBits};
-pub use topk::{top_k_indices, ScoredIndex, TopK};
+pub use topk::{select_top_k, top_k_indices, ScoredIndex, TopK};

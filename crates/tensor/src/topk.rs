@@ -4,6 +4,8 @@
 //! `k = 1,024`) while streaming scored keys out of DRAM. [`TopK`] models that
 //! structure: a bounded min-heap keyed on score, with deterministic
 //! tie-breaking on the index so simulation runs are reproducible.
+//! [`select_top_k`] ranks a complete score list in one batch, with the same
+//! result as pushing every entry through a [`TopK`].
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -159,15 +161,52 @@ impl Extend<ScoredIndex> for TopK {
     }
 }
 
-/// Selects the indices of the `k` largest values of `scores`, descending.
+/// The `k` best of `items`, sorted by descending score (ties broken by
+/// ascending index): the batch counterpart of [`TopK`].
 ///
-/// Convenience wrapper over [`TopK`] for one-shot use.
-pub fn top_k_indices(scores: &[f32], k: usize) -> Vec<usize> {
-    let mut top = TopK::new(k);
-    for (i, &s) in scores.iter().enumerate() {
-        top.push(s, i);
+/// Selects with `select_nth_unstable_by`, then sorts the `k` selected
+/// entries. [`ScoredIndex`]'s order is total over distinct indices, so when
+/// the indices of `items` are distinct the result equals pushing every item
+/// into a [`TopK::new(k)`](TopK::new) and calling
+/// [`into_sorted_vec`](TopK::into_sorted_vec), bit for bit, in any input
+/// order. It runs in linear time plus `O(k log k)` instead of a heap
+/// sift-down per admitted entry, so it suits a score list that is complete
+/// before ranking; the streaming [`TopK`] suits merged partial lists. The
+/// result reuses the allocation of `items`.
+///
+/// # Example
+///
+/// ```
+/// use longsight_tensor::{select_top_k, ScoredIndex};
+///
+/// let items = [0.1, 0.9, 0.5, 0.9].iter().enumerate();
+/// let best = select_top_k(items.map(|(i, &s)| ScoredIndex::new(s, i)).collect(), 2);
+/// assert_eq!(best, [ScoredIndex::new(0.9, 1), ScoredIndex::new(0.9, 3)]);
+/// ```
+pub fn select_top_k(mut items: Vec<ScoredIndex>, k: usize) -> Vec<ScoredIndex> {
+    let descending = |a: &ScoredIndex, b: &ScoredIndex| b.cmp(a);
+    if k == 0 {
+        items.clear();
+    } else if k < items.len() {
+        items.select_nth_unstable_by(k - 1, descending);
+        items.truncate(k);
     }
-    top.into_sorted_vec().into_iter().map(|s| s.index).collect()
+    items.sort_unstable_by(descending);
+    items
+}
+
+/// Selects the indices of the `k` largest values of `scores`, descending
+/// (ties to the lower index), by [`select_top_k`].
+pub fn top_k_indices(scores: &[f32], k: usize) -> Vec<usize> {
+    let items = scores
+        .iter()
+        .enumerate()
+        .map(|(i, &s)| ScoredIndex::new(s, i))
+        .collect();
+    select_top_k(items, k)
+        .into_iter()
+        .map(|s| s.index)
+        .collect()
 }
 
 #[cfg(test)]
@@ -235,6 +274,33 @@ mod tests {
             let got = top.into_sorted_vec();
             prop_ensure!(got.len() <= k);
             prop_ensure_eq!(bits(&got), bits(&oracle(&seen, k)));
+            Ok(())
+        });
+    }
+
+    #[test]
+    fn select_matches_push_all() {
+        run_cases("topk_select_matches_push_all", 256, |g| {
+            let n = g.usize_in(0, 40);
+            let k = match g.usize_in(0, 4) {
+                0 => 0,
+                1 => 1,
+                2 => n + g.usize_in(0, 4),
+                _ => g.usize_in(0, n + 1),
+            };
+            // Distinct indices in a shuffled order.
+            let mut indices: Vec<usize> = (0..n).collect();
+            for i in (1..n).rev() {
+                indices.swap(i, g.usize_in(0, i + 1));
+            }
+            let items: Vec<ScoredIndex> = indices
+                .into_iter()
+                .map(|index| ScoredIndex::new(score(g), index))
+                .collect();
+            let mut top = TopK::new(k);
+            top.extend(items.iter().copied());
+            let want = top.into_sorted_vec();
+            prop_ensure_eq!(bits(&select_top_k(items, k)), bits(&want), "n={n} k={k}");
             Ok(())
         });
     }

@@ -17,8 +17,10 @@
 #[inline]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "dot length mismatch");
-    // Unrolled-by-4 accumulation: keeps four independent dependency chains so
-    // the compiler can vectorize without -ffast-math.
+    // Unrolled-by-4 accumulation into four lanes, summed in a fixed order so
+    // the result never depends on -ffast-math. The compiler keeps the lanes
+    // in one vector register, so the whole dot is one serial chain of vector
+    // adds; [`dot_batch`] interleaves the chains of several rows.
     let mut acc = [0.0f32; 4];
     let chunks = a.len() / 4;
     for i in 0..chunks {
@@ -33,6 +35,87 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
         tail += a[j] * b[j];
     }
     acc[0] + acc[1] + acc[2] + acc[3] + tail
+}
+
+/// Rows per [`dot_batch`] call: four accumulator vectors and their row
+/// loads fit the sixteen vector registers of baseline x86-64.
+pub const DOT_BATCH: usize = 4;
+
+/// `out[p] = dot(rows[p], b)` for up to [`DOT_BATCH`] rows in one pass
+/// over `b`, bit-identical to [`dot`].
+///
+/// Each row keeps `dot`'s four lanes, its lane-then-tail summation order
+/// and its operand order, so only the interleaving of the independent
+/// per-row chains changes: the adds of one row overlap the latency of the
+/// others, and each element of `b` is loaded once for all rows. A ragged
+/// batch (fewer than [`DOT_BATCH`] rows) runs the same loop with the
+/// missing rows padded by `b` itself; their results are dropped.
+///
+/// # Panics
+///
+/// Panics if `rows` holds more than [`DOT_BATCH`] rows, if `out` and
+/// `rows` differ in length, or if a row and `b` differ in length.
+///
+/// # Example
+///
+/// ```
+/// use longsight_tensor::vecops::{dot, dot_batch};
+///
+/// let (a, c, b) = ([1.0, 2.0, 3.0], [0.5, -1.0, 4.0], [3.0, 4.0, 5.0]);
+/// let mut out = [0.0; 2];
+/// dot_batch(&[&a, &c], &b, &mut out);
+/// assert_eq!(out, [dot(&a, &b), dot(&c, &b)]);
+/// ```
+#[inline]
+pub fn dot_batch(rows: &[&[f32]], b: &[f32], out: &mut [f32]) {
+    assert!(
+        rows.len() <= DOT_BATCH,
+        "dot_batch takes at most {DOT_BATCH} rows"
+    );
+    assert_eq!(rows.len(), out.len(), "dot_batch output length mismatch");
+    for row in rows {
+        assert_eq!(row.len(), b.len(), "dot length mismatch");
+    }
+    let row = |p: usize| rows.get(p).copied().unwrap_or(b);
+    let (b4, b_tail) = b.as_chunks::<4>();
+    let lanes = |p: usize| &row(p).as_chunks::<4>().0[..b4.len()];
+    let mut acc = [[0.0f32; 4]; DOT_BATCH];
+    for ((((bj, a0), a1), a2), a3) in b4
+        .iter()
+        .zip(lanes(0))
+        .zip(lanes(1))
+        .zip(lanes(2))
+        .zip(lanes(3))
+    {
+        lane_step(&mut acc[0], a0, bj);
+        lane_step(&mut acc[1], a1, bj);
+        lane_step(&mut acc[2], a2, bj);
+        lane_step(&mut acc[3], a3, bj);
+    }
+    // Left alone, LLVM's SLP vectorizer turns the four rows' final lane sums
+    // into three vertical adds by transposing the accumulators: one vector
+    // per lane across rows, with four shuffles in every step above. Passing
+    // the accumulators through `black_box` hides the sums from it, so each
+    // row keeps one accumulator vector and a step is one load, multiply and
+    // add per row.
+    let acc = std::hint::black_box(acc);
+    for (p, (out, acc)) in out.iter_mut().zip(&acc).enumerate() {
+        let a_tail = &row(p)[b4.len() * 4..];
+        let mut tail = 0.0;
+        for (x, y) in a_tail.iter().zip(b_tail) {
+            tail += x * y;
+        }
+        *out = acc[0] + acc[1] + acc[2] + acc[3] + tail;
+    }
+}
+
+/// One step of [`dot`]'s four-lane accumulation.
+#[inline(always)]
+fn lane_step(acc: &mut [f32; 4], a: &[f32; 4], b: &[f32; 4]) {
+    acc[0] += a[0] * b[0];
+    acc[1] += a[1] * b[1];
+    acc[2] += a[2] * b[2];
+    acc[3] += a[3] * b[3];
 }
 
 /// `y += alpha * x` (the BLAS `axpy`).
@@ -146,6 +229,63 @@ pub fn mse(a: &[f32], b: &[f32]) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::check::{run_cases, Gen};
+    use crate::prop_ensure;
+
+    /// An entry drawn to stress the float edge cases: ±0, NaN of either
+    /// sign, ±∞, a subnormal of either sign, or an ordinary value.
+    fn entry(g: &mut Gen) -> f32 {
+        match g.usize_in(0, 10) {
+            0 => 0.0,
+            1 => -0.0,
+            2 => [f32::NAN, -f32::NAN][g.usize_in(0, 2)],
+            3 => [f32::INFINITY, f32::NEG_INFINITY][g.usize_in(0, 2)],
+            4 => [1, -1][g.usize_in(0, 2)] as f32 * f32::MIN_POSITIVE * g.f32_in(0.0, 1.0),
+            _ => g.f32_in(-4.0, 4.0),
+        }
+    }
+
+    /// `dot_batch` against `dot`, by bits. Two NaN results count as equal:
+    /// Rust leaves the sign and payload of a NaN result unspecified, and
+    /// which NaN operand an add propagates depends on the operand order
+    /// the compiler picks at each inlined call site of `dot` itself.
+    #[test]
+    fn dot_batch_matches_dot_by_bits() {
+        run_cases("vecops_dot_batch_matches_dot_by_bits", 512, |g| {
+            let d = [1, 3, 4, 63, 64, 65, 127, 128, 129][g.usize_in(0, 9)];
+            // Ordinary values with no, a few or only edge-case entries.
+            let vec = |g: &mut Gen| -> Vec<f32> {
+                let mut v = g.vec_f32(d, d + 1, -2.0, 2.0);
+                match g.usize_in(0, 4) {
+                    0 => {}
+                    1 => v.iter_mut().for_each(|x| *x = entry(g)),
+                    _ => {
+                        for _ in 0..g.usize_in(1, 4) {
+                            let j = g.usize_in(0, d);
+                            v[j] = entry(g);
+                        }
+                    }
+                }
+                v
+            };
+            let b = vec(g);
+            let rows: Vec<Vec<f32>> = (0..g.usize_in(0, DOT_BATCH + 1)).map(|_| vec(g)).collect();
+            let refs: Vec<&[f32]> = rows.iter().map(Vec::as_slice).collect();
+            let mut out = vec![0.5; rows.len()];
+            dot_batch(&refs, &b, &mut out);
+            for (p, (row, got)) in rows.iter().zip(&out).enumerate() {
+                let want = dot(row, &b);
+                prop_ensure!(
+                    got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+                    "d={d} row {p} of {}: dot_batch {got:e} ({:#x}) != dot {want:e} ({:#x})",
+                    rows.len(),
+                    got.to_bits(),
+                    want.to_bits()
+                );
+            }
+            Ok(())
+        });
+    }
 
     #[test]
     fn dot_matches_naive() {

@@ -26,8 +26,9 @@
 #      with the breaker on, both validated the same way
 #  10b. serving goldens reproduce: the eight serving benches regenerate
 #      byte-identical to their checked-in results/ goldens
-#  10c. quality goldens reproduce: fig4_pareto (the evaluate_trace sweep)
-#      regenerates byte-identical to its checked-in results/ golden
+#  10c. quality goldens reproduce: fig3_filter_ratio and fig4_pareto (the
+#      TraceSweep threshold sweeps) regenerate byte-identical to their
+#      checked-in results/ goldens
 #  10d. offload goldens reproduce: ablations, fig7_throughput,
 #      fig8_drex_breakdown, fig9_system_breakdown and fig10_vs_sliding_window
 #      (the DReX offload timing path and the step model) regenerate
@@ -193,13 +194,15 @@ for b in serving_loadtest sched_comparison router_scaling availability \
     cmp "$obs_tmp/$b.txt" "results/$b.txt"
 done
 
-# The trace-quality pipeline is pinned the same way: fig4_pareto runs
-# evaluate_trace over its whole W x k x threshold grid (~20 s on a 2-core
-# host). fig3_filter_ratio covers the same code but takes ~2 minutes, so
-# it is regenerated by hand when the pipeline changes.
-echo "== quality goldens reproduce (regenerate fig4_pareto and cmp against results/) =="
-cargo bench -q -p longsight-bench --bench fig4_pareto --offline >"$obs_tmp/fig4_pareto.txt"
-cmp "$obs_tmp/fig4_pareto.txt" results/fig4_pareto.txt
+# The trace-quality pipeline is pinned the same way: fig3_filter_ratio
+# sweeps the SCF threshold of 37 (trace, variant, k) configurations and
+# fig4_pareto its whole W x k x threshold grid, each scoring a trace once
+# per configuration with one TraceSweep (~25 s and ~5 s on a 2-core host).
+echo "== quality goldens reproduce (regenerate fig3_filter_ratio, fig4_pareto and cmp against results/) =="
+for b in fig3_filter_ratio fig4_pareto; do
+    cargo bench -q -p longsight-bench --bench "$b" --offline >"$obs_tmp/$b.txt"
+    cmp "$obs_tmp/$b.txt" "results/$b.txt"
+done
 
 # The DReX offload timing path (slice/head timing, DCC scheduling, the layer
 # plan) and the step model it feeds are pinned by the offload goldens. They

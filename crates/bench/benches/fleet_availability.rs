@@ -18,10 +18,8 @@ use longsight_bench::print_table;
 use longsight_faults::ReplicaFaultProfile;
 use longsight_model::ModelConfig;
 use longsight_obs::Recorder;
-use longsight_sched::{BreakerConfig, RouterPolicy, SchedPolicy, SloClass, SloMix};
-use longsight_system::serving::{
-    simulate_fleet_faulty, FleetFaultOptions, SchedOptions, WorkloadConfig,
-};
+use longsight_sched::{BreakerConfig, SchedPolicy, SloClass, SloMix};
+use longsight_system::serving::{run, FleetFaultOptions, RunSpec, SchedOptions, WorkloadConfig};
 use longsight_system::{LongSightConfig, LongSightSystem, ServingSystem};
 
 fn main() {
@@ -69,15 +67,12 @@ fn main() {
                     })
                     .collect();
                 let mut rec = Recorder::disabled();
-                let (m, rep) = simulate_fleet_faulty(
-                    &mut fleet,
-                    &model,
-                    &wl,
-                    &opts,
-                    RouterPolicy::JsqSpillover,
-                    &fopts,
-                    &mut rec,
-                );
+                let spec = RunSpec {
+                    sched: opts.clone(),
+                    faults: fopts,
+                    ..RunSpec::new(model.clone(), wl.clone())
+                };
+                let (m, rep, _) = run(&mut fleet, &spec, &mut rec, None).expect("fleet runs");
                 assert_eq!(
                     rep.audit_violation, None,
                     "fleet audit must pass for every cell"

@@ -10,8 +10,9 @@
 
 use longsight_bench::print_table;
 use longsight_model::ModelConfig;
-use longsight_system::serving::{simulate, WorkloadConfig};
-use longsight_system::{LongSightConfig, LongSightSystem, LookaheadConfig};
+use longsight_obs::Recorder;
+use longsight_system::serving::{run, RunSpec, WorkloadConfig};
+use longsight_system::{LongSightConfig, LongSightSystem, LookaheadConfig, ServingSystem};
 
 fn main() {
     let model = ModelConfig::llama3_8b();
@@ -41,7 +42,14 @@ fn main() {
             LongSightConfig::paper_default().with_lookahead(la),
             model.clone(),
         );
-        let m = simulate(&mut sys, &model, &wl);
+        let spec = RunSpec::new(model.clone(), wl.clone());
+        let (m, ..) = run(
+            &mut [&mut sys as &mut dyn ServingSystem],
+            &spec,
+            &mut Recorder::disabled(),
+            None,
+        )
+        .expect("one replica runs");
         let speculated = m.spec_hits + m.spec_misses + m.spec_denied;
         let hit_rate = if speculated == 0 {
             "-".to_string()

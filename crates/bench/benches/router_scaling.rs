@@ -13,8 +13,8 @@ use longsight_bench::print_table;
 use longsight_model::ModelConfig;
 use longsight_obs::Recorder;
 use longsight_sched::{RouterPolicy, SchedPolicy, SloClass, SloMix};
-use longsight_system::serving::{simulate_fleet, FleetFaultOptions, SchedOptions, WorkloadConfig};
-use longsight_system::{LongSightConfig, LongSightSystem, ServingSystem, SessionOptions};
+use longsight_system::serving::{run, RunSpec, SchedOptions, WorkloadConfig};
+use longsight_system::{LongSightConfig, LongSightSystem, ServingSystem};
 
 fn main() {
     let model = ModelConfig::llama3_1b();
@@ -50,16 +50,12 @@ fn main() {
                 })
                 .collect();
             let mut rec = Recorder::disabled();
-            let (m, rep) = simulate_fleet(
-                &mut fleet,
-                &model,
-                &wl,
-                &opts,
+            let spec = RunSpec {
+                sched: opts.clone(),
                 router,
-                &FleetFaultOptions::disabled(),
-                &SessionOptions::disabled(),
-                &mut rec,
-            );
+                ..RunSpec::new(model.clone(), wl.clone())
+            };
+            let (m, rep, _) = run(&mut fleet, &spec, &mut rec, None).expect("fleet runs");
             assert_eq!(
                 rep.audit_violation, None,
                 "fleet audit must pass for every cell"

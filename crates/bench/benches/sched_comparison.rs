@@ -10,8 +10,8 @@ use longsight_bench::print_table;
 use longsight_model::ModelConfig;
 use longsight_obs::Recorder;
 use longsight_sched::{SchedPolicy, SloClass, SloMix};
-use longsight_system::serving::{simulate_scheduled, SchedOptions, WorkloadConfig};
-use longsight_system::{LongSightConfig, LongSightSystem};
+use longsight_system::serving::{run, RunSpec, SchedOptions, WorkloadConfig};
+use longsight_system::{LongSightConfig, LongSightSystem, ServingSystem};
 
 fn main() {
     let model = ModelConfig::llama3_1b();
@@ -27,7 +27,7 @@ fn main() {
             seed: 11,
         };
         for policy in [SchedPolicy::Fifo, SchedPolicy::SloAware] {
-            let opts = SchedOptions {
+            let sched = SchedOptions {
                 policy,
                 mix: SloMix::mixed(),
                 page_tokens: 1024,
@@ -36,9 +36,19 @@ fn main() {
                 hbm_watermark: 0.01,
             };
             let mut sys = LongSightSystem::new(LongSightConfig::paper_default(), model.clone());
+            let spec = RunSpec {
+                sched,
+                ..RunSpec::new(model.clone(), wl.clone())
+            };
             let mut rec = Recorder::disabled();
-            let (_, rep, _) =
-                simulate_scheduled(&mut sys, &model, &wl, &opts, None, &mut rec, None);
+            let (_, fleet, _) = run(
+                &mut [&mut sys as &mut dyn ServingSystem],
+                &spec,
+                &mut rec,
+                None,
+            )
+            .expect("one replica runs");
+            let rep = &fleet.replicas[0];
             for class in SloClass::ALL {
                 let c = &rep.per_class[class.index()];
                 rows.push(vec![

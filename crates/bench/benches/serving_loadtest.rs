@@ -5,7 +5,8 @@
 use longsight_bench::print_table;
 use longsight_gpu::{DataParallelGpus, GpuSpec};
 use longsight_model::ModelConfig;
-use longsight_system::serving::{simulate, WorkloadConfig};
+use longsight_obs::Recorder;
+use longsight_system::serving::{run, RunSpec, WorkloadConfig};
 use longsight_system::{GpuOnlySystem, LongSightConfig, LongSightSystem, ServingSystem};
 
 fn main() {
@@ -32,7 +33,14 @@ fn main() {
             )),
         ];
         for sys in &mut systems {
-            let m = simulate(sys.as_mut(), &model, &wl);
+            let spec = RunSpec::new(model.clone(), wl.clone());
+            let (m, ..) = run(
+                std::slice::from_mut(sys),
+                &spec,
+                &mut Recorder::disabled(),
+                None,
+            )
+            .expect("one replica runs");
             rows.push(vec![
                 format!("{rate:.0}/s"),
                 sys.name(),

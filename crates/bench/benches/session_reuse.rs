@@ -28,7 +28,7 @@ use longsight_faults::ReplicaFaultProfile;
 use longsight_model::ModelConfig;
 use longsight_obs::Recorder;
 use longsight_sched::{BreakerConfig, RouterPolicy, SchedPolicy, SloClass, SloMix};
-use longsight_system::serving::{simulate_fleet, FleetFaultOptions, SchedOptions, WorkloadConfig};
+use longsight_system::serving::{self, FleetFaultOptions, RunSpec, SchedOptions, WorkloadConfig};
 use longsight_system::{LongSightConfig, LongSightSystem, ServingSystem, SessionOptions};
 
 struct Cell {
@@ -84,16 +84,15 @@ fn run(
         prefill_slots: 1,
         hbm_watermark: 0.9,
     };
-    let (_, rep) = simulate_fleet(
-        &mut fleet,
-        &model,
-        &wl,
-        &opts,
-        policy,
-        fopts,
-        &sess,
-        &mut Recorder::disabled(),
-    );
+    let spec = RunSpec {
+        sched: opts,
+        router: policy,
+        faults: fopts.clone(),
+        sessions: sess,
+        ..RunSpec::new(model, wl)
+    };
+    let (_, rep, _) = serving::run(&mut fleet, &spec, &mut Recorder::disabled(), None)
+        .expect("session fleet runs");
     assert_eq!(
         rep.audit_violation, None,
         "fleet audit must pass for every cell"

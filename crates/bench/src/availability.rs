@@ -17,9 +17,9 @@
 use longsight_faults::{FaultInjector, FaultKind, FaultProfile, RetryPolicy};
 use longsight_model::ModelConfig;
 use longsight_obs::Recorder;
-use longsight_system::serving::{simulate_observed, ServeMetrics, WorkloadConfig};
+use longsight_system::serving::{run, RunSpec, ServeMetrics, WorkloadConfig};
 use longsight_system::slo::{max_users_under_slo, SloCapacity};
-use longsight_system::{LongSightConfig, LongSightSystem};
+use longsight_system::{LongSightConfig, LongSightSystem, ServingSystem};
 
 /// One cell of the rate × deadline capacity sweep.
 #[derive(Debug, Clone)]
@@ -107,16 +107,16 @@ pub fn serving_sweep(
     let mut points = Vec::new();
     for &rate in rates {
         let mut sys = LongSightSystem::new(LongSightConfig::paper_default(), model.clone());
-        let inj = FaultInjector::new(FaultProfile::scaled(rate), seed);
-        let retry = RetryPolicy::serving_default();
-        let (metrics, log) = simulate_observed(
-            &mut sys,
-            model,
-            workload,
-            Some((&inj, &retry)),
-            &mut Recorder::disabled(),
-            None,
-        );
+        let spec = RunSpec {
+            token_faults: Some((
+                FaultInjector::new(FaultProfile::scaled(rate), seed),
+                RetryPolicy::serving_default(),
+            )),
+            ..RunSpec::new(model.clone(), workload.clone())
+        };
+        let mut systems = [&mut sys as &mut dyn ServingSystem];
+        let (metrics, _, log) = run(&mut systems, &spec, &mut Recorder::disabled(), None)
+            .expect("one replica without fault domains runs");
         points.push(ServingFaultPoint {
             rate,
             metrics,

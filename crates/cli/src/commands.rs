@@ -15,8 +15,7 @@ use longsight_model::{
 use longsight_obs::{BurnConfig, Recorder};
 use longsight_sched::{BreakerConfig, RouterPolicy, SchedPolicy, SloMix};
 use longsight_system::serving::{
-    simulate_fleet, simulate_observed, simulate_scheduled, FleetFaultOptions, SchedOptions,
-    ServeMetrics, WorkloadConfig,
+    run, FleetFaultOptions, RunSpec, SchedOptions, ServeMetrics, WorkloadConfig,
 };
 use longsight_system::{
     AttAccSystem, GpuOnlySystem, LongSightConfig, LongSightSystem, LookaheadConfig, ServingSystem,
@@ -628,8 +627,6 @@ pub fn loadtest(a: &Args) -> Result<(), String> {
     let sched_opts = sched_flags(a)?;
     let lookahead = lookahead_flags(a)?;
     let (mut rec, obs_paths) = obs_flags(a)?;
-    let sys_name = a.get("system").unwrap_or("longsight");
-    let injected = faults.is_enabled();
     let replicas: usize = a.get_or("replicas", 1)?;
     if replicas == 0 {
         return Err("--replicas must be >= 1".into());
@@ -651,137 +648,91 @@ pub fn loadtest(a: &Args) -> Result<(), String> {
                 .into(),
         );
     }
-    if replicas > 1 || sess.is_active() {
-        if injected {
-            return Err(
-                "--fault-profile applies to single-replica runs only (fleets use --crash-profile)"
-                    .into(),
-            );
-        }
-        // A bare `--replicas N` gets the representative SLO-aware setup.
-        let opts = sched_opts.unwrap_or_else(|| SchedOptions::slo_aware(SloMix::mixed()));
-        if fopts.is_active() && opts.policy != SchedPolicy::SloAware {
-            return Err("fleet fault domains require --sched slo-aware".into());
-        }
-        let mut systems = Vec::with_capacity(replicas);
-        for _ in 0..replicas {
-            systems.push(build_system(sys_name, model.clone(), lookahead)?);
-        }
-        let (m, fleet) = simulate_fleet(
-            &mut systems,
-            &model,
-            &wl,
-            &opts,
-            router,
-            &fopts,
-            &sess,
-            &mut rec,
-        );
-        println!(
-            "{} x{replicas} under {:.1} req/s for {:.0}s ({}-{} ctx tokens), {} scheduler, {} router:",
-            systems[0].name(),
-            wl.arrivals_per_s,
-            wl.duration_s,
-            wl.context_tokens.0,
-            wl.context_tokens.1,
-            opts.policy.name(),
-            router.name()
-        );
-        if fopts.is_active() {
-            println!(
-                "  fault domains: crash profile {} (seed {}) | breaker {} | shed cap {}",
-                if fopts.profile.is_enabled() {
-                    format!("on ({:.2}/interval)", fopts.profile.crash_rate)
-                } else {
-                    "off".to_string()
-                },
-                fopts.fault_seed,
-                if fopts.breaker.is_some() { "on" } else { "off" },
-                fopts
-                    .shed_queue_cap
-                    .map_or("off".to_string(), |c| c.to_string()),
-            );
-        }
-        if sess.is_active() {
-            println!(
-                "  session workload: {} sessions x {} turns | think {:.0} ms | reuse {:.2} | prefix cache {} pages/replica",
-                sess.sessions, sess.turns, sess.think_time_ms, sess.reuse, sess.prefix_cache_pages
-            );
-        }
-        print!("{}", m.to_text());
-        print_spec_counters(&m);
-        print!("{}", fleet.to_text());
-        if let Some(v) = &fleet.audit_violation {
-            return Err(format!("fleet audit failed: {v}"));
-        }
-        return write_observability(&rec, &obs_paths);
-    }
-    let mut sys = build_system(sys_name, model.clone(), lookahead)?;
-    if let Some(opts) = sched_opts {
-        let inj;
-        let fault_args = if injected {
-            inj = FaultInjector::new(faults, fault_seed);
-            Some((&inj, &retry))
-        } else {
-            None
-        };
-        let (m, rep, fault_log) =
-            simulate_scheduled(sys.as_mut(), &model, &wl, &opts, fault_args, &mut rec, None);
-        println!(
-            "{} under {:.1} req/s for {:.0}s ({}-{} ctx tokens), {} scheduler:",
-            sys.name(),
-            wl.arrivals_per_s,
-            wl.duration_s,
-            wl.context_tokens.0,
-            wl.context_tokens.1,
-            opts.policy.name()
-        );
-        print!("{}", m.to_text());
-        print_spec_counters(&m);
-        print!("{}", rep.to_text());
-        if injected {
-            println!(
-                "  faults (seed {fault_seed}): {} events | retried {} | degraded {} | failed requests {}",
-                fault_log.len(),
-                m.retried_tokens,
-                m.degraded_tokens,
-                m.failed_requests
-            );
-        }
-        return write_observability(&rec, &obs_paths);
-    }
-    let (m, fault_log) = if injected {
-        let inj = FaultInjector::new(faults, fault_seed);
-        simulate_observed(
-            sys.as_mut(),
-            &model,
-            &wl,
-            Some((&inj, &retry)),
-            &mut rec,
-            None,
-        )
-    } else {
-        simulate_observed(sys.as_mut(), &model, &wl, None, &mut rec, None)
+    // Fleets and session runs print the fleet report; a bare `--replicas
+    // N` or `--sessions N` gets the representative SLO-aware setup.
+    let fleet = replicas > 1 || sess.is_active();
+    let opts = match &sched_opts {
+        Some(o) => o.clone(),
+        None if fleet => SchedOptions::slo_aware(SloMix::mixed()),
+        None => SchedOptions::fifo(),
     };
-    println!(
-        "{} under {:.1} req/s for {:.0}s ({}-{} ctx tokens):",
-        sys.name(),
-        wl.arrivals_per_s,
-        wl.duration_s,
-        wl.context_tokens.0,
-        wl.context_tokens.1
+    if fopts.is_active() && opts.policy != SchedPolicy::SloAware {
+        return Err("fleet fault domains require --sched slo-aware".into());
+    }
+    let mut systems = Vec::with_capacity(replicas);
+    for _ in 0..replicas {
+        systems.push(build_system(
+            a.get("system").unwrap_or("longsight"),
+            model.clone(),
+            lookahead,
+        )?);
+    }
+    let injected = faults.is_enabled();
+    let spec = RunSpec {
+        sched: opts,
+        router,
+        faults: fopts,
+        sessions: sess,
+        token_faults: Some((FaultInjector::new(faults, fault_seed), retry)),
+        ..RunSpec::new(model, wl)
+    };
+    let (m, report, log) = run(&mut systems, &spec, &mut rec, None).map_err(|e| e.to_string())?;
+    let (wl, opts, fopts, sess) = (&spec.workload, &spec.sched, &spec.faults, &spec.sessions);
+    print!("{}", systems[0].name());
+    if fleet {
+        print!(" x{replicas}");
+    }
+    print!(
+        " under {:.1} req/s for {:.0}s ({}-{} ctx tokens)",
+        wl.arrivals_per_s, wl.duration_s, wl.context_tokens.0, wl.context_tokens.1
     );
+    if fleet || sched_opts.is_some() {
+        print!(", {} scheduler", opts.policy.name());
+    }
+    if fleet {
+        print!(", {} router", router.name());
+    }
+    println!(":");
+    if fopts.is_active() {
+        println!(
+            "  fault domains: crash profile {} (seed {}) | breaker {} | shed cap {}",
+            if fopts.profile.is_enabled() {
+                format!("on ({:.2}/interval)", fopts.profile.crash_rate)
+            } else {
+                "off".to_string()
+            },
+            fopts.fault_seed,
+            if fopts.breaker.is_some() { "on" } else { "off" },
+            fopts
+                .shed_queue_cap
+                .map_or("off".to_string(), |c| c.to_string()),
+        );
+    }
+    if sess.is_active() {
+        println!(
+            "  session workload: {} sessions x {} turns | think {:.0} ms | reuse {:.2} | prefix cache {} pages/replica",
+            sess.sessions, sess.turns, sess.think_time_ms, sess.reuse, sess.prefix_cache_pages
+        );
+    }
     print!("{}", m.to_text());
     print_spec_counters(&m);
+    if fleet {
+        print!("{}", report.to_text());
+    } else if sched_opts.is_some() {
+        print!("{}", report.replicas[0].to_text());
+    }
     if injected {
         println!(
             "  faults (seed {fault_seed}): {} events | retried {} | degraded {} ({:.2}% of tokens) | failed requests {}",
-            fault_log.len(),
+            log.len(),
             m.retried_tokens,
             m.degraded_tokens,
             100.0 * m.degraded_quality_delta,
             m.failed_requests
         );
+    }
+    if let Some(v) = &report.audit_violation {
+        return Err(format!("fleet audit failed: {v}"));
     }
     write_observability(&rec, &obs_paths)
 }
@@ -841,26 +792,20 @@ pub fn profile(a: &Args) -> Result<(), String> {
     let (faults, fault_seed, retry) = fault_flags(a)?;
     let lookahead = lookahead_flags(a)?;
     let (mut rec, obs_paths) = obs_flags(a)?;
-    let mut sys = build_system(
+    let mut sys = [build_system(
         a.get("system").unwrap_or("longsight"),
         model.clone(),
         lookahead,
-    )?;
+    )?];
     let injected = faults.is_enabled();
-    let mut attr = TokenAttribution::new();
-    let (m, fault_log) = if injected {
-        let inj = FaultInjector::new(faults, fault_seed);
-        simulate_observed(
-            sys.as_mut(),
-            &model,
-            &wl,
-            Some((&inj, &retry)),
-            &mut rec,
-            Some(&mut attr),
-        )
-    } else {
-        simulate_observed(sys.as_mut(), &model, &wl, None, &mut rec, Some(&mut attr))
+    let spec = RunSpec {
+        token_faults: Some((FaultInjector::new(faults, fault_seed), retry)),
+        ..RunSpec::new(model, wl)
     };
+    let mut attr = TokenAttribution::new();
+    let (m, _, fault_log) =
+        run(&mut sys, &spec, &mut rec, Some(&mut attr)).map_err(|e| e.to_string())?;
+    let (sys, wl) = (&sys[0], &spec.workload);
     println!(
         "{} per-token latency attribution under {:.1} req/s for {:.0}s ({}-{} ctx tokens):",
         sys.name(),
@@ -1293,7 +1238,47 @@ mod tests {
         assert!(zero.contains("--replicas must be >= 1"), "{zero}");
         assert!(loadtest(&args(&["--replicas", "65"])).is_err());
         assert!(loadtest(&args(&["--replicas", "2", "--router", "bogus"])).is_err());
-        assert!(loadtest(&args(&["--replicas", "2", "--fault-profile", "mild"])).is_err());
+    }
+
+    #[test]
+    fn token_faults_compose_with_fleets_sessions_and_crashes() {
+        let fleet = [
+            "--model",
+            "1b",
+            "--rate",
+            "4",
+            "--duration",
+            "3",
+            "--ctx-min",
+            "16384",
+        ];
+        let faults = [
+            "--ctx-max",
+            "32768",
+            "--replicas",
+            "2",
+            "--fault-profile",
+            "mild",
+        ];
+        let base: Vec<&str> = fleet.iter().chain(&faults).copied().collect();
+        loadtest(&args(&base)).expect("token faults in a fleet");
+        let sessions = ["--sessions", "3", "--turns", "2", "--think-time-ms", "1000"];
+        let crashes = [
+            "--sched",
+            "slo-aware",
+            "--crash-profile",
+            "0.2",
+            "--breaker",
+            "on",
+        ];
+        for extra in [
+            &sessions[..],
+            &crashes[..],
+            &[&sessions[..], &crashes[..]].concat(),
+        ] {
+            let v: Vec<&str> = base.iter().chain(extra).copied().collect();
+            loadtest(&args(&v)).expect("token faults compose");
+        }
     }
 
     #[test]

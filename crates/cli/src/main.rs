@@ -10,7 +10,7 @@
 //!                     [--prefill-slots N] [--watermark F] [--replicas N] [--router jsq|rr]
 //!                     [--crash-profile none|mild|severe|RATE] [--crash-seed N]
 //!                     [--breaker on|off] [--shed-cap N]
-//!                     [--fault-profile ...] [--fault-seed N] [--deadline-ms MS]
+//!                     [--fault-profile ...] [--fault-seed N] [--deadline-ms MS] (any replica count)
 //!                     [--trace-out FILE] [--metrics-out FILE]
 //! longsight profile   [--model 1b|8b] [--rate 2.0] [--duration 10] [--ctx-min 131072] [--ctx-max 131072]
 //!                     [--fault-profile ...] [--fault-seed N] [--trace-out FILE] [--metrics-out FILE]
@@ -132,7 +132,9 @@ commands:
                                    [--crash-seed N] [--breaker on|off]
                                    [--shed-cap N]
                                    [--fault-profile ...] [--fault-seed N]
-                                   [--deadline-ms MS]
+                                   [--deadline-ms MS] (token faults on
+                                   every replica, with or without
+                                   sessions and crashes)
                                    [--trace-out FILE] [--metrics-out FILE]
                                    [--timeseries-out FILE] [--ts-window-ms MS]
   profile    per-token latency attribution table over a serving run

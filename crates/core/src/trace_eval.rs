@@ -90,6 +90,17 @@ pub enum TraceError {
         /// The trace's key dimension.
         trace: usize,
     },
+    /// A key, value or query holds a NaN or an infinity. Such a score has
+    /// no rank: its sign, and so its place in a top-k, depends on the
+    /// kernel that computed it.
+    NonFinite {
+        /// `"keys"`, `"values"` or `"queries"`.
+        array: &'static str,
+        /// The first row (for queries, the probe) holding the non-finite
+        /// element; the row count when every element is finite but a score
+        /// or the dense output overflowed.
+        index: usize,
+    },
 }
 
 impl std::fmt::Display for TraceError {
@@ -100,6 +111,9 @@ impl std::fmt::Display for TraceError {
                 f,
                 "rotation dimension mismatch: rotation {rotation}, trace keys {trace}"
             ),
+            TraceError::NonFinite { array, index } => {
+                write!(f, "non-finite element in {array} row {index}")
+            }
         }
     }
 }
@@ -191,7 +205,8 @@ impl std::fmt::Debug for TraceSweep<'_> {
 /// # Panics
 ///
 /// Panics with the [`TraceError`] that [`TraceSweep::new`] returns: the
-/// trace is empty or the rotation dimension mismatches.
+/// trace is empty, the rotation dimension mismatches, or a key, value or
+/// query is not finite.
 pub fn evaluate_trace(
     trace: &HeadTrace,
     rotation: &ItqRotation,
@@ -210,9 +225,10 @@ impl<'a> TraceSweep<'a> {
     ///
     /// # Errors
     ///
-    /// [`TraceError::EmptyTrace`] if the trace has no keys, and
+    /// [`TraceError::EmptyTrace`] if the trace has no keys,
     /// [`TraceError::DimensionMismatch`] if `rotation`'s dimension is not
-    /// the trace's key dimension.
+    /// the trace's key dimension, and [`TraceError::NonFinite`] if a key,
+    /// value or query holds a NaN or an infinity.
     pub fn new(
         trace: &'a HeadTrace,
         rotation: &ItqRotation,
@@ -228,6 +244,22 @@ impl<'a> TraceSweep<'a> {
                 rotation: rotation.dim(),
                 trace: d,
             });
+        }
+        let queries = trace.queries.iter().map(|p| p.q.as_slice());
+        if let Some(index) = first_non_finite(queries) {
+            return Err(TraceError::NonFinite {
+                array: "queries",
+                index,
+            });
+        }
+        // The probe passes check the keys and values they read; a trace
+        // without probes runs none, so its arrays are scanned here.
+        if trace.queries.is_empty() {
+            for (array, rows) in [("keys", &trace.keys), ("values", &trace.values)] {
+                if let Some(index) = first_non_finite(rows.iter()) {
+                    return Err(TraceError::NonFinite { array, index });
+                }
+            }
         }
 
         let mut key_signs = SignArena::new(d);
@@ -251,7 +283,9 @@ impl<'a> TraceSweep<'a> {
             let end = ((b + 1) * PROBE_BLOCK).min(probes.len());
             sweep.score_block(&trace.keys, rotation, &probes[b * PROBE_BLOCK..end])
         });
-        sweep.probes = blocks.into_iter().flatten().collect();
+        for block in blocks {
+            sweep.probes.extend(block?);
+        }
         Ok(sweep)
     }
 
@@ -310,23 +344,34 @@ impl<'a> TraceSweep<'a> {
 
     /// Scores one block of at most [`PROBE_BLOCK`] probes: one pass over
     /// the key store for every raw score, one over the value store for
-    /// every dense output.
+    /// every dense output. With finite queries, a non-finite key makes its
+    /// scores non-finite and a non-finite value makes every dense output
+    /// non-finite, so checking what the passes write rejects both.
     fn score_block(
         &self,
         keys: &FlatVecs,
         rotation: &ItqRotation,
         probes: &'a [QueryProbe],
-    ) -> Vec<ProbeScores<'a>> {
+    ) -> Result<Vec<ProbeScores<'a>>, TraceError> {
         let n = keys.len();
         let queries: Vec<&[f32]> = probes.iter().map(|p| p.q.as_slice()).collect();
         let mut raw = vec![vec![0.0f32; n]; probes.len()];
         let mut dots = [0.0f32; PROBE_BLOCK];
         let dots = &mut dots[..probes.len()];
+        let mut finite = true;
         for (i, k) in keys.iter().enumerate() {
             vecops::dot_batch(&queries, k, dots);
             for (row, &s) in raw.iter_mut().zip(dots.iter()) {
                 row[i] = s;
+                finite &= s.is_finite();
             }
+        }
+        if !finite {
+            let index = first_non_finite(keys.iter()).unwrap_or(n);
+            return Err(TraceError::NonFinite {
+                array: "keys",
+                index,
+            });
         }
 
         // Dense softmax weights, then one value pass in which every probe's
@@ -345,8 +390,15 @@ impl<'a> TraceSweep<'a> {
                 vecops::axpy(w[i], v, out);
             }
         }
+        if dense.iter().flatten().any(|x| !x.is_finite()) {
+            let index = first_non_finite(self.values.iter()).unwrap_or(n);
+            return Err(TraceError::NonFinite {
+                array: "values",
+                index,
+            });
+        }
 
-        probes
+        Ok(probes
             .iter()
             .zip(raw)
             .zip(dense)
@@ -371,7 +423,7 @@ impl<'a> TraceSweep<'a> {
                     dense,
                 }
             })
-            .collect()
+            .collect())
     }
 
     /// One probe's sparse pipeline at `threshold`, read off its raw scores.
@@ -439,6 +491,12 @@ impl<'a> TraceSweep<'a> {
             retrieved: retrieved.len() as u64,
         }
     }
+}
+
+/// The index of the first row holding a NaN or an infinity.
+fn first_non_finite<'r>(rows: impl IntoIterator<Item = &'r [f32]>) -> Option<usize> {
+    rows.into_iter()
+        .position(|r| r.iter().any(|x| !x.is_finite()))
 }
 
 #[cfg(test)]

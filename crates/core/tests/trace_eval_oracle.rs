@@ -11,7 +11,7 @@
 //! for bit at every worker-thread count. This file is its own test binary
 //! because it sets the process-wide thread count.
 
-use longsight_core::trace_eval::{evaluate_trace, TraceQuality, TraceSweep};
+use longsight_core::trace_eval::{evaluate_trace, TraceError, TraceQuality, TraceSweep};
 use longsight_core::{
     filter_block_packed, FilterStats, HybridConfig, ItqConfig, ItqRotation, PFU_BLOCK_KEYS,
 };
@@ -332,6 +332,60 @@ fn sweep_matches_reference(g: &mut Gen) -> Result<(), String> {
     }
     longsight_exec::set_thread_count(0);
     Ok(())
+}
+
+/// One generated case: a trace with one NaN or infinity at a random row
+/// and lane of its keys, values or queries is rejected with that row, at
+/// 1, 2 and hardware threads, instead of being ranked.
+fn non_finite_input_is_rejected(g: &mut Gen) -> Result<(), String> {
+    let d = DIMS[g.usize_in(0, DIMS.len())];
+    let mut trace = trace(g, d);
+    let config = config(g, trace.len());
+    let rotation = rotation(g, d);
+    let bad = [f32::NAN, -f32::NAN, f32::INFINITY, f32::NEG_INFINITY][g.usize_in(0, 4)];
+    let lane = g.usize_in(0, d);
+    let arrays = if trace.queries.is_empty() { 2 } else { 3 };
+    let (array, index) = match g.usize_in(0, arrays) {
+        0 => {
+            let i = g.usize_in(0, trace.len());
+            trace.keys.get_mut(i)[lane] = bad;
+            ("keys", i)
+        }
+        1 => {
+            let i = g.usize_in(0, trace.len());
+            trace.values.get_mut(i)[lane] = bad;
+            ("values", i)
+        }
+        _ => {
+            let i = g.usize_in(0, trace.queries.len());
+            trace.queries[i].q[lane] = bad;
+            ("queries", i)
+        }
+    };
+    for threads in [1, 2, 0] {
+        longsight_exec::set_thread_count(threads);
+        let got = TraceSweep::new(&trace, &rotation, &config).map(|_| ());
+        prop_ensure_eq!(
+            got,
+            Err(TraceError::NonFinite { array, index }),
+            "d={d} n={} probes={} {bad} in {array} row {index} lane {lane} threads={threads}",
+            trace.len(),
+            trace.queries.len()
+        );
+    }
+    longsight_exec::set_thread_count(0);
+    Ok(())
+}
+
+#[test]
+fn non_finite_inputs_are_rejected_not_ranked() {
+    let _guard = THREADS.lock().unwrap_or_else(|e| e.into_inner());
+    run_cases(
+        "non_finite_inputs_are_rejected_not_ranked",
+        48,
+        non_finite_input_is_rejected,
+    );
+    longsight_exec::set_thread_count(0);
 }
 
 #[test]

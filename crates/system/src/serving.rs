@@ -10,17 +10,18 @@
 //!
 //! Scheduling is delegated to `longsight-sched`. The default FIFO policy
 //! reproduces the original serving loop op-for-op (bit-identical metrics);
-//! [`simulate_scheduled`] exposes the SLO-aware policy, where admission is
-//! a paged-memory decision over HBM window pages and DReX tail pages,
+//! [`SchedOptions::slo_aware`] selects the SLO-aware policy, where admission
+//! is a paged-memory decision over HBM window pages and DReX tail pages,
 //! prefill is chunked and overlapped with decode, and best-effort requests
 //! are evicted to DReX-resident state when higher classes need HBM.
 //!
-//! One replica's synchronized step exists once, in `ReplicaSim::step`.
-//! The single-replica entry points drive one standalone replica through
-//! their own arrival loop; [`simulate_fleet`] is the one fleet loop, where
-//! replica fault domains ([`FleetFaultOptions`]) and multi-turn sessions
-//! ([`SessionOptions`]) compose. Every driver ends in the same
-//! [`ServeMetrics`] aggregation.
+//! [`run`] is the one driver: one arrival loop over N ≥ 1 replicas, each a
+//! `ReplicaSim` whose synchronized step exists once, in `ReplicaSim::step`.
+//! A single replica is a one-replica fleet that is never routed. Everything
+//! a run varies is one [`RunSpec`]: the scheduler, the router, replica fault
+//! domains ([`FleetFaultOptions`]), multi-turn sessions
+//! ([`SessionOptions`]) and token-level faults, which all compose. Every
+//! run ends in the same [`ServeMetrics`] aggregation and [`FleetReport`].
 
 use crate::attribution::{
     attribution_parts, SpecCharge, SpecSample, TokenAttribution, OVERLAP_HIDDEN, SPEC_MISS,
@@ -47,6 +48,7 @@ use longsight_sched::{
 };
 use longsight_tensor::SimRng;
 use std::collections::HashMap;
+use std::ops::DerefMut;
 
 /// XOR'd into the workload seed for the SLO-class stream, so class draws
 /// never perturb the arrival-process stream (FIFO metrics stay bit-exact
@@ -81,7 +83,7 @@ impl WorkloadConfig {
     }
 }
 
-/// Scheduler policy and paged-KV knobs for [`simulate_scheduled`].
+/// Scheduler policy and paged-KV knobs of every replica of a [`run`].
 #[derive(Debug, Clone)]
 pub struct SchedOptions {
     /// Scheduling policy.
@@ -128,8 +130,8 @@ impl SchedOptions {
     }
 }
 
-/// Fleet-level fault-domain and overload-control knobs for
-/// [`simulate_fleet`]. The [`FleetFaultOptions::disabled`] value arms
+/// Fleet-level fault-domain and overload-control knobs of a [`run`] over
+/// two replicas or more. The [`FleetFaultOptions::disabled`] value arms
 /// none of them, and the fleet runs byte-identical to a fault-free one.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetFaultOptions {
@@ -203,15 +205,6 @@ fn breaker_health(bs: &[CircuitBreaker]) -> Vec<BreakerState> {
         }
     }
     health
-}
-
-/// Trace instant name of a breaker transition.
-fn breaker_instant_name(state: BreakerState) -> &'static str {
-    match state {
-        BreakerState::Closed => "breaker.close",
-        BreakerState::Open => "breaker.open",
-        BreakerState::HalfOpen => "breaker.half_open",
-    }
 }
 
 /// Numeric encoding of a breaker state for the `r{i}.breaker` telemetry
@@ -458,11 +451,10 @@ impl Arrival {
 }
 
 /// Pre-generates the run's Poisson arrival process with its class draws
-/// and prefill costs. The single-replica loop and the fleet loop both draw
-/// from this one function, so the offered load is byte-identical
-/// regardless of how many replicas serve it: arrivals from the workload
-/// seed, classes from a dedicated stream (`seed ^ CLASS_SEED`). Comes back
-/// reversed — pop from the back in time order.
+/// and prefill costs, so the offered load is byte-identical regardless of
+/// how many replicas serve it: arrivals from the workload seed, classes
+/// from a dedicated stream (`seed ^ CLASS_SEED`). Comes back reversed —
+/// pop from the back in time order.
 fn gen_arrivals(model: &ModelConfig, workload: &WorkloadConfig, mix: &SloMix) -> Vec<Arrival> {
     let mut rng = SimRng::seed_from(workload.seed);
     let mut arrivals: Vec<Arrival> = Vec::new();
@@ -536,100 +528,6 @@ fn cached_step_cost(
     }
     cache.push(((users, bucket), v));
     v
-}
-
-/// Runs the closed-loop simulation of `system` under `workload`.
-///
-/// Admission: an arriving request joins the batch if the system can evaluate
-/// the grown batch at the largest member context; otherwise it waits in an
-/// unbounded queue (and counts toward request latency). Steps are
-/// synchronized across the batch (all users advance one token per step), and
-/// contexts are frozen at admission — decode extends them by at most a few
-/// hundred tokens, negligible against 64K+ prompts.
-pub fn simulate(
-    system: &mut dyn ServingSystem,
-    model: &ModelConfig,
-    workload: &WorkloadConfig,
-) -> ServeMetrics {
-    sched_impl(
-        system,
-        model,
-        workload,
-        &SchedOptions::fifo(),
-        None,
-        &mut Recorder::disabled(),
-        None,
-    )
-    .0
-}
-
-/// [`simulate`] with token-level fault injection and observability
-/// attached.
-///
-/// Under `faults`, each generated token resolves through the
-/// retry/deadline degradation policy ([`crate::degrade::resolve_token`]):
-/// sampled offload timeouts cost the full deadline plus backoff, exhausted
-/// retries degrade the token to dense window-only attention, and hard
-/// faults kill the request. The synchronized batch is paced by its worst
-/// token, so a step's latency grows by the largest penalty in the batch.
-/// Every fault decision derives from `(inj.seed, request id, token index,
-/// attempt)`, so two runs with the same seed return byte-identical
-/// [`FaultLog`]s and identical metrics at any thread count; with no (or a
-/// disabled) injector this is exactly [`simulate`] plus an empty log.
-///
-/// Every decode step emits a `decode.step` span on the `serving` track
-/// (with a nested `decode.retry_wait` child when fault penalties stretch
-/// the step), the first evaluation of each distinct `(batch, context)`
-/// shape records the system's expanded internal timeline at the simulated
-/// time it was first needed, every fault event lands on the `faults` track
-/// as an instant (1:1 with the returned [`FaultLog`]), scheduling decisions
-/// land on the `sched` track as instants, and the run's aggregate
-/// counters/latency histograms populate `rec.metrics`. When `attr` is
-/// given, each generated token's latency is decomposed into the eight
-/// attribution components.
-///
-/// The simulated timeline is bit-identical to an unobserved run:
-/// recording only reads simulation state.
-pub fn simulate_observed(
-    system: &mut dyn ServingSystem,
-    model: &ModelConfig,
-    workload: &WorkloadConfig,
-    faults: Option<(&FaultInjector, &RetryPolicy)>,
-    rec: &mut Recorder,
-    attr: Option<&mut TokenAttribution>,
-) -> (ServeMetrics, FaultLog) {
-    let (m, _, log) = sched_impl(
-        system,
-        model,
-        workload,
-        &SchedOptions::fifo(),
-        faults,
-        rec,
-        attr,
-    );
-    (m, log)
-}
-
-/// The full serving simulation under an explicit scheduler configuration,
-/// returning the per-class [`SchedReport`] alongside the aggregate metrics.
-///
-/// With `SchedOptions::fifo()` this is exactly [`simulate_observed`]
-/// (bit-identical metrics). With an SLO-aware policy, admission allocates
-/// HBM window pages and DReX tail pages against the system's
-/// [`ServingSystem::kv_geometry`], prefill is chunked (overlapping the
-/// memory-bound decode steps), and best-effort requests are preempted to
-/// DReX-resident state when higher classes need HBM pages, paying the
-/// cheaper of restore-over-CXL or recompute-on-GPU at resume.
-pub fn simulate_scheduled(
-    system: &mut dyn ServingSystem,
-    model: &ModelConfig,
-    workload: &WorkloadConfig,
-    opts: &SchedOptions,
-    faults: Option<(&FaultInjector, &RetryPolicy)>,
-    rec: &mut Recorder,
-    attr: Option<&mut TokenAttribution>,
-) -> (ServeMetrics, SchedReport, FaultLog) {
-    sched_impl(system, model, workload, opts, faults, rec, attr)
 }
 
 /// Translates scheduler decision events into `sched.*` trace instants:
@@ -824,94 +722,9 @@ fn spec_pacing(s: &SpecStep, hit_step_ns: f64, misses: usize, denied: usize) -> 
     }
 }
 
-/// The single-replica driver: one standalone [`ReplicaSim`] under its own
-/// arrival loop. Each iteration admits every due arrival, *then* drains
-/// the queue, then steps. Under FIFO `Scheduler::on_arrival` admits ahead
-/// of the queue, so this order (the fleet's `advance` drains first and
-/// injects after) is part of the pinned single-replica timeline.
-fn sched_impl(
-    system: &mut dyn ServingSystem,
-    model: &ModelConfig,
-    workload: &WorkloadConfig,
-    opts: &SchedOptions,
-    faults: Option<(&FaultInjector, &RetryPolicy)>,
-    rec: &mut Recorder,
-    attr: Option<&mut TokenAttribution>,
-) -> (ServeMetrics, SchedReport, FaultLog) {
-    let horizon_ns = workload.duration_s * 1e9;
-    let mut arrivals = gen_arrivals(model, workload, &opts.mix);
-    let offered = arrivals.len();
-    let geometry = geometry_for(system, opts);
-    let faults = faults.filter(|(inj, _)| inj.is_enabled());
-    let mut r = ReplicaSim::new(&geometry, opts, rec, None, faults, attr);
-    loop {
-        // Admission and queue drain are the scheduler's decisions; the step
-        // model only answers feasibility. (FIFO issues the exact legacy
-        // sequence of feasibility probes, so the step-detail anchors in the
-        // trace are unchanged.)
-        while arrivals.last().is_some_and(|a| a.arrival_ns <= r.now) {
-            let a = arrivals.pop().expect("checked non-empty");
-            rec.timeseries.rate_add("arrivals", a.arrival_ns, 1.0);
-            r.inject(system, rec, a.request(&geometry));
-        }
-        r.drain(system, rec);
-        sample_sched_timeseries(rec, "", r.now, &r.sched);
-        if r.sched.active_is_empty() {
-            match arrivals.last() {
-                Some(a) => {
-                    r.now = a.arrival_ns;
-                    continue;
-                }
-                None => break,
-            }
-        }
-        let until = arrivals.last().map_or(f64::INFINITY, |a| a.arrival_ns);
-        if !r.step(system, rec, until, 4.0 * horizon_ns) {
-            break; // overload guard: stop accounting far past the window
-        }
-    }
-
-    let (metrics, token_lat, request_lat) =
-        serve_metrics(std::slice::from_ref(&r), offered, 0, 0.0, rec);
-    let sched_report = r.sched.finalize();
-    if rec.is_enabled() {
-        for t in token_lat.iter() {
-            rec.observe("serving.token_latency_ms", t);
-        }
-        for l in request_lat.iter() {
-            rec.observe("serving.request_latency_ms", l);
-        }
-        rec.counter_add("serving.completed", metrics.completed as u64);
-        rec.counter_add("serving.rejected", metrics.rejected as u64);
-        rec.counter_add("serving.generated_tokens", r.generated_tokens as u64);
-        rec.counter_add("serving.retried_tokens", metrics.retried_tokens as u64);
-        rec.counter_add("serving.degraded_tokens", metrics.degraded_tokens as u64);
-        rec.counter_add("serving.failed_requests", metrics.failed_requests as u64);
-        rec.counter_add("serving.fault_events", r.fault_log.len() as u64);
-        // Speculation counters exist only when a slot pool did: metrics
-        // exports of lookahead-off runs keep their exact key set.
-        if let Some(pool) = &r.spec_pool {
-            rec.counter_add("serving.spec_hits", metrics.spec_hits as u64);
-            rec.counter_add("serving.spec_misses", metrics.spec_misses as u64);
-            rec.counter_add("serving.spec_denied", metrics.spec_denied as u64);
-            rec.gauge_set("serving.spec_peak_slots", pool.peak_occupancy() as f64);
-        }
-        rec.gauge_set("serving.throughput_tps", metrics.throughput_tps);
-        rec.gauge_set("serving.mean_batch", metrics.mean_batch);
-        rec.gauge_set("serving.p50_token_ms", metrics.p50_token_ms);
-        rec.gauge_set("serving.p99_token_ms", metrics.p99_token_ms);
-        rec.counter_add("sched.preemptions", sched_report.preemptions as u64);
-        rec.counter_add("sched.resumes", sched_report.resumes as u64);
-        rec.counter_add("sched.prefill_chunks", sched_report.prefill_chunks as u64);
-        rec.gauge_set("sched.peak_hbm_pages", sched_report.pages.peak_hbm as f64);
-        rec.gauge_set("sched.peak_drex_pages", sched_report.pages.peak_drex as f64);
-    }
-    (metrics, sched_report, r.fault_log)
-}
-
 /// Records one telemetry sampling point for a scheduler: queue depth per
 /// SLO class, batch size, and page occupancy in both tiers. `prefix` is
-/// empty on the single-replica path and `r{i}.` inside fleets; series
+/// empty for a lone replica and `r{i}.` inside fleets; series
 /// intern themselves on first touch, so the per-sample cost is a window
 /// index plus a hash lookup.
 fn sample_sched_timeseries(rec: &mut Recorder, prefix: &str, now_ns: f64, sched: &Scheduler) {
@@ -1001,13 +814,12 @@ struct PendingTurn {
 /// One replica's incremental simulation state: its own scheduler, page
 /// ledger, clock, step-cost cache and trace tracks.
 ///
-/// A standalone replica (`idx = None`) is the single-replica driver's
-/// whole system: unprefixed `serving`/`faults`/`sched`/`spec` tracks and
-/// telemetry series, optional token-level fault injection and per-token
-/// attribution. Replica `i` of a fleet prefixes its tracks and series with
-/// `r{i}.` and injects no token faults; the fleet loop advances it to every
-/// arrival time, routes from its [`Scheduler::load`] snapshot, and injects
-/// into it.
+/// A lone replica (`idx = None`, a one-replica run) keeps unprefixed
+/// `serving`/`faults`/`sched`/`spec` tracks and telemetry series. Replica
+/// `i` of a fleet prefixes its tracks and series with `r{i}.`; [`run`]
+/// advances it to every arrival time, routes from its [`Scheduler::load`]
+/// snapshot, and injects into it. Token faults and attribution apply to
+/// every replica alike.
 struct ReplicaSim<'a> {
     sched: Scheduler,
     now: f64,
@@ -1032,7 +844,7 @@ struct ReplicaSim<'a> {
     spec_pool: Option<SpecSlotPool>,
     spec_track: Option<TrackId>,
     spec_counts: (usize, usize, usize),
-    /// Token-level fault injection and its trace track (standalone only).
+    /// Token-level fault injection and its trace track.
     faults: Option<(&'a FaultInjector, &'a RetryPolicy, TrackId)>,
     fault_log: FaultLog,
     /// Entries of `fault_log` already replayed onto the trace.
@@ -1040,7 +852,9 @@ struct ReplicaSim<'a> {
     /// Token outcomes: retries and failures from token faults; degraded
     /// tokens from token faults or DReX brownouts.
     degrade: DegradeStats,
-    attr: Option<&'a mut TokenAttribution>,
+    /// The brownout share of `degrade.degraded_tokens`: these keep part of
+    /// their long-range budget, a token-fault degradation keeps none.
+    brownout_tokens: usize,
     /// Crashed and not yet repaired: time passes but no step runs, so
     /// anything queued here wedges until the `Up` event (what a naive
     /// router keeps feeding).
@@ -1054,6 +868,12 @@ struct ReplicaSim<'a> {
     completions: Vec<(SloClass, f64)>,
     /// Session turns in flight here; always empty on sessionless runs.
     turns: Vec<PendingTurn>,
+    /// The overload guard, four horizons: a step ending past it stays
+    /// unaccounted and halts the replica.
+    guard_ns: f64,
+    /// Set by the step that crossed `guard_ns`: a halted replica never
+    /// drains or steps again, and [`run`] routes nothing more.
+    halted: bool,
     /// Longest run a step may take, from [`MAX_RUN`] at construction.
     #[cfg(test)]
     max_run: usize,
@@ -1076,15 +896,17 @@ impl<'a> ReplicaSim<'a> {
         rec: &mut Recorder,
         idx: Option<usize>,
         faults: Option<(&'a FaultInjector, &'a RetryPolicy)>,
-        attr: Option<&'a mut TokenAttribution>,
+        guard_ns: f64,
     ) -> Self {
         let mut sched = Scheduler::new(sched_config_for(geometry, opts));
         sched.set_event_recording(rec.is_enabled());
         let prefix = idx.map_or(String::new(), |i| format!("r{i}."));
         let serving_track = rec.track(&format!("{prefix}serving"));
-        // A standalone replica interns its `faults` track even with no
-        // injector, so every single-replica trace has one track list.
-        let faults_track = idx.is_none().then(|| rec.track("faults"));
+        // A lone replica interns its `faults` track even with no injector,
+        // so every single-replica trace has one track list; a fleet
+        // replica only under token faults.
+        let faults_track =
+            (idx.is_none() || faults.is_some()).then(|| rec.track(&format!("{prefix}faults")));
         let sched_track = rec.track(&format!("{prefix}sched"));
         Self {
             sched,
@@ -1106,11 +928,13 @@ impl<'a> ReplicaSim<'a> {
             fault_log: FaultLog::new(),
             fault_cursor: 0,
             degrade: DegradeStats::default(),
-            attr,
+            brownout_tokens: 0,
             down: false,
             brownout_factor: 1.0,
             completions: Vec::new(),
             turns: Vec::new(),
+            guard_ns,
+            halted: false,
             #[cfg(test)]
             max_run: MAX_RUN.with(std::cell::Cell::get),
         }
@@ -1146,32 +970,48 @@ impl<'a> ReplicaSim<'a> {
 
     /// Runs this replica forward until its clock reaches `t` (idling
     /// straight to `t` when the batch empties), or to completion when `t`
-    /// is `None`: drain the admission queue, step, repeat. Stepping stops
-    /// once the clock is past four horizons, the fleet's overload guard. A
-    /// crashed replica idles: its clock tracks fleet time but no queue
-    /// drains and no step runs until the `Up` event.
+    /// is `None`: drain the admission queue, step, repeat. It returns as
+    /// soon as the clock has reached `t`, before draining: what arrives at
+    /// `t` is injected first and drains at the top of the next call (a lone
+    /// replica), or in [`ReplicaSim::catch_up`] before the router reads the
+    /// load (a fleet). A lone replica samples its scheduler after every
+    /// drain. A crashed replica idles: its clock tracks fleet time but no
+    /// queue drains and no step runs until the `Up` event. A halted one
+    /// does nothing.
     fn advance(
         &mut self,
         sys: &mut dyn ServingSystem,
         rec: &mut Recorder,
+        mut attr: Option<&mut TokenAttribution>,
         t: Option<f64>,
-        horizon_ns: f64,
     ) {
-        loop {
+        while !self.halted && !t.is_some_and(|t| self.now >= t) {
             if !self.down {
                 self.drain(sys, rec);
+                if self.prefix.is_empty() {
+                    sample_sched_timeseries(rec, "", self.now, &self.sched);
+                }
             }
             if self.down || self.sched.active_is_empty() {
                 self.now = t.map_or(self.now, |t| self.now.max(t));
                 return;
             }
-            let guard = 4.0 * horizon_ns;
-            if t.is_some_and(|t| self.now >= t) || self.now > guard {
-                return;
-            }
-            // A run ending at or past the guard stops early at worst: this
-            // loop then takes the next step exactly as it would have.
-            self.step(sys, rec, t.map_or(guard, |t| t.min(guard)), f64::INFINITY);
+            self.step(sys, rec, attr.as_deref_mut(), t.unwrap_or(f64::INFINITY));
+        }
+    }
+
+    /// [`ReplicaSim::advance`] to `t`, then drains a live replica at its
+    /// new clock: the state a fleet routes and redispatches from.
+    fn catch_up(
+        &mut self,
+        sys: &mut dyn ServingSystem,
+        rec: &mut Recorder,
+        attr: Option<&mut TokenAttribution>,
+        t: f64,
+    ) {
+        self.advance(sys, rec, attr, Some(t));
+        if !self.down && !self.halted {
+            self.drain(sys, rec);
         }
     }
 
@@ -1218,17 +1058,16 @@ impl<'a> ReplicaSim<'a> {
     /// Checking a step twice is exact: every draw is a pure function of
     /// `(seed, id, token)`, and `release_until` is idempotent at one `now`.
     ///
-    /// Returns `false` when a step ended past `guard_ns` — the
-    /// single-replica loop's overload guard — leaving that step
-    /// unaccounted; fleets pass infinity and guard through `until` and
-    /// [`ReplicaSim::advance`] instead.
+    /// **Overload guard.** A step that ends past `guard_ns` stays
+    /// unaccounted (the steps of the run before it count) and halts the
+    /// replica.
     fn step(
         &mut self,
         sys: &mut dyn ServingSystem,
         rec: &mut Recorder,
+        mut attr: Option<&mut TokenAttribution>,
         until: f64,
-        guard_ns: f64,
-    ) -> bool {
+    ) {
         let plan = self.sched.plan_step();
         let report = (plan.decode_users > 0).then(|| {
             cached_step_cost(
@@ -1327,6 +1166,9 @@ impl<'a> ReplicaSim<'a> {
                 self.fault_log
                     .record_tail_into(self.fault_cursor, rec, track, self.now);
             self.sched.remove_failed(&dead);
+            if !dead.is_empty() {
+                self.turns.retain(|t| !dead.contains(&t.id));
+            }
             // A degraded request lost its long-range path: its DReX tail
             // pages come back to the pool.
             for id in degraded_ids {
@@ -1349,9 +1191,9 @@ impl<'a> ReplicaSim<'a> {
         // chunk step each; the guard step and a dead batch's step take none.
         // Only the last step can complete a request, so every earlier one
         // emits what the end of a lone step would: no completion, no
-        // scheduler event, and a sample of gauges it leaves alone. (The
-        // single-replica loop's own sample after each step repeats them at
-        // the same `now`; gauges keep the last write per window.)
+        // scheduler event, and a sample of gauges it leaves alone. (A lone
+        // replica's own sample after each drain repeats them at the same
+        // `now`; gauges keep the last write per window.)
         let mut n = 0usize;
         let past_guard = loop {
             if rec.is_enabled() {
@@ -1360,15 +1202,15 @@ impl<'a> ReplicaSim<'a> {
             self.now += dt;
             if batch_died {
                 flush_sched_events(&mut self.sched, rec, self.sched_track, self.now);
-                return true;
+                return;
             }
-            if self.now > guard_ns {
+            if self.now > self.guard_ns {
                 break true;
             }
             n += 1;
             let same_chunks = plan.prefill_users == 0 || self.sched.chunk_step();
             if decoding > 0 {
-                if let (Some(a), Some(r)) = (self.attr.as_deref_mut(), report.as_ref()) {
+                if let (Some(a), Some(r)) = (attr.as_deref_mut(), report.as_ref()) {
                     attribute_step(a, r, spec, dt, decoding.min(64));
                 }
             }
@@ -1390,13 +1232,15 @@ impl<'a> ReplicaSim<'a> {
             self.generated_tokens += decoding * n;
             if self.brownout_factor < 1.0 {
                 self.degrade.degraded_tokens += decoding * n;
+                self.brownout_tokens += decoding * n;
             }
         }
         let done = self.sched.advance_step(dt, n, self.now);
         if past_guard {
             // The steps before the one past the guard completed nothing
             // (`done` is empty); the guard step itself stays unaccounted.
-            return false;
+            self.halted = true;
+            return;
         }
         for c in done {
             // A completed session turn publishes its prefix under its
@@ -1418,7 +1262,6 @@ impl<'a> ReplicaSim<'a> {
         if ts_on {
             self.sample_step(rec, decoding);
         }
-        true
     }
 
     /// Takes step `k` of a run, starting at the current `now`, if it is
@@ -1567,24 +1410,24 @@ fn attribute_step(
     }
 }
 
-/// The one `ServeMetrics` aggregation every driver ends in: merged token
-/// and request samples, summed counters, the span of the slowest replica.
+/// The one `ServeMetrics` aggregation every run ends in: merged token and
+/// request samples, summed counters, the span of the slowest replica.
 /// `offered` arrivals end completed, rejected, waiting, failed, shed
-/// (`shed` of them) or in flight. A degraded token keeps `degraded_keep`
-/// of its long-range top-k budget: zero for a token-fault degradation,
-/// the brownout factor in a fleet. Returns the metrics with the sorted
-/// token and request latency samples.
+/// (`shed` of them) or in flight. A token degraded by a token fault keeps
+/// none of its long-range top-k budget, one decoded under a brownout keeps
+/// `brownout_keep` of it. Returns the metrics with the sorted token and
+/// request latency samples.
 fn serve_metrics(
     replicas: &[ReplicaSim],
     offered: usize,
     shed: usize,
-    degraded_keep: f64,
+    brownout_keep: f64,
     rec: &mut Recorder,
 ) -> (ServeMetrics, SortedSamples, SortedSamples) {
     let mut token_lat = LatencySamples::new();
     let mut request_lat = LatencySamples::new();
     let (mut generated, mut batch_users, mut batch_steps) = (0usize, 0usize, 0usize);
-    let (mut rejected, mut waiting) = (0usize, 0usize);
+    let (mut rejected, mut waiting, mut brownout) = (0usize, 0usize, 0usize);
     let mut spec = (0usize, 0usize, 0usize);
     let mut degrade = DegradeStats::default();
     let mut span_ns = 0.0f64;
@@ -1598,6 +1441,7 @@ fn serve_metrics(
         generated += r.generated_tokens;
         rejected += r.sched.rejected();
         waiting += r.sched.waiting_len();
+        brownout += r.brownout_tokens;
         spec.0 += r.spec_counts.0;
         spec.1 += r.spec_counts.1;
         spec.2 += r.spec_counts.2;
@@ -1628,7 +1472,8 @@ fn serve_metrics(
         degraded_quality_delta: if generated == 0 || degrade.degraded_tokens == 0 {
             0.0
         } else {
-            (1.0 - degraded_keep) * degrade.degraded_tokens as f64 / generated as f64
+            let lost = (degrade.degraded_tokens - brownout) as f64;
+            (lost + (1.0 - brownout_keep) * brownout as f64) / generated as f64
         },
         spec_hits: spec.0,
         spec_misses: spec.1,
@@ -1638,114 +1483,152 @@ fn serve_metrics(
     (metrics, token_lat, request_lat)
 }
 
-/// Closed-loop serving over a fleet of replicas behind a deterministic
-/// front-end router: the one fleet loop, where fault domains (`fopts`)
-/// and sessions (`sess`) are independent options that compose.
-///
-/// The router places each arrival on one replica from [`Scheduler::load`]
-/// snapshots taken after every replica has advanced to the arrival time.
-/// Placement is a pure function of `(seed, arrival index, load)`, so the
-/// fleet timeline is bit-identical at any worker-thread count. Decisions
-/// land on the `router` track as `route.place` instants; each replica gets
-/// its own `r<i>.serving` / `r<i>.sched` tracks.
-///
-/// **Fault domains.** A replica crash/brownout timeline drawn from
-/// `fopts.fault_seed` (independent of the workload seed), per-replica
-/// circuit breakers driving health-aware failover, and an SLO-aware
-/// admission controller that sheds arrivals no replica has queue room
-/// for. A crash evacuates the replica's in-flight set (its KV pages are
-/// gone) and redispatches each request through the router onto a
-/// survivor, where it queues behind the rebuild charge of that replica's
-/// [`KvDeviceGeometry`]. Every arrival is placed once, redispatched with a
-/// recorded reason, or shed — never lost; the [`FleetReport`] audit
-/// enforces it. Fault instants land on a `fleet.faults` track.
-///
-/// **Sessions.** The session generator ([`crate::session`]) replaces the
-/// Poisson process: each session's turns extend one growing context, and
-/// a completed turn publishes its KV prefix under a content hash into its
-/// replica's prefix cache. A follow-up turn resumes cheapest first: a
-/// **local hit** pins the prefix and prefills only the suffix; a
-/// **pooled-DReX pull** from the owning replica pays the target's per-page
-/// restore price × 2 (two fabric hops, the preemption-restore transfer
-/// model) on top of the suffix when that beats re-prefilling, traced as a
-/// `prefix.pull` span on the `sessions` track and logged as a
-/// [`PullRecord`]; otherwise it prefills **cold**. Under
-/// [`RouterPolicy::Affinity`] a resuming turn lands on its owner while the
-/// owner's breaker admits it and it has free HBM, else on cost-aware JSQ
-/// crediting the owner's cached pages. A crash drops its evacuees' pins:
-/// a warm evacuee is repriced to its full cold prefill (a `prefix.lost`
-/// instant) and its pending publication moves with it; a shed follow-up
-/// counts cold. The session audit checks pin and turn conservation.
-///
-/// With one replica and no session workload this is bit-identical to
-/// [`simulate_scheduled`], wrapped in a degenerate [`FleetReport`]; with
-/// both option sets disabled no fault or session track is interned.
-///
-/// # Panics
-///
-/// Panics when `systems` is empty, or when fault options are active over
-/// a single-replica fleet (there is nothing to fail over to; the CLI
-/// rejects the combination).
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_fleet(
-    systems: &mut [Box<dyn ServingSystem>],
-    model: &ModelConfig,
-    workload: &WorkloadConfig,
-    opts: &SchedOptions,
-    router_policy: RouterPolicy,
-    fopts: &FleetFaultOptions,
-    sess: &SessionOptions,
-    rec: &mut Recorder,
-) -> (ServeMetrics, FleetReport) {
-    assert!(!systems.is_empty(), "fleet needs at least one replica");
-    assert!(
-        systems.len() > 1 || !fopts.is_active(),
-        "fleet fault domains need at least two replicas"
-    );
-    if systems.len() == 1 && !sess.is_active() {
-        let (m, rep, _) = sched_impl(systems[0].as_mut(), model, workload, opts, None, rec, None);
-        let mut fleet = FleetReport::single(router_policy, rep);
-        fleet.slo_burn = m.slo_burn.clone();
-        return (m, fleet);
+/// Everything one serving [`run`] is parameterised by. [`RunSpec::new`] is
+/// the plain FIFO run of one workload; set the other fields with
+/// struct-update syntax.
+#[derive(Debug, Clone)]
+pub struct RunSpec {
+    /// Model every replica serves (prices each request's prefill).
+    pub model: ModelConfig,
+    /// Offered load (the Poisson process unless `sessions` is active).
+    pub workload: WorkloadConfig,
+    /// Scheduler policy and paged-KV knobs of every replica.
+    pub sched: SchedOptions,
+    /// Front-end routing policy (a lone replica is never routed).
+    pub router: RouterPolicy,
+    /// Replica fault domains, breakers and shedding (two replicas or more).
+    pub faults: FleetFaultOptions,
+    /// Multi-turn session workload in place of the Poisson process.
+    pub sessions: SessionOptions,
+    /// Token-level offload faults and their retry policy, one injector for
+    /// every replica (a disabled injector is no injector).
+    pub token_faults: Option<(FaultInjector, RetryPolicy)>,
+}
+
+impl RunSpec {
+    /// `workload` on FIFO replicas behind a JSQ router, with no faults and
+    /// no sessions.
+    pub fn new(model: ModelConfig, workload: WorkloadConfig) -> Self {
+        Self {
+            model,
+            workload,
+            sched: SchedOptions::fifo(),
+            router: RouterPolicy::JsqSpillover,
+            faults: FleetFaultOptions::disabled(),
+            sessions: SessionOptions::disabled(),
+            token_faults: None,
+        }
     }
+}
+
+/// Why [`run`] refuses a [`RunSpec`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RunError {
+    /// No replica to serve the load.
+    NoReplicas,
+    /// Replica fault domains over a single replica: there is nothing to
+    /// fail over to.
+    FaultDomainsNeedTwoReplicas,
+}
+
+impl std::fmt::Display for RunError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            RunError::NoReplicas => "a run needs at least one replica",
+            RunError::FaultDomainsNeedTwoReplicas => {
+                "fleet fault domains need at least two replicas"
+            }
+        })
+    }
+}
+
+impl std::error::Error for RunError {}
+
+/// Closed-loop serving of `spec` over `systems`, one replica each: the one
+/// arrival loop.
+///
+/// Each arrival applies the fault events due by then, advances every
+/// replica to its arrival time, and is placed and injected. A lone replica
+/// takes every arrival and records on unprefixed tracks. A fleet routes
+/// each arrival from [`Scheduler::load`] snapshots taken once every live
+/// replica has drained at the arrival time, as a pure function of `(seed,
+/// arrival index, load)` logged as `route.place` instants on the `router`
+/// track; replica `i` records on `r{i}.*` tracks. After the last arrival
+/// every replica runs to completion. A step that ends past four horizons
+/// halts its replica unaccounted, and no later arrival is placed. Steps
+/// are synchronized across a replica's batch, and contexts are frozen at
+/// admission: decode adds at most a few hundred tokens to 16K+ prompts.
+///
+/// * **Token faults** (`spec.token_faults`): each generated token resolves
+///   through [`crate::degrade::resolve_token`] — a timeout costs the
+///   deadline plus backoff, exhausted retries degrade the token to
+///   window-only attention, a hard fault kills the request — and the batch
+///   is paced by its worst token. Draws key on `(seed, request id, token,
+///   attempt)`, so placement never changes one; the [`FaultLog`] (replica
+///   by replica) matches the `faults` track instants one for one.
+/// * **Fault domains** (`spec.faults`): a crash/brownout timeline from its
+///   own seed, per-replica circuit breakers, and an admission controller
+///   that sheds what no replica has queue room for. A crash evacuates the
+///   replica and redispatches its requests onto survivors, behind the
+///   rebuild charge of their [`KvDeviceGeometry`]. Every arrival is placed
+///   once, redispatched with a reason, or shed; the [`FleetReport`] audit
+///   enforces it.
+/// * **Sessions** (`spec.sessions`, see [`crate::session`]): a session's
+///   turns extend one growing context, and a completed turn publishes its
+///   KV prefix into its replica's prefix cache. A follow-up resumes
+///   cheapest first: a local hit pins the prefix and prefills the suffix; a
+///   pooled-DReX pull from the owner pays the target's restore price × 2
+///   (two fabric hops) when that beats re-prefilling, traced as a
+///   `prefix.pull` span and logged as a [`PullRecord`]; otherwise it
+///   prefills cold. [`RouterPolicy::Affinity`] prefers the owner. A crash
+///   reprices a warm evacuee to its cold prefill (`prefix.lost`), and a
+///   shed follow-up counts cold.
+///
+/// Recording (`rec`, and `attr` for the per-token attribution) only reads
+/// simulation state, so the timeline is bit-identical to an unobserved run
+/// at any thread count; only armed options intern their tracks.
+///
+/// # Errors
+///
+/// [`RunError::NoReplicas`] for an empty `systems`, and
+/// [`RunError::FaultDomainsNeedTwoReplicas`] for `spec.faults` armed over
+/// one replica.
+pub fn run<'s, S: DerefMut<Target = dyn ServingSystem + 's>>(
+    systems: &mut [S],
+    spec: &RunSpec,
+    rec: &mut Recorder,
+    mut attr: Option<&mut TokenAttribution>,
+) -> Result<(ServeMetrics, FleetReport, FaultLog), RunError> {
+    let (opts, fopts, sess) = (&spec.sched, &spec.faults, &spec.sessions);
     let n = systems.len();
-    let horizon_ns = workload.duration_s * 1e9;
+    if n == 0 {
+        return Err(RunError::NoReplicas);
+    }
+    if n == 1 && fopts.is_active() {
+        return Err(RunError::FaultDomainsNeedTwoReplicas);
+    }
     let mut arrivals = if sess.is_active() {
-        session::gen_session_turns(model, workload, &opts.mix, sess)
+        session::gen_session_turns(&spec.model, &spec.workload, &opts.mix, sess)
     } else {
-        gen_arrivals(model, workload, &opts.mix)
+        gen_arrivals(&spec.model, &spec.workload, &opts.mix)
     };
     let offered = arrivals.len();
-    let router = Router::new(router_policy, workload.seed);
-    let router_track = rec.track("router");
-    let active = fopts.is_active();
-    // Fault and session tracks are interned only when armed, so every run
-    // keeps its exact track list.
-    let track = if active {
-        rec.track("fleet.faults")
-    } else {
-        router_track
-    };
+    // Router, fault and session tracks are interned first, each only when
+    // armed, so every run keeps its exact track list.
+    let mut fleet = (n > 1).then(|| FleetCtl::new(spec, n, offered, rec));
     let sessions_track = sess.is_active().then(|| rec.track("sessions"));
-    let mut events: Vec<ReplicaEvent> = if fopts.profile.is_enabled() {
-        fleet_schedule(&fopts.profile, fopts.fault_seed, n, workload.duration_s)
-    } else {
-        Vec::new()
-    };
-    events.reverse(); // pop from the back in time order
-    let mut breakers: Option<Vec<CircuitBreaker>> = fopts
-        .breaker
-        .map(|cfg| (0..n).map(|_| CircuitBreaker::new(cfg)).collect());
-    let mut summary = FleetFaultSummary::new(n, offered);
-    let mut down_since = vec![0.0f64; n];
-    let mut fed_completions = vec![0usize; n];
-    let mut fed_degraded = vec![0u64; n];
-
+    let token_faults = spec
+        .token_faults
+        .as_ref()
+        .filter(|(inj, _)| inj.is_enabled())
+        .map(|(inj, retry)| (inj, retry));
+    let guard_ns = 4.0 * spec.workload.duration_s * 1e9;
     let mut replicas: Vec<ReplicaSim> = Vec::with_capacity(n);
     let mut geometries: Vec<KvDeviceGeometry> = Vec::with_capacity(n);
     for (i, sys) in systems.iter_mut().enumerate() {
-        let g = geometry_for(sys.as_ref(), opts);
-        let mut r = ReplicaSim::new(&g, opts, rec, Some(i), None, None);
+        let g = geometry_for(&**sys, opts);
+        let idx = (n > 1).then_some(i);
+        let mut r = ReplicaSim::new(&g, opts, rec, idx, token_faults, guard_ns);
         r.sched
             .pages_mut()
             .set_prefix_capacity(sess.prefix_cache_pages);
@@ -1755,83 +1638,49 @@ pub fn simulate_fleet(
 
     // Content hash -> replica whose cache holds (or will hold) the prefix.
     let mut owners: HashMap<u64, usize> = HashMap::new();
-    let mut placements: Vec<Placement> = Vec::with_capacity(offered);
-    let (mut sessions_seen, mut local_hits, mut cold_turns) = (0usize, 0usize, 0usize);
-    let mut pulls: Vec<PullRecord> = Vec::new();
+    let mut book = SessionSummary {
+        sessions: 0,
+        turns: offered,
+        prefix_hits: 0,
+        cold_turns: 0,
+        pulls: Vec::new(),
+    };
+    let mut placements: Vec<Placement> = Vec::new();
     loop {
-        // Fault events due by the next arrival apply first. Past the last
-        // arrival the rest of the timeline (repairs in particular) runs
-        // before the final drain, so every crashed replica comes back up
-        // and serves out whatever a naive router parked on it.
-        let next = arrivals.last().map_or(f64::INFINITY, |a| a.arrival_ns);
-        while let Some(e) = events.pop_if(|e| e.at_ns <= next) {
-            apply_fleet_event(
-                e,
-                &fopts.profile,
-                &router,
-                &mut replicas,
-                systems,
-                &geometries,
-                &mut breakers,
-                &mut summary,
-                &mut down_since,
-                &mut owners,
-                horizon_ns,
-                rec,
-                track,
-                sessions_track,
-            );
+        if let Some(f) = fleet.as_mut() {
+            // Fault events due by the next arrival apply first. Past the
+            // last arrival the rest of the timeline (repairs in particular)
+            // runs before the final drain, so every crashed replica comes
+            // back up and serves out whatever a naive router parked on it.
+            let next = arrivals.last().map_or(f64::INFINITY, |a| a.arrival_ns);
+            while let Some(e) = f.events.pop_if(|e| e.at_ns <= next) {
+                let (at, st) = (attr.as_deref_mut(), sessions_track);
+                f.apply_event(
+                    e,
+                    &mut replicas,
+                    systems,
+                    &geometries,
+                    &mut owners,
+                    rec,
+                    at,
+                    st,
+                );
+            }
         }
         let Some(a) = arrivals.pop() else { break };
         for (r, sys) in replicas.iter_mut().zip(systems.iter_mut()) {
-            r.advance(sys.as_mut(), rec, Some(a.arrival_ns), horizon_ns);
-        }
-        if let Some(bs) = breakers.as_mut() {
-            feed_breakers(
-                &replicas,
-                bs,
-                &mut fed_completions,
-                &mut fed_degraded,
-                a.arrival_ns,
-                rec,
-                track,
-            );
-            if rec.timeseries.is_enabled() {
-                for (i, b) in bs.iter().enumerate() {
-                    rec.timeseries.gauge(
-                        &format!("r{i}.breaker"),
-                        a.arrival_ns,
-                        breaker_level(b.state()),
-                    );
-                }
+            if fleet.is_some() {
+                r.catch_up(&mut **sys, rec, attr.as_deref_mut(), a.arrival_ns);
+            } else {
+                r.advance(&mut **sys, rec, attr.as_deref_mut(), Some(a.arrival_ns));
             }
         }
-        let loads: Vec<_> = replicas.iter().map(|r| r.sched.load()).collect();
-        // Health gate first (a naive baseline sees every replica as
-        // closed — it stays blind to downtime and wedges whatever it
-        // places on a dead node), then the admission controller's
-        // per-class queue caps on top.
-        let health: Vec<BreakerState> = match breakers.as_ref() {
-            Some(bs) => breaker_health(bs),
-            None => vec![BreakerState::Closed; n],
-        };
-        let gated: Vec<BreakerState> = match fopts.shed_queue_cap {
-            Some(cap) => health
-                .iter()
-                .enumerate()
-                .map(|(i, &s)| {
-                    if replicas[i].sched.queue_depth(a.class) >= class_queue_cap(cap, a.class) {
-                        BreakerState::Open
-                    } else {
-                        s
-                    }
-                })
-                .collect(),
-            None => health.clone(),
-        };
+        if replicas.iter().any(|r| r.halted) {
+            break;
+        }
         let turn = a.turn.as_ref();
         if turn.is_some_and(|t| t.turn == 0) {
-            sessions_seen += 1;
+            book.sessions += 1;
         }
         // The owning replica only counts while its cache still holds the
         // prefix (LRU reclaim or a crash wipe orphans the owner map entry).
@@ -1839,62 +1688,24 @@ pub fn simulate_fleet(
             let o = *owners.get(&h)?;
             Some((o, replicas[o].sched.pages().prefix_lookup(h)?))
         });
-        // With no owner or a non-affinity policy this is `route_healthy`,
-        // and over all-Closed states that is `route`.
-        let routed = router.route_affine(
-            a.id,
-            a.class,
-            &loads,
-            &gated,
-            owned.map(|(o, _)| o),
-            owned.map_or(0, |(_, pages)| pages),
-        );
-        let Ok(pick) = routed else {
-            let reason = if health.iter().all(|&s| s == BreakerState::Open) {
-                "no-healthy-replica"
-            } else {
-                "queue-cap"
-            };
-            summary.shed.push(ShedRecord {
-                id: a.id,
-                class: a.class,
-                at_ns: a.arrival_ns,
-                reason,
-            });
-            if rec.is_enabled() {
-                rec.instant_with(
-                    track,
-                    "shed",
-                    a.arrival_ns,
-                    &[
-                        ("id", ArgVal::U(a.id as u64)),
-                        ("class", ArgVal::S(a.class.name())),
-                        ("reason", ArgVal::S(reason)),
-                    ],
-                );
+        let pick = match fleet.as_mut() {
+            None => {
+                rec.timeseries.rate_add("arrivals", a.arrival_ns, 1.0);
+                0
             }
-            rec.timeseries.rate_add("fleet.shed", a.arrival_ns, 1.0);
-            // A shed follow-up never resumed its prefix: it counts cold,
-            // so turn conservation holds.
-            if turn.is_some_and(|t| t.turn > 0) {
-                cold_turns += 1;
-            }
-            continue;
+            Some(f) => match f.route(&a, &replicas, owned, rec) {
+                Some(pick) => {
+                    placements.push((a.id, pick));
+                    pick
+                }
+                None => {
+                    // A shed follow-up never resumed its prefix: it counts
+                    // cold, so turn conservation holds.
+                    book.cold_turns += usize::from(turn.is_some_and(|t| t.turn > 0));
+                    continue;
+                }
+            },
         };
-        placements.push((a.id, pick));
-        if rec.is_enabled() {
-            rec.instant_with(
-                router_track,
-                "route.place",
-                a.arrival_ns,
-                &[
-                    ("id", ArgVal::U(a.id as u64)),
-                    ("replica", ArgVal::U(pick as u64)),
-                    ("class", ArgVal::S(a.class.name())),
-                    ("free_hbm", ArgVal::U(loads[pick].free_hbm() as u64)),
-                ],
-            );
-        }
         let g = &geometries[pick];
         let mut req = a.request(g);
         if let Some(t) = turn {
@@ -1906,7 +1717,7 @@ pub fn simulate_fleet(
                 owned.filter(|&(o, _)| o != pick),
                 g.restore_ns_per_page,
             ) {
-                Resume::Local => local_hits += 1,
+                Resume::Local => book.prefix_hits += 1,
                 Resume::Pull(p) => {
                     if let Some(st) = sessions_track {
                         rec.leaf_with(
@@ -1923,9 +1734,9 @@ pub fn simulate_fleet(
                         );
                     }
                     rec.timeseries.rate_add("sessions.pull", a.arrival_ns, 1.0);
-                    pulls.push(p);
+                    book.pulls.push(p);
                 }
-                Resume::Cold => cold_turns += usize::from(t.turn > 0),
+                Resume::Cold => book.cold_turns += usize::from(t.turn > 0),
             }
             // This turn's completion publishes the next turn's prefix.
             replicas[pick].turns.push(PendingTurn {
@@ -1938,130 +1749,191 @@ pub fn simulate_fleet(
             });
             owners.insert(t.publish_hash, pick);
         }
-        replicas[pick].inject(systems[pick].as_mut(), rec, req);
-        if rec.timeseries.is_enabled() {
+        replicas[pick].inject(&mut *systems[pick], rec, req);
+        if fleet.is_some() && rec.timeseries.is_enabled() {
             rec.timeseries.rate_add("fleet.admit", a.arrival_ns, 1.0);
-            let prefix = replicas[pick].prefix.clone();
-            sample_sched_timeseries(rec, &prefix, a.arrival_ns, &replicas[pick].sched);
+            let r = &replicas[pick];
+            sample_sched_timeseries(rec, &r.prefix, a.arrival_ns, &r.sched);
         }
     }
     for (r, sys) in replicas.iter_mut().zip(systems.iter_mut()) {
-        r.advance(sys.as_mut(), rec, None, horizon_ns);
+        r.advance(&mut **sys, rec, attr.as_deref_mut(), None);
     }
 
-    let (metrics, _, _) = serve_metrics(
+    let shed = fleet.as_ref().map_or(0, |f| f.summary.shed.len());
+    let (metrics, token_lat, request_lat) = serve_metrics(
         &replicas,
         offered,
-        summary.shed.len(),
+        shed,
         fopts.profile.brownout_topk_factor,
         rec,
     );
-    let generated: usize = replicas.iter().map(|r| r.generated_tokens).sum();
-    let mut reports: Vec<SchedReport> = Vec::with_capacity(n);
-    let mut samples: [(LatencySamples, LatencySamples); 3] = Default::default();
-    for r in replicas.iter_mut() {
-        reports.push(r.sched.finalize());
-        for (i, (tok, req)) in r.sched.class_samples().into_iter().enumerate() {
-            samples[i].0.append(tok);
-            samples[i].1.append(req);
+    let mut reports: Vec<SchedReport> = replicas.iter_mut().map(|r| r.sched.finalize()).collect();
+    let mut report = match fleet {
+        // A lone replica's report already holds its per-class percentiles,
+        // and it took every arrival placed, in id order.
+        None => FleetReport::single(spec.router, reports.swap_remove(0)),
+        Some(f) => {
+            let mut samples: [(LatencySamples, LatencySamples); 3] = Default::default();
+            for r in &replicas {
+                for (i, (tok, req)) in r.sched.class_samples().into_iter().enumerate() {
+                    samples[i].0.append(tok);
+                    samples[i].1.append(req);
+                }
+            }
+            let faults = fopts.is_active().then_some(f.summary);
+            FleetReport::assemble_with_faults(spec.router, reports, placements, samples, faults)
         }
-    }
-    let mut fleet = FleetReport::assemble_with_faults(
-        router_policy,
-        reports,
-        placements,
-        samples,
-        active.then_some(summary),
-    );
-    fleet.slo_burn = metrics.slo_burn.clone();
+    };
+    report.slo_burn = metrics.slo_burn.clone();
     if sess.is_active() {
-        fleet.attach_sessions(SessionSummary {
-            sessions: sessions_seen,
-            turns: offered,
-            prefix_hits: local_hits,
-            cold_turns,
-            pulls,
-        });
+        report.attach_sessions(book);
     }
     if rec.is_enabled() {
-        rec.counter_add("serving.completed", metrics.completed as u64);
-        rec.counter_add("serving.rejected", metrics.rejected as u64);
-        rec.counter_add("serving.generated_tokens", generated as u64);
-        rec.counter_add("router.placements", fleet.placements.len() as u64);
-        rec.gauge_set("serving.throughput_tps", metrics.throughput_tps);
-        rec.gauge_set("serving.mean_batch", metrics.mean_batch);
-        if let Some(f) = &fleet.faults {
-            rec.counter_add("fleet.crashes", f.crashes as u64);
-            rec.counter_add("fleet.brownouts", f.brownouts as u64);
-            rec.counter_add("fleet.redispatched", f.redispatches.len() as u64);
-            rec.counter_add("fleet.shed", f.shed.len() as u64);
-        }
-        if let Some(s) = &fleet.sessions {
-            rec.counter_add("sessions.turns", s.turns as u64);
-            rec.counter_add("sessions.prefix_hits", s.prefix_hits as u64);
-            rec.counter_add("sessions.pulls", s.pulls.len() as u64);
-            rec.counter_add("sessions.pulled_pages", s.pulled_pages() as u64);
-            rec.counter_add("sessions.cold_turns", s.cold_turns as u64);
-        }
+        record_totals(rec, &metrics, &report, &replicas, &token_lat, &request_lat);
     }
-    (metrics, fleet)
+    let mut log = FaultLog::new();
+    for r in replicas {
+        log.extend(r.fault_log);
+    }
+    Ok((metrics, report, log))
 }
 
-/// [`simulate_fleet`] without a session workload.
-///
-/// # Panics
-///
-/// As [`simulate_fleet`].
+/// The end-of-run counters and gauges. A lone replica also exports its
+/// latency histograms, token percentiles, scheduler totals and (when it
+/// speculated) speculation counters; a fleet exports its placements,
+/// fault-domain and session totals, and token-fault counters when token
+/// faults were on.
+fn record_totals(
+    rec: &mut Recorder,
+    m: &ServeMetrics,
+    report: &FleetReport,
+    replicas: &[ReplicaSim],
+    token_lat: &SortedSamples,
+    request_lat: &SortedSamples,
+) {
+    let lone = replicas.len() == 1;
+    let spec_pool = replicas[0].spec_pool.as_ref().filter(|_| lone);
+    let sched = &report.replicas[0];
+    if lone {
+        for t in token_lat.iter() {
+            rec.observe("serving.token_latency_ms", t);
+        }
+        for l in request_lat.iter() {
+            rec.observe("serving.request_latency_ms", l);
+        }
+    }
+    rec.counter_add("serving.completed", m.completed as u64);
+    rec.counter_add("serving.rejected", m.rejected as u64);
+    let generated: usize = replicas.iter().map(|r| r.generated_tokens).sum();
+    rec.counter_add("serving.generated_tokens", generated as u64);
+    if lone || replicas[0].faults.is_some() {
+        let events: usize = replicas.iter().map(|r| r.fault_log.len()).sum();
+        rec.counter_add("serving.retried_tokens", m.retried_tokens as u64);
+        rec.counter_add("serving.degraded_tokens", m.degraded_tokens as u64);
+        rec.counter_add("serving.failed_requests", m.failed_requests as u64);
+        rec.counter_add("serving.fault_events", events as u64);
+    }
+    // Speculation counters exist only when a slot pool did: metrics exports
+    // of lookahead-off runs keep their exact key set.
+    if let Some(pool) = spec_pool {
+        rec.counter_add("serving.spec_hits", m.spec_hits as u64);
+        rec.counter_add("serving.spec_misses", m.spec_misses as u64);
+        rec.counter_add("serving.spec_denied", m.spec_denied as u64);
+        rec.gauge_set("serving.spec_peak_slots", pool.peak_occupancy() as f64);
+    }
+    rec.gauge_set("serving.throughput_tps", m.throughput_tps);
+    rec.gauge_set("serving.mean_batch", m.mean_batch);
+    if lone {
+        rec.gauge_set("serving.p50_token_ms", m.p50_token_ms);
+        rec.gauge_set("serving.p99_token_ms", m.p99_token_ms);
+        rec.counter_add("sched.preemptions", sched.preemptions as u64);
+        rec.counter_add("sched.resumes", sched.resumes as u64);
+        rec.counter_add("sched.prefill_chunks", sched.prefill_chunks as u64);
+        rec.gauge_set("sched.peak_hbm_pages", sched.pages.peak_hbm as f64);
+        rec.gauge_set("sched.peak_drex_pages", sched.pages.peak_drex as f64);
+    } else {
+        rec.counter_add("router.placements", report.placements.len() as u64);
+    }
+    if let Some(f) = &report.faults {
+        rec.counter_add("fleet.crashes", f.crashes as u64);
+        rec.counter_add("fleet.brownouts", f.brownouts as u64);
+        rec.counter_add("fleet.redispatched", f.redispatches.len() as u64);
+        rec.counter_add("fleet.shed", f.shed.len() as u64);
+    }
+    if let Some(s) = &report.sessions {
+        rec.counter_add("sessions.turns", s.turns as u64);
+        rec.counter_add("sessions.prefix_hits", s.prefix_hits as u64);
+        rec.counter_add("sessions.pulls", s.pulls.len() as u64);
+        rec.counter_add("sessions.pulled_pages", s.pulled_pages() as u64);
+        rec.counter_add("sessions.cold_turns", s.cold_turns as u64);
+    }
+}
+
+// The three `simulate*` forwards below remain for the benchmark harness
+// only; the ROADMAP benchmark revision moves it to `run` and deletes them.
+
+/// [`run`] over one replica, returning its [`SchedReport`]; deleted by the
+/// ROADMAP benchmark revision.
+pub fn simulate_scheduled(
+    system: &mut dyn ServingSystem,
+    model: &ModelConfig,
+    workload: &WorkloadConfig,
+    opts: &SchedOptions,
+    faults: Option<(&FaultInjector, &RetryPolicy)>,
+    rec: &mut Recorder,
+    attr: Option<&mut TokenAttribution>,
+) -> (ServeMetrics, SchedReport, FaultLog) {
+    let spec = RunSpec {
+        sched: opts.clone(),
+        token_faults: faults.map(|(inj, retry)| (inj.clone(), *retry)),
+        ..RunSpec::new(model.clone(), workload.clone())
+    };
+    let (m, mut fleet, log) = run(&mut [system], &spec, rec, attr).expect("one replica runs");
+    (m, fleet.replicas.swap_remove(0), log)
+}
+
+/// [`run`] under fault domains, panicking on a [`RunError`]; deleted by the
+/// ROADMAP benchmark revision.
 pub fn simulate_fleet_faulty(
     systems: &mut [Box<dyn ServingSystem>],
     model: &ModelConfig,
     workload: &WorkloadConfig,
     opts: &SchedOptions,
-    router_policy: RouterPolicy,
+    router: RouterPolicy,
     fopts: &FleetFaultOptions,
     rec: &mut Recorder,
 ) -> (ServeMetrics, FleetReport) {
-    let sess = SessionOptions::disabled();
-    simulate_fleet(
-        systems,
-        model,
-        workload,
-        opts,
-        router_policy,
-        fopts,
-        &sess,
-        rec,
-    )
+    let spec = RunSpec {
+        sched: opts.clone(),
+        router,
+        faults: fopts.clone(),
+        ..RunSpec::new(model.clone(), workload.clone())
+    };
+    run(systems, &spec, rec, None).map_or_else(|e| panic!("{e}"), |(m, f, _)| (m, f))
 }
 
-/// [`simulate_fleet`] without fleet fault domains.
-///
-/// # Panics
-///
-/// As [`simulate_fleet`].
+/// [`run`] of a session workload, panicking on a [`RunError`]; deleted by
+/// the ROADMAP benchmark revision.
 pub fn simulate_fleet_sessions(
     systems: &mut [Box<dyn ServingSystem>],
     model: &ModelConfig,
     workload: &WorkloadConfig,
     opts: &SchedOptions,
-    router_policy: RouterPolicy,
+    router: RouterPolicy,
     sess: &SessionOptions,
     rec: &mut Recorder,
 ) -> (ServeMetrics, FleetReport) {
-    let fopts = FleetFaultOptions::disabled();
-    simulate_fleet(
-        systems,
-        model,
-        workload,
-        opts,
-        router_policy,
-        &fopts,
-        sess,
-        rec,
-    )
+    let spec = RunSpec {
+        sched: opts.clone(),
+        router,
+        sessions: sess.clone(),
+        ..RunSpec::new(model.clone(), workload.clone())
+    };
+    run(systems, &spec, rec, None).map_or_else(|e| panic!("{e}"), |(m, f, _)| (m, f))
 }
 
-/// How a session turn resumed its prefix (see [`simulate_fleet`]).
+/// How a session turn resumed its prefix (see [`run`]).
 enum Resume {
     /// Pinned in the placement replica's own cache.
     Local,
@@ -2120,77 +1992,205 @@ fn price_resume(
     })
 }
 
-/// Applies one replica fault-timeline event to the fleet.
-///
-/// `Down` advances the replica to the crash instant, evacuates its entire
-/// in-flight set (pages freed — the KV state is gone), and redispatches
-/// each evacuee through the router onto a surviving replica, where it
-/// queues behind the target geometry's rebuild charge (full prefill when
-/// caught mid-prefill, restore-vs-recompute otherwise). When every other
-/// replica is also down the evacuee parks on the crashed replica and
-/// resumes after repair — redispatch never loses a request. An evacuated
-/// session turn takes its pending prefix publication along (the owner map
-/// follows it), and a warm one is repriced to its cold prefill: the prefix
-/// it pinned or pulled died with the replica. `Up` restores the replica
-/// (and moves a held-open breaker to half-open); brownout events toggle
-/// the replica's offload-budget factor.
-#[allow(clippy::too_many_arguments)]
-fn apply_fleet_event(
-    e: ReplicaEvent,
-    profile: &ReplicaFaultProfile,
-    router: &Router,
-    replicas: &mut [ReplicaSim],
-    systems: &mut [Box<dyn ServingSystem>],
-    geometries: &[KvDeviceGeometry],
-    breakers: &mut Option<Vec<CircuitBreaker>>,
-    summary: &mut FleetFaultSummary,
-    down_since: &mut [f64],
-    owners: &mut HashMap<u64, usize>,
-    horizon_ns: f64,
-    rec: &mut Recorder,
-    track: TrackId,
-    sessions_track: Option<TrackId>,
-) {
-    let r = e.replica;
-    match e.kind {
-        ReplicaEventKind::Down => {
-            replicas[r].advance(systems[r].as_mut(), rec, Some(e.at_ns), horizon_ns);
-            let evac = replicas[r].sched.crash_evacuate();
-            replicas[r].down = true;
-            down_since[r] = e.at_ns;
-            summary.crashes += 1;
-            if rec.timeseries.is_enabled() {
-                rec.timeseries.gauge(&format!("r{r}.up"), e.at_ns, 0.0);
-                let prefix = replicas[r].prefix.clone();
-                sample_sched_timeseries(rec, &prefix, e.at_ns, &replicas[r].sched);
-            }
-            if rec.is_enabled() {
-                rec.instant_with(
-                    track,
-                    "replica.down",
-                    e.at_ns,
-                    &[
-                        ("replica", ArgVal::U(r as u64)),
-                        ("evacuated", ArgVal::U(evac.len() as u64)),
-                    ],
-                );
-            }
-            if let Some(s) = breakers.as_mut().and_then(|bs| bs[r].force_open(e.at_ns)) {
-                record_breaker(rec, track, r, e.at_ns, s);
-            }
-            // Survivors advance to the crash instant so every failover
-            // decision is taken from one consistent snapshot.
-            for i in 0..replicas.len() {
-                if i != r && !replicas[i].down {
-                    replicas[i].advance(systems[i].as_mut(), rec, Some(e.at_ns), horizon_ns);
+/// The front end of a fleet (two replicas or more): the router, the
+/// replica fault timeline, the breakers and the admission controller, and
+/// what they logged.
+struct FleetCtl<'a> {
+    fopts: &'a FleetFaultOptions,
+    router: Router,
+    router_track: TrackId,
+    /// `fleet.faults` when fault domains are armed, else the router track.
+    fault_track: TrackId,
+    /// The replica fault timeline, reversed: pop from the back in time
+    /// order.
+    events: Vec<ReplicaEvent>,
+    breakers: Option<Vec<CircuitBreaker>>,
+    summary: FleetFaultSummary,
+    down_since: Vec<f64>,
+    /// Completions and degraded tokens of each replica its breaker has
+    /// already seen.
+    fed: Vec<(usize, u64)>,
+}
+
+impl<'a> FleetCtl<'a> {
+    fn new(spec: &'a RunSpec, n: usize, offered: usize, rec: &mut Recorder) -> Self {
+        let (fopts, wl) = (&spec.faults, &spec.workload);
+        let router_track = rec.track("router");
+        let mut events = Vec::new();
+        if fopts.profile.is_enabled() {
+            events = fleet_schedule(&fopts.profile, fopts.fault_seed, n, wl.duration_s);
+            events.reverse();
+        }
+        Self {
+            fopts,
+            router: Router::new(spec.router, wl.seed),
+            router_track,
+            fault_track: if fopts.is_active() {
+                rec.track("fleet.faults")
+            } else {
+                router_track
+            },
+            events,
+            breakers: fopts.breaker.map(|cfg| vec![CircuitBreaker::new(cfg); n]),
+            summary: FleetFaultSummary::new(n, offered),
+            down_since: vec![0.0; n],
+            fed: vec![(0, 0); n],
+        }
+    }
+
+    /// Places arrival `a` from the replicas' load snapshot, or sheds it
+    /// (`None`, logged with its reason). First each breaker observes what
+    /// its replica produced since the last arrival; then the health gate
+    /// (a naive baseline sees every replica as closed — it stays blind to
+    /// downtime and wedges whatever it places on a dead node), then the
+    /// admission controller's per-class queue caps on top. `owned` is the
+    /// replica holding the turn's prefix, with its page count.
+    fn route(
+        &mut self,
+        a: &Arrival,
+        replicas: &[ReplicaSim],
+        owned: Option<(usize, usize)>,
+        rec: &mut Recorder,
+    ) -> Option<usize> {
+        self.feed_breakers(replicas, a.arrival_ns, rec);
+        let loads: Vec<_> = replicas.iter().map(|r| r.sched.load()).collect();
+        let health: Vec<BreakerState> = match self.breakers.as_ref() {
+            Some(bs) => breaker_health(bs),
+            None => vec![BreakerState::Closed; replicas.len()],
+        };
+        let mut gated = health.clone();
+        if let Some(cap) = self.fopts.shed_queue_cap {
+            for (s, r) in gated.iter_mut().zip(replicas) {
+                if r.sched.queue_depth(a.class) >= class_queue_cap(cap, a.class) {
+                    *s = BreakerState::Open;
                 }
             }
-            for ev in evac {
-                let loads: Vec<_> = replicas.iter().map(|x| x.sched.load()).collect();
+        }
+        // With no owner or a non-affinity policy this is `route_healthy`,
+        // and over all-Closed states that is `route`.
+        let (owner, pages) = owned.unzip();
+        let routed =
+            self.router
+                .route_affine(a.id, a.class, &loads, &gated, owner, pages.unwrap_or(0));
+        let (id, class) = (ArgVal::U(a.id as u64), ArgVal::S(a.class.name()));
+        let Ok(pick) = routed else {
+            let reason = if health.iter().all(|&s| s == BreakerState::Open) {
+                "no-healthy-replica"
+            } else {
+                "queue-cap"
+            };
+            self.summary.shed.push(ShedRecord {
+                id: a.id,
+                class: a.class,
+                at_ns: a.arrival_ns,
+                reason,
+            });
+            let args = [("id", id), ("class", class), ("reason", ArgVal::S(reason))];
+            rec.instant_with(self.fault_track, "shed", a.arrival_ns, &args);
+            rec.timeseries.rate_add("fleet.shed", a.arrival_ns, 1.0);
+            return None;
+        };
+        let free_hbm = ArgVal::U(loads[pick].free_hbm() as u64);
+        let args = [
+            ("id", id),
+            ("replica", ArgVal::U(pick as u64)),
+            ("class", class),
+            ("free_hbm", free_hbm),
+        ];
+        rec.instant_with(self.router_track, "route.place", a.arrival_ns, &args);
+        Some(pick)
+    }
+
+    /// Feeds each breaker the completions and degraded tokens its replica
+    /// produced since the last arrival, then ticks the cooldown — the
+    /// breaker observes exactly what a real front-end can observe, never
+    /// the fault schedule itself — and samples its `r{i}.breaker` gauge.
+    /// Transitions land on the fault track.
+    fn feed_breakers(&mut self, replicas: &[ReplicaSim], now_ns: f64, rec: &mut Recorder) {
+        let Some(bs) = self.breakers.as_mut() else {
+            return;
+        };
+        for (i, ((r, b), (done, degraded))) in
+            replicas.iter().zip(bs).zip(&mut self.fed).enumerate()
+        {
+            let mut transitions: Vec<Option<BreakerState>> = r.completions[*done..]
+                .iter()
+                .map(|&(class, lat)| b.note_completion(class, lat, now_ns))
+                .collect();
+            *done = r.completions.len();
+            let total = r.degrade.degraded_tokens as u64;
+            if total > *degraded {
+                transitions.push(b.note_degraded(total - *degraded, now_ns));
+                *degraded = total;
+            }
+            transitions.push(b.poll(now_ns));
+            for s in transitions.into_iter().flatten() {
+                breaker_instant(rec, self.fault_track, i, now_ns, s);
+            }
+            if rec.timeseries.is_enabled() {
+                let level = breaker_level(b.state());
+                rec.timeseries
+                    .gauge(&format!("r{i}.breaker"), now_ns, level);
+            }
+        }
+    }
+
+    /// Applies one replica fault-timeline event to the fleet.
+    ///
+    /// `Down` catches the replica up to the crash instant, evacuates its
+    /// entire in-flight set (pages freed — the KV state is gone), and
+    /// redispatches each evacuee through the router onto a surviving
+    /// replica, where it queues behind the target geometry's rebuild
+    /// charge (full prefill when caught mid-prefill, restore-vs-recompute
+    /// otherwise). When every other replica is also down the evacuee parks
+    /// on the crashed replica and resumes after repair — redispatch never
+    /// loses a request. An evacuated session turn takes its pending prefix
+    /// publication along (the owner map follows it), and a warm one is
+    /// repriced to its cold prefill: the prefix it pinned or pulled died
+    /// with the replica. `Up` restores the replica (and moves a held-open
+    /// breaker to half-open); brownout events toggle the replica's
+    /// offload-budget factor.
+    #[allow(clippy::too_many_arguments)]
+    fn apply_event<'s, S: DerefMut<Target = dyn ServingSystem + 's>>(
+        &mut self,
+        e: ReplicaEvent,
+        replicas: &mut [ReplicaSim],
+        systems: &mut [S],
+        geometries: &[KvDeviceGeometry],
+        owners: &mut HashMap<u64, usize>,
+        rec: &mut Recorder,
+        mut attr: Option<&mut TokenAttribution>,
+        sessions_track: Option<TrackId>,
+    ) {
+        let (r, at, track) = (e.replica, e.at_ns, self.fault_track);
+        let replica = ("replica", ArgVal::U(r as u64));
+        match e.kind {
+            ReplicaEventKind::Down => {
+                replicas[r].catch_up(&mut *systems[r], rec, attr.as_deref_mut(), at);
+                let evac = replicas[r].sched.crash_evacuate();
+                replicas[r].down = true;
+                self.down_since[r] = at;
+                self.summary.crashes += 1;
+                if rec.timeseries.is_enabled() {
+                    rec.timeseries.gauge(&format!("r{r}.up"), at, 0.0);
+                    sample_sched_timeseries(rec, &replicas[r].prefix, at, &replicas[r].sched);
+                }
+                let evacuated = ("evacuated", ArgVal::U(evac.len() as u64));
+                rec.instant_with(track, "replica.down", at, &[replica, evacuated]);
+                if let Some(s) = self.breakers.as_mut().and_then(|bs| bs[r].force_open(at)) {
+                    record_breaker(rec, track, r, at, s);
+                }
+                // Survivors catch up to the crash instant so every failover
+                // decision is taken from one consistent snapshot.
+                for (i, (x, sys)) in replicas.iter_mut().zip(systems.iter_mut()).enumerate() {
+                    if i != r && !x.down {
+                        x.catch_up(&mut **sys, rec, attr.as_deref_mut(), at);
+                    }
+                }
                 // Redispatch always routes around dead nodes, breaker or
-                // not: the crashed stack is gone, not just slow. The
-                // naive baseline differs only on *new* arrivals.
-                let states: Vec<BreakerState> = match breakers.as_ref() {
+                // not: the crashed stack is gone, not just slow. The naive
+                // baseline differs only on *new* arrivals.
+                let states: Vec<BreakerState> = match self.breakers.as_ref() {
                     Some(bs) => breaker_health(bs),
                     None => replicas
                         .iter()
@@ -2203,114 +2203,93 @@ fn apply_fleet_event(
                         })
                         .collect(),
                 };
-                let (to, reason) =
-                    match router.route_healthy(ev.req.id, ev.req.class, &loads, &states) {
+                for ev in evac {
+                    let (id, class) = (ev.req.id, ev.req.class);
+                    let loads: Vec<_> = replicas.iter().map(|x| x.sched.load()).collect();
+                    let (to, reason) = match self.router.route_healthy(id, class, &loads, &states) {
                         Ok(t) => (t, "replica-crash"),
                         Err(_) => (r, "no-healthy-replica"),
                     };
-                let mut moved = ev;
-                moved.req.restore_ns = geometries[to].restore_ns(moved.req.context);
-                moved.req.recompute_ns = geometries[to].recompute_ns(moved.req.context);
-                if let Some(pos) = replicas[r].turns.iter().position(|t| t.id == ev.req.id) {
-                    let mut turn = replicas[r].turns.swap_remove(pos);
-                    if let Some(cold_ns) = turn.cold_prefill_ns.take() {
-                        moved.req.prefill_ns = cold_ns;
-                        if let Some(st) = sessions_track {
-                            rec.instant_with(
-                                st,
-                                "prefix.lost",
-                                e.at_ns,
-                                &[
-                                    ("id", ArgVal::U(ev.req.id as u64)),
-                                    ("from", ArgVal::U(r as u64)),
-                                    ("to", ArgVal::U(to as u64)),
-                                    ("ctx", ArgVal::U(ev.req.context as u64)),
-                                    (
-                                        "mid_prefill",
-                                        ArgVal::U(u64::from(ev.prefill_left_ns > 0.0)),
-                                    ),
-                                    ("prefill_ns", ArgVal::F(moved.req.prefill_ns)),
-                                ],
-                            );
+                    let mut moved = ev;
+                    moved.req.restore_ns = geometries[to].restore_ns(moved.req.context);
+                    moved.req.recompute_ns = geometries[to].recompute_ns(moved.req.context);
+                    if let Some(pos) = replicas[r].turns.iter().position(|t| t.id == id) {
+                        let mut turn = replicas[r].turns.swap_remove(pos);
+                        if let Some(cold_ns) = turn.cold_prefill_ns.take() {
+                            moved.req.prefill_ns = cold_ns;
+                            let mid_prefill = u64::from(ev.prefill_left_ns > 0.0);
+                            let args = [
+                                ("id", ArgVal::U(id as u64)),
+                                ("from", ArgVal::U(r as u64)),
+                                ("to", ArgVal::U(to as u64)),
+                                ("ctx", ArgVal::U(ev.req.context as u64)),
+                                ("mid_prefill", ArgVal::U(mid_prefill)),
+                                ("prefill_ns", ArgVal::F(cold_ns)),
+                            ];
+                            if let Some(st) = sessions_track {
+                                rec.instant_with(st, "prefix.lost", at, &args);
+                            }
                         }
+                        owners.insert(turn.publish.0, to);
+                        replicas[to].turns.push(turn);
                     }
-                    owners.insert(turn.publish.0, to);
-                    replicas[to].turns.push(turn);
-                }
-                replicas[to].sched.on_redispatch(moved);
-                summary.redispatches.push(RedispatchRecord {
-                    id: ev.req.id,
-                    from: r,
-                    to,
-                    at_ns: e.at_ns,
-                    reason,
-                });
-                if rec.is_enabled() {
-                    rec.instant_with(
-                        track,
-                        "redispatch",
-                        e.at_ns,
-                        &[
-                            ("id", ArgVal::U(ev.req.id as u64)),
-                            ("from", ArgVal::U(r as u64)),
-                            ("to", ArgVal::U(to as u64)),
-                            ("class", ArgVal::S(ev.req.class.name())),
-                        ],
-                    );
-                }
-                rec.timeseries.rate_add("fleet.redispatch", e.at_ns, 1.0);
-            }
-        }
-        ReplicaEventKind::Up => {
-            summary.downtime_ns[r] += e.at_ns - down_since[r];
-            replicas[r].now = replicas[r].now.max(e.at_ns);
-            replicas[r].down = false;
-            if rec.timeseries.is_enabled() {
-                rec.timeseries.gauge(&format!("r{r}.up"), e.at_ns, 1.0);
-            }
-            if rec.is_enabled() {
-                rec.instant_with(
-                    track,
-                    "replica.up",
-                    e.at_ns,
-                    &[("replica", ArgVal::U(r as u64))],
-                );
-            }
-            if let Some(s) = breakers.as_mut().and_then(|bs| bs[r].on_recovery()) {
-                record_breaker(rec, track, r, e.at_ns, s);
-            }
-        }
-        ReplicaEventKind::BrownoutStart => {
-            if !replicas[r].down {
-                replicas[r].advance(systems[r].as_mut(), rec, Some(e.at_ns), horizon_ns);
-                replicas[r].brownout_factor = profile.brownout_topk_factor;
-                summary.brownouts += 1;
-                if rec.is_enabled() {
-                    rec.instant_with(
-                        track,
-                        "replica.brownout_start",
-                        e.at_ns,
-                        &[
-                            ("replica", ArgVal::U(r as u64)),
-                            ("topk_factor", ArgVal::F(profile.brownout_topk_factor)),
-                        ],
-                    );
+                    replicas[to].sched.on_redispatch(moved);
+                    self.summary.redispatches.push(RedispatchRecord {
+                        id,
+                        from: r,
+                        to,
+                        at_ns: at,
+                        reason,
+                    });
+                    let args = [
+                        ("id", ArgVal::U(id as u64)),
+                        ("from", ArgVal::U(r as u64)),
+                        ("to", ArgVal::U(to as u64)),
+                        ("class", ArgVal::S(class.name())),
+                    ];
+                    rec.instant_with(track, "redispatch", at, &args);
+                    rec.timeseries.rate_add("fleet.redispatch", at, 1.0);
                 }
             }
-        }
-        ReplicaEventKind::BrownoutEnd => {
-            replicas[r].advance(systems[r].as_mut(), rec, Some(e.at_ns), horizon_ns);
-            replicas[r].brownout_factor = 1.0;
-            if rec.is_enabled() {
-                rec.instant_with(
-                    track,
-                    "replica.brownout_end",
-                    e.at_ns,
-                    &[("replica", ArgVal::U(r as u64))],
-                );
+            ReplicaEventKind::Up => {
+                self.summary.downtime_ns[r] += at - self.down_since[r];
+                replicas[r].now = replicas[r].now.max(at);
+                replicas[r].down = false;
+                if rec.timeseries.is_enabled() {
+                    rec.timeseries.gauge(&format!("r{r}.up"), at, 1.0);
+                }
+                rec.instant_with(track, "replica.up", at, &[replica]);
+                if let Some(s) = self.breakers.as_mut().and_then(|bs| bs[r].on_recovery()) {
+                    record_breaker(rec, track, r, at, s);
+                }
+            }
+            ReplicaEventKind::BrownoutStart => {
+                if !replicas[r].down {
+                    replicas[r].catch_up(&mut *systems[r], rec, attr, at);
+                    let factor = self.fopts.profile.brownout_topk_factor;
+                    replicas[r].brownout_factor = factor;
+                    self.summary.brownouts += 1;
+                    let topk = ("topk_factor", ArgVal::F(factor));
+                    rec.instant_with(track, "replica.brownout_start", at, &[replica, topk]);
+                }
+            }
+            ReplicaEventKind::BrownoutEnd => {
+                replicas[r].catch_up(&mut *systems[r], rec, attr, at);
+                replicas[r].brownout_factor = 1.0;
+                rec.instant_with(track, "replica.brownout_end", at, &[replica]);
             }
         }
     }
+}
+
+/// A breaker transition instant of replica `r` on the fault track.
+fn breaker_instant(rec: &mut Recorder, track: TrackId, r: usize, at_ns: f64, s: BreakerState) {
+    let name = match s {
+        BreakerState::Closed => "breaker.close",
+        BreakerState::Open => "breaker.open",
+        BreakerState::HalfOpen => "breaker.half_open",
+    };
+    rec.instant_with(track, name, at_ns, &[("replica", ArgVal::U(r as u64))]);
 }
 
 /// Records replica `r`'s breaker moving to `s` outside the per-arrival
@@ -2321,60 +2300,7 @@ fn record_breaker(rec: &mut Recorder, track: TrackId, r: usize, at_ns: f64, s: B
         rec.timeseries
             .gauge(&format!("r{r}.breaker"), at_ns, breaker_level(s));
     }
-    if rec.is_enabled() {
-        rec.instant_with(
-            track,
-            breaker_instant_name(s),
-            at_ns,
-            &[("replica", ArgVal::U(r as u64))],
-        );
-    }
-}
-
-/// Feeds each breaker the completions and degraded tokens its replica
-/// produced since the last arrival, then ticks the cooldown — the breaker
-/// observes exactly what a real front-end can observe, never the fault
-/// schedule itself. Transitions land on the fault track.
-fn feed_breakers(
-    replicas: &[ReplicaSim],
-    breakers: &mut [CircuitBreaker],
-    fed_completions: &mut [usize],
-    fed_degraded: &mut [u64],
-    now_ns: f64,
-    rec: &mut Recorder,
-    track: TrackId,
-) {
-    for (i, r) in replicas.iter().enumerate() {
-        let mut transitions: Vec<BreakerState> = Vec::new();
-        while fed_completions[i] < r.completions.len() {
-            let (class, lat) = r.completions[fed_completions[i]];
-            fed_completions[i] += 1;
-            if let Some(s) = breakers[i].note_completion(class, lat, now_ns) {
-                transitions.push(s);
-            }
-        }
-        let total = r.degrade.degraded_tokens as u64;
-        if total > fed_degraded[i] {
-            let delta = total - fed_degraded[i];
-            fed_degraded[i] = total;
-            if let Some(s) = breakers[i].note_degraded(delta, now_ns) {
-                transitions.push(s);
-            }
-        }
-        if let Some(s) = breakers[i].poll(now_ns) {
-            transitions.push(s);
-        }
-        if rec.is_enabled() {
-            for s in transitions {
-                rec.instant_with(
-                    track,
-                    breaker_instant_name(s),
-                    now_ns,
-                    &[("replica", ArgVal::U(i as u64))],
-                );
-            }
-        }
-    }
+    breaker_instant(rec, track, r, at_ns, s);
 }
 
 #[cfg(test)]
@@ -2382,7 +2308,23 @@ mod tests {
     use super::*;
     use crate::longsight::{LongSightConfig, LongSightSystem};
 
-    fn run(arrivals_per_s: f64, seed: u64) -> ServeMetrics {
+    /// One FIFO run of `wl` on `sys`, under `token_faults` if given.
+    fn run_one(
+        sys: &mut dyn ServingSystem,
+        model: &ModelConfig,
+        wl: &WorkloadConfig,
+        token_faults: Option<(FaultInjector, RetryPolicy)>,
+    ) -> (ServeMetrics, FaultLog) {
+        let spec = RunSpec {
+            token_faults,
+            ..RunSpec::new(model.clone(), wl.clone())
+        };
+        let (m, _, log) =
+            run(&mut [sys], &spec, &mut Recorder::disabled(), None).expect("one replica runs");
+        (m, log)
+    }
+
+    fn plain(arrivals_per_s: f64, seed: u64) -> ServeMetrics {
         let model = ModelConfig::llama3_1b();
         let mut sys = LongSightSystem::new(LongSightConfig::paper_default(), model.clone());
         let wl = WorkloadConfig {
@@ -2392,7 +2334,7 @@ mod tests {
             duration_s: 5.0,
             seed,
         };
-        simulate(&mut sys, &model, &wl)
+        run_one(&mut sys, &model, &wl, None).0
     }
 
     fn faulted(
@@ -2402,18 +2344,17 @@ mod tests {
         inj: &FaultInjector,
         retry: &RetryPolicy,
     ) -> (ServeMetrics, FaultLog) {
-        let mut rec = Recorder::disabled();
-        simulate_observed(sys, model, wl, Some((inj, retry)), &mut rec, None)
+        run_one(sys, model, wl, Some((inj.clone(), *retry)))
     }
 
     #[test]
     fn deterministic_given_seed() {
-        assert_eq!(run(2.0, 3), run(2.0, 3));
+        assert_eq!(plain(2.0, 3), plain(2.0, 3));
     }
 
     #[test]
     fn completes_requests_at_moderate_load() {
-        let m = run(2.0, 1);
+        let m = plain(2.0, 1);
         assert!(m.completed > 0, "some requests must finish: {m:?}");
         assert!(m.p99_token_ms >= m.p50_token_ms);
         assert!(m.p99_request_ms >= m.p50_request_ms);
@@ -2422,8 +2363,8 @@ mod tests {
 
     #[test]
     fn higher_load_means_bigger_batches_and_latency() {
-        let low = run(1.0, 5);
-        let high = run(16.0, 5);
+        let low = plain(1.0, 5);
+        let high = plain(16.0, 5);
         assert!(
             high.mean_batch > low.mean_batch,
             "more arrivals must grow the batch: {} vs {}",
@@ -2437,7 +2378,7 @@ mod tests {
     }
 
     #[test]
-    fn disabled_injector_matches_fault_free_simulate() {
+    fn disabled_injector_matches_a_fault_free_run() {
         let model = ModelConfig::llama3_1b();
         let mut sys = LongSightSystem::new(LongSightConfig::paper_default(), model.clone());
         let wl = WorkloadConfig {
@@ -2447,7 +2388,7 @@ mod tests {
             duration_s: 5.0,
             seed: 3,
         };
-        let plain = simulate(&mut sys, &model, &wl);
+        let plain = run_one(&mut sys, &model, &wl, None).0;
         let (faulted, log) = faulted(
             &mut sys,
             &model,
@@ -2473,7 +2414,7 @@ mod tests {
             duration_s: 5.0,
             seed: 3,
         };
-        let plain = simulate(&mut sys, &model, &wl);
+        let plain = run_one(&mut sys, &model, &wl, None).0;
         let inj = FaultInjector::new(
             FaultProfile {
                 timeout_rate: 0.3,
@@ -2527,13 +2468,13 @@ mod tests {
         );
         let (m, _) = faulted(&mut sys, &model, &wl, &inj, &RetryPolicy::serving_default());
         assert!(m.failed_requests > 0, "2% per-token hard faults: {m:?}");
-        let plain = simulate(&mut sys, &model, &wl);
+        let plain = run_one(&mut sys, &model, &wl, None).0;
         assert!(m.completed < plain.completed + m.failed_requests + 1);
     }
 
     #[test]
     fn request_latency_includes_prefill() {
-        let m = run(0.5, 9);
+        let m = plain(0.5, 9);
         // A 32K-prompt prefill alone is ~0.1+ ms on the roofline; with decode
         // of ≥16 tokens the p50 request latency must exceed several ms.
         assert!(
@@ -2544,14 +2485,14 @@ mod tests {
 
     #[test]
     fn metrics_json_round_trips_bit_exactly() {
-        let m = run(2.0, 3);
+        let m = plain(2.0, 3);
         let parsed = ServeMetrics::from_json(&m.to_json()).expect("own JSON must parse");
         assert_eq!(m, parsed);
     }
 
     #[test]
     fn metrics_json_round_trips_non_finite_as_zero() {
-        let mut m = run(2.0, 3);
+        let mut m = plain(2.0, 3);
         m.throughput_tps = f64::NAN;
         m.mean_batch = f64::INFINITY;
         let parsed = ServeMetrics::from_json(&m.to_json()).expect("nulls must parse");
@@ -2566,6 +2507,19 @@ mod tests {
         assert!(ServeMetrics::from_json("not json").is_err());
     }
 
+    /// `n` LongSight replicas of `model` under `cfg`.
+    fn fleet_of(
+        n: usize,
+        cfg: &LongSightConfig,
+        model: &ModelConfig,
+    ) -> Vec<Box<dyn ServingSystem>> {
+        (0..n)
+            .map(|_| {
+                Box::new(LongSightSystem::new(cfg.clone(), model.clone())) as Box<dyn ServingSystem>
+            })
+            .collect()
+    }
+
     fn session_fleet(
         replicas: usize,
         reuse: f64,
@@ -2573,14 +2527,6 @@ mod tests {
         policy: RouterPolicy,
     ) -> (ServeMetrics, FleetReport) {
         let model = ModelConfig::llama3_1b();
-        let mut systems: Vec<Box<dyn ServingSystem>> = (0..replicas)
-            .map(|_| {
-                Box::new(LongSightSystem::new(
-                    LongSightConfig::paper_default(),
-                    model.clone(),
-                )) as Box<dyn ServingSystem>
-            })
-            .collect();
         let wl = WorkloadConfig {
             arrivals_per_s: 2.0,
             context_tokens: (32_768, 65_536),
@@ -2590,22 +2536,22 @@ mod tests {
         };
         // Think times comfortably above the ~1-2 s service time, so most
         // follow-ups arrive after their prefix has been published.
-        let sess = SessionOptions {
-            sessions: 6,
-            turns: 3,
-            think_time_ms: 1500.0,
-            reuse,
-            prefix_cache_pages: cache_pages,
+        let spec = RunSpec {
+            sched: SchedOptions::slo_aware(SloMix::all_interactive()),
+            router: policy,
+            sessions: SessionOptions {
+                sessions: 6,
+                turns: 3,
+                think_time_ms: 1500.0,
+                reuse,
+                prefix_cache_pages: cache_pages,
+            },
+            ..RunSpec::new(model.clone(), wl)
         };
-        simulate_fleet_sessions(
-            &mut systems,
-            &model,
-            &wl,
-            &SchedOptions::slo_aware(SloMix::all_interactive()),
-            policy,
-            &sess,
-            &mut Recorder::disabled(),
-        )
+        let mut systems = fleet_of(replicas, &LongSightConfig::paper_default(), &model);
+        let (m, rep, _) =
+            run(&mut systems, &spec, &mut Recorder::disabled(), None).expect("fleet runs");
+        (m, rep)
     }
 
     #[test]
@@ -2644,18 +2590,8 @@ mod tests {
     }
 
     #[test]
-    fn sessions_off_is_byte_identical_to_plain_fleet() {
+    fn zero_sessions_are_byte_identical_to_the_poisson_fleet() {
         let model = ModelConfig::llama3_1b();
-        let make = || -> Vec<Box<dyn ServingSystem>> {
-            (0..2)
-                .map(|_| {
-                    Box::new(LongSightSystem::new(
-                        LongSightConfig::paper_default(),
-                        model.clone(),
-                    )) as Box<dyn ServingSystem>
-                })
-                .collect()
-        };
         let wl = WorkloadConfig {
             arrivals_per_s: 2.0,
             context_tokens: (32_768, 65_536),
@@ -2663,26 +2599,24 @@ mod tests {
             duration_s: 5.0,
             seed: 3,
         };
-        let opts = SchedOptions::slo_aware(SloMix::all_interactive());
-        let (m1, f1) = simulate_fleet(
-            &mut make(),
-            &model,
-            &wl,
-            &opts,
-            RouterPolicy::JsqSpillover,
-            &FleetFaultOptions::disabled(),
-            &SessionOptions::disabled(),
-            &mut Recorder::disabled(),
-        );
-        let (m2, f2) = simulate_fleet_sessions(
-            &mut make(),
-            &model,
-            &wl,
-            &opts,
-            RouterPolicy::JsqSpillover,
-            &SessionOptions::disabled(),
-            &mut Recorder::disabled(),
-        );
+        let plain = RunSpec {
+            sched: SchedOptions::slo_aware(SloMix::all_interactive()),
+            ..RunSpec::new(model.clone(), wl)
+        };
+        let zero = RunSpec {
+            sessions: SessionOptions {
+                turns: 3,
+                think_time_ms: 1500.0,
+                reuse: 0.9,
+                ..SessionOptions::disabled()
+            },
+            ..plain.clone()
+        };
+        let cfg = LongSightConfig::paper_default();
+        let [(m1, f1, _), (m2, f2, _)] = [&plain, &zero].map(|spec| {
+            let mut rec = Recorder::disabled();
+            run(&mut fleet_of(2, &cfg, &model), spec, &mut rec, None).expect("fleet runs")
+        });
         assert_eq!(m1, m2);
         assert_eq!(f1.placement_log(), f2.placement_log());
         assert_eq!(f1.to_text(), f2.to_text());
@@ -2719,7 +2653,7 @@ mod tests {
         recorder: bool,
         timeseries: bool,
         attribution: bool,
-        /// Token-fault rate and seed (single replica only).
+        /// Token-fault rate and seed.
         token_faults: Option<(f64, u64)>,
         fopts: FleetFaultOptions,
         sess: SessionOptions,
@@ -2735,7 +2669,7 @@ mod tests {
         use longsight_faults::ReplicaFaultProfile;
         let replicas = [1usize, 1, 2, 3][g.usize_in(0, 4)];
         let fleet = replicas > 1;
-        let sessions = fleet && g.usize_in(0, 3) == 0;
+        let sessions = g.usize_in(0, 3) == 0;
         let mix = [SloMix::mixed(), SloMix::all_interactive()][g.usize_in(0, 2)];
         let opts = SchedOptions {
             policy: if g.bool() {
@@ -2796,18 +2730,19 @@ mod tests {
             lookahead,
             recorder: g.bool(),
             timeseries: g.bool(),
-            attribution: !fleet && g.bool(),
-            token_faults: (!fleet && g.bool())
+            attribution: g.bool(),
+            token_faults: g
+                .bool()
                 .then(|| (10f64.powf(g.f64_in(-3.0, -0.5)), g.u64_in(0, 64))),
             fopts,
             sess,
         }
     }
 
-    /// Every report, log and export of one driver run, as text. `{:?}`
-    /// prints each f64 in its shortest round-trip form, so equal text means
-    /// equal bits.
-    fn run_driver(c: &DriverCase) -> String {
+    /// Every report, log and export of one driver run, as text, with the
+    /// run's metrics and report. `{:?}` prints each f64 in its shortest
+    /// round-trip form, so equal text means equal bits.
+    fn run_driver(c: &DriverCase) -> (String, ServeMetrics, FleetReport) {
         use crate::TokenAttribution;
         use longsight_faults::FaultProfile;
         let model = ModelConfig::llama3_1b();
@@ -2823,61 +2758,57 @@ mod tests {
         if c.timeseries {
             rec.enable_timeseries(250e6, longsight_obs::BurnConfig::default());
         }
-        let mut out = if c.replicas == 1 && !c.sess.is_active() {
-            let mut sys = LongSightSystem::new(cfg, model.clone());
-            let inj = c
-                .token_faults
-                .map(|(rate, seed)| FaultInjector::new(FaultProfile::scaled(rate), seed));
-            let retry = RetryPolicy::serving_default();
-            let mut attr = c.attribution.then(TokenAttribution::new);
-            let (m, rep, log) = simulate_scheduled(
-                &mut sys,
-                &model,
-                &c.wl,
-                &c.opts,
-                inj.as_ref().map(|i| (i, &retry)),
-                &mut rec,
-                attr.as_mut(),
-            );
-            format!("{m:?}\n{rep:?}\n{log:?}\n{attr:?}\n")
-        } else {
-            let mut fleet: Vec<Box<dyn ServingSystem>> = (0..c.replicas)
-                .map(|_| {
-                    Box::new(LongSightSystem::new(cfg.clone(), model.clone()))
-                        as Box<dyn ServingSystem>
-                })
-                .collect();
-            let (m, rep) = simulate_fleet(
-                &mut fleet, &model, &c.wl, &c.opts, c.router, &c.fopts, &c.sess, &mut rec,
-            );
-            format!("{m:?}\n{rep:?}\n{}\n", rep.to_text())
+        let spec = RunSpec {
+            sched: c.opts.clone(),
+            router: c.router,
+            faults: c.fopts.clone(),
+            sessions: c.sess.clone(),
+            token_faults: c.token_faults.map(|(rate, seed)| {
+                let inj = FaultInjector::new(FaultProfile::scaled(rate), seed);
+                (inj, RetryPolicy::serving_default())
+            }),
+            ..RunSpec::new(model.clone(), c.wl.clone())
         };
+        let mut attr = c.attribution.then(TokenAttribution::new);
+        let mut systems = fleet_of(c.replicas, &cfg, &model);
+        let (m, rep, log) =
+            run(&mut systems, &spec, &mut rec, attr.as_mut()).expect("generated runs are valid");
+        let mut out = format!("{m:?}\n{rep:?}\n{}\n{log:?}\n{attr:?}\n", rep.to_text());
         out.push_str(&rec.chrome_trace_json());
         out.push_str(&rec.metrics_json());
         out.push_str(&rec.timeseries.to_tsv());
         out.push_str(&rec.timeseries.to_json());
-        out
+        (out, m, rep)
     }
 
+    /// The first byte at which `a` and `b` differ, with 80 bytes of context
+    /// around it.
+    fn first_difference(a: &str, b: &str) -> Option<String> {
+        let at = a
+            .bytes()
+            .zip(b.bytes())
+            .position(|(x, y)| x != y)
+            .or_else(|| (a.len() != b.len()).then_some(a.len().min(b.len())))?;
+        let lo = at.saturating_sub(80);
+        let window = |s: &str| s.get(lo..(at + 80).min(s.len())).unwrap_or("").to_string();
+        Some(format!("byte {at}:\n  {}\n  {}", window(a), window(b)))
+    }
+
+    /// Macro-steps equal single steps byte for byte, and every run keeps
+    /// the fleet audit and `failed` conservation: the per-class failures of
+    /// the report are the requests token faults killed.
     fn macro_steps_match_single_steps(g: &mut longsight_tensor::check::Gen) -> Result<(), String> {
         let c = gen_driver_case(g);
-        let (macro_out, (calls, steps)) = with_run_cap(usize::MAX, || run_driver(&c));
-        let (single_out, (single_calls, single_steps)) = with_run_cap(1, || run_driver(&c));
+        let ((macro_out, m, rep), (calls, steps)) = with_run_cap(usize::MAX, || run_driver(&c));
+        let ((single_out, ..), (single_calls, single_steps)) = with_run_cap(1, || run_driver(&c));
         longsight_tensor::prop_ensure_eq!(steps, single_steps, "scheduler steps: {c:?}");
         longsight_tensor::prop_ensure!(calls <= single_calls);
-        if let Some(at) = macro_out
-            .bytes()
-            .zip(single_out.bytes())
-            .position(|(a, b)| a != b)
-            .or_else(|| (macro_out.len() != single_out.len()).then_some(0))
-        {
-            let lo = at.saturating_sub(80);
-            return Err(format!(
-                "outputs differ at byte {at} for {c:?}:\n  macro:  {}\n  single: {}",
-                &macro_out[lo..(at + 80).min(macro_out.len())],
-                &single_out[lo..(at + 80).min(single_out.len())],
-            ));
+        if let Some(d) = first_difference(&macro_out, &single_out) {
+            return Err(format!("macro and single steps differ at {d}\nfor {c:?}"));
         }
+        longsight_tensor::prop_ensure_eq!(rep.audit_violation, None, "{c:?}");
+        let failed: usize = rep.per_class.iter().map(|k| k.failed).sum();
+        longsight_tensor::prop_ensure_eq!(failed, m.failed_requests, "{c:?}");
         Ok(())
     }
 
@@ -2914,25 +2845,14 @@ mod tests {
             breaker: Some(BreakerConfig::serving_default()),
             shed_queue_cap: Some(256),
         };
-        let ((_, rep), (calls, steps)) = with_run_cap(usize::MAX, || {
-            let mut fleet: Vec<Box<dyn ServingSystem>> = (0..2)
-                .map(|_| {
-                    Box::new(LongSightSystem::new(
-                        LongSightConfig::paper_default(),
-                        model.clone(),
-                    )) as Box<dyn ServingSystem>
-                })
-                .collect();
-            simulate_fleet(
-                &mut fleet,
-                &model,
-                &wl,
-                &opts,
-                RouterPolicy::JsqSpillover,
-                &fopts,
-                &SessionOptions::disabled(),
-                &mut Recorder::disabled(),
-            )
+        let spec = RunSpec {
+            sched: opts,
+            faults: fopts,
+            ..RunSpec::new(model.clone(), wl)
+        };
+        let ((_, rep, _), (calls, steps)) = with_run_cap(usize::MAX, || {
+            let mut fleet = fleet_of(2, &LongSightConfig::paper_default(), &model);
+            run(&mut fleet, &spec, &mut Recorder::disabled(), None).expect("fleet runs")
         });
         assert!(rep.faults.as_ref().is_some_and(|f| f.crashes > 0));
         assert_eq!(
@@ -2958,19 +2878,21 @@ mod tests {
             duration_s: 5.0,
             seed: 5,
         };
-        let inj = FaultInjector::new(FaultProfile::scaled(0.05), 7);
-        let retry = RetryPolicy::serving_default();
+        let spec = RunSpec {
+            sched: SchedOptions::slo_aware(SloMix::mixed()),
+            token_faults: Some((
+                FaultInjector::new(FaultProfile::scaled(0.05), 7),
+                RetryPolicy::serving_default(),
+            )),
+            ..RunSpec::new(model.clone(), wl)
+        };
+        let cfg =
+            LongSightConfig::paper_default().with_lookahead(LookaheadConfig::serving_default());
         let (_, (calls, steps)) = with_run_cap(usize::MAX, || {
-            let mut sys = LongSightSystem::new(
-                LongSightConfig::paper_default().with_lookahead(LookaheadConfig::serving_default()),
-                model.clone(),
-            );
-            simulate_scheduled(
-                &mut sys,
-                &model,
-                &wl,
-                &SchedOptions::slo_aware(SloMix::mixed()),
-                Some((&inj, &retry)),
+            let mut sys = LongSightSystem::new(cfg, model.clone());
+            run(
+                &mut [&mut sys as &mut dyn ServingSystem],
+                &spec,
                 &mut Recorder::disabled(),
                 None,
             )
@@ -3001,28 +2923,87 @@ mod tests {
             },
             7,
         );
-        let retry = RetryPolicy::serving_default();
-        let run = || {
+        let spec = RunSpec {
+            token_faults: Some((inj, RetryPolicy::serving_default())),
+            ..RunSpec::new(model.clone(), wl)
+        };
+        let once = || {
             let mut sys = LongSightSystem::new(
                 LongSightConfig::paper_default().with_lookahead(LookaheadConfig::serving_default()),
                 model.clone(),
             );
-            let (m, rep, log) = simulate_scheduled(
-                &mut sys,
-                &model,
-                &wl,
-                &SchedOptions::fifo(),
-                Some((&inj, &retry)),
-                &mut Recorder::disabled(),
+            let mut rec = Recorder::disabled();
+            let (m, rep, log) = run(
+                &mut [&mut sys as &mut dyn ServingSystem],
+                &spec,
+                &mut rec,
                 None,
-            );
+            )
+            .expect("one replica runs");
             assert!(m.spec_misses > 0 && m.retried_tokens > 0, "{m:?}");
-            format!("{m:?}\n{rep:?}\n{log:?}")
+            format!("{m:?}\n{:?}\n{log:?}", rep.replicas[0])
         };
-        let (macro_out, (calls, steps)) = with_run_cap(usize::MAX, run);
-        let (single_out, single_counts) = with_run_cap(1, run);
+        let (macro_out, (calls, steps)) = with_run_cap(usize::MAX, once);
+        let (single_out, single_counts) = with_run_cap(1, once);
         assert_eq!(macro_out, single_out);
         assert_eq!(single_counts, (steps, steps));
         assert_eq!((calls, steps), (187, 1649), "(step calls, scheduler steps)");
+    }
+
+    /// A crashy two-replica session fleet under ownership-blind JSQ:
+    /// crashes, breakers, shedding and prefix pulls together.
+    fn crashy_session_case(token_faults: Option<(f64, u64)>) -> DriverCase {
+        use longsight_faults::ReplicaFaultProfile;
+        DriverCase {
+            replicas: 2,
+            wl: WorkloadConfig {
+                arrivals_per_s: 1.0,
+                context_tokens: (32_768, 65_536),
+                output_tokens: (16, 64),
+                duration_s: 16.0,
+                seed: 5,
+            },
+            opts: SchedOptions::slo_aware(SloMix::mixed()),
+            router: RouterPolicy::JsqSpillover,
+            lookahead: None,
+            recorder: true,
+            timeseries: true,
+            attribution: true,
+            token_faults,
+            fopts: FleetFaultOptions {
+                profile: ReplicaFaultProfile::scaled(0.2),
+                fault_seed: 11,
+                breaker: Some(BreakerConfig::serving_default()),
+                shed_queue_cap: Some(4),
+            },
+            sess: SessionOptions {
+                sessions: 8,
+                turns: 4,
+                think_time_ms: 3000.0,
+                reuse: 0.9,
+                prefix_cache_pages: 4096,
+            },
+        }
+    }
+
+    #[test]
+    fn rate_zero_token_faults_are_byte_identical_to_a_fault_free_fleet() {
+        let (plain, m, rep) = run_driver(&crashy_session_case(None));
+        let (zero, ..) = run_driver(&crashy_session_case(Some((0.0, 3))));
+        assert!(rep.faults.as_ref().is_some_and(|f| f.crashes > 0), "{m:?}");
+        assert!(rep.sessions.as_ref().is_some_and(|s| !s.pulls.is_empty()));
+        if let Some(d) = first_difference(&plain, &zero) {
+            panic!("rate-0 token faults changed the run at {d}");
+        }
+    }
+
+    #[test]
+    fn token_fault_failures_are_the_fleet_report_failures() {
+        let (_, m, rep) = run_driver(&crashy_session_case(Some((0.3, 3))));
+        assert!(m.failed_requests > 0 && m.degraded_tokens > 0, "{m:?}");
+        assert!(rep.faults.as_ref().is_some_and(|f| f.crashes > 0));
+        let failed: usize = rep.per_class.iter().map(|c| c.failed).sum();
+        assert_eq!(failed, m.failed_requests);
+        assert_eq!(rep.audit_violation, None);
     }
 }

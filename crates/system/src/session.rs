@@ -8,7 +8,7 @@
 //! `longsight-sched` deduplicates: a follow-up that resumes on a replica
 //! still holding the prefix pays prefill only for the suffix, and one that
 //! resumes elsewhere can pull the pages over the pooled-DReX fabric
-//! instead of recomputing (see `simulate_fleet`).
+//! instead of recomputing (see `serving::run`).
 //!
 //! Determinism follows the same stream discipline as the Poisson
 //! generator: every session owns a private RNG stream keyed off
@@ -36,7 +36,7 @@ const REUSE_SEED: u64 = 0x7265_7573; // "reus"
 /// Stream key of the prefix-hash chain.
 const PREFIX_SEED: u64 = 0x7066_6978; // "pfix"
 
-/// Session workload knobs for `simulate_fleet`. The
+/// Session workload knobs of a `serving::run`. The
 /// [`SessionOptions::disabled`] value keeps the Poisson workload, and the
 /// fleet runs byte-identical to a sessionless one.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,7 +58,7 @@ pub struct SessionOptions {
 }
 
 impl SessionOptions {
-    /// No session workload: `simulate_fleet` serves the Poisson workload
+    /// No session workload: `serving::run` serves the Poisson workload
     /// byte-for-byte as without sessions.
     pub fn disabled() -> Self {
         Self {

@@ -24,11 +24,16 @@
 #  10. session smoke: 2-replica session workload under affinity routing
 #      with a traced run, then the same workload under replica crashes
 #      with the breaker on, both validated the same way
+#  10a. composed-fault smoke: token faults on a 2-replica crash fleet
+#      with the breaker on, traced and validated the same way
 #  10b. serving goldens reproduce: the eight serving benches regenerate
 #      byte-identical to their checked-in results/ goldens
 #  10c. quality goldens reproduce: fig3_filter_ratio and fig4_pareto (the
 #      TraceSweep threshold sweeps) regenerate byte-identical to their
 #      checked-in results/ goldens
+#  10c'. model and hardware goldens reproduce: filtering_baselines,
+#      power_area, table1_models and table2_system regenerate
+#      byte-identical to their checked-in results/ goldens
 #  10d. offload goldens reproduce: ablations, fig7_throughput,
 #      fig8_drex_breakdown, fig9_system_breakdown and fig10_vs_sliding_window
 #      (the DReX offload timing path and the step model) regenerate
@@ -185,6 +190,15 @@ target/release/longsight loadtest --model 1b --duration 8 \
     --trace-out "$obs_tmp/session_crash_trace.json"
 target/release/longsight trace-validate --file "$obs_tmp/session_crash_trace.json"
 
+# Token faults compose with fleets: the same injector serves every replica
+# while replicas crash and breakers trip.
+echo "== composed-fault smoke (token faults on a crashy fleet, trace-validate) =="
+target/release/longsight loadtest --model 1b --rate 10 --duration 6 \
+    --ctx-min 16384 --ctx-max 32768 --replicas 2 --sched slo-aware \
+    --crash-profile 0.1 --breaker on --fault-profile mild --fault-seed 11 \
+    --trace-out "$obs_tmp/fleet_token_faults_trace.json"
+target/release/longsight trace-validate --file "$obs_tmp/fleet_token_faults_trace.json"
+
 # The serving drivers are pinned by their goldens: every serving bench
 # must regenerate its checked-in results/ file byte for byte.
 echo "== serving goldens reproduce (regenerate and cmp against results/) =="
@@ -200,6 +214,15 @@ done
 # per configuration with one TraceSweep (~25 s and ~5 s on a 2-core host).
 echo "== quality goldens reproduce (regenerate fig3_filter_ratio, fig4_pareto and cmp against results/) =="
 for b in fig3_filter_ratio fig4_pareto; do
+    cargo bench -q -p longsight-bench --bench "$b" --offline >"$obs_tmp/$b.txt"
+    cmp "$obs_tmp/$b.txt" "results/$b.txt"
+done
+
+# The remaining model and hardware goldens: the baseline-filter comparison
+# (TraceSweep again, ~2.5 s on a 2-core host), the DReX power/area model
+# and the two paper tables.
+echo "== model and hardware goldens reproduce (regenerate and cmp against results/) =="
+for b in filtering_baselines power_area table1_models table2_system; do
     cargo bench -q -p longsight-bench --bench "$b" --offline >"$obs_tmp/$b.txt"
     cmp "$obs_tmp/$b.txt" "results/$b.txt"
 done

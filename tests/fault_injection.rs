@@ -14,7 +14,10 @@
 use longsight::faults::{FaultInjector, FaultKind, FaultProfile, RetryPolicy};
 use longsight::model::ModelConfig;
 use longsight::obs::Recorder;
-use longsight::system::serving::{simulate, simulate_observed, WorkloadConfig};
+mod common;
+
+use common::serve_one;
+use longsight::system::serving::WorkloadConfig;
 use longsight::system::slo::max_users_under_slo;
 use longsight::system::{LongSightConfig, LongSightSystem, LookaheadConfig, ServingSystem};
 
@@ -39,10 +42,18 @@ fn disabled_faults_reproduce_the_fault_free_stack() {
     let b = gated.evaluate(8, 131_072).unwrap();
     assert_eq!(a, b, "disabled fault profile changed the step report");
 
-    // Serving path: simulate_observed(disabled injector) == simulate, empty log.
+    // Serving path: a disabled injector is no injector: same metrics, empty log.
     let workload = short_workload();
-    let baseline = simulate(&mut plain, &model, &workload);
-    let (faulted, log) = simulate_observed(
+    let baseline = serve_one(
+        &mut plain,
+        &model,
+        &workload,
+        None,
+        &mut Recorder::disabled(),
+        None,
+    )
+    .0;
+    let (faulted, log) = serve_one(
         &mut gated,
         &model,
         &workload,
@@ -87,7 +98,7 @@ fn degraded_tokens_match_logged_degradation_events() {
     let retry = RetryPolicy::serving_default();
     let inj = FaultInjector::new(profile, 7);
     let mut sys = LongSightSystem::new(LongSightConfig::paper_default(), model.clone());
-    let (metrics, log) = simulate_observed(
+    let (metrics, log) = serve_one(
         &mut sys,
         &model,
         &short_workload(),
@@ -120,7 +131,7 @@ fn faulted_runs_are_reproducible_under_a_seed() {
     let run = |seed: u64| {
         let inj = FaultInjector::new(FaultProfile::severe(), seed);
         let mut sys = LongSightSystem::new(LongSightConfig::paper_default(), model.clone());
-        simulate_observed(
+        serve_one(
             &mut sys,
             &model,
             &short_workload(),
@@ -162,7 +173,7 @@ fn injected_faults_void_in_flight_slots_without_double_retry() {
         }
         let mut sys = LongSightSystem::new(cfg, model.clone());
         let inj = FaultInjector::new(FaultProfile::scaled(0.2), 11);
-        simulate_observed(
+        serve_one(
             &mut sys,
             &model,
             &workload,
@@ -207,7 +218,7 @@ fn rate_zero_lookahead_is_byte_identical_across_reruns() {
             LongSightConfig::paper_default().with_lookahead(LookaheadConfig::serving_default());
         let mut sys = LongSightSystem::new(cfg, model.clone());
         let mut rec = Recorder::enabled();
-        let (m, log) = simulate_observed(&mut sys, &model, &workload, None, &mut rec, None);
+        let (m, log) = serve_one(&mut sys, &model, &workload, None, &mut rec, None);
         (
             m,
             log.to_text(),
@@ -229,7 +240,7 @@ fn fault_log_and_instants_agree_with_speculation_on() {
     let mut rec = Recorder::enabled();
     let inj = FaultInjector::new(FaultProfile::scaled(0.2), 11);
     let retry = RetryPolicy::serving_default();
-    let (m, log) = simulate_observed(
+    let (m, log) = serve_one(
         &mut sys,
         &model,
         &short_workload(),

@@ -2,9 +2,10 @@
 //!
 //! Three promises are pinned here:
 //!
-//! 1. **Single-replica equivalence.** `simulate_fleet` over one system is
-//!    bit-identical to `simulate_scheduled` — same metrics, same report —
-//!    so the fleet layer costs nothing when there is no fleet.
+//! 1. **Single-replica equivalence.** `run` over one system, boxed or
+//!    borrowed, reports the degenerate one-replica fleet of its own
+//!    scheduler report, so the fleet layer costs nothing when there is no
+//!    fleet.
 //! 2. **Deterministic placement.** The router's placement log is a pure
 //!    function of `(seed, arrival index, load)`: byte-identical at 1, 4,
 //!    and hardware worker-thread counts, for both policies.
@@ -15,11 +16,10 @@
 use longsight::exec;
 use longsight::model::ModelConfig;
 use longsight::obs::Recorder;
+use longsight::sched::FleetReport;
 use longsight::sched::{RouterPolicy, SchedPolicy, SloMix};
-use longsight::system::serving::{
-    simulate_fleet, simulate_scheduled, FleetFaultOptions, SchedOptions, WorkloadConfig,
-};
-use longsight::system::{LongSightConfig, LongSightSystem, ServingSystem, SessionOptions};
+use longsight::system::serving::{run, RunSpec, SchedOptions, ServeMetrics, WorkloadConfig};
+use longsight::system::{LongSightConfig, LongSightSystem, ServingSystem};
 use std::sync::Mutex;
 
 /// The worker-count override is process-global, so tests that sweep it must
@@ -87,55 +87,41 @@ fn fleet_of(n: usize) -> Vec<Box<dyn ServingSystem>> {
         .collect()
 }
 
+/// `fleet` serving [`workload`] at `rate` under [`skewed_opts`] and
+/// `policy`.
+fn serve<S: std::ops::DerefMut<Target = dyn ServingSystem>>(
+    fleet: &mut [S],
+    rate: f64,
+    policy: RouterPolicy,
+) -> (ServeMetrics, FleetReport) {
+    let spec = RunSpec {
+        sched: skewed_opts(),
+        router: policy,
+        ..RunSpec::new(ModelConfig::llama3_1b(), workload(rate))
+    };
+    let (m, rep, _) = run(fleet, &spec, &mut Recorder::disabled(), None).expect("fleet runs");
+    (m, rep)
+}
+
 #[test]
-fn single_replica_fleet_is_bit_identical_to_simulate_scheduled() {
-    let model = ModelConfig::llama3_1b();
-    let wl = workload(8.0);
-    let opts = skewed_opts();
-    let mut sys = LongSightSystem::new(LongSightConfig::paper_default(), model.clone());
-    let (m_direct, rep_direct, _) = simulate_scheduled(
-        &mut sys,
-        &model,
-        &wl,
-        &opts,
-        None,
-        &mut Recorder::disabled(),
-        None,
-    );
-    let mut fleet = fleet_of(1);
-    let (m_fleet, rep_fleet) = simulate_fleet(
-        &mut fleet,
-        &model,
-        &wl,
-        &opts,
-        RouterPolicy::JsqSpillover,
-        &FleetFaultOptions::disabled(),
-        &SessionOptions::disabled(),
-        &mut Recorder::disabled(),
-    );
-    assert_eq!(m_direct, m_fleet, "single-replica fleet must cost nothing");
-    assert_eq!(rep_direct, rep_fleet.replicas[0]);
-    assert_eq!(rep_fleet.per_class, rep_direct.per_class);
-    assert_eq!(rep_fleet.audit_violation, None);
-    assert_eq!(rep_fleet.placements.len(), rep_fleet.total_arrived());
+fn single_replica_run_reports_its_degenerate_fleet() {
+    let (m_boxed, rep_boxed) = serve(&mut fleet_of(1), 8.0, RouterPolicy::JsqSpillover);
+    let mut sys = LongSightSystem::new(LongSightConfig::paper_default(), ModelConfig::llama3_1b());
+    let mut borrowed: [&mut dyn ServingSystem; 1] = [&mut sys];
+    let (m, rep) = serve(&mut borrowed, 8.0, RouterPolicy::JsqSpillover);
+    assert_eq!(m_boxed, m, "a boxed replica must run like a borrowed one");
+    assert_eq!(rep_boxed, rep);
+    let single = FleetReport::single(RouterPolicy::JsqSpillover, rep.replicas[0].clone());
+    assert_eq!(rep, single, "one replica is the degenerate fleet");
+    assert_eq!(rep.audit_violation, None);
+    assert_eq!(rep.placements.len(), rep.total_arrived());
 }
 
 #[test]
 fn placement_log_is_byte_identical_at_any_thread_count() {
     for policy in [RouterPolicy::JsqSpillover, RouterPolicy::RoundRobin] {
         let runs = across_thread_counts(|| {
-            let model = ModelConfig::llama3_1b();
-            let mut fleet = fleet_of(4);
-            let (m, rep) = simulate_fleet(
-                &mut fleet,
-                &model,
-                &workload(12.0),
-                &skewed_opts(),
-                policy,
-                &FleetFaultOptions::disabled(),
-                &SessionOptions::disabled(),
-                &mut Recorder::disabled(),
-            );
+            let (m, rep) = serve(&mut fleet_of(4), 12.0, policy);
             (rep.placement_log(), m.to_text(), rep)
         });
         for (t, (_, _, rep)) in &runs {
@@ -163,18 +149,7 @@ fn placement_log_is_byte_identical_at_any_thread_count() {
 
 #[test]
 fn fleet_conserves_arrivals_and_spreads_load() {
-    let model = ModelConfig::llama3_1b();
-    let mut fleet = fleet_of(4);
-    let (m, rep) = simulate_fleet(
-        &mut fleet,
-        &model,
-        &workload(12.0),
-        &skewed_opts(),
-        RouterPolicy::JsqSpillover,
-        &FleetFaultOptions::disabled(),
-        &SessionOptions::disabled(),
-        &mut Recorder::disabled(),
-    );
+    let (m, rep) = serve(&mut fleet_of(4), 12.0, RouterPolicy::JsqSpillover);
     assert_eq!(rep.audit_violation, None);
     assert_eq!(rep.placements.len(), rep.total_arrived());
     // Every replica serves part of the load under JSQ.
@@ -202,19 +177,8 @@ fn fleet_conserves_arrivals_and_spreads_load() {
 fn routers_disagree_under_skew() {
     // Sanity that the two policies are actually different controllers:
     // same offered load, different placement logs.
-    let model = ModelConfig::llama3_1b();
     let run = |policy| {
-        let mut fleet = fleet_of(2);
-        let (_, rep) = simulate_fleet(
-            &mut fleet,
-            &model,
-            &workload(12.0),
-            &skewed_opts(),
-            policy,
-            &FleetFaultOptions::disabled(),
-            &SessionOptions::disabled(),
-            &mut Recorder::disabled(),
-        );
+        let (_, rep) = serve(&mut fleet_of(2), 12.0, policy);
         rep.placement_log()
     };
     assert_ne!(

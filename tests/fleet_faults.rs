@@ -3,10 +3,10 @@
 //!
 //! Four promises:
 //!
-//! 1. **Disabled equivalence.** `simulate_fleet_faulty` with every fault
-//!    option off is bit-identical to `simulate_fleet`: same metrics, same
-//!    report text, `faults: None`. The failure-domain machinery costs
-//!    nothing when unused.
+//! 1. **Disabled equivalence.** A zero-rate crash profile with no breaker
+//!    and no shed cap is bit-identical to disabled fault options: same
+//!    metrics, same report text, `faults: None`. The failure-domain
+//!    machinery costs nothing when unused.
 //! 2. **Deterministic crash timeline.** With a crash profile on, the
 //!    replica events the driver applies are exactly `fleet_schedule` of
 //!    `(profile, fault_seed, replicas)` — crash count and downtime in the
@@ -34,7 +34,7 @@ use longsight::sched::{
 };
 use longsight::system::prefill::prefill_cost;
 use longsight::system::serving::{
-    simulate_fleet, simulate_fleet_faulty, FleetFaultOptions, SchedOptions, WorkloadConfig,
+    run, FleetFaultOptions, RunSpec, SchedOptions, ServeMetrics, WorkloadConfig,
 };
 use longsight::system::{LongSightConfig, LongSightSystem, ServingSystem, SessionOptions};
 use std::sync::Mutex;
@@ -109,36 +109,26 @@ fn crashy() -> FleetFaultOptions {
     }
 }
 
+/// A two-replica fleet serving [`workload`] under [`opts`] and `fopts`.
+fn serve(fopts: FleetFaultOptions) -> (ServeMetrics, FleetReport) {
+    let spec = RunSpec {
+        sched: opts(),
+        faults: fopts,
+        ..RunSpec::new(ModelConfig::llama3_1b(), workload())
+    };
+    let mut rec = Recorder::disabled();
+    let (m, rep, _) = run(&mut fleet_of(2), &spec, &mut rec, None).expect("fleet runs");
+    (m, rep)
+}
+
 #[test]
-fn disabled_fault_options_are_bit_identical_to_simulate_fleet() {
-    let model = ModelConfig::llama3_1b();
-    let run_plain = || {
-        let mut fleet = fleet_of(2);
-        simulate_fleet(
-            &mut fleet,
-            &model,
-            &workload(),
-            &opts(),
-            RouterPolicy::JsqSpillover,
-            &FleetFaultOptions::disabled(),
-            &SessionOptions::disabled(),
-            &mut Recorder::disabled(),
-        )
-    };
-    let run_faulty = || {
-        let mut fleet = fleet_of(2);
-        simulate_fleet_faulty(
-            &mut fleet,
-            &model,
-            &workload(),
-            &opts(),
-            RouterPolicy::JsqSpillover,
-            &FleetFaultOptions::disabled(),
-            &mut Recorder::disabled(),
-        )
-    };
-    let (m0, rep0) = run_plain();
-    let (m1, rep1) = run_faulty();
+fn zero_rate_fault_options_are_bit_identical_to_disabled_ones() {
+    let (m0, rep0) = serve(FleetFaultOptions::disabled());
+    let (m1, rep1) = serve(FleetFaultOptions {
+        profile: ReplicaFaultProfile::scaled(0.0),
+        fault_seed: 11,
+        ..FleetFaultOptions::disabled()
+    });
     assert_eq!(m0, m1, "disabled fault options must not perturb metrics");
     assert_eq!(
         rep0, rep1,
@@ -155,17 +145,7 @@ fn disabled_fault_options_are_bit_identical_to_simulate_fleet() {
 fn crash_timeline_matches_the_pure_schedule() {
     let fopts = crashy();
     let wl = workload();
-    let model = ModelConfig::llama3_1b();
-    let mut fleet = fleet_of(2);
-    let (_, rep) = simulate_fleet_faulty(
-        &mut fleet,
-        &model,
-        &wl,
-        &opts(),
-        RouterPolicy::JsqSpillover,
-        &fopts,
-        &mut Recorder::disabled(),
-    );
+    let (_, rep) = serve(fopts.clone());
     let faults = rep
         .faults
         .as_ref()
@@ -217,17 +197,7 @@ fn crash_timeline_matches_the_pure_schedule() {
 #[test]
 fn faulty_fleet_is_byte_identical_at_any_thread_count() {
     let runs = across_thread_counts(|| {
-        let model = ModelConfig::llama3_1b();
-        let mut fleet = fleet_of(2);
-        let (m, rep) = simulate_fleet_faulty(
-            &mut fleet,
-            &model,
-            &workload(),
-            &opts(),
-            RouterPolicy::JsqSpillover,
-            &crashy(),
-            &mut Recorder::disabled(),
-        );
+        let (m, rep) = serve(crashy());
         (m.to_text(), rep.to_text(), rep)
     });
     for (t, (_, _, rep)) in &runs {
@@ -247,17 +217,7 @@ fn faulty_fleet_is_byte_identical_at_any_thread_count() {
 
 #[test]
 fn crashes_conserve_requests_and_redispatch_placed_work() {
-    let model = ModelConfig::llama3_1b();
-    let mut fleet = fleet_of(2);
-    let (m, rep) = simulate_fleet_faulty(
-        &mut fleet,
-        &model,
-        &workload(),
-        &opts(),
-        RouterPolicy::JsqSpillover,
-        &crashy(),
-        &mut Recorder::disabled(),
-    );
+    let (m, rep) = serve(crashy());
     assert_eq!(rep.audit_violation, None);
     let faults = rep.faults.as_ref().unwrap();
     // Offered = placed + shed, and nothing vanishes.
@@ -296,22 +256,12 @@ fn breaker_mode_diverges_from_naive_routing_under_a_crash() {
     // naive fleet keeps placing new arrivals on the dead replica (to JSQ
     // its freed pages look like headroom); the breaker fleet does not
     // place anything there while the breaker is held open.
-    let model = ModelConfig::llama3_1b();
     let run = |breaker: Option<BreakerConfig>| {
-        let mut fleet = fleet_of(2);
         let fopts = FleetFaultOptions {
             breaker,
             ..crashy()
         };
-        let (_, rep) = simulate_fleet_faulty(
-            &mut fleet,
-            &model,
-            &workload(),
-            &opts(),
-            RouterPolicy::JsqSpillover,
-            &fopts,
-            &mut Recorder::disabled(),
-        );
+        let (_, rep) = serve(fopts);
         assert_eq!(rep.audit_violation, None);
         rep.placement_log()
     };
@@ -352,17 +302,15 @@ fn session_crash_run() -> (FleetReport, String) {
         reuse: 0.9,
         prefix_cache_pages: 4096,
     };
+    let spec = RunSpec {
+        sched: opts,
+        router: RouterPolicy::Affinity,
+        faults: fopts,
+        sessions: sess,
+        ..RunSpec::new(model, wl)
+    };
     let mut rec = Recorder::enabled();
-    let (_, rep) = simulate_fleet(
-        &mut fleet_of(2),
-        &model,
-        &wl,
-        &opts,
-        RouterPolicy::Affinity,
-        &fopts,
-        &sess,
-        &mut rec,
-    );
+    let (_, rep, _) = run(&mut fleet_of(2), &spec, &mut rec, None).expect("fleet runs");
     (rep, rec.chrome_trace_json())
 }
 
@@ -449,17 +397,7 @@ fn fault_summary_and_timeline_render_the_pinned_golden_text() {
          \x20   6384393489 r0 up\n"
     );
 
-    let model = ModelConfig::llama3_1b();
-    let mut fleet = fleet_of(2);
-    let (_, rep) = simulate_fleet_faulty(
-        &mut fleet,
-        &model,
-        &workload(),
-        &opts(),
-        RouterPolicy::JsqSpillover,
-        &crashy(),
-        &mut Recorder::disabled(),
-    );
+    let (_, rep) = serve(crashy());
     let text = rep.to_text();
     let fault_block = "  faults: crashes 1 | brownouts 2 | redispatched 2 | shed 0\n\
                        \x20 downtime: r0 3.00s r1 0.00s\n\

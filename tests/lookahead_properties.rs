@@ -15,7 +15,11 @@
 
 use longsight::drex::SpecSlotPool;
 use longsight::model::ModelConfig;
-use longsight::system::serving::{simulate, WorkloadConfig};
+mod common;
+
+use common::serve_one;
+use longsight::obs::Recorder;
+use longsight::system::serving::WorkloadConfig;
 use longsight::system::{LongSightConfig, LongSightSystem, LookaheadConfig, ServingSystem};
 use longsight::tensor::check::run_cases;
 use longsight::tensor::{prop_ensure, prop_ensure_eq};
@@ -91,7 +95,15 @@ fn miss_rate_one_with_zero_penalty_degenerates_to_serial_timing() {
                 seed: g.u64_in(1, 1 << 20),
             };
             let mut sync = LongSightSystem::new(LongSightConfig::paper_default(), model.clone());
-            let off = simulate(&mut sync, &model, &wl);
+            let off = serve_one(
+                &mut sync,
+                &model,
+                &wl,
+                None,
+                &mut Recorder::disabled(),
+                None,
+            )
+            .0;
             let all_miss = LookaheadConfig {
                 miss_rate: 1.0,
                 refilter_penalty_ns: 0.0,
@@ -102,7 +114,15 @@ fn miss_rate_one_with_zero_penalty_degenerates_to_serial_timing() {
                 LongSightConfig::paper_default().with_lookahead(all_miss),
                 model.clone(),
             );
-            let on = simulate(&mut spec, &model, &wl);
+            let on = serve_one(
+                &mut spec,
+                &model,
+                &wl,
+                None,
+                &mut Recorder::disabled(),
+                None,
+            )
+            .0;
             prop_ensure_eq!(on.spec_hits, 0, "miss rate 1.0 cannot land a hit");
             prop_ensure!(on.spec_misses > 0, "run generated no speculated steps");
             // Everything except the speculation counters degenerates to the

@@ -14,7 +14,10 @@ use longsight::faults::{FaultInjector, FaultLog, FaultProfile, RetryPolicy};
 use longsight::model::ModelConfig;
 use longsight::obs::{json, Recorder};
 use longsight::system::attribution::OVERLAP_HIDDEN;
-use longsight::system::serving::{simulate, simulate_observed, ServeMetrics, WorkloadConfig};
+mod common;
+
+use common::serve_one;
+use longsight::system::serving::{ServeMetrics, WorkloadConfig};
 use longsight::system::{
     LongSightConfig, LongSightSystem, LookaheadConfig, SpecCharge, TokenAttribution,
 };
@@ -65,7 +68,7 @@ fn observed_run(rate: f64) -> (ServeMetrics, FaultLog, Recorder, TokenAttributio
     let inj = FaultInjector::new(FaultProfile::scaled(rate), 11);
     let retry = RetryPolicy::serving_default();
     let faults = (rate > 0.0).then_some((&inj, &retry));
-    let (metrics, log) = simulate_observed(
+    let (metrics, log) = serve_one(
         &mut sys,
         &model,
         &workload(),
@@ -116,10 +119,18 @@ fn disabled_recorder_is_invisible() {
     // Fault-free: the plain entry point and the observed one with a no-op
     // recorder must produce identical metrics, and nothing gets captured.
     let mut plain_sys = LongSightSystem::new(LongSightConfig::paper_default(), model.clone());
-    let plain = simulate(&mut plain_sys, &model, &wl);
+    let plain = serve_one(
+        &mut plain_sys,
+        &model,
+        &wl,
+        None,
+        &mut Recorder::disabled(),
+        None,
+    )
+    .0;
     let mut obs_sys = LongSightSystem::new(LongSightConfig::paper_default(), model.clone());
     let mut rec = Recorder::disabled();
-    let (observed, _) = simulate_observed(&mut obs_sys, &model, &wl, None, &mut rec, None);
+    let (observed, _) = serve_one(&mut obs_sys, &model, &wl, None, &mut rec, None);
     assert_eq!(plain, observed, "disabled recorder changed the simulation");
     assert!(rec.spans().is_empty() && rec.instants().is_empty());
 
@@ -127,7 +138,7 @@ fn disabled_recorder_is_invisible() {
     let inj = FaultInjector::new(FaultProfile::scaled(0.2), 11);
     let retry = RetryPolicy::serving_default();
     let mut plain_sys = LongSightSystem::new(LongSightConfig::paper_default(), model.clone());
-    let (plain_m, plain_log) = simulate_observed(
+    let (plain_m, plain_log) = serve_one(
         &mut plain_sys,
         &model,
         &wl,
@@ -137,7 +148,7 @@ fn disabled_recorder_is_invisible() {
     );
     let mut obs_sys = LongSightSystem::new(LongSightConfig::paper_default(), model.clone());
     let mut rec = Recorder::disabled();
-    let (obs_m, obs_log) = simulate_observed(
+    let (obs_m, obs_log) = serve_one(
         &mut obs_sys,
         &model,
         &wl,
@@ -224,7 +235,7 @@ fn observed_lookahead_run(rate: f64) -> (ServeMetrics, FaultLog, Recorder, Token
     let inj = FaultInjector::new(FaultProfile::scaled(rate), 11);
     let retry = RetryPolicy::serving_default();
     let faults = (rate > 0.0).then_some((&inj, &retry));
-    let (metrics, log) = simulate_observed(
+    let (metrics, log) = serve_one(
         &mut sys,
         &model,
         &workload(),

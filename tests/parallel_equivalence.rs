@@ -19,6 +19,10 @@ use longsight::model::{corpus, perplexity, InductionParams, Model, ModelConfig, 
 use longsight::tensor::SimRng;
 use std::sync::Mutex;
 
+mod common;
+
+use common::serve_one;
+
 /// Thread counts exercised: exact serial, a fixed pool, and whatever the
 /// host hardware reports (deduplicated).
 fn thread_counts() -> Vec<usize> {
@@ -116,7 +120,7 @@ fn trace_eval_metrics_are_bit_identical_across_thread_counts() {
 fn fault_schedule_is_bit_identical_across_thread_counts() {
     use longsight::faults::{FaultInjector, FaultProfile, RetryPolicy};
     use longsight::obs::Recorder;
-    use longsight::system::serving::{simulate_observed, WorkloadConfig};
+    use longsight::system::serving::WorkloadConfig;
     use longsight::system::{LongSightConfig, LongSightSystem};
 
     let model = ModelConfig::llama3_8b();
@@ -133,7 +137,7 @@ fn fault_schedule_is_bit_identical_across_thread_counts() {
             ..WorkloadConfig::long_context_chat()
         };
         let inj = FaultInjector::new(FaultProfile::scaled(0.2), 11);
-        let (metrics, log) = simulate_observed(
+        let (metrics, log) = serve_one(
             &mut serve_sys,
             &model,
             &workload,
@@ -281,12 +285,8 @@ fn offload_timing_is_bit_identical_across_thread_counts() {
 fn lookahead_serving_is_bit_identical_across_thread_counts() {
     use longsight::obs::Recorder;
     use longsight::sched::{RouterPolicy, SchedPolicy, SloMix};
-    use longsight::system::serving::{
-        simulate_fleet, simulate_observed, FleetFaultOptions, SchedOptions, WorkloadConfig,
-    };
-    use longsight::system::{
-        LongSightConfig, LongSightSystem, LookaheadConfig, ServingSystem, SessionOptions,
-    };
+    use longsight::system::serving::{run, RunSpec, SchedOptions, WorkloadConfig};
+    use longsight::system::{LongSightConfig, LongSightSystem, LookaheadConfig, ServingSystem};
 
     let runs = across_thread_counts(|| {
         // Traced single-system run with speculation on: metrics, trace
@@ -300,7 +300,7 @@ fn lookahead_serving_is_bit_identical_across_thread_counts() {
             ..WorkloadConfig::long_context_chat()
         };
         let mut rec = Recorder::enabled();
-        let (m, _) = simulate_observed(&mut sys, &model, &wl, None, &mut rec, None);
+        let (m, _) = serve_one(&mut sys, &model, &wl, None, &mut rec, None);
         assert!(m.spec_hits > 0, "run speculated nothing");
 
         // Two-replica fleet with speculating replicas: the router's
@@ -332,16 +332,13 @@ fn lookahead_serving_is_bit_identical_across_thread_counts() {
             duration_s: 4.0,
             seed: 11,
         };
-        let (fm, rep) = simulate_fleet(
-            &mut fleet,
-            &fleet_model,
-            &fleet_wl,
-            &opts,
-            RouterPolicy::JsqSpillover,
-            &FleetFaultOptions::disabled(),
-            &SessionOptions::disabled(),
-            &mut Recorder::disabled(),
-        );
+        let spec = RunSpec {
+            sched: opts,
+            router: RouterPolicy::JsqSpillover,
+            ..RunSpec::new(fleet_model, fleet_wl)
+        };
+        let (fm, rep, _) =
+            run(&mut fleet, &spec, &mut Recorder::disabled(), None).expect("fleet runs");
         (
             m,
             rec.chrome_trace_json(),

@@ -4,7 +4,7 @@
 //!
 //! 1. **Legacy equivalence.** The scheduler is now the single serving
 //!    implementation; with the default all-interactive FIFO options, the
-//!    rewired `simulate` / `simulate_observed` must reproduce the
+//!    one-replica `run` must reproduce the
 //!    pre-scheduler metrics **bit-identically** (values captured from the
 //!    legacy loop before the rewire, including the fault log's FNV-1a
 //!    fingerprint).
@@ -21,12 +21,19 @@ use longsight::exec;
 use longsight::faults::{FaultInjector, FaultProfile, RetryPolicy};
 use longsight::model::ModelConfig;
 use longsight::obs::Recorder;
+use longsight::sched::SchedReport;
 use longsight::sched::{SchedPolicy, SloClass, SloMix};
-use longsight::system::serving::{
-    simulate, simulate_observed, simulate_scheduled, SchedOptions, WorkloadConfig,
-};
-use longsight::system::{LongSightConfig, LongSightSystem};
+use longsight::system::serving::{run, RunSpec, SchedOptions, ServeMetrics, WorkloadConfig};
+use longsight::system::{LongSightConfig, LongSightSystem, ServingSystem};
 use std::sync::Mutex;
+
+/// One replica serving `spec`: the run's metrics and its scheduler report.
+fn scheduled(sys: &mut LongSightSystem, spec: &RunSpec) -> (ServeMetrics, SchedReport) {
+    let mut systems = [sys as &mut dyn ServingSystem];
+    let mut rec = Recorder::disabled();
+    let (m, mut fleet, _) = run(&mut systems, spec, &mut rec, None).expect("one replica runs");
+    (m, fleet.replicas.swap_remove(0))
+}
 
 /// The worker-count override is process-global, so tests that sweep it must
 /// not interleave.
@@ -147,7 +154,8 @@ fn fifo_default_reproduces_legacy_metrics_bit_exact() {
     for (rate, seed, dur, ctx, completed, bits) in pinned {
         let model = ModelConfig::llama3_1b();
         let mut sys = LongSightSystem::new(LongSightConfig::paper_default(), model.clone());
-        let m = simulate(&mut sys, &model, &workload(rate, seed, dur, ctx));
+        let spec = RunSpec::new(model.clone(), workload(rate, seed, dur, ctx));
+        let (m, _) = scheduled(&mut sys, &spec);
         assert_eq!(m.completed, completed, "rate {rate}");
         assert_eq!(m.rejected, 0, "rate {rate}");
         assert_eq!(m.in_flight, 0, "rate {rate}");
@@ -170,14 +178,12 @@ fn fifo_faulted_reproduces_legacy_log_bit_exact() {
     let wl = workload(2.0, 3, 5.0, (32_768, 65_536));
     let inj = FaultInjector::new(FaultProfile::scaled(0.2), 11);
     let retry = RetryPolicy::serving_default();
-    let (m, log) = simulate_observed(
-        &mut sys,
-        &model,
-        &wl,
-        Some((&inj, &retry)),
-        &mut Recorder::disabled(),
-        None,
-    );
+    let spec = RunSpec {
+        token_faults: Some((inj, retry)),
+        ..RunSpec::new(model.clone(), wl)
+    };
+    let mut systems = [&mut sys as &mut dyn ServingSystem];
+    let (m, _, log) = run(&mut systems, &spec, &mut Recorder::disabled(), None).expect("runs");
     assert_eq!(m.completed, 8);
     assert_eq!(m.retried_tokens, 38);
     assert_eq!(m.degraded_tokens, 0);
@@ -194,16 +200,11 @@ fn memory_invariants_hold_at_any_thread_count() {
         let model = ModelConfig::llama3_1b();
         let mut sys = LongSightSystem::new(LongSightConfig::paper_default(), model.clone());
         let wl = workload(8.0, 11, 6.0, (16_384, 32_768));
-        let mut rec = Recorder::disabled();
-        let (m, rep, _) = simulate_scheduled(
-            &mut sys,
-            &model,
-            &wl,
-            &pressure_opts(SchedPolicy::SloAware),
-            None,
-            &mut rec,
-            None,
-        );
+        let spec = RunSpec {
+            sched: pressure_opts(SchedPolicy::SloAware),
+            ..RunSpec::new(model.clone(), wl)
+        };
+        let (m, rep) = scheduled(&mut sys, &spec);
         (m.to_text(), rep)
     });
     for (t, (_, rep)) in &runs {
@@ -241,17 +242,11 @@ fn slo_aware_strictly_improves_interactive_p99_token_latency() {
     };
     let run = |policy| {
         let mut sys = LongSightSystem::new(LongSightConfig::paper_default(), model.clone());
-        let mut rec = Recorder::disabled();
-        let (_, rep, _) = simulate_scheduled(
-            &mut sys,
-            &model,
-            &wl,
-            &pressure_opts(policy),
-            None,
-            &mut rec,
-            None,
-        );
-        rep
+        let spec = RunSpec {
+            sched: pressure_opts(policy),
+            ..RunSpec::new(model.clone(), wl.clone())
+        };
+        scheduled(&mut sys, &spec).1
     };
     let fifo = run(SchedPolicy::Fifo);
     let slo = run(SchedPolicy::SloAware);

@@ -23,9 +23,9 @@ use longsight::faults::ReplicaFaultProfile;
 use longsight::model::ModelConfig;
 use longsight::obs::timeseries::Export;
 use longsight::obs::{BurnConfig, Recorder};
-use longsight::sched::{BreakerConfig, FleetReport, RouterPolicy, SchedPolicy, SloMix};
+use longsight::sched::{BreakerConfig, FleetReport, SchedPolicy, SloMix};
 use longsight::system::serving::{
-    simulate_fleet_faulty, FleetFaultOptions, SchedOptions, ServeMetrics, WorkloadConfig,
+    run, FleetFaultOptions, RunSpec, SchedOptions, ServeMetrics, WorkloadConfig,
 };
 use longsight::system::{LongSightConfig, LongSightSystem, ServingSystem};
 use std::sync::Mutex;
@@ -111,21 +111,16 @@ struct TracedRun {
 }
 
 fn run_crashy(timeseries: bool) -> TracedRun {
-    let model = ModelConfig::llama3_1b();
-    let mut fleet = fleet_of(2);
+    let spec = RunSpec {
+        sched: opts(),
+        faults: crashy(),
+        ..RunSpec::new(ModelConfig::llama3_1b(), workload())
+    };
     let mut rec = Recorder::enabled();
     if timeseries {
         rec.enable_timeseries(250e6, BurnConfig::default());
     }
-    let (metrics, report) = simulate_fleet_faulty(
-        &mut fleet,
-        &model,
-        &workload(),
-        &opts(),
-        RouterPolicy::JsqSpillover,
-        &crashy(),
-        &mut rec,
-    );
+    let (metrics, report, _) = run(&mut fleet_of(2), &spec, &mut rec, None).expect("fleet runs");
     TracedRun {
         metrics,
         report,

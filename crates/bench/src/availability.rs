@@ -1,5 +1,6 @@
 //! Degradation-curve driver: SLO capacity and degradation counters under
-//! injected faults (ISSUE: availability experiment).
+//! injected faults, the experiment behind the `availability` bench and
+//! `results/availability.txt`.
 //!
 //! Sweeps fault rate × offload deadline on a faults-enabled
 //! [`LongSightSystem`]. For each cell it reports the largest batch still

@@ -223,21 +223,11 @@ impl FleetReport {
     /// Builds the fleet report and runs the cross-replica audit.
     ///
     /// `samples` are the merged per-class `(token, request)` latency
-    /// samples across every replica.
+    /// samples across every replica. With the fault/overload outcome
+    /// attached (`faults`), the audit also checks the redispatch and shed
+    /// logs (placed + shed = offered; per-replica arrivals = placements +
+    /// redispatches into it).
     pub fn assemble(
-        router: RouterPolicy,
-        replicas: Vec<SchedReport>,
-        placements: Vec<Placement>,
-        samples: [(LatencySamples, LatencySamples); 3],
-    ) -> Self {
-        Self::assemble_with_faults(router, replicas, placements, samples, None)
-    }
-
-    /// [`FleetReport::assemble`] with the fault/overload outcome attached;
-    /// the audit then also checks the redispatch and shed logs (placed +
-    /// shed = offered; per-replica arrivals = placements + redispatches
-    /// into it).
-    pub fn assemble_with_faults(
         router: RouterPolicy,
         replicas: Vec<SchedReport>,
         placements: Vec<Placement>,
@@ -608,6 +598,7 @@ mod tests {
             vec![report([1, 1, 0]), report([1, 0, 1])],
             vec![(0, 0), (1, 1), (2, 0), (3, 1)],
             no_samples(),
+            None,
         );
         assert_eq!(f.audit_violation, None);
         assert_eq!(f.total_arrived(), 4);
@@ -623,6 +614,7 @@ mod tests {
             vec![report([2, 0, 0]), report([1, 0, 0])],
             vec![(0, 0), (0, 0), (1, 1)],
             no_samples(),
+            None,
         );
         assert!(f.audit_violation.as_deref().unwrap().contains("twice"));
     }
@@ -635,6 +627,7 @@ mod tests {
             vec![report([1, 0, 0]), report([1, 0, 0])],
             vec![(0, 0), (1, 0)],
             no_samples(),
+            None,
         );
         assert!(f.audit_violation.is_some());
     }
@@ -648,6 +641,7 @@ mod tests {
             vec![bad],
             vec![(0, 0)],
             no_samples(),
+            None,
         );
         assert!(f.audit_violation.as_deref().unwrap().contains("leaked"));
     }
@@ -672,7 +666,7 @@ mod tests {
             at_ns: 2e9,
             reason: "queue-cap",
         });
-        let rep = FleetReport::assemble_with_faults(
+        let rep = FleetReport::assemble(
             RouterPolicy::JsqSpillover,
             vec![report([2, 0, 0]), report([3, 0, 0])],
             vec![(0, 0), (1, 1), (2, 0), (3, 1)],
@@ -691,7 +685,7 @@ mod tests {
     #[test]
     fn fault_audit_catches_lost_and_double_counted_arrivals() {
         // Arrival 2 neither placed nor shed: lost.
-        let lost = FleetReport::assemble_with_faults(
+        let lost = FleetReport::assemble(
             RouterPolicy::JsqSpillover,
             vec![report([2, 0, 0])],
             vec![(0, 0), (1, 0)],
@@ -711,7 +705,7 @@ mod tests {
             at_ns: 0.0,
             reason: "queue-cap",
         });
-        let dup = FleetReport::assemble_with_faults(
+        let dup = FleetReport::assemble(
             RouterPolicy::JsqSpillover,
             vec![report([2, 0, 0])],
             vec![(0, 0), (1, 0)],
@@ -732,7 +726,7 @@ mod tests {
             at_ns: 0.0,
             reason: "replica-crash",
         });
-        let ghost = FleetReport::assemble_with_faults(
+        let ghost = FleetReport::assemble(
             RouterPolicy::JsqSpillover,
             vec![report([1, 0, 0]), report([0, 0, 0])],
             vec![(0, 0)],
@@ -753,6 +747,7 @@ mod tests {
             vec![report([1, 0, 0])],
             vec![(0, 0)],
             no_samples(),
+            None,
         );
         assert_eq!(f.faults, None);
         let text = f.to_text();
@@ -774,6 +769,7 @@ mod tests {
             vec![r0, r1],
             vec![(0, 0), (1, 1), (2, 0), (3, 1)],
             no_samples(),
+            None,
         );
         f.attach_sessions(SessionSummary {
             sessions: 2,
@@ -807,6 +803,7 @@ mod tests {
                 vec![report([2, 0, 0]), report([2, 0, 0])],
                 vec![(0, 0), (1, 1), (2, 0), (3, 1)],
                 no_samples(),
+                None,
             )
         };
         let pull = |from: usize, to: usize, pages: usize| PullRecord {
@@ -871,6 +868,7 @@ mod tests {
                 samples[0].0.push(9.0);
                 samples
             },
+            None,
         );
         assert_eq!(f.per_class[0].p99_token_ms, 9.0);
         assert_eq!(f.per_class[0].p50_token_ms, 1.0);

@@ -215,11 +215,6 @@ impl PagedKvManager {
         &self.cfg
     }
 
-    /// Whether capacities are enforced.
-    pub fn is_enforcing(&self) -> bool {
-        self.enforce
-    }
-
     fn idx(&self, id: usize) -> Option<usize> {
         self.entries.iter().position(|e| e.id == id)
     }

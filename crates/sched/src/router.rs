@@ -6,7 +6,9 @@
 //! admission, paging, preemption — stays each replica's own
 //! [`crate::Scheduler`].
 //!
-//! Two policies:
+//! One call, [`Router::route`], first narrows the fleet to the replicas
+//! whose circuit breakers admit the arrival's class, then applies one of
+//! three policies:
 //!
 //! * [`RouterPolicy::RoundRobin`] ignores load entirely:
 //!   `arrival_index % replicas`. The baseline.
@@ -17,6 +19,9 @@
 //!   drains toward cold replicas before it can crowd the hot ones. When
 //!   every replica is past the threshold the full fleet is eligible again
 //!   (shedding balances load; it never rejects).
+//! * [`RouterPolicy::Affinity`] resumes a session turn on the replica that
+//!   owns its prefix, else spills over like JSQ with the owner credited
+//!   the pull it saves.
 //!
 //! Ties on the (free HBM, free DReX) key break by a seeded hash of the
 //! arrival index, so placement is a pure function of `(seed, arrival
@@ -376,7 +381,7 @@ fn splitmix64(mut x: u64) -> u64 {
 }
 
 /// The fleet router. Stateless apart from its seed: every decision is a
-/// pure function of `(seed, arrival_index, class, loads)`.
+/// pure function of `(seed, arrival_index, class, loads, states, owner)`.
 #[derive(Debug, Clone, Copy)]
 pub struct Router {
     policy: RouterPolicy,
@@ -395,28 +400,19 @@ impl Router {
         self.policy
     }
 
-    /// Picks the replica for arrival `arrival_index` of `class` given the
-    /// per-replica load snapshots.
+    /// Picks the replica for arrival `arrival_index` of `class` from the
+    /// per-replica load snapshots and breaker states.
     ///
-    /// # Errors
-    ///
-    /// [`RouteError::EmptyFleet`] when `loads` is empty.
-    pub fn route(
-        &self,
-        arrival_index: usize,
-        class: SloClass,
-        loads: &[SchedLoad],
-    ) -> Result<usize, RouteError> {
-        let all: Vec<usize> = (0..loads.len()).collect();
-        self.route_within(arrival_index, class, loads, &all)
-    }
-
-    /// Health-aware routing: picks a replica among those whose breaker
-    /// admits this class. Closed replicas take every class; half-open ones
-    /// take best-effort probe traffic first, and other classes only when no
-    /// closed replica exists; open replicas take nothing. With every
-    /// breaker closed this is exactly [`Router::route`], placement for
-    /// placement.
+    /// The healthy pool is the closed replicas; half-open ones join it for
+    /// best-effort probe traffic, and for every class when no replica is
+    /// closed; open replicas take nothing. The policy then picks within the
+    /// pool. `owner` is the replica holding the arrival's prefix, with its
+    /// page count; only [`RouterPolicy::Affinity`] uses it, and an owner
+    /// outside the fleet is ignored. Affinity resumes on the owner when it
+    /// is in the pool with free HBM under the watermark (no fabric
+    /// transfer); otherwise it spills over by predicted cost, JSQ where the
+    /// owner's free-HBM key is credited the prefix pages every other
+    /// replica would have to pull.
     ///
     /// # Errors
     ///
@@ -424,12 +420,13 @@ impl Router {
     /// shorter than `loads`), [`RouteError::NoHealthyReplica`] when no
     /// breaker admits the class — the caller sheds, it never loses the
     /// arrival.
-    pub fn route_healthy(
+    pub fn route(
         &self,
         arrival_index: usize,
         class: SloClass,
         loads: &[SchedLoad],
         states: &[BreakerState],
+        owner: Option<(usize, usize)>,
     ) -> Result<usize, RouteError> {
         if loads.is_empty() || states.len() < loads.len() {
             return Err(RouteError::EmptyFleet);
@@ -447,86 +444,13 @@ impl Router {
         if healthy.is_empty() {
             return Err(RouteError::NoHealthyReplica);
         }
-        self.route_within(arrival_index, class, loads, &healthy)
-    }
-
-    /// Applies the policy over a candidate pool of replica indices.
-    fn route_within(
-        &self,
-        arrival_index: usize,
-        class: SloClass,
-        loads: &[SchedLoad],
-        candidates: &[usize],
-    ) -> Result<usize, RouteError> {
-        if candidates.is_empty() {
-            return Err(RouteError::EmptyFleet);
+        let owner =
+            owner.filter(|&(o, _)| self.policy == RouterPolicy::Affinity && o < loads.len());
+        match (self.policy, owner) {
+            (RouterPolicy::RoundRobin, _) => Ok(healthy[arrival_index % healthy.len()]),
+            (_, Some((own, _))) if healthy.contains(&own) && loads[own].free_hbm() > 0 => Ok(own),
+            _ => Ok(self.jsq_spillover(arrival_index, class, loads, &healthy, owner)),
         }
-        match self.policy {
-            RouterPolicy::RoundRobin => Ok(candidates[arrival_index % candidates.len()]),
-            // Affinity without an owner hint (every cold arrival) is plain
-            // JSQ spillover; the owner-aware path is `route_affine`.
-            RouterPolicy::JsqSpillover | RouterPolicy::Affinity => {
-                Ok(self.jsq_spillover(arrival_index, class, loads, candidates, None))
-            }
-        }
-    }
-
-    /// Session-affine routing: place arrival `arrival_index`, whose prefix
-    /// (of `prefix_pages` pages) lives on `owner`, composing with the
-    /// breaker machinery exactly like [`Router::route_healthy`].
-    ///
-    /// Decision order: (1) the owner, when its breaker admits the class,
-    /// it is in the healthy pool, and it has free HBM under the watermark —
-    /// resuming in place costs no fabric transfer; (2) otherwise spillover
-    /// by predicted cost — JSQ over the healthy pool where the owner's
-    /// free-HBM key is credited `prefix_pages` pages, the pull price every
-    /// *other* replica would pay to fetch the prefix. Without an owner (or
-    /// under a non-affinity policy) this is exactly `route_healthy`.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Router::route_healthy`].
-    pub fn route_affine(
-        &self,
-        arrival_index: usize,
-        class: SloClass,
-        loads: &[SchedLoad],
-        states: &[BreakerState],
-        owner: Option<usize>,
-        prefix_pages: usize,
-    ) -> Result<usize, RouteError> {
-        let Some(own) = owner.filter(|&o| o < loads.len()) else {
-            return self.route_healthy(arrival_index, class, loads, states);
-        };
-        if self.policy != RouterPolicy::Affinity {
-            return self.route_healthy(arrival_index, class, loads, states);
-        }
-        if loads.is_empty() || states.len() < loads.len() {
-            return Err(RouteError::EmptyFleet);
-        }
-        let closed: Vec<usize> = (0..loads.len())
-            .filter(|&i| states[i] == BreakerState::Closed)
-            .collect();
-        let healthy: Vec<usize> = if class == SloClass::BestEffort || closed.is_empty() {
-            (0..loads.len())
-                .filter(|&i| states[i] != BreakerState::Open)
-                .collect()
-        } else {
-            closed
-        };
-        if healthy.is_empty() {
-            return Err(RouteError::NoHealthyReplica);
-        }
-        if healthy.contains(&own) && loads[own].free_hbm() > 0 {
-            return Ok(own);
-        }
-        Ok(self.jsq_spillover(
-            arrival_index,
-            class,
-            loads,
-            &healthy,
-            Some((own, prefix_pages)),
-        ))
     }
 
     fn jsq_spillover(
@@ -588,6 +512,9 @@ impl Router {
 mod tests {
     use super::*;
 
+    /// Breaker states of a fault-free fleet of up to four replicas.
+    const CLOSED: [BreakerState; 4] = [BreakerState::Closed; 4];
+
     fn load(hbm_used: usize, hbm_limit: usize) -> SchedLoad {
         SchedLoad {
             active: 0,
@@ -604,7 +531,11 @@ mod tests {
         let r = Router::new(RouterPolicy::RoundRobin, 7);
         let loads = [load(0, 10), load(9, 10), load(5, 10)];
         for i in 0..9 {
-            assert_eq!(r.route(i, SloClass::Interactive, &loads).unwrap(), i % 3);
+            assert_eq!(
+                r.route(i, SloClass::Interactive, &loads, &CLOSED, None)
+                    .unwrap(),
+                i % 3
+            );
         }
     }
 
@@ -613,7 +544,7 @@ mod tests {
         let r = Router::new(RouterPolicy::JsqSpillover, 7);
         let loads = [load(8, 10), load(2, 10), load(5, 10)];
         for class in SloClass::ALL {
-            assert_eq!(r.route(0, class, &loads).unwrap(), 1);
+            assert_eq!(r.route(0, class, &loads, &CLOSED, None).unwrap(), 1);
         }
     }
 
@@ -621,7 +552,7 @@ mod tests {
     fn empty_fleet_is_a_typed_error_not_a_panic() {
         let r = Router::new(RouterPolicy::JsqSpillover, 7);
         assert_eq!(
-            r.route(0, SloClass::Interactive, &[]),
+            r.route(0, SloClass::Interactive, &[], &[], None),
             Err(RouteError::EmptyFleet)
         );
         assert!(RouteError::EmptyFleet.to_string().contains("empty fleet"));
@@ -639,20 +570,29 @@ mod tests {
         assert!(loads[0].free_hbm() > loads[1].free_hbm());
         let r = Router::new(RouterPolicy::JsqSpillover, 7);
         assert_eq!(
-            r.route(0, SloClass::BestEffort, &loads).unwrap(),
+            r.route(0, SloClass::BestEffort, &loads, &CLOSED, None)
+                .unwrap(),
             1,
             "0 is past 50%"
         );
         assert_eq!(
-            r.route(0, SloClass::Batch, &loads).unwrap(),
+            r.route(0, SloClass::Batch, &loads, &CLOSED, None).unwrap(),
             0,
             "0 is under 75%"
         );
-        assert_eq!(r.route(0, SloClass::Interactive, &loads).unwrap(), 0);
+        assert_eq!(
+            r.route(0, SloClass::Interactive, &loads, &CLOSED, None)
+                .unwrap(),
+            0
+        );
         // Past 75% the batch class sheds too; interactive never does.
         let hot = [load(80, 100), load(4, 10)];
-        assert_eq!(r.route(0, SloClass::Batch, &hot).unwrap(), 1);
-        assert_eq!(r.route(0, SloClass::Interactive, &hot).unwrap(), 0);
+        assert_eq!(r.route(0, SloClass::Batch, &hot, &CLOSED, None).unwrap(), 1);
+        assert_eq!(
+            r.route(0, SloClass::Interactive, &hot, &CLOSED, None)
+                .unwrap(),
+            0
+        );
     }
 
     #[test]
@@ -664,12 +604,27 @@ mod tests {
         assert_eq!(loads[0].hbm_occupancy(), 0.5);
         assert!(loads[0].free_hbm() > loads[1].free_hbm());
         let r = Router::new(RouterPolicy::JsqSpillover, 7);
-        assert_eq!(r.route(0, SloClass::BestEffort, &loads).unwrap(), 1);
-        assert_eq!(r.route(0, SloClass::Batch, &loads).unwrap(), 0);
-        assert_eq!(r.route(0, SloClass::Interactive, &loads).unwrap(), 0);
+        assert_eq!(
+            r.route(0, SloClass::BestEffort, &loads, &CLOSED, None)
+                .unwrap(),
+            1
+        );
+        assert_eq!(
+            r.route(0, SloClass::Batch, &loads, &CLOSED, None).unwrap(),
+            0
+        );
+        assert_eq!(
+            r.route(0, SloClass::Interactive, &loads, &CLOSED, None)
+                .unwrap(),
+            0
+        );
         // One page under the boundary it still takes everything.
         let under = [load(49, 100), load(4, 10)];
-        assert_eq!(r.route(0, SloClass::BestEffort, &under).unwrap(), 0);
+        assert_eq!(
+            r.route(0, SloClass::BestEffort, &under, &CLOSED, None)
+                .unwrap(),
+            0
+        );
     }
 
     #[test]
@@ -678,10 +633,20 @@ mod tests {
         assert_eq!(loads[0].hbm_occupancy(), 0.75);
         assert!(loads[0].free_hbm() > loads[1].free_hbm());
         let r = Router::new(RouterPolicy::JsqSpillover, 7);
-        assert_eq!(r.route(0, SloClass::Batch, &loads).unwrap(), 1);
-        assert_eq!(r.route(0, SloClass::Interactive, &loads).unwrap(), 0);
+        assert_eq!(
+            r.route(0, SloClass::Batch, &loads, &CLOSED, None).unwrap(),
+            1
+        );
+        assert_eq!(
+            r.route(0, SloClass::Interactive, &loads, &CLOSED, None)
+                .unwrap(),
+            0
+        );
         let under = [load(74, 100), load(4, 10)];
-        assert_eq!(r.route(0, SloClass::Batch, &under).unwrap(), 0);
+        assert_eq!(
+            r.route(0, SloClass::Batch, &under, &CLOSED, None).unwrap(),
+            0
+        );
     }
 
     #[test]
@@ -689,7 +654,11 @@ mod tests {
         let loads = [load(9, 10), load(7, 10)];
         let r = Router::new(RouterPolicy::JsqSpillover, 7);
         // Both past the best-effort threshold: the freer one still wins.
-        assert_eq!(r.route(0, SloClass::BestEffort, &loads).unwrap(), 1);
+        assert_eq!(
+            r.route(0, SloClass::BestEffort, &loads, &CLOSED, None)
+                .unwrap(),
+            1
+        );
     }
 
     #[test]
@@ -697,17 +666,27 @@ mod tests {
         let loads = [load(5, 10), load(5, 10), load(5, 10), load(5, 10)];
         let r = Router::new(RouterPolicy::JsqSpillover, 42);
         let picks: Vec<usize> = (0..64)
-            .map(|i| r.route(i, SloClass::Interactive, &loads).unwrap())
+            .map(|i| {
+                r.route(i, SloClass::Interactive, &loads, &CLOSED, None)
+                    .unwrap()
+            })
             .collect();
         // Reproducible...
         let again: Vec<usize> = (0..64)
-            .map(|i| r.route(i, SloClass::Interactive, &loads).unwrap())
+            .map(|i| {
+                r.route(i, SloClass::Interactive, &loads, &CLOSED, None)
+                    .unwrap()
+            })
             .collect();
         assert_eq!(picks, again);
         // ...seed-dependent...
         let other = Router::new(RouterPolicy::JsqSpillover, 43);
         let shifted: Vec<usize> = (0..64)
-            .map(|i| other.route(i, SloClass::Interactive, &loads).unwrap())
+            .map(|i| {
+                other
+                    .route(i, SloClass::Interactive, &loads, &CLOSED, None)
+                    .unwrap()
+            })
             .collect();
         assert_ne!(picks, shifted);
         // ...and not biased onto one replica.
@@ -717,62 +696,43 @@ mod tests {
     }
 
     #[test]
-    fn route_healthy_with_all_closed_matches_route() {
-        let loads = [load(5, 10), load(3, 10), load(7, 10)];
-        let states = [BreakerState::Closed; 3];
-        for policy in [RouterPolicy::RoundRobin, RouterPolicy::JsqSpillover] {
-            let r = Router::new(policy, 42);
-            for i in 0..64 {
-                for class in SloClass::ALL {
-                    assert_eq!(
-                        r.route_healthy(i, class, &loads, &states),
-                        r.route(i, class, &loads),
-                        "policy {policy:?} arrival {i} class {class:?}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn route_healthy_skips_open_and_probes_half_open_with_best_effort() {
+    fn route_skips_open_and_probes_half_open_with_best_effort() {
         let loads = [load(0, 10), load(9, 10)];
         let r = Router::new(RouterPolicy::JsqSpillover, 7);
         // Replica 0 (the freer one) is open: everything lands on 1.
         let states = [BreakerState::Open, BreakerState::Closed];
         for class in SloClass::ALL {
-            assert_eq!(r.route_healthy(0, class, &loads, &states).unwrap(), 1);
+            assert_eq!(r.route(0, class, &loads, &states, None).unwrap(), 1);
         }
         // Replica 0 half-open: best-effort probes it, interactive and batch
         // stay on the closed replica.
         let states = [BreakerState::HalfOpen, BreakerState::Closed];
         assert_eq!(
-            r.route_healthy(0, SloClass::BestEffort, &loads, &states)
+            r.route(0, SloClass::BestEffort, &loads, &states, None)
                 .unwrap(),
             0
         );
         assert_eq!(
-            r.route_healthy(0, SloClass::Interactive, &loads, &states)
+            r.route(0, SloClass::Interactive, &loads, &states, None)
                 .unwrap(),
             1
         );
         assert_eq!(
-            r.route_healthy(0, SloClass::Batch, &loads, &states)
-                .unwrap(),
+            r.route(0, SloClass::Batch, &loads, &states, None).unwrap(),
             1
         );
         // No closed replica at all: half-open takes every class rather than
         // shedding traffic a probe could serve.
         let states = [BreakerState::HalfOpen, BreakerState::Open];
         assert_eq!(
-            r.route_healthy(0, SloClass::Interactive, &loads, &states)
+            r.route(0, SloClass::Interactive, &loads, &states, None)
                 .unwrap(),
             0
         );
         // Everything open: a typed shed signal, never a panic.
         let states = [BreakerState::Open, BreakerState::Open];
         assert_eq!(
-            r.route_healthy(0, SloClass::Interactive, &loads, &states),
+            r.route(0, SloClass::Interactive, &loads, &states, None),
             Err(RouteError::NoHealthyReplica)
         );
     }
@@ -887,7 +847,7 @@ mod tests {
         let loads = [load(0, 10), load(9, 10)];
         let states = [BreakerState::Closed; 2];
         assert_eq!(
-            r.route_affine(0, SloClass::Interactive, &loads, &states, Some(1), 4)
+            r.route(0, SloClass::Interactive, &loads, &states, Some((1, 4)))
                 .unwrap(),
             1
         );
@@ -895,7 +855,7 @@ mod tests {
         // the pull-credited spillover picks the freer replica.
         let full = [load(0, 10), load(10, 10)];
         assert_eq!(
-            r.route_affine(0, SloClass::Interactive, &full, &states, Some(1), 4)
+            r.route(0, SloClass::Interactive, &full, &states, Some((1, 4)))
                 .unwrap(),
             0
         );
@@ -913,7 +873,7 @@ mod tests {
         // Interactive: half-open owner is out of the pool entirely (a
         // closed replica exists) — spillover to the closed one.
         assert_eq!(
-            r.route_affine(0, SloClass::Interactive, &loads, &states, Some(1), 64)
+            r.route(0, SloClass::Interactive, &loads, &states, Some((1, 64)))
                 .unwrap(),
             0
         );
@@ -921,13 +881,13 @@ mod tests {
         // credit (64 pages) outweighs replica 0's 6-page lead, so the
         // arrival stays home rather than paying the fabric pull.
         assert_eq!(
-            r.route_affine(0, SloClass::BestEffort, &loads, &states, Some(1), 64)
+            r.route(0, SloClass::BestEffort, &loads, &states, Some((1, 64)))
                 .unwrap(),
             1
         );
         // A tiny prefix (1 page) is not worth staying: spillover wins.
         assert_eq!(
-            r.route_affine(0, SloClass::BestEffort, &loads, &states, Some(1), 1)
+            r.route(0, SloClass::BestEffort, &loads, &states, Some((1, 1)))
                 .unwrap(),
             0
         );
@@ -938,43 +898,43 @@ mod tests {
         let aff = Router::new(RouterPolicy::Affinity, 42);
         let jsq = Router::new(RouterPolicy::JsqSpillover, 42);
         let loads = [load(5, 10), load(3, 10), load(7, 10)];
-        let states = [BreakerState::Closed; 3];
         for i in 0..32 {
             for class in SloClass::ALL {
                 assert_eq!(
-                    aff.route_affine(i, class, &loads, &states, None, 0),
-                    jsq.route_healthy(i, class, &loads, &states),
+                    aff.route(i, class, &loads, &CLOSED, None),
+                    jsq.route(i, class, &loads, &CLOSED, None),
+                    "ownerless affinity is plain jsq"
                 );
                 assert_eq!(
-                    aff.route(i, class, &loads),
-                    jsq.route(i, class, &loads),
-                    "ownerless affinity is plain jsq"
+                    jsq.route(i, class, &loads, &CLOSED, Some((0, 64))),
+                    jsq.route(i, class, &loads, &CLOSED, None),
+                    "only affinity reads the owner"
                 );
             }
         }
     }
 
     #[test]
-    fn affinity_respects_breakers_like_route_healthy() {
+    fn affinity_respects_breakers() {
         let r = Router::new(RouterPolicy::Affinity, 7);
         let loads = [load(0, 10), load(2, 10)];
         // Owner open: never placed there, even as owner.
         let states = [BreakerState::Closed, BreakerState::Open];
         assert_eq!(
-            r.route_affine(0, SloClass::Interactive, &loads, &states, Some(1), 8)
+            r.route(0, SloClass::Interactive, &loads, &states, Some((1, 8)))
                 .unwrap(),
             0
         );
-        // Everything open: shed, exactly like route_healthy.
+        // Everything open: shed, exactly like an ownerless arrival.
         let states = [BreakerState::Open, BreakerState::Open];
         assert_eq!(
-            r.route_affine(0, SloClass::Interactive, &loads, &states, Some(1), 8),
+            r.route(0, SloClass::Interactive, &loads, &states, Some((1, 8))),
             Err(RouteError::NoHealthyReplica)
         );
-        // Out-of-range owner hints degrade to route_healthy, not a panic.
+        // An out-of-range owner hint is ignored, not a panic.
         let states = [BreakerState::Closed, BreakerState::Closed];
         assert!(r
-            .route_affine(0, SloClass::Interactive, &loads, &states, Some(9), 8)
+            .route(0, SloClass::Interactive, &loads, &states, Some((9, 8)))
             .is_ok());
     }
 

@@ -64,11 +64,9 @@ impl SchedPolicy {
 pub struct SchedConfig {
     /// Policy.
     pub policy: SchedPolicy,
-    /// Page-tier capacities.
+    /// Page-tier capacities. The ledger refuses allocations under the
+    /// SLO-aware policy and only tracks them under FIFO.
     pub pages: PageConfig,
-    /// Whether the page ledger refuses allocations (SLO-aware) or only
-    /// tracks them (FIFO).
-    pub enforce_pages: bool,
     /// Tokens kept HBM-resident per request; larger contexts spill their
     /// tail to DReX pages. `usize::MAX` keeps everything HBM-resident.
     pub window_tokens: usize,
@@ -96,7 +94,6 @@ impl SchedConfig {
         Self {
             policy: SchedPolicy::Fifo,
             pages,
-            enforce_pages: false,
             window_tokens,
             prefill_chunk_tokens: 8192,
             prefill_slots: 1,
@@ -109,7 +106,6 @@ impl SchedConfig {
         Self {
             policy: SchedPolicy::SloAware,
             pages,
-            enforce_pages: true,
             window_tokens,
             prefill_chunk_tokens: prefill_chunk_tokens.max(1),
             prefill_slots: 1,
@@ -460,7 +456,7 @@ impl Scheduler {
             cfg.prefill_slots >= 1,
             "prefill_slots = 0 can never finish a prefill; validate before construction"
         );
-        let pages = PagedKvManager::new(cfg.pages, cfg.enforce_pages);
+        let pages = PagedKvManager::new(cfg.pages, cfg.policy == SchedPolicy::SloAware);
         Self {
             cfg,
             pages,

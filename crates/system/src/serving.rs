@@ -38,7 +38,6 @@ use longsight_faults::{
 };
 use longsight_gpu::GpuSpec;
 use longsight_model::ModelConfig;
-use longsight_obs::json::fmt_f64;
 use longsight_obs::{ArgVal, Recorder, TrackId};
 use longsight_sched::{
     BreakerConfig, BreakerState, CircuitBreaker, FleetFaultSummary, FleetReport, KvDeviceGeometry,
@@ -119,14 +118,9 @@ impl SchedOptions {
     pub fn slo_aware(mix: SloMix) -> Self {
         Self {
             policy: SchedPolicy::SloAware,
+            mix,
             ..Self::fifo()
         }
-        .with_mix(mix)
-    }
-
-    fn with_mix(mut self, mix: SloMix) -> Self {
-        self.mix = mix;
-        self
     }
 }
 
@@ -167,12 +161,6 @@ impl FleetFaultOptions {
     /// fault track and reports no fault summary.
     pub fn is_active(&self) -> bool {
         self.profile.is_enabled() || self.breaker.is_some() || self.shed_queue_cap.is_some()
-    }
-}
-
-impl Default for FleetFaultOptions {
-    fn default() -> Self {
-        Self::disabled()
     }
 }
 
@@ -288,132 +276,6 @@ impl ServeMetrics {
             out.push_str(&b.to_text());
         }
         out
-    }
-
-    /// Every field as a flat JSON object (stable key order). The
-    /// speculation counters appear only when any is non-zero, so
-    /// lookahead-off output is byte-identical to builds that predate them.
-    pub fn to_json(&self) -> String {
-        let spec = if self.spec_hits + self.spec_misses + self.spec_denied > 0 {
-            format!(
-                ",\"spec_hits\":{},\"spec_misses\":{},\"spec_denied\":{}",
-                self.spec_hits, self.spec_misses, self.spec_denied
-            )
-        } else {
-            String::new()
-        };
-        // Like the speculation counters: present only for telemetry-enabled
-        // runs, so telemetry-off JSON is byte-identical to older builds.
-        let burn = match &self.slo_burn {
-            None => String::new(),
-            Some(b) => format!(
-                ",\"slo_burn\":{{\"slo_ms\":{},\"budget\":{},\"completions\":{},\"misses\":{},\"consumed\":{},\"alert_windows\":{},\"first_alert_ms\":{}}}",
-                fmt_f64(b.slo_ms),
-                fmt_f64(b.budget),
-                b.completions,
-                b.misses,
-                fmt_f64(b.consumed),
-                b.alert_windows,
-                fmt_f64(b.first_alert_ms),
-            ),
-        };
-        format!(
-            "{{\"completed\":{},\"rejected\":{},\"in_flight\":{},\"throughput_tps\":{},\"p50_token_ms\":{},\"p99_token_ms\":{},\"p50_request_ms\":{},\"p99_request_ms\":{},\"mean_batch\":{},\"retried_tokens\":{},\"degraded_tokens\":{},\"failed_requests\":{},\"degraded_quality_delta\":{}{spec}{burn}}}",
-            self.completed,
-            self.rejected,
-            self.in_flight,
-            fmt_f64(self.throughput_tps),
-            fmt_f64(self.p50_token_ms),
-            fmt_f64(self.p99_token_ms),
-            fmt_f64(self.p50_request_ms),
-            fmt_f64(self.p99_request_ms),
-            fmt_f64(self.mean_batch),
-            self.retried_tokens,
-            self.degraded_tokens,
-            self.failed_requests,
-            fmt_f64(self.degraded_quality_delta),
-        )
-    }
-
-    /// Parses the output of [`ServeMetrics::to_json`] back into a value.
-    ///
-    /// Round-trips bit-exactly for finite fields; non-finite floats
-    /// serialize as `null` and parse back as `0.0`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when the text is not valid JSON or a field is
-    /// missing or of the wrong type.
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        use longsight_obs::json::{parse, Value};
-        let v = parse(text)?;
-        let get_usize = |key: &str| -> Result<usize, String> {
-            let f = v
-                .get(key)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("missing or non-numeric field '{key}'"))?;
-            Ok(f as usize)
-        };
-        let get_f64 = |key: &str| -> Result<f64, String> {
-            let field = v.get(key).ok_or_else(|| format!("missing field '{key}'"))?;
-            match field {
-                Value::Null => Ok(0.0), // fmt_f64 writes non-finite as null
-                other => other
-                    .as_f64()
-                    .ok_or_else(|| format!("non-numeric field '{key}'")),
-            }
-        };
-        // Optional: absent in lookahead-off output (and pre-lookahead JSON).
-        let get_spec = |key: &str| -> Result<usize, String> {
-            match v.get(key) {
-                None => Ok(0),
-                Some(f) => f
-                    .as_f64()
-                    .map(|x| x as usize)
-                    .ok_or_else(|| format!("non-numeric field '{key}'")),
-            }
-        };
-        Ok(Self {
-            completed: get_usize("completed")?,
-            rejected: get_usize("rejected")?,
-            in_flight: get_usize("in_flight")?,
-            throughput_tps: get_f64("throughput_tps")?,
-            p50_token_ms: get_f64("p50_token_ms")?,
-            p99_token_ms: get_f64("p99_token_ms")?,
-            p50_request_ms: get_f64("p50_request_ms")?,
-            p99_request_ms: get_f64("p99_request_ms")?,
-            mean_batch: get_f64("mean_batch")?,
-            retried_tokens: get_usize("retried_tokens")?,
-            degraded_tokens: get_usize("degraded_tokens")?,
-            failed_requests: get_usize("failed_requests")?,
-            degraded_quality_delta: get_f64("degraded_quality_delta")?,
-            spec_hits: get_spec("spec_hits")?,
-            spec_misses: get_spec("spec_misses")?,
-            spec_denied: get_spec("spec_denied")?,
-            slo_burn: match v.get("slo_burn") {
-                None => None,
-                Some(b) => {
-                    let bf = |key: &str| -> Result<f64, String> {
-                        match b.get(key) {
-                            Some(Value::Null) => Ok(0.0),
-                            Some(x) => x
-                                .as_f64()
-                                .ok_or_else(|| format!("non-numeric slo_burn field '{key}'")),
-                            None => Err(format!("missing slo_burn field '{key}'")),
-                        }
-                    };
-                    Some(SloBurnSummary {
-                        slo_ms: bf("slo_ms")?,
-                        budget: bf("budget")?,
-                        completions: bf("completions")? as u64,
-                        misses: bf("misses")? as u64,
-                        consumed: bf("consumed")?,
-                        alert_windows: bf("alert_windows")? as u64,
-                        first_alert_ms: bf("first_alert_ms")?,
-                    })
-                }
-            },
-        })
     }
 }
 
@@ -811,8 +673,9 @@ struct PendingTurn {
     cold_prefill_ns: Option<f64>,
 }
 
-/// One replica's incremental simulation state: its own scheduler, page
-/// ledger, clock, step-cost cache and trace tracks.
+/// One replica: the serving system it drives and that system's KV
+/// geometry, with its own scheduler, page ledger, clock, step-cost cache
+/// and trace tracks.
 ///
 /// A lone replica (`idx = None`, a one-replica run) keeps unprefixed
 /// `serving`/`faults`/`sched`/`spec` tracks and telemetry series. Replica
@@ -821,6 +684,10 @@ struct PendingTurn {
 /// snapshot, and injects into it. Token faults and attribution apply to
 /// every replica alike.
 struct ReplicaSim<'a> {
+    sys: &'a mut dyn ServingSystem,
+    /// How `sys` maps contexts onto pages; prices restores, recomputes and
+    /// pulls of the requests placed here.
+    geometry: KvDeviceGeometry,
     sched: Scheduler,
     now: f64,
     /// Token latencies, ms: each decode step's duration, once per decoding
@@ -871,9 +738,13 @@ struct ReplicaSim<'a> {
     /// The overload guard, four horizons: a step ending past it stays
     /// unaccounted and halts the replica.
     guard_ns: f64,
-    /// Set by the step that crossed `guard_ns`: a halted replica never
-    /// drains or steps again, and [`run`] routes nothing more.
+    /// Set by the step that crossed `guard_ns`, or by one whose decode
+    /// subset `sys` cannot evaluate: a halted replica never drains or steps
+    /// again, and [`run`] routes nothing more.
     halted: bool,
+    /// The `(users, context bucket)` decode shape that halted this replica
+    /// because `sys` refused it; [`run`] returns it as an error.
+    infeasible: Option<(usize, usize)>,
     /// Longest run a step may take, from [`MAX_RUN`] at construction.
     #[cfg(test)]
     max_run: usize,
@@ -891,14 +762,15 @@ thread_local! {
 
 impl<'a> ReplicaSim<'a> {
     fn new(
-        geometry: &KvDeviceGeometry,
+        sys: &'a mut dyn ServingSystem,
         opts: &SchedOptions,
         rec: &mut Recorder,
         idx: Option<usize>,
         faults: Option<(&'a FaultInjector, &'a RetryPolicy)>,
         guard_ns: f64,
     ) -> Self {
-        let mut sched = Scheduler::new(sched_config_for(geometry, opts));
+        let geometry = geometry_for(sys, opts);
+        let mut sched = Scheduler::new(sched_config_for(&geometry, opts));
         sched.set_event_recording(rec.is_enabled());
         let prefix = idx.map_or(String::new(), |i| format!("r{i}."));
         let serving_track = rec.track(&format!("{prefix}serving"));
@@ -909,6 +781,8 @@ impl<'a> ReplicaSim<'a> {
             (idx.is_none() || faults.is_some()).then(|| rec.track(&format!("{prefix}faults")));
         let sched_track = rec.track(&format!("{prefix}sched"));
         Self {
+            sys,
+            geometry,
             sched,
             now: 0.0,
             token_lat: LatencySamples::new(),
@@ -935,6 +809,7 @@ impl<'a> ReplicaSim<'a> {
             turns: Vec::new(),
             guard_ns,
             halted: false,
+            infeasible: None,
             #[cfg(test)]
             max_run: MAX_RUN.with(std::cell::Cell::get),
         }
@@ -958,12 +833,16 @@ impl<'a> ReplicaSim<'a> {
     }
 
     /// Offers an arriving request to this replica's scheduler.
-    fn inject(&mut self, sys: &mut dyn ServingSystem, rec: &mut Recorder, req: SchedRequest) {
+    fn inject(&mut self, rec: &mut Recorder, req: SchedRequest) {
         let Self {
-            sched, cache, now, ..
+            sys,
+            sched,
+            cache,
+            now,
+            ..
         } = self;
         let mut feas = |users: usize, ctx: usize| -> bool {
-            cached_step_cost(cache, sys, users, ctx, rec, *now).is_some()
+            cached_step_cost(cache, &mut **sys, users, ctx, rec, *now).is_some()
         };
         sched.on_arrival(req, &mut feas);
     }
@@ -980,14 +859,13 @@ impl<'a> ReplicaSim<'a> {
     /// does nothing.
     fn advance(
         &mut self,
-        sys: &mut dyn ServingSystem,
         rec: &mut Recorder,
         mut attr: Option<&mut TokenAttribution>,
         t: Option<f64>,
     ) {
         while !self.halted && !t.is_some_and(|t| self.now >= t) {
             if !self.down {
-                self.drain(sys, rec);
+                self.drain(rec);
                 if self.prefix.is_empty() {
                     sample_sched_timeseries(rec, "", self.now, &self.sched);
                 }
@@ -996,31 +874,29 @@ impl<'a> ReplicaSim<'a> {
                 self.now = t.map_or(self.now, |t| self.now.max(t));
                 return;
             }
-            self.step(sys, rec, attr.as_deref_mut(), t.unwrap_or(f64::INFINITY));
+            self.step(rec, attr.as_deref_mut(), t.unwrap_or(f64::INFINITY));
         }
     }
 
     /// [`ReplicaSim::advance`] to `t`, then drains a live replica at its
     /// new clock: the state a fleet routes and redispatches from.
-    fn catch_up(
-        &mut self,
-        sys: &mut dyn ServingSystem,
-        rec: &mut Recorder,
-        attr: Option<&mut TokenAttribution>,
-        t: f64,
-    ) {
-        self.advance(sys, rec, attr, Some(t));
+    fn catch_up(&mut self, rec: &mut Recorder, attr: Option<&mut TokenAttribution>, t: f64) {
+        self.advance(rec, attr, Some(t));
         if !self.down && !self.halted {
-            self.drain(sys, rec);
+            self.drain(rec);
         }
     }
 
-    fn drain(&mut self, sys: &mut dyn ServingSystem, rec: &mut Recorder) {
+    fn drain(&mut self, rec: &mut Recorder) {
         let Self {
-            sched, cache, now, ..
+            sys,
+            sched,
+            cache,
+            now,
+            ..
         } = self;
         let mut feas = |users: usize, ctx: usize| -> bool {
-            cached_step_cost(cache, sys, users, ctx, rec, *now).is_some()
+            cached_step_cost(cache, &mut **sys, users, ctx, rec, *now).is_some()
         };
         sched.drain_queue(&mut feas);
         flush_sched_events(&mut self.sched, rec, self.sched_track, self.now);
@@ -1058,28 +934,25 @@ impl<'a> ReplicaSim<'a> {
     /// Checking a step twice is exact: every draw is a pure function of
     /// `(seed, id, token)`, and `release_until` is idempotent at one `now`.
     ///
-    /// **Overload guard.** A step that ends past `guard_ns` stays
-    /// unaccounted (the steps of the run before it count) and halts the
-    /// replica.
-    fn step(
-        &mut self,
-        sys: &mut dyn ServingSystem,
-        rec: &mut Recorder,
-        mut attr: Option<&mut TokenAttribution>,
-        until: f64,
-    ) {
+    /// **Halts.** A step that ends past `guard_ns` stays unaccounted (the
+    /// steps of the run before it count) and halts the replica. So does a
+    /// decode subset that admission never probed and `sys` cannot evaluate;
+    /// its shape is kept in `infeasible`.
+    fn step(&mut self, rec: &mut Recorder, mut attr: Option<&mut TokenAttribution>, until: f64) {
         let plan = self.sched.plan_step();
-        let report = (plan.decode_users > 0).then(|| {
-            cached_step_cost(
-                &mut self.cache,
-                sys,
-                plan.decode_users,
-                plan.max_decode_ctx,
-                rec,
-                self.now,
-            )
-            .expect("a decode subset of an admitted batch must evaluate")
-        });
+        let (users, ctx) = (plan.decode_users, plan.max_decode_ctx);
+        let now = self.now;
+        let report = match users {
+            0 => None,
+            _ => match cached_step_cost(&mut self.cache, &mut *self.sys, users, ctx, rec, now) {
+                None => {
+                    self.infeasible = Some((users, ctx.next_power_of_two()));
+                    self.halted = true;
+                    return;
+                }
+                r => r,
+            },
+        };
         let mut base_dt = report.map_or(0.0, |r| r.step_ns);
         // With the lookahead pipeline on, the chain for this step was
         // issued speculatively at the previous one: resolve every decoding
@@ -1424,38 +1297,27 @@ fn serve_metrics(
     brownout_keep: f64,
     rec: &mut Recorder,
 ) -> (ServeMetrics, SortedSamples, SortedSamples) {
+    let sum = |count: fn(&ReplicaSim) -> usize| -> usize { replicas.iter().map(count).sum() };
     let mut token_lat = LatencySamples::new();
     let mut request_lat = LatencySamples::new();
-    let (mut generated, mut batch_users, mut batch_steps) = (0usize, 0usize, 0usize);
-    let (mut rejected, mut waiting, mut brownout) = (0usize, 0usize, 0usize);
-    let mut spec = (0usize, 0usize, 0usize);
-    let mut degrade = DegradeStats::default();
-    let mut span_ns = 0.0f64;
     for r in replicas {
         token_lat.append(&r.token_lat);
-        batch_users += r.batch_users;
-        batch_steps += r.batch_steps;
         for c in &r.completions {
             request_lat.push(c.1);
         }
-        generated += r.generated_tokens;
-        rejected += r.sched.rejected();
-        waiting += r.sched.waiting_len();
-        brownout += r.brownout_tokens;
-        spec.0 += r.spec_counts.0;
-        spec.1 += r.spec_counts.1;
-        spec.2 += r.spec_counts.2;
-        degrade.retried_tokens += r.degrade.retried_tokens;
-        degrade.degraded_tokens += r.degrade.degraded_tokens;
-        degrade.failed_requests += r.degrade.failed_requests;
-        span_ns = span_ns.max(r.now);
     }
     let (token_lat, request_lat) = (token_lat.sorted(), request_lat.sorted());
-    let completed = request_lat.len();
+    let span_ns = replicas.iter().fold(0.0f64, |span, r| span.max(r.now));
+    let (generated, batch_steps) = (sum(|r| r.generated_tokens), sum(|r| r.batch_steps));
+    let degraded = sum(|r| r.degrade.degraded_tokens);
+    let brownout = sum(|r| r.brownout_tokens);
+    let (completed, rejected) = (request_lat.len(), sum(|r| r.sched.rejected()));
+    let failed = sum(|r| r.degrade.failed_requests);
+    let waiting = sum(|r| r.sched.waiting_len());
     let metrics = ServeMetrics {
         completed,
         rejected,
-        in_flight: offered - (completed + rejected + waiting + degrade.failed_requests + shed),
+        in_flight: offered - (completed + rejected + waiting + failed + shed),
         throughput_tps: generated as f64 / (span_ns.max(1.0) / 1e9),
         p50_token_ms: token_lat.percentile_round(0.5),
         p99_token_ms: token_lat.percentile_round(0.99),
@@ -1464,20 +1326,20 @@ fn serve_metrics(
         mean_batch: if batch_steps == 0 {
             0.0
         } else {
-            batch_users as f64 / batch_steps as f64
+            sum(|r| r.batch_users) as f64 / batch_steps as f64
         },
-        retried_tokens: degrade.retried_tokens,
-        degraded_tokens: degrade.degraded_tokens,
-        failed_requests: degrade.failed_requests,
-        degraded_quality_delta: if generated == 0 || degrade.degraded_tokens == 0 {
+        retried_tokens: sum(|r| r.degrade.retried_tokens),
+        degraded_tokens: degraded,
+        failed_requests: failed,
+        degraded_quality_delta: if generated == 0 || degraded == 0 {
             0.0
         } else {
-            let lost = (degrade.degraded_tokens - brownout) as f64;
+            let lost = (degraded - brownout) as f64;
             (lost + (1.0 - brownout_keep) * brownout as f64) / generated as f64
         },
-        spec_hits: spec.0,
-        spec_misses: spec.1,
-        spec_denied: spec.2,
+        spec_hits: sum(|r| r.spec_counts.0),
+        spec_misses: sum(|r| r.spec_counts.1),
+        spec_denied: sum(|r| r.spec_counts.2),
         slo_burn: finalize_slo_burn(rec),
     };
     (metrics, token_lat, request_lat)
@@ -1529,16 +1391,35 @@ pub enum RunError {
     /// Replica fault domains over a single replica: there is nothing to
     /// fail over to.
     FaultDomainsNeedTwoReplicas,
+    /// Replica `replica` planned a decode step of `users` members that
+    /// admission never probed, and its system cannot evaluate that shape
+    /// at context bucket `ctx`. The replica halted there.
+    StepInfeasible {
+        /// Index of the halted replica.
+        replica: usize,
+        /// Decoding members of the refused step.
+        users: usize,
+        /// Context bucket of the refused step, tokens.
+        ctx: usize,
+    },
 }
 
 impl std::fmt::Display for RunError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            RunError::NoReplicas => "a run needs at least one replica",
+        match self {
+            RunError::NoReplicas => f.write_str("a run needs at least one replica"),
             RunError::FaultDomainsNeedTwoReplicas => {
-                "fleet fault domains need at least two replicas"
+                f.write_str("fleet fault domains need at least two replicas")
             }
-        })
+            RunError::StepInfeasible {
+                replica,
+                users,
+                ctx,
+            } => write!(
+                f,
+                "replica {replica} cannot evaluate a {users}-user decode step at context {ctx}"
+            ),
+        }
     }
 }
 
@@ -1590,9 +1471,10 @@ impl std::error::Error for RunError {}
 ///
 /// # Errors
 ///
-/// [`RunError::NoReplicas`] for an empty `systems`, and
+/// [`RunError::NoReplicas`] for an empty `systems`,
 /// [`RunError::FaultDomainsNeedTwoReplicas`] for `spec.faults` armed over
-/// one replica.
+/// one replica, and [`RunError::StepInfeasible`] when a replica's system
+/// refuses a decode step its batch planned.
 pub fn run<'s, S: DerefMut<Target = dyn ServingSystem + 's>>(
     systems: &mut [S],
     spec: &RunSpec,
@@ -1624,16 +1506,13 @@ pub fn run<'s, S: DerefMut<Target = dyn ServingSystem + 's>>(
         .map(|(inj, retry)| (inj, retry));
     let guard_ns = 4.0 * spec.workload.duration_s * 1e9;
     let mut replicas: Vec<ReplicaSim> = Vec::with_capacity(n);
-    let mut geometries: Vec<KvDeviceGeometry> = Vec::with_capacity(n);
     for (i, sys) in systems.iter_mut().enumerate() {
-        let g = geometry_for(&**sys, opts);
         let idx = (n > 1).then_some(i);
-        let mut r = ReplicaSim::new(&g, opts, rec, idx, token_faults, guard_ns);
+        let mut r = ReplicaSim::new(&mut **sys, opts, rec, idx, token_faults, guard_ns);
         r.sched
             .pages_mut()
             .set_prefix_capacity(sess.prefix_cache_pages);
         replicas.push(r);
-        geometries.push(g);
     }
 
     // Content hash -> replica whose cache holds (or will hold) the prefix.
@@ -1654,25 +1533,16 @@ pub fn run<'s, S: DerefMut<Target = dyn ServingSystem + 's>>(
             // back up and serves out whatever a naive router parked on it.
             let next = arrivals.last().map_or(f64::INFINITY, |a| a.arrival_ns);
             while let Some(e) = f.events.pop_if(|e| e.at_ns <= next) {
-                let (at, st) = (attr.as_deref_mut(), sessions_track);
-                f.apply_event(
-                    e,
-                    &mut replicas,
-                    systems,
-                    &geometries,
-                    &mut owners,
-                    rec,
-                    at,
-                    st,
-                );
+                let at = attr.as_deref_mut();
+                f.apply_event(e, &mut replicas, &mut owners, rec, at, sessions_track);
             }
         }
         let Some(a) = arrivals.pop() else { break };
-        for (r, sys) in replicas.iter_mut().zip(systems.iter_mut()) {
+        for r in &mut replicas {
             if fleet.is_some() {
-                r.catch_up(&mut **sys, rec, attr.as_deref_mut(), a.arrival_ns);
+                r.catch_up(rec, attr.as_deref_mut(), a.arrival_ns);
             } else {
-                r.advance(&mut **sys, rec, attr.as_deref_mut(), Some(a.arrival_ns));
+                r.advance(rec, attr.as_deref_mut(), Some(a.arrival_ns));
             }
         }
         if replicas.iter().any(|r| r.halted) {
@@ -1706,16 +1576,16 @@ pub fn run<'s, S: DerefMut<Target = dyn ServingSystem + 's>>(
                 }
             },
         };
-        let g = &geometries[pick];
-        let mut req = a.request(g);
+        let r = &mut replicas[pick];
+        let mut req = a.request(&r.geometry);
         if let Some(t) = turn {
             match price_resume(
                 &mut req,
                 t,
                 pick,
-                replicas[pick].sched.pages_mut(),
+                r.sched.pages_mut(),
                 owned.filter(|&(o, _)| o != pick),
-                g.restore_ns_per_page,
+                r.geometry.restore_ns_per_page,
             ) {
                 Resume::Local => book.prefix_hits += 1,
                 Resume::Pull(p) => {
@@ -1739,25 +1609,35 @@ pub fn run<'s, S: DerefMut<Target = dyn ServingSystem + 's>>(
                 Resume::Cold => book.cold_turns += usize::from(t.turn > 0),
             }
             // This turn's completion publishes the next turn's prefix.
-            replicas[pick].turns.push(PendingTurn {
+            r.turns.push(PendingTurn {
                 id: a.id,
                 publish: (
                     t.publish_hash,
-                    t.publish_tokens.div_ceil(g.page_tokens.max(1)),
+                    t.publish_tokens.div_ceil(r.geometry.page_tokens.max(1)),
                 ),
                 cold_prefill_ns: req.prefix_hash.map(|_| a.prefill_ns),
             });
             owners.insert(t.publish_hash, pick);
         }
-        replicas[pick].inject(&mut *systems[pick], rec, req);
+        r.inject(rec, req);
         if fleet.is_some() && rec.timeseries.is_enabled() {
             rec.timeseries.rate_add("fleet.admit", a.arrival_ns, 1.0);
-            let r = &replicas[pick];
             sample_sched_timeseries(rec, &r.prefix, a.arrival_ns, &r.sched);
         }
     }
-    for (r, sys) in replicas.iter_mut().zip(systems.iter_mut()) {
-        r.advance(&mut **sys, rec, attr.as_deref_mut(), None);
+    for r in &mut replicas {
+        r.advance(rec, attr.as_deref_mut(), None);
+    }
+    let halted = replicas.iter().enumerate().find_map(|(replica, r)| {
+        let (users, ctx) = r.infeasible?;
+        Some(RunError::StepInfeasible {
+            replica,
+            users,
+            ctx,
+        })
+    });
+    if let Some(e) = halted {
+        return Err(e);
     }
 
     let shed = fleet.as_ref().map_or(0, |f| f.summary.shed.len());
@@ -1782,7 +1662,7 @@ pub fn run<'s, S: DerefMut<Target = dyn ServingSystem + 's>>(
                 }
             }
             let faults = fopts.is_active().then_some(f.summary);
-            FleetReport::assemble_with_faults(spec.router, reports, placements, samples, faults)
+            FleetReport::assemble(spec.router, reports, placements, samples, faults)
         }
     };
     report.slo_burn = metrics.slo_burn.clone();
@@ -2066,12 +1946,7 @@ impl<'a> FleetCtl<'a> {
                 }
             }
         }
-        // With no owner or a non-affinity policy this is `route_healthy`,
-        // and over all-Closed states that is `route`.
-        let (owner, pages) = owned.unzip();
-        let routed =
-            self.router
-                .route_affine(a.id, a.class, &loads, &gated, owner, pages.unwrap_or(0));
+        let routed = self.router.route(a.id, a.class, &loads, &gated, owned);
         let (id, class) = (ArgVal::U(a.id as u64), ArgVal::S(a.class.name()));
         let Ok(pick) = routed else {
             let reason = if health.iter().all(|&s| s == BreakerState::Open) {
@@ -2150,13 +2025,10 @@ impl<'a> FleetCtl<'a> {
     /// with the replica. `Up` restores the replica (and moves a held-open
     /// breaker to half-open); brownout events toggle the replica's
     /// offload-budget factor.
-    #[allow(clippy::too_many_arguments)]
-    fn apply_event<'s, S: DerefMut<Target = dyn ServingSystem + 's>>(
+    fn apply_event(
         &mut self,
         e: ReplicaEvent,
         replicas: &mut [ReplicaSim],
-        systems: &mut [S],
-        geometries: &[KvDeviceGeometry],
         owners: &mut HashMap<u64, usize>,
         rec: &mut Recorder,
         mut attr: Option<&mut TokenAttribution>,
@@ -2166,7 +2038,7 @@ impl<'a> FleetCtl<'a> {
         let replica = ("replica", ArgVal::U(r as u64));
         match e.kind {
             ReplicaEventKind::Down => {
-                replicas[r].catch_up(&mut *systems[r], rec, attr.as_deref_mut(), at);
+                replicas[r].catch_up(rec, attr.as_deref_mut(), at);
                 let evac = replicas[r].sched.crash_evacuate();
                 replicas[r].down = true;
                 self.down_since[r] = at;
@@ -2182,9 +2054,9 @@ impl<'a> FleetCtl<'a> {
                 }
                 // Survivors catch up to the crash instant so every failover
                 // decision is taken from one consistent snapshot.
-                for (i, (x, sys)) in replicas.iter_mut().zip(systems.iter_mut()).enumerate() {
+                for (i, x) in replicas.iter_mut().enumerate() {
                     if i != r && !x.down {
-                        x.catch_up(&mut **sys, rec, attr.as_deref_mut(), at);
+                        x.catch_up(rec, attr.as_deref_mut(), at);
                     }
                 }
                 // Redispatch always routes around dead nodes, breaker or
@@ -2206,13 +2078,14 @@ impl<'a> FleetCtl<'a> {
                 for ev in evac {
                     let (id, class) = (ev.req.id, ev.req.class);
                     let loads: Vec<_> = replicas.iter().map(|x| x.sched.load()).collect();
-                    let (to, reason) = match self.router.route_healthy(id, class, &loads, &states) {
+                    let (to, reason) = match self.router.route(id, class, &loads, &states, None) {
                         Ok(t) => (t, "replica-crash"),
                         Err(_) => (r, "no-healthy-replica"),
                     };
                     let mut moved = ev;
-                    moved.req.restore_ns = geometries[to].restore_ns(moved.req.context);
-                    moved.req.recompute_ns = geometries[to].recompute_ns(moved.req.context);
+                    let g = &replicas[to].geometry;
+                    moved.req.restore_ns = g.restore_ns(moved.req.context);
+                    moved.req.recompute_ns = g.recompute_ns(moved.req.context);
                     if let Some(pos) = replicas[r].turns.iter().position(|t| t.id == id) {
                         let mut turn = replicas[r].turns.swap_remove(pos);
                         if let Some(cold_ns) = turn.cold_prefill_ns.take() {
@@ -2265,7 +2138,7 @@ impl<'a> FleetCtl<'a> {
             }
             ReplicaEventKind::BrownoutStart => {
                 if !replicas[r].down {
-                    replicas[r].catch_up(&mut *systems[r], rec, attr, at);
+                    replicas[r].catch_up(rec, attr, at);
                     let factor = self.fopts.profile.brownout_topk_factor;
                     replicas[r].brownout_factor = factor;
                     self.summary.brownouts += 1;
@@ -2274,7 +2147,7 @@ impl<'a> FleetCtl<'a> {
                 }
             }
             ReplicaEventKind::BrownoutEnd => {
-                replicas[r].catch_up(&mut *systems[r], rec, attr, at);
+                replicas[r].catch_up(rec, attr, at);
                 replicas[r].brownout_factor = 1.0;
                 rec.instant_with(track, "replica.brownout_end", at, &[replica]);
             }
@@ -2481,30 +2354,6 @@ mod tests {
             m.p50_request_ms > 1.0,
             "suspiciously low request latency: {m:?}"
         );
-    }
-
-    #[test]
-    fn metrics_json_round_trips_bit_exactly() {
-        let m = plain(2.0, 3);
-        let parsed = ServeMetrics::from_json(&m.to_json()).expect("own JSON must parse");
-        assert_eq!(m, parsed);
-    }
-
-    #[test]
-    fn metrics_json_round_trips_non_finite_as_zero() {
-        let mut m = plain(2.0, 3);
-        m.throughput_tps = f64::NAN;
-        m.mean_batch = f64::INFINITY;
-        let parsed = ServeMetrics::from_json(&m.to_json()).expect("nulls must parse");
-        assert_eq!(parsed.throughput_tps, 0.0);
-        assert_eq!(parsed.mean_batch, 0.0);
-        assert_eq!(parsed.completed, m.completed);
-    }
-
-    #[test]
-    fn from_json_rejects_missing_fields() {
-        assert!(ServeMetrics::from_json("{\"completed\":1}").is_err());
-        assert!(ServeMetrics::from_json("not json").is_err());
     }
 
     /// `n` LongSight replicas of `model` under `cfg`.
@@ -3005,5 +2854,73 @@ mod tests {
         let failed: usize = rep.per_class.iter().map(|c| c.failed).sum();
         assert_eq!(failed, m.failed_requests);
         assert_eq!(rep.audit_violation, None);
+    }
+
+    /// A LongSight replica whose system refuses one `(users, context
+    /// bucket)` step shape.
+    struct Refusing {
+        inner: LongSightSystem,
+        refuse: (usize, usize),
+    }
+
+    impl ServingSystem for Refusing {
+        fn name(&self) -> String {
+            self.inner.name()
+        }
+
+        fn evaluate(
+            &mut self,
+            users: usize,
+            context: usize,
+        ) -> Result<StepReport, crate::report::Infeasible> {
+            if (users, context) == self.refuse {
+                return Err(crate::report::Infeasible::QueueDepth);
+            }
+            self.inner.evaluate(users, context)
+        }
+
+        fn max_users(&self, context: usize) -> usize {
+            self.inner.max_users(context)
+        }
+    }
+
+    /// Under FIFO, arrival 2 (60K context) joins a batch with a 76K and a
+    /// 96K member, so admission probes only 128K buckets for it. Both
+    /// other members complete first; it then decodes alone at `(1, 64K)`,
+    /// a shape admission never probed. A system that refuses that shape
+    /// halts the replica with a typed error instead of a panic. A refused
+    /// shape that admission does probe rejects the request instead.
+    #[test]
+    fn an_unprobed_infeasible_decode_subset_is_a_typed_error() {
+        let model = ModelConfig::llama3_1b();
+        let wl = WorkloadConfig {
+            arrivals_per_s: 8.0,
+            context_tokens: (16_384, 131_072),
+            output_tokens: (16, 64),
+            duration_s: 0.5,
+            seed: 1,
+        };
+        let spec = RunSpec::new(model.clone(), wl);
+        let serve = |refuse: (usize, usize)| {
+            let inner = LongSightSystem::new(LongSightConfig::paper_default(), model.clone());
+            let mut sys = Refusing { inner, refuse };
+            let mut systems = [&mut sys as &mut dyn ServingSystem];
+            run(&mut systems, &spec, &mut Recorder::disabled(), None).map(|(m, ..)| m)
+        };
+        let err = serve((1, 65_536)).expect_err("the lone 64K step cannot evaluate");
+        assert_eq!(
+            err,
+            RunError::StepInfeasible {
+                replica: 0,
+                users: 1,
+                ctx: 65_536
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "replica 0 cannot evaluate a 1-user decode step at context 65536"
+        );
+        let probed = serve((1, 131_072)).expect("admission rejects what it probes");
+        assert!(probed.rejected > 0, "{probed:?}");
     }
 }

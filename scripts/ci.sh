@@ -13,8 +13,10 @@
 #      per-key walk)
 #   6. observability smoke: serve/profile with --trace-out, validate the
 #      exported Chrome trace JSON round-trips through `trace-validate`
-#   7. scheduler smoke: SLO-mixed loadtest under the slo-aware policy with
-#      a traced run, validated the same way
+#   7. scheduler smoke: SLO-mixed loadtest on one replica under the
+#      slo-aware policy with a traced run, validated the same way, and
+#      its --timeseries-out export (the lone replica's unprefixed series)
+#      validated by `perf-diff --self-check`
 #   8. fleet smokes: multi-replica routing, then the 2-replica crash run
 #      with --timeseries-out validated by `perf-diff --self-check`; its
 #      `dashboard` must reproduce results/fleet_timeseries.txt from the
@@ -138,12 +140,14 @@ target/release/longsight profile --model 8b --duration 5 \
 target/release/longsight trace-validate --file "$obs_tmp/serve_trace.json"
 target/release/longsight trace-validate --file "$obs_tmp/profile_trace.json"
 
-echo "== scheduler smoke (SLO-mixed loadtest, trace-validate) =="
+echo "== scheduler smoke (SLO-mixed single-replica loadtest, trace-validate, perf-diff --self-check) =="
 target/release/longsight loadtest --model 1b --rate 8 --duration 4 \
     --ctx-min 16384 --ctx-max 32768 --sched slo-aware --mix 0.5,0.3,0.2 \
     --prefill-chunk 128 --watermark 0.01 \
-    --trace-out "$obs_tmp/sched_trace.json"
+    --trace-out "$obs_tmp/sched_trace.json" \
+    --timeseries-out "$obs_tmp/sched_ts.tsv"
 target/release/longsight trace-validate --file "$obs_tmp/sched_trace.json"
+target/release/longsight perf-diff --self-check "$obs_tmp/sched_ts.tsv"
 
 echo "== fleet smoke (2-replica loadtest, both routers) =="
 target/release/longsight loadtest --model 1b --rate 12 --duration 4 \

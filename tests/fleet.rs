@@ -13,40 +13,16 @@
 //!    placed exactly once, each replica's arrivals match its placements,
 //!    and no replica leaks pages.
 
-use longsight::exec;
 use longsight::model::ModelConfig;
 use longsight::obs::Recorder;
 use longsight::sched::FleetReport;
 use longsight::sched::{RouterPolicy, SchedPolicy, SloMix};
 use longsight::system::serving::{run, RunSpec, SchedOptions, ServeMetrics, WorkloadConfig};
 use longsight::system::{LongSightConfig, LongSightSystem, ServingSystem};
-use std::sync::Mutex;
 
-/// The worker-count override is process-global, so tests that sweep it must
-/// not interleave.
-static THREAD_LOCK: Mutex<()> = Mutex::new(());
+mod common;
 
-fn thread_counts() -> Vec<usize> {
-    let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut counts = vec![1, 4];
-    if !counts.contains(&hw) {
-        counts.push(hw);
-    }
-    counts
-}
-
-fn across_thread_counts<R>(f: impl Fn() -> R) -> Vec<(usize, R)> {
-    let _guard = THREAD_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let out = thread_counts()
-        .into_iter()
-        .map(|t| {
-            exec::set_thread_count(t);
-            (t, f())
-        })
-        .collect();
-    exec::set_thread_count(0);
-    out
-}
+use common::{across_thread_counts, fleet_of, fnv1a};
 
 /// A best-effort-heavy mix under a tight watermark: the load point where
 /// routing policy matters (plenty of scavenger traffic to spill).
@@ -73,18 +49,6 @@ fn workload(rate: f64) -> WorkloadConfig {
         duration_s: 4.0,
         seed: 11,
     }
-}
-
-fn fleet_of(n: usize) -> Vec<Box<dyn ServingSystem>> {
-    let model = ModelConfig::llama3_1b();
-    (0..n)
-        .map(|_| {
-            Box::new(LongSightSystem::new(
-                LongSightConfig::paper_default(),
-                model.clone(),
-            )) as Box<dyn ServingSystem>
-        })
-        .collect()
 }
 
 /// `fleet` serving [`workload`] at `rate` under [`skewed_opts`] and
@@ -115,6 +79,26 @@ fn single_replica_run_reports_its_degenerate_fleet() {
     assert_eq!(rep, single, "one replica is the degenerate fleet");
     assert_eq!(rep.audit_violation, None);
     assert_eq!(rep.placements.len(), rep.total_arrived());
+}
+
+/// A fleet routes from loads taken after every live replica has drained
+/// its admission queue at the arrival time. At 100 arrivals/s, arrivals
+/// often come closer together than one step: the replica's clock is
+/// already past the next arrival, so only that drain admits the request
+/// queued at the previous one. Routing before it reads stale free-HBM
+/// keys and moves the placements and every admission after them. Pinned
+/// by FNV-1a fingerprints of the placement log and of the metrics and
+/// report text.
+#[test]
+fn routing_reads_loads_after_the_arrival_time_drain() {
+    let (m, rep) = serve(&mut fleet_of(2), 100.0, RouterPolicy::JsqSpillover);
+    assert_eq!(rep.audit_violation, None);
+    let text = format!("{}{}", m.to_text(), rep.to_text());
+    assert_eq!(
+        (fnv1a(&rep.placement_log()), fnv1a(&text)),
+        (0xeb9793ea095beafe, 0x15e513a54a9741ad),
+        "placement log and report fingerprints"
+    );
 }
 
 #[test]

@@ -23,7 +23,6 @@
 //!    whose prefix died with its replica to its full cold prefill.
 
 use longsight::cxl::CxlLink;
-use longsight::exec;
 use longsight::faults::{fleet_schedule, timeline_text, ReplicaEventKind, ReplicaFaultProfile};
 use longsight::gpu::GpuSpec;
 use longsight::model::ModelConfig;
@@ -36,34 +35,11 @@ use longsight::system::prefill::prefill_cost;
 use longsight::system::serving::{
     run, FleetFaultOptions, RunSpec, SchedOptions, ServeMetrics, WorkloadConfig,
 };
-use longsight::system::{LongSightConfig, LongSightSystem, ServingSystem, SessionOptions};
-use std::sync::Mutex;
+use longsight::system::SessionOptions;
 
-/// The worker-count override is process-global, so tests that sweep it must
-/// not interleave.
-static THREAD_LOCK: Mutex<()> = Mutex::new(());
+mod common;
 
-fn thread_counts() -> Vec<usize> {
-    let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut counts = vec![1, 4];
-    if !counts.contains(&hw) {
-        counts.push(hw);
-    }
-    counts
-}
-
-fn across_thread_counts<R>(f: impl Fn() -> R) -> Vec<(usize, R)> {
-    let _guard = THREAD_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let out = thread_counts()
-        .into_iter()
-        .map(|t| {
-            exec::set_thread_count(t);
-            (t, f())
-        })
-        .collect();
-    exec::set_thread_count(0);
-    out
-}
+use common::{across_thread_counts, fleet_of};
 
 fn opts() -> SchedOptions {
     SchedOptions {
@@ -84,18 +60,6 @@ fn workload() -> WorkloadConfig {
         duration_s: 6.0,
         seed: 11,
     }
-}
-
-fn fleet_of(n: usize) -> Vec<Box<dyn ServingSystem>> {
-    let model = ModelConfig::llama3_1b();
-    (0..n)
-        .map(|_| {
-            Box::new(LongSightSystem::new(
-                LongSightConfig::paper_default(),
-                model.clone(),
-            )) as Box<dyn ServingSystem>
-        })
-        .collect()
 }
 
 /// Seed 11 gives two non-overlapping single-replica crashes on r0 at this

@@ -9,47 +9,17 @@
 //! per-token attribution table's total row must reproduce the run's
 //! reported token-latency percentiles bit-for-bit.
 
-use longsight::exec;
 use longsight::faults::{FaultInjector, FaultLog, FaultProfile, RetryPolicy};
 use longsight::model::ModelConfig;
 use longsight::obs::{json, Recorder};
 use longsight::system::attribution::OVERLAP_HIDDEN;
 mod common;
 
-use common::serve_one;
+use common::{across_thread_counts, serve_one};
 use longsight::system::serving::{ServeMetrics, WorkloadConfig};
 use longsight::system::{
     LongSightConfig, LongSightSystem, LookaheadConfig, SpecCharge, TokenAttribution,
 };
-use std::sync::Mutex;
-
-/// The worker-count override is process-global, so tests that sweep it must
-/// not interleave.
-static THREAD_LOCK: Mutex<()> = Mutex::new(());
-
-/// Thread counts exercised: exact serial, a fixed pool, and whatever the
-/// host hardware reports (deduplicated).
-fn thread_counts() -> Vec<usize> {
-    let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut counts = vec![1, 4];
-    if !counts.contains(&hw) {
-        counts.push(hw);
-    }
-    counts
-}
-
-fn across_thread_counts<R>(f: impl Fn() -> R) -> Vec<(usize, R)> {
-    let _guard = THREAD_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let out = thread_counts()
-        .into_iter()
-        .map(|t| {
-            exec::set_thread_count(t);
-            (t, f())
-        })
-        .collect();
-    exec::set_thread_count(0);
-    out
-}
 
 fn workload() -> WorkloadConfig {
     WorkloadConfig {

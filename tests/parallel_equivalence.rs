@@ -13,44 +13,13 @@ use longsight::core::{
     trace_eval, HybridConfig, ItqRotation, LongSightBackend, RotationTable, ThresholdTable,
 };
 use longsight::drex::{try_time_head_offload, try_time_slice_offload, DrexParams, HeadOffloadSpec};
-use longsight::exec;
 use longsight::model::tracegen::{generate_head_trace, TraceConfig};
 use longsight::model::{corpus, perplexity, InductionParams, Model, ModelConfig, ModelWeights};
 use longsight::tensor::SimRng;
-use std::sync::Mutex;
 
 mod common;
 
-use common::serve_one;
-
-/// Thread counts exercised: exact serial, a fixed pool, and whatever the
-/// host hardware reports (deduplicated).
-fn thread_counts() -> Vec<usize> {
-    let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut counts = vec![1, 4];
-    if !counts.contains(&hw) {
-        counts.push(hw);
-    }
-    counts
-}
-
-/// The worker-count override is process-global, so tests that sweep it must
-/// not interleave.
-static THREAD_LOCK: Mutex<()> = Mutex::new(());
-
-/// Runs `f` once per thread count and returns the per-count results.
-fn across_thread_counts<R>(f: impl Fn() -> R) -> Vec<(usize, R)> {
-    let _guard = THREAD_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let out = thread_counts()
-        .into_iter()
-        .map(|t| {
-            exec::set_thread_count(t);
-            (t, f())
-        })
-        .collect();
-    exec::set_thread_count(0);
-    out
-}
+use common::{across_thread_counts, serve_one};
 
 #[test]
 fn forward_pass_perplexity_is_bit_identical_across_thread_counts() {

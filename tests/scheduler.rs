@@ -17,7 +17,6 @@
 //!    fed byte-identical arrivals (the `results/sched_comparison.txt`
 //!    claim).
 
-use longsight::exec;
 use longsight::faults::{FaultInjector, FaultProfile, RetryPolicy};
 use longsight::model::ModelConfig;
 use longsight::obs::Recorder;
@@ -25,7 +24,10 @@ use longsight::sched::SchedReport;
 use longsight::sched::{SchedPolicy, SloClass, SloMix};
 use longsight::system::serving::{run, RunSpec, SchedOptions, ServeMetrics, WorkloadConfig};
 use longsight::system::{LongSightConfig, LongSightSystem, ServingSystem};
-use std::sync::Mutex;
+
+mod common;
+
+use common::{across_thread_counts, fnv1a};
 
 /// One replica serving `spec`: the run's metrics and its scheduler report.
 fn scheduled(sys: &mut LongSightSystem, spec: &RunSpec) -> (ServeMetrics, SchedReport) {
@@ -33,34 +35,6 @@ fn scheduled(sys: &mut LongSightSystem, spec: &RunSpec) -> (ServeMetrics, SchedR
     let mut rec = Recorder::disabled();
     let (m, mut fleet, _) = run(&mut systems, spec, &mut rec, None).expect("one replica runs");
     (m, fleet.replicas.swap_remove(0))
-}
-
-/// The worker-count override is process-global, so tests that sweep it must
-/// not interleave.
-static THREAD_LOCK: Mutex<()> = Mutex::new(());
-
-/// Thread counts exercised: exact serial, a fixed pool, and whatever the
-/// host hardware reports (deduplicated).
-fn thread_counts() -> Vec<usize> {
-    let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut counts = vec![1, 4];
-    if !counts.contains(&hw) {
-        counts.push(hw);
-    }
-    counts
-}
-
-fn across_thread_counts<R>(f: impl Fn() -> R) -> Vec<(usize, R)> {
-    let _guard = THREAD_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let out = thread_counts()
-        .into_iter()
-        .map(|t| {
-            exec::set_thread_count(t);
-            (t, f())
-        })
-        .collect();
-    exec::set_thread_count(0);
-    out
 }
 
 fn workload(rate: f64, seed: u64, dur: f64, ctx: (usize, usize)) -> WorkloadConfig {
@@ -71,15 +45,6 @@ fn workload(rate: f64, seed: u64, dur: f64, ctx: (usize, usize)) -> WorkloadConf
         duration_s: dur,
         seed,
     }
-}
-
-fn fnv1a(text: &str) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for b in text.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 /// The mixed-fleet configuration behind `results/sched_comparison.txt`:

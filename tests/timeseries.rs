@@ -18,7 +18,6 @@
 //! 4. **Exports round-trip.** `Export::parse` reads both the TSV and the
 //!    JSON form back into the same columns the sampler produced.
 
-use longsight::exec;
 use longsight::faults::ReplicaFaultProfile;
 use longsight::model::ModelConfig;
 use longsight::obs::timeseries::Export;
@@ -27,34 +26,10 @@ use longsight::sched::{BreakerConfig, FleetReport, SchedPolicy, SloMix};
 use longsight::system::serving::{
     run, FleetFaultOptions, RunSpec, SchedOptions, ServeMetrics, WorkloadConfig,
 };
-use longsight::system::{LongSightConfig, LongSightSystem, ServingSystem};
-use std::sync::Mutex;
 
-/// The worker-count override is process-global, so tests that sweep it must
-/// not interleave.
-static THREAD_LOCK: Mutex<()> = Mutex::new(());
+mod common;
 
-fn thread_counts() -> Vec<usize> {
-    let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut counts = vec![1, 4];
-    if !counts.contains(&hw) {
-        counts.push(hw);
-    }
-    counts
-}
-
-fn across_thread_counts<R>(f: impl Fn() -> R) -> Vec<(usize, R)> {
-    let _guard = THREAD_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let out = thread_counts()
-        .into_iter()
-        .map(|t| {
-            exec::set_thread_count(t);
-            (t, f())
-        })
-        .collect();
-    exec::set_thread_count(0);
-    out
-}
+use common::{across_thread_counts, fleet_of, fnv1a, THREAD_LOCK};
 
 /// The CLI defaults for `--sched slo-aware` — the same operating point the
 /// `results/fleet_timeseries.txt` golden is rendered from.
@@ -77,18 +52,6 @@ fn workload() -> WorkloadConfig {
         duration_s: 6.0,
         seed: 11,
     }
-}
-
-fn fleet_of(n: usize) -> Vec<Box<dyn ServingSystem>> {
-    let model = ModelConfig::llama3_1b();
-    (0..n)
-        .map(|_| {
-            Box::new(LongSightSystem::new(
-                LongSightConfig::paper_default(),
-                model.clone(),
-            )) as Box<dyn ServingSystem>
-        })
-        .collect()
 }
 
 /// Seed 11 gives a single-replica crash plus brownouts at this rate — the
@@ -241,13 +204,6 @@ fn telemetry_off_changes_nothing_but_the_burn_summary() {
         format!("{}{burn_block}", off.metrics.to_text()),
         "metrics text must be the telemetry-off text plus the burn block"
     );
-
-    // The round-trip JSON drops and restores the optional summary.
-    let back = ServeMetrics::from_json(&on.metrics.to_json()).expect("metrics JSON round-trip");
-    assert_eq!(back, on.metrics);
-    let back_off =
-        ServeMetrics::from_json(&off.metrics.to_json()).expect("metrics JSON round-trip");
-    assert_eq!(back_off, off.metrics);
 }
 
 #[test]
@@ -263,4 +219,44 @@ fn tsv_and_json_exports_parse_to_the_same_columns() {
         .columns
         .iter()
         .all(|(_, v)| v.len() == from_tsv.windows()));
+}
+
+/// A lone replica records unprefixed series and samples its scheduler
+/// after every drain as well as after every step. Pinned by the FNV-1a
+/// fingerprint of the TSV export of a short single-replica SLO-aware run,
+/// the operating point of the lone-replica `loadtest --timeseries-out`
+/// smoke in `scripts/ci.sh` (whose export hashes the same).
+#[test]
+fn lone_replica_timeseries_export_is_pinned() {
+    let spec = RunSpec {
+        sched: SchedOptions {
+            prefill_chunk_tokens: 128,
+            hbm_watermark: 0.01,
+            ..SchedOptions::slo_aware(SloMix {
+                interactive: 0.5,
+                batch: 0.3,
+                best_effort: 0.2,
+            })
+        },
+        ..RunSpec::new(
+            ModelConfig::llama3_1b(),
+            WorkloadConfig {
+                arrivals_per_s: 8.0,
+                context_tokens: (16_384, 32_768),
+                output_tokens: (32, 128),
+                duration_s: 4.0,
+                seed: 7,
+            },
+        )
+    };
+    let mut rec = Recorder::disabled();
+    rec.enable_timeseries(250e6, BurnConfig::default());
+    run(&mut fleet_of(1), &spec, &mut rec, None).expect("one replica runs");
+    let tsv = rec.timeseries.to_tsv();
+    assert!(tsv.contains("queue.interactive") && !tsv.contains("r0."));
+    assert_eq!(
+        fnv1a(&tsv),
+        0x25541d23342e95d9,
+        "lone-replica TSV fingerprint"
+    );
 }

@@ -34,6 +34,16 @@ pub enum DeviceError {
     },
     /// Referenced user was never registered.
     UnknownUser(u32),
+    /// A key, value or query holds a NaN or an infinity. Such a score has
+    /// no rank: its sign, and so its place in a top-k, depends on the
+    /// kernel that computed it.
+    NonFinite {
+        /// `"keys"`, `"values"` or `"queries"`.
+        array: &'static str,
+        /// The first row of the block holding the non-finite element; for
+        /// queries, the KV head whose query group holds it.
+        index: usize,
+    },
 }
 
 impl std::fmt::Display for DeviceError {
@@ -44,11 +54,20 @@ impl std::fmt::Display for DeviceError {
                 "device capacity exceeded: need {needed} bytes, {available} available"
             ),
             DeviceError::UnknownUser(u) => write!(f, "unknown user id {u}"),
+            DeviceError::NonFinite { array, index } => {
+                write!(f, "non-finite element in {array} row {index}")
+            }
         }
     }
 }
 
 impl std::error::Error for DeviceError {}
+
+/// The index of the first row of `rows` holding a NaN or an infinity.
+fn first_non_finite(rows: &[Vec<f32>]) -> Option<usize> {
+    rows.iter()
+        .position(|row| row.iter().any(|x| !x.is_finite()))
+}
 
 /// Per-head storage: sign objects, BF16 keys, BF16 values.
 #[derive(Debug, Clone)]
@@ -199,7 +218,9 @@ impl DrexDevice {
     /// # Errors
     ///
     /// Returns [`DeviceError::CapacityExceeded`] when the write would exceed
-    /// the 512 GB device, [`DeviceError::UnknownUser`] for unregistered ids.
+    /// the 512 GB device, [`DeviceError::UnknownUser`] for unregistered ids
+    /// and [`DeviceError::NonFinite`] for a NaN or infinite key or value. On
+    /// error nothing is written.
     ///
     /// # Panics
     ///
@@ -216,6 +237,11 @@ impl DrexDevice {
         assert_eq!(keys.len(), values.len(), "key/value count mismatch");
         if user as usize >= self.users.len() {
             return Err(DeviceError::UnknownUser(user));
+        }
+        for (array, rows) in [("keys", keys), ("values", values)] {
+            if let Some(index) = first_non_finite(rows) {
+                return Err(DeviceError::NonFinite { array, index });
+            }
         }
         let add = ObjectFootprint::for_keys(keys.len(), self.head_dim).total();
         if self.bytes_used + add > self.capacity() {
@@ -254,7 +280,8 @@ impl DrexDevice {
     ///
     /// # Errors
     ///
-    /// Returns [`DeviceError::UnknownUser`] for unregistered users.
+    /// Returns [`DeviceError::UnknownUser`] for unregistered users and
+    /// [`DeviceError::NonFinite`] for a NaN or infinite query.
     ///
     /// # Panics
     ///
@@ -276,6 +303,13 @@ impl DrexDevice {
             self.kv_heads,
             "one query group per KV head required"
         );
+        let non_finite = |g: &Vec<Vec<f32>>| first_non_finite(g).is_some();
+        if let Some(index) = request.queries.iter().position(non_finite) {
+            return Err(DeviceError::NonFinite {
+                array: "queries",
+                index,
+            });
+        }
         let layer = request.layer as usize;
         let user = &self.users[request.user as usize];
         let kv_heads = self.kv_heads;
@@ -571,6 +605,62 @@ mod tests {
             DeviceError::UnknownUser(9)
         );
         assert!(dev.write_kv_block(3, 0, 0, &[], &[]).is_err());
+    }
+
+    #[test]
+    fn write_kv_block_rejects_non_finite_keys_and_values() {
+        let mut dev = device(0);
+        let u = dev.register_user();
+        let good: Vec<Vec<f32>> = (0..4).map(|i| vec![i as f32; 16]).collect();
+        let mut bad = good.clone();
+        bad[2][5] = f32::NAN;
+        assert_eq!(
+            dev.write_kv_block(u, 0, 0, &bad, &good).unwrap_err(),
+            DeviceError::NonFinite {
+                array: "keys",
+                index: 2
+            }
+        );
+        bad[2][5] = f32::NEG_INFINITY;
+        assert_eq!(
+            dev.write_kv_block(u, 0, 1, &good, &bad).unwrap_err(),
+            DeviceError::NonFinite {
+                array: "values",
+                index: 2
+            }
+        );
+        // A refused block writes nothing.
+        assert_eq!(dev.stored_keys(u, 0, 0), 0);
+        assert_eq!(dev.stored_keys(u, 0, 1), 0);
+        dev.write_kv_block(u, 0, 0, &good, &good).unwrap();
+        assert_eq!(dev.stored_keys(u, 0, 0), 4);
+    }
+
+    #[test]
+    fn offload_rejects_non_finite_queries() {
+        let mut rng = SimRng::seed_from(4);
+        let mut dev = device(6);
+        let u = dev.register_user();
+        fill(&mut dev, u, 64, &mut rng);
+        let q = rng.normal_vec(16);
+        let mut bad = q.clone();
+        bad[0] = f32::INFINITY;
+        let req = RequestDescriptor {
+            user: u,
+            layer: 0,
+            queries: vec![vec![q.clone()], vec![q, bad]],
+        };
+        let err = dev
+            .offload(&req, 8, 0.0, &FaultInjector::disabled())
+            .unwrap_err();
+        assert_eq!(
+            err,
+            DeviceError::NonFinite {
+                array: "queries",
+                index: 1
+            }
+        );
+        assert_eq!(err.to_string(), "non-finite element in queries row 1");
     }
 
     #[test]

@@ -78,13 +78,6 @@ pub struct SchedConfig {
     /// CLI rejects `--prefill-slots 0` up front) must validate before
     /// constructing the config.
     pub prefill_slots: usize,
-    /// Low watermark for resuming preempted requests, as a fraction of HBM
-    /// capacity. Eviction triggers at the high watermark
-    /// (`pages.hbm_watermark`); a preempted request only resumes once usage
-    /// would stay at or under `floor(capacity × low)`. Equal watermarks
-    /// (the default) disable hysteresis and reproduce the legacy
-    /// evict-at-the-ceiling / resume-at-the-ceiling behavior bit-for-bit.
-    pub hbm_low_watermark: f64,
 }
 
 impl SchedConfig {
@@ -97,7 +90,6 @@ impl SchedConfig {
             window_tokens,
             prefill_chunk_tokens: 8192,
             prefill_slots: 1,
-            hbm_low_watermark: pages.hbm_watermark,
         }
     }
 
@@ -109,19 +101,7 @@ impl SchedConfig {
             window_tokens,
             prefill_chunk_tokens: prefill_chunk_tokens.max(1),
             prefill_slots: 1,
-            hbm_low_watermark: pages.hbm_watermark,
         }
-    }
-
-    /// The resume ceiling in pages: `floor(capacity × low_watermark)`,
-    /// snapped like [`PageConfig::hbm_limit_pages`] and never above the
-    /// eviction (high) limit.
-    fn resume_limit_pages(&self) -> usize {
-        let low = PageConfig {
-            hbm_watermark: self.hbm_low_watermark,
-            ..self.pages
-        };
-        low.hbm_limit_pages().min(self.pages.hbm_limit_pages())
     }
 
     fn hbm_pages_for(&self, context: usize) -> usize {
@@ -836,15 +816,6 @@ impl Scheduler {
         if !self.pages.hbm_fits(need_hbm) {
             return false;
         }
-        // Hysteresis: a preempted request resumes only when usage stays at
-        // or under the low watermark, so an eviction at the ceiling is not
-        // immediately undone by a resume back to the ceiling (ping-pong).
-        // With equal watermarks this is exactly the hbm_fits check above.
-        if self.waiting[pick].preempted
-            && self.pages.hbm_used() + need_hbm > self.cfg.resume_limit_pages()
-        {
-            return false;
-        }
         if !self.waiting[pick].preempted
             && !self.pages.drex_fits(self.cfg.drex_pages_for(req.context))
         {
@@ -1487,66 +1458,6 @@ mod tests {
         for i in 0..100 {
             let _ = m.classify(i as f64 / 100.0);
         }
-    }
-
-    /// Drives one evict→complete→drain cycle at ±1 page around the HBM
-    /// ceiling and reports (preemptions, resumes) — the ping-pong probe.
-    fn ping_pong_cycle(low_watermark: f64) -> (usize, usize) {
-        let mut cfg = slo_cfg(); // 4 pages, 1 page per request
-        cfg.hbm_low_watermark = low_watermark;
-        let mut s = Scheduler::new(cfg);
-        let mut feas = |_u: usize, _c: usize| true;
-        // Fill to the ceiling: 3 interactive + 1 best-effort, all decoding.
-        for i in 0..3 {
-            let mut r = req(i, SloClass::Interactive, 1024, 8);
-            r.prefill_ns = 0.0;
-            s.on_arrival(r, &mut feas);
-        }
-        let mut be = req(3, SloClass::BestEffort, 1024, 8);
-        be.prefill_ns = 0.0;
-        s.on_arrival(be, &mut feas);
-        s.drain_queue(&mut feas);
-        assert_eq!(s.pages().hbm_used(), 4, "at the ceiling");
-        // +1 page: an interactive arrival evicts the best-effort member.
-        let mut hot = req(4, SloClass::Interactive, 1024, 1);
-        hot.prefill_ns = 0.0;
-        s.on_arrival(hot, &mut feas);
-        s.drain_queue(&mut feas);
-        assert_eq!(s.pages().hbm_used(), 4);
-        // -1 page: the one-token request completes, dropping usage to 3.
-        let _ = s.plan_step();
-        let _ = s.advance_step(1e6, 1, 1e6);
-        assert_eq!(s.pages().hbm_used(), 3);
-        // The boundary decision: may the evicted best-effort member resume
-        // right back to the ceiling?
-        s.drain_queue(&mut feas);
-        // Another +1-page interactive arrival probes for a second eviction.
-        let mut hot2 = req(5, SloClass::Interactive, 1024, 1);
-        hot2.prefill_ns = 0.0;
-        s.on_arrival(hot2, &mut feas);
-        s.drain_queue(&mut feas);
-        let rep = s.finalize();
-        assert_eq!(rep.leaked_pages, 0);
-        assert_eq!(rep.invariant_violation, None);
-        (rep.preemptions, rep.resumes)
-    }
-
-    #[test]
-    fn hysteresis_stops_evict_resume_ping_pong_at_the_ceiling() {
-        // Equal watermarks (legacy): the evicted request resumes into the
-        // freed page and the next arrival evicts it again — ping-pong.
-        assert_eq!(ping_pong_cycle(1.0), (2, 1));
-        // Low watermark 0.75 (3 of 4 pages): resuming to 4 pages overshoots
-        // the low limit, so the request stays parked and the next arrival
-        // admits into the free page without a second eviction.
-        assert_eq!(ping_pong_cycle(0.75), (1, 0));
-    }
-
-    #[test]
-    fn low_watermark_equal_to_high_is_inert() {
-        let cfg = slo_cfg();
-        assert_eq!(cfg.hbm_low_watermark, cfg.pages.hbm_watermark);
-        assert_eq!(cfg.resume_limit_pages(), cfg.pages.hbm_limit_pages());
     }
 
     #[test]

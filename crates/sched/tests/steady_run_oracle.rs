@@ -93,9 +93,6 @@ fn gen_case(g: &mut Gen) -> Case {
         SchedPolicy::SloAware => SchedConfig::slo_aware(pages, window_tokens, chunk_tokens),
     };
     cfg.prefill_slots = g.usize_in(1, 4);
-    if g.bool() {
-        cfg.hbm_low_watermark = pages.hbm_watermark * g.f64_in(0.3, 1.0);
-    }
 
     let mut events = Vec::new();
     let mut t = 0.0f64;

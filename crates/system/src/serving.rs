@@ -483,59 +483,6 @@ fn sched_config_for(geometry: &KvDeviceGeometry, opts: &SchedOptions) -> SchedCo
     sched_cfg
 }
 
-/// Resolves one speculated decode step against the slot pool.
-///
-/// Each decoding member `(request id, token index)` tries to occupy one
-/// slot for the chain issued at the previous step. A denied issue (pool
-/// exhausted) leaves the member on the synchronous path. An issued member
-/// then draws its miss ([`spec_miss`]). Every decision is a pure function
-/// of `(seed, id, token)`, so the schedule is bit-identical at any thread
-/// count and across reruns. Emits `spec.issue` / `spec.hit` / `spec.miss`
-/// instants and returns the member counts `(hits, misses, denied)`.
-fn resolve_spec_step(
-    pool: &mut SpecSlotPool,
-    s: &SpecStep,
-    members: impl Iterator<Item = (u64, u64)>,
-    inj: Option<&FaultInjector>,
-    rec: &mut Recorder,
-    track: TrackId,
-    now_ns: f64,
-) -> (usize, usize, usize) {
-    pool.release_until(now_ns);
-    let (mut hits, mut misses, mut denied) = (0usize, 0usize, 0usize);
-    for (id, tok) in members {
-        if !pool.try_issue(now_ns, s.chain_ns) {
-            denied += 1;
-            continue;
-        }
-        if rec.is_enabled() {
-            record_spec_instant(rec, track, "spec.issue", now_ns, id, tok);
-        }
-        let (stale, voided) = spec_miss(s, inj, id, tok);
-        if stale || voided {
-            misses += 1;
-            if rec.is_enabled() {
-                rec.instant_with(
-                    track,
-                    "spec.miss",
-                    now_ns,
-                    &[
-                        ("id", ArgVal::U(id)),
-                        ("tok", ArgVal::U(tok)),
-                        ("void", ArgVal::U(u64::from(voided))),
-                    ],
-                );
-            }
-        } else {
-            hits += 1;
-            if rec.is_enabled() {
-                record_spec_instant(rec, track, "spec.hit", now_ns, id, tok);
-            }
-        }
-    }
-    (hits, misses, denied)
-}
-
 /// The two miss draws of one issued member's speculated chain, on its own
 /// `domain::SPEC` stream: `(stale, voided)`. Stale speculation (coordinate
 /// 0: the context grew past the speculated region or an eviction/restore
@@ -553,34 +500,33 @@ fn spec_miss(s: &SpecStep, inj: Option<&FaultInjector>, id: u64, tok: u64) -> (b
     (stale, voided)
 }
 
-/// A `spec.issue` or `spec.hit` instant of one member's speculated chain.
-fn record_spec_instant(
-    rec: &mut Recorder,
-    track: TrackId,
-    name: &str,
-    now_ns: f64,
-    id: u64,
+/// One decoding member's draws at one step ([`ReplicaSim::draw`]).
+#[derive(Debug, Clone, Copy)]
+struct Draw {
+    id: usize,
     tok: u64,
-) {
-    rec.instant_with(
-        track,
-        name,
-        now_ns,
-        &[("id", ArgVal::U(id)), ("tok", ArgVal::U(tok))],
-    );
+    /// Gets a speculative slot; always `false` without speculation.
+    slot: bool,
+    /// The issued member's `(stale, voided)` miss draws ([`spec_miss`]).
+    miss: (bool, bool),
+    /// Meets a [`first_fault`]: its token takes the retry ladder.
+    fault: bool,
 }
 
-/// How a resolved speculation paces the synchronized step: any miss runs
-/// the synchronous path plus the deterministic re-filter penalty, a
-/// denial-only step runs the synchronous path, an all-hit step keeps the
-/// hit-path timing.
-fn spec_pacing(s: &SpecStep, hit_step_ns: f64, misses: usize, denied: usize) -> (f64, SpecCharge) {
-    if misses > 0 {
-        (s.serial_step_ns + s.refilter_penalty_ns, SpecCharge::Miss)
-    } else if denied > 0 {
-        (s.serial_step_ns, SpecCharge::Denied)
-    } else {
-        (hit_step_ns, SpecCharge::Hit)
+/// What [`ReplicaSim::draw`] decided about one step; the default is a
+/// step nobody draws for.
+#[derive(Debug, Clone, Copy, Default)]
+struct Drawn {
+    /// Speculated members `(hits, misses, denied)`.
+    spec: (usize, usize, usize),
+    /// Some member meets a first fault.
+    faulted: bool,
+}
+
+impl Drawn {
+    /// No member is denied a slot, misses or meets a first fault.
+    fn clean(&self) -> bool {
+        self.spec.1 + self.spec.2 == 0 && !self.faulted
     }
 }
 
@@ -690,12 +636,7 @@ struct ReplicaSim<'a> {
     geometry: KvDeviceGeometry,
     sched: Scheduler,
     now: f64,
-    /// Token latencies, ms: each decode step's duration, once per decoding
-    /// member up to 64.
-    token_lat: LatencySamples,
-    /// Decoding members summed over decode steps, and the decode step
-    /// count: the mean batch size.
-    batch_users: usize,
+    /// Decode steps and the tokens they generated: the mean batch size.
     batch_steps: usize,
     generated_tokens: usize,
     cache: Vec<((usize, usize), Option<StepReport>)>,
@@ -711,11 +652,11 @@ struct ReplicaSim<'a> {
     spec_pool: Option<SpecSlotPool>,
     spec_track: Option<TrackId>,
     spec_counts: (usize, usize, usize),
+    /// The decoding members' draws at the step being taken, reused.
+    draws: Vec<Draw>,
     /// Token-level fault injection and its trace track.
     faults: Option<(&'a FaultInjector, &'a RetryPolicy, TrackId)>,
     fault_log: FaultLog,
-    /// Entries of `fault_log` already replayed onto the trace.
-    fault_cursor: usize,
     /// Token outcomes: retries and failures from token faults; degraded
     /// tokens from token faults or DReX brownouts.
     degrade: DegradeStats,
@@ -785,8 +726,6 @@ impl<'a> ReplicaSim<'a> {
             geometry,
             sched,
             now: 0.0,
-            token_lat: LatencySamples::new(),
-            batch_users: 0,
             batch_steps: 0,
             generated_tokens: 0,
             cache: Vec::new(),
@@ -796,11 +735,11 @@ impl<'a> ReplicaSim<'a> {
             spec_pool: None,
             spec_track: None,
             spec_counts: (0, 0, 0),
+            draws: Vec::new(),
             faults: faults
                 .zip(faults_track)
                 .map(|((inj, retry), track)| (inj, retry, track)),
             fault_log: FaultLog::new(),
-            fault_cursor: 0,
             degrade: DegradeStats::default(),
             brownout_tokens: 0,
             down: false,
@@ -921,18 +860,18 @@ impl<'a> ReplicaSim<'a> {
     /// the run still emits its own `decode.step` span, `tokens` rate,
     /// scheduler sample and attribution record at its own `now`.
     ///
-    /// **Eligibility.** Speculation and token faults draw per token, so a
-    /// run also ends at the first step that is not *clean*: one where some
-    /// decoding member is denied a slot, misses (stale or void), hard-fails
-    /// or times out on attempt 0. A clean step logs no fault, keeps the
-    /// hit-path `dt` (`work_dt + 0.0`, the same bits) and changes only the
-    /// slot pool, the hit count and the `spec.*` instants. The first step
-    /// of a call always resolves in full; it runs alone unless it came out
-    /// clean. Each later step is checked at its own `now` and token index
-    /// ([`ReplicaSim::take_clean_step`]); the first one that is not clean
-    /// ends the run before it, and the next call resolves it in full.
-    /// Checking a step twice is exact: every draw is a pure function of
-    /// `(seed, id, token)`, and `release_until` is idempotent at one `now`.
+    /// **Eligibility.** Speculation and token faults draw per token, and
+    /// every step of a run draws through one pass ([`ReplicaSim::draw`])
+    /// and one commit ([`ReplicaSim::commit`]) at its own `now` and token
+    /// index. A step is *clean* when no decoding member is denied a slot,
+    /// misses (stale or void), hard-fails or times out on attempt 0. A clean
+    /// step logs no fault and keeps the hit-path `dt`, so a run continues
+    /// past step 0 only while its steps come out clean. Step 0 always
+    /// commits and runs alone unless it is clean; a later step commits only
+    /// when clean, and the first one that is not ends the run before it, to
+    /// be drawn again as step 0 of the next call. Its draw changed nothing
+    /// but the pool's `release_until(now)`, which the next call repeats at
+    /// a `now` no earlier.
     ///
     /// **Halts.** A step that ends past `guard_ns` stays unaccounted (the
     /// steps of the run before it count) and halts the replica. So does a
@@ -955,40 +894,40 @@ impl<'a> ReplicaSim<'a> {
         };
         let mut base_dt = report.map_or(0.0, |r| r.step_ns);
         // With the lookahead pipeline on, the chain for this step was
-        // issued speculatively at the previous one: resolve every decoding
-        // member against the slot pool before the step's duration is
-        // fixed. Draws key off the global request id, so a request resolves
-        // identically wherever the router placed it. Lookahead-off reports
-        // carry no `spec`, so this block (and the `spec` track) never
-        // exists on that path.
-        let mut spec: Option<(SpecStep, SpecCharge, (usize, usize, usize))> = None;
-        if let Some(s) = report.and_then(|r| r.spec) {
-            let pool = self
-                .spec_pool
+        // issued speculatively at the previous one. Draws key off the global
+        // request id, so a request resolves identically wherever the router
+        // placed it. Lookahead-off reports carry no `spec`, so the slot pool
+        // (and the `spec` track) never exists on that path.
+        let spec_step = report.and_then(|r| r.spec);
+        if let Some(s) = spec_step {
+            self.spec_pool
                 .get_or_insert_with(|| SpecSlotPool::new(s.slots));
-            let track = *self
-                .spec_track
+            self.spec_track
                 .get_or_insert_with(|| rec.track(&format!("{}spec", self.prefix)));
-            let counts = resolve_spec_step(
-                pool,
-                &s,
-                self.sched
-                    .active()
-                    .iter()
-                    .filter(|r| r.in_decode)
-                    .map(|r| (r.req.id as u64, r.generated as u64)),
-                self.faults.map(|f| f.0),
-                rec,
-                track,
-                self.now,
-            );
-            let (paced, charge) = spec_pacing(&s, base_dt, counts.1, counts.2);
-            base_dt = paced;
-            self.spec_counts.0 += counts.0;
-            self.spec_counts.1 += counts.1;
-            self.spec_counts.2 += counts.2;
-            spec = Some((s, charge, counts));
         }
+        // Only speculation and token faults draw per token, so only they
+        // can leave a step unclean.
+        let draws = spec_step.is_some() || self.faults.is_some();
+        let (drawn, penalty) = if draws {
+            let drawn = self.draw(spec_step.as_ref(), 0);
+            (drawn, self.commit(rec, spec_step.as_ref(), drawn))
+        } else {
+            (Drawn::default(), 0.0)
+        };
+        // Any miss runs the synchronous path plus the deterministic
+        // re-filter penalty, a denial-only step runs the synchronous path,
+        // an all-hit step keeps the hit-path timing.
+        let spec = spec_step.map(|s| {
+            let (charge, paced) = match drawn.spec {
+                (_, misses, _) if misses > 0 => {
+                    (SpecCharge::Miss, s.serial_step_ns + s.refilter_penalty_ns)
+                }
+                (_, _, denied) if denied > 0 => (SpecCharge::Denied, s.serial_step_ns),
+                _ => (SpecCharge::Hit, base_dt),
+            };
+            base_dt = paced;
+            (s, charge, drawn.spec)
+        });
         if self.brownout_factor < 1.0 {
             // Brownout: the DReX tier runs on a shrunken top-k budget, so
             // the offload share of the step contracts proportionally and
@@ -1003,63 +942,19 @@ impl<'a> ReplicaSim<'a> {
         // pure-prefill step pays chunk time alone. FIFO plans no chunks, so
         // `work_dt == base_dt` exactly.
         let work_dt = base_dt.max(plan.prefill_ns);
-        let mut dt = work_dt;
-        let mut batch_died = false;
-        // Clean: no draw changed this step's timing or the scheduler.
-        let mut clean = spec.is_none_or(|(_, charge, _)| charge == SpecCharge::Hit);
-        if let Some((inj, retry, track)) = self.faults {
-            let mut max_penalty = 0.0f64;
-            let mut dead: Vec<usize> = Vec::new();
-            let mut degraded_ids: Vec<usize> = Vec::new();
-            for r in self.sched.active() {
-                if !r.in_decode {
-                    continue;
-                }
-                let (outcome, penalty) = resolve_token(
-                    inj,
-                    retry,
-                    r.req.id as u64,
-                    r.generated as u64,
-                    &mut self.fault_log,
-                );
-                self.degrade.record(outcome);
-                clean &= outcome == TokenOutcome::Completed { retries: 0 };
-                match outcome {
-                    TokenOutcome::Failed => dead.push(r.req.id),
-                    TokenOutcome::Degraded => {
-                        degraded_ids.push(r.req.id);
-                        max_penalty = max_penalty.max(penalty);
-                    }
-                    TokenOutcome::Completed { .. } => max_penalty = max_penalty.max(penalty),
-                }
-            }
-            // Replay this step's fault events onto the trace (1:1 with the
-            // log) at the step's start time.
-            self.fault_cursor +=
-                self.fault_log
-                    .record_tail_into(self.fault_cursor, rec, track, self.now);
-            self.sched.remove_failed(&dead);
-            if !dead.is_empty() {
-                self.turns.retain(|t| !dead.contains(&t.id));
-            }
-            // A degraded request lost its long-range path: its DReX tail
-            // pages come back to the pool.
-            for id in degraded_ids {
-                self.sched.on_degraded(id);
-            }
-            dt += max_penalty;
-            batch_died = self.sched.active_is_empty();
-        }
-        let run = if clean {
+        // The worst token's penalty paces the batch; a hard fault may have
+        // emptied it.
+        let (dt, batch_died) = match self.faults {
+            Some(_) => (work_dt + penalty, self.sched.active_is_empty()),
+            None => (work_dt, false),
+        };
+        let run = if drawn.clean() {
             self.sched.steady_run(self.run_cap())
         } else {
             1
         };
         let decoding = self.sched.decoding_count();
         let ts_on = rec.timeseries.is_enabled();
-        // Only speculation and token faults draw per token, so only they
-        // can leave a later step of the run unclean.
-        let draws = spec.is_some() || self.faults.is_some();
         // The run's steps, one clock tick and, when the plan has chunks, one
         // chunk step each; the guard step and a dead batch's step take none.
         // Only the last step can complete a request, so every earlier one
@@ -1090,8 +985,12 @@ impl<'a> ReplicaSim<'a> {
             if n == run || self.now >= until || !same_chunks {
                 break false;
             }
-            if draws && !self.take_clean_step(rec, spec.map(|s| s.0), n) {
-                break false;
+            if draws {
+                let drawn = self.draw(spec_step.as_ref(), n);
+                if !drawn.clean() {
+                    break false;
+                }
+                self.commit(rec, spec_step.as_ref(), drawn);
             }
             if ts_on {
                 self.sample_step(rec, decoding);
@@ -1099,8 +998,6 @@ impl<'a> ReplicaSim<'a> {
         };
         self.count_run(n);
         if decoding > 0 {
-            self.token_lat.push_n(dt / 1e6, decoding.min(64) * n);
-            self.batch_users += decoding * n;
             self.batch_steps += n;
             self.generated_tokens += decoding * n;
             if self.brownout_factor < 1.0 {
@@ -1137,58 +1034,151 @@ impl<'a> ReplicaSim<'a> {
         }
     }
 
-    /// Takes step `k` of a run, starting at the current `now`, if it is
-    /// clean: every decoding member, at token `generated + k`, neither
-    /// hard-fails nor times out on attempt 0 ([`first_fault`]), and under
-    /// speculation gets a slot and passes both miss draws ([`spec_miss`]).
-    /// The full resolution of a clean step logs no fault and keeps the
-    /// hit-path timing, so all it changes is applied here: the slots, the
-    /// hit count and the `spec.issue`/`spec.hit` instants. A step that is
-    /// not clean changes nothing but the pool's `release_until(now)`,
-    /// which the next call's full resolution repeats to the same effect.
-    fn take_clean_step(&mut self, rec: &mut Recorder, spec: Option<SpecStep>, k: usize) -> bool {
+    /// Draws step `k` of a run at the current `now` in one pass over the
+    /// decoding members, at token `generated + k`, into `draws`. Under
+    /// speculation it first releases the slots done by `now`; then the
+    /// first `capacity − occupancy` members get a slot (what issuing them
+    /// one at a time grants) and each of those draws its miss
+    /// ([`spec_miss`]). Under token faults every member draws its
+    /// [`first_fault`]. A later step (`k > 0`) commits only when clean, so
+    /// its pass stops at the first unclean member. Every draw is a pure
+    /// function of `(seed, id, token)`, so drawing changes nothing but the
+    /// pool's release.
+    fn draw(&mut self, spec: Option<&SpecStep>, k: usize) -> Drawn {
         let Self {
             sched,
             now,
             spec_pool,
+            faults,
+            draws,
+            ..
+        } = self;
+        let inj = faults.map(|f| f.0);
+        let mut free = match (spec, spec_pool.as_mut()) {
+            (Some(_), Some(pool)) => {
+                pool.release_until(*now);
+                pool.capacity() - pool.occupancy()
+            }
+            _ => 0,
+        };
+        let mut out = Drawn::default();
+        draws.clear();
+        for r in sched.active().iter().filter(|r| r.in_decode) {
+            let (id, tok) = (r.req.id, (r.generated + k) as u64);
+            let mut d = Draw {
+                id,
+                tok,
+                slot: false,
+                miss: (false, false),
+                fault: inj.is_some_and(|inj| first_fault(inj, id as u64, tok).is_some()),
+            };
+            if let Some(s) = spec {
+                d.slot = free > 0;
+                if d.slot {
+                    free -= 1;
+                    d.miss = spec_miss(s, inj, id as u64, tok);
+                }
+                match (d.slot, d.miss) {
+                    (false, _) => out.spec.2 += 1,
+                    (true, (false, false)) => out.spec.0 += 1,
+                    (true, _) => out.spec.1 += 1,
+                }
+            }
+            out.faulted |= d.fault;
+            if k > 0 && !out.clean() {
+                return out;
+            }
+            draws.push(d);
+        }
+        out
+    }
+
+    /// Commits the step just drawn at the current `now`. In member order it
+    /// issues each slot (a denied issue fails as it would alone) with its
+    /// `spec.issue` and `spec.hit`/`spec.miss` instants. Then, again in
+    /// member order, it resolves the token of each member with a first
+    /// fault through [`resolve_token`], so the [`FaultLog`] keeps its order,
+    /// replays the new fault events onto the trace (1:1 with the log) at
+    /// `now`, removes the hard-failed requests from the batch and returns
+    /// the DReX tail pages of degraded ones, which lost their long-range
+    /// path. Returns the worst retry/backoff penalty of a token that did
+    /// not fail.
+    fn commit(&mut self, rec: &mut Recorder, spec: Option<&SpecStep>, drawn: Drawn) -> f64 {
+        let Self {
+            sched,
+            now,
+            draws,
+            spec_pool,
             spec_track,
             spec_counts,
             faults,
+            fault_log,
+            degrade,
+            turns,
             ..
         } = self;
-        let members = || {
-            sched
-                .active()
-                .iter()
-                .filter(|r| r.in_decode)
-                .map(|r| (r.req.id as u64, (r.generated + k) as u64))
+        if let Some(((s, pool), track)) = spec.zip(spec_pool.as_mut()).zip(*spec_track) {
+            let recording = rec.is_enabled();
+            for d in draws.iter() {
+                let issued = pool.try_issue(*now, s.chain_ns);
+                debug_assert_eq!(issued, d.slot, "the draw predicts every issue");
+                if issued && recording {
+                    let (stale, voided) = d.miss;
+                    let args = [
+                        ("id", ArgVal::U(d.id as u64)),
+                        ("tok", ArgVal::U(d.tok)),
+                        ("void", ArgVal::U(u64::from(voided))),
+                    ];
+                    rec.instant_with(track, "spec.issue", *now, &args[..2]);
+                    if stale || voided {
+                        rec.instant_with(track, "spec.miss", *now, &args);
+                    } else {
+                        rec.instant_with(track, "spec.hit", *now, &args[..2]);
+                    }
+                }
+            }
+            spec_counts.0 += drawn.spec.0;
+            spec_counts.1 += drawn.spec.1;
+            spec_counts.2 += drawn.spec.2;
+        }
+        let mut penalty = 0.0f64;
+        let Some((inj, retry, track)) = faults.filter(|_| drawn.faulted) else {
+            return penalty;
         };
-        let inj = faults.map(|f| f.0);
-        if let Some(inj) = inj {
-            if members().any(|(id, tok)| first_fault(inj, id, tok).is_some()) {
-                return false;
+        let (mut dead, mut degraded) = (Vec::new(), Vec::new());
+        let logged = fault_log.len();
+        for d in draws.iter().filter(|d| d.fault) {
+            let (outcome, p) = resolve_token(inj, retry, d.id as u64, d.tok, fault_log);
+            degrade.record(outcome);
+            match outcome {
+                TokenOutcome::Failed => dead.push(d.id),
+                TokenOutcome::Degraded => {
+                    degraded.push(d.id);
+                    penalty = penalty.max(p);
+                }
+                TokenOutcome::Completed { .. } => penalty = penalty.max(p),
             }
         }
-        let (Some(s), Some(pool), Some(track)) = (spec, spec_pool.as_mut(), *spec_track) else {
-            return true;
-        };
-        pool.release_until(*now);
-        let m = members().count();
-        if pool.occupancy() + m > pool.capacity()
-            || members().any(|(id, tok)| spec_miss(&s, inj, id, tok) != (false, false))
-        {
-            return false;
+        fault_log.record_tail_into(logged, rec, track, *now);
+        sched.remove_failed(&dead);
+        turns.retain(|t| !dead.contains(&t.id));
+        for id in degraded {
+            sched.on_degraded(id);
         }
-        for (id, tok) in members() {
-            let issued = pool.try_issue(*now, s.chain_ns);
-            debug_assert!(issued, "a clean step's issues fit the pool");
-            if rec.is_enabled() {
-                record_spec_instant(rec, track, "spec.issue", *now, id, tok);
-                record_spec_instant(rec, track, "spec.hit", *now, id, tok);
-            }
+        penalty
+    }
+
+    /// [`RunError::StepInfeasible`] if this replica, index `replica` of the
+    /// run, halted on a decode step its system refused.
+    fn feasible(&self, replica: usize) -> Result<(), RunError> {
+        match self.infeasible {
+            Some((users, ctx)) => Err(RunError::StepInfeasible {
+                replica,
+                users,
+                ctx,
+            }),
+            None => Ok(()),
         }
-        spec_counts.0 += m;
-        true
     }
 
     /// The trace of one step of `dt` starting at the current `now`: a
@@ -1301,7 +1291,9 @@ fn serve_metrics(
     let mut token_lat = LatencySamples::new();
     let mut request_lat = LatencySamples::new();
     for r in replicas {
-        token_lat.append(&r.token_lat);
+        for (tok, _) in r.sched.class_samples() {
+            token_lat.append(tok);
+        }
         for c in &r.completions {
             request_lat.push(c.1);
         }
@@ -1326,7 +1318,7 @@ fn serve_metrics(
         mean_batch: if batch_steps == 0 {
             0.0
         } else {
-            sum(|r| r.batch_users) as f64 / batch_steps as f64
+            generated as f64 / batch_steps as f64
         },
         retried_tokens: sum(|r| r.degrade.retried_tokens),
         degraded_tokens: degraded,
@@ -1436,7 +1428,9 @@ impl std::error::Error for RunError {}
 /// arrival index, load)` logged as `route.place` instants on the `router`
 /// track; replica `i` records on `r{i}.*` tracks. After the last arrival
 /// every replica runs to completion. A step that ends past four horizons
-/// halts its replica unaccounted, and no later arrival is placed. Steps
+/// halts its replica unaccounted, and no later arrival is placed. A
+/// replica whose system refuses a decode step halts too, and the run
+/// returns its error at once, before any other replica steps on. Steps
 /// are synchronized across a replica's batch, and contexts are frozen at
 /// admission: decode adds at most a few hundred tokens to 16K+ prompts.
 ///
@@ -1538,12 +1532,13 @@ pub fn run<'s, S: DerefMut<Target = dyn ServingSystem + 's>>(
             }
         }
         let Some(a) = arrivals.pop() else { break };
-        for r in &mut replicas {
+        for (i, r) in replicas.iter_mut().enumerate() {
             if fleet.is_some() {
                 r.catch_up(rec, attr.as_deref_mut(), a.arrival_ns);
             } else {
                 r.advance(rec, attr.as_deref_mut(), Some(a.arrival_ns));
             }
+            r.feasible(i)?;
         }
         if replicas.iter().any(|r| r.halted) {
             break;
@@ -1625,19 +1620,9 @@ pub fn run<'s, S: DerefMut<Target = dyn ServingSystem + 's>>(
             sample_sched_timeseries(rec, &r.prefix, a.arrival_ns, &r.sched);
         }
     }
-    for r in &mut replicas {
+    for (i, r) in replicas.iter_mut().enumerate() {
         r.advance(rec, attr.as_deref_mut(), None);
-    }
-    let halted = replicas.iter().enumerate().find_map(|(replica, r)| {
-        let (users, ctx) = r.infeasible?;
-        Some(RunError::StepInfeasible {
-            replica,
-            users,
-            ctx,
-        })
-    });
-    if let Some(e) = halted {
-        return Err(e);
+        r.feasible(i)?;
     }
 
     let shed = fleet.as_ref().map_or(0, |f| f.summary.shed.len());
@@ -2922,5 +2907,54 @@ mod tests {
         );
         let probed = serve((1, 131_072)).expect("admission rejects what it probes");
         assert!(probed.rejected > 0, "{probed:?}");
+    }
+
+    /// Round-robin over two replicas, the first refusing `(1, 64K)`: it
+    /// halts at 113 ms while the second has work until 171 ms. `run` returns
+    /// the error at once, so no step of the second replica starts after the
+    /// first one halted (each halts at the end of its last step).
+    #[test]
+    fn an_infeasible_halt_stops_every_replica() {
+        let model = ModelConfig::llama3_1b();
+        let wl = WorkloadConfig {
+            arrivals_per_s: 32.0,
+            context_tokens: (16_384, 131_072),
+            output_tokens: (16, 64),
+            duration_s: 1.0,
+            seed: 1,
+        };
+        let spec = RunSpec {
+            router: RouterPolicy::RoundRobin,
+            ..RunSpec::new(model.clone(), wl)
+        };
+        let system = || LongSightSystem::new(LongSightConfig::paper_default(), model.clone());
+        let mut refusing = Refusing {
+            inner: system(),
+            refuse: (1, 65_536),
+        };
+        let mut other = system();
+        let mut systems = [
+            &mut refusing as &mut dyn ServingSystem,
+            &mut other as &mut dyn ServingSystem,
+        ];
+        let mut rec = Recorder::enabled();
+        let err = run(&mut systems, &spec, &mut rec, None).expect_err("replica 0 halts");
+        assert_eq!(
+            err,
+            RunError::StepInfeasible {
+                replica: 0,
+                users: 1,
+                ctx: 65_536
+            }
+        );
+        let (r0, r1) = (rec.track("r0.serving"), rec.track("r1.serving"));
+        let steps = |track| rec.spans().iter().filter(move |s| s.track == track);
+        let halted_at = steps(r0).map(|s| s.end_ns).fold(0.0, f64::max);
+        let last_start = steps(r1).map(|s| s.start_ns).fold(0.0, f64::max);
+        assert!(last_start > 0.0, "replica 1 stepped before the halt");
+        assert!(
+            last_start < halted_at,
+            "replica 1 stepped at {last_start} ns, after replica 0 halted at {halted_at} ns"
+        );
     }
 }

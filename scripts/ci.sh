@@ -62,15 +62,14 @@ echo "== cargo clippy -D warnings =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
 # The error-model refactor removed panicking paths from the CXL link, the
-# DReX offload hot path, the serving stack, and the scheduler/router; keep
-# them out. Test modules (everything at and below the first `#[cfg(test)]`
+# DReX device, the fault injector, the recorder, the serving stack, and the
+# scheduler/router; keep them out. Test modules (everything at and below the first `#[cfg(test)]`
 # in a file) may unwrap.
-echo "== no-unwrap gate (cxl, drex offload, system, sched) =="
+echo "== no-unwrap gate (cxl, drex, faults, obs, system, sched) =="
 unwrap_hits=$(
-    find crates/cxl/src crates/system/src crates/sched/src -name '*.rs' -print0 |
+    find crates/cxl/src crates/drex/src crates/faults/src crates/obs/src \
+        crates/system/src crates/sched/src -name '*.rs' -print0 |
         xargs -0 -I{} sh -c 'awk "/#\\[cfg\\(test\\)\\]/ {exit} /\\.unwrap\\(\\)/ {print FILENAME \":\" FNR \": \" \$0}" {}'
-    awk '/#\[cfg\(test\)\]/ {exit} /\.unwrap\(\)/ {print FILENAME ":" FNR ": " $0}' \
-        crates/drex/src/offload.rs
 )
 if [ -n "$unwrap_hits" ]; then
     echo "error: .unwrap() outside tests in fault-hardened code:" >&2

@@ -17,7 +17,7 @@ use longsight_core::{
     filter_block, filter_block_packed, HybridConfig, ItqConfig, ItqRotation, PFU_BLOCK_KEYS,
 };
 use longsight_dram::{ChannelSim, DramTiming, Request};
-use longsight_sched::LatencySamples;
+use longsight_sched::{LatencySamples, SortedSamples};
 use longsight_tensor::{vecops, Matrix, SignArena, SignBits, SimRng, TopK};
 use std::hint::black_box;
 
@@ -156,8 +156,9 @@ fn bench_dram() {
 fn bench_metrics_tail() {
     // A fleet_crash-shaped token population: 2 replicas x 3 classes, ~3.8M
     // samples in 204 runs over 5 distinct step durations. One iteration is
-    // the metrics tail: merge each class across replicas and take its ceil
-    // p50/p99, then merge everything and take the round p50/p99.
+    // the metrics tail: sort each ledger once, merge each class's views
+    // across replicas and take its ceil p50/p99, then merge everything and
+    // take the round p50/p99.
     const STEP_MS: [f64; 5] = [21.25, 22.5, 24.0, 25.75, 31.5];
     let mut rng = SimRng::seed_from(8);
     let ledgers: Vec<[LatencySamples; 3]> = (0..2)
@@ -173,19 +174,17 @@ fn bench_metrics_tail() {
         .collect();
     let samples: usize = ledgers.iter().flatten().map(LatencySamples::len).sum();
     bench_report("sched/metrics_tail_3.8m", Some(samples as u64), || {
-        let mut all = LatencySamples::new();
+        let views: Vec<[SortedSamples; 3]> = ledgers
+            .iter()
+            .map(|replica| black_box(replica).each_ref().map(LatencySamples::sorted))
+            .collect();
         let mut acc = 0.0;
         for class in 0..3 {
-            let mut merged = LatencySamples::new();
-            for replica in &ledgers {
-                merged.append(black_box(&replica[class]));
-            }
-            let sorted = merged.sorted();
-            acc += sorted.percentile_ceil(0.5) + sorted.percentile_ceil(0.99);
-            all.append(&merged);
+            let merged = SortedSamples::merge(views.iter().map(|v| &v[class]));
+            acc += merged.percentile_ceil(0.5) + merged.percentile_ceil(0.99);
         }
-        let sorted = all.sorted();
-        black_box(acc + sorted.percentile_round(0.5) + sorted.percentile_round(0.99))
+        let all = SortedSamples::merge(views.iter().flatten());
+        black_box(acc + all.percentile_round(0.5) + all.percentile_round(0.99))
     });
 }
 

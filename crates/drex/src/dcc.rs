@@ -274,12 +274,14 @@ impl SpecSlotPool {
     }
 
     /// Retires every slot whose chain completed at or before `now_ns`.
+    #[inline]
     pub fn release_until(&mut self, now_ns: f64) {
         self.in_flight.retain(|&done| done > now_ns);
     }
 
     /// Tries to occupy one slot from `now_ns` for `duration_ns`. Returns
     /// `false` (denied, backpressure) when all slots are busy.
+    #[inline]
     pub fn try_issue(&mut self, now_ns: f64, duration_ns: f64) -> bool {
         if self.in_flight.len() >= self.slots {
             self.denied += 1;

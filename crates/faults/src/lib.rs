@@ -59,6 +59,7 @@ pub mod domain {
 }
 
 /// splitmix64 finalizer: a cheap, high-quality 64-bit mixer.
+#[inline]
 fn mix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -69,6 +70,7 @@ fn mix64(mut z: u64) -> u64 {
 /// Builds a stream key from a domain and up to three coordinates
 /// (user/head/slice, request/token, …). Pure and collision-resistant enough
 /// for scheduling purposes.
+#[inline]
 pub fn stream(domain: u64, a: u64, b: u64, c: u64) -> u64 {
     let mut h = mix64(domain.wrapping_mul(0xA076_1D64_78BD_642F));
     h = mix64(h ^ a.wrapping_mul(0xE703_7ED1_A0B4_28DB));
@@ -81,6 +83,7 @@ pub fn stream(domain: u64, a: u64, b: u64, c: u64) -> u64 {
 /// subsystems that only need deterministic Bernoulli draws (e.g. the
 /// lookahead speculation model) can share the machinery without carrying a
 /// fault profile.
+#[inline]
 pub fn unit_draw(seed: u64, stream: u64, draw: u64) -> f64 {
     let mut rng = SimRng::seed_from(mix64(seed ^ stream).wrapping_add(draw));
     rng.uniform()
@@ -575,6 +578,7 @@ impl FaultInjector {
     /// The `draw`-th uniform in `[0, 1)` of `stream` — a pure function of
     /// `(seed, stream, draw)`. Comparing these fixed draws against rates is
     /// what makes fault schedules monotone in the rate.
+    #[inline]
     pub fn uniform(&self, stream: u64, draw: u64) -> f64 {
         unit_draw(self.seed, stream, draw)
     }
@@ -625,12 +629,14 @@ impl FaultInjector {
 
     /// Whether the offload attempt `attempt` of the token on `stream` hits
     /// a hard timeout.
+    #[inline]
     pub fn attempt_times_out(&self, stream: u64, attempt: u32) -> bool {
         self.profile.timeout_rate > 0.0
             && self.uniform(stream, 1 + attempt as u64) < self.profile.timeout_rate
     }
 
     /// Whether the request on `stream` dies unrecoverably.
+    #[inline]
     pub fn hard_fails(&self, stream: u64) -> bool {
         self.profile.hard_fail_rate > 0.0 && self.uniform(stream, 0) < self.profile.hard_fail_rate
     }

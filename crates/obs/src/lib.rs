@@ -303,6 +303,14 @@ impl Recorder {
         }
     }
 
+    /// Records `n` observations of one value, bit-identical to `n` calls
+    /// of [`Recorder::observe`] (no-op when disabled).
+    pub fn observe_n(&mut self, name: &str, value: f64, n: u64) {
+        if self.enabled {
+            self.metrics.observe_n(name, value, n);
+        }
+    }
+
     /// All recorded spans, in creation order.
     pub fn spans(&self) -> &[Span] {
         &self.spans

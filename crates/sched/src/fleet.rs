@@ -11,8 +11,7 @@
 
 use crate::request::SloClass;
 use crate::router::RouterPolicy;
-use crate::samples::LatencySamples;
-use crate::scheduler::{ClassReport, SchedReport};
+use crate::scheduler::{ClassReport, ClassViews, SchedReport};
 
 /// One routing decision: `(arrival id, replica index)`.
 pub type Placement = (usize, usize);
@@ -222,23 +221,25 @@ pub struct FleetReport {
 impl FleetReport {
     /// Builds the fleet report and runs the cross-replica audit.
     ///
-    /// `samples` are the merged per-class `(token, request)` latency
-    /// samples across every replica. With the fault/overload outcome
-    /// attached (`faults`), the audit also checks the redispatch and shed
-    /// logs (placed + shed = offered; per-replica arrivals = placements +
-    /// redispatches into it).
+    /// `samples` are the per-class `(token, request)` latency views merged
+    /// across every replica (each replica's
+    /// [`Scheduler::finalize_views`](crate::Scheduler::finalize_views)
+    /// merged with [`SortedSamples::merge`](crate::SortedSamples::merge)).
+    /// With the fault/overload outcome attached (`faults`), the audit also
+    /// checks the redispatch and shed logs (placed + shed = offered;
+    /// per-replica arrivals = placements + redispatches into it).
     pub fn assemble(
         router: RouterPolicy,
         replicas: Vec<SchedReport>,
         placements: Vec<Placement>,
-        samples: [(LatencySamples, LatencySamples); 3],
+        samples: ClassViews,
         faults: Option<FleetFaultSummary>,
     ) -> Self {
         let audit_violation = audit(&replicas, &placements, faults.as_ref());
         let mut per_class: [ClassReport; 3] = Default::default();
         for class in SloClass::ALL {
             let i = class.index();
-            let (tok, req) = (samples[i].0.sorted(), samples[i].1.sorted());
+            let (tok, req) = &samples[i];
             let sum = |f: fn(&ClassReport) -> usize| -> usize {
                 replicas.iter().map(|r| f(&r.per_class[i])).sum()
             };
@@ -561,6 +562,7 @@ fn audit_sessions(s: &SessionSummary, replicas: &[SchedReport], offered: usize) 
 mod tests {
     use super::*;
     use crate::pages::PageStats;
+    use crate::samples::{LatencySamples, SortedSamples};
     use crate::scheduler::SchedPolicy;
 
     fn report(arrived_per_class: [usize; 3]) -> SchedReport {
@@ -587,7 +589,7 @@ mod tests {
         }
     }
 
-    fn no_samples() -> [(LatencySamples, LatencySamples); 3] {
+    fn no_samples() -> ClassViews {
         Default::default()
     }
 
@@ -858,16 +860,16 @@ mod tests {
     fn roll_up_merges_samples_not_percentiles() {
         // Replica 0 has fast tokens, replica 1 slow ones; the fleet p99
         // must come from the merged population, not an average.
+        let (mut fast, mut slow) = (LatencySamples::new(), LatencySamples::new());
+        fast.push_n(1.0, 3);
+        slow.push(9.0);
         let mut samples = no_samples();
-        samples[0].0.push_n(1.0, 3);
+        samples[0].0 = SortedSamples::merge([&fast.sorted(), &slow.sorted()]);
         let f = FleetReport::assemble(
             RouterPolicy::JsqSpillover,
             vec![report([2, 0, 0]), report([1, 0, 0])],
             vec![(0, 0), (1, 0), (2, 1)],
-            {
-                samples[0].0.push(9.0);
-                samples
-            },
+            samples,
             None,
         );
         assert_eq!(f.per_class[0].p99_token_ms, 9.0);

@@ -30,8 +30,11 @@
 //!   invariants: every arrival placed exactly once, arrivals conserved,
 //!   every replica's page ledger clean.
 //! * [`LatencySamples`] is the latency population every report ends in:
-//!   `(value, count)` runs in recording order, whose percentiles are
-//!   bit-identical to sorting the expanded samples.
+//!   `(value, count)` runs compacted into a multiset when the buffer fills,
+//!   so its memory follows its distinct values, not its samples. Its
+//!   [`SortedSamples`] view, sorted once and merged linearly across classes
+//!   and replicas, gives percentiles bit-identical to sorting the expanded
+//!   samples.
 //!
 //! The crate is dependency-free and knows nothing about latency models or
 //! observability: feasibility is a callback, costs arrive precomputed on
@@ -60,8 +63,8 @@ pub use request::{KvDeviceGeometry, ResumePath, SchedRequest, SloClass, SloMix};
 pub use router::{
     BreakerConfig, BreakerState, CircuitBreaker, RouteError, Router, RouterPolicy, SchedLoad,
 };
-pub use samples::{LatencySamples, SortedSamples};
+pub use samples::{LatencySamples, SortedSamples, MIN_COMPACT_RUNS};
 pub use scheduler::{
-    ActiveEntry, ClassReport, Completion, Evacuated, SchedConfig, SchedEvent, SchedPolicy,
-    SchedReport, Scheduler, StepPlan,
+    ActiveEntry, ClassReport, ClassViews, Completion, Evacuated, SchedConfig, SchedEvent,
+    SchedPolicy, SchedReport, Scheduler, StepPlan,
 };

@@ -1,26 +1,55 @@
-//! Run-length latency samples: a latency population stored as
-//! `(value, count)` runs instead of one `f64` per sample.
+//! Latency populations as compacted `(value, count)` multisets.
 //!
 //! A serving run records one token-latency sample per decoding member per
-//! step (up to 64), all equal to the step's duration, so a workload's few
-//! million samples hold only a handful to a few hundred thousand runs.
-//! [`LatencySamples`] keeps the runs in recording order, extending the last
-//! run when the next value has the same bits.
+//! step (up to 64), all equal to the step's duration, so a workload's
+//! millions of samples hold few distinct values. [`LatencySamples`] stores
+//! them as `(value, count)` runs: a push extends the run it pushed last
+//! when the next value has the same bits. Consecutive step durations do
+//! not always share bits (a speculation miss or a token-fault penalty
+//! changes one step's duration and the next step changes it back), so the
+//! runs alone would still grow with the number of steps.
+//!
+//! When the run buffer is full (and holds at least [`MIN_COMPACT_RUNS`]
+//! runs), the population is compacted: its runs are sorted by
+//! [`f64::total_cmp`] and runs with equal bits are merged, the same
+//! operation [`LatencySamples::sorted`] performs. The buffer grows only
+//! when a compaction freed less than half of it, and a population whose
+//! compaction freed less than half stops compacting: its values are
+//! mostly distinct (request latencies), so another compaction would cost
+//! a sort and free little. A population of at most `MIN_COMPACT_RUNS / 2`
+//! distinct values therefore keeps the buffer its first compaction found
+//! (`MIN_COMPACT_RUNS` runs as `Vec` doubles today), however many samples
+//! it records. Compaction forgets the recording order; no read depends on
+//! it.
 //!
 //! Percentiles are order statistics of the expanded population. A
-//! [`SortedSamples`] view sorts a copy of the runs by [`f64::total_cmp`] and
-//! merges runs with equal bits; element `i` of the sorted expansion is then
+//! [`SortedSamples`] view holds one run per distinct bit pattern in
+//! ascending `total_cmp` order; element `i` of the sorted expansion is
 //! found by walking the cumulative counts. `total_cmp` orders two values as
 //! equal exactly when their bits are equal, so this expansion is the same
 //! sequence, bit for bit, as sorting the expanded `Vec<f64>` with
 //! `sort_by(f64::total_cmp)`, and both rank rules return the same sample
-//! the slice-based percentiles they replace did.
+//! the slice-based percentiles they replace did. Views of disjoint
+//! populations combine with [`SortedSamples::merge`], a linear merge, so
+//! each population is sorted once.
 
-/// A latency population as `(value, count)` runs, in recording order.
+use std::cmp::Ordering;
+
+/// Runs a [`LatencySamples`] buffer holds before its first compaction.
+pub const MIN_COMPACT_RUNS: usize = 1024;
+
+/// A latency population as `(value, count)` runs, compacted into a
+/// multiset when its buffer fills (see the [module docs](self)).
 #[derive(Debug, Clone, Default)]
 pub struct LatencySamples {
     runs: Vec<(f64, usize)>,
     len: usize,
+    /// Index of the run pushed last; the next push extends it when its
+    /// value has the same bits.
+    last: usize,
+    /// Set when a compaction freed less than half the buffer: the values
+    /// are mostly distinct and the buffer grows instead.
+    distinct: bool,
 }
 
 impl LatencySamples {
@@ -35,24 +64,37 @@ impl LatencySamples {
     }
 
     /// Records `n` samples of value `v` (none when `n == 0`). Extends the
-    /// last run when `v` has its bits.
+    /// run pushed last when `v` has its bits.
+    #[inline]
     pub fn push_n(&mut self, v: f64, n: usize) {
         if n == 0 {
             return;
         }
         self.len += n;
-        match self.runs.last_mut() {
-            Some((last, count)) if last.to_bits() == v.to_bits() => *count += n,
-            _ => self.runs.push((v, n)),
+        if let Some((last, count)) = self.runs.get_mut(self.last) {
+            if last.to_bits() == v.to_bits() {
+                *count += n;
+                return;
+            }
         }
+        if self.runs.len() == self.runs.capacity() {
+            self.full();
+        }
+        self.last = self.runs.len();
+        self.runs.push((v, n));
     }
 
-    /// Appends `other`'s samples after this population's, in `other`'s
-    /// recording order.
-    pub fn append(&mut self, other: &LatencySamples) {
-        for &(v, n) in &other.runs {
-            self.push_n(v, n);
+    /// The buffer is full: compact it in place when that is still worth
+    /// it, so the next push lands without growing it.
+    #[cold]
+    #[inline(never)]
+    fn full(&mut self) {
+        let before = self.runs.len();
+        if self.distinct || before < MIN_COMPACT_RUNS {
+            return;
         }
+        compact(&mut self.runs);
+        self.distinct = self.runs.len() * 2 > before;
     }
 
     /// Number of samples (the sum of the run counts).
@@ -65,32 +107,16 @@ impl LatencySamples {
         self.len == 0
     }
 
-    /// The `(value, count)` runs in recording order; no count is zero.
-    pub fn runs(&self) -> &[(f64, usize)] {
-        &self.runs
-    }
-
-    /// Sum of the samples, added one at a time in recording order with the
-    /// start value of `Iterator::sum`, so it is bit-identical to summing the
-    /// expanded `Vec<f64>`.
-    pub fn sum(&self) -> f64 {
-        self.runs
-            .iter()
-            .flat_map(|&(v, n)| std::iter::repeat_n(v, n))
-            .sum()
+    /// Runs the buffer holds before it next compacts or grows: the
+    /// population's memory, in 16-byte runs.
+    pub fn capacity(&self) -> usize {
+        self.runs.capacity()
     }
 
     /// The population in ascending order, for percentiles.
     pub fn sorted(&self) -> SortedSamples {
         let mut runs = self.runs.clone();
-        runs.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
-        runs.dedup_by(|later, kept| {
-            let same = later.0.to_bits() == kept.0.to_bits();
-            if same {
-                kept.1 += later.1;
-            }
-            same
-        });
+        compact(&mut runs);
         SortedSamples {
             runs,
             len: self.len,
@@ -98,15 +124,65 @@ impl LatencySamples {
     }
 }
 
+/// Sorts `runs` by [`f64::total_cmp`] and merges runs with equal bits.
+fn compact(runs: &mut Vec<(f64, usize)>) {
+    runs.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+    runs.dedup_by(|later, kept| {
+        let same = later.0.to_bits() == kept.0.to_bits();
+        if same {
+            kept.1 += later.1;
+        }
+        same
+    });
+}
+
 /// A [`LatencySamples`] population in ascending [`f64::total_cmp`] order,
 /// one run per distinct bit pattern.
-#[derive(Debug)]
+#[derive(Debug, Clone, Default)]
 pub struct SortedSamples {
     runs: Vec<(f64, usize)>,
     len: usize,
 }
 
 impl SortedSamples {
+    /// The union of `views` as one view: a linear merge per view, runs
+    /// with equal bits summed. Equal to sorting the populations' combined
+    /// samples.
+    pub fn merge<'a>(views: impl IntoIterator<Item = &'a SortedSamples>) -> SortedSamples {
+        views
+            .into_iter()
+            .fold(SortedSamples::default(), |acc, v| acc.union(v))
+    }
+
+    fn union(&self, other: &SortedSamples) -> SortedSamples {
+        let (a, b) = (&self.runs, &other.runs);
+        let mut runs = Vec::with_capacity(a.len() + b.len());
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            match a[i].0.total_cmp(&b[j].0) {
+                Ordering::Less => {
+                    runs.push(a[i]);
+                    i += 1;
+                }
+                Ordering::Greater => {
+                    runs.push(b[j]);
+                    j += 1;
+                }
+                Ordering::Equal => {
+                    runs.push((a[i].0, a[i].1 + b[j].1));
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        runs.extend_from_slice(&a[i..]);
+        runs.extend_from_slice(&b[j..]);
+        SortedSamples {
+            runs,
+            len: self.len + other.len,
+        }
+    }
+
     /// Number of samples.
     pub fn len(&self) -> usize {
         self.len
@@ -115,6 +191,12 @@ impl SortedSamples {
     /// True when the population is empty.
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// The `(value, count)` runs in ascending order, one per distinct bit
+    /// pattern; no count is zero.
+    pub fn runs(&self) -> &[(f64, usize)] {
+        &self.runs
     }
 
     /// Element `i` of the ascending expansion; `None` past the end.
@@ -239,9 +321,15 @@ mod tests {
         s.push_n(0.0, 1);
         s.push_n(-0.0, 1);
         s.push_n(1.0, 4);
-        assert_eq!(s.runs(), &[(2.0, 5), (0.0, 1), (-0.0, 1), (1.0, 4)]);
         assert_eq!(s.len(), 11);
         let sorted = s.sorted();
+        let bits: Vec<_> = sorted
+            .runs()
+            .iter()
+            .map(|&(v, n)| (v.to_bits(), n))
+            .collect();
+        let want = [(-0.0f64, 1), (0.0, 1), (1.0, 4), (2.0, 5)];
+        assert_eq!(bits, want.map(|(v, n)| (v.to_bits(), n)));
         assert_eq!(sorted.get(0).map(f64::to_bits), Some((-0.0f64).to_bits()));
         assert_eq!(sorted.get(10), Some(2.0));
         assert_eq!(sorted.get(11), None);

@@ -21,7 +21,7 @@
 
 use crate::pages::{PageConfig, PageStats, PagedKvManager};
 use crate::request::{SchedRequest, SloClass};
-use crate::samples::LatencySamples;
+use crate::samples::{LatencySamples, SortedSamples};
 
 /// Scheduling policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -129,6 +129,7 @@ const PREFILL_DONE_NS: f64 = 1e-6;
 /// `left` ns of its prefill outstanding. A member whose chunk size is zero
 /// (a zero-prefill request that still owes resume cost) drains it in one
 /// chunk rather than stalling.
+#[inline]
 fn planned_chunk(chunk_ns: f64, left: f64) -> f64 {
     let budget = if chunk_ns > 0.0 { chunk_ns } else { left };
     budget.min(left)
@@ -287,6 +288,10 @@ struct ClassAccum {
     request_lat_ms: LatencySamples,
 }
 
+/// Per-class `(token, request)` latency views, indexed by
+/// [`SloClass::index`].
+pub type ClassViews = [(SortedSamples, SortedSamples); 3];
+
 /// Per-class outcome summary.
 ///
 /// Percentiles use the **ceil nearest-rank** convention:
@@ -294,8 +299,6 @@ struct ClassAccum {
 /// the population at or below it ([`SortedSamples::percentile_ceil`]). In
 /// particular, p99 over fewer than 100 samples is the maximum, and p50 of
 /// an even-sized population is the lower median.
-///
-/// [`SortedSamples::percentile_ceil`]: crate::SortedSamples::percentile_ceil
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ClassReport {
     /// Requests that arrived in this class.
@@ -475,16 +478,19 @@ impl Scheduler {
     }
 
     /// The running batch, in admission order.
+    #[inline]
     pub fn active(&self) -> &[ActiveEntry] {
         &self.active
     }
 
     /// Whether the running batch is empty.
+    #[inline]
     pub fn active_is_empty(&self) -> bool {
         self.active.is_empty()
     }
 
     /// Members decoding in the currently planned step (after any deaths).
+    #[inline]
     pub fn decoding_count(&self) -> usize {
         self.active.iter().filter(|a| a.in_decode).count()
     }
@@ -616,10 +622,9 @@ impl Scheduler {
         }
     }
 
-    /// Per-class `(token, request)` latency samples accumulated so far, in
-    /// recording order. Fleet roll-ups merge these across replicas and
-    /// recompute percentiles over the union — averaging per-replica
-    /// percentiles would be wrong.
+    /// Per-class `(token, request)` latency samples accumulated so far.
+    /// Roll-ups take their sorted views from [`Scheduler::finalize_views`]
+    /// instead and merge those across replicas.
     pub fn class_samples(&self) -> [(&LatencySamples, &LatencySamples); 3] {
         [0, 1, 2].map(|i| (&self.class[i].token_lat_ms, &self.class[i].request_lat_ms))
     }
@@ -1029,6 +1034,7 @@ impl Scheduler {
     /// previous pass ended at a fixpoint (see [`Scheduler::drain_queue`]).
     /// When it did not, or an arrival, redispatch, failure, degradation or
     /// page-ledger edit came after it, the run is one step.
+    #[inline]
     pub fn steady_run(&self, limit: usize) -> usize {
         if !self.drained {
             return 1;
@@ -1043,6 +1049,7 @@ impl Scheduler {
     /// chunk below half an ulp of what is left never progresses, so it
     /// never ends a run. The caller calls this once per step of a run that
     /// plans chunks, and nothing else moves prefill.
+    #[inline]
     pub fn chunk_step(&mut self) -> bool {
         self.chunk_steps += 1;
         let mut same = true;
@@ -1128,6 +1135,15 @@ impl Scheduler {
     /// Builds the end-of-run report, auditing the page ledger: every page
     /// still held must belong to a request that is still active or waiting.
     pub fn finalize(&mut self) -> SchedReport {
+        self.finalize_views().0
+    }
+
+    /// [`Scheduler::finalize`], plus each class's `(token, request)`
+    /// latency view, indexed by [`SloClass::index`]. Each ledger is sorted
+    /// once, here; fleet and all-class roll-ups merge these views
+    /// ([`SortedSamples::merge`]) and recompute percentiles over the union,
+    /// since averaging per-replica percentiles would be wrong.
+    pub fn finalize_views(&mut self) -> (SchedReport, ClassViews) {
         let mut leaked = 0usize;
         for id in self.pages.holder_ids() {
             let live = self.active.iter().any(|a| a.req.id == id)
@@ -1158,9 +1174,12 @@ impl Scheduler {
                 ));
             }
         }
+        let views = self
+            .class
+            .each_ref()
+            .map(|acc| (acc.token_lat_ms.sorted(), acc.request_lat_ms.sorted()));
         let mut per_class: [ClassReport; 3] = Default::default();
-        for (out, acc) in per_class.iter_mut().zip(self.class.iter()) {
-            let (tok, req) = (acc.token_lat_ms.sorted(), acc.request_lat_ms.sorted());
+        for ((out, acc), (tok, req)) in per_class.iter_mut().zip(&self.class).zip(&views) {
             *out = ClassReport {
                 arrived: acc.arrived,
                 completed: acc.completed,
@@ -1174,7 +1193,7 @@ impl Scheduler {
                 p99_request_ms: req.percentile_ceil(0.99),
             };
         }
-        SchedReport {
+        let report = SchedReport {
             policy: self.cfg.policy,
             per_class,
             preemptions: self.preemptions,
@@ -1185,7 +1204,8 @@ impl Scheduler {
             pages: self.pages.stats(),
             leaked_pages: leaked,
             invariant_violation,
-        }
+        };
+        (report, views)
     }
 }
 

@@ -2,12 +2,15 @@
 //! [`check`](longsight_tensor::check) runner (replay a failure with
 //! `LONGSIGHT_PROP_SEED`).
 //!
-//! The oracle is the expanded `Vec<f64>` in recording order and its copy
-//! sorted by `f64::total_cmp`, with the two slice percentiles the ledger
-//! replaced. Every comparison is by `to_bits()`: the ledger must return
-//! the very sample the sorted slice holds, not just an equal one.
+//! The oracle is the expanded `Vec<f64>` and its copy sorted by
+//! `f64::total_cmp`, with the two slice percentiles the ledger replaced.
+//! Every comparison is by `to_bits()`: the ledger must return the very
+//! sample the sorted slice holds, not just an equal one. Populations run
+//! from a dozen pushes to tens of thousands, past the compaction threshold
+//! ([`MIN_COMPACT_RUNS`]), over a few distinct values (which must compact
+//! in a bounded buffer) and over all-distinct ones.
 
-use longsight_sched::LatencySamples;
+use longsight_sched::{LatencySamples, SortedSamples, MIN_COMPACT_RUNS};
 use longsight_tensor::check::{run_cases, run_seed, Gen};
 use longsight_tensor::{prop_ensure, prop_ensure_eq};
 
@@ -66,16 +69,22 @@ fn bits(v: &[f64]) -> Vec<u64> {
 fn matches_oracle(g: &mut Gen, s: &LatencySamples, flat: &[f64]) -> Result<(), String> {
     prop_ensure_eq!(s.len(), flat.len());
     prop_ensure_eq!(s.is_empty(), flat.is_empty());
-    prop_ensure!(s.runs().iter().all(|&(_, n)| n > 0), "zero-count run");
-    prop_ensure_eq!(
-        s.sum().to_bits(),
-        flat.iter().sum::<f64>().to_bits(),
-        "recording-order sum"
+    view_matches_oracle(g, &s.sorted(), flat)
+}
+
+/// Every read of the sorted `view` equals the same read of the sorted
+/// expansion of `flat`.
+fn view_matches_oracle(g: &mut Gen, view: &SortedSamples, flat: &[f64]) -> Result<(), String> {
+    let runs = view.runs();
+    prop_ensure!(runs.iter().all(|&(_, n)| n > 0), "zero-count run");
+    prop_ensure!(
+        runs.windows(2).all(|w| w[0].0.total_cmp(&w[1].0).is_lt()),
+        "runs not strictly ascending"
     );
     let mut sorted = flat.to_vec();
     sorted.sort_by(f64::total_cmp);
-    let view = s.sorted();
     prop_ensure_eq!(view.len(), sorted.len());
+    prop_ensure_eq!(view.is_empty(), sorted.is_empty());
     prop_ensure_eq!(
         bits(&view.iter().collect::<Vec<_>>()),
         bits(&sorted),
@@ -105,21 +114,80 @@ fn single_ledger(g: &mut Gen) -> Result<(), String> {
     matches_oracle(g, &s, &flat)
 }
 
-/// 1–4 ledgers appended in a random order equal their concatenation in
-/// that order.
+/// 1–4 ledgers' sorted views merged in a random order equal the sorted
+/// union of their populations.
 fn merged_ledgers(g: &mut Gen) -> Result<(), String> {
-    let parts: Vec<_> = (0..g.usize_in(1, 5)).map(|_| ledger(g)).collect();
+    let parts: Vec<_> = (0..g.usize_in(1, 5))
+        .map(|_| match g.usize_in(0, 4) {
+            0 => long_ledger(g),
+            _ => ledger(g),
+        })
+        .collect();
     let mut order: Vec<usize> = (0..parts.len()).collect();
     for i in (1..order.len()).rev() {
         order.swap(i, g.usize_in(0, i + 1));
     }
-    let mut merged = LatencySamples::new();
+    let views: Vec<SortedSamples> = order.iter().map(|&i| parts[i].0.sorted()).collect();
+    let flat: Vec<f64> = order.iter().flat_map(|&i| parts[i].1.clone()).collect();
+    view_matches_oracle(g, &SortedSamples::merge(&views), &flat)
+}
+
+/// A ledger long enough to compact: thousands of pushes of 1–8 distinct
+/// values (drawn from the pool, so signed zeros and both NaN signs among
+/// them), in an order that rarely repeats the last value.
+fn long_ledger(g: &mut Gen) -> (LatencySamples, Vec<f64>) {
+    let distinct: Vec<f64> = (0..g.usize_in(1, 9)).map(|_| value(g)).collect();
+    let mut s = LatencySamples::new();
     let mut flat = Vec::new();
-    for &i in &order {
-        merged.append(&parts[i].0);
-        flat.extend_from_slice(&parts[i].1);
+    for _ in 0..g.usize_in(1_000, 6_000) {
+        let v = distinct[g.usize_in(0, distinct.len())];
+        let n = g.usize_in(0, 65);
+        s.push_n(v, n);
+        flat.extend(std::iter::repeat_n(v, n));
     }
-    matches_oracle(g, &merged, &flat)
+    (s, flat)
+}
+
+/// Distinct bit patterns among `flat`.
+fn distinct_bits(flat: &[f64]) -> usize {
+    let mut b = bits(flat);
+    b.sort_unstable();
+    b.dedup();
+    b.len()
+}
+
+/// Past the compaction threshold, a few-distinct population stays
+/// bit-identical to its expansion in a buffer of about twice its distinct
+/// values plus the threshold.
+fn compacted_ledger(g: &mut Gen) -> Result<(), String> {
+    let (s, flat) = long_ledger(g);
+    let bound = 2 * distinct_bits(&flat) + MIN_COMPACT_RUNS;
+    prop_ensure!(
+        s.capacity() <= bound,
+        "buffer of {} runs for {} distinct values over {} samples",
+        s.capacity(),
+        distinct_bits(&flat),
+        flat.len()
+    );
+    matches_oracle(g, &s, &flat)
+}
+
+/// All-distinct populations (request latencies) stop compacting and still
+/// equal their expansion; a random share of the pushes are signed zeros
+/// and NaNs of both signs, so those tie across runs.
+fn distinct_ledger(g: &mut Gen) -> Result<(), String> {
+    let mut s = LatencySamples::new();
+    let mut flat = Vec::new();
+    for i in 0..g.usize_in(500, 5_000) {
+        let v = match g.usize_in(0, 8) {
+            0 => value(g),
+            _ => i as f64 * 0.25 + g.f64_in(0.0, 0.125),
+        };
+        let n = g.usize_in(1, 3);
+        s.push_n(v, n);
+        flat.extend(std::iter::repeat_n(v, n));
+    }
+    matches_oracle(g, &s, &flat)
 }
 
 #[test]
@@ -134,6 +202,20 @@ fn merged_ledgers_match_the_concatenated_population() {
         300,
         merged_ledgers,
     );
+}
+
+#[test]
+fn compacted_ledger_matches_its_expansion_in_a_bounded_buffer() {
+    run_cases(
+        "compacted_ledger_matches_its_expansion_in_a_bounded_buffer",
+        60,
+        compacted_ledger,
+    );
+}
+
+#[test]
+fn distinct_ledger_matches_its_expansion() {
+    run_cases("distinct_ledger_matches_its_expansion", 40, distinct_ledger);
 }
 
 #[test]

@@ -145,14 +145,16 @@ fn gen_case(g: &mut Gen) -> Case {
     }
 }
 
-/// A latency ledger's runs as `(value bits, count)`.
-type Runs = Vec<(u64, usize)>;
+/// A latency ledger as its length and its sorted view's runs, `(value
+/// bits, count)`. Compaction forgets the recording order, so the ledgers
+/// are compared as the multisets every report reads.
+type Runs = (usize, Vec<(u64, usize)>);
 
 /// What a run leaves behind, compared by bits.
 #[derive(Debug, PartialEq)]
 struct Outcome {
     completions: Vec<(usize, SloClass, u64)>,
-    /// Per-class `(token, request)` ledger runs.
+    /// Per-class `(token, request)` ledgers.
     samples: Vec<(Runs, Runs)>,
     report: String,
     now: u64,
@@ -177,7 +179,9 @@ fn outcome(mut s: Scheduler, completions: Vec<Completion>, now: f64, steps: usiz
         .iter()
         .map(|(tok, req)| {
             let runs = |l: &longsight_sched::LatencySamples| -> Runs {
-                l.runs().iter().map(|&(v, n)| (v.to_bits(), n)).collect()
+                let view = l.sorted();
+                let runs = view.runs().iter().map(|&(v, n)| (v.to_bits(), n));
+                (l.len(), runs.collect())
             };
             (runs(tok), runs(req))
         })

@@ -139,6 +139,24 @@ pub struct SpecSample {
     pub penalty_ns: f64,
 }
 
+impl SpecSample {
+    /// Whether `other` has this sample's charge and the bits of every field.
+    fn same_bits(&self, other: &SpecSample) -> bool {
+        let bits = |s: &SpecSample| {
+            [
+                s.chain_ns,
+                s.hit_visible_ns,
+                s.serial_visible_ns,
+                s.spec_miss_ns,
+                s.overlap_hidden_ns,
+                s.penalty_ns,
+            ]
+            .map(f64::to_bits)
+        };
+        self.charge == other.charge && bits(self) == bits(other)
+    }
+}
+
 /// Per-token latency attribution collected across a serving run.
 ///
 /// One sample per generated token (batch size capped at 64 per step, the
@@ -146,16 +164,39 @@ pub struct SpecSample {
 /// percentiles), per component, in milliseconds. The `total` population
 /// stores each token's full step latency directly — not the component sum
 /// — so its percentiles are bit-identical to the run's reported token
-/// latency. Every population is a run-length [`LatencySamples`]: a step
-/// adds one run of `weight` equal samples per population.
-#[derive(Debug, Clone, Default)]
+/// latency. Every population is a compacted [`LatencySamples`] multiset (a
+/// step adds `weight` equal samples), whose memory follows its distinct
+/// values rather than the run's steps. Compaction forgets the recording
+/// order, so each population also keeps its exact sum: `weight`
+/// sequential adds per step, in recording order, the adds the expanded
+/// `Vec<f64>`'s `Iterator::sum` would make. Speculated steps are kept as
+/// runs of bit-identical [`SpecSample`]s.
+#[derive(Debug, Clone)]
 pub struct TokenAttribution {
     samples: [LatencySamples; 10],
     totals: LatencySamples,
+    /// Recording-order sums of `samples` then `totals`.
+    sums: [f64; 11],
     spec_hits: usize,
     spec_misses: usize,
     spec_denied: usize,
-    spec_steps: Vec<SpecSample>,
+    spec_steps: Vec<(SpecSample, usize)>,
+}
+
+impl Default for TokenAttribution {
+    fn default() -> Self {
+        Self {
+            samples: Default::default(),
+            totals: LatencySamples::new(),
+            // The start value of `Iterator::sum` for `f64`, so an all
+            // `-0.0` population sums to `-0.0` as the expanded one does.
+            sums: [-0.0; 11],
+            spec_hits: 0,
+            spec_misses: 0,
+            spec_denied: 0,
+            spec_steps: Vec::new(),
+        }
+    }
 }
 
 impl TokenAttribution {
@@ -169,10 +210,17 @@ impl TokenAttribution {
     /// latency, and `weight` the number of token samples the step
     /// contributes.
     pub fn record_step(&mut self, parts: [f64; 10], dt_ns: f64, weight: usize) {
-        for (c, &p) in parts.iter().enumerate() {
-            self.samples[c].push_n(p / 1e6, weight);
+        let values = parts.map(|p| p / 1e6);
+        let total = dt_ns / 1e6;
+        for (c, &v) in values.iter().enumerate() {
+            self.samples[c].push_n(v, weight);
         }
-        self.totals.push_n(dt_ns / 1e6, weight);
+        self.totals.push_n(total, weight);
+        for (sum, &v) in self.sums.iter_mut().zip(values.iter().chain([&total])) {
+            for _ in 0..weight {
+                *sum += v;
+            }
+        }
     }
 
     /// Records one speculated step's per-member resolution counts and its
@@ -188,7 +236,10 @@ impl TokenAttribution {
         self.spec_hits += hits;
         self.spec_misses += misses;
         self.spec_denied += denied;
-        self.spec_steps.push(sample);
+        match self.spec_steps.last_mut() {
+            Some((last, n)) if last.same_bits(&sample) => *n += 1,
+            _ => self.spec_steps.push((sample, 1)),
+        }
     }
 
     /// `(hits, misses, denied)` speculated-token counts across the run.
@@ -197,8 +248,10 @@ impl TokenAttribution {
     }
 
     /// Per-step speculation accounting samples, in recording order.
-    pub fn spec_steps(&self) -> &[SpecSample] {
-        &self.spec_steps
+    pub fn spec_steps(&self) -> impl Iterator<Item = SpecSample> + '_ {
+        self.spec_steps
+            .iter()
+            .flat_map(|&(s, n)| std::iter::repeat_n(s, n))
     }
 
     /// Whether any speculated step was recorded (drives the extra rows).
@@ -218,20 +271,20 @@ impl TokenAttribution {
 
     /// `(mean, p50, p99)` of one component's population, ms.
     pub fn component_stats(&self, c: usize) -> (f64, f64, f64) {
-        Self::stats_of(&self.samples[c])
+        Self::stats_of(&self.samples[c], self.sums[c])
     }
 
     /// `(mean, p50, p99)` of the total token latency, ms. The percentiles
     /// here equal `ServeMetrics::{p50,p99}_token_ms` of the same run.
     pub fn total_stats(&self) -> (f64, f64, f64) {
-        Self::stats_of(&self.totals)
+        Self::stats_of(&self.totals, self.sums[10])
     }
 
-    fn stats_of(samples: &LatencySamples) -> (f64, f64, f64) {
+    fn stats_of(samples: &LatencySamples, sum: f64) -> (f64, f64, f64) {
         if samples.is_empty() {
             return (0.0, 0.0, 0.0);
         }
-        let mean = samples.sum() / samples.len() as f64;
+        let mean = sum / samples.len() as f64;
         let sorted = samples.sorted();
         (
             mean,
@@ -443,5 +496,73 @@ mod tests {
         assert!(table.contains("spec_miss") && table.contains("overlap_hidden"));
         assert!(table.contains("speculation: 4 hit | 0 miss | 0 denied"));
         assert_eq!(table.lines().count(), 13, "header + 10 + total + summary");
+    }
+
+    /// Compaction forgets the recording order, so the means come from the
+    /// collector's own sums: equal, bit for bit, to summing the expanded
+    /// samples in recording order, and past the compaction threshold.
+    #[test]
+    fn means_equal_the_recording_order_sum_of_the_expansion() {
+        let r = report();
+        let mut a = TokenAttribution::new();
+        let mut flat: Vec<[f64; 11]> = Vec::new();
+        // -0.0 first: `Iterator::sum` starts at -0.0, so an all -0.0
+        // prefix must keep its sign.
+        let mut record = |a: &mut TokenAttribution, parts: [f64; 10], dt: f64, w: usize| {
+            a.record_step(parts, dt, w);
+            let mut row = [0.0; 11];
+            for (c, p) in parts.iter().enumerate() {
+                row[c] = p / 1e6;
+            }
+            row[10] = dt / 1e6;
+            flat.extend(std::iter::repeat_n(row, w));
+        };
+        record(&mut a, [-0.0; 10], -0.0, 2);
+        for i in 0..3_000 {
+            let dt = r.step_ns * [1.0, 1.1, 1.3][i % 3];
+            let w = 1 + i % 7;
+            record(&mut a, attribution_parts(&r, dt, None), dt, w);
+        }
+        let sum = |c: usize| -> f64 { flat.iter().map(|row| row[c]).sum() };
+        let n = flat.len() as f64;
+        for c in 0..10 {
+            assert_eq!(a.component_stats(c).0.to_bits(), (sum(c) / n).to_bits());
+        }
+        assert_eq!(a.total_stats().0.to_bits(), (sum(10) / n).to_bits());
+        let mut zeros = TokenAttribution::new();
+        zeros.record_step([-0.0; 10], -0.0, 3);
+        assert_eq!(zeros.total_stats().0.to_bits(), (-0.0f64).to_bits());
+    }
+
+    /// Bit-identical consecutive speculation samples share one run, and
+    /// the accessor expands the runs back in recording order.
+    #[test]
+    fn spec_samples_are_stored_as_runs() {
+        let sample = |charge, penalty_ns| SpecSample {
+            charge,
+            chain_ns: 3e6,
+            hit_visible_ns: 0.2e6,
+            serial_visible_ns: 1e6,
+            spec_miss_ns: 0.0,
+            overlap_hidden_ns: 2.8e6,
+            penalty_ns,
+        };
+        let steps = [
+            sample(SpecCharge::Hit, 0.0),
+            sample(SpecCharge::Hit, 0.0),
+            sample(SpecCharge::Hit, -0.0),
+            sample(SpecCharge::Denied, -0.0),
+            sample(SpecCharge::Hit, 0.0),
+        ];
+        let mut a = TokenAttribution::new();
+        for &s in &steps {
+            a.record_spec_step(s, 1, 0, 0);
+        }
+        assert_eq!(a.spec_steps.len(), 4, "only the first two share a run");
+        let back: Vec<SpecSample> = a.spec_steps().collect();
+        assert_eq!(back.len(), steps.len());
+        for (got, want) in back.iter().zip(&steps) {
+            assert!(got.same_bits(want), "{got:?} != {want:?}");
+        }
     }
 }

@@ -40,10 +40,10 @@ use longsight_gpu::GpuSpec;
 use longsight_model::ModelConfig;
 use longsight_obs::{ArgVal, Recorder, TrackId};
 use longsight_sched::{
-    BreakerConfig, BreakerState, CircuitBreaker, FleetFaultSummary, FleetReport, KvDeviceGeometry,
-    LatencySamples, PagedKvManager, Placement, PullRecord, RedispatchRecord, Router, RouterPolicy,
-    SchedConfig, SchedEvent, SchedPolicy, SchedReport, SchedRequest, Scheduler, SessionSummary,
-    ShedRecord, SloBurnSummary, SloClass, SloMix, SortedSamples, StepPlan,
+    BreakerConfig, BreakerState, CircuitBreaker, ClassViews, FleetFaultSummary, FleetReport,
+    KvDeviceGeometry, PagedKvManager, Placement, PullRecord, RedispatchRecord, Router,
+    RouterPolicy, SchedConfig, SchedEvent, SchedPolicy, SchedReport, SchedRequest, Scheduler,
+    SessionSummary, ShedRecord, SloBurnSummary, SloClass, SloMix, SortedSamples, StepPlan,
 };
 use longsight_tensor::SimRng;
 use std::collections::HashMap;
@@ -670,9 +670,8 @@ struct ReplicaSim<'a> {
     /// Fraction of the DReX offload budget retained this step; `1.0`
     /// outside brownouts, `profile.brownout_topk_factor` inside one.
     brownout_factor: f64,
-    /// Completion log with classes, in completion order: the request
-    /// latency samples, and the observable signal the circuit breaker is
-    /// driven by.
+    /// Completion log with classes, in completion order: the observable
+    /// signal the circuit breaker is driven by.
     completions: Vec<(SloClass, f64)>,
     /// Session turns in flight here; always empty on sessionless runs.
     turns: Vec<PendingTurn>,
@@ -699,6 +698,30 @@ thread_local! {
     /// `(step calls, scheduler steps)` run on this thread, so tests can pin
     /// run lengths that bit-identity alone would not notice shrinking.
     static RUN_COUNTS: std::cell::Cell<(usize, usize)> = const { std::cell::Cell::new((0, 0)) };
+    /// `(samples, buffer capacity, distinct values)` of every class token
+    /// ledger at the end of the last run on this thread, so tests can pin
+    /// the ledgers' memory.
+    static TOKEN_LEDGERS: std::cell::RefCell<Vec<(usize, usize, usize)>> =
+        const { std::cell::RefCell::new(Vec::new()) };
+}
+
+/// Notes every class token ledger's footprint for [`TOKEN_LEDGERS`]
+/// (tests only).
+fn note_token_ledgers(_replicas: &[ReplicaSim], _views: &[ClassViews]) {
+    #[cfg(test)]
+    TOKEN_LEDGERS.with(|l| {
+        *l.borrow_mut() = _replicas
+            .iter()
+            .zip(_views)
+            .flat_map(|(r, v)| {
+                let ledgers = r.sched.class_samples().map(|(tok, _)| tok);
+                ledgers
+                    .into_iter()
+                    .zip(v)
+                    .map(|(tok, (view, _))| (tok.len(), tok.capacity(), view.runs().len()))
+            })
+            .collect();
+    });
 }
 
 impl<'a> ReplicaSim<'a> {
@@ -1009,6 +1032,9 @@ impl<'a> ReplicaSim<'a> {
         if past_guard {
             // The steps before the one past the guard completed nothing
             // (`done` is empty); the guard step itself stays unaccounted.
+            // The run's request latencies are the scheduler's, so a
+            // completion dropped here would still count in them.
+            debug_assert!(done.is_empty(), "completion before the guard step");
             self.halted = true;
             return;
         }
@@ -1273,32 +1299,25 @@ fn attribute_step(
     }
 }
 
-/// The one `ServeMetrics` aggregation every run ends in: merged token and
-/// request samples, summed counters, the span of the slowest replica.
+/// The one `ServeMetrics` aggregation every run ends in: token and request
+/// latencies merged over every class of every replica (`views`, one entry
+/// per replica), summed counters, the span of the slowest replica.
 /// `offered` arrivals end completed, rejected, waiting, failed, shed
 /// (`shed` of them) or in flight. A token degraded by a token fault keeps
 /// none of its long-range top-k budget, one decoded under a brownout keeps
-/// `brownout_keep` of it. Returns the metrics with the sorted token and
-/// request latency samples.
+/// `brownout_keep` of it. Returns the metrics with the merged token and
+/// request latency views.
 fn serve_metrics(
     replicas: &[ReplicaSim],
+    views: &[ClassViews],
     offered: usize,
     shed: usize,
     brownout_keep: f64,
     rec: &mut Recorder,
 ) -> (ServeMetrics, SortedSamples, SortedSamples) {
     let sum = |count: fn(&ReplicaSim) -> usize| -> usize { replicas.iter().map(count).sum() };
-    let mut token_lat = LatencySamples::new();
-    let mut request_lat = LatencySamples::new();
-    for r in replicas {
-        for (tok, _) in r.sched.class_samples() {
-            token_lat.append(tok);
-        }
-        for c in &r.completions {
-            request_lat.push(c.1);
-        }
-    }
-    let (token_lat, request_lat) = (token_lat.sorted(), request_lat.sorted());
+    let token_lat = SortedSamples::merge(views.iter().flatten().map(|(tok, _)| tok));
+    let request_lat = SortedSamples::merge(views.iter().flatten().map(|(_, req)| req));
     let span_ns = replicas.iter().fold(0.0f64, |span, r| span.max(r.now));
     let (generated, batch_steps) = (sum(|r| r.generated_tokens), sum(|r| r.batch_steps));
     let degraded = sum(|r| r.degrade.degraded_tokens);
@@ -1626,26 +1645,30 @@ pub fn run<'s, S: DerefMut<Target = dyn ServingSystem + 's>>(
     }
 
     let shed = fleet.as_ref().map_or(0, |f| f.summary.shed.len());
+    let (mut reports, views): (Vec<SchedReport>, Vec<ClassViews>) = replicas
+        .iter_mut()
+        .map(|r| r.sched.finalize_views())
+        .unzip();
+    note_token_ledgers(&replicas, &views);
     let (metrics, token_lat, request_lat) = serve_metrics(
         &replicas,
+        &views,
         offered,
         shed,
         fopts.profile.brownout_topk_factor,
         rec,
     );
-    let mut reports: Vec<SchedReport> = replicas.iter_mut().map(|r| r.sched.finalize()).collect();
     let mut report = match fleet {
         // A lone replica's report already holds its per-class percentiles,
         // and it took every arrival placed, in id order.
         None => FleetReport::single(spec.router, reports.swap_remove(0)),
         Some(f) => {
-            let mut samples: [(LatencySamples, LatencySamples); 3] = Default::default();
-            for r in &replicas {
-                for (i, (tok, req)) in r.sched.class_samples().into_iter().enumerate() {
-                    samples[i].0.append(tok);
-                    samples[i].1.append(req);
-                }
-            }
+            let samples = [0, 1, 2].map(|i| {
+                (
+                    SortedSamples::merge(views.iter().map(|v| &v[i].0)),
+                    SortedSamples::merge(views.iter().map(|v| &v[i].1)),
+                )
+            });
             let faults = fopts.is_active().then_some(f.summary);
             FleetReport::assemble(spec.router, reports, placements, samples, faults)
         }
@@ -1681,11 +1704,11 @@ fn record_totals(
     let spec_pool = replicas[0].spec_pool.as_ref().filter(|_| lone);
     let sched = &report.replicas[0];
     if lone {
-        for t in token_lat.iter() {
-            rec.observe("serving.token_latency_ms", t);
+        for &(t, n) in token_lat.runs() {
+            rec.observe_n("serving.token_latency_ms", t, n as u64);
         }
-        for l in request_lat.iter() {
-            rec.observe("serving.request_latency_ms", l);
+        for &(l, n) in request_lat.runs() {
+            rec.observe_n("serving.request_latency_ms", l, n as u64);
         }
     }
     rec.counter_add("serving.completed", m.completed as u64);
@@ -2782,6 +2805,58 @@ mod tests {
         assert_eq!(macro_out, single_out);
         assert_eq!(single_counts, (steps, steps));
         assert_eq!((calls, steps), (187, 1649), "(step calls, scheduler steps)");
+    }
+
+    /// The long-context single-replica shape over a longer window: misses
+    /// and token-fault penalties make consecutive step durations differ,
+    /// so a ledger of runs in recording order would grow with the steps.
+    /// Every class token ledger must instead stay within about twice its
+    /// distinct values plus the compaction threshold.
+    #[test]
+    fn long_context_token_ledgers_stay_within_their_distinct_values() {
+        use crate::longsight::LookaheadConfig;
+        use longsight_faults::FaultProfile;
+        use longsight_sched::MIN_COMPACT_RUNS;
+        let model = ModelConfig::llama3_8b();
+        let wl = WorkloadConfig {
+            arrivals_per_s: 2.0,
+            context_tokens: (131_072, 1_048_576),
+            output_tokens: (32, 128),
+            duration_s: 600.0,
+            seed: 3,
+        };
+        let inj = FaultInjector::new(
+            FaultProfile {
+                hard_fail_rate: 0.0,
+                ..FaultProfile::mild()
+            },
+            7,
+        );
+        let spec = RunSpec {
+            token_faults: Some((inj, RetryPolicy::serving_default())),
+            ..RunSpec::new(model.clone(), wl)
+        };
+        let mut sys = LongSightSystem::new(
+            LongSightConfig::paper_default().with_lookahead(LookaheadConfig::serving_default()),
+            model,
+        );
+        let (m, _, _) = run(
+            &mut [&mut sys as &mut dyn ServingSystem],
+            &spec,
+            &mut Recorder::disabled(),
+            None,
+        )
+        .expect("one replica runs");
+        assert!(m.spec_misses > 0 && m.retried_tokens > 0, "{m:?}");
+        let ledgers = TOKEN_LEDGERS.with(|l| l.borrow().clone());
+        let samples: usize = ledgers.iter().map(|l| l.0).sum();
+        assert!(samples > 50 * MIN_COMPACT_RUNS, "{samples} token samples");
+        for &(len, capacity, distinct) in &ledgers {
+            assert!(
+                capacity <= 2 * distinct + MIN_COMPACT_RUNS,
+                "{capacity} runs held for {distinct} distinct values over {len} samples"
+            );
+        }
     }
 
     /// A crashy two-replica session fleet under ownership-blind JSQ:

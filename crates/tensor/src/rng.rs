@@ -12,6 +12,7 @@
 /// Used only to expand a 64-bit seed into the 256-bit xoshiro state, as the
 /// xoshiro authors prescribe (it guarantees a non-zero, well-mixed state for
 /// every seed, including 0).
+#[inline]
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
@@ -47,6 +48,7 @@ pub struct SimRng {
 
 impl SimRng {
     /// Creates an RNG from a 64-bit seed.
+    #[inline]
     pub fn seed_from(seed: u64) -> Self {
         let mut sm = seed;
         Self {
@@ -61,6 +63,7 @@ impl SimRng {
     }
 
     /// The next raw 64-bit output (xoshiro256** scrambler + state update).
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         let out = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
         let t = self.s[1] << 17;
@@ -83,6 +86,7 @@ impl SimRng {
     }
 
     /// Uniform `f64` in `[0, 1)` (53 high bits of one raw output).
+    #[inline]
     pub fn uniform(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }

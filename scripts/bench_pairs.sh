@@ -13,8 +13,18 @@
 #
 # Prints one line per pair, then, for each end-to-end metric of
 # BENCHMARK.json, the median [lower quartile, upper quartile] of each side
-# (quartiles interpolated linearly between order statistics) and the pairs
-# the working tree won (strictly better in the metric's direction).
+# (quartiles interpolated linearly between order statistics), the pairs
+# the working tree won (strictly better in the metric's direction) and one
+# verdict against the metric's relative `bound`, the first that applies:
+#   gain          the working tree won at least 9/10 of the pairs and its
+#                 median is better than the parent's by more than the
+#                 parent's interquartile range;
+#   regression    the working tree's median is worse than the parent's by
+#                 more than the bound (as a share of the parent's median);
+#   unresolved    the parent's interquartile range exceeds the bound (as a
+#                 share of its median): the runs spread too widely to tell;
+#   within bound  anything else.
+# The verdicts are printed only; they do not change the exit status.
 #
 # Exits 1 if a run fails or reports `"correct": false`, or if the two sides
 # of a pair attempted or failed different numbers of operations; exits 2 on
@@ -76,12 +86,13 @@ run() {
     tail -n 1 "$out.stdout" >"$out"
 }
 
-# The declared end-to-end metrics as "name better" lines.
+# The declared end-to-end metrics as "name better bound" lines.
 metrics=$(awk '
     /"end_to_end"/ { on = 1 }
     on && /"per_layer"/ { on = 0 }
     on && /"name"/ { gsub(/[",]/, "", $2); name = $2 }
-    on && /"better"/ { gsub(/[",]/, "", $2); print name, $2 }
+    on && /"better"/ { gsub(/[",]/, "", $2); better = $2 }
+    on && /"bound"/ { gsub(/[",]/, "", $2); print name, better, $2 }
 ' BENCHMARK.json)
 
 # Flattens a result line to "correct attempted failed name=value ...".
@@ -151,8 +162,8 @@ for ((i = 0; i < pairs; i++)); do
 done
 
 echo "== summary: median [quartiles], parent vs working tree =="
-while read -r name better; do
-    awk -v name="$name" -v better="$better" '
+while read -r name better bound; do
+    awk -v name="$name" -v better="$better" -v bound="$bound" '
         function sort(a, n,    i, j, t) {
             for (i = 2; i <= n; i++)
                 for (j = i; j > 1 && a[j - 1] > a[j]; j--) {
@@ -176,10 +187,19 @@ while read -r name better; do
             h[n] = value(side[2], name)
             if (better == "lower" ? h[n] < p[n] : h[n] > p[n]) won++
         }
+        # Share of the parent median `x` is of it (0 when that is 0).
+        function rel(x, base) { return base != 0 ? x / (base < 0 ? -base : base) : 0 }
         END {
             sort(p, n); sort(h, n)
-            printf "%s (%s is better): parent %.4g [%.4g, %.4g], working tree %.4g [%.4g, %.4g], won %d/%d\n",
-                name, better, q(p, n, 0.5), q(p, n, 0.25), q(p, n, 0.75),
-                q(h, n, 0.5), q(h, n, 0.25), q(h, n, 0.75), won, n
+            pm = q(p, n, 0.5); hm = q(h, n, 0.5)
+            iqr = q(p, n, 0.75) - q(p, n, 0.25)
+            gap = better == "lower" ? pm - hm : hm - pm
+            if (10 * won >= 9 * n && gap > iqr) verdict = "gain"
+            else if (rel(-gap, pm) > bound) verdict = "regression"
+            else if (rel(iqr, pm) > bound) verdict = "unresolved"
+            else verdict = "within bound"
+            printf "%s (%s is better, bound %s): parent %.4g [%.4g, %.4g], working tree %.4g [%.4g, %.4g], won %d/%d: %s\n",
+                name, better, bound, pm, q(p, n, 0.25), q(p, n, 0.75),
+                hm, q(h, n, 0.25), q(h, n, 0.75), won, n, verdict
         }' "$table"
 done <<<"$metrics"

@@ -139,14 +139,6 @@ impl LshFilter {
             .map(|(i, _)| i)
             .collect()
     }
-
-    /// Per-key filtering cost in bit operations (signature comparison),
-    /// relative to SCF's single packed-popcount pass. Reformer's filtering
-    /// is linear per token too, but with `tables × bits` hyperplane dot
-    /// products at *build* time per key — the overhead §3.1 highlights.
-    pub fn signature_build_flops(&self, dim: usize) -> usize {
-        self.tables() * self.bits * 2 * dim
-    }
 }
 
 #[cfg(test)]

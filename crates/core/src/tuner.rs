@@ -39,18 +39,6 @@ pub struct TunerConfig {
     pub max_rounds: usize,
 }
 
-impl TunerConfig {
-    /// Paper-style defaults for a given head dimension.
-    pub fn for_head_dim(head_dim: usize) -> Self {
-        Self {
-            quality_budget: 0.05,
-            step: (head_dim / 16).max(1) as u32,
-            max_threshold: head_dim as u32,
-            max_rounds: 256,
-        }
-    }
-}
-
 /// Outcome of a tuning run.
 #[derive(Debug, Clone)]
 pub struct TuneOutcome {

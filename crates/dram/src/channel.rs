@@ -71,15 +71,6 @@ impl ChannelStats {
         self.requests as f64 * burst_bytes as f64 / self.finish_time
     }
 
-    /// Mean request latency, ns.
-    pub fn mean_latency(&self) -> f64 {
-        if self.requests == 0 {
-            0.0
-        } else {
-            self.total_latency / self.requests as f64
-        }
-    }
-
     /// Row-buffer hit rate.
     pub fn hit_rate(&self) -> f64 {
         if self.requests == 0 {

@@ -87,11 +87,6 @@ impl DccSim {
         self.served
     }
 
-    /// Resets the NMA timelines (new measurement epoch).
-    pub fn reset_timelines(&mut self) {
-        self.nma_busy.iter_mut().for_each(|t| *t = 0.0);
-    }
-
     /// Schedules pre-timed slice workloads onto the NMA timelines, starting
     /// no earlier than `start_ns`. Returns `(device_done_ns, queue_wait_ns)`.
     ///

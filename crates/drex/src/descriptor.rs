@@ -62,12 +62,6 @@ impl ResponseDescriptor {
         let n: usize = self.hits.iter().flat_map(|h| h.iter()).map(Vec::len).sum();
         n * (self.head_dim * 2 + 8)
     }
-
-    /// Worst-case response size for sizing the Response Buffers:
-    /// `k` hits × heads × queries-per-head.
-    pub fn max_bytes(kv_heads: usize, group: usize, k: usize, head_dim: usize) -> usize {
-        kv_heads * group * k * (head_dim * 2 + 8)
-    }
 }
 
 #[cfg(test)]

@@ -175,11 +175,6 @@ impl TimeSeries {
         self.window_ns
     }
 
-    /// The burn-rate configuration.
-    pub fn burn_config(&self) -> &BurnConfig {
-        &self.burn
-    }
-
     fn window_of(&self, t_ns: f64) -> usize {
         if t_ns.is_finite() && t_ns > 0.0 {
             (t_ns / self.window_ns) as usize

@@ -65,6 +65,6 @@ pub use router::{
 };
 pub use samples::{LatencySamples, SortedSamples, MIN_COMPACT_RUNS};
 pub use scheduler::{
-    ActiveEntry, ClassReport, ClassViews, Completion, Evacuated, SchedConfig, SchedEvent,
-    SchedPolicy, SchedReport, Scheduler, StepPlan,
+    ClassReport, ClassViews, Completion, Member, SchedConfig, SchedEvent, SchedPolicy, SchedReport,
+    Scheduler, StepPlan,
 };

@@ -12,15 +12,14 @@
 //! When the run buffer is full (and holds at least [`MIN_COMPACT_RUNS`]
 //! runs), the population is compacted: its runs are sorted by
 //! [`f64::total_cmp`] and runs with equal bits are merged, the same
-//! operation [`LatencySamples::sorted`] performs. The buffer grows only
-//! when a compaction freed less than half of it, and a population whose
-//! compaction freed less than half stops compacting: its values are
-//! mostly distinct (request latencies), so another compaction would cost
-//! a sort and free little. A population of at most `MIN_COMPACT_RUNS / 2`
-//! distinct values therefore keeps the buffer its first compaction found
-//! (`MIN_COMPACT_RUNS` runs as `Vec` doubles today), however many samples
-//! it records. Compaction forgets the recording order; no read depends on
-//! it.
+//! operation [`LatencySamples::sorted`] performs. A compaction that
+//! freed less than half of the buffer grows it to twice the runs it kept,
+//! so the next compaction again finds at least half the buffer new. The
+//! buffer therefore holds at most `MIN_COMPACT_RUNS` runs or twice the
+//! population's distinct values, whichever is more, however many samples
+//! it records; a mostly distinct population (request latencies) pays one
+//! sort per doubling. Compaction forgets the recording order; no read
+//! depends on it.
 //!
 //! Percentiles are order statistics of the expanded population. A
 //! [`SortedSamples`] view holds one run per distinct bit pattern in
@@ -47,9 +46,6 @@ pub struct LatencySamples {
     /// Index of the run pushed last; the next push extends it when its
     /// value has the same bits.
     last: usize,
-    /// Set when a compaction freed less than half the buffer: the values
-    /// are mostly distinct and the buffer grows instead.
-    distinct: bool,
 }
 
 impl LatencySamples {
@@ -84,17 +80,21 @@ impl LatencySamples {
         self.runs.push((v, n));
     }
 
-    /// The buffer is full: compact it in place when that is still worth
-    /// it, so the next push lands without growing it.
+    /// The buffer is full: compact it in place once it holds
+    /// [`MIN_COMPACT_RUNS`] runs, and grow it to twice the runs kept when
+    /// that freed less than half of it.
     #[cold]
     #[inline(never)]
     fn full(&mut self) {
         let before = self.runs.len();
-        if self.distinct || before < MIN_COMPACT_RUNS {
+        if before < MIN_COMPACT_RUNS {
             return;
         }
         compact(&mut self.runs);
-        self.distinct = self.runs.len() * 2 > before;
+        let kept = self.runs.len();
+        if kept * 2 > before {
+            self.runs.reserve_exact(kept);
+        }
     }
 
     /// Number of samples (the sum of the run counts).

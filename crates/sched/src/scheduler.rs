@@ -7,12 +7,22 @@
 //! stays free of any latency model, and decisions come back as
 //! [`SchedEvent`]s for the caller to translate into trace instants.
 //!
-//! Two policies share the machinery:
+//! One record, [`Member`], carries a request through the machine: it
+//! moves from the wait queue into the running batch, back to the queue
+//! when evicted, and out of a crashed replica
+//! ([`Scheduler::crash_evacuate`]) into another replica's queue
+//! ([`Scheduler::on_redispatch`]). Each move sets only the fields it
+//! changes. One step plan serves both policies: a member whose prefill is
+//! done decodes, and the first `prefill_slots` members still prefilling
+//! advance one chunk each.
+//!
+//! The policies differ in admission only:
 //!
 //! * [`SchedPolicy::Fifo`] reproduces the legacy serving loop op-for-op:
-//!   arrival-order admission by step feasibility, no chunked prefill
-//!   (prefill folds into the request's own latency), no preemption. Pages
-//!   are tracked but never refuse — admission is the feasibility check.
+//!   arrival-order admission by step feasibility, no preemption, and no
+//!   chunked prefill — a member joins the batch decoding, with its prefill
+//!   folded into its own latency when it is admitted on arrival. Pages are
+//!   tracked but never refuse — admission is the feasibility check.
 //! * [`SchedPolicy::SloAware`] admits by the page ledger first (strict
 //!   priority with head-of-line order per class), interleaves chunked
 //!   prefill with decode steps, and evicts best-effort requests to
@@ -135,49 +145,45 @@ fn planned_chunk(chunk_ns: f64, left: f64) -> f64 {
     budget.min(left)
 }
 
-/// One request in the running batch.
-#[derive(Debug, Clone)]
-pub struct ActiveEntry {
-    /// The request.
+/// One request with its progress: waiting, in the running batch, or
+/// evacuated from a crashed replica for the router to place again.
+#[derive(Debug, Clone, Copy)]
+pub struct Member {
+    /// The request (original arrival time included, so a crash's latency
+    /// cost lands in the request's own tail).
     pub req: SchedRequest,
     /// Output tokens left to decode.
     pub remaining: usize,
     /// Tokens decoded so far (the fault-stream token index).
     pub generated: usize,
-    /// Prefill (or resume) work left before this request decodes, ns.
+    /// Prefill (or resume) work left before this request decodes, ns; 0
+    /// once it has reached decode.
     pub prefill_left_ns: f64,
     /// Whether this member decodes in the step planned by
-    /// [`Scheduler::plan_step`].
+    /// [`Scheduler::plan_step`] (read in the batch only).
     pub in_decode: bool,
     /// Whether degradation already released the DReX tail.
     pub window_only: bool,
+    /// Evicted: holds its DReX tail but no HBM window until it resumes.
+    preempted: bool,
+    /// Prefill chunk, ns, set at SLO-aware admission.
     chunk_ns: f64,
 }
 
-#[derive(Debug, Clone)]
-struct Waiting {
-    req: SchedRequest,
-    remaining: usize,
-    generated: usize,
-    preempted: bool,
-    prefill_left_ns: f64,
-    window_only: bool,
-}
-
-/// A request evacuated from a crashed replica, carrying its decode
-/// progress so the router can place it again elsewhere.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Evacuated {
-    /// The request descriptor (original arrival time included, so the
-    /// crash's latency cost lands in the request's own tail).
-    pub req: SchedRequest,
-    /// Output tokens still to decode.
-    pub remaining: usize,
-    /// Tokens decoded before the crash.
-    pub generated: usize,
-    /// Prefill work still outstanding at crash time, ns (0 when the
-    /// request had already reached decode).
-    pub prefill_left_ns: f64,
+impl Member {
+    /// A request as it arrives: nothing decoded, its whole prefill ahead.
+    pub fn new(req: SchedRequest) -> Self {
+        Self {
+            req,
+            remaining: req.output.max(1),
+            generated: 0,
+            prefill_left_ns: req.prefill_ns,
+            in_decode: false,
+            window_only: false,
+            preempted: false,
+            chunk_ns: 0.0,
+        }
+    }
 }
 
 /// A scheduling decision, for the caller to emit as a `sched.*` instant.
@@ -411,8 +417,8 @@ impl SchedReport {
 pub struct Scheduler {
     cfg: SchedConfig,
     pages: PagedKvManager,
-    active: Vec<ActiveEntry>,
-    waiting: Vec<Waiting>,
+    active: Vec<Member>,
+    waiting: Vec<Member>,
     /// The planned chunks as `(batch slot, ns)`, in plan order.
     chunks: Vec<(usize, f64)>,
     /// Steps of `chunks` applied since the plan (see [`Scheduler::chunk_step`]).
@@ -479,7 +485,7 @@ impl Scheduler {
 
     /// The running batch, in admission order.
     #[inline]
-    pub fn active(&self) -> &[ActiveEntry] {
+    pub fn active(&self) -> &[Member] {
         &self.active
     }
 
@@ -521,30 +527,11 @@ impl Scheduler {
     /// Returns the evacuees sorted by arrival id (the canonical redispatch
     /// order). Arrival/outcome counters stay: the requests did arrive here;
     /// where they end up is the fleet's bookkeeping.
-    pub fn crash_evacuate(&mut self) -> Vec<Evacuated> {
+    pub fn crash_evacuate(&mut self) -> Vec<Member> {
         self.chunks.clear();
         self.drained = false;
-        let active = std::mem::take(&mut self.active);
-        let waiting = std::mem::take(&mut self.waiting);
-        let mut out = Vec::with_capacity(active.len() + waiting.len());
-        for a in active {
-            self.pages.free_all(a.req.id);
-            out.push(Evacuated {
-                req: a.req,
-                remaining: a.remaining,
-                generated: a.generated,
-                prefill_left_ns: a.prefill_left_ns,
-            });
-        }
-        for w in waiting {
-            self.pages.free_all(w.req.id);
-            out.push(Evacuated {
-                req: w.req,
-                remaining: w.remaining,
-                generated: w.generated,
-                prefill_left_ns: w.prefill_left_ns,
-            });
-        }
+        let mut out = std::mem::take(&mut self.active);
+        out.append(&mut self.waiting);
         // Prefix discipline under a crash: each evacuee drops its *pin*
         // (refcount decrement), never the shared frames — a prefix pinned by
         // several sessions must survive any one of them evacuating. Only
@@ -552,14 +539,15 @@ impl Scheduler {
         // wholesale (the pooled-tier content died with the replica). The
         // evacuees' prefix handles are cleared so the redispatch target
         // never unpins a pin it does not hold.
-        for e in &mut out {
-            if let Some(h) = e.req.prefix_hash.take() {
+        for m in &mut out {
+            self.pages.free_all(m.req.id);
+            if let Some(h) = m.req.prefix_hash.take() {
                 self.pages.prefix_unpin(h);
             }
-            e.req.pull_ns = f64::INFINITY;
+            m.req.pull_ns = f64::INFINITY;
         }
         self.pages.prefix_crash_clear();
-        out.sort_by_key(|e| e.req.id);
+        out.sort_by_key(|m| m.req.id);
         out
     }
 
@@ -568,25 +556,21 @@ impl Scheduler {
     /// rebuild charge: requests caught mid-prefill redo the full prefill,
     /// requests that had reached decode pay the restore-vs-recompute
     /// resume cost from the device geometry.
-    pub fn on_redispatch(&mut self, e: Evacuated) {
+    pub fn on_redispatch(&mut self, mut m: Member) {
         self.drained = false;
-        self.class[e.req.class.index()].arrived += 1;
-        let prefill_left_ns = if e.prefill_left_ns > 0.0 {
-            e.req.prefill_ns
+        self.class[m.req.class.index()].arrived += 1;
+        m.prefill_left_ns = if m.prefill_left_ns > 0.0 {
+            m.req.prefill_ns
         } else {
-            e.req.resume_cost_ns()
+            m.req.resume_cost_ns()
         };
-        self.waiting.push(Waiting {
-            req: e.req,
-            remaining: e.remaining.max(1),
-            generated: e.generated,
-            preempted: false,
-            prefill_left_ns,
-            window_only: false,
-        });
+        m.remaining = m.remaining.max(1);
+        m.preempted = false;
+        m.window_only = false;
+        self.waiting.push(m);
         self.emit(SchedEvent::Queued {
-            id: e.req.id,
-            class: e.req.class,
+            id: m.req.id,
+            class: m.req.class,
         });
     }
 
@@ -629,11 +613,33 @@ impl Scheduler {
         [0, 1, 2].map(|i| (&self.class[i].token_lat_ms, &self.class[i].request_lat_ms))
     }
 
-    fn alloc_tracked(&mut self, id: usize, hbm: usize, drex: usize) {
+    /// Whether the batch grown by one member of context `ctx` evaluates:
+    /// the feasibility probe at the largest member context.
+    fn grown_fits(&self, ctx: usize, feasible: &mut dyn FnMut(usize, usize) -> bool) -> bool {
+        let max_ctx = self
+            .active
+            .iter()
+            .map(|r| r.req.context)
+            .fold(ctx, usize::max);
+        feasible(self.active.len() + 1, max_ctx)
+    }
+
+    /// FIFO admission: `m` joins the batch decoding (FIFO chunks no
+    /// prefill), with its pages tracked.
+    fn admit_decoding(&mut self, mut m: Member) {
+        let ctx = m.req.context;
+        let (hbm, drex) = (self.cfg.hbm_pages_for(ctx), self.cfg.drex_pages_for(ctx));
         // The FIFO ledger is non-enforcing, so this cannot refuse; if a
-        // caller misconfigures an enforcing FIFO ledger, the entry is simply
+        // caller misconfigures an enforcing FIFO ledger, the member is simply
         // not tracked (pages never gate FIFO decisions).
-        let _ = self.pages.try_alloc(id, hbm, drex);
+        let _ = self.pages.try_alloc(m.req.id, hbm, drex);
+        m.prefill_left_ns = 0.0;
+        m.in_decode = true;
+        self.active.push(m);
+        self.emit(SchedEvent::Admitted {
+            id: m.req.id,
+            class: m.req.class,
+        });
     }
 
     /// Offers an arriving request. `feasible(users, max_ctx)` must answer
@@ -642,9 +648,9 @@ impl Scheduler {
     /// FIFO reproduces the legacy loop exactly: join the batch when the
     /// grown batch evaluates at the largest member context (prefill folds
     /// into the request's own latency), reject when even a lone step can
-    /// never evaluate, queue otherwise. SLO-aware rejects requests that can
-    /// never fit (by feasibility or by page capacity) and queues everything
-    /// else; admission happens in [`Scheduler::drain_queue`].
+    /// never evaluate, queue otherwise. SLO-aware also rejects requests
+    /// whose pages exceed a tier's capacity, and queues everything else;
+    /// admission happens in [`Scheduler::drain_queue`].
     pub fn on_arrival(
         &mut self,
         req: SchedRequest,
@@ -652,84 +658,31 @@ impl Scheduler {
     ) {
         self.drained = false;
         self.class[req.class.index()].arrived += 1;
-        match self.cfg.policy {
-            SchedPolicy::Fifo => {
-                let max_ctx = self
-                    .active
-                    .iter()
-                    .map(|r| r.req.context)
-                    .fold(req.context, usize::max);
-                if feasible(self.active.len() + 1, max_ctx) {
-                    let mut admitted = req;
-                    admitted.arrival_ns -= req.prefill_ns; // fold prefill into latency
-                    self.prefill_work_ns += req.prefill_ns;
-                    let (hbm, drex) = (
-                        self.cfg.hbm_pages_for(req.context),
-                        self.cfg.drex_pages_for(req.context),
-                    );
-                    self.alloc_tracked(admitted.id, hbm, drex);
-                    self.active.push(ActiveEntry {
-                        req: admitted,
-                        remaining: req.output.max(1),
-                        generated: 0,
-                        prefill_left_ns: 0.0,
-                        in_decode: true,
-                        window_only: false,
-                        chunk_ns: 0.0,
-                    });
-                    self.emit(SchedEvent::Admitted {
-                        id: req.id,
-                        class: req.class,
-                    });
-                } else if !feasible(1, req.context) {
-                    self.rejected += 1; // can never be served
-                    self.class[req.class.index()].rejected += 1;
-                    self.emit(SchedEvent::Rejected {
-                        id: req.id,
-                        class: req.class,
-                    });
-                } else {
-                    self.waiting.push(Waiting {
-                        req,
-                        remaining: req.output.max(1),
-                        generated: 0,
-                        preempted: false,
-                        prefill_left_ns: req.prefill_ns,
-                        window_only: false,
-                    });
-                    self.emit(SchedEvent::Queued {
-                        id: req.id,
-                        class: req.class,
-                    });
-                }
-            }
-            SchedPolicy::SloAware => {
-                let hbm = self.cfg.hbm_pages_for(req.context);
-                let drex = self.cfg.drex_pages_for(req.context);
-                let never_fits = hbm > self.pages.config().hbm_limit_pages()
-                    || drex > self.pages.config().drex_capacity_pages;
-                if never_fits || !feasible(1, req.context) {
-                    self.rejected += 1;
-                    self.class[req.class.index()].rejected += 1;
-                    self.emit(SchedEvent::Rejected {
-                        id: req.id,
-                        class: req.class,
-                    });
-                } else {
-                    self.waiting.push(Waiting {
-                        req,
-                        remaining: req.output.max(1),
-                        generated: 0,
-                        preempted: false,
-                        prefill_left_ns: req.prefill_ns,
-                        window_only: false,
-                    });
-                    self.emit(SchedEvent::Queued {
-                        id: req.id,
-                        class: req.class,
-                    });
-                }
-            }
+        let mut m = Member::new(req);
+        let fifo = self.cfg.policy == SchedPolicy::Fifo;
+        if fifo && self.grown_fits(req.context, feasible) {
+            m.req.arrival_ns -= req.prefill_ns; // fold prefill into latency
+            self.prefill_work_ns += req.prefill_ns;
+            self.admit_decoding(m);
+            return;
+        }
+        let limits = self.pages.config();
+        let never_fits = !fifo
+            && (self.cfg.hbm_pages_for(req.context) > limits.hbm_limit_pages()
+                || self.cfg.drex_pages_for(req.context) > limits.drex_capacity_pages);
+        if never_fits || !feasible(1, req.context) {
+            self.rejected += 1;
+            self.class[req.class.index()].rejected += 1;
+            self.emit(SchedEvent::Rejected {
+                id: req.id,
+                class: req.class,
+            });
+        } else {
+            self.waiting.push(m);
+            self.emit(SchedEvent::Queued {
+                id: req.id,
+                class: req.class,
+            });
         }
     }
 
@@ -753,37 +706,14 @@ impl Scheduler {
             SchedPolicy::Fifo => {
                 let before = self.active.len();
                 let mut queue = std::mem::take(&mut self.waiting);
-                queue.retain(|w| {
-                    let max_ctx = self
-                        .active
-                        .iter()
-                        .map(|r| r.req.context)
-                        .fold(w.req.context, usize::max);
-                    if feasible(self.active.len() + 1, max_ctx) {
-                        // Legacy semantics: queue-admitted requests join
-                        // decode directly (their prefill was not folded).
-                        let (hbm, drex) = (
-                            self.cfg.hbm_pages_for(w.req.context),
-                            self.cfg.drex_pages_for(w.req.context),
-                        );
-                        self.alloc_tracked(w.req.id, hbm, drex);
-                        self.active.push(ActiveEntry {
-                            req: w.req,
-                            remaining: w.remaining,
-                            generated: w.generated,
-                            prefill_left_ns: 0.0,
-                            in_decode: true,
-                            window_only: false,
-                            chunk_ns: 0.0,
-                        });
-                        self.emit(SchedEvent::Admitted {
-                            id: w.req.id,
-                            class: w.req.class,
-                        });
-                        false
-                    } else {
-                        true
+                queue.retain(|&m| {
+                    // Legacy semantics: queue-admitted requests join decode
+                    // directly (their prefill was not folded).
+                    let admit = self.grown_fits(m.req.context, feasible);
+                    if admit {
+                        self.admit_decoding(m);
                     }
+                    !admit
                 });
                 self.waiting = queue;
                 self.drained = self.active.len() == before || self.waiting.is_empty();
@@ -828,12 +758,7 @@ impl Scheduler {
         }
         // Feasibility belt: never admit a batch the step model cannot
         // evaluate (e.g. the DCC queue depth).
-        let max_ctx = self
-            .active
-            .iter()
-            .map(|r| r.req.context)
-            .fold(req.context, usize::max);
-        if !feasible(self.active.len() + 1, max_ctx) {
+        if !self.grown_fits(req.context, feasible) {
             return false;
         }
 
@@ -852,118 +777,75 @@ impl Scheduler {
             return false;
         }
 
-        let w = self.waiting.remove(pick);
-        if w.preempted {
-            let cost = w.req.resume_cost_ns();
+        let mut m = self.waiting.remove(pick);
+        m.in_decode = false;
+        m.chunk_ns = self.cfg.chunk_ns_for(&req);
+        let ev = if m.preempted {
+            let cost = req.resume_cost_ns();
             self.resumes += 1;
             self.restore_charged_ns += cost;
-            self.active.push(ActiveEntry {
-                req: w.req,
-                remaining: w.remaining,
-                generated: w.generated,
-                prefill_left_ns: w.prefill_left_ns + cost,
-                in_decode: false,
-                window_only: w.window_only,
-                chunk_ns: self.cfg.chunk_ns_for(&w.req),
-            });
-            self.emit(SchedEvent::Resumed {
-                id: w.req.id,
-                class: w.req.class,
+            m.prefill_left_ns += cost;
+            m.preempted = false;
+            SchedEvent::Resumed {
+                id: req.id,
+                class: req.class,
                 cost_ns: cost,
-                restored: w.req.resume_restores(),
-            });
+                restored: req.resume_restores(),
+            }
         } else {
-            self.active.push(ActiveEntry {
-                req: w.req,
-                remaining: w.remaining,
-                generated: w.generated,
-                prefill_left_ns: w.prefill_left_ns,
-                in_decode: false,
-                window_only: w.window_only,
-                chunk_ns: self.cfg.chunk_ns_for(&w.req),
-            });
-            self.emit(SchedEvent::Admitted {
-                id: w.req.id,
-                class: w.req.class,
-            });
-        }
+            SchedEvent::Admitted {
+                id: req.id,
+                class: req.class,
+            }
+        };
+        self.active.push(m);
+        self.emit(ev);
         true
     }
 
     /// Evicts `self.active[pos]` to DReX-resident state.
     fn evict(&mut self, pos: usize) {
-        let a = self.active.remove(pos);
-        let freed = self.pages.release_hbm(a.req.id);
+        let mut m = self.active.remove(pos);
+        let freed = self.pages.release_hbm(m.req.id);
         self.preemptions += 1;
-        self.class[a.req.class.index()].preempted += 1;
-        self.waiting.push(Waiting {
-            req: a.req,
-            remaining: a.remaining,
-            generated: a.generated,
-            preempted: true,
-            prefill_left_ns: a.prefill_left_ns,
-            window_only: a.window_only,
-        });
+        self.class[m.req.class.index()].preempted += 1;
+        m.preempted = true;
+        self.waiting.push(m);
         self.emit(SchedEvent::Preempted {
-            id: a.req.id,
-            class: a.req.class,
+            id: m.req.id,
+            class: m.req.class,
             hbm_pages: freed,
         });
     }
 
-    /// Plans the next synchronized step: who decodes, who advances prefill,
-    /// and how much chunked-prefill work shares the step.
+    /// Plans the next synchronized step: members whose prefill is done
+    /// decode, and the first `prefill_slots` members still prefilling
+    /// advance one chunk each, sharing the step. A FIFO member is admitted
+    /// decoding, so a FIFO plan has no chunks.
     pub fn plan_step(&mut self) -> StepPlan {
         self.chunks.clear();
         self.chunk_steps = 0;
-        match self.cfg.policy {
-            SchedPolicy::Fifo => {
-                for a in &mut self.active {
-                    a.in_decode = true;
-                }
-                let users = self.active.len();
-                let max_ctx = self.active.iter().map(|r| r.req.context).max().unwrap_or(0);
-                StepPlan {
-                    users,
-                    decode_users: users,
-                    max_decode_ctx: max_ctx,
-                    prefill_ns: 0.0,
-                    prefill_users: 0,
-                }
+        let (mut decode_users, mut max_ctx) = (0usize, 0usize);
+        let mut slots = self.cfg.prefill_slots;
+        let mut prefill_ns = 0.0f64;
+        for (i, a) in self.active.iter_mut().enumerate() {
+            a.in_decode = a.prefill_left_ns <= 0.0;
+            if a.in_decode {
+                decode_users += 1;
+                max_ctx = max_ctx.max(a.req.context);
+            } else if slots > 0 {
+                let chunk = planned_chunk(a.chunk_ns, a.prefill_left_ns);
+                self.chunks.push((i, chunk));
+                prefill_ns += chunk;
+                slots -= 1;
             }
-            SchedPolicy::SloAware => {
-                let mut decode_users = 0usize;
-                let mut max_ctx = 0usize;
-                for a in &mut self.active {
-                    a.in_decode = a.prefill_left_ns <= 0.0;
-                    if a.in_decode {
-                        decode_users += 1;
-                        max_ctx = max_ctx.max(a.req.context);
-                    }
-                }
-                let mut slots = self.cfg.prefill_slots;
-                let mut prefill_ns = 0.0f64;
-                let mut prefill_users = 0usize;
-                for (i, a) in self.active.iter().enumerate() {
-                    if slots == 0 {
-                        break;
-                    }
-                    if !a.in_decode {
-                        let chunk = planned_chunk(a.chunk_ns, a.prefill_left_ns);
-                        self.chunks.push((i, chunk));
-                        prefill_ns += chunk;
-                        prefill_users += 1;
-                        slots -= 1;
-                    }
-                }
-                StepPlan {
-                    users: self.active.len(),
-                    decode_users,
-                    max_decode_ctx: max_ctx,
-                    prefill_ns,
-                    prefill_users,
-                }
-            }
+        }
+        StepPlan {
+            users: self.active.len(),
+            decode_users,
+            max_decode_ctx: max_ctx,
+            prefill_ns,
+            prefill_users: self.chunks.len(),
         }
     }
 
@@ -1145,9 +1027,9 @@ impl Scheduler {
     /// since averaging per-replica percentiles would be wrong.
     pub fn finalize_views(&mut self) -> (SchedReport, ClassViews) {
         let mut leaked = 0usize;
+        let members = || self.active.iter().chain(&self.waiting);
         for id in self.pages.holder_ids() {
-            let live = self.active.iter().any(|a| a.req.id == id)
-                || self.waiting.iter().any(|w| w.req.id == id);
+            let live = members().any(|m| m.req.id == id);
             if !live {
                 let (h, d) = self.pages.pages_of(id).unwrap_or((0, 0));
                 leaked += h + d;
@@ -1157,16 +1039,7 @@ impl Scheduler {
         // Refcount ≡ live sessions: every outstanding prefix pin must be
         // held by a request that is still active or waiting, one pin each.
         if invariant_violation.is_none() && self.pages.prefix_capacity() > 0 {
-            let live_pins = self
-                .active
-                .iter()
-                .filter(|a| a.req.prefix_hash.is_some())
-                .count()
-                + self
-                    .waiting
-                    .iter()
-                    .filter(|w| w.req.prefix_hash.is_some())
-                    .count();
+            let live_pins = members().filter(|m| m.req.prefix_hash.is_some()).count();
             let refs = self.pages.prefix_pinned_refs();
             if refs != live_pins {
                 invariant_violation = Some(format!(
@@ -1723,12 +1596,10 @@ mod tests {
                 // A member that had reached decode resumes (a zero-prefill
                 // one with `chunk_ns` 0); one caught mid-prefill redoes it.
                 let decoded = g.bool();
-                s.on_redispatch(Evacuated {
-                    req,
-                    remaining: req.output,
-                    generated: if decoded { g.usize_in(1, 8) } else { 0 },
-                    prefill_left_ns: if decoded { 0.0 } else { 1.0 },
-                });
+                let mut evacuee = Member::new(req);
+                evacuee.generated = if decoded { g.usize_in(1, 8) } else { 0 };
+                evacuee.prefill_left_ns = if decoded { 0.0 } else { 1.0 };
+                s.on_redispatch(evacuee);
             }
         }
         let limit = [1, g.usize_in(2, 9), 10_000][g.usize_in(0, 3)];

@@ -7,8 +7,9 @@
 //! Every comparison is by `to_bits()`: the ledger must return the very
 //! sample the sorted slice holds, not just an equal one. Populations run
 //! from a dozen pushes to tens of thousands, past the compaction threshold
-//! ([`MIN_COMPACT_RUNS`]), over a few distinct values (which must compact
-//! in a bounded buffer) and over all-distinct ones.
+//! ([`MIN_COMPACT_RUNS`]), over a few distinct values and over about
+//! 2,000 (which must compact in a bounded buffer) and over all-distinct
+//! ones.
 
 use longsight_sched::{LatencySamples, SortedSamples, MIN_COMPACT_RUNS};
 use longsight_tensor::check::{run_cases, run_seed, Gen};
@@ -172,7 +173,7 @@ fn compacted_ledger(g: &mut Gen) -> Result<(), String> {
     matches_oracle(g, &s, &flat)
 }
 
-/// All-distinct populations (request latencies) stop compacting and still
+/// All-distinct populations (request latencies) grow by doubling and still
 /// equal their expansion; a random share of the pushes are signed zeros
 /// and NaNs of both signs, so those tie across runs.
 fn distinct_ledger(g: &mut Gen) -> Result<(), String> {
@@ -187,6 +188,48 @@ fn distinct_ledger(g: &mut Gen) -> Result<(), String> {
         s.push_n(v, n);
         flat.extend(std::iter::repeat_n(v, n));
     }
+    matches_oracle(g, &s, &flat)
+}
+
+/// A population whose first compaction keeps more than half of the
+/// buffer, then settles on about 2,000 distinct values over tens of
+/// thousands of step changes (the shape of a busy replica's token
+/// ledger): it keeps compacting, within twice its distinct values plus
+/// the threshold, and equals its expansion.
+fn settling_ledger(g: &mut Gen) -> Result<(), String> {
+    let pool: Vec<f64> = (0..g.usize_in(1_800, 2_300))
+        .map(|k| match g.usize_in(0, 50) {
+            0 => value(g),
+            _ => k as f64 * 0.5 + 0.125,
+        })
+        .collect();
+    let mut s = LatencySamples::new();
+    let mut flat: Vec<f64> = Vec::new();
+    let (mut runs, mut first_kept) = (0usize, None);
+    for _ in 0..g.usize_in(20_000, 40_000) {
+        let v = pool[g.usize_in(0, pool.len())];
+        if flat.last().is_none_or(|l| l.to_bits() != v.to_bits()) {
+            if runs == MIN_COMPACT_RUNS {
+                first_kept = Some(distinct_bits(&flat));
+            }
+            runs += 1;
+        }
+        let n = g.usize_in(1, 4);
+        s.push_n(v, n);
+        flat.extend(std::iter::repeat_n(v, n));
+    }
+    let first_kept = first_kept.unwrap_or(0);
+    prop_ensure!(
+        first_kept * 2 > MIN_COMPACT_RUNS,
+        "the first compaction kept {first_kept} of {MIN_COMPACT_RUNS} runs"
+    );
+    let distinct = distinct_bits(&flat);
+    prop_ensure!(
+        s.capacity() <= 2 * distinct + MIN_COMPACT_RUNS,
+        "buffer of {} runs for {distinct} distinct values over {} samples",
+        s.capacity(),
+        flat.len()
+    );
     matches_oracle(g, &s, &flat)
 }
 
@@ -210,6 +253,15 @@ fn compacted_ledger_matches_its_expansion_in_a_bounded_buffer() {
         "compacted_ledger_matches_its_expansion_in_a_bounded_buffer",
         60,
         compacted_ledger,
+    );
+}
+
+#[test]
+fn settling_ledger_keeps_compacting_within_its_distinct_values() {
+    run_cases(
+        "settling_ledger_keeps_compacting_within_its_distinct_values",
+        16,
+        settling_ledger,
     );
 }
 

@@ -12,138 +12,14 @@
 //! replaced by a deterministic `(users, ctx) -> dt` cost. Completions, the
 //! per-class latency ledgers and the final reports must agree by bits.
 
+mod common;
+
+use common::{gen_case, step_dt, Case, Event};
 use longsight_sched::{
-    Completion, Evacuated, PageConfig, SchedConfig, SchedPolicy, SchedRequest, Scheduler, SloClass,
+    Completion, Member, PageConfig, SchedConfig, SchedRequest, Scheduler, SloClass,
 };
 use longsight_tensor::check::{run_cases, Gen};
 use longsight_tensor::{prop_ensure, prop_ensure_eq};
-
-/// Something that happens to the scheduler from outside, at a time.
-#[derive(Debug, Clone, Copy)]
-enum Event {
-    Arrive(SchedRequest),
-    /// Every in-flight request is evacuated and redispatched back onto
-    /// the same scheduler behind its rebuild charge.
-    Crash,
-}
-
-/// One generated scenario.
-#[derive(Debug, Clone)]
-struct Case {
-    cfg: SchedConfig,
-    /// Events in time order.
-    events: Vec<(f64, Event)>,
-    /// Step-model knobs: feasibility limits and the cost polynomial.
-    max_users: usize,
-    max_ctx: usize,
-    zero_cost: bool,
-    base_ns: f64,
-    per_user_ns: f64,
-    per_ctx_ns: f64,
-    /// `limit` passed to `steady_run`.
-    limit: usize,
-    /// Clock past which the loop stops stepping.
-    guard_ns: f64,
-}
-
-impl Case {
-    fn feasible(&self, users: usize, ctx: usize) -> bool {
-        users <= self.max_users && ctx <= self.max_ctx
-    }
-
-    /// The deterministic stand-in for the serving system's step cost.
-    fn cost(&self, users: usize, ctx: usize) -> f64 {
-        if self.zero_cost {
-            0.0
-        } else {
-            self.base_ns + users as f64 * self.per_user_ns + ctx as f64 * self.per_ctx_ns
-        }
-    }
-}
-
-fn class(g: &mut Gen) -> SloClass {
-    SloClass::ALL[g.usize_in(0, 3)]
-}
-
-fn gen_case(g: &mut Gen) -> Case {
-    let page_tokens = [16usize, 64, 256][g.usize_in(0, 3)];
-    let window_tokens = [256usize, 1024, usize::MAX][g.usize_in(0, 3)];
-    let max_context = g.usize_in(64, 3000);
-    let policy = if g.bool() {
-        SchedPolicy::Fifo
-    } else {
-        SchedPolicy::SloAware
-    };
-    // Tight HBM ceilings force evictions under SLO-aware admission.
-    let pages = PageConfig {
-        page_tokens,
-        hbm_capacity_pages: g.usize_in(2, 40),
-        drex_capacity_pages: g.usize_in(20, 400),
-        hbm_watermark: [1.0, 0.9, 0.75][g.usize_in(0, 3)],
-    };
-    // Chunks from one token up to one larger than the largest context.
-    let chunk_tokens = match g.usize_in(0, 4) {
-        0 => 1,
-        1 => g.usize_in(1, 16),
-        2 => g.usize_in(16, max_context),
-        _ => max_context + 1,
-    };
-    let mut cfg = match policy {
-        SchedPolicy::Fifo => SchedConfig::fifo(pages, window_tokens),
-        SchedPolicy::SloAware => SchedConfig::slo_aware(pages, window_tokens, chunk_tokens),
-    };
-    cfg.prefill_slots = g.usize_in(1, 4);
-
-    let mut events = Vec::new();
-    let mut t = 0.0f64;
-    let requests = g.usize_in(1, 14);
-    for id in 0..requests {
-        t += g.f64_in(0.0, 4e5);
-        let context = g.usize_in(1, max_context + 1);
-        let prefill_ns = match g.usize_in(0, 4) {
-            0 => 0.0,
-            _ => g.f64_in(1e3, 3e6),
-        };
-        let (restore_ns, recompute_ns) = match g.usize_in(0, 4) {
-            0 => (0.0, 0.0),
-            _ => (g.f64_in(0.0, 5e5), g.f64_in(0.0, 5e5)),
-        };
-        let req = SchedRequest {
-            id,
-            class: class(g),
-            arrival_ns: t,
-            context,
-            output: g.usize_in(0, 48),
-            prefill_ns,
-            restore_ns,
-            recompute_ns,
-            pull_ns: f64::INFINITY,
-            prefix_hash: None,
-        };
-        events.push((t, Event::Arrive(req)));
-    }
-    for _ in 0..g.usize_in(0, 3) {
-        events.push((g.f64_in(0.0, t + 2e6), Event::Crash));
-    }
-    events.sort_by(|a, b| a.0.total_cmp(&b.0));
-    let zero_cost = g.usize_in(0, 6) == 0;
-    Case {
-        cfg,
-        events,
-        max_users: g.usize_in(1, 10),
-        max_ctx: max_context - g.usize_in(0, max_context / 8 + 1),
-        zero_cost,
-        base_ns: g.f64_in(1e3, 1e5),
-        per_user_ns: g.f64_in(0.0, 3e4),
-        per_ctx_ns: g.f64_in(0.0, 50.0),
-        limit: if g.bool() {
-            usize::MAX
-        } else {
-            g.usize_in(0, 9)
-        },
-        guard_ns: if zero_cost { f64::INFINITY } else { 4e8 },
-    }
-}
 
 /// A latency ledger as its length and its sorted view's runs, `(value
 /// bits, count)`. Compaction forgets the recording order, so the ledgers
@@ -165,7 +41,7 @@ fn apply(s: &mut Scheduler, case: &Case, ev: Event) {
     match ev {
         Event::Arrive(req) => s.on_arrival(req, &mut |u, c| case.feasible(u, c)),
         Event::Crash => {
-            let evac: Vec<Evacuated> = s.crash_evacuate();
+            let evac: Vec<Member> = s.crash_evacuate();
             for e in evac {
                 s.on_redispatch(e);
             }
@@ -199,17 +75,6 @@ fn outcome(mut s: Scheduler, completions: Vec<Completion>, now: f64, steps: usiz
         now: now.to_bits(),
         steps,
     }
-}
-
-/// The step's duration: the decode batch's cost, or the chunked prefill
-/// alone when it is longer.
-fn step_dt(case: &Case, decode_users: usize, max_ctx: usize, prefill_ns: f64) -> f64 {
-    let base = if decode_users > 0 {
-        case.cost(decode_users, max_ctx)
-    } else {
-        0.0
-    };
-    base.max(prefill_ns)
 }
 
 /// The per-step loop: one plan, one clock tick, one advance per step.
@@ -431,12 +296,10 @@ fn a_quiet_prefill_runs_to_its_chunk_boundary() {
     resumed.restore_ns = 1e16;
     resumed.recompute_ns = 1e16;
     let mut s = chunked(&[pin_req(0, 512, 25, 0.0)]);
-    s.on_redispatch(Evacuated {
-        req: resumed,
-        remaining: 8,
-        generated: 1,
-        prefill_left_ns: 0.0,
-    });
+    let mut evacuee = Member::new(resumed);
+    evacuee.generated = 1;
+    evacuee.prefill_left_ns = 0.0;
+    s.on_redispatch(evacuee);
     s.drain_queue(&mut |_, _| true);
     assert_eq!(chunked_run(&mut s, 7), 7);
     assert_eq!(chunked_run(&mut s, usize::MAX), 18);

@@ -670,9 +670,10 @@ struct ReplicaSim<'a> {
     /// Fraction of the DReX offload budget retained this step; `1.0`
     /// outside brownouts, `profile.brownout_topk_factor` inside one.
     brownout_factor: f64,
-    /// Completion log with classes, in completion order: the observable
-    /// signal the circuit breaker is driven by.
-    completions: Vec<(SloClass, f64)>,
+    /// Completions with classes not yet fed to this replica's circuit
+    /// breaker, in completion order: the observable signal it is driven
+    /// by. `None` on runs without breakers.
+    completions: Option<Vec<(SloClass, f64)>>,
     /// Session turns in flight here; always empty on sessionless runs.
     turns: Vec<PendingTurn>,
     /// The overload guard, four horizons: a step ending past it stays
@@ -767,7 +768,7 @@ impl<'a> ReplicaSim<'a> {
             brownout_tokens: 0,
             down: false,
             brownout_factor: 1.0,
-            completions: Vec::new(),
+            completions: None,
             turns: Vec::new(),
             guard_ns,
             halted: false,
@@ -1045,7 +1046,9 @@ impl<'a> ReplicaSim<'a> {
                 let (hash, pages) = self.turns.swap_remove(pos).publish;
                 self.sched.pages_mut().prefix_insert(hash, pages);
             }
-            self.completions.push((c.class, c.latency_ms));
+            if let Some(log) = self.completions.as_mut() {
+                log.push((c.class, c.latency_ms));
+            }
             if ts_on {
                 rec.timeseries
                     .observe_ms("lat.request_ms", self.now, c.latency_ms);
@@ -1525,6 +1528,7 @@ pub fn run<'s, S: DerefMut<Target = dyn ServingSystem + 's>>(
         r.sched
             .pages_mut()
             .set_prefix_capacity(sess.prefix_cache_pages);
+        r.completions = fopts.breaker.map(|_| Vec::new());
         replicas.push(r);
     }
 
@@ -1577,7 +1581,7 @@ pub fn run<'s, S: DerefMut<Target = dyn ServingSystem + 's>>(
                 rec.timeseries.rate_add("arrivals", a.arrival_ns, 1.0);
                 0
             }
-            Some(f) => match f.route(&a, &replicas, owned, rec) {
+            Some(f) => match f.route(&a, &mut replicas, owned, rec) {
                 Some(pick) => {
                     placements.push((a.id, pick));
                     pick
@@ -1895,9 +1899,8 @@ struct FleetCtl<'a> {
     breakers: Option<Vec<CircuitBreaker>>,
     summary: FleetFaultSummary,
     down_since: Vec<f64>,
-    /// Completions and degraded tokens of each replica its breaker has
-    /// already seen.
-    fed: Vec<(usize, u64)>,
+    /// Degraded tokens of each replica its breaker has already seen.
+    fed: Vec<u64>,
 }
 
 impl<'a> FleetCtl<'a> {
@@ -1922,7 +1925,7 @@ impl<'a> FleetCtl<'a> {
             breakers: fopts.breaker.map(|cfg| vec![CircuitBreaker::new(cfg); n]),
             summary: FleetFaultSummary::new(n, offered),
             down_since: vec![0.0; n],
-            fed: vec![(0, 0); n],
+            fed: vec![0; n],
         }
     }
 
@@ -1936,7 +1939,7 @@ impl<'a> FleetCtl<'a> {
     fn route(
         &mut self,
         a: &Arrival,
-        replicas: &[ReplicaSim],
+        replicas: &mut [ReplicaSim],
         owned: Option<(usize, usize)>,
         rec: &mut Recorder,
     ) -> Option<usize> {
@@ -1989,18 +1992,17 @@ impl<'a> FleetCtl<'a> {
     /// breaker observes exactly what a real front-end can observe, never
     /// the fault schedule itself — and samples its `r{i}.breaker` gauge.
     /// Transitions land on the fault track.
-    fn feed_breakers(&mut self, replicas: &[ReplicaSim], now_ns: f64, rec: &mut Recorder) {
+    fn feed_breakers(&mut self, replicas: &mut [ReplicaSim], now_ns: f64, rec: &mut Recorder) {
         let Some(bs) = self.breakers.as_mut() else {
             return;
         };
-        for (i, ((r, b), (done, degraded))) in
-            replicas.iter().zip(bs).zip(&mut self.fed).enumerate()
-        {
-            let mut transitions: Vec<Option<BreakerState>> = r.completions[*done..]
-                .iter()
-                .map(|&(class, lat)| b.note_completion(class, lat, now_ns))
+        for (i, ((r, b), degraded)) in replicas.iter_mut().zip(bs).zip(&mut self.fed).enumerate() {
+            let mut transitions: Vec<Option<BreakerState>> = r
+                .completions
+                .iter_mut()
+                .flat_map(|log| log.drain(..))
+                .map(|(class, lat)| b.note_completion(class, lat, now_ns))
                 .collect();
-            *done = r.completions.len();
             let total = r.degrade.degraded_tokens as u64;
             if total > *degraded {
                 transitions.push(b.note_degraded(total - *degraded, now_ns));

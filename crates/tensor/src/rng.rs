@@ -115,11 +115,6 @@ impl SimRng {
         r * theta.cos()
     }
 
-    /// Normal deviate with the given mean and standard deviation.
-    pub fn normal_with(&mut self, mean: f64, std_dev: f64) -> f64 {
-        mean + std_dev * self.normal()
-    }
-
     /// Fills a fresh `f32` vector with i.i.d. `N(0, 1)` entries.
     pub fn normal_vec(&mut self, n: usize) -> Vec<f32> {
         (0..n).map(|_| self.normal() as f32).collect()

@@ -161,6 +161,21 @@ fn session_flag_contradictions_fail_with_exit_1_and_a_diagnostic() {
 }
 
 #[test]
+fn unservable_rates_and_durations_fail_with_exit_1_and_a_diagnostic() {
+    // A negative or NaN rate, or a NaN duration, would never end the
+    // arrival generator; they are refused before anything is generated.
+    for (flag, bad) in [("--rate", "-1"), ("--rate", "nan"), ("--duration", "nan")] {
+        let out = longsight(&["loadtest", "--model", "1b", flag, bad]);
+        assert_eq!(out.status.code(), Some(1), "{flag} {bad}");
+        assert!(
+            stderr_of(&out).contains("invalid workload"),
+            "stderr must name the workload for {flag} {bad}: {}",
+            stderr_of(&out)
+        );
+    }
+}
+
+#[test]
 fn dashboard_and_perf_diff_reject_missing_or_malformed_files() {
     let dir = tmpdir("files");
     let missing = dir.join("does-not-exist.tsv");

@@ -38,15 +38,17 @@
 //!
 //! The crate is dependency-free and knows nothing about latency models or
 //! observability: feasibility is a callback, costs arrive precomputed on
-//! each [`SchedRequest`], and decisions come back as [`SchedEvent`]s. The
-//! serving loop in `longsight-system` owns simulated time and translates
-//! events into trace instants, which keeps every scheduling decision —
-//! including fleet placement — a pure function of the (seed, workload,
-//! config) triple — bit-identical at any thread count.
+//! each [`SchedRequest`] as whole picoseconds ([`clock`]), and decisions
+//! come back as [`SchedEvent`]s. The serving loop in `longsight-system`
+//! owns simulated time and translates events into trace instants, which
+//! keeps every scheduling decision — including fleet placement — a pure
+//! function of the (seed, workload, config) triple — bit-identical at any
+//! thread count.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod clock;
 pub mod fleet;
 pub mod pages;
 pub mod request;

@@ -2,6 +2,7 @@
 //! per-request descriptor, and the device geometry that turns context
 //! lengths into page counts and resume costs.
 
+use crate::clock::ps;
 use crate::pages::PageConfig;
 
 /// Service-level objective class of a request, in priority order.
@@ -148,29 +149,33 @@ impl ResumePath {
     }
 }
 
-/// One request as the scheduler sees it.
+/// One request as the scheduler sees it. Times and costs are whole
+/// picoseconds of simulated time ([`crate::clock`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SchedRequest {
     /// Arrival-ordered ID (doubles as the priority tiebreaker).
     pub id: usize,
     /// SLO class.
     pub class: SloClass,
-    /// Arrival time, ns of simulated time.
-    pub arrival_ns: f64,
+    /// Arrival time, ps. A FIFO admit on arrival folds the prefill into the
+    /// request's latency by moving this back by the prefill, modulo 2⁶⁴:
+    /// latencies are taken as `now.wrapping_sub(arrival_ps)`, exact while
+    /// the true latency fits.
+    pub arrival_ps: u64,
     /// Prompt length, tokens (frozen at admission).
     pub context: usize,
     /// Output (decode) length, tokens.
     pub output: usize,
-    /// Full prefill cost of the prompt, ns.
-    pub prefill_ns: f64,
-    /// Cost of restoring the evicted HBM window from DReX over the link, ns.
-    pub restore_ns: f64,
-    /// Cost of recomputing the HBM window from scratch on the GPU, ns.
-    pub recompute_ns: f64,
+    /// Full prefill cost of the prompt, ps.
+    pub prefill_ps: u64,
+    /// Cost of restoring the evicted HBM window from DReX over the link, ps.
+    pub restore_ps: u64,
+    /// Cost of recomputing the HBM window from scratch on the GPU, ps.
+    pub recompute_ps: u64,
     /// Cost of pulling the session prefix from a peer replica's cache over
-    /// the pooled-DReX fabric, ns. `f64::INFINITY` when no remote copy
-    /// exists (every cold request).
-    pub pull_ns: f64,
+    /// the pooled-DReX fabric, ps. `u64::MAX` when no remote copy exists
+    /// (every cold request).
+    pub pull_ps: u64,
     /// Content hash of the prefix this request holds a pin on in its
     /// replica's prefix cache; `None` for cold or unpinned requests. The
     /// scheduler drops the pin on completion, failure, and crash.
@@ -178,19 +183,19 @@ pub struct SchedRequest {
 }
 
 impl SchedRequest {
-    /// The deterministic resume cost: the cheapest of restore-from-DReX,
-    /// pull-from-peer, and recompute-on-GPU.
-    pub fn resume_cost_ns(&self) -> f64 {
-        self.restore_ns.min(self.recompute_ns).min(self.pull_ns)
+    /// The deterministic resume cost, ps: the cheapest of
+    /// restore-from-DReX, pull-from-peer, and recompute-on-GPU.
+    pub fn resume_cost_ps(&self) -> u64 {
+        self.restore_ps.min(self.recompute_ps).min(self.pull_ps)
     }
 
     /// Which of the three resume paths is cheapest. Ties break toward the
     /// cheaper fabric (restore, then pull) over burning GPU flops.
     pub fn resume_path(&self) -> ResumePath {
-        let cost = self.resume_cost_ns();
-        if self.restore_ns <= cost {
+        let cost = self.resume_cost_ps();
+        if self.restore_ps <= cost {
             ResumePath::Restore
-        } else if self.pull_ns <= cost {
+        } else if self.pull_ps <= cost {
             ResumePath::Pull
         } else {
             ResumePath::Recompute
@@ -240,14 +245,14 @@ impl KvDeviceGeometry {
         (context.saturating_sub(self.window_tokens)).div_ceil(self.page_tokens.max(1))
     }
 
-    /// Restore-from-DReX cost of the request's window, ns.
-    pub fn restore_ns(&self, context: usize) -> f64 {
-        self.hbm_pages_for(context) as f64 * self.restore_ns_per_page
+    /// Restore-from-DReX cost of the request's window, ps.
+    pub fn restore_ps(&self, context: usize) -> u64 {
+        ps(self.hbm_pages_for(context) as f64 * self.restore_ns_per_page)
     }
 
-    /// Recompute-on-GPU cost of the request's window, ns.
-    pub fn recompute_ns(&self, context: usize) -> f64 {
-        self.resident_tokens(context) as f64 * self.recompute_ns_per_token
+    /// Recompute-on-GPU cost of the request's window, ps.
+    pub fn recompute_ps(&self, context: usize) -> u64 {
+        ps(self.resident_tokens(context) as f64 * self.recompute_ns_per_token)
     }
 
     /// The [`PageConfig`] this geometry induces under `watermark`.
@@ -333,7 +338,7 @@ mod tests {
         assert_eq!(g.hbm_pages_for(512), 1);
         assert_eq!(g.drex_pages_for(512), 0);
         // Restore 2 pages vs recompute 1040 tokens: restore wins.
-        assert!(g.restore_ns(8192) < g.recompute_ns(8192));
+        assert!(g.restore_ps(8192) < g.recompute_ps(8192));
     }
 
     #[test]
@@ -397,16 +402,16 @@ mod tests {
         let r = SchedRequest {
             id: 0,
             class: SloClass::BestEffort,
-            arrival_ns: 0.0,
+            arrival_ps: 0,
             context: 4096,
             output: 16,
-            prefill_ns: 1e6,
-            restore_ns: 5e3,
-            recompute_ns: 8e3,
-            pull_ns: f64::INFINITY,
+            prefill_ps: 1_000_000,
+            restore_ps: 5_000,
+            recompute_ps: 8_000,
+            pull_ps: u64::MAX,
             prefix_hash: None,
         };
-        assert_eq!(r.resume_cost_ns(), 5e3);
+        assert_eq!(r.resume_cost_ps(), 5_000);
         assert!(r.resume_restores());
         assert_eq!(r.resume_path(), ResumePath::Restore);
     }
@@ -416,32 +421,32 @@ mod tests {
         let base = SchedRequest {
             id: 0,
             class: SloClass::Interactive,
-            arrival_ns: 0.0,
+            arrival_ps: 0,
             context: 4096,
             output: 16,
-            prefill_ns: 1e6,
-            restore_ns: 5e3,
-            recompute_ns: 8e3,
-            pull_ns: 3e3,
+            prefill_ps: 1_000_000,
+            restore_ps: 5_000,
+            recompute_ps: 8_000,
+            pull_ps: 3_000,
             prefix_hash: None,
         };
         // Pull is cheapest: the pooled fabric wins.
-        assert_eq!(base.resume_cost_ns(), 3e3);
+        assert_eq!(base.resume_cost_ps(), 3_000);
         assert_eq!(base.resume_path(), ResumePath::Pull);
         assert!(!base.resume_restores());
         // Pull ties restore: restore wins (local fabric first).
         let tied = SchedRequest {
-            pull_ns: 5e3,
+            pull_ps: 5_000,
             ..base
         };
         assert_eq!(tied.resume_path(), ResumePath::Restore);
         // Recompute cheapest when both fabrics are expensive.
         let gpu = SchedRequest {
-            restore_ns: 9e3,
-            pull_ns: 9e3,
+            restore_ps: 9_000,
+            pull_ps: 9_000,
             ..base
         };
         assert_eq!(gpu.resume_path(), ResumePath::Recompute);
-        assert_eq!(gpu.resume_cost_ns(), 8e3);
+        assert_eq!(gpu.resume_cost_ps(), 8_000);
     }
 }

@@ -29,6 +29,7 @@
 //!   DReX-resident state when a higher class cannot get HBM pages, charging
 //!   the deterministic restore-or-recompute cost on resume.
 
+use crate::clock::{ms, ns};
 use crate::pages::{PageConfig, PageStats, PagedKvManager};
 use crate::request::{SchedRequest, SloClass};
 use crate::samples::{LatencySamples, SortedSamples};
@@ -81,7 +82,7 @@ pub struct SchedConfig {
     /// tail to DReX pages. `usize::MAX` keeps everything HBM-resident.
     pub window_tokens: usize,
     /// Prefill chunk size in prompt tokens (SLO-aware): each scheduled
-    /// chunk contributes `prefill_ns × chunk/context` of work to one step.
+    /// chunk contributes `⌈prefill_ps × chunk/context⌉` of work to one step.
     pub prefill_chunk_tokens: usize,
     /// Concurrent requests advancing prefill per step. Must be ≥ 1: a
     /// zero-slot scheduler could never finish a prefill, so callers (the
@@ -123,26 +124,37 @@ impl SchedConfig {
             .pages_for(context.saturating_sub(self.window_tokens))
     }
 
-    fn chunk_ns_for(&self, req: &SchedRequest) -> f64 {
+    /// A request's chunk, ps: its prefill's share of `prefill_chunk_tokens`
+    /// of its context, rounded up, so a ps residue never adds a chunk.
+    fn chunk_ps_for(&self, req: &SchedRequest) -> u64 {
         if self.prefill_chunk_tokens >= req.context || req.context == 0 {
-            req.prefill_ns
+            req.prefill_ps
         } else {
-            req.prefill_ns * (self.prefill_chunk_tokens as f64 / req.context as f64)
+            let share = u128::from(req.prefill_ps) * self.prefill_chunk_tokens as u128;
+            share.div_ceil(req.context as u128) as u64
         }
     }
 }
 
-/// Prefill (or resume) work at or under this many ns counts as finished.
-const PREFILL_DONE_NS: f64 = 1e-6;
-
 /// The chunk a prefilling member advances by in a step that starts with
-/// `left` ns of its prefill outstanding. A member whose chunk size is zero
+/// `left` ps of its prefill outstanding. A member whose chunk size is zero
 /// (a zero-prefill request that still owes resume cost) drains it in one
 /// chunk rather than stalling.
 #[inline]
-fn planned_chunk(chunk_ns: f64, left: f64) -> f64 {
-    let budget = if chunk_ns > 0.0 { chunk_ns } else { left };
+fn planned_chunk(chunk_ps: u64, left: u64) -> u64 {
+    let budget = if chunk_ps > 0 { chunk_ps } else { left };
     budget.min(left)
+}
+
+/// How many steps repeat a `chunk` planned with `left` ps outstanding:
+/// its full chunks, `left / chunk`, at least the one planned. What they
+/// leave is nothing (the member decodes) or a smaller last chunk, and
+/// either changes the plan.
+#[inline]
+fn chunk_run(chunk: u64, left: u64) -> usize {
+    usize::try_from(left / chunk.max(1))
+        .unwrap_or(usize::MAX)
+        .max(1)
 }
 
 /// One request with its progress: waiting, in the running batch, or
@@ -156,9 +168,9 @@ pub struct Member {
     pub remaining: usize,
     /// Tokens decoded so far (the fault-stream token index).
     pub generated: usize,
-    /// Prefill (or resume) work left before this request decodes, ns; 0
+    /// Prefill (or resume) work left before this request decodes, ps; 0
     /// once it has reached decode.
-    pub prefill_left_ns: f64,
+    pub prefill_left_ps: u64,
     /// Whether this member decodes in the step planned by
     /// [`Scheduler::plan_step`] (read in the batch only).
     pub in_decode: bool,
@@ -166,8 +178,8 @@ pub struct Member {
     pub window_only: bool,
     /// Evicted: holds its DReX tail but no HBM window until it resumes.
     preempted: bool,
-    /// Prefill chunk, ns, set at SLO-aware admission.
-    chunk_ns: f64,
+    /// Prefill chunk, ps, set at SLO-aware admission.
+    chunk_ps: u64,
 }
 
 impl Member {
@@ -177,11 +189,11 @@ impl Member {
             req,
             remaining: req.output.max(1),
             generated: 0,
-            prefill_left_ns: req.prefill_ns,
+            prefill_left_ps: req.prefill_ps,
             in_decode: false,
             window_only: false,
             preempted: false,
-            chunk_ns: 0.0,
+            chunk_ps: 0,
         }
     }
 }
@@ -225,8 +237,8 @@ pub enum SchedEvent {
         id: usize,
         /// SLO class.
         class: SloClass,
-        /// Resume cost charged before it decodes again, ns.
-        cost_ns: f64,
+        /// Resume cost charged before it decodes again, ps.
+        cost_ps: u64,
         /// `true` when the window restores from DReX, `false` when it
         /// recomputes on the GPU.
         restored: bool,
@@ -265,8 +277,8 @@ pub struct StepPlan {
     pub decode_users: usize,
     /// Largest context among decoding members (0 when none decode).
     pub max_decode_ctx: usize,
-    /// Total chunked-prefill work sharing this step, ns.
-    pub prefill_ns: f64,
+    /// Total chunked-prefill work sharing this step, ps.
+    pub prefill_ps: u64,
     /// Members advancing prefill this step.
     pub prefill_users: usize,
 }
@@ -419,10 +431,8 @@ pub struct Scheduler {
     pages: PagedKvManager,
     active: Vec<Member>,
     waiting: Vec<Member>,
-    /// The planned chunks as `(batch slot, ns)`, in plan order.
-    chunks: Vec<(usize, f64)>,
-    /// Steps of `chunks` applied since the plan (see [`Scheduler::chunk_step`]).
-    chunk_steps: usize,
+    /// The planned chunks as `(batch slot, ps)`, in plan order.
+    chunks: Vec<(usize, u64)>,
     events: Vec<SchedEvent>,
     record_events: bool,
     /// Whether the last [`Scheduler::drain_queue`] pass reached a fixpoint
@@ -432,9 +442,9 @@ pub struct Scheduler {
     rejected: usize,
     preemptions: usize,
     resumes: usize,
-    restore_charged_ns: f64,
+    restore_charged_ps: u64,
     prefill_chunks: usize,
-    prefill_work_ns: f64,
+    prefill_work_ps: u64,
     class: [ClassAccum; 3],
 }
 
@@ -452,16 +462,15 @@ impl Scheduler {
             active: Vec::new(),
             waiting: Vec::new(),
             chunks: Vec::new(),
-            chunk_steps: 0,
             events: Vec::new(),
             record_events: false,
             drained: true,
             rejected: 0,
             preemptions: 0,
             resumes: 0,
-            restore_charged_ns: 0.0,
+            restore_charged_ps: 0,
             prefill_chunks: 0,
-            prefill_work_ns: 0.0,
+            prefill_work_ps: 0,
             class: Default::default(),
         }
     }
@@ -544,7 +553,7 @@ impl Scheduler {
             if let Some(h) = m.req.prefix_hash.take() {
                 self.pages.prefix_unpin(h);
             }
-            m.req.pull_ns = f64::INFINITY;
+            m.req.pull_ps = u64::MAX;
         }
         self.pages.prefix_crash_clear();
         out.sort_by_key(|m| m.req.id);
@@ -559,10 +568,10 @@ impl Scheduler {
     pub fn on_redispatch(&mut self, mut m: Member) {
         self.drained = false;
         self.class[m.req.class.index()].arrived += 1;
-        m.prefill_left_ns = if m.prefill_left_ns > 0.0 {
-            m.req.prefill_ns
+        m.prefill_left_ps = if m.prefill_left_ps > 0 {
+            m.req.prefill_ps
         } else {
-            m.req.resume_cost_ns()
+            m.req.resume_cost_ps()
         };
         m.remaining = m.remaining.max(1);
         m.preempted = false;
@@ -633,7 +642,7 @@ impl Scheduler {
         // caller misconfigures an enforcing FIFO ledger, the member is simply
         // not tracked (pages never gate FIFO decisions).
         let _ = self.pages.try_alloc(m.req.id, hbm, drex);
-        m.prefill_left_ns = 0.0;
+        m.prefill_left_ps = 0;
         m.in_decode = true;
         self.active.push(m);
         self.emit(SchedEvent::Admitted {
@@ -661,8 +670,9 @@ impl Scheduler {
         let mut m = Member::new(req);
         let fifo = self.cfg.policy == SchedPolicy::Fifo;
         if fifo && self.grown_fits(req.context, feasible) {
-            m.req.arrival_ns -= req.prefill_ns; // fold prefill into latency
-            self.prefill_work_ns += req.prefill_ns;
+            // Fold the prefill into the latency (see `arrival_ps`).
+            m.req.arrival_ps = req.arrival_ps.wrapping_sub(req.prefill_ps);
+            self.prefill_work_ps += req.prefill_ps;
             self.admit_decoding(m);
             return;
         }
@@ -779,17 +789,17 @@ impl Scheduler {
 
         let mut m = self.waiting.remove(pick);
         m.in_decode = false;
-        m.chunk_ns = self.cfg.chunk_ns_for(&req);
+        m.chunk_ps = self.cfg.chunk_ps_for(&req);
         let ev = if m.preempted {
-            let cost = req.resume_cost_ns();
+            let cost = req.resume_cost_ps();
             self.resumes += 1;
-            self.restore_charged_ns += cost;
-            m.prefill_left_ns += cost;
+            self.restore_charged_ps += cost;
+            m.prefill_left_ps += cost;
             m.preempted = false;
             SchedEvent::Resumed {
                 id: req.id,
                 class: req.class,
-                cost_ns: cost,
+                cost_ps: cost,
                 restored: req.resume_restores(),
             }
         } else {
@@ -824,19 +834,18 @@ impl Scheduler {
     /// decoding, so a FIFO plan has no chunks.
     pub fn plan_step(&mut self) -> StepPlan {
         self.chunks.clear();
-        self.chunk_steps = 0;
         let (mut decode_users, mut max_ctx) = (0usize, 0usize);
         let mut slots = self.cfg.prefill_slots;
-        let mut prefill_ns = 0.0f64;
+        let mut prefill_ps = 0u64;
         for (i, a) in self.active.iter_mut().enumerate() {
-            a.in_decode = a.prefill_left_ns <= 0.0;
+            a.in_decode = a.prefill_left_ps == 0;
             if a.in_decode {
                 decode_users += 1;
                 max_ctx = max_ctx.max(a.req.context);
             } else if slots > 0 {
-                let chunk = planned_chunk(a.chunk_ns, a.prefill_left_ns);
+                let chunk = planned_chunk(a.chunk_ps, a.prefill_left_ps);
                 self.chunks.push((i, chunk));
-                prefill_ns += chunk;
+                prefill_ps = prefill_ps.saturating_add(chunk);
                 slots -= 1;
             }
         }
@@ -844,7 +853,7 @@ impl Scheduler {
             users: self.active.len(),
             decode_users,
             max_decode_ctx: max_ctx,
-            prefill_ns,
+            prefill_ps,
             prefill_users: self.chunks.len(),
         }
     }
@@ -897,16 +906,17 @@ impl Scheduler {
         });
     }
 
-    /// An upper bound on how many steps, counting the one
-    /// [`Scheduler::plan_step`] just planned, repeat that plan exactly: at
-    /// least 1, at most `limit`.
+    /// How many steps, counting the one [`Scheduler::plan_step`] just
+    /// planned, repeat that plan exactly: at least 1, at most `limit`.
     ///
     /// Contexts are frozen at admission, so a step changes the batch only
-    /// when a member completes or finishes its prefill. The bound is the
-    /// step where the first decoding member emits its last token; the
-    /// caller ends the run earlier after a [`Scheduler::chunk_step`] that
-    /// returns `false`. Page ledgers change only at admit, evict, resume,
-    /// degrade, complete and fail, so they bound nothing here.
+    /// when a member completes or finishes its prefill, and a plan changes
+    /// only then or when a chunk `min(budget, left)` shrinks. The run ends
+    /// at the first decoding member's last token (its `remaining`) or at a
+    /// planned chunk's last full chunk (`left / chunk`), whichever comes
+    /// first: both are exact on the integer clock. Page ledgers change
+    /// only at admit, evict, resume, degrade, complete and fail, so they
+    /// bound nothing here.
     ///
     /// The queue is part of the plan too: the caller drains it before every
     /// step, and a drain between two steps of a run must be a no-op. It
@@ -922,44 +932,32 @@ impl Scheduler {
             return 1;
         }
         let decoders = self.active.iter().filter(|a| a.in_decode);
-        decoders.fold(limit, |n, a| n.min(a.remaining)).max(1)
+        let chunks = self
+            .chunks
+            .iter()
+            .map(|&(slot, chunk)| chunk_run(chunk, self.active[slot].prefill_left_ps));
+        decoders
+            .map(|a| a.remaining)
+            .chain(chunks)
+            .fold(limit, usize::min)
+            .max(1)
     }
 
-    /// Applies one step of every planned chunk, in plan order, and returns
-    /// whether the next step plans the same chunks: every member still has
-    /// prefill left and its chunk `min(budget, left)` keeps its bits. A
-    /// chunk below half an ulp of what is left never progresses, so it
-    /// never ends a run. The caller calls this once per step of a run that
-    /// plans chunks, and nothing else moves prefill.
-    #[inline]
-    pub fn chunk_step(&mut self) -> bool {
-        self.chunk_steps += 1;
-        let mut same = true;
-        for &(slot, chunk) in &self.chunks {
-            let a = &mut self.active[slot];
-            let next = a.prefill_left_ns - chunk;
-            a.prefill_left_ns = if next <= PREFILL_DONE_NS { 0.0 } else { next };
-            self.prefill_chunks += 1;
-            self.prefill_work_ns += chunk;
-            same &= next > PREFILL_DONE_NS
-                && planned_chunk(a.chunk_ns, next).to_bits() == chunk.to_bits();
-        }
-        same
-    }
-
-    /// Applies `n` repeats of the planned step, each of duration `dt`, the
-    /// last ending at simulated time `now`: decoding members emit `n`
-    /// tokens each, and finished requests retire (freeing their pages).
+    /// Applies `n` repeats of the planned step, each of duration `dt_ps`,
+    /// the last ending at simulated time `now_ps`: every planned chunk
+    /// advances by `n` chunks (`left −= n·chunk`), decoding members emit
+    /// `n` tokens each, and finished requests retire (freeing their pages).
     /// Returns completions in batch order. `n` must not exceed
-    /// [`Scheduler::steady_run`] or the run [`Scheduler::chunk_step`]
-    /// allows, so nothing completes or finishes prefill before the last
-    /// step; a plan with chunks must have had exactly `n` chunk steps.
-    pub fn advance_step(&mut self, dt: f64, n: usize, now: f64) -> Vec<Completion> {
-        debug_assert!(
-            self.chunks.is_empty() || self.chunk_steps == n,
-            "{n} steps advanced after {} chunk steps",
-            self.chunk_steps
-        );
+    /// [`Scheduler::steady_run`], so nothing completes or finishes prefill
+    /// before the last step, and `n` one-step advances, each after its own
+    /// plan, leave the same state.
+    pub fn advance_step(&mut self, dt_ps: u64, n: usize, now_ps: u64) -> Vec<Completion> {
+        for &(slot, chunk) in &self.chunks {
+            let work = chunk * n as u64;
+            self.active[slot].prefill_left_ps -= work;
+            self.prefill_chunks += n;
+            self.prefill_work_ps += work;
+        }
         self.chunks.clear();
         // Per-class token latencies, capped at 64 per step like the global
         // serving histogram: the first 64 decoding members in batch order
@@ -981,7 +979,7 @@ impl Scheduler {
             self.active[i].generated += n;
         }
         for (acc, c) in self.class.iter_mut().zip(counted) {
-            acc.token_lat_ms.push_n(dt / 1e6, c * n);
+            acc.token_lat_ms.push_n(ms(dt_ps), c * n);
         }
         let mut done = Vec::new();
         let mut i = 0;
@@ -989,7 +987,7 @@ impl Scheduler {
             if self.active[i].remaining == 0 {
                 let a = self.active.remove(i);
                 self.drained = false;
-                let latency_ms = (now - a.req.arrival_ns) / 1e6;
+                let latency_ms = ms(now_ps.wrapping_sub(a.req.arrival_ps));
                 self.pages.free_all(a.req.id);
                 if let Some(h) = a.req.prefix_hash {
                     self.pages.prefix_unpin(h);
@@ -1071,9 +1069,9 @@ impl Scheduler {
             per_class,
             preemptions: self.preemptions,
             resumes: self.resumes,
-            restore_charged_ns: self.restore_charged_ns,
+            restore_charged_ns: ns(self.restore_charged_ps),
             prefill_chunks: self.prefill_chunks,
-            prefill_work_ns: self.prefill_work_ns,
+            prefill_work_ns: ns(self.prefill_work_ps),
             pages: self.pages.stats(),
             leaked_pages: leaked,
             invariant_violation,
@@ -1087,19 +1085,19 @@ mod tests {
     use super::*;
     use crate::request::SloMix;
     use longsight_tensor::check::{run_cases, Gen};
-    use longsight_tensor::prop_ensure_eq;
+    use longsight_tensor::{prop_ensure, prop_ensure_eq};
 
     fn req(id: usize, class: SloClass, context: usize, output: usize) -> SchedRequest {
         SchedRequest {
             id,
             class,
-            arrival_ns: id as f64 * 1000.0,
+            arrival_ps: id as u64 * 1_000_000,
             context,
             output,
-            prefill_ns: 1e5,
-            restore_ns: 1e4,
-            recompute_ns: 5e4,
-            pull_ns: f64::INFINITY,
+            prefill_ps: 100_000_000,
+            restore_ps: 10_000_000,
+            recompute_ps: 50_000_000,
+            pull_ps: u64::MAX,
             prefix_hash: None,
         }
     }
@@ -1130,7 +1128,7 @@ mod tests {
         assert_eq!(s.pages().hbm_used(), 2);
         let plan = s.plan_step();
         assert_eq!(plan.decode_users, 2);
-        assert_eq!(plan.prefill_ns, 0.0);
+        assert_eq!(plan.prefill_ps, 0);
     }
 
     #[test]
@@ -1202,7 +1200,7 @@ mod tests {
         let mut s = Scheduler::new(slo_cfg());
         let mut feas = |_u: usize, _c: usize| true;
         let mut be = req(0, SloClass::BestEffort, 4096, 8);
-        be.prefill_ns = 0.0; // decodes immediately once admitted
+        be.prefill_ps = 0; // decodes immediately once admitted
         s.on_arrival(be, &mut feas);
         s.drain_queue(&mut feas);
         // Fill HBM so the interactive arrival forces an eviction.
@@ -1214,21 +1212,20 @@ mod tests {
         let rep_mid = s.pages().stats();
         assert!(rep_mid.hbm_used <= 4);
         // Retire the interactive requests so the best-effort one resumes.
-        let mut now = 0.0;
+        let mut now = 0;
         for _ in 0..64 {
             s.drain_queue(&mut feas);
             if s.active_is_empty() {
                 break;
             }
             let _ = s.plan_step();
-            now += 1e6;
-            s.chunk_step();
-            let _ = s.advance_step(1e6, 1, now);
+            now += 1_000_000_000;
+            let _ = s.advance_step(1_000_000_000, 1, now);
         }
         let rep = s.finalize();
         assert_eq!(rep.preemptions, 1);
         assert_eq!(rep.resumes, 1);
-        assert_eq!(rep.restore_charged_ns, 1e4); // restore_ns < recompute_ns
+        assert_eq!(rep.restore_charged_ns, 1e4); // restore_ps < recompute_ps
         assert_eq!(rep.leaked_pages, 0);
         assert_eq!(rep.per_class[SloClass::BestEffort.index()].completed, 1);
     }
@@ -1239,7 +1236,7 @@ mod tests {
         let mut feas = |_u: usize, _c: usize| true;
         // 16K context with 8K chunks: two chunks to finish prefill.
         let mut r = req(0, SloClass::Interactive, 16_384, 2);
-        r.prefill_ns = 2e6;
+        r.prefill_ps = 2_000_000_000;
         let mut cfg_probe = slo_cfg();
         cfg_probe.pages.hbm_capacity_pages = 100;
         let mut s2 = Scheduler::new(cfg_probe);
@@ -1249,13 +1246,13 @@ mod tests {
         let p1 = s2.plan_step();
         assert_eq!(p1.decode_users, 0);
         assert_eq!(p1.prefill_users, 1);
-        assert!((p1.prefill_ns - 1e6).abs() < 1e-6); // half the prefill
-        assert!(s2.chunk_step(), "the second chunk has the same bits");
-        let _ = s2.advance_step(p1.prefill_ns, 1, 1e6);
+        assert_eq!(p1.prefill_ps, 1_000_000_000); // half the prefill
+        assert_eq!(s2.steady_run(usize::MAX), 2, "two equal chunks");
+        let _ = s2.advance_step(p1.prefill_ps, 1, 1_000_000_000);
         let p2 = s2.plan_step();
         assert_eq!(p2.prefill_users, 1);
-        assert!(!s2.chunk_step(), "the second chunk finishes the prefill");
-        let _ = s2.advance_step(p2.prefill_ns, 1, 2e6);
+        assert_eq!(s2.steady_run(usize::MAX), 1, "the last chunk");
+        let _ = s2.advance_step(p2.prefill_ps, 1, 2_000_000_000);
         let p3 = s2.plan_step();
         assert_eq!(p3.decode_users, 1, "prefill finished after two chunks");
         let rep = s2.finalize();
@@ -1310,20 +1307,19 @@ mod tests {
         let mut feas = |_u: usize, _c: usize| true;
         // One request that reached decode, one caught mid-prefill.
         let mut decoded = req(0, SloClass::Interactive, 1024, 8);
-        decoded.prefill_ns = 0.0;
+        decoded.prefill_ps = 0;
         donor.on_arrival(decoded, &mut feas);
         // 16K context over 8K chunks: still mid-prefill after one step.
         let mut mid = req(1, SloClass::Batch, 16_384, 8);
-        mid.prefill_ns = 2e6;
+        mid.prefill_ps = 2_000_000_000;
         donor.on_arrival(mid, &mut feas);
         donor.drain_queue(&mut feas);
         let _ = donor.plan_step();
-        donor.chunk_step();
-        let _ = donor.advance_step(1e6, 1, 1e6); // id 0 decodes one token
+        let _ = donor.advance_step(1_000_000_000, 1, 1_000_000_000); // id 0 decodes one token
         let evac = donor.crash_evacuate();
         assert_eq!(evac.len(), 2);
         assert_eq!(evac[0].generated, 1);
-        assert!(evac[1].prefill_left_ns > 0.0, "still mid-prefill");
+        assert!(evac[1].prefill_left_ps > 0, "still mid-prefill");
 
         let mut target = Scheduler::new(slo_cfg());
         for e in &evac {
@@ -1336,10 +1332,10 @@ mod tests {
         // this fixture); the mid-prefill one redoes its full prefill.
         let a0 = &target.active()[0];
         assert_eq!(a0.req.id, 0);
-        assert_eq!(a0.prefill_left_ns, evac[0].req.resume_cost_ns());
+        assert_eq!(a0.prefill_left_ps, evac[0].req.resume_cost_ps());
         let a1 = &target.active()[1];
         assert_eq!(a1.req.id, 1);
-        assert_eq!(a1.prefill_left_ns, evac[1].req.prefill_ns);
+        assert_eq!(a1.prefill_left_ps, evac[1].req.prefill_ps);
         let rep = target.finalize();
         assert_eq!(rep.per_class[SloClass::Interactive.index()].arrived, 1);
         assert_eq!(rep.per_class[SloClass::Batch.index()].arrived, 1);
@@ -1366,7 +1362,7 @@ mod tests {
             s.pages_mut().prefix_pin(0xbeef);
             let mut r = req(id, SloClass::Interactive, 1024, 2);
             r.prefix_hash = Some(0xbeef);
-            r.prefill_ns = 0.0;
+            r.prefill_ps = 0;
             s.on_arrival(r, &mut feas);
         }
         s.on_arrival(req(2, SloClass::Interactive, 1024, 2), &mut feas);
@@ -1374,7 +1370,7 @@ mod tests {
         assert_eq!(s.pages().prefix_pinned_refs(), 2);
 
         // Completion drops exactly one pin; the shared frames stay cached.
-        let mut now = 0.0;
+        let mut now = 0;
         let mut done = 0usize;
         for _ in 0..16 {
             s.drain_queue(&mut feas);
@@ -1382,9 +1378,8 @@ mod tests {
                 break;
             }
             let _ = s.plan_step();
-            now += 1e6;
-            s.chunk_step();
-            done += s.advance_step(1e6, 1, now).len();
+            now += 1_000_000_000;
+            done += s.advance_step(1_000_000_000, 1, now).len();
         }
         assert_eq!(done, 3);
         assert_eq!(s.pages().prefix_pinned_refs(), 0);
@@ -1419,7 +1414,7 @@ mod tests {
         assert_eq!(s.pages().prefix_lookup(0xcafe), None);
         for e in &evac {
             assert_eq!(e.req.prefix_hash, None);
-            assert!(e.req.pull_ns.is_infinite());
+            assert_eq!(e.req.pull_ps, u64::MAX);
         }
         let rep = s.finalize();
         assert_eq!(rep.leaked_pages, 0);
@@ -1455,100 +1450,82 @@ mod tests {
         let mut s = Scheduler::new(cfg);
         let mut feas = |_u: usize, _c: usize| true;
         let mut r = req(0, SloClass::Interactive, 16_384, 1);
-        r.prefill_ns = 2e6;
+        r.prefill_ps = 2_000_000_000;
         s.on_arrival(r, &mut feas);
         s.drain_queue(&mut feas);
-        let mut now = 0.0;
+        let mut now = 0;
         for _ in 0..8 {
             if s.active_is_empty() {
                 break;
             }
             let _ = s.plan_step();
-            now += 1e6;
-            s.chunk_step();
-            let _ = s.advance_step(1e6, 1, now);
+            now += 1_000_000_000;
+            let _ = s.advance_step(1_000_000_000, 1, now);
         }
         let rep = s.finalize();
-        assert!((rep.prefill_work_ns - 2e6).abs() < 1e-3);
+        assert_eq!(rep.prefill_work_ns, 2e6);
     }
 
-    /// The run bound [`Scheduler::steady_run`] computed before chunk
-    /// progress moved into [`Scheduler::chunk_step`], kept verbatim (the
-    /// receiver and the `(id, chunk)` plan passed in) as the reference.
-    fn replaced_steady_run(s: &Scheduler, chunks: &[(usize, f64)], limit: usize) -> usize {
-        if !s.drained {
-            return 1;
+    /// The chunk bound against the step loop it replaces: replan and
+    /// subtract one chunk per step while the plan keeps the chunk, over
+    /// budgets of zero (a resume owing only its restore), one ps, partial
+    /// last chunks and sizes near `u64::MAX`.
+    fn chunk_run_matches_the_step_loop(g: &mut Gen) -> Result<(), String> {
+        let budget = match g.usize_in(0, 4) {
+            0 => 0,
+            1 => g.u64_in(1, 3),
+            2 => g.u64_in(1, 1 << 20),
+            _ => u64::MAX / g.u64_in(1, 64),
+        };
+        let left = match (budget, g.usize_in(0, 3)) {
+            (0, _) => g.u64_in(1, u64::MAX),
+            (b, 0) => g.u64_in(1, b.saturating_add(1)),
+            (b, _) => b
+                .saturating_mul(g.u64_in(1, 2000))
+                .saturating_add(g.u64_in(0, b.min(1 << 40) + 1)),
+        };
+        let chunk = planned_chunk(budget, left);
+        let (mut rest, mut steps) = (left - chunk, 1usize);
+        while rest > 0 && planned_chunk(budget, rest) == chunk {
+            rest -= chunk;
+            steps += 1;
         }
-        let mut n = limit;
-        for a in s.active.iter().filter(|a| a.in_decode) {
-            n = n.min(a.remaining);
-        }
-        for &(id, chunk) in chunks {
-            let Some(a) = s.active.iter().find(|a| a.req.id == id) else {
-                continue;
-            };
-            let mut left = a.prefill_left_ns;
-            let mut k = 1;
-            while k < n {
-                let next = left - chunk;
-                if next <= PREFILL_DONE_NS
-                    || planned_chunk(a.chunk_ns, next).to_bits() != chunk.to_bits()
-                {
-                    break;
-                }
-                if next.to_bits() == left.to_bits() {
-                    // The chunk is below half an ulp of what is left: the
-                    // member never progresses, so it never ends a run.
-                    k = n;
-                    break;
-                }
-                left = next;
-                k += 1;
-            }
-            n = k;
-        }
-        n.max(1)
+        prop_ensure_eq!(
+            chunk_run(chunk, left),
+            steps,
+            "budget {budget}, left {left}"
+        );
+        Ok(())
     }
 
-    /// The chunk loop [`Scheduler::advance_step`] ran over a whole run
-    /// before [`Scheduler::chunk_step`], kept verbatim likewise (it
-    /// indexed the plan only because the plan was a field then).
-    fn replaced_advance_chunks(s: &mut Scheduler, chunks: &[(usize, f64)], n: usize) {
-        for _ in 0..n {
-            for &(id, chunk) in chunks {
-                if let Some(a) = s.active.iter_mut().find(|a| a.req.id == id) {
-                    a.prefill_left_ns -= chunk;
-                    if a.prefill_left_ns <= PREFILL_DONE_NS {
-                        a.prefill_left_ns = 0.0;
-                    }
-                    s.prefill_chunks += 1;
-                    s.prefill_work_ns += chunk;
-                }
-            }
-        }
+    #[test]
+    fn chunk_runs_equal_the_brute_force_step_loop() {
+        run_cases(
+            "chunk_runs_equal_the_brute_force_step_loop",
+            2000,
+            chunk_run_matches_the_step_loop,
+        );
     }
 
-    /// What chunk progress leaves behind, by bits: every member's
-    /// `(id, prefill_left_ns)` and the two prefill accumulators.
-    fn chunk_state(s: &Scheduler) -> (Vec<(usize, u64)>, usize, u64) {
+    /// What prefill progress leaves behind: every member's
+    /// `(id, prefill_left_ps, remaining)` and the two prefill counters.
+    fn chunk_state(s: &Scheduler) -> (Vec<(usize, u64, usize)>, usize, u64) {
         let left = s
             .active
             .iter()
-            .map(|a| (a.req.id, a.prefill_left_ns.to_bits()));
-        (
-            left.collect(),
-            s.prefill_chunks,
-            s.prefill_work_ns.to_bits(),
-        )
+            .map(|a| (a.req.id, a.prefill_left_ps, a.remaining));
+        (left.collect(), s.prefill_chunks, s.prefill_work_ps)
     }
 
     /// A generated SLO-aware batch — fresh arrivals, mid-prefill
-    /// redispatches and resumes, some with zero-`chunk_ns` resumes or
-    /// chunks below half an ulp of what is left — runs to the end, with
-    /// decoding (and now and then prefilling) members failing between plan
-    /// and run. Each run takes the driver's per-step [`Scheduler::chunk_step`]
-    /// loop on one twin and the replaced replay on the other.
-    fn chunk_steps_match_the_replaced_replay(g: &mut Gen) -> Result<(), String> {
+    /// redispatches and resumes (some with a zero chunk budget, owing only
+    /// their restore), with last chunks partial or exact — runs to the end,
+    /// with members now and then failing between plan and run. Each run of
+    /// `n` steps advances one twin in one call and the other in `n`
+    /// one-step calls, each after its own plan; the twins must agree on
+    /// every plan, on prefill progress, completions and the report, and
+    /// the step after a full run must plan differently.
+    fn one_advance_matches_single_steps(g: &mut Gen) -> Result<(), String> {
         let max_context = g.usize_in(64, 3000);
         // Chunks from one token up to one larger than the largest context.
         let chunk_tokens = match g.usize_in(0, 4) {
@@ -1562,60 +1539,49 @@ mod tests {
         cfg.prefill_slots = g.usize_in(1, 4);
         let mut s = Scheduler::new(cfg);
         let mut feas = |_u: usize, _c: usize| true;
-        // Resume costs up to 1e16 ns against sub-ns chunks: some chunks
-        // fall below half an ulp of what is left and never progress.
-        let tiny = g.usize_in(0, 4) == 0;
         for id in 0..g.usize_in(1, 10) {
-            let prefill_ns = match (g.usize_in(0, 4), tiny) {
-                (0, _) => 0.0,
-                (_, true) => g.f64_in(1e-3, 1.0),
-                (_, false) => g.f64_in(1e3, 3e6),
-            };
-            let resume = |g: &mut Gen| {
-                if tiny {
-                    g.f64_in(1e14, 1e16)
-                } else {
-                    g.f64_in(0.0, 5e5)
-                }
+            let prefill_ps = match g.usize_in(0, 4) {
+                0 => 0,
+                1 => g.u64_in(1, 3000),
+                _ => g.u64_in(1_000_000, 3_000_000_000),
             };
             let req = SchedRequest {
                 id,
                 class: SloClass::ALL[g.usize_in(0, 3)],
-                arrival_ns: 0.0,
+                arrival_ps: 0,
                 context: g.usize_in(1, max_context + 1),
                 output: g.usize_in(1, 48),
-                prefill_ns,
-                restore_ns: resume(g),
-                recompute_ns: resume(g),
-                pull_ns: f64::INFINITY,
+                prefill_ps,
+                restore_ps: g.u64_in(0, 500_000_000),
+                recompute_ps: g.u64_in(0, 500_000_000),
+                pull_ps: u64::MAX,
                 prefix_hash: None,
             };
             if g.bool() {
                 s.on_arrival(req, &mut feas);
             } else {
                 // A member that had reached decode resumes (a zero-prefill
-                // one with `chunk_ns` 0); one caught mid-prefill redoes it.
+                // one with chunk budget 0); one caught mid-prefill redoes it.
                 let decoded = g.bool();
                 let mut evacuee = Member::new(req);
                 evacuee.generated = if decoded { g.usize_in(1, 8) } else { 0 };
-                evacuee.prefill_left_ns = if decoded { 0.0 } else { 1.0 };
+                evacuee.prefill_left_ps = u64::from(!decoded);
                 s.on_redispatch(evacuee);
             }
         }
         let limit = [1, g.usize_in(2, 9), 10_000][g.usize_in(0, 3)];
-        let (dt, mut now) = (1e5, 0.0);
+        let (dt, mut now) = (100_000_000u64, 0u64);
+        // The plan as the run sees it: the decoders and the chunk sizes.
+        let shape = |s: &Scheduler| {
+            let chunks: Vec<u64> = s.chunks.iter().map(|c| c.1).collect();
+            (s.decoding_count(), chunks)
+        };
         for _ in 0..300 {
             s.drain_queue(&mut feas);
             if s.active_is_empty() {
                 break;
             }
-            let plan = s.plan_step();
-            let planned: Vec<(usize, f64)> = s
-                .chunks
-                .iter()
-                .map(|&(i, c)| (s.active[i].req.id, c))
-                .collect();
-            prop_ensure_eq!(planned.len(), plan.prefill_users, "planned chunks");
+            let _ = s.plan_step();
             if g.usize_in(0, 3) == 0 {
                 let mut dead = Vec::new();
                 for a in &s.active {
@@ -1625,35 +1591,38 @@ mod tests {
                 }
                 s.remove_failed(&dead);
             }
+            let (n, steady, planned) = (s.steady_run(limit), s.drained, shape(&s));
             let mut want = s.clone();
-            let want_n = replaced_steady_run(&want, &planned, limit);
-            replaced_advance_chunks(&mut want, &planned, want_n);
-            want.chunks.clear();
-            let run = s.steady_run(limit);
-            let mut n = 0;
-            loop {
-                n += 1;
-                let same_chunks = plan.prefill_users == 0 || s.chunk_step();
-                if n == run || !same_chunks {
-                    break;
+            let mut want_done = Vec::new();
+            for k in 1..=n {
+                if k > 1 {
+                    want.drain_queue(&mut feas);
+                    let _ = want.plan_step();
+                    prop_ensure_eq!(shape(&want), planned, "plan at step {k} of {n}");
                 }
+                want_done.extend(want.advance_step(dt, 1, now + k as u64 * dt));
             }
-            prop_ensure_eq!(n, want_n, "run length");
-            prop_ensure_eq!(chunk_state(&s), chunk_state(&want));
-            now += dt;
+            now += n as u64 * dt;
             let done = s.advance_step(dt, n, now);
-            let want_done = want.advance_step(dt, n, now);
-            prop_ensure_eq!(done, want_done);
+            prop_ensure_eq!(done, want_done, "completions after {n} steps");
+            prop_ensure_eq!(chunk_state(&s), chunk_state(&want), "after {n} steps");
+            // A run the scheduler ended itself ends where the plan changes.
+            if steady && n < limit && done.is_empty() {
+                let mut next = s.clone();
+                next.drain_queue(&mut feas);
+                let _ = next.plan_step();
+                prop_ensure!(shape(&next) != planned, "the plan outlived a run of {n}");
+            }
         }
         Ok(())
     }
 
     #[test]
-    fn chunk_steps_reproduce_the_replaced_replay() {
+    fn one_run_advance_equals_its_single_steps() {
         run_cases(
-            "chunk_steps_reproduce_the_replaced_replay",
+            "one_run_advance_equals_its_single_steps",
             500,
-            chunk_steps_match_the_replaced_replay,
+            one_advance_matches_single_steps,
         );
     }
 }

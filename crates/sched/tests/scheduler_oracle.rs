@@ -12,13 +12,15 @@
 //! every call the two must agree by bits: the feasibility probes, in order
 //! and shape (the serving driver's first probe of a shape records step
 //! detail into the trace), the decision events, each [`StepPlan`], run
-//! lengths and chunk steps, completions, crash evacuees, the batch, the
+//! lengths (the new run's O(1) bounds against the replaced per-step clock
+//! and chunk loop), the clock, completions, crash evacuees, the batch, the
 //! queue depths and the page ledger; at the end the report and every
 //! class's latency views.
 
 mod common;
 
 use common::{gen_case, step_dt, Case, Event};
+use longsight_sched::clock::steps_to_reach;
 use longsight_sched::{
     Completion, Member, SchedLoad, SchedRequest, Scheduler, SloClass, SortedSamples, StepPlan,
 };
@@ -81,7 +83,7 @@ fn plan_bits(p: &StepPlan) -> (usize, usize, usize, u64, usize) {
         p.users,
         p.decode_users,
         p.max_decode_ctx,
-        p.prefill_ns.to_bits(),
+        p.prefill_ps,
         p.prefill_users,
     )
 }
@@ -93,7 +95,7 @@ fn completion_bits(done: &[Completion]) -> Vec<(usize, SloClass, u64)> {
 }
 
 /// A batch member's progress: `(id, remaining, generated, prefill left
-/// bits, in_decode, window_only)`.
+/// ps, in_decode, window_only)`.
 type MemberState = (usize, usize, usize, u64, bool, bool);
 
 /// A view's `(value bits, count)` runs.
@@ -158,7 +160,7 @@ impl<'c> Twin<'c> {
             .active()
             .iter()
             .map(|m| {
-                let left = m.prefill_left_ns.to_bits();
+                let left = m.prefill_left_ps;
                 (
                     m.req.id,
                     m.remaining,
@@ -173,7 +175,7 @@ impl<'c> Twin<'c> {
             .active()
             .iter()
             .map(|a| {
-                let left = a.prefill_left_ns.to_bits();
+                let left = a.prefill_left_ps;
                 (
                     a.req.id,
                     a.remaining,
@@ -234,11 +236,11 @@ impl<'c> Twin<'c> {
         let want = self.old.crash_evacuate();
         let got: Vec<String> = evac
             .iter()
-            .map(|m| format!("{:?}", (m.req, m.remaining, m.generated, m.prefill_left_ns)))
+            .map(|m| format!("{:?}", (m.req, m.remaining, m.generated, m.prefill_left_ps)))
             .collect();
         let want_s: Vec<String> = want
             .iter()
-            .map(|e| format!("{:?}", (e.req, e.remaining, e.generated, e.prefill_left_ns)))
+            .map(|e| format!("{:?}", (e.req, e.remaining, e.generated, e.prefill_left_ps)))
             .collect();
         prop_ensure_eq!(got, want_s, "evacuees");
         self.agree("crash_evacuate")?;
@@ -248,18 +250,18 @@ impl<'c> Twin<'c> {
         }
         self.agree("on_redispatch")?;
         if g.bool() {
-            let mut req = common::gen_request(g, foreign, 0.0, self.case.max_ctx + 1);
+            let mut req = common::gen_request(g, foreign, 0, self.case.max_ctx + 1);
             req.output = g.usize_in(0, 8);
             let mut m = Member::new(req);
             m.remaining = g.usize_in(0, 3);
             m.generated = g.usize_in(0, 5);
-            m.prefill_left_ns = [0.0, 1.0][g.usize_in(0, 2)];
+            m.prefill_left_ps = [0, 1][g.usize_in(0, 2)];
             self.new.on_redispatch(m);
             self.old.on_redispatch(reference::Evacuated {
                 req,
                 remaining: m.remaining,
                 generated: m.generated,
-                prefill_left_ns: m.prefill_left_ns,
+                prefill_left_ps: m.prefill_left_ps,
             });
             self.agree("a foreign on_redispatch")?;
         }
@@ -280,8 +282,8 @@ fn lockstep(g: &mut Gen) -> Result<(), String> {
     let case = gen_case(g);
     let extras = gen_extras(g, &case);
     let mut t = Twin::new(&case, &extras);
-    let mut events: Vec<(f64, Event)> = case.events.iter().rev().copied().collect();
-    let (mut now, mut foreign) = (0.0f64, extras.pin.len());
+    let mut events: Vec<(u64, Event)> = case.events.iter().rev().copied().collect();
+    let (mut now, mut foreign) = (0u64, extras.pin.len());
     loop {
         while let Some(&(_, ev)) = events.last().filter(|e| e.0 <= now) {
             events.pop();
@@ -303,7 +305,7 @@ fn lockstep(g: &mut Gen) -> Result<(), String> {
                 None => break,
             }
         }
-        if now > case.guard_ns {
+        if now > case.guard_ps {
             break;
         }
         let plan = t.new.plan_step();
@@ -332,27 +334,26 @@ fn lockstep(g: &mut Gen) -> Result<(), String> {
             &case,
             plan.decode_users,
             plan.max_decode_ctx,
-            plan.prefill_ns,
+            plan.prefill_ps,
         );
-        let run = t.new.steady_run(case.limit);
-        prop_ensure_eq!(run, t.old.steady_run(case.limit), "steady_run");
-        let until = events
-            .last()
-            .map_or(f64::INFINITY, |e| e.0)
-            .min(case.guard_ns);
-        let mut n = 0;
+        let until = events.last().map_or(u64::MAX, |e| e.0).min(case.guard_ps);
+        // The replaced run: a clock tick and a chunk step per step.
+        let (run, mut want_n, mut at) = (t.old.steady_run(case.limit), 0, now);
         loop {
-            now += dt;
-            n += 1;
-            let mut same_chunks = true;
-            if plan.prefill_users > 0 {
-                same_chunks = t.new.chunk_step();
-                prop_ensure_eq!(same_chunks, t.old.chunk_step(), "chunk_step {n}");
-            }
-            if n == run || now >= until || !same_chunks {
+            at += dt;
+            want_n += 1;
+            let same_chunks = plan.prefill_users == 0 || t.old.chunk_step();
+            if want_n == run || at >= until || !same_chunks {
                 break;
             }
         }
+        let n = t
+            .new
+            .steady_run(case.limit)
+            .min(steps_to_reach(now, dt, until));
+        prop_ensure_eq!(n, want_n, "run length");
+        now += n as u64 * dt;
+        prop_ensure_eq!(now, at, "clock");
         let done = t.new.advance_step(dt, n, now);
         let want = t.old.advance_step(dt, n, now);
         prop_ensure_eq!(
@@ -396,18 +397,22 @@ mod reference {
     //! The scheduler before one `Member` record replaced `ActiveEntry`,
     //! `Waiting` and `Evacuated` and one step plan replaced the FIFO arm,
     //! kept verbatim (the same items in the same order, minus the public
-    //! types it shares with the crate) over the public page ledger.
+    //! types it shares with the crate) over the public page ledger, except
+    //! for the unit change every copy took: times and work are whole
+    //! picoseconds, a chunk is rounded up, and a prefill is done at 0 ps
+    //! left. It keeps its per-step `chunk_step`.
 
+    use longsight_sched::clock::{ms, ns};
     use longsight_sched::{
         ClassReport, ClassViews, Completion, LatencySamples, PagedKvManager, SchedConfig,
         SchedEvent, SchedLoad, SchedPolicy, SchedReport, SchedRequest, SloClass, StepPlan,
     };
 
-    /// `SchedConfig`'s private page and chunk helpers, verbatim.
+    /// `SchedConfig`'s private page and chunk helpers, verbatim (in ps).
     trait ConfigHelpers {
         fn hbm_pages_for(&self, context: usize) -> usize;
         fn drex_pages_for(&self, context: usize) -> usize;
-        fn chunk_ns_for(&self, req: &SchedRequest) -> f64;
+        fn chunk_ps_for(&self, req: &SchedRequest) -> u64;
     }
 
     impl ConfigHelpers for SchedConfig {
@@ -420,25 +425,23 @@ mod reference {
                 .pages_for(context.saturating_sub(self.window_tokens))
         }
 
-        fn chunk_ns_for(&self, req: &SchedRequest) -> f64 {
+        fn chunk_ps_for(&self, req: &SchedRequest) -> u64 {
             if self.prefill_chunk_tokens >= req.context || req.context == 0 {
-                req.prefill_ns
+                req.prefill_ps
             } else {
-                req.prefill_ns * (self.prefill_chunk_tokens as f64 / req.context as f64)
+                let share = u128::from(req.prefill_ps) * self.prefill_chunk_tokens as u128;
+                share.div_ceil(req.context as u128) as u64
             }
         }
     }
 
-    /// Prefill (or resume) work at or under this many ns counts as finished.
-    const PREFILL_DONE_NS: f64 = 1e-6;
-
     /// The chunk a prefilling member advances by in a step that starts with
-    /// `left` ns of its prefill outstanding. A member whose chunk size is zero
+    /// `left` ps of its prefill outstanding. A member whose chunk size is zero
     /// (a zero-prefill request that still owes resume cost) drains it in one
     /// chunk rather than stalling.
     #[inline]
-    fn planned_chunk(chunk_ns: f64, left: f64) -> f64 {
-        let budget = if chunk_ns > 0.0 { chunk_ns } else { left };
+    fn planned_chunk(chunk_ps: u64, left: u64) -> u64 {
+        let budget = if chunk_ps > 0 { chunk_ps } else { left };
         budget.min(left)
     }
 
@@ -451,14 +454,14 @@ mod reference {
         pub remaining: usize,
         /// Tokens decoded so far (the fault-stream token index).
         pub generated: usize,
-        /// Prefill (or resume) work left before this request decodes, ns.
-        pub prefill_left_ns: f64,
+        /// Prefill (or resume) work left before this request decodes, ps.
+        pub prefill_left_ps: u64,
         /// Whether this member decodes in the step planned by
         /// [`Scheduler::plan_step`].
         pub in_decode: bool,
         /// Whether degradation already released the DReX tail.
         pub window_only: bool,
-        chunk_ns: f64,
+        chunk_ps: u64,
     }
 
     #[derive(Debug, Clone)]
@@ -467,7 +470,7 @@ mod reference {
         remaining: usize,
         generated: usize,
         preempted: bool,
-        prefill_left_ns: f64,
+        prefill_left_ps: u64,
         window_only: bool,
     }
 
@@ -482,9 +485,9 @@ mod reference {
         pub remaining: usize,
         /// Tokens decoded before the crash.
         pub generated: usize,
-        /// Prefill work still outstanding at crash time, ns (0 when the
+        /// Prefill work still outstanding at crash time, ps (0 when the
         /// request had already reached decode).
-        pub prefill_left_ns: f64,
+        pub prefill_left_ps: u64,
     }
 
     #[derive(Debug, Clone, Default)]
@@ -506,8 +509,8 @@ mod reference {
         pages: PagedKvManager,
         active: Vec<ActiveEntry>,
         waiting: Vec<Waiting>,
-        /// The planned chunks as `(batch slot, ns)`, in plan order.
-        chunks: Vec<(usize, f64)>,
+        /// The planned chunks as `(batch slot, ps)`, in plan order.
+        chunks: Vec<(usize, u64)>,
         /// Steps of `chunks` applied since the plan (see [`Scheduler::chunk_step`]).
         chunk_steps: usize,
         events: Vec<SchedEvent>,
@@ -519,9 +522,9 @@ mod reference {
         rejected: usize,
         preemptions: usize,
         resumes: usize,
-        restore_charged_ns: f64,
+        restore_charged_ps: u64,
         prefill_chunks: usize,
-        prefill_work_ns: f64,
+        prefill_work_ps: u64,
         class: [ClassAccum; 3],
     }
 
@@ -546,9 +549,9 @@ mod reference {
                 rejected: 0,
                 preemptions: 0,
                 resumes: 0,
-                restore_charged_ns: 0.0,
+                restore_charged_ps: 0,
                 prefill_chunks: 0,
-                prefill_work_ns: 0.0,
+                prefill_work_ps: 0,
                 class: Default::default(),
             }
         }
@@ -620,7 +623,7 @@ mod reference {
                     req: a.req,
                     remaining: a.remaining,
                     generated: a.generated,
-                    prefill_left_ns: a.prefill_left_ns,
+                    prefill_left_ps: a.prefill_left_ps,
                 });
             }
             for w in waiting {
@@ -629,7 +632,7 @@ mod reference {
                     req: w.req,
                     remaining: w.remaining,
                     generated: w.generated,
-                    prefill_left_ns: w.prefill_left_ns,
+                    prefill_left_ps: w.prefill_left_ps,
                 });
             }
             // Prefix discipline under a crash: each evacuee drops its *pin*
@@ -643,7 +646,7 @@ mod reference {
                 if let Some(h) = e.req.prefix_hash.take() {
                     self.pages.prefix_unpin(h);
                 }
-                e.req.pull_ns = f64::INFINITY;
+                e.req.pull_ps = u64::MAX;
             }
             self.pages.prefix_crash_clear();
             out.sort_by_key(|e| e.req.id);
@@ -658,17 +661,17 @@ mod reference {
         pub fn on_redispatch(&mut self, e: Evacuated) {
             self.drained = false;
             self.class[e.req.class.index()].arrived += 1;
-            let prefill_left_ns = if e.prefill_left_ns > 0.0 {
-                e.req.prefill_ns
+            let prefill_left_ps = if e.prefill_left_ps > 0 {
+                e.req.prefill_ps
             } else {
-                e.req.resume_cost_ns()
+                e.req.resume_cost_ps()
             };
             self.waiting.push(Waiting {
                 req: e.req,
                 remaining: e.remaining.max(1),
                 generated: e.generated,
                 preempted: false,
-                prefill_left_ns,
+                prefill_left_ps,
                 window_only: false,
             });
             self.emit(SchedEvent::Queued {
@@ -741,8 +744,9 @@ mod reference {
                         .fold(req.context, usize::max);
                     if feasible(self.active.len() + 1, max_ctx) {
                         let mut admitted = req;
-                        admitted.arrival_ns -= req.prefill_ns; // fold prefill into latency
-                        self.prefill_work_ns += req.prefill_ns;
+                        // fold prefill into latency
+                        admitted.arrival_ps = admitted.arrival_ps.wrapping_sub(req.prefill_ps);
+                        self.prefill_work_ps += req.prefill_ps;
                         let (hbm, drex) = (
                             self.cfg.hbm_pages_for(req.context),
                             self.cfg.drex_pages_for(req.context),
@@ -752,10 +756,10 @@ mod reference {
                             req: admitted,
                             remaining: req.output.max(1),
                             generated: 0,
-                            prefill_left_ns: 0.0,
+                            prefill_left_ps: 0,
                             in_decode: true,
                             window_only: false,
-                            chunk_ns: 0.0,
+                            chunk_ps: 0,
                         });
                         self.emit(SchedEvent::Admitted {
                             id: req.id,
@@ -774,7 +778,7 @@ mod reference {
                             remaining: req.output.max(1),
                             generated: 0,
                             preempted: false,
-                            prefill_left_ns: req.prefill_ns,
+                            prefill_left_ps: req.prefill_ps,
                             window_only: false,
                         });
                         self.emit(SchedEvent::Queued {
@@ -801,7 +805,7 @@ mod reference {
                             remaining: req.output.max(1),
                             generated: 0,
                             preempted: false,
-                            prefill_left_ns: req.prefill_ns,
+                            prefill_left_ps: req.prefill_ps,
                             window_only: false,
                         });
                         self.emit(SchedEvent::Queued {
@@ -851,10 +855,10 @@ mod reference {
                                 req: w.req,
                                 remaining: w.remaining,
                                 generated: w.generated,
-                                prefill_left_ns: 0.0,
+                                prefill_left_ps: 0,
                                 in_decode: true,
                                 window_only: false,
-                                chunk_ns: 0.0,
+                                chunk_ps: 0,
                             });
                             self.emit(SchedEvent::Admitted {
                                 id: w.req.id,
@@ -938,22 +942,22 @@ mod reference {
 
             let w = self.waiting.remove(pick);
             if w.preempted {
-                let cost = w.req.resume_cost_ns();
+                let cost = w.req.resume_cost_ps();
                 self.resumes += 1;
-                self.restore_charged_ns += cost;
+                self.restore_charged_ps += cost;
                 self.active.push(ActiveEntry {
                     req: w.req,
                     remaining: w.remaining,
                     generated: w.generated,
-                    prefill_left_ns: w.prefill_left_ns + cost,
+                    prefill_left_ps: w.prefill_left_ps + cost,
                     in_decode: false,
                     window_only: w.window_only,
-                    chunk_ns: self.cfg.chunk_ns_for(&w.req),
+                    chunk_ps: self.cfg.chunk_ps_for(&w.req),
                 });
                 self.emit(SchedEvent::Resumed {
                     id: w.req.id,
                     class: w.req.class,
-                    cost_ns: cost,
+                    cost_ps: cost,
                     restored: w.req.resume_restores(),
                 });
             } else {
@@ -961,10 +965,10 @@ mod reference {
                     req: w.req,
                     remaining: w.remaining,
                     generated: w.generated,
-                    prefill_left_ns: w.prefill_left_ns,
+                    prefill_left_ps: w.prefill_left_ps,
                     in_decode: false,
                     window_only: w.window_only,
-                    chunk_ns: self.cfg.chunk_ns_for(&w.req),
+                    chunk_ps: self.cfg.chunk_ps_for(&w.req),
                 });
                 self.emit(SchedEvent::Admitted {
                     id: w.req.id,
@@ -985,7 +989,7 @@ mod reference {
                 remaining: a.remaining,
                 generated: a.generated,
                 preempted: true,
-                prefill_left_ns: a.prefill_left_ns,
+                prefill_left_ps: a.prefill_left_ps,
                 window_only: a.window_only,
             });
             self.emit(SchedEvent::Preempted {
@@ -1011,7 +1015,7 @@ mod reference {
                         users,
                         decode_users: users,
                         max_decode_ctx: max_ctx,
-                        prefill_ns: 0.0,
+                        prefill_ps: 0,
                         prefill_users: 0,
                     }
                 }
@@ -1019,23 +1023,23 @@ mod reference {
                     let mut decode_users = 0usize;
                     let mut max_ctx = 0usize;
                     for a in &mut self.active {
-                        a.in_decode = a.prefill_left_ns <= 0.0;
+                        a.in_decode = a.prefill_left_ps == 0;
                         if a.in_decode {
                             decode_users += 1;
                             max_ctx = max_ctx.max(a.req.context);
                         }
                     }
                     let mut slots = self.cfg.prefill_slots;
-                    let mut prefill_ns = 0.0f64;
+                    let mut prefill_ps = 0u64;
                     let mut prefill_users = 0usize;
                     for (i, a) in self.active.iter().enumerate() {
                         if slots == 0 {
                             break;
                         }
                         if !a.in_decode {
-                            let chunk = planned_chunk(a.chunk_ns, a.prefill_left_ns);
+                            let chunk = planned_chunk(a.chunk_ps, a.prefill_left_ps);
                             self.chunks.push((i, chunk));
-                            prefill_ns += chunk;
+                            prefill_ps = prefill_ps.saturating_add(chunk);
                             prefill_users += 1;
                             slots -= 1;
                         }
@@ -1044,7 +1048,7 @@ mod reference {
                         users: self.active.len(),
                         decode_users,
                         max_decode_ctx: max_ctx,
-                        prefill_ns,
+                        prefill_ps,
                         prefill_users,
                     }
                 }
@@ -1129,22 +1133,20 @@ mod reference {
 
         /// Applies one step of every planned chunk, in plan order, and returns
         /// whether the next step plans the same chunks: every member still has
-        /// prefill left and its chunk `min(budget, left)` keeps its bits. A
-        /// chunk below half an ulp of what is left never progresses, so it
-        /// never ends a run. The caller calls this once per step of a run that
-        /// plans chunks, and nothing else moves prefill.
+        /// prefill left and its chunk `min(budget, left)` keeps its size. The
+        /// caller calls this once per step of a run that plans chunks, and
+        /// nothing else moves prefill.
         #[inline]
         pub fn chunk_step(&mut self) -> bool {
             self.chunk_steps += 1;
             let mut same = true;
             for &(slot, chunk) in &self.chunks {
                 let a = &mut self.active[slot];
-                let next = a.prefill_left_ns - chunk;
-                a.prefill_left_ns = if next <= PREFILL_DONE_NS { 0.0 } else { next };
+                let next = a.prefill_left_ps - chunk;
+                a.prefill_left_ps = next;
                 self.prefill_chunks += 1;
-                self.prefill_work_ns += chunk;
-                same &= next > PREFILL_DONE_NS
-                    && planned_chunk(a.chunk_ns, next).to_bits() == chunk.to_bits();
+                self.prefill_work_ps += chunk;
+                same &= next > 0 && planned_chunk(a.chunk_ps, next) == chunk;
             }
             same
         }
@@ -1156,7 +1158,7 @@ mod reference {
         /// [`Scheduler::steady_run`] or the run [`Scheduler::chunk_step`]
         /// allows, so nothing completes or finishes prefill before the last
         /// step; a plan with chunks must have had exactly `n` chunk steps.
-        pub fn advance_step(&mut self, dt: f64, n: usize, now: f64) -> Vec<Completion> {
+        pub fn advance_step(&mut self, dt: u64, n: usize, now: u64) -> Vec<Completion> {
             debug_assert!(
                 self.chunks.is_empty() || self.chunk_steps == n,
                 "{n} steps advanced after {} chunk steps",
@@ -1183,7 +1185,7 @@ mod reference {
                 self.active[i].generated += n;
             }
             for (acc, c) in self.class.iter_mut().zip(counted) {
-                acc.token_lat_ms.push_n(dt / 1e6, c * n);
+                acc.token_lat_ms.push_n(ms(dt), c * n);
             }
             let mut done = Vec::new();
             let mut i = 0;
@@ -1191,7 +1193,7 @@ mod reference {
                 if self.active[i].remaining == 0 {
                     let a = self.active.remove(i);
                     self.drained = false;
-                    let latency_ms = (now - a.req.arrival_ns) / 1e6;
+                    let latency_ms = ms(now.wrapping_sub(a.req.arrival_ps));
                     self.pages.free_all(a.req.id);
                     if let Some(h) = a.req.prefix_hash {
                         self.pages.prefix_unpin(h);
@@ -1278,9 +1280,9 @@ mod reference {
                 per_class,
                 preemptions: self.preemptions,
                 resumes: self.resumes,
-                restore_charged_ns: self.restore_charged_ns,
+                restore_charged_ns: ns(self.restore_charged_ps),
                 prefill_chunks: self.prefill_chunks,
-                prefill_work_ns: self.prefill_work_ns,
+                prefill_work_ns: ns(self.prefill_work_ps),
                 pages: self.pages.stats(),
                 leaked_pages: leaked,
                 invariant_violation,

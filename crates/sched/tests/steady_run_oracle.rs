@@ -5,16 +5,18 @@
 //! The oracle drives one [`Scheduler`] through the serving driver's
 //! per-step loop: admit due events, drain the queue, plan, cost the step,
 //! `now += dt`, advance one step. A twin scheduler runs the same timeline
-//! in runs bounded by [`Scheduler::steady_run`], ticking the clock and
-//! taking one [`Scheduler::chunk_step`] per step (a step after which the
-//! chunks change ends the run) and advancing each run in one
-//! [`Scheduler::advance_step`] call. The serving system's step model is
-//! replaced by a deterministic `(users, ctx) -> dt` cost. Completions, the
-//! per-class latency ledgers and the final reports must agree by bits.
+//! in runs bounded by [`Scheduler::steady_run`] and by the first step
+//! whose end reaches the next event or the guard, each one division on
+//! the picosecond clock, moving the clock by `n·dt` and advancing the run
+//! in one [`Scheduler::advance_step`] call. The serving system's step
+//! model is replaced by a deterministic `(users, ctx) -> dt` cost.
+//! Completions, the per-class latency ledgers and the final reports must
+//! agree by bits.
 
 mod common;
 
 use common::{gen_case, step_dt, Case, Event};
+use longsight_sched::clock::steps_to_reach;
 use longsight_sched::{
     Completion, Member, PageConfig, SchedConfig, SchedRequest, Scheduler, SloClass,
 };
@@ -49,7 +51,7 @@ fn apply(s: &mut Scheduler, case: &Case, ev: Event) {
     }
 }
 
-fn outcome(mut s: Scheduler, completions: Vec<Completion>, now: f64, steps: usize) -> Outcome {
+fn outcome(mut s: Scheduler, completions: Vec<Completion>, now: u64, steps: usize) -> Outcome {
     let samples = s
         .class_samples()
         .iter()
@@ -72,7 +74,7 @@ fn outcome(mut s: Scheduler, completions: Vec<Completion>, now: f64, steps: usiz
             .collect(),
         samples,
         report,
-        now: now.to_bits(),
+        now,
         steps,
     }
 }
@@ -80,8 +82,8 @@ fn outcome(mut s: Scheduler, completions: Vec<Completion>, now: f64, steps: usiz
 /// The per-step loop: one plan, one clock tick, one advance per step.
 fn single_steps(case: &Case) -> Outcome {
     let mut s = Scheduler::new(case.cfg.clone());
-    let mut events: Vec<(f64, Event)> = case.events.iter().rev().copied().collect();
-    let (mut now, mut steps, mut done) = (0.0f64, 0usize, Vec::new());
+    let mut events: Vec<(u64, Event)> = case.events.iter().rev().copied().collect();
+    let (mut now, mut steps, mut done) = (0u64, 0usize, Vec::new());
     loop {
         while let Some(&(_, ev)) = events.last().filter(|e| e.0 <= now) {
             events.pop();
@@ -97,7 +99,7 @@ fn single_steps(case: &Case) -> Outcome {
                 None => break,
             }
         }
-        if now > case.guard_ns {
+        if now > case.guard_ps {
             break;
         }
         let plan = s.plan_step();
@@ -105,26 +107,23 @@ fn single_steps(case: &Case) -> Outcome {
             case,
             plan.decode_users,
             plan.max_decode_ctx,
-            plan.prefill_ns,
+            plan.prefill_ps,
         );
         now += dt;
         steps += 1;
-        if plan.prefill_users > 0 {
-            s.chunk_step();
-        }
         done.extend(s.advance_step(dt, 1, now));
     }
     outcome(s, done, now, steps)
 }
 
-/// The macro-step loop: one plan per run, one clock tick and chunk step
-/// per step, one advance per run. The run ends at the scheduler's bound,
-/// after a step that changes the chunks, or after the first step whose
-/// end reaches the next event or the guard.
+/// The macro-step loop: one plan, one clock move and one advance per run.
+/// The run ends at the scheduler's bound (a completion or a chunk that
+/// changes) or at the first step whose end reaches the next event or the
+/// guard.
 fn macro_steps(case: &Case) -> Outcome {
     let mut s = Scheduler::new(case.cfg.clone());
-    let mut events: Vec<(f64, Event)> = case.events.iter().rev().copied().collect();
-    let (mut now, mut steps, mut done) = (0.0f64, 0usize, Vec::new());
+    let mut events: Vec<(u64, Event)> = case.events.iter().rev().copied().collect();
+    let (mut now, mut steps, mut done) = (0u64, 0usize, Vec::new());
     loop {
         while let Some(&(_, ev)) = events.last().filter(|e| e.0 <= now) {
             events.pop();
@@ -140,7 +139,7 @@ fn macro_steps(case: &Case) -> Outcome {
                 None => break,
             }
         }
-        if now > case.guard_ns {
+        if now > case.guard_ps {
             break;
         }
         let plan = s.plan_step();
@@ -148,22 +147,11 @@ fn macro_steps(case: &Case) -> Outcome {
             case,
             plan.decode_users,
             plan.max_decode_ctx,
-            plan.prefill_ns,
+            plan.prefill_ps,
         );
-        let run = s.steady_run(case.limit);
-        let until = events
-            .last()
-            .map_or(f64::INFINITY, |e| e.0)
-            .min(case.guard_ns);
-        let mut n = 0;
-        loop {
-            now += dt;
-            n += 1;
-            let same_chunks = plan.prefill_users == 0 || s.chunk_step();
-            if n == run || now >= until || !same_chunks {
-                break;
-            }
-        }
+        let until = events.last().map_or(u64::MAX, |e| e.0).min(case.guard_ps);
+        let n = s.steady_run(case.limit).min(steps_to_reach(now, dt, until));
+        now += n as u64 * dt;
         steps += n;
         done.extend(s.advance_step(dt, n, now));
     }
@@ -203,41 +191,29 @@ fn a_quiet_decode_batch_runs_to_its_first_completion() {
     let pages = PageConfig::unbounded(64);
     let mut s = Scheduler::new(SchedConfig::fifo(pages, usize::MAX));
     for (id, output) in [(0usize, 40usize), (1, 25), (2, 60)] {
-        let req = SchedRequest {
-            id,
-            class: SloClass::Interactive,
-            arrival_ns: 0.0,
-            context: 512,
-            output,
-            prefill_ns: 1e4,
-            restore_ns: 0.0,
-            recompute_ns: 0.0,
-            pull_ns: f64::INFINITY,
-            prefix_hash: None,
-        };
-        s.on_arrival(req, &mut |_, _| true);
+        s.on_arrival(pin_req(id, 512, output, 10_000_000), &mut |_, _| true);
     }
     s.drain_queue(&mut |_, _| true);
     let _ = s.plan_step();
     assert_eq!(s.steady_run(usize::MAX), 25);
     assert_eq!(s.steady_run(7), 7);
-    let done = s.advance_step(1e5, 25, 25.0 * 1e5);
+    let done = s.advance_step(100_000_000, 25, 25 * 100_000_000);
     assert_eq!(done.len(), 1);
     assert_eq!(done[0].id, 1);
 }
 
 /// A request admitted at time 0 under the pins below.
-fn pin_req(id: usize, context: usize, output: usize, prefill_ns: f64) -> SchedRequest {
+fn pin_req(id: usize, context: usize, output: usize, prefill_ps: u64) -> SchedRequest {
     SchedRequest {
         id,
         class: SloClass::Interactive,
-        arrival_ns: 0.0,
+        arrival_ps: 0,
         context,
         output,
-        prefill_ns,
-        restore_ns: 0.0,
-        recompute_ns: 0.0,
-        pull_ns: f64::INFINITY,
+        prefill_ps,
+        restore_ps: 0,
+        recompute_ps: 0,
+        pull_ps: u64::MAX,
         prefix_hash: None,
     }
 }
@@ -253,68 +229,61 @@ fn chunked(reqs: &[SchedRequest]) -> Scheduler {
     s
 }
 
-/// Plans a step and takes the run the driver would: one chunk step per
-/// step, up to the `steady_run` bound or a chunk step that returns false.
-/// Returns the run length.
+/// Plans a step and takes the run the driver would, up to the
+/// `steady_run` bound, in one advance. Returns the run length.
 fn chunked_run(s: &mut Scheduler, limit: usize) -> usize {
     let _ = s.plan_step();
-    let run = s.steady_run(limit);
-    let mut n = 0;
-    loop {
-        n += 1;
-        if !s.chunk_step() || n == run {
-            let _ = s.advance_step(1e5, n, n as f64 * 1e5);
-            return n;
-        }
-    }
+    let n = s.steady_run(limit);
+    let _ = s.advance_step(100_000_000, n, n as u64 * 100_000_000);
+    n
 }
 
 /// The prefill twin of the pin above: a run of full chunks ends at the
 /// step that finishes the prefill, or one step early when the last chunk
-/// is partial; a chunk below half an ulp never ends a run; and a
-/// prefilling member behind a member that fails still advances.
+/// is partial; a one-ps chunk of a huge resume runs until something else
+/// ends the run; and a prefilling member behind a member that fails still
+/// advances.
 #[test]
 fn a_quiet_prefill_runs_to_its_chunk_boundary() {
-    // 4e6 ns over 4096 tokens in 1024-token chunks: four full chunks of
-    // 1e6, beside a member decoding 100 tokens.
-    let mut s = chunked(&[pin_req(0, 512, 100, 0.0), pin_req(1, 4096, 8, 4e6)]);
+    // 4e9 ps over 4096 tokens in 1024-token chunks: four full chunks of
+    // 1e9, beside a member decoding 100 tokens.
+    let mut s = chunked(&[pin_req(0, 512, 100, 0), pin_req(1, 4096, 8, 4_000_000_000)]);
     assert_eq!(chunked_run(&mut s, usize::MAX), 4);
     assert_eq!(s.plan_step().decode_users, 2, "the prefill finished");
 
-    // 1e6 ns over 4000 tokens: three full chunks of 256 000, then a
-    // partial one that the run stops short of.
-    let mut s = chunked(&[pin_req(0, 512, 100, 0.0), pin_req(1, 4000, 8, 1e6)]);
+    // 1e9 ps over 4000 tokens: three full chunks of 256e6, then a partial
+    // one that the run stops short of.
+    let mut s = chunked(&[pin_req(0, 512, 100, 0), pin_req(1, 4000, 8, 1_000_000_000)]);
     assert_eq!(chunked_run(&mut s, usize::MAX), 3);
-    assert!(s.active()[1].prefill_left_ns < 256_000.0);
+    assert_eq!(s.active()[1].prefill_left_ps, 232_000_000);
     assert_eq!(chunked_run(&mut s, usize::MAX), 1);
     assert_eq!(s.plan_step().decode_users, 2, "the prefill finished");
 
-    // A resume of 1e16 ns (an ulp of 2) in chunks of 2.5e-4 ns: the member
-    // never progresses, so only the decoder's 25 tokens or the limit end
-    // the run.
-    let mut resumed = pin_req(1, 4096, 8, 1e-3);
-    resumed.restore_ns = 1e16;
-    resumed.recompute_ns = 1e16;
-    let mut s = chunked(&[pin_req(0, 512, 25, 0.0)]);
+    // A resume of 1e19 ps in chunks of 1 ps (a 1-ps prefill's share): only
+    // the decoder's 25 tokens or the limit end the run.
+    let mut resumed = pin_req(1, 4096, 8, 1);
+    resumed.restore_ps = 10_000_000_000_000_000_000;
+    resumed.recompute_ps = resumed.restore_ps;
+    let mut s = chunked(&[pin_req(0, 512, 25, 0)]);
     let mut evacuee = Member::new(resumed);
     evacuee.generated = 1;
-    evacuee.prefill_left_ns = 0.0;
+    evacuee.prefill_left_ps = 0;
     s.on_redispatch(evacuee);
     s.drain_queue(&mut |_, _| true);
     assert_eq!(chunked_run(&mut s, 7), 7);
     assert_eq!(chunked_run(&mut s, usize::MAX), 18);
-    assert_eq!(s.active()[0].prefill_left_ns, 1e16);
+    assert_eq!(s.active()[0].prefill_left_ps, resumed.restore_ps - 25);
     assert_eq!(s.finalize().prefill_chunks, 25);
 
     // The decoder ahead of the prefilling member fails between plan and
     // run: the chunk follows its member to the freed slot.
-    let mut s = chunked(&[pin_req(0, 512, 100, 0.0), pin_req(1, 4096, 8, 4e6)]);
+    let mut s = chunked(&[pin_req(0, 512, 100, 0), pin_req(1, 4096, 8, 4_000_000_000)]);
     let _ = s.plan_step();
     s.remove_failed(&[0]);
-    assert!(s.chunk_step());
-    let _ = s.advance_step(1e5, 1, 1e5);
+    assert_eq!(s.steady_run(usize::MAX), 1, "a failure unsettles the run");
+    let _ = s.advance_step(100_000_000, 1, 100_000_000);
     assert_eq!(s.active()[0].req.id, 1);
-    assert_eq!(s.active()[0].prefill_left_ns, 3e6);
+    assert_eq!(s.active()[0].prefill_left_ps, 3_000_000_000);
     let rep = s.finalize();
     assert_eq!((rep.prefill_chunks, rep.prefill_work_ns), (1, 1e6));
 }

@@ -223,22 +223,23 @@ impl TokenAttribution {
         }
     }
 
-    /// Records one speculated step's per-member resolution counts and its
-    /// accounting sample. Call once per step with lookahead on, alongside
-    /// [`TokenAttribution::record_step`].
-    pub fn record_spec_step(
+    /// Records `steps` speculated steps that resolved alike: each one's
+    /// per-member resolution counts and its accounting sample. Call once
+    /// per run with lookahead on, alongside [`TokenAttribution::record_step`].
+    pub fn record_spec_steps(
         &mut self,
         sample: SpecSample,
         hits: usize,
         misses: usize,
         denied: usize,
+        steps: usize,
     ) {
-        self.spec_hits += hits;
-        self.spec_misses += misses;
-        self.spec_denied += denied;
+        self.spec_hits += hits * steps;
+        self.spec_misses += misses * steps;
+        self.spec_denied += denied * steps;
         match self.spec_steps.last_mut() {
-            Some((last, n)) if last.same_bits(&sample) => *n += 1,
-            _ => self.spec_steps.push((sample, 1)),
+            Some((last, n)) if last.same_bits(&sample) => *n += steps,
+            _ => self.spec_steps.push((sample, steps)),
         }
     }
 
@@ -476,7 +477,7 @@ mod tests {
         let mut a = TokenAttribution::new();
         let parts = attribution_parts(&r, r.step_ns, Some(SpecCharge::Hit));
         a.record_step(parts, r.step_ns, 4);
-        a.record_spec_step(
+        a.record_spec_steps(
             SpecSample {
                 charge: SpecCharge::Hit,
                 chain_ns: s.chain_ns,
@@ -489,6 +490,7 @@ mod tests {
             4,
             0,
             0,
+            1,
         );
         assert!(a.has_spec());
         assert_eq!(a.spec_counts(), (4, 0, 0));
@@ -556,7 +558,7 @@ mod tests {
         ];
         let mut a = TokenAttribution::new();
         for &s in &steps {
-            a.record_spec_step(s, 1, 0, 0);
+            a.record_spec_steps(s, 1, 0, 0, 1);
         }
         assert_eq!(a.spec_steps.len(), 4, "only the first two share a run");
         let back: Vec<SpecSample> = a.spec_steps().collect();

@@ -39,6 +39,7 @@ use longsight_faults::{
 use longsight_gpu::GpuSpec;
 use longsight_model::ModelConfig;
 use longsight_obs::{ArgVal, Recorder, TrackId};
+use longsight_sched::clock;
 use longsight_sched::{
     BreakerConfig, BreakerState, CircuitBreaker, ClassViews, FleetFaultSummary, FleetReport,
     KvDeviceGeometry, PagedKvManager, Placement, PullRecord, RedispatchRecord, Router,
@@ -284,7 +285,8 @@ impl ServeMetrics {
 #[derive(Debug, Clone)]
 pub(crate) struct Arrival {
     pub(crate) id: usize,
-    pub(crate) arrival_ns: f64,
+    /// Arrival time, ps, rounded once where it is generated.
+    pub(crate) arrival_ps: u64,
     pub(crate) context: usize,
     pub(crate) output: usize,
     pub(crate) class: SloClass,
@@ -300,13 +302,13 @@ impl Arrival {
         SchedRequest {
             id: self.id,
             class: self.class,
-            arrival_ns: self.arrival_ns,
+            arrival_ps: self.arrival_ps,
             context: self.context,
             output: self.output,
-            prefill_ns: self.prefill_ns,
-            restore_ns: g.restore_ns(self.context),
-            recompute_ns: g.recompute_ns(self.context),
-            pull_ns: f64::INFINITY,
+            prefill_ps: clock::ps(self.prefill_ns),
+            restore_ps: g.restore_ps(self.context),
+            recompute_ps: g.recompute_ps(self.context),
+            pull_ps: u64::MAX,
             prefix_hash: None,
         }
     }
@@ -315,8 +317,9 @@ impl Arrival {
 /// Pre-generates the run's Poisson arrival process with its class draws
 /// and prefill costs, so the offered load is byte-identical regardless of
 /// how many replicas serve it: arrivals from the workload seed, classes
-/// from a dedicated stream (`seed ^ CLASS_SEED`). Comes back reversed —
-/// pop from the back in time order.
+/// from a dedicated stream (`seed ^ CLASS_SEED`). Gaps accumulate in f64
+/// ns; each arrival time is rounded to ps once. Comes back reversed — pop
+/// from the back in time order. `workload` must pass [`validate`].
 fn gen_arrivals(model: &ModelConfig, workload: &WorkloadConfig, mix: &SloMix) -> Vec<Arrival> {
     let mut rng = SimRng::seed_from(workload.seed);
     let mut arrivals: Vec<Arrival> = Vec::new();
@@ -334,7 +337,7 @@ fn gen_arrivals(model: &ModelConfig, workload: &WorkloadConfig, mix: &SloMix) ->
         let output = o0 + rng.below((o1 - o0).max(1));
         arrivals.push(Arrival {
             id: arrivals.len(),
-            arrival_ns: t,
+            arrival_ps: clock::ps(t),
             context,
             output,
             class: SloClass::Interactive,
@@ -418,14 +421,14 @@ fn flush_sched_events(sched: &mut Scheduler, rec: &mut Recorder, track: TrackId,
             SchedEvent::Resumed {
                 id,
                 class,
-                cost_ns,
+                cost_ps,
                 restored,
             } => (
                 "sched.resume",
                 id,
                 Some(class),
                 vec![
-                    ("cost_ns", ArgVal::F(cost_ns)),
+                    ("cost_ns", ArgVal::F(clock::ns(cost_ps))),
                     ("restored", ArgVal::U(restored as u64)),
                 ],
             ),
@@ -635,7 +638,8 @@ struct ReplicaSim<'a> {
     /// pulls of the requests placed here.
     geometry: KvDeviceGeometry,
     sched: Scheduler,
-    now: f64,
+    /// The replica clock, ps.
+    now: u64,
     /// Decode steps and the tokens they generated: the mean batch size.
     batch_steps: usize,
     generated_tokens: usize,
@@ -676,10 +680,10 @@ struct ReplicaSim<'a> {
     completions: Option<Vec<(SloClass, f64)>>,
     /// Session turns in flight here; always empty on sessionless runs.
     turns: Vec<PendingTurn>,
-    /// The overload guard, four horizons: a step ending past it stays
+    /// The overload guard, four horizons, ps: a step ending past it stays
     /// unaccounted and halts the replica.
-    guard_ns: f64,
-    /// Set by the step that crossed `guard_ns`, or by one whose decode
+    guard_ps: u64,
+    /// Set by the step that crossed `guard_ps`, or by one whose decode
     /// subset `sys` cannot evaluate: a halted replica never drains or steps
     /// again, and [`run`] routes nothing more.
     halted: bool,
@@ -696,9 +700,12 @@ thread_local! {
     /// Run-length cap of every [`ReplicaSim`] built on this thread: tests
     /// set it to 1 to compare macro-steps against single steps.
     static MAX_RUN: std::cell::Cell<usize> = const { std::cell::Cell::new(usize::MAX) };
-    /// `(step calls, scheduler steps)` run on this thread, so tests can pin
-    /// run lengths that bit-identity alone would not notice shrinking.
-    static RUN_COUNTS: std::cell::Cell<(usize, usize)> = const { std::cell::Cell::new((0, 0)) };
+    /// `(step calls, scheduler steps, per-step loop turns)` run on this
+    /// thread, so tests can pin run lengths that bit-identity alone would
+    /// not notice shrinking, and that a run without per-step side effects
+    /// costs no loop turn.
+    static RUN_COUNTS: std::cell::Cell<(usize, usize, usize)> =
+        const { std::cell::Cell::new((0, 0, 0)) };
     /// `(samples, buffer capacity, distinct values)` of every class token
     /// ledger at the end of the last run on this thread, so tests can pin
     /// the ledgers' memory.
@@ -732,7 +739,7 @@ impl<'a> ReplicaSim<'a> {
         rec: &mut Recorder,
         idx: Option<usize>,
         faults: Option<(&'a FaultInjector, &'a RetryPolicy)>,
-        guard_ns: f64,
+        guard_ps: u64,
     ) -> Self {
         let geometry = geometry_for(sys, opts);
         let mut sched = Scheduler::new(sched_config_for(&geometry, opts));
@@ -749,7 +756,7 @@ impl<'a> ReplicaSim<'a> {
             sys,
             geometry,
             sched,
-            now: 0.0,
+            now: 0,
             batch_steps: 0,
             generated_tokens: 0,
             cache: Vec::new(),
@@ -770,7 +777,7 @@ impl<'a> ReplicaSim<'a> {
             brownout_factor: 1.0,
             completions: None,
             turns: Vec::new(),
-            guard_ns,
+            guard_ps,
             halted: false,
             infeasible: None,
             #[cfg(test)]
@@ -786,12 +793,13 @@ impl<'a> ReplicaSim<'a> {
         usize::MAX
     }
 
-    /// Counts one step call advancing `n` scheduler steps (tests only).
-    fn count_run(&self, _n: usize) {
+    /// Counts one step call advancing `n` scheduler steps in `turns`
+    /// per-step loop turns (tests only).
+    fn count_run(&self, _n: usize, _turns: usize) {
         #[cfg(test)]
         RUN_COUNTS.with(|c| {
-            let (calls, steps) = c.get();
-            c.set((calls + 1, steps + _n));
+            let (calls, steps, turns) = c.get();
+            c.set((calls + 1, steps + _n, turns + _turns));
         });
     }
 
@@ -804,8 +812,9 @@ impl<'a> ReplicaSim<'a> {
             now,
             ..
         } = self;
+        let at_ns = clock::ns(*now);
         let mut feas = |users: usize, ctx: usize| -> bool {
-            cached_step_cost(cache, &mut **sys, users, ctx, rec, *now).is_some()
+            cached_step_cost(cache, &mut **sys, users, ctx, rec, at_ns).is_some()
         };
         sched.on_arrival(req, &mut feas);
     }
@@ -824,26 +833,26 @@ impl<'a> ReplicaSim<'a> {
         &mut self,
         rec: &mut Recorder,
         mut attr: Option<&mut TokenAttribution>,
-        t: Option<f64>,
+        t: Option<u64>,
     ) {
-        while !self.halted && !t.is_some_and(|t| self.now >= t) {
+        while !self.halted && t.is_none_or(|t| self.now < t) {
             if !self.down {
                 self.drain(rec);
                 if self.prefix.is_empty() {
-                    sample_sched_timeseries(rec, "", self.now, &self.sched);
+                    sample_sched_timeseries(rec, "", clock::ns(self.now), &self.sched);
                 }
             }
             if self.down || self.sched.active_is_empty() {
                 self.now = t.map_or(self.now, |t| self.now.max(t));
                 return;
             }
-            self.step(rec, attr.as_deref_mut(), t.unwrap_or(f64::INFINITY));
+            self.step(rec, attr.as_deref_mut(), t);
         }
     }
 
     /// [`ReplicaSim::advance`] to `t`, then drains a live replica at its
     /// new clock: the state a fleet routes and redispatches from.
-    fn catch_up(&mut self, rec: &mut Recorder, attr: Option<&mut TokenAttribution>, t: f64) {
+    fn catch_up(&mut self, rec: &mut Recorder, attr: Option<&mut TokenAttribution>, t: u64) {
         self.advance(rec, attr, Some(t));
         if !self.down && !self.halted {
             self.drain(rec);
@@ -858,11 +867,12 @@ impl<'a> ReplicaSim<'a> {
             now,
             ..
         } = self;
+        let at_ns = clock::ns(*now);
         let mut feas = |users: usize, ctx: usize| -> bool {
-            cached_step_cost(cache, &mut **sys, users, ctx, rec, *now).is_some()
+            cached_step_cost(cache, &mut **sys, users, ctx, rec, at_ns).is_some()
         };
         sched.drain_queue(&mut feas);
-        flush_sched_events(&mut self.sched, rec, self.sched_track, self.now);
+        flush_sched_events(&mut self.sched, rec, self.sched_track, at_ns);
     }
 
     /// One synchronized step — the only one in the crate — repeated over
@@ -871,18 +881,21 @@ impl<'a> ReplicaSim<'a> {
     /// Speculation, brownout contraction and token faults pace it in that
     /// order: the worst token's retry/backoff penalty paces the whole
     /// batch, and hard-failed requests leave it without emitting this
-    /// token.
+    /// token. The paced duration is rounded to whole ps once, here.
     ///
     /// **Macro-steps.** A step's cost depends only on the batch shape, so
-    /// the plan repeats until a member completes ([`Scheduler::steady_run`])
-    /// or a chunk changes ([`Scheduler::chunk_step`], once per step), or
-    /// until the first step whose end reaches `until`, the next arrival or
-    /// fleet event. The clock takes one `now += dt` per step (`k·dt` is not
-    /// the sum of `k` `dt`s in floating point); the counters move by the run
-    /// length and the scheduler advances the decoders over it in one call.
-    /// With the recorder, the time series or attribution on, each step of
-    /// the run still emits its own `decode.step` span, `tokens` rate,
-    /// scheduler sample and attribution record at its own `now`.
+    /// the plan repeats until a member completes or a chunk changes
+    /// ([`Scheduler::steady_run`]), or until the first step whose end
+    /// reaches `until`, the next arrival or fleet event. On the integer
+    /// clock every bound is one division ([`clock::steps_to_reach`],
+    /// [`clock::steps_within`]), step `k` of a run starts at exactly
+    /// `now + k·dt`, and the run is applied in one go: `now += n·dt` and
+    /// one [`Scheduler::advance_step`] for the chunks and the decoders.
+    /// A loop over the run's steps remains only for what each step emits
+    /// or draws: with the recorder on, its `decode.step` span; with the
+    /// time series on, its `tokens` rate and scheduler sample; under
+    /// speculation or token faults, its draws. Attribution takes the run
+    /// as one weighted record.
     ///
     /// **Eligibility.** Speculation and token faults draw per token, and
     /// every step of a run draws through one pass ([`ReplicaSim::draw`])
@@ -897,17 +910,23 @@ impl<'a> ReplicaSim<'a> {
     /// but the pool's `release_until(now)`, which the next call repeats at
     /// a `now` no earlier.
     ///
-    /// **Halts.** A step that ends past `guard_ns` stays unaccounted (the
+    /// **Halts.** A step that ends past `guard_ps` stays unaccounted (the
     /// steps of the run before it count) and halts the replica. So does a
     /// decode subset that admission never probed and `sys` cannot evaluate;
     /// its shape is kept in `infeasible`.
-    fn step(&mut self, rec: &mut Recorder, mut attr: Option<&mut TokenAttribution>, until: f64) {
+    fn step(
+        &mut self,
+        rec: &mut Recorder,
+        attr: Option<&mut TokenAttribution>,
+        until: Option<u64>,
+    ) {
         let plan = self.sched.plan_step();
         let (users, ctx) = (plan.decode_users, plan.max_decode_ctx);
-        let now = self.now;
+        let now0 = self.now;
+        let at_ns = clock::ns(now0);
         let report = match users {
             0 => None,
-            _ => match cached_step_cost(&mut self.cache, &mut *self.sys, users, ctx, rec, now) {
+            _ => match cached_step_cost(&mut self.cache, &mut *self.sys, users, ctx, rec, at_ns) {
                 None => {
                     self.infeasible = Some((users, ctx.next_power_of_two()));
                     self.halted = true;
@@ -964,64 +983,75 @@ impl<'a> ReplicaSim<'a> {
         }
         // Chunked prefill hides inside the memory-bound decode step; only a
         // pure-prefill step pays chunk time alone. FIFO plans no chunks, so
-        // `work_dt == base_dt` exactly.
-        let work_dt = base_dt.max(plan.prefill_ns);
+        // `work_ns == base_dt` exactly.
+        let work_ns = base_dt.max(clock::ns(plan.prefill_ps));
         // The worst token's penalty paces the batch; a hard fault may have
-        // emptied it.
+        // emptied it. The paced duration enters the clock here, once.
         let (dt, batch_died) = match self.faults {
-            Some(_) => (work_dt + penalty, self.sched.active_is_empty()),
-            None => (work_dt, false),
+            Some(_) => (clock::ps(work_ns + penalty), self.sched.active_is_empty()),
+            None => (clock::ps(work_ns), false),
         };
-        let run = if drawn.clean() {
+        let work_dt = clock::ps(work_ns);
+        if batch_died {
+            if rec.is_enabled() {
+                self.trace_step(rec, &plan, work_dt, dt);
+            }
+            self.now = clock::after(now0, 1, dt);
+            flush_sched_events(&mut self.sched, rec, self.sched_track, clock::ns(self.now));
+            return;
+        }
+        // The run: `run` steps repeat the plan up to the first whose end
+        // reaches `until`; `within` of them end by the guard, and the step
+        // after those (when the run gets that far) halts the replica.
+        let mut run = if drawn.clean() {
             self.sched.steady_run(self.run_cap())
         } else {
             1
         };
+        if let Some(until) = until {
+            run = run.min(clock::steps_to_reach(now0, dt, until));
+        }
+        let within = clock::steps_within(now0, dt, self.guard_ps);
+        let (mut taken, mut n) = (run.min(within.saturating_add(1)), run.min(within));
         let decoding = self.sched.decoding_count();
         let ts_on = rec.timeseries.is_enabled();
-        // The run's steps, one clock tick and, when the plan has chunks, one
-        // chunk step each; the guard step and a dead batch's step take none.
-        // Only the last step can complete a request, so every earlier one
-        // emits what the end of a lone step would: no completion, no
-        // scheduler event, and a sample of gauges it leaves alone. (A lone
-        // replica's own sample after each drain repeats them at the same
-        // `now`; gauges keep the last write per window.)
-        let mut n = 0usize;
-        let past_guard = loop {
+        // The steps' own side effects, step `k` at `now0 + k·dt`: the draw
+        // and commit of each later step (the first unclean one ends the run
+        // before it), the end-of-step sample of the step before it and its
+        // span. Only the last step can complete a request, so every earlier
+        // one samples what the end of a lone step would: no completion, no
+        // scheduler event, and gauges it leaves alone. (A lone replica's own
+        // sample after each drain repeats them at the same `now`; gauges
+        // keep the last write per window.)
+        let per_step = draws || ts_on || rec.is_enabled();
+        let mut turns = 0;
+        while per_step && turns < taken {
+            let k = turns;
+            self.now = clock::after(now0, k, dt);
+            if k > 0 {
+                if draws {
+                    let drawn = self.draw(spec_step.as_ref(), k);
+                    if !drawn.clean() {
+                        (taken, n) = (k, k);
+                        break;
+                    }
+                    self.commit(rec, spec_step.as_ref(), drawn);
+                }
+                if ts_on {
+                    self.sample_step(rec, decoding);
+                }
+            }
             if rec.is_enabled() {
                 self.trace_step(rec, &plan, work_dt, dt);
             }
-            self.now += dt;
-            if batch_died {
-                flush_sched_events(&mut self.sched, rec, self.sched_track, self.now);
-                return;
+            turns += 1;
+        }
+        self.now = clock::after(now0, taken, dt);
+        self.count_run(n, turns);
+        if decoding > 0 && n > 0 {
+            if let (Some(a), Some(r)) = (attr, report.as_ref()) {
+                attribute_steps(a, r, spec, clock::ns(dt), decoding.min(64), n);
             }
-            if self.now > self.guard_ns {
-                break true;
-            }
-            n += 1;
-            let same_chunks = plan.prefill_users == 0 || self.sched.chunk_step();
-            if decoding > 0 {
-                if let (Some(a), Some(r)) = (attr.as_deref_mut(), report.as_ref()) {
-                    attribute_step(a, r, spec, dt, decoding.min(64));
-                }
-            }
-            if n == run || self.now >= until || !same_chunks {
-                break false;
-            }
-            if draws {
-                let drawn = self.draw(spec_step.as_ref(), n);
-                if !drawn.clean() {
-                    break false;
-                }
-                self.commit(rec, spec_step.as_ref(), drawn);
-            }
-            if ts_on {
-                self.sample_step(rec, decoding);
-            }
-        };
-        self.count_run(n);
-        if decoding > 0 {
             self.batch_steps += n;
             self.generated_tokens += decoding * n;
             if self.brownout_factor < 1.0 {
@@ -1030,7 +1060,7 @@ impl<'a> ReplicaSim<'a> {
             }
         }
         let done = self.sched.advance_step(dt, n, self.now);
-        if past_guard {
+        if n < taken {
             // The steps before the one past the guard completed nothing
             // (`done` is empty); the guard step itself stays unaccounted.
             // The run's request latencies are the scheduler's, so a
@@ -1039,6 +1069,7 @@ impl<'a> ReplicaSim<'a> {
             self.halted = true;
             return;
         }
+        let now_ns = clock::ns(self.now);
         for c in done {
             // A completed session turn publishes its prefix under its
             // content key on the replica it completed on.
@@ -1051,13 +1082,13 @@ impl<'a> ReplicaSim<'a> {
             }
             if ts_on {
                 rec.timeseries
-                    .observe_ms("lat.request_ms", self.now, c.latency_ms);
+                    .observe_ms("lat.request_ms", now_ns, c.latency_ms);
                 if c.class == SloClass::Interactive {
-                    rec.timeseries.slo_sample(self.now, c.latency_ms);
+                    rec.timeseries.slo_sample(now_ns, c.latency_ms);
                 }
             }
         }
-        flush_sched_events(&mut self.sched, rec, self.sched_track, self.now);
+        flush_sched_events(&mut self.sched, rec, self.sched_track, now_ns);
         if ts_on {
             self.sample_step(rec, decoding);
         }
@@ -1085,7 +1116,7 @@ impl<'a> ReplicaSim<'a> {
         let inj = faults.map(|f| f.0);
         let mut free = match (spec, spec_pool.as_mut()) {
             (Some(_), Some(pool)) => {
-                pool.release_until(*now);
+                pool.release_until(clock::ns(*now));
                 pool.capacity() - pool.occupancy()
             }
             _ => 0,
@@ -1146,10 +1177,11 @@ impl<'a> ReplicaSim<'a> {
             turns,
             ..
         } = self;
+        let now = clock::ns(*now);
         if let Some(((s, pool), track)) = spec.zip(spec_pool.as_mut()).zip(*spec_track) {
             let recording = rec.is_enabled();
             for d in draws.iter() {
-                let issued = pool.try_issue(*now, s.chain_ns);
+                let issued = pool.try_issue(now, s.chain_ns);
                 debug_assert_eq!(issued, d.slot, "the draw predicts every issue");
                 if issued && recording {
                     let (stale, voided) = d.miss;
@@ -1158,11 +1190,11 @@ impl<'a> ReplicaSim<'a> {
                         ("tok", ArgVal::U(d.tok)),
                         ("void", ArgVal::U(u64::from(voided))),
                     ];
-                    rec.instant_with(track, "spec.issue", *now, &args[..2]);
+                    rec.instant_with(track, "spec.issue", now, &args[..2]);
                     if stale || voided {
-                        rec.instant_with(track, "spec.miss", *now, &args);
+                        rec.instant_with(track, "spec.miss", now, &args);
                     } else {
-                        rec.instant_with(track, "spec.hit", *now, &args[..2]);
+                        rec.instant_with(track, "spec.hit", now, &args[..2]);
                     }
                 }
             }
@@ -1188,7 +1220,7 @@ impl<'a> ReplicaSim<'a> {
                 TokenOutcome::Completed { .. } => penalty = penalty.max(p),
             }
         }
-        fault_log.record_tail_into(logged, rec, track, *now);
+        fault_log.record_tail_into(logged, rec, track, now);
         sched.remove_failed(&dead);
         turns.retain(|t| !dead.contains(&t.id));
         for id in degraded {
@@ -1210,12 +1242,13 @@ impl<'a> ReplicaSim<'a> {
         }
     }
 
-    /// The trace of one step of `dt` starting at the current `now`: a
+    /// The trace of one step of `dt` ps starting at the current `now`: a
     /// `decode.step` span (with a nested `decode.retry_wait` when fault
     /// penalties stretch it past `work_dt`), or a `prefill.step` leaf when
     /// nobody decodes.
-    fn trace_step(&self, rec: &mut Recorder, plan: &StepPlan, work_dt: f64, dt: f64) {
-        let step_start = self.now;
+    fn trace_step(&self, rec: &mut Recorder, plan: &StepPlan, work_dt: u64, dt: u64) {
+        let step_start = clock::ns(self.now);
+        let step_end = clock::ns(self.now + dt);
         if plan.decode_users > 0 {
             let span = rec.open_with(
                 self.serving_track,
@@ -1231,21 +1264,21 @@ impl<'a> ReplicaSim<'a> {
                 rec.leaf_with(
                     self.serving_track,
                     "decode.retry_wait",
-                    step_start + work_dt,
-                    step_start + dt,
-                    &[("penalty_ns", ArgVal::F(dt - work_dt))],
+                    clock::ns(self.now + work_dt),
+                    step_end,
+                    &[("penalty_ns", ArgVal::F(clock::ns(dt - work_dt)))],
                 );
             }
-            rec.close(span, step_start + dt);
+            rec.close(span, step_end);
         } else {
             rec.leaf_with(
                 self.serving_track,
                 "prefill.step",
                 step_start,
-                step_start + dt,
+                step_end,
                 &[
                     ("users", ArgVal::U(plan.prefill_users as u64)),
-                    ("prefill_ns", ArgVal::F(plan.prefill_ns)),
+                    ("prefill_ns", ArgVal::F(clock::ns(plan.prefill_ps))),
                 ],
             );
         }
@@ -1254,34 +1287,38 @@ impl<'a> ReplicaSim<'a> {
     /// The end-of-step time-series samples at the current `now`: decoded
     /// tokens (and brownout-degraded ones) plus the scheduler snapshot.
     fn sample_step(&self, rec: &mut Recorder, decoding: usize) {
+        let now = clock::ns(self.now);
         if decoding > 0 {
-            rec.timeseries.rate_add("tokens", self.now, decoding as f64);
+            rec.timeseries.rate_add("tokens", now, decoding as f64);
             if self.brownout_factor < 1.0 {
                 rec.timeseries.rate_add(
                     &format!("{}degraded_tok", self.prefix),
-                    self.now,
+                    now,
                     decoding as f64,
                 );
             }
         }
-        sample_sched_timeseries(rec, &self.prefix, self.now, &self.sched);
+        sample_sched_timeseries(rec, &self.prefix, now, &self.sched);
     }
 }
 
-/// Records one decode step of `dt` into the per-token attribution, for
-/// `counted` decoding members, plus its speculation sample when the step
-/// was speculated.
-fn attribute_step(
+/// Records a run of `steps` identical decode steps of `dt` ns into the
+/// per-token attribution, for `counted` decoding members each, plus a
+/// speculation sample per step when they were speculated. Every step of a
+/// run longer than one is clean, so its steps share one charge and one
+/// sample.
+fn attribute_steps(
     a: &mut TokenAttribution,
     r: &StepReport,
     spec: Option<(SpecStep, SpecCharge, (usize, usize, usize))>,
     dt: f64,
     counted: usize,
+    steps: usize,
 ) {
     let parts = attribution_parts(r, dt, spec.map(|s| s.1));
-    a.record_step(parts, dt, counted);
+    a.record_step(parts, dt, counted * steps);
     if let Some((s, charge, (h, m, d))) = spec {
-        a.record_spec_step(
+        a.record_spec_steps(
             SpecSample {
                 charge,
                 chain_ns: s.chain_ns,
@@ -1298,6 +1335,7 @@ fn attribute_step(
             h,
             m,
             d,
+            steps,
         );
     }
 }
@@ -1321,7 +1359,7 @@ fn serve_metrics(
     let sum = |count: fn(&ReplicaSim) -> usize| -> usize { replicas.iter().map(count).sum() };
     let token_lat = SortedSamples::merge(views.iter().flatten().map(|(tok, _)| tok));
     let request_lat = SortedSamples::merge(views.iter().flatten().map(|(_, req)| req));
-    let span_ns = replicas.iter().fold(0.0f64, |span, r| span.max(r.now));
+    let span_ns = clock::ns(replicas.iter().map(|r| r.now).max().unwrap_or(0));
     let (generated, batch_steps) = (sum(|r| r.generated_tokens), sum(|r| r.batch_steps));
     let degraded = sum(|r| r.degrade.degraded_tokens);
     let brownout = sum(|r| r.brownout_tokens);
@@ -1405,6 +1443,15 @@ pub enum RunError {
     /// Replica fault domains over a single replica: there is nothing to
     /// fail over to.
     FaultDomainsNeedTwoReplicas,
+    /// The workload cannot be generated or timed: `what` names the
+    /// offending knob (a negative, NaN or infinite rate or duration, an
+    /// inverted context or output range, a negative or non-finite think
+    /// time, or a duration whose overload guard, four horizons, overflows
+    /// the picosecond clock).
+    InvalidWorkload {
+        /// The knob and what is wrong with it.
+        what: &'static str,
+    },
     /// Replica `replica` planned a decode step of `users` members that
     /// admission never probed, and its system cannot evaluate that shape
     /// at context bucket `ctx`. The replica halted there.
@@ -1425,6 +1472,7 @@ impl std::fmt::Display for RunError {
             RunError::FaultDomainsNeedTwoReplicas => {
                 f.write_str("fleet fault domains need at least two replicas")
             }
+            RunError::InvalidWorkload { what } => write!(f, "invalid workload: {what}"),
             RunError::StepInfeasible {
                 replica,
                 users,
@@ -1438,6 +1486,39 @@ impl std::fmt::Display for RunError {
 }
 
 impl std::error::Error for RunError {}
+
+/// The workload knobs [`run`] generates and times arrivals from, checked
+/// before anything is generated: a negative or NaN rate or a NaN duration
+/// would never end the Poisson loop, an inverted range would wrap, and the
+/// guard must fit the clock.
+fn validate(spec: &RunSpec) -> Result<(), RunError> {
+    let (wl, sess) = (&spec.workload, &spec.sessions);
+    let invalid = |what| Err(RunError::InvalidWorkload { what });
+    if !wl.arrivals_per_s.is_finite() || wl.arrivals_per_s < 0.0 {
+        return invalid("the arrival rate must be finite and >= 0");
+    }
+    if !wl.duration_s.is_finite() || wl.duration_s < 0.0 {
+        return invalid("the duration must be finite and >= 0");
+    }
+    // An inverted range would wrap `max − min` into a huge context or
+    // output length.
+    if wl.context_tokens.0 > wl.context_tokens.1 || wl.output_tokens.0 > wl.output_tokens.1 {
+        return invalid("the context and output ranges must not be inverted");
+    }
+    if sess.is_active() && !(sess.think_time_ms.is_finite() && sess.think_time_ms >= 0.0) {
+        return invalid("the think time must be finite and >= 0");
+    }
+    // `u64::MAX as f64` rounds up to 2^64, so `<` keeps the guard in range.
+    if guard_horizon_ns(wl) * 1e3 >= u64::MAX as f64 {
+        return invalid("the duration's overload guard overflows the picosecond clock");
+    }
+    Ok(())
+}
+
+/// The overload guard of `wl`, four horizons, ns.
+fn guard_horizon_ns(wl: &WorkloadConfig) -> f64 {
+    4.0 * wl.duration_s * 1e9
+}
 
 /// Closed-loop serving of `spec` over `systems`, one replica each: the one
 /// arrival loop.
@@ -1489,8 +1570,9 @@ impl std::error::Error for RunError {}
 ///
 /// [`RunError::NoReplicas`] for an empty `systems`,
 /// [`RunError::FaultDomainsNeedTwoReplicas`] for `spec.faults` armed over
-/// one replica, and [`RunError::StepInfeasible`] when a replica's system
-/// refuses a decode step its batch planned.
+/// one replica, [`RunError::InvalidWorkload`] for a workload that cannot
+/// be generated or timed, and [`RunError::StepInfeasible`] when a
+/// replica's system refuses a decode step its batch planned.
 pub fn run<'s, S: DerefMut<Target = dyn ServingSystem + 's>>(
     systems: &mut [S],
     spec: &RunSpec,
@@ -1505,6 +1587,7 @@ pub fn run<'s, S: DerefMut<Target = dyn ServingSystem + 's>>(
     if n == 1 && fopts.is_active() {
         return Err(RunError::FaultDomainsNeedTwoReplicas);
     }
+    validate(spec)?;
     let mut arrivals = if sess.is_active() {
         session::gen_session_turns(&spec.model, &spec.workload, &opts.mix, sess)
     } else {
@@ -1520,11 +1603,11 @@ pub fn run<'s, S: DerefMut<Target = dyn ServingSystem + 's>>(
         .as_ref()
         .filter(|(inj, _)| inj.is_enabled())
         .map(|(inj, retry)| (inj, retry));
-    let guard_ns = 4.0 * spec.workload.duration_s * 1e9;
+    let guard_ps = clock::ps(guard_horizon_ns(&spec.workload));
     let mut replicas: Vec<ReplicaSim> = Vec::with_capacity(n);
     for (i, sys) in systems.iter_mut().enumerate() {
         let idx = (n > 1).then_some(i);
-        let mut r = ReplicaSim::new(&mut **sys, opts, rec, idx, token_faults, guard_ns);
+        let mut r = ReplicaSim::new(&mut **sys, opts, rec, idx, token_faults, guard_ps);
         r.sched
             .pages_mut()
             .set_prefix_capacity(sess.prefix_cache_pages);
@@ -1548,8 +1631,8 @@ pub fn run<'s, S: DerefMut<Target = dyn ServingSystem + 's>>(
             // last arrival the rest of the timeline (repairs in particular)
             // runs before the final drain, so every crashed replica comes
             // back up and serves out whatever a naive router parked on it.
-            let next = arrivals.last().map_or(f64::INFINITY, |a| a.arrival_ns);
-            while let Some(e) = f.events.pop_if(|e| e.at_ns <= next) {
+            let next = arrivals.last().map_or(u64::MAX, |a| a.arrival_ps);
+            while let Some(e) = f.events.pop_if(|e| e.0 <= next) {
                 let at = attr.as_deref_mut();
                 f.apply_event(e, &mut replicas, &mut owners, rec, at, sessions_track);
             }
@@ -1557,9 +1640,9 @@ pub fn run<'s, S: DerefMut<Target = dyn ServingSystem + 's>>(
         let Some(a) = arrivals.pop() else { break };
         for (i, r) in replicas.iter_mut().enumerate() {
             if fleet.is_some() {
-                r.catch_up(rec, attr.as_deref_mut(), a.arrival_ns);
+                r.catch_up(rec, attr.as_deref_mut(), a.arrival_ps);
             } else {
-                r.advance(rec, attr.as_deref_mut(), Some(a.arrival_ns));
+                r.advance(rec, attr.as_deref_mut(), Some(a.arrival_ps));
             }
             r.feasible(i)?;
         }
@@ -1576,9 +1659,10 @@ pub fn run<'s, S: DerefMut<Target = dyn ServingSystem + 's>>(
             let o = *owners.get(&h)?;
             Some((o, replicas[o].sched.pages().prefix_lookup(h)?))
         });
+        let arrival_ns = clock::ns(a.arrival_ps);
         let pick = match fleet.as_mut() {
             None => {
-                rec.timeseries.rate_add("arrivals", a.arrival_ns, 1.0);
+                rec.timeseries.rate_add("arrivals", arrival_ns, 1.0);
                 0
             }
             Some(f) => match f.route(&a, &mut replicas, owned, rec) {
@@ -1603,7 +1687,7 @@ pub fn run<'s, S: DerefMut<Target = dyn ServingSystem + 's>>(
                 pick,
                 r.sched.pages_mut(),
                 owned.filter(|&(o, _)| o != pick),
-                r.geometry.restore_ns_per_page,
+                (a.prefill_ns, r.geometry.restore_ns_per_page),
             ) {
                 Resume::Local => book.prefix_hits += 1,
                 Resume::Pull(p) => {
@@ -1611,8 +1695,8 @@ pub fn run<'s, S: DerefMut<Target = dyn ServingSystem + 's>>(
                         rec.leaf_with(
                             st,
                             "prefix.pull",
-                            a.arrival_ns,
-                            a.arrival_ns + req.pull_ns,
+                            arrival_ns,
+                            clock::ns(a.arrival_ps + req.pull_ps),
                             &[
                                 ("id", ArgVal::U(a.id as u64)),
                                 ("from", ArgVal::U(p.from as u64)),
@@ -1621,7 +1705,7 @@ pub fn run<'s, S: DerefMut<Target = dyn ServingSystem + 's>>(
                             ],
                         );
                     }
-                    rec.timeseries.rate_add("sessions.pull", a.arrival_ns, 1.0);
+                    rec.timeseries.rate_add("sessions.pull", arrival_ns, 1.0);
                     book.pulls.push(p);
                 }
                 Resume::Cold => book.cold_turns += usize::from(t.turn > 0),
@@ -1639,8 +1723,8 @@ pub fn run<'s, S: DerefMut<Target = dyn ServingSystem + 's>>(
         }
         r.inject(rec, req);
         if fleet.is_some() && rec.timeseries.is_enabled() {
-            rec.timeseries.rate_add("fleet.admit", a.arrival_ns, 1.0);
-            sample_sched_timeseries(rec, &r.prefix, a.arrival_ns, &r.sched);
+            rec.timeseries.rate_add("fleet.admit", arrival_ns, 1.0);
+            sample_sched_timeseries(rec, &r.prefix, arrival_ns, &r.sched);
         }
     }
     for (i, r) in replicas.iter_mut().enumerate() {
@@ -1838,24 +1922,25 @@ enum Resume {
 /// Prices session turn `turn` on replica `pick`, whose prefix cache is
 /// `pages`, cheapest first: a local pin, then a pull from `owner` (the
 /// other replica holding the prefix, with its page count), else cold.
-/// A warm resume pins the prefix in `pages` and sets `req`'s prefill to
-/// the suffix (plus the pull), its pull price and its prefix handle.
+/// `costs` are the turn's cold prefill and the replica's restore price per
+/// page, ns. A warm resume pins the prefix in `pages` and sets `req`'s
+/// prefill to the suffix (plus the pull), its pull price and its prefix
+/// handle, each rounded to ps once.
 fn price_resume(
     req: &mut SchedRequest,
     turn: &SessionTurn,
     pick: usize,
     pages: &mut PagedKvManager,
     owner: Option<(usize, usize)>,
-    restore_ns_per_page: f64,
+    (cold_ns, restore_ns_per_page): (f64, f64),
 ) -> Resume {
     let Some(h) = turn.pin_hash else {
         return Resume::Cold;
     };
-    let cold_ns = req.prefill_ns;
     let suffix_frac = (req.context - turn.prefix_tokens) as f64 / req.context.max(1) as f64;
     let suffix_ns = cold_ns * suffix_frac;
     if pages.prefix_pin(h).is_some() {
-        req.prefill_ns = suffix_ns;
+        req.prefill_ps = clock::ps(suffix_ns);
         req.prefix_hash = Some(h);
         return Resume::Local;
     }
@@ -1871,8 +1956,8 @@ fn price_resume(
     }
     let pinned = pages.prefix_pin(h);
     debug_assert_eq!(pinned, Some(owner_pages));
-    req.prefill_ns = suffix_ns + pull_ns;
-    req.pull_ns = pull_ns;
+    req.prefill_ps = clock::ps(suffix_ns + pull_ns);
+    req.pull_ps = clock::ps(pull_ns);
     req.prefix_hash = Some(h);
     Resume::Pull(PullRecord {
         id: req.id,
@@ -1880,7 +1965,7 @@ fn price_resume(
         from,
         to: pick,
         pages: owner_pages,
-        at_ns: req.arrival_ns,
+        at_ns: clock::ns(req.arrival_ps),
     })
 }
 
@@ -1893,12 +1978,12 @@ struct FleetCtl<'a> {
     router_track: TrackId,
     /// `fleet.faults` when fault domains are armed, else the router track.
     fault_track: TrackId,
-    /// The replica fault timeline, reversed: pop from the back in time
-    /// order.
-    events: Vec<ReplicaEvent>,
+    /// The replica fault timeline with each event's time in ps, reversed:
+    /// pop from the back in time order.
+    events: Vec<(u64, ReplicaEvent)>,
     breakers: Option<Vec<CircuitBreaker>>,
     summary: FleetFaultSummary,
-    down_since: Vec<f64>,
+    down_since: Vec<u64>,
     /// Degraded tokens of each replica its breaker has already seen.
     fed: Vec<u64>,
 }
@@ -1909,8 +1994,12 @@ impl<'a> FleetCtl<'a> {
         let router_track = rec.track("router");
         let mut events = Vec::new();
         if fopts.profile.is_enabled() {
-            events = fleet_schedule(&fopts.profile, fopts.fault_seed, n, wl.duration_s);
-            events.reverse();
+            let schedule = fleet_schedule(&fopts.profile, fopts.fault_seed, n, wl.duration_s);
+            events = schedule
+                .into_iter()
+                .rev()
+                .map(|e| (clock::ps(e.at_ns), e))
+                .collect();
         }
         Self {
             fopts,
@@ -1924,7 +2013,7 @@ impl<'a> FleetCtl<'a> {
             events,
             breakers: fopts.breaker.map(|cfg| vec![CircuitBreaker::new(cfg); n]),
             summary: FleetFaultSummary::new(n, offered),
-            down_since: vec![0.0; n],
+            down_since: vec![0; n],
             fed: vec![0; n],
         }
     }
@@ -1943,7 +2032,8 @@ impl<'a> FleetCtl<'a> {
         owned: Option<(usize, usize)>,
         rec: &mut Recorder,
     ) -> Option<usize> {
-        self.feed_breakers(replicas, a.arrival_ns, rec);
+        let at_ns = clock::ns(a.arrival_ps);
+        self.feed_breakers(replicas, at_ns, rec);
         let loads: Vec<_> = replicas.iter().map(|r| r.sched.load()).collect();
         let health: Vec<BreakerState> = match self.breakers.as_ref() {
             Some(bs) => breaker_health(bs),
@@ -1968,12 +2058,12 @@ impl<'a> FleetCtl<'a> {
             self.summary.shed.push(ShedRecord {
                 id: a.id,
                 class: a.class,
-                at_ns: a.arrival_ns,
+                at_ns,
                 reason,
             });
             let args = [("id", id), ("class", class), ("reason", ArgVal::S(reason))];
-            rec.instant_with(self.fault_track, "shed", a.arrival_ns, &args);
-            rec.timeseries.rate_add("fleet.shed", a.arrival_ns, 1.0);
+            rec.instant_with(self.fault_track, "shed", at_ns, &args);
+            rec.timeseries.rate_add("fleet.shed", at_ns, 1.0);
             return None;
         };
         let free_hbm = ArgVal::U(loads[pick].free_hbm() as u64);
@@ -1983,7 +2073,7 @@ impl<'a> FleetCtl<'a> {
             ("class", class),
             ("free_hbm", free_hbm),
         ];
-        rec.instant_with(self.router_track, "route.place", a.arrival_ns, &args);
+        rec.instant_with(self.router_track, "route.place", at_ns, &args);
         Some(pick)
     }
 
@@ -2020,7 +2110,8 @@ impl<'a> FleetCtl<'a> {
         }
     }
 
-    /// Applies one replica fault-timeline event to the fleet.
+    /// Applies one replica fault-timeline event, due at `at` ps, to the
+    /// fleet.
     ///
     /// `Down` catches the replica up to the crash instant, evacuates its
     /// entire in-flight set (pages freed — the KV state is gone), and
@@ -2037,14 +2128,14 @@ impl<'a> FleetCtl<'a> {
     /// offload-budget factor.
     fn apply_event(
         &mut self,
-        e: ReplicaEvent,
+        (at, e): (u64, ReplicaEvent),
         replicas: &mut [ReplicaSim],
         owners: &mut HashMap<u64, usize>,
         rec: &mut Recorder,
         mut attr: Option<&mut TokenAttribution>,
         sessions_track: Option<TrackId>,
     ) {
-        let (r, at, track) = (e.replica, e.at_ns, self.fault_track);
+        let (r, at_ns, track) = (e.replica, clock::ns(at), self.fault_track);
         let replica = ("replica", ArgVal::U(r as u64));
         match e.kind {
             ReplicaEventKind::Down => {
@@ -2054,13 +2145,17 @@ impl<'a> FleetCtl<'a> {
                 self.down_since[r] = at;
                 self.summary.crashes += 1;
                 if rec.timeseries.is_enabled() {
-                    rec.timeseries.gauge(&format!("r{r}.up"), at, 0.0);
-                    sample_sched_timeseries(rec, &replicas[r].prefix, at, &replicas[r].sched);
+                    rec.timeseries.gauge(&format!("r{r}.up"), at_ns, 0.0);
+                    sample_sched_timeseries(rec, &replicas[r].prefix, at_ns, &replicas[r].sched);
                 }
                 let evacuated = ("evacuated", ArgVal::U(evac.len() as u64));
-                rec.instant_with(track, "replica.down", at, &[replica, evacuated]);
-                if let Some(s) = self.breakers.as_mut().and_then(|bs| bs[r].force_open(at)) {
-                    record_breaker(rec, track, r, at, s);
+                rec.instant_with(track, "replica.down", at_ns, &[replica, evacuated]);
+                if let Some(s) = self
+                    .breakers
+                    .as_mut()
+                    .and_then(|bs| bs[r].force_open(at_ns))
+                {
+                    record_breaker(rec, track, r, at_ns, s);
                 }
                 // Survivors catch up to the crash instant so every failover
                 // decision is taken from one consistent snapshot.
@@ -2094,13 +2189,13 @@ impl<'a> FleetCtl<'a> {
                     };
                     let mut moved = ev;
                     let g = &replicas[to].geometry;
-                    moved.req.restore_ns = g.restore_ns(moved.req.context);
-                    moved.req.recompute_ns = g.recompute_ns(moved.req.context);
+                    moved.req.restore_ps = g.restore_ps(moved.req.context);
+                    moved.req.recompute_ps = g.recompute_ps(moved.req.context);
                     if let Some(pos) = replicas[r].turns.iter().position(|t| t.id == id) {
                         let mut turn = replicas[r].turns.swap_remove(pos);
                         if let Some(cold_ns) = turn.cold_prefill_ns.take() {
-                            moved.req.prefill_ns = cold_ns;
-                            let mid_prefill = u64::from(ev.prefill_left_ns > 0.0);
+                            moved.req.prefill_ps = clock::ps(cold_ns);
+                            let mid_prefill = u64::from(ev.prefill_left_ps > 0);
                             let args = [
                                 ("id", ArgVal::U(id as u64)),
                                 ("from", ArgVal::U(r as u64)),
@@ -2110,7 +2205,7 @@ impl<'a> FleetCtl<'a> {
                                 ("prefill_ns", ArgVal::F(cold_ns)),
                             ];
                             if let Some(st) = sessions_track {
-                                rec.instant_with(st, "prefix.lost", at, &args);
+                                rec.instant_with(st, "prefix.lost", at_ns, &args);
                             }
                         }
                         owners.insert(turn.publish.0, to);
@@ -2121,7 +2216,7 @@ impl<'a> FleetCtl<'a> {
                         id,
                         from: r,
                         to,
-                        at_ns: at,
+                        at_ns,
                         reason,
                     });
                     let args = [
@@ -2130,20 +2225,20 @@ impl<'a> FleetCtl<'a> {
                         ("to", ArgVal::U(to as u64)),
                         ("class", ArgVal::S(class.name())),
                     ];
-                    rec.instant_with(track, "redispatch", at, &args);
-                    rec.timeseries.rate_add("fleet.redispatch", at, 1.0);
+                    rec.instant_with(track, "redispatch", at_ns, &args);
+                    rec.timeseries.rate_add("fleet.redispatch", at_ns, 1.0);
                 }
             }
             ReplicaEventKind::Up => {
-                self.summary.downtime_ns[r] += at - self.down_since[r];
+                self.summary.downtime_ns[r] += clock::ns(at - self.down_since[r]);
                 replicas[r].now = replicas[r].now.max(at);
                 replicas[r].down = false;
                 if rec.timeseries.is_enabled() {
-                    rec.timeseries.gauge(&format!("r{r}.up"), at, 1.0);
+                    rec.timeseries.gauge(&format!("r{r}.up"), at_ns, 1.0);
                 }
-                rec.instant_with(track, "replica.up", at, &[replica]);
+                rec.instant_with(track, "replica.up", at_ns, &[replica]);
                 if let Some(s) = self.breakers.as_mut().and_then(|bs| bs[r].on_recovery()) {
-                    record_breaker(rec, track, r, at, s);
+                    record_breaker(rec, track, r, at_ns, s);
                 }
             }
             ReplicaEventKind::BrownoutStart => {
@@ -2153,13 +2248,13 @@ impl<'a> FleetCtl<'a> {
                     replicas[r].brownout_factor = factor;
                     self.summary.brownouts += 1;
                     let topk = ("topk_factor", ArgVal::F(factor));
-                    rec.instant_with(track, "replica.brownout_start", at, &[replica, topk]);
+                    rec.instant_with(track, "replica.brownout_start", at_ns, &[replica, topk]);
                 }
             }
             ReplicaEventKind::BrownoutEnd => {
                 replicas[r].catch_up(rec, attr, at);
                 replicas[r].brownout_factor = 1.0;
-                rec.instant_with(track, "replica.brownout_end", at, &[replica]);
+                rec.instant_with(track, "replica.brownout_end", at_ns, &[replica]);
             }
         }
     }
@@ -2491,11 +2586,12 @@ mod tests {
     }
 
     /// Runs `f` with every replica built inside capped at `cap`-step runs;
-    /// returns its result and the `(step calls, scheduler steps)` it ran.
-    fn with_run_cap<T>(cap: usize, f: impl FnOnce() -> T) -> (T, (usize, usize)) {
+    /// returns its result and the `(step calls, scheduler steps, per-step
+    /// loop turns)` it ran.
+    fn with_run_cap<T>(cap: usize, f: impl FnOnce() -> T) -> (T, (usize, usize, usize)) {
         let _scope = RunCapScope;
         MAX_RUN.with(|c| c.set(cap));
-        RUN_COUNTS.with(|c| c.set((0, 0)));
+        RUN_COUNTS.with(|c| c.set((0, 0, 0)));
         let out = f();
         (out, RUN_COUNTS.with(std::cell::Cell::get))
     }
@@ -2658,8 +2754,9 @@ mod tests {
     /// the report are the requests token faults killed.
     fn macro_steps_match_single_steps(g: &mut longsight_tensor::check::Gen) -> Result<(), String> {
         let c = gen_driver_case(g);
-        let ((macro_out, m, rep), (calls, steps)) = with_run_cap(usize::MAX, || run_driver(&c));
-        let ((single_out, ..), (single_calls, single_steps)) = with_run_cap(1, || run_driver(&c));
+        let ((macro_out, m, rep), (calls, steps, _)) = with_run_cap(usize::MAX, || run_driver(&c));
+        let ((single_out, ..), (single_calls, single_steps, _)) =
+            with_run_cap(1, || run_driver(&c));
         longsight_tensor::prop_ensure_eq!(steps, single_steps, "scheduler steps: {c:?}");
         longsight_tensor::prop_ensure!(calls <= single_calls);
         if let Some(d) = first_difference(&macro_out, &single_out) {
@@ -2709,17 +2806,80 @@ mod tests {
             faults: fopts,
             ..RunSpec::new(model.clone(), wl)
         };
-        let ((_, rep, _), (calls, steps)) = with_run_cap(usize::MAX, || {
+        let ((_, rep, _), (calls, steps, _)) = with_run_cap(usize::MAX, || {
             let mut fleet = fleet_of(2, &LongSightConfig::paper_default(), &model);
             run(&mut fleet, &spec, &mut Recorder::disabled(), None).expect("fleet runs")
         });
         assert!(rep.faults.as_ref().is_some_and(|f| f.crashes > 0));
         assert_eq!(
             (calls, steps),
-            (597, 27_184),
+            (598, 27_184),
             "(step calls, scheduler steps)"
         );
         assert!(steps >= 10 * calls, "{steps} steps over {calls} calls");
+    }
+
+    /// A short fleet-crash-shaped run (two replicas, SLO-aware mixed
+    /// classes, 128-token chunks, crashes, breakers and a shed cap).
+    fn tiny_crashy_fleet(recorded: bool) -> DriverCase {
+        use longsight_faults::ReplicaFaultProfile;
+        DriverCase {
+            replicas: 2,
+            wl: WorkloadConfig {
+                arrivals_per_s: 8.0,
+                context_tokens: (16_384, 32_768),
+                output_tokens: (32, 128),
+                duration_s: 4.0,
+                seed: 1,
+            },
+            opts: SchedOptions {
+                prefill_chunk_tokens: 128,
+                ..SchedOptions::slo_aware(SloMix::mixed())
+            },
+            router: RouterPolicy::JsqSpillover,
+            lookahead: None,
+            recorder: recorded,
+            timeseries: recorded,
+            attribution: true,
+            token_faults: None,
+            fopts: FleetFaultOptions {
+                profile: ReplicaFaultProfile::scaled(0.5),
+                fault_seed: 11,
+                breaker: Some(BreakerConfig::serving_default()),
+                shed_queue_cap: Some(256),
+            },
+            sess: SessionOptions::disabled(),
+        }
+    }
+
+    /// A run costs one loop turn per step only for what each step emits or
+    /// draws: an unrecorded, draw-free run (attribution included) takes
+    /// none, a recorded one takes one per step, and both equal single
+    /// steps byte for byte, Chrome trace and time series included.
+    #[test]
+    fn only_per_step_side_effects_cost_loop_turns() {
+        let unrecorded = tiny_crashy_fleet(false);
+        let ((out, _, rep), (calls, steps, turns)) =
+            with_run_cap(usize::MAX, || run_driver(&unrecorded));
+        assert!(
+            rep.faults.as_ref().is_some_and(|f| f.crashes > 0),
+            "{rep:?}"
+        );
+        assert_eq!(turns, 0, "{calls} calls over {steps} steps");
+        assert!(steps >= 10 * calls, "{steps} steps over {calls} calls");
+        let ((single, ..), _) = with_run_cap(1, || run_driver(&unrecorded));
+        assert_eq!(first_difference(&out, &single), None);
+
+        let recorded = tiny_crashy_fleet(true);
+        let ((out, ..), (rec_calls, rec_steps, turns)) =
+            with_run_cap(usize::MAX, || run_driver(&recorded));
+        assert_eq!((rec_calls, rec_steps), (calls, steps));
+        assert_eq!(turns, steps, "one loop turn per recorded step");
+        let ((single, ..), (_, single_steps, single_turns)) =
+            with_run_cap(1, || run_driver(&recorded));
+        assert_eq!((single_steps, single_turns), (steps, steps));
+        assert!(out.contains("decode.step") && out.contains("r0.queue.interactive"));
+        assert_eq!(first_difference(&out, &single), None);
     }
 
     /// Token faults and speculation draw per token, so a run under them
@@ -2747,7 +2907,7 @@ mod tests {
         };
         let cfg =
             LongSightConfig::paper_default().with_lookahead(LookaheadConfig::serving_default());
-        let (_, (calls, steps)) = with_run_cap(usize::MAX, || {
+        let (_, (calls, steps, _)) = with_run_cap(usize::MAX, || {
             let mut sys = LongSightSystem::new(cfg, model.clone());
             run(
                 &mut [&mut sys as &mut dyn ServingSystem],
@@ -2802,10 +2962,10 @@ mod tests {
             assert!(m.spec_misses > 0 && m.retried_tokens > 0, "{m:?}");
             format!("{m:?}\n{:?}\n{log:?}", rep.replicas[0])
         };
-        let (macro_out, (calls, steps)) = with_run_cap(usize::MAX, once);
-        let (single_out, single_counts) = with_run_cap(1, once);
+        let (macro_out, (calls, steps, _)) = with_run_cap(usize::MAX, once);
+        let (single_out, (single_calls, single_steps, _)) = with_run_cap(1, once);
         assert_eq!(macro_out, single_out);
-        assert_eq!(single_counts, (steps, steps));
+        assert_eq!((single_calls, single_steps), (steps, steps));
         assert_eq!((calls, steps), (187, 1649), "(step calls, scheduler steps)");
     }
 
@@ -2916,6 +3076,96 @@ mod tests {
         let failed: usize = rep.per_class.iter().map(|c| c.failed).sum();
         assert_eq!(failed, m.failed_requests);
         assert_eq!(rep.audit_violation, None);
+    }
+
+    /// A rate or duration that would never end the arrival loop, an
+    /// inverted context or output range, a negative think time and a
+    /// duration whose guard overflows the clock are refused before anything
+    /// is generated.
+    #[test]
+    fn an_unservable_workload_is_a_typed_error() {
+        let model = ModelConfig::llama3_1b();
+        let base = WorkloadConfig {
+            duration_s: 1.0,
+            ..WorkloadConfig::long_context_chat()
+        };
+        let sessions = SessionOptions {
+            sessions: 2,
+            turns: 2,
+            think_time_ms: 100.0,
+            reuse: 0.5,
+            prefix_cache_pages: 64,
+        };
+        let serve = |wl: WorkloadConfig, sessions: SessionOptions| {
+            let spec = RunSpec {
+                sessions,
+                ..RunSpec::new(model.clone(), wl)
+            };
+            let mut sys = LongSightSystem::new(LongSightConfig::paper_default(), model.clone());
+            run(
+                &mut [&mut sys as &mut dyn ServingSystem],
+                &spec,
+                &mut Recorder::disabled(),
+                None,
+            )
+            .map(|(m, ..)| m)
+        };
+        let rate = |arrivals_per_s| WorkloadConfig {
+            arrivals_per_s,
+            ..base.clone()
+        };
+        let duration = |duration_s| WorkloadConfig {
+            duration_s,
+            ..base.clone()
+        };
+        let think = |think_time_ms| SessionOptions {
+            think_time_ms,
+            ..sessions.clone()
+        };
+        let off = SessionOptions::disabled;
+        let (rate_err, duration_err) = (
+            "the arrival rate must be finite and >= 0",
+            "the duration must be finite and >= 0",
+        );
+        let (range_err, think_err) = (
+            "the context and output ranges must not be inverted",
+            "the think time must be finite and >= 0",
+        );
+        let guard_err = "the duration's overload guard overflows the picosecond clock";
+        let contexts = WorkloadConfig {
+            context_tokens: (32_768, 16_384),
+            ..base.clone()
+        };
+        let outputs = WorkloadConfig {
+            output_tokens: (64, 16),
+            ..base.clone()
+        };
+        let cases = [
+            (rate(-1.0), off(), rate_err),
+            (rate(f64::NAN), off(), rate_err),
+            (rate(f64::INFINITY), off(), rate_err),
+            (duration(f64::NAN), off(), duration_err),
+            (duration(-1.0), off(), duration_err),
+            (duration(f64::INFINITY), off(), duration_err),
+            (contexts, off(), range_err),
+            (outputs, off(), range_err),
+            (base.clone(), think(-1.0), think_err),
+            (base.clone(), think(f64::NAN), think_err),
+            (duration(4.7e6), off(), guard_err),
+        ];
+        for (wl, sess, what) in cases {
+            let err = serve(wl.clone(), sess).expect_err(what);
+            assert_eq!(err, RunError::InvalidWorkload { what }, "{wl:?}");
+            assert_eq!(err.to_string(), format!("invalid workload: {what}"));
+        }
+        // A zero rate over a duration whose guard still fits, and a zero
+        // think time, run.
+        let idle = WorkloadConfig {
+            arrivals_per_s: 0.0,
+            ..duration(4.6e6)
+        };
+        assert_eq!(serve(idle, off()).map(|m| m.completed), Ok(0));
+        assert!(serve(base.clone(), think(0.0)).is_ok());
     }
 
     /// A LongSight replica whose system refuses one `(users, context

@@ -110,10 +110,11 @@ fn splitmix64(mut x: u64) -> u64 {
 }
 
 /// Pre-generates the session workload: every turn of every session,
-/// flattened and sorted by arrival time, with ids assigned in arrival
-/// order (the fleet audit requires it). Prefill costs compute on the
-/// deterministic parallel map exactly like the Poisson generator's. Comes
-/// back reversed — pop from the back in time order.
+/// flattened and sorted by arrival time (rounded to ps once, as each turn
+/// is generated), with ids assigned in arrival order (the fleet audit
+/// requires it). Prefill costs compute on the deterministic parallel map
+/// exactly like the Poisson generator's. Comes back reversed — pop from
+/// the back in time order.
 pub(crate) fn gen_session_turns(
     model: &ModelConfig,
     workload: &WorkloadConfig,
@@ -121,7 +122,7 @@ pub(crate) fn gen_session_turns(
     sess: &SessionOptions,
 ) -> Vec<Arrival> {
     struct RawTurn {
-        arrival_ns: f64,
+        arrival_ps: u64,
         context: usize,
         output: usize,
         class: SloClass,
@@ -167,7 +168,7 @@ pub(crate) fn gen_session_turns(
                 break; // drop turns that would only land in the overload guard
             }
             raw.push(RawTurn {
-                arrival_ns: t,
+                arrival_ps: longsight_sched::clock::ps(t),
                 context,
                 output,
                 class,
@@ -183,8 +184,8 @@ pub(crate) fn gen_session_turns(
         }
     }
     raw.sort_by(|a, b| {
-        a.arrival_ns
-            .total_cmp(&b.arrival_ns)
+        a.arrival_ps
+            .cmp(&b.arrival_ps)
             .then(a.session.cmp(&b.session))
             .then(a.info.turn.cmp(&b.info.turn))
     });
@@ -193,7 +194,7 @@ pub(crate) fn gen_session_turns(
         .enumerate()
         .map(|(id, rt)| Arrival {
             id,
-            arrival_ns: rt.arrival_ns,
+            arrival_ps: rt.arrival_ps,
             context: rt.context,
             output: rt.output,
             class: rt.class,

@@ -26,9 +26,13 @@
 #   within bound  anything else.
 # The verdicts are printed only; they do not change the exit status.
 #
-# Exits 1 if a run fails or reports `"correct": false`, or if the two sides
-# of a pair attempted or failed different numbers of operations; exits 2 on
-# bad arguments. Needs only bash, git, awk and cargo.
+# A run that reports `"correct": false`, or a pair whose two sides
+# attempted or failed different numbers of operations, does not stop the
+# pairs: every pair runs and the summary prints, then each such pair is
+# listed with both sides' correctness, attempted and failed counts and
+# failed shares, and the script exits 1. It exits 1 at once if a run
+# fails outright (no result), and 2 on bad arguments. Needs only bash,
+# git, awk and cargo.
 set -euo pipefail
 
 usage="usage: scripts/bench_pairs.sh <parent-rev> <workload> <first-seed> <pairs> [seconds]"
@@ -121,7 +125,9 @@ flatten() {
 }
 
 table="$work/pairs.tsv"
+mismatches="$work/mismatches.txt"
 : >"$table"
+: >"$mismatches"
 echo "== $pairs pair(s) of $workload, seeds $first..$((first + pairs - 1)), --seconds $seconds =="
 for ((i = 0; i < pairs; i++)); do
     seed=$((first + i))
@@ -151,13 +157,16 @@ for ((i = 0; i < pairs; i++)); do
         }' <<<"$seed $p | $h"
     read -r p_ok p_att p_fail _ <<<"$p"
     read -r h_ok h_att h_fail _ <<<"$h"
-    if [ "$p_ok" != true ] || [ "$h_ok" != true ]; then
-        echo "bench_pairs: seed $seed: a run is not correct (parent $p_ok, working tree $h_ok)" >&2
-        exit 1
-    fi
-    if [ "$p_att $p_fail" != "$h_att $h_fail" ]; then
-        echo "bench_pairs: seed $seed: attempted/failed differ: parent $p_att/$p_fail, working tree $h_att/$h_fail" >&2
-        exit 1
+    if [ "$p_ok $h_ok" != "true true" ] || [ "$p_att $p_fail" != "$h_att $h_fail" ]; then
+        awk -v pair=$((i + 1)) -v seed="$seed" \
+            -v p="$p_ok $p_att $p_fail" -v h="$h_ok $h_att $h_fail" '
+            function side(name, s,    f) {
+                split(s, f, " ")
+                return sprintf("%s correct %s, attempted %s, failed %s (share %s)", name, f[1],
+                    f[2], f[3], f[2] + 0 > 0 ? sprintf("%.4g", f[3] / f[2]) : "n/a")
+            }
+            BEGIN { printf "pair %d seed %d: %s; %s\n", pair, seed, side("parent", p), side("working tree", h) }' \
+            >>"$mismatches"
     fi
 done
 
@@ -203,3 +212,9 @@ while read -r name better bound; do
                 hm, q(h, n, 0.25), q(h, n, 0.75), won, n, verdict
         }' "$table"
 done <<<"$metrics"
+
+if [ -s "$mismatches" ]; then
+    echo "bench_pairs: $(wc -l <"$mismatches") pair(s) not correct or with differing attempted/failed counts:" >&2
+    cat "$mismatches" >&2
+    exit 1
+fi

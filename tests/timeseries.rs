@@ -256,7 +256,7 @@ fn lone_replica_timeseries_export_is_pinned() {
     assert!(tsv.contains("queue.interactive") && !tsv.contains("r0."));
     assert_eq!(
         fnv1a(&tsv),
-        0x25541d23342e95d9,
+        0xc3bd04989241b56b,
         "lone-replica TSV fingerprint"
     );
 }

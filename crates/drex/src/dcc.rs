@@ -234,12 +234,13 @@ impl DccSim {
 /// DReX device, not per request, which is what lets batched requests share
 /// the speculative pipeline.
 ///
-/// Purely simulated-time state: identical call sequences produce identical
+/// Times are whole picoseconds, the serving clock's unit. Purely
+/// simulated-time state: identical call sequences produce identical
 /// occupancy timelines at any worker-thread count.
 #[derive(Debug, Clone)]
 pub struct SpecSlotPool {
     slots: usize,
-    in_flight: Vec<f64>,
+    in_flight: Vec<u64>,
     peak: usize,
     issued: u64,
     denied: u64,
@@ -268,21 +269,21 @@ impl SpecSlotPool {
         self.slots
     }
 
-    /// Retires every slot whose chain completed at or before `now_ns`.
+    /// Retires every slot whose chain completed at or before `now_ps`.
     #[inline]
-    pub fn release_until(&mut self, now_ns: f64) {
-        self.in_flight.retain(|&done| done > now_ns);
+    pub fn release_until(&mut self, now_ps: u64) {
+        self.in_flight.retain(|&done| done > now_ps);
     }
 
-    /// Tries to occupy one slot from `now_ns` for `duration_ns`. Returns
+    /// Tries to occupy one slot from `now_ps` for `duration_ps`. Returns
     /// `false` (denied, backpressure) when all slots are busy.
     #[inline]
-    pub fn try_issue(&mut self, now_ns: f64, duration_ns: f64) -> bool {
+    pub fn try_issue(&mut self, now_ps: u64, duration_ps: u64) -> bool {
         if self.in_flight.len() >= self.slots {
             self.denied += 1;
             return false;
         }
-        self.in_flight.push(now_ns + duration_ns.max(0.0));
+        self.in_flight.push(now_ps.saturating_add(duration_ps));
         self.peak = self.peak.max(self.in_flight.len());
         self.issued += 1;
         true
@@ -395,15 +396,15 @@ mod tests {
     #[test]
     fn spec_pool_denies_past_capacity_and_releases_on_completion() {
         let mut pool = SpecSlotPool::new(2);
-        assert!(pool.try_issue(0.0, 100.0));
-        assert!(pool.try_issue(0.0, 200.0));
-        assert!(!pool.try_issue(0.0, 50.0), "third issue must be denied");
+        assert!(pool.try_issue(0, 100));
+        assert!(pool.try_issue(0, 200));
+        assert!(!pool.try_issue(0, 50), "third issue must be denied");
         assert_eq!(pool.occupancy(), 2);
         assert_eq!(pool.denied(), 1);
 
-        pool.release_until(150.0); // first chain done at 100
+        pool.release_until(150); // first chain done at 100
         assert_eq!(pool.occupancy(), 1);
-        assert!(pool.try_issue(150.0, 10.0));
+        assert!(pool.try_issue(150, 10));
         assert_eq!(pool.issued(), 3);
         assert_eq!(pool.peak_occupancy(), 2);
     }
@@ -415,12 +416,12 @@ mod tests {
     #[test]
     fn spec_pool_release_is_idempotent_and_issues_fit_the_free_slots() {
         for slots in 1..=4usize {
-            for t in [0.0, 50.0, 100.0, 150.0, 250.0] {
+            for t in [0, 50, 100, 150, 250] {
                 for k in 0..=slots + 1 {
                     // Chains done at 100, 200 and 300, up to the capacity.
                     let mut pool = SpecSlotPool::new(slots);
                     for i in 0..slots.min(3) {
-                        assert!(pool.try_issue(0.0, 100.0 * (i + 1) as f64));
+                        assert!(pool.try_issue(0, 100 * (i + 1) as u64));
                     }
                     let mut once = pool.clone();
                     once.release_until(t);
@@ -428,7 +429,7 @@ mod tests {
                     pool.release_until(t);
                     assert_eq!(format!("{pool:?}"), format!("{once:?}"), "t {t}");
                     let fits = pool.occupancy() + k <= pool.capacity();
-                    let issued = (0..k).filter(|_| pool.try_issue(t, 10.0)).count();
+                    let issued = (0..k).filter(|_| pool.try_issue(t, 10)).count();
                     assert_eq!(issued == k, fits, "slots {slots}, t {t}, k {k}");
                 }
             }

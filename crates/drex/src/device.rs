@@ -340,10 +340,10 @@ impl DrexDevice {
                 kv_head as u64,
             );
             let flips: Option<Vec<bool>> = if inj.is_enabled()
-                && inj.profile.bitflip_rate > 0.0
-                && inj.uniform(pfu_stream, 0) < inj.profile.bitflip_rate
+                && inj.profile().bitflip_rate > 0.0
+                && inj.uniform(pfu_stream, 0) < inj.profile().bitflip_rate
             {
-                let frac = inj.profile.bitflip_flip_fraction;
+                let frac = inj.profile().bitflip_flip_fraction;
                 Some(
                     (0..n)
                         .map(|i| inj.uniform(pfu_stream, 1 + i as u64) < frac)

@@ -35,7 +35,6 @@
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Global override for the worker-thread count (`0` = no override).
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
@@ -113,8 +112,8 @@ pub fn thread_count() -> usize {
 ///
 /// # Panics
 ///
-/// Propagates the first panic raised by `f` (workers are joined by the
-/// thread scope).
+/// Propagates a panic raised by `f` on any thread, once every worker has
+/// been joined.
 pub fn map_range<R, F>(n: usize, f: F) -> Vec<R>
 where
     R: Send,
@@ -125,39 +124,40 @@ where
         return (0..n).map(f).collect();
     }
 
-    // Chunked dynamic scheduling: more chunks than threads so uneven items
-    // balance, few enough that coordination stays cheap. The chunk shape
-    // never affects results — collection is by chunk index.
+    // Chunked static scheduling: more chunks than threads so uneven items
+    // balance, dealt round-robin, so thread `t` runs chunks t, t + threads,
+    // ... Which thread computes an item, and allocates for it, is then a
+    // function of the item alone, so the heap layout, and with it the
+    // process's peak resident set, does not follow thread timing. The
+    // chunk shape never affects results — collection is by chunk index.
     let chunk = n.div_ceil(threads * 4).max(1);
     let chunks = n.div_ceil(chunk);
-    let next = AtomicUsize::new(0);
-    let done: Mutex<Vec<(usize, Vec<R>)>> = Mutex::new(Vec::with_capacity(chunks));
-
-    let work = || {
+    let work = |t: usize| -> Vec<Vec<R>> {
         let _guard = WorkerGuard::enter();
-        loop {
-            let c = next.fetch_add(1, Ordering::Relaxed);
-            if c >= chunks {
-                break;
-            }
-            let start = c * chunk;
-            let end = (start + chunk).min(n);
-            let out: Vec<R> = (start..end).map(&f).collect();
-            done.lock().expect("result mutex poisoned").push((c, out));
-        }
+        (t..chunks)
+            .step_by(threads)
+            .map(|c| (c * chunk..((c + 1) * chunk).min(n)).map(&f).collect())
+            .collect()
     };
-    std::thread::scope(|scope| {
-        for _ in 1..threads {
-            scope.spawn(work);
+    let mut per_thread: Vec<std::vec::IntoIter<Vec<R>>> = std::thread::scope(|scope| {
+        let spawned: Vec<_> = (1..threads).map(|t| scope.spawn(move || work(t))).collect();
+        // The calling thread is worker 0: one fewer spawn, and no core
+        // idles while the caller blocks on the joins. An explicit join
+        // waits for the worker to exit, so its allocator cache is returned
+        // before the caller allocates again.
+        let mut parts = vec![work(0).into_iter()];
+        for h in spawned {
+            let done = h.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
+            parts.push(done.into_iter());
         }
-        // The calling thread is the last worker: one fewer spawn, and no
-        // core idles while the caller blocks on the scope join.
-        work();
+        parts
     });
 
-    let mut parts = done.into_inner().expect("result mutex poisoned");
-    parts.sort_unstable_by_key(|&(c, _)| c);
-    parts.into_iter().flat_map(|(_, v)| v).collect()
+    let mut out = Vec::with_capacity(n);
+    for c in 0..chunks {
+        out.extend(per_thread[c % threads].next().expect("every chunk ran"));
+    }
+    out
 }
 
 /// Maps `f` over `items` in parallel, returning results in item order.
@@ -176,6 +176,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
 
     /// Serializes tests that touch the process-global override / env var.
     static GLOBAL_LOCK: Mutex<()> = Mutex::new(());
@@ -208,6 +209,20 @@ mod tests {
                 deterministic_map(&items, |_, x| x.sqrt().to_bits())
             });
             assert_eq!(serial, par, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn chunks_are_dealt_round_robin() {
+        // 2 threads, 16 items: 8 chunks of 2; the caller runs chunks 0, 2,
+        // 4, 6 and the one spawned worker chunks 1, 3, 5, 7, on every run.
+        let caller = std::thread::current().id();
+        for _ in 0..20 {
+            let ran_on = with_threads(2, || map_range(16, |_| std::thread::current().id()));
+            for (i, id) in ran_on.iter().enumerate() {
+                assert_eq!(*id == caller, (i / 2) % 2 == 0, "item {i}");
+            }
+            assert!(ran_on[2..].iter().step_by(4).all(|id| *id == ran_on[2]));
         }
     }
 

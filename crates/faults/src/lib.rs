@@ -72,21 +72,105 @@ fn mix64(mut z: u64) -> u64 {
 /// for scheduling purposes.
 #[inline]
 pub fn stream(domain: u64, a: u64, b: u64, c: u64) -> u64 {
-    let mut h = mix64(domain.wrapping_mul(0xA076_1D64_78BD_642F));
-    h = mix64(h ^ a.wrapping_mul(0xE703_7ED1_A0B4_28DB));
-    h = mix64(h ^ b.wrapping_mul(0x8EBC_6AF0_9C88_C6E3));
-    mix64(h ^ c.wrapping_mul(0x5895_65E0_6C3D_3D1D))
+    StreamPrefix::new(domain, a).key(b, c)
+}
+
+/// The `(domain, a)` half of a [`stream`] key, hashed once:
+/// `StreamPrefix::new(d, a).key(b, c) == stream(d, a, b, c)`. A request
+/// keeps one per domain, so each of its token draws hashes only `(b, c)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StreamPrefix(u64);
+
+impl StreamPrefix {
+    /// The prefix of every `stream(domain, a, ·, ·)` key.
+    #[inline]
+    pub fn new(domain: u64, a: u64) -> Self {
+        let h = mix64(domain.wrapping_mul(0xA076_1D64_78BD_642F));
+        Self(mix64(h ^ a.wrapping_mul(0xE703_7ED1_A0B4_28DB)))
+    }
+
+    /// `stream(domain, a, b, c)`.
+    #[inline]
+    pub fn key(self, b: u64, c: u64) -> u64 {
+        let [key] = self.keys(b, [c]);
+        key
+    }
+
+    /// `stream(domain, a, b, c)` for each `c` of `cs`, hashing `b` once.
+    #[inline]
+    pub fn keys<const N: usize>(self, b: u64, cs: [u64; N]) -> [u64; N] {
+        let h = mix64(self.0 ^ b.wrapping_mul(0x8EBC_6AF0_9C88_C6E3));
+        cs.map(|c| mix64(h ^ c.wrapping_mul(0x5895_65E0_6C3D_3D1D)))
+    }
 }
 
 /// The `draw`-th uniform in `[0, 1)` of `stream` under `seed` — the same
 /// pure function [`FaultInjector::uniform`] uses, exposed standalone so
 /// subsystems that only need deterministic Bernoulli draws (e.g. the
 /// lookahead speculation model) can share the machinery without carrying a
-/// fault profile.
+/// fault profile. It is exactly `draw_bits(seed, stream, draw) · 2⁻⁵³`.
 #[inline]
 pub fn unit_draw(seed: u64, stream: u64, draw: u64) -> f64 {
     let mut rng = SimRng::seed_from(mix64(seed ^ stream).wrapping_add(draw));
     rng.uniform()
+}
+
+/// The 53-bit integer `m` of [`unit_draw`]`(seed, stream, draw) = m · 2⁻⁵³`:
+/// the top 53 bits of the first output of the draw's generator.
+#[inline]
+pub fn draw_bits(seed: u64, stream: u64, draw: u64) -> u64 {
+    SimRng::seed_from(mix64(seed ^ stream).wrapping_add(draw)).next_u64() >> 11
+}
+
+/// A Bernoulli rate as an exact bound on [`draw_bits`]:
+/// `Threshold::new(rate).admits(draw_bits(s, k, d))` is
+/// `unit_draw(s, k, d) < rate`, bit for bit, for every `f64` rate.
+///
+/// A draw is `m · 2⁻⁵³` exactly, and scaling by a power of two is exact,
+/// so `m · 2⁻⁵³ < rate` holds iff the integer `m` is below
+/// `rate · 2⁵³`, that is below `⌈rate · 2⁵³⌉`. A NaN, zero or negative
+/// rate admits nothing (bound 0) and a rate of 1 or more admits every
+/// draw (bound 2⁵³).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Threshold(u64);
+
+impl Threshold {
+    /// The bound of `rate`.
+    #[inline]
+    pub fn new(rate: f64) -> Self {
+        const SCALE: f64 = (1u64 << 53) as f64;
+        if rate >= 1.0 {
+            return Self(1 << 53);
+        }
+        if rate > 0.0 {
+            // `scaled` is exact and below 2^53, so truncation is exact too;
+            // the ceiling adds one unless `scaled` was already an integer.
+            let scaled = rate * SCALE;
+            let floor = scaled as u64;
+            return Self(floor + u64::from((floor as f64) < scaled));
+        }
+        Self(0)
+    }
+
+    /// Whether a draw with integer `bits` falls below the rate.
+    #[inline]
+    pub fn admits(self, bits: u64) -> bool {
+        bits < self.0
+    }
+
+    /// Whether the rate can fire at all: a zero bound needs no draw.
+    #[inline]
+    pub fn can_fire(self) -> bool {
+        self.0 > 0
+    }
+
+    /// Whether draw `draw` of `stream` under `seed` fires: the one
+    /// comparison every Bernoulli draw of the serving path takes. A rate
+    /// that cannot fire takes no draw.
+    #[inline]
+    pub fn fires(self, seed: u64, stream: u64, draw: u64) -> bool {
+        self.can_fire() && self.admits(draw_bits(seed, stream, draw))
+    }
 }
 
 /// Per-event-class fault rates. All rates are probabilities in `[0, 1]`;
@@ -553,16 +637,33 @@ impl FaultLog {
 /// independent of call order, thread count, and every other stream.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultInjector {
-    /// The rates.
-    pub profile: FaultProfile,
-    /// The schedule seed (CLI `--fault-seed`).
-    pub seed: u64,
+    profile: FaultProfile,
+    seed: u64,
+    /// `profile.hard_fail_rate` as an exact bound on [`draw_bits`].
+    hard_fail: Threshold,
+    /// `profile.timeout_rate` as an exact bound on [`draw_bits`].
+    timeout: Threshold,
 }
 
 impl FaultInjector {
     /// Creates an injector.
     pub fn new(profile: FaultProfile, seed: u64) -> Self {
-        Self { profile, seed }
+        Self {
+            hard_fail: Threshold::new(profile.hard_fail_rate),
+            timeout: Threshold::new(profile.timeout_rate),
+            profile,
+            seed,
+        }
+    }
+
+    /// The rates.
+    pub fn profile(&self) -> &FaultProfile {
+        &self.profile
+    }
+
+    /// The schedule seed (CLI `--fault-seed`).
+    pub fn seed(&self) -> u64 {
+        self.seed
     }
 
     /// An injector that never fires (the fault-free fast path).
@@ -631,14 +732,13 @@ impl FaultInjector {
     /// a hard timeout.
     #[inline]
     pub fn attempt_times_out(&self, stream: u64, attempt: u32) -> bool {
-        self.profile.timeout_rate > 0.0
-            && self.uniform(stream, 1 + attempt as u64) < self.profile.timeout_rate
+        self.timeout.fires(self.seed, stream, 1 + attempt as u64)
     }
 
     /// Whether the request on `stream` dies unrecoverably.
     #[inline]
     pub fn hard_fails(&self, stream: u64) -> bool {
-        self.profile.hard_fail_rate > 0.0 && self.uniform(stream, 0) < self.profile.hard_fail_rate
+        self.hard_fail.fires(self.seed, stream, 0)
     }
 }
 
@@ -938,6 +1038,8 @@ pub fn timeline_text(events: &[ReplicaEvent]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use longsight_tensor::check::{run_cases, Gen};
+    use longsight_tensor::prop_ensure_eq;
 
     #[test]
     fn disabled_profile_never_fires() {
@@ -1201,6 +1303,102 @@ mod tests {
         ];
         let text = timeline_text(&ev);
         assert_eq!(text, "    1500000000 r0 down\n    2500000000 r0 up\n");
+    }
+
+    /// `stream` as it hashed every key before [`StreamPrefix`], all four
+    /// mixes per key, kept verbatim as the reference.
+    fn stream_four_mixes(domain: u64, a: u64, b: u64, c: u64) -> u64 {
+        let mut h = mix64(domain.wrapping_mul(0xA076_1D64_78BD_642F));
+        h = mix64(h ^ a.wrapping_mul(0xE703_7ED1_A0B4_28DB));
+        h = mix64(h ^ b.wrapping_mul(0x8EBC_6AF0_9C88_C6E3));
+        mix64(h ^ c.wrapping_mul(0x5895_65E0_6C3D_3D1D))
+    }
+
+    /// A prefix hashed once keys every `(b, c)` of its `(domain, a)`
+    /// exactly as the four-mix hash did, in every domain.
+    #[test]
+    fn stream_prefixes_equal_the_four_mix_keys() {
+        run_cases("stream_prefixes_equal_the_four_mix_keys", 500, |g| {
+            let d = [
+                domain::HARD,
+                domain::TOKEN,
+                domain::SPEC,
+                g.u64_in(0, 16),
+                g.rng().next_u64(),
+            ][g.usize_in(0, 5)];
+            let a = [g.u64_in(0, 1 << 20), g.rng().next_u64()][g.usize_in(0, 2)];
+            let prefix = StreamPrefix::new(d, a);
+            for _ in 0..8 {
+                let b = [g.u64_in(0, 1 << 12), g.rng().next_u64()][g.usize_in(0, 2)];
+                let c = [0, 1, g.rng().next_u64()][g.usize_in(0, 3)];
+                let want = stream_four_mixes(d, a, b, c);
+                prop_ensure_eq!(prefix.key(b, c), want, "({d}, {a}, {b}, {c})");
+                prop_ensure_eq!(stream(d, a, b, c), want, "({d}, {a}, {b}, {c})");
+                let pair = [want, stream_four_mixes(d, a, b, c ^ 1)];
+                prop_ensure_eq!(prefix.keys(b, [c, c ^ 1]), pair, "({d}, {a}, {b}, {c})");
+            }
+            Ok(())
+        });
+    }
+
+    /// A rate to compare draws against: the edge cases a threshold must
+    /// get right (zero, negative, NaN, one and above, below 2⁻⁵³, exact
+    /// multiples of 2⁻⁵³) and rates next to the draw `u` itself.
+    fn gen_rate(g: &mut Gen, u: f64) -> f64 {
+        const ULP: f64 = 1.0 / (1u64 << 53) as f64;
+        match g.usize_in(0, 10) {
+            0 => [0.0, -0.0, -g.f64_in(0.0, 2.0), f64::NEG_INFINITY][g.usize_in(0, 4)],
+            1 => f64::NAN,
+            2 => [1.0, 1.0 + f64::EPSILON, g.f64_in(1.0, 4.0), f64::INFINITY][g.usize_in(0, 4)],
+            3 => [ULP * g.f64_in(0.0, 1.0), f64::from_bits(1), ULP / 2.0][g.usize_in(0, 3)],
+            4 => g.u64_in(0, 1 << 53) as f64 * ULP,
+            5 => [u, f64::from_bits(u.to_bits() + 1), u + ULP][g.usize_in(0, 3)],
+            6 if u > 0.0 => [f64::from_bits(u.to_bits() - 1), u - ULP][g.usize_in(0, 2)],
+            _ => g.f64_in(0.0, 1.0),
+        }
+    }
+
+    /// The integer comparison agrees with the float one for draws at,
+    /// around and far from the rate's own bound.
+    #[test]
+    fn thresholds_compare_like_float_draws() {
+        run_cases("thresholds_compare_like_float_draws", 4000, |g| {
+            const ULP: f64 = 1.0 / (1u64 << 53) as f64;
+            let m = g.u64_in(0, 1 << 53);
+            let rate = gen_rate(g, m as f64 * ULP);
+            let t = Threshold::new(rate);
+            // The draws at the bound's floor and ceiling and either side.
+            let scaled = (rate / ULP).clamp(0.0, (1u64 << 53) as f64);
+            let near = if scaled.is_nan() { 0 } else { scaled as u64 };
+            for bits in [m, near.saturating_sub(1), near, near + 1, near + 2] {
+                let bits = bits.min((1 << 53) - 1);
+                let want = (bits as f64) * ULP < rate;
+                prop_ensure_eq!(t.admits(bits), want, "rate {rate:e}, bits {bits}");
+            }
+            prop_ensure_eq!(t.can_fire(), rate > 0.0, "rate {rate:e}");
+            Ok(())
+        });
+    }
+
+    /// The integer draw path equals `unit_draw(seed, key, d) < rate` for
+    /// whole draws, rates around each draw included.
+    #[test]
+    fn threshold_draws_equal_unit_draws_below_the_rate() {
+        run_cases(
+            "threshold_draws_equal_unit_draws_below_the_rate",
+            2000,
+            |g| {
+                let (seed, d) = (g.rng().next_u64(), g.u64_in(0, 4));
+                let key = stream(domain::SPEC, g.u64_in(0, 1 << 16), g.u64_in(0, 4096), 0);
+                let u = unit_draw(seed, key, d);
+                prop_ensure_eq!(draw_bits(seed, key, d) as f64 / (1u64 << 53) as f64, u);
+                let rate = gen_rate(g, u);
+                let t = Threshold::new(rate);
+                prop_ensure_eq!(t.fires(seed, key, d), u < rate, "rate {rate:e}, draw {u:e}");
+                prop_ensure_eq!(t.admits(draw_bits(seed, key, d)), u < rate);
+                Ok(())
+            },
+        );
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! the step-cost level in [`crate::LongSightSystem`]; the two layers sample
 //! disjoint event streams, so no fault is ever counted twice.
 
-use longsight_faults::{domain, stream, FaultInjector, FaultKind, FaultLog, RetryPolicy};
+use longsight_faults::{domain, FaultInjector, FaultKind, FaultLog, RetryPolicy, StreamPrefix};
 
 /// How one token's offload resolved under the degradation policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,23 +72,71 @@ pub(crate) enum FirstFault {
     },
 }
 
+/// One request's draw streams: the `(domain, request id)` halves of its
+/// `domain::HARD`, `domain::TOKEN` and `domain::SPEC` stream keys, hashed
+/// once per request, so each token's key hashes only `(token, coordinate)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct RequestStreams {
+    hard: StreamPrefix,
+    token: StreamPrefix,
+    spec: StreamPrefix,
+}
+
+impl RequestStreams {
+    pub(crate) fn new(request_id: u64) -> Self {
+        Self {
+            hard: StreamPrefix::new(domain::HARD, request_id),
+            token: StreamPrefix::new(domain::TOKEN, request_id),
+            spec: StreamPrefix::new(domain::SPEC, request_id),
+        }
+    }
+
+    /// `stream(HARD, id, tok, 0)`: the token's hard-fail stream.
+    #[inline]
+    pub(crate) fn hard(&self, tok: u64) -> u64 {
+        self.hard.key(tok, 0)
+    }
+
+    /// `stream(TOKEN, id, tok, 0)`: the token's retry-ladder stream.
+    #[inline]
+    pub(crate) fn token(&self, tok: u64) -> u64 {
+        self.token.key(tok, 0)
+    }
+
+    /// `[stream(SPEC, id, tok, 0), stream(SPEC, id, tok, 1)]`: the token's
+    /// stale and void speculation streams.
+    #[inline]
+    pub(crate) fn spec(&self, tok: u64) -> [u64; 2] {
+        self.spec.keys(tok, [0, 1])
+    }
+}
+
 /// Draws one token's hard-fail and then its attempt-0 timeout, the two
-/// draws every token takes. `None` means the token completes on its first
-/// attempt: no penalty and nothing logged. [`resolve_token`] starts here,
-/// and the serving step uses it alone to tell a clean step from one that
-/// needs the full resolution.
+/// draws every token takes, on the request's cached stream prefixes.
+/// `None` means the token completes on its first attempt: no penalty and
+/// nothing logged. [`resolve_token`] starts here, and the serving step
+/// uses it alone to tell a clean step from one that needs the full
+/// resolution ([`resolve_fault`]). A rate of zero takes no draw.
+#[inline]
 pub(crate) fn first_fault(
     inj: &FaultInjector,
-    request_id: u64,
-    token_idx: u64,
+    keys: &RequestStreams,
+    tok: u64,
 ) -> Option<FirstFault> {
-    let hard_key = stream(domain::HARD, request_id, token_idx, 0);
-    if inj.hard_fails(hard_key) {
-        return Some(FirstFault::HardFail { key: hard_key });
+    let profile = inj.profile();
+    if profile.hard_fail_rate > 0.0 {
+        let key = keys.hard(tok);
+        if inj.hard_fails(key) {
+            return Some(FirstFault::HardFail { key });
+        }
     }
-    let token_key = stream(domain::TOKEN, request_id, token_idx, 0);
-    inj.attempt_times_out(token_key, 0)
-        .then_some(FirstFault::Timeout { key: token_key })
+    if profile.timeout_rate > 0.0 {
+        let key = keys.token(tok);
+        if inj.attempt_times_out(key, 0) {
+            return Some(FirstFault::Timeout { key });
+        }
+    }
+    None
 }
 
 /// Resolves one token's offload under the retry/deadline policy.
@@ -111,13 +159,26 @@ pub fn resolve_token(
     token_idx: u64,
     log: &mut FaultLog,
 ) -> (TokenOutcome, f64) {
-    let token_key = match first_fault(inj, request_id, token_idx) {
-        None => return (TokenOutcome::Completed { retries: 0 }, 0.0),
-        Some(FirstFault::HardFail { key }) => {
+    match first_fault(inj, &RequestStreams::new(request_id), token_idx) {
+        None => (TokenOutcome::Completed { retries: 0 }, 0.0),
+        Some(first) => resolve_fault(inj, retry, first, log),
+    }
+}
+
+/// [`resolve_token`] for a token whose [`first_fault`] is `first`: logs it
+/// and, for a timeout, walks the retry ladder from attempt 1.
+pub(crate) fn resolve_fault(
+    inj: &FaultInjector,
+    retry: &RetryPolicy,
+    first: FirstFault,
+    log: &mut FaultLog,
+) -> (TokenOutcome, f64) {
+    let token_key = match first {
+        FirstFault::HardFail { key } => {
             log.push(key, FaultKind::HardFail);
             return (TokenOutcome::Failed, retry.offload_deadline_ns);
         }
-        Some(FirstFault::Timeout { key }) => key,
+        FirstFault::Timeout { key } => key,
     };
     let mut penalty = 0.0;
     for attempt in 0..=retry.max_retries {
@@ -146,7 +207,59 @@ pub fn resolve_token(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use longsight_faults::FaultProfile;
+    use longsight_faults::{stream, unit_draw, FaultProfile};
+    use longsight_tensor::check::run_cases;
+    use longsight_tensor::prop_ensure_eq;
+
+    /// A request's cached stream halves key every token of its HARD, TOKEN
+    /// and SPEC streams, coordinates 0 and 1, as the full `stream` hash.
+    #[test]
+    fn request_stream_keys_equal_the_full_stream_keys() {
+        run_cases("request_stream_keys_equal_the_full_stream_keys", 500, |g| {
+            let id = [g.u64_in(0, 1 << 16), g.rng().next_u64()][g.usize_in(0, 2)];
+            let keys = RequestStreams::new(id);
+            for _ in 0..8 {
+                let tok = [g.u64_in(0, 4096), g.rng().next_u64()][g.usize_in(0, 2)];
+                prop_ensure_eq!(keys.hard(tok), stream(domain::HARD, id, tok, 0));
+                prop_ensure_eq!(keys.token(tok), stream(domain::TOKEN, id, tok, 0));
+                let spec = [0, 1].map(|c| stream(domain::SPEC, id, tok, c));
+                prop_ensure_eq!(keys.spec(tok), spec);
+            }
+            Ok(())
+        });
+    }
+
+    /// The threshold path decides each token's first fault as the float
+    /// draws against the profile's rates did, in the order they were drawn.
+    #[test]
+    fn first_faults_equal_the_float_draws() {
+        run_cases("first_faults_equal_the_float_draws", 300, |g| {
+            let rate = |g: &mut longsight_tensor::check::Gen| {
+                [0.0, 1.0, g.f64_in(0.0, 1.0), g.f64_in(0.0, 0.01)][g.usize_in(0, 4)]
+            };
+            let profile = FaultProfile {
+                hard_fail_rate: rate(g),
+                timeout_rate: rate(g),
+                ..FaultProfile::disabled()
+            };
+            let inj = FaultInjector::new(profile, g.rng().next_u64());
+            let id = g.u64_in(0, 1 << 16);
+            let keys = RequestStreams::new(id);
+            for tok in 0..64 {
+                let hard = stream(domain::HARD, id, tok, 0);
+                let token = stream(domain::TOKEN, id, tok, 0);
+                let want = if unit_draw(inj.seed(), hard, 0) < inj.profile().hard_fail_rate {
+                    Some(FirstFault::HardFail { key: hard })
+                } else if unit_draw(inj.seed(), token, 1) < inj.profile().timeout_rate {
+                    Some(FirstFault::Timeout { key: token })
+                } else {
+                    None
+                };
+                prop_ensure_eq!(first_fault(&inj, &keys, tok), want, "token {tok}");
+            }
+            Ok(())
+        });
+    }
 
     #[test]
     fn disabled_injector_always_completes_free() {

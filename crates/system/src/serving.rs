@@ -26,15 +26,17 @@
 use crate::attribution::{
     attribution_parts, SpecCharge, SpecSample, TokenAttribution, OVERLAP_HIDDEN, SPEC_MISS,
 };
-use crate::degrade::{first_fault, resolve_token, DegradeStats, TokenOutcome};
+use crate::degrade::{
+    first_fault, resolve_fault, DegradeStats, FirstFault, RequestStreams, TokenOutcome,
+};
 use crate::prefill::prefill_cost;
 use crate::report::{ServingSystem, SpecStep, StepReport};
 use crate::session::{self, SessionOptions, SessionTurn};
 use longsight_cxl::CxlLink;
 use longsight_drex::SpecSlotPool;
 use longsight_faults::{
-    domain, fleet_schedule, stream, unit_draw, FaultInjector, FaultLog, ReplicaEvent,
-    ReplicaEventKind, ReplicaFaultProfile, RetryPolicy,
+    fleet_schedule, FaultInjector, FaultLog, ReplicaEvent, ReplicaEventKind, ReplicaFaultProfile,
+    RetryPolicy, Threshold,
 };
 use longsight_gpu::GpuSpec;
 use longsight_model::ModelConfig;
@@ -322,7 +324,13 @@ impl Arrival {
 /// from the back in time order. `workload` must pass [`validate`].
 fn gen_arrivals(model: &ModelConfig, workload: &WorkloadConfig, mix: &SloMix) -> Vec<Arrival> {
     let mut rng = SimRng::seed_from(workload.seed);
+    // The Poisson count of mean λ = rate · duration exceeds λ + 4√λ in
+    // about 3 of 10⁵ runs, so reserving that spares the list the copies
+    // and the slack of growing by doubling. A reservation the allocator
+    // refuses is skipped and the list grows as it would have.
+    let mean = workload.arrivals_per_s * workload.duration_s;
     let mut arrivals: Vec<Arrival> = Vec::new();
+    let _ = arrivals.try_reserve((mean + 4.0 * mean.sqrt()) as usize);
     let mut t = 0.0f64;
     let horizon_ns = workload.duration_s * 1e9;
     loop {
@@ -486,34 +494,130 @@ fn sched_config_for(geometry: &KvDeviceGeometry, opts: &SchedOptions) -> SchedCo
     sched_cfg
 }
 
-/// The two miss draws of one issued member's speculated chain, on its own
-/// `domain::SPEC` stream: `(stale, voided)`. Stale speculation (coordinate
-/// 0: the context grew past the speculated region or an eviction/restore
+/// The miss draws of a speculated step, their rates as exact
+/// [`Threshold`]s. Each issued member draws on its own `domain::SPEC`
+/// stream: stale speculation (coordinate 0, under the lookahead seed: the
+/// context grew past the speculated region or an eviction/restore
 /// invalidated pages, modeled by `miss_rate`) and, under fault injection,
-/// an in-flight void (coordinate 1: the slice timeout/bit-flip classes
-/// that would corrupt a synchronous offload kill the speculative copy).
-/// The void draw lives off the retry ladder's `domain::TOKEN` stream, so
-/// a voided slot charges a miss and is never double-retried.
-fn spec_miss(s: &SpecStep, inj: Option<&FaultInjector>, id: u64, tok: u64) -> (bool, bool) {
-    let stale = unit_draw(s.seed, stream(domain::SPEC, id, tok, 0), 0) < s.miss_rate;
-    let voided = inj.is_some_and(|inj| {
-        let void_rate = inj.profile.timeout_rate + inj.profile.bitflip_rate;
-        void_rate > 0.0 && inj.uniform(stream(domain::SPEC, id, tok, 1), 0) < void_rate
-    });
-    (stale, voided)
+/// an in-flight void (coordinate 1, under the fault seed: the slice
+/// timeout/bit-flip classes that would corrupt a synchronous offload kill
+/// the speculative copy). The void draw lives off the retry ladder's
+/// `domain::TOKEN` stream, so a voided slot charges a miss and is never
+/// double-retried.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SpecDraws {
+    seed: u64,
+    stale: Threshold,
+    fault_seed: u64,
+    void: Threshold,
 }
 
-/// One decoding member's draws at one step ([`ReplicaSim::draw`]).
+impl SpecDraws {
+    fn new(s: &SpecStep, inj: Option<&FaultInjector>) -> Self {
+        let (fault_seed, void_rate) = inj.map_or((0, 0.0), |inj| {
+            let p = inj.profile();
+            (inj.seed(), p.timeout_rate + p.bitflip_rate)
+        });
+        Self {
+            seed: s.seed,
+            stale: Threshold::new(s.miss_rate),
+            fault_seed,
+            void: Threshold::new(void_rate),
+        }
+    }
+
+    /// An issued member's `(stale, voided)` draws at token `tok`.
+    #[inline]
+    fn miss(&self, keys: &RequestStreams, tok: u64) -> (bool, bool) {
+        let [stale, void] = keys.spec(tok);
+        (
+            self.stale.fires(self.seed, stale, 0),
+            self.void.fires(self.fault_seed, void, 0),
+        )
+    }
+}
+
+/// Everything a step draws per token: token faults' first faults and
+/// speculation's misses, each when armed.
+#[derive(Debug, Clone, Copy)]
+struct StepDraws<'a> {
+    faults: Option<&'a FaultInjector>,
+    spec: Option<SpecDraws>,
+}
+
+impl StepDraws<'_> {
+    /// Whether token `tok` meets no first fault and, issued, would not
+    /// miss.
+    #[inline]
+    fn clean(&self, keys: &RequestStreams, tok: u64) -> bool {
+        self.faults
+            .is_none_or(|inj| first_fault(inj, keys, tok).is_none())
+            && self
+                .spec
+                .is_none_or(|s| s.miss(keys, tok) == (false, false))
+    }
+}
+
+/// One decoding member's draw streams and how far its tokens are known
+/// clean ([`StepDraws::clean`]): tokens `from..clean_to` are, and token
+/// `clean_to` is not when `dirty`. Every draw is a pure function of
+/// `(seed, request id, token)`, so what one step call scanned holds for
+/// the next, and each token is scanned once.
+#[derive(Debug, Clone, Copy)]
+struct Horizon {
+    id: usize,
+    keys: RequestStreams,
+    from: u64,
+    clean_to: u64,
+    dirty: bool,
+}
+
+impl Horizon {
+    fn new(id: usize) -> Self {
+        Self {
+            id,
+            keys: RequestStreams::new(id as u64),
+            from: 0,
+            clean_to: 0,
+            dirty: false,
+        }
+    }
+
+    /// How many tokens from `tok` on are clean, up to `bound`: the
+    /// member's clean horizon. Scans only tokens no earlier call did.
+    fn clean_run(&mut self, draws: &StepDraws, tok: u64, bound: usize) -> usize {
+        if !(self.from..=self.clean_to).contains(&tok) {
+            (self.from, self.clean_to, self.dirty) = (tok, tok, false);
+        }
+        let end = tok.saturating_add(bound as u64);
+        while !self.dirty && self.clean_to < end {
+            if draws.clean(&self.keys, self.clean_to) {
+                self.clean_to += 1;
+            } else {
+                self.dirty = true;
+            }
+        }
+        usize::try_from(self.clean_to - tok).map_or(bound, |c| c.min(bound))
+    }
+
+    /// Whether an earlier scan found token `tok` clean.
+    fn knows_clean(&self, tok: u64) -> bool {
+        (self.from..self.clean_to).contains(&tok)
+    }
+}
+
+/// One decoding member's draws at an unclean step 0 ([`ReplicaSim::draw`]).
 #[derive(Debug, Clone, Copy)]
 struct Draw {
     id: usize,
     tok: u64,
     /// Gets a speculative slot; always `false` without speculation.
     slot: bool,
-    /// The issued member's `(stale, voided)` miss draws ([`spec_miss`]).
+    /// The issued member's `(stale, voided)` miss draws ([`SpecDraws::miss`]).
     miss: (bool, bool),
-    /// Meets a [`first_fault`]: its token takes the retry ladder.
-    fault: bool,
+    /// The first fault it meets ([`first_fault`]): its token takes the
+    /// retry ladder.
+    fault: Option<FirstFault>,
 }
 
 /// What [`ReplicaSim::draw`] decided about one step; the default is a
@@ -527,10 +631,26 @@ struct Drawn {
 }
 
 impl Drawn {
-    /// No member is denied a slot, misses or meets a first fault.
-    fn clean(&self) -> bool {
-        self.spec.1 + self.spec.2 == 0 && !self.faulted
+    /// How speculation charges the step: any miss runs the synchronous
+    /// path plus the deterministic re-filter penalty, a denial-only step
+    /// runs the synchronous path, an all-hit step keeps the hit path.
+    fn charge(&self) -> SpecCharge {
+        match self.spec {
+            (_, misses, _) if misses > 0 => SpecCharge::Miss,
+            (_, _, denied) if denied > 0 => SpecCharge::Denied,
+            _ => SpecCharge::Hit,
+        }
     }
+}
+
+/// Why a replica halted short of its work: [`run`] returns it as a
+/// [`RunError`] naming the replica.
+#[derive(Debug, Clone, Copy)]
+enum Refusal {
+    /// `sys` cannot evaluate this `(users, context bucket)` decode shape.
+    Step(usize, usize),
+    /// `sys` speculates with a lookahead pool of zero slots.
+    NoSpecSlots,
 }
 
 /// Records one telemetry sampling point for a scheduler: queue depth per
@@ -656,8 +776,15 @@ struct ReplicaSim<'a> {
     spec_pool: Option<SpecSlotPool>,
     spec_track: Option<TrackId>,
     spec_counts: (usize, usize, usize),
-    /// The decoding members' draws at the step being taken, reused.
+    /// The decoding members' draws at an unclean step 0, reused.
     draws: Vec<Draw>,
+    /// The decoding members' clean horizons in batch order, kept across
+    /// step calls ([`ReplicaSim::sync_horizons`]), and the spare buffer
+    /// they are lined up in.
+    horizons: Vec<Horizon>,
+    spare: Vec<Horizon>,
+    /// The speculation draws `horizons` were scanned under.
+    horizon_spec: Option<SpecDraws>,
     /// Token-level fault injection and its trace track.
     faults: Option<(&'a FaultInjector, &'a RetryPolicy, TrackId)>,
     fault_log: FaultLog,
@@ -683,13 +810,13 @@ struct ReplicaSim<'a> {
     /// The overload guard, four horizons, ps: a step ending past it stays
     /// unaccounted and halts the replica.
     guard_ps: u64,
-    /// Set by the step that crossed `guard_ps`, or by one whose decode
-    /// subset `sys` cannot evaluate: a halted replica never drains or steps
-    /// again, and [`run`] routes nothing more.
+    /// Set by the step that crossed `guard_ps`, or by one `sys` refused
+    /// (`refused`): a halted replica never drains or steps again, and
+    /// [`run`] routes nothing more.
     halted: bool,
-    /// The `(users, context bucket)` decode shape that halted this replica
-    /// because `sys` refused it; [`run`] returns it as an error.
-    infeasible: Option<(usize, usize)>,
+    /// What `sys` refused, halting this replica; [`run`] returns it as an
+    /// error.
+    refused: Option<Refusal>,
     /// Longest run a step may take, from [`MAX_RUN`] at construction.
     #[cfg(test)]
     max_run: usize,
@@ -767,6 +894,9 @@ impl<'a> ReplicaSim<'a> {
             spec_track: None,
             spec_counts: (0, 0, 0),
             draws: Vec::new(),
+            horizons: Vec::new(),
+            spare: Vec::new(),
+            horizon_spec: None,
             faults: faults
                 .zip(faults_track)
                 .map(|((inj, retry), track)| (inj, retry, track)),
@@ -779,7 +909,7 @@ impl<'a> ReplicaSim<'a> {
             turns: Vec::new(),
             guard_ps,
             halted: false,
-            infeasible: None,
+            refused: None,
             #[cfg(test)]
             max_run: MAX_RUN.with(std::cell::Cell::get),
         }
@@ -879,9 +1009,10 @@ impl<'a> ReplicaSim<'a> {
     /// a run of identical steps. The decoding members advance one token
     /// per step; chunked prefill shares the step (SLO-aware only).
     /// Speculation, brownout contraction and token faults pace it in that
-    /// order: the worst token's retry/backoff penalty paces the whole
-    /// batch, and hard-failed requests leave it without emitting this
-    /// token. The paced duration is rounded to whole ps once, here.
+    /// order ([`ReplicaSim::pace`]): the worst token's retry/backoff
+    /// penalty paces the whole batch, and hard-failed requests leave it
+    /// without emitting this token. The paced duration is rounded to whole
+    /// ps once.
     ///
     /// **Macro-steps.** A step's cost depends only on the batch shape, so
     /// the plan repeats until a member completes or a chunk changes
@@ -891,29 +1022,31 @@ impl<'a> ReplicaSim<'a> {
     /// [`clock::steps_within`]), step `k` of a run starts at exactly
     /// `now + k·dt`, and the run is applied in one go: `now += n·dt` and
     /// one [`Scheduler::advance_step`] for the chunks and the decoders.
-    /// A loop over the run's steps remains only for what each step emits
-    /// or draws: with the recorder on, its `decode.step` span; with the
-    /// time series on, its `tokens` rate and scheduler sample; under
-    /// speculation or token faults, its draws. Attribution takes the run
-    /// as one weighted record.
+    /// A loop over the run's steps remains only for what each step emits:
+    /// with the recorder on, its `spec.issue`/`spec.hit` instants and its
+    /// `decode.step` span; with the time series on, its `tokens` rate and
+    /// scheduler sample. Attribution takes the run as one weighted record.
     ///
-    /// **Eligibility.** Speculation and token faults draw per token, and
-    /// every step of a run draws through one pass ([`ReplicaSim::draw`])
-    /// and one commit ([`ReplicaSim::commit`]) at its own `now` and token
-    /// index. A step is *clean* when no decoding member is denied a slot,
-    /// misses (stale or void), hard-fails or times out on attempt 0. A clean
-    /// step logs no fault and keeps the hit-path `dt`, so a run continues
-    /// past step 0 only while its steps come out clean. Step 0 always
-    /// commits and runs alone unless it is clean; a later step commits only
-    /// when clean, and the first one that is not ends the run before it, to
-    /// be drawn again as step 0 of the next call. Its draw changed nothing
-    /// but the pool's `release_until(now)`, which the next call repeats at
-    /// a `now` no earlier.
+    /// **Eligibility.** Speculation and token faults draw per token, so a
+    /// run also ends before its first step that is not *clean*: one where a
+    /// decoding member is denied a slot, misses (stale or void), hard-fails
+    /// or times out on attempt 0. A clean step logs no fault and keeps the
+    /// hit path's `dt`, so the run's length is found without stepping
+    /// ([`ReplicaSim::clean_steps`]): the smallest clean horizon of the
+    /// decoding members, then the steps whose issues all fit the slot
+    /// pool, issued in order. When step 0 itself is not clean it runs
+    /// alone through one draw ([`ReplicaSim::draw`]) and one commit
+    /// ([`ReplicaSim::commit`]) at its own `dt`.
     ///
     /// **Halts.** A step that ends past `guard_ps` stays unaccounted (the
     /// steps of the run before it count) and halts the replica. So does a
-    /// decode subset that admission never probed and `sys` cannot evaluate;
-    /// its shape is kept in `infeasible`.
+    /// decode subset that admission never probed and `sys` cannot
+    /// evaluate, and a lookahead pool of zero slots; what was refused is
+    /// kept in `refused`.
+    // Out of line: inlined into `advance`, its draw, pool and fault paths
+    // moved the drain loop's code and cost session_mix, which takes none
+    // of them, about 10% host time.
+    #[inline(never)]
     fn step(
         &mut self,
         rec: &mut Recorder,
@@ -927,15 +1060,10 @@ impl<'a> ReplicaSim<'a> {
         let report = match users {
             0 => None,
             _ => match cached_step_cost(&mut self.cache, &mut *self.sys, users, ctx, rec, at_ns) {
-                None => {
-                    self.infeasible = Some((users, ctx.next_power_of_two()));
-                    self.halted = true;
-                    return;
-                }
+                None => return self.refuse(Refusal::Step(users, ctx.next_power_of_two())),
                 r => r,
             },
         };
-        let mut base_dt = report.map_or(0.0, |r| r.step_ns);
         // With the lookahead pipeline on, the chain for this step was
         // issued speculatively at the previous one. Draws key off the global
         // request id, so a request resolves identically wherever the router
@@ -943,103 +1071,82 @@ impl<'a> ReplicaSim<'a> {
         // (and the `spec` track) never exists on that path.
         let spec_step = report.and_then(|r| r.spec);
         if let Some(s) = spec_step {
-            self.spec_pool
-                .get_or_insert_with(|| SpecSlotPool::new(s.slots));
+            if self.spec_pool.is_none() {
+                if s.slots == 0 {
+                    return self.refuse(Refusal::NoSpecSlots);
+                }
+                self.spec_pool = Some(SpecSlotPool::new(s.slots));
+            }
             self.spec_track
                 .get_or_insert_with(|| rec.track(&format!("{}spec", self.prefix)));
         }
-        // Only speculation and token faults draw per token, so only they
-        // can leave a step unclean.
-        let draws = spec_step.is_some() || self.faults.is_some();
-        let (drawn, penalty) = if draws {
-            let drawn = self.draw(spec_step.as_ref(), 0);
-            (drawn, self.commit(rec, spec_step.as_ref(), drawn))
-        } else {
-            (Drawn::default(), 0.0)
+        let token_faults = self.faults.map(|f| f.0);
+        let draws = StepDraws {
+            faults: token_faults,
+            spec: spec_step.map(|s| SpecDraws::new(&s, token_faults)),
         };
-        // Any miss runs the synchronous path plus the deterministic
-        // re-filter penalty, a denial-only step runs the synchronous path,
-        // an all-hit step keeps the hit-path timing.
-        let spec = spec_step.map(|s| {
-            let (charge, paced) = match drawn.spec {
-                (_, misses, _) if misses > 0 => {
-                    (SpecCharge::Miss, s.serial_step_ns + s.refilter_penalty_ns)
-                }
-                (_, _, denied) if denied > 0 => (SpecCharge::Denied, s.serial_step_ns),
-                _ => (SpecCharge::Hit, base_dt),
-            };
-            base_dt = paced;
-            (s, charge, drawn.spec)
-        });
-        if self.brownout_factor < 1.0 {
-            // Brownout: the DReX tier runs on a shrunken top-k budget, so
-            // the offload share of the step contracts proportionally and
-            // every token decoded under it loses part of its long-range
-            // attention (charged below as a degraded token).
-            if let Some(r) = report {
-                let offload = r.breakdown.drex_offload_ns + r.breakdown.cxl_ns;
-                base_dt = (base_dt - (1.0 - self.brownout_factor) * offload).max(0.0);
-            }
-        }
-        // Chunked prefill hides inside the memory-bound decode step; only a
-        // pure-prefill step pays chunk time alone. FIFO plans no chunks, so
-        // `work_ns == base_dt` exactly.
-        let work_ns = base_dt.max(clock::ns(plan.prefill_ps));
-        // The worst token's penalty paces the batch; a hard fault may have
-        // emptied it. The paced duration enters the clock here, once.
-        let (dt, batch_died) = match self.faults {
-            Some(_) => (clock::ps(work_ns + penalty), self.sched.active_is_empty()),
-            None => (clock::ps(work_ns), false),
-        };
-        let work_dt = clock::ps(work_ns);
-        if batch_died {
-            if rec.is_enabled() {
-                self.trace_step(rec, &plan, work_dt, dt);
-            }
-            self.now = clock::after(now0, 1, dt);
-            flush_sched_events(&mut self.sched, rec, self.sched_track, clock::ns(self.now));
-            return;
-        }
-        // The run: `run` steps repeat the plan up to the first whose end
-        // reaches `until`; `within` of them end by the guard, and the step
-        // after those (when the run gets that far) halts the replica.
-        let mut run = if drawn.clean() {
-            self.sched.steady_run(self.run_cap())
-        } else {
-            1
-        };
-        if let Some(until) = until {
-            run = run.min(clock::steps_to_reach(now0, dt, until));
-        }
-        let within = clock::steps_within(now0, dt, self.guard_ps);
-        let (mut taken, mut n) = (run.min(within.saturating_add(1)), run.min(within));
+        // Every clean step keeps the hit path's pacing.
+        let hit = spec_step.as_ref().map(|s| (s, SpecCharge::Hit));
+        let (mut work_dt, mut dt) = self.pace(report.as_ref(), &plan, hit, 0.0);
+        let (mut taken, mut n) = self.run_bounds(dt, until);
         let decoding = self.sched.decoding_count();
+        let clean = if draws.faults.is_some() || draws.spec.is_some() {
+            let chain_ps = spec_step.map(|s| clock::ps(s.chain_ns));
+            self.clean_steps(&draws, chain_ps, dt, taken)
+        } else {
+            taken
+        };
+        let spec = if clean > 0 {
+            // `clean` clean steps: every member hits at each.
+            (taken, n) = (clean, clean.min(n));
+            spec_step.map(|s| {
+                self.spec_counts.0 += decoding * clean;
+                (s, SpecCharge::Hit, (decoding, 0, 0))
+            })
+        } else {
+            // Step 0 is not clean: it runs alone at its own pacing.
+            let drawn = self.draw(&draws);
+            let penalty = self.commit(rec, spec_step.as_ref(), drawn);
+            let charged = spec_step.map(|s| (s, drawn.charge(), drawn.spec));
+            let paced = charged.as_ref().map(|(s, charge, _)| (s, *charge));
+            (work_dt, dt) = self.pace(report.as_ref(), &plan, paced, penalty);
+            // A hard fault may have emptied the batch.
+            if self.faults.is_some() && self.sched.active_is_empty() {
+                if rec.is_enabled() {
+                    self.trace_step(rec, &plan, work_dt, dt);
+                }
+                self.now = clock::after(now0, 1, dt);
+                flush_sched_events(&mut self.sched, rec, self.sched_track, clock::ns(self.now));
+                return;
+            }
+            (taken, n) = (1, clock::steps_within(now0, dt, self.guard_ps).min(1));
+            charged
+        };
+        // A hard fault leaves the batch smaller than the plan.
+        let decoding = if clean > 0 {
+            decoding
+        } else {
+            self.sched.decoding_count()
+        };
         let ts_on = rec.timeseries.is_enabled();
-        // The steps' own side effects, step `k` at `now0 + k·dt`: the draw
-        // and commit of each later step (the first unclean one ends the run
-        // before it), the end-of-step sample of the step before it and its
+        // The steps' own side effects, step `k` at `now0 + k·dt`: the hit
+        // instants of a clean step (an unclean step 0 emitted its own in
+        // its commit), the end-of-step sample of the step before it and its
         // span. Only the last step can complete a request, so every earlier
         // one samples what the end of a lone step would: no completion, no
         // scheduler event, and gauges it leaves alone. (A lone replica's own
         // sample after each drain repeats them at the same `now`; gauges
         // keep the last write per window.)
-        let per_step = draws || ts_on || rec.is_enabled();
+        let per_step = ts_on || rec.is_enabled();
         let mut turns = 0;
         while per_step && turns < taken {
             let k = turns;
             self.now = clock::after(now0, k, dt);
-            if k > 0 {
-                if draws {
-                    let drawn = self.draw(spec_step.as_ref(), k);
-                    if !drawn.clean() {
-                        (taken, n) = (k, k);
-                        break;
-                    }
-                    self.commit(rec, spec_step.as_ref(), drawn);
-                }
-                if ts_on {
-                    self.sample_step(rec, decoding);
-                }
+            if clean > 0 && spec_step.is_some() {
+                self.trace_hits(rec, k);
+            }
+            if k > 0 && ts_on {
+                self.sample_step(rec, decoding);
             }
             if rec.is_enabled() {
                 self.trace_step(rec, &plan, work_dt, dt);
@@ -1094,49 +1201,191 @@ impl<'a> ReplicaSim<'a> {
         }
     }
 
-    /// Draws step `k` of a run at the current `now` in one pass over the
-    /// decoding members, at token `generated + k`, into `draws`. Under
+    /// Halts this replica on something `sys` refused.
+    fn refuse(&mut self, why: Refusal) {
+        self.refused = Some(why);
+        self.halted = true;
+    }
+
+    /// A step's `(work_dt, dt)`, ps: the report's duration, or under
+    /// speculation the one its charge picks (the hit path, the synchronous
+    /// path, or that plus the re-filter penalty on a miss), contracted by a
+    /// brownout and never below the planned prefill; under token faults
+    /// `dt` adds the worst token's `penalty`.
+    fn pace(
+        &self,
+        report: Option<&StepReport>,
+        plan: &StepPlan,
+        spec: Option<(&SpecStep, SpecCharge)>,
+        penalty: f64,
+    ) -> (u64, u64) {
+        let mut base_dt = report.map_or(0.0, |r| r.step_ns);
+        if let Some((s, charge)) = spec {
+            match charge {
+                SpecCharge::Miss => base_dt = s.serial_step_ns + s.refilter_penalty_ns,
+                SpecCharge::Denied => base_dt = s.serial_step_ns,
+                SpecCharge::Hit => {}
+            }
+        }
+        if self.brownout_factor < 1.0 {
+            // Brownout: the DReX tier runs on a shrunken top-k budget, so
+            // the offload share of the step contracts proportionally and
+            // every token decoded under it loses part of its long-range
+            // attention (charged in `step` as a degraded token).
+            if let Some(r) = report {
+                let offload = r.breakdown.drex_offload_ns + r.breakdown.cxl_ns;
+                base_dt = (base_dt - (1.0 - self.brownout_factor) * offload).max(0.0);
+            }
+        }
+        // Chunked prefill hides inside the memory-bound decode step; only a
+        // pure-prefill step pays chunk time alone. FIFO plans no chunks, so
+        // `work_ns == base_dt` exactly.
+        let work_ns = base_dt.max(clock::ns(plan.prefill_ps));
+        match self.faults {
+            Some(_) => (clock::ps(work_ns), clock::ps(work_ns + penalty)),
+            None => (clock::ps(work_ns), clock::ps(work_ns)),
+        }
+    }
+
+    /// `(taken, n)` of a run of steps of `dt` from `now`: `taken` steps
+    /// repeat the plan up to the first whose end reaches `until`, and `n`
+    /// of them end by the guard; the step after those `n` (when the run
+    /// gets that far) halts the replica.
+    fn run_bounds(&self, dt: u64, until: Option<u64>) -> (usize, usize) {
+        let mut run = self.sched.steady_run(self.run_cap());
+        if let Some(until) = until {
+            run = run.min(clock::steps_to_reach(self.now, dt, until));
+        }
+        let within = clock::steps_within(self.now, dt, self.guard_ps);
+        (run.min(within.saturating_add(1)), run.min(within))
+    }
+
+    /// Lines `horizons` up with the decoding members in batch order. A
+    /// member keeps what earlier calls scanned; the batch only appends and
+    /// removes, so one forward search finds each. Scans under other
+    /// speculation draws are dropped.
+    fn sync_horizons(&mut self, spec: Option<SpecDraws>) {
+        if self.horizon_spec != spec {
+            self.horizon_spec = spec;
+            self.horizons.clear();
+        }
+        let Self {
+            sched,
+            horizons,
+            spare,
+            ..
+        } = self;
+        spare.clear();
+        let mut rest = &horizons[..];
+        for m in sched.active().iter().filter(|m| m.in_decode) {
+            let h = match rest.iter().position(|h| h.id == m.req.id) {
+                Some(p) => {
+                    let h = rest[p];
+                    rest = &rest[p + 1..];
+                    h
+                }
+                None => Horizon::new(m.req.id),
+            };
+            spare.push(h);
+        }
+        std::mem::swap(horizons, spare);
+    }
+
+    /// How many steps of `dt` from step 0 on come out clean, up to `bound`.
+    /// Each decoding member scans its tokens once ([`Horizon::clean_run`])
+    /// up to the smallest horizon so far; under speculation the slot pool
+    /// then issues those steps in order, each releasing at its start, and
+    /// the run stops before the first whose issues do not all fit (that
+    /// step's release stands, as in the per-step loop). 0 when step 0 is
+    /// not clean.
+    fn clean_steps(
+        &mut self,
+        draws: &StepDraws,
+        chain_ps: Option<u64>,
+        dt: u64,
+        bound: usize,
+    ) -> usize {
+        self.sync_horizons(draws.spec);
+        let Self {
+            sched,
+            horizons,
+            spec_pool,
+            now,
+            ..
+        } = self;
+        let members = sched.active().iter().filter(|m| m.in_decode);
+        let mut clean = bound;
+        for (m, h) in members.zip(horizons.iter_mut()) {
+            if clean == 0 {
+                break;
+            }
+            clean = h.clean_run(draws, m.generated as u64, clean);
+        }
+        let (Some(chain), Some(pool)) = (chain_ps, spec_pool.as_mut()) else {
+            return clean;
+        };
+        let per_step = horizons.len();
+        for k in 0..clean {
+            let t = clock::after(*now, k, dt);
+            pool.release_until(t);
+            if pool.occupancy() + per_step > pool.capacity() {
+                return k;
+            }
+            for _ in 0..per_step {
+                pool.try_issue(t, chain);
+            }
+        }
+        clean
+    }
+
+    /// Draws an unclean step 0 at the current `now` in one pass over the
+    /// decoding members, at token `generated`, into `draws`. Under
     /// speculation it first releases the slots done by `now`; then the
     /// first `capacity − occupancy` members get a slot (what issuing them
     /// one at a time grants) and each of those draws its miss
-    /// ([`spec_miss`]). Under token faults every member draws its
-    /// [`first_fault`]. A later step (`k > 0`) commits only when clean, so
-    /// its pass stops at the first unclean member. Every draw is a pure
-    /// function of `(seed, id, token)`, so drawing changes nothing but the
-    /// pool's release.
-    fn draw(&mut self, spec: Option<&SpecStep>, k: usize) -> Drawn {
+    /// ([`SpecDraws::miss`]). Under token faults every member draws its
+    /// first fault. A member whose horizon already holds the token clean
+    /// draws nothing. Every draw is a pure function of `(seed, id, token)`,
+    /// so drawing changes nothing but the pool's release.
+    fn draw(&mut self, step: &StepDraws) -> Drawn {
         let Self {
             sched,
             now,
             spec_pool,
-            faults,
+            horizons,
             draws,
             ..
         } = self;
-        let inj = faults.map(|f| f.0);
-        let mut free = match (spec, spec_pool.as_mut()) {
+        let mut free = match (step.spec, spec_pool.as_mut()) {
             (Some(_), Some(pool)) => {
-                pool.release_until(clock::ns(*now));
+                pool.release_until(*now);
                 pool.capacity() - pool.occupancy()
             }
             _ => 0,
         };
         let mut out = Drawn::default();
         draws.clear();
-        for r in sched.active().iter().filter(|r| r.in_decode) {
-            let (id, tok) = (r.req.id, (r.generated + k) as u64);
+        let members = sched.active().iter().filter(|r| r.in_decode);
+        for (r, h) in members.zip(horizons.iter()) {
+            let (id, tok) = (r.req.id, r.generated as u64);
+            let known_clean = h.knows_clean(tok);
             let mut d = Draw {
                 id,
                 tok,
                 slot: false,
                 miss: (false, false),
-                fault: inj.is_some_and(|inj| first_fault(inj, id as u64, tok).is_some()),
+                fault: step
+                    .faults
+                    .filter(|_| !known_clean)
+                    .and_then(|inj| first_fault(inj, &h.keys, tok)),
             };
-            if let Some(s) = spec {
+            if let Some(s) = step.spec {
                 d.slot = free > 0;
                 if d.slot {
                     free -= 1;
-                    d.miss = spec_miss(s, inj, id as u64, tok);
+                    if !known_clean {
+                        d.miss = s.miss(&h.keys, tok);
+                    }
                 }
                 match (d.slot, d.miss) {
                     (false, _) => out.spec.2 += 1,
@@ -1144,25 +1393,22 @@ impl<'a> ReplicaSim<'a> {
                     (true, _) => out.spec.1 += 1,
                 }
             }
-            out.faulted |= d.fault;
-            if k > 0 && !out.clean() {
-                return out;
-            }
+            out.faulted |= d.fault.is_some();
             draws.push(d);
         }
         out
     }
 
-    /// Commits the step just drawn at the current `now`. In member order it
-    /// issues each slot (a denied issue fails as it would alone) with its
-    /// `spec.issue` and `spec.hit`/`spec.miss` instants. Then, again in
-    /// member order, it resolves the token of each member with a first
-    /// fault through [`resolve_token`], so the [`FaultLog`] keeps its order,
-    /// replays the new fault events onto the trace (1:1 with the log) at
-    /// `now`, removes the hard-failed requests from the batch and returns
-    /// the DReX tail pages of degraded ones, which lost their long-range
-    /// path. Returns the worst retry/backoff penalty of a token that did
-    /// not fail.
+    /// Commits the unclean step 0 just drawn at the current `now`. In
+    /// member order it issues each slot (a denied issue fails as it would
+    /// alone) with its `spec.issue` and `spec.hit`/`spec.miss` instants.
+    /// Then, again in member order, it resolves the token of each member
+    /// with a first fault through [`resolve_fault`], so the [`FaultLog`]
+    /// keeps its order, replays the new fault events onto the trace (1:1
+    /// with the log) at `now`, removes the hard-failed requests from the
+    /// batch and returns the DReX tail pages of degraded ones, which lost
+    /// their long-range path. Returns the worst retry/backoff penalty of a
+    /// token that did not fail.
     fn commit(&mut self, rec: &mut Recorder, spec: Option<&SpecStep>, drawn: Drawn) -> f64 {
         let Self {
             sched,
@@ -1177,11 +1423,12 @@ impl<'a> ReplicaSim<'a> {
             turns,
             ..
         } = self;
-        let now = clock::ns(*now);
+        let (now_ps, now) = (*now, clock::ns(*now));
         if let Some(((s, pool), track)) = spec.zip(spec_pool.as_mut()).zip(*spec_track) {
             let recording = rec.is_enabled();
+            let chain_ps = clock::ps(s.chain_ns);
             for d in draws.iter() {
-                let issued = pool.try_issue(now, s.chain_ns);
+                let issued = pool.try_issue(now_ps, chain_ps);
                 debug_assert_eq!(issued, d.slot, "the draw predicts every issue");
                 if issued && recording {
                     let (stale, voided) = d.miss;
@@ -1208,8 +1455,8 @@ impl<'a> ReplicaSim<'a> {
         };
         let (mut dead, mut degraded) = (Vec::new(), Vec::new());
         let logged = fault_log.len();
-        for d in draws.iter().filter(|d| d.fault) {
-            let (outcome, p) = resolve_token(inj, retry, d.id as u64, d.tok, fault_log);
+        for (d, first) in draws.iter().filter_map(|d| Some((d, d.fault?))) {
+            let (outcome, p) = resolve_fault(inj, retry, first, fault_log);
             degrade.record(outcome);
             match outcome {
                 TokenOutcome::Failed => dead.push(d.id),
@@ -1229,15 +1476,34 @@ impl<'a> ReplicaSim<'a> {
         penalty
     }
 
-    /// [`RunError::StepInfeasible`] if this replica, index `replica` of the
-    /// run, halted on a decode step its system refused.
+    /// The `spec.issue` and `spec.hit` instants of clean speculated step
+    /// `k` of a run at the current `now`, in member order: what its commit
+    /// would have emitted. Nothing without a recorder.
+    fn trace_hits(&self, rec: &mut Recorder, k: usize) {
+        let Some(track) = self.spec_track.filter(|_| rec.is_enabled()) else {
+            return;
+        };
+        let now = clock::ns(self.now);
+        for r in self.sched.active().iter().filter(|r| r.in_decode) {
+            let args = [
+                ("id", ArgVal::U(r.req.id as u64)),
+                ("tok", ArgVal::U((r.generated + k) as u64)),
+            ];
+            rec.instant_with(track, "spec.issue", now, &args);
+            rec.instant_with(track, "spec.hit", now, &args);
+        }
+    }
+
+    /// The [`RunError`] of this replica, index `replica` of the run, if it
+    /// halted on something its system refused.
     fn feasible(&self, replica: usize) -> Result<(), RunError> {
-        match self.infeasible {
-            Some((users, ctx)) => Err(RunError::StepInfeasible {
+        match self.refused {
+            Some(Refusal::Step(users, ctx)) => Err(RunError::StepInfeasible {
                 replica,
                 users,
                 ctx,
             }),
+            Some(Refusal::NoSpecSlots) => Err(RunError::NoSpecSlots { replica }),
             None => Ok(()),
         }
     }
@@ -1463,6 +1729,13 @@ pub enum RunError {
         /// Context bucket of the refused step, tokens.
         ctx: usize,
     },
+    /// Replica `replica`'s system speculates with a lookahead pool of zero
+    /// slots, which could issue nothing. The replica halted at its first
+    /// speculated step.
+    NoSpecSlots {
+        /// Index of the halted replica.
+        replica: usize,
+    },
 }
 
 impl std::fmt::Display for RunError {
@@ -1480,6 +1753,10 @@ impl std::fmt::Display for RunError {
             } => write!(
                 f,
                 "replica {replica} cannot evaluate a {users}-user decode step at context {ctx}"
+            ),
+            RunError::NoSpecSlots { replica } => write!(
+                f,
+                "replica {replica} speculates with a lookahead pool of zero slots"
             ),
         }
     }
@@ -1571,8 +1848,10 @@ fn guard_horizon_ns(wl: &WorkloadConfig) -> f64 {
 /// [`RunError::NoReplicas`] for an empty `systems`,
 /// [`RunError::FaultDomainsNeedTwoReplicas`] for `spec.faults` armed over
 /// one replica, [`RunError::InvalidWorkload`] for a workload that cannot
-/// be generated or timed, and [`RunError::StepInfeasible`] when a
-/// replica's system refuses a decode step its batch planned.
+/// be generated or timed, [`RunError::StepInfeasible`] when a replica's
+/// system refuses a decode step its batch planned, and
+/// [`RunError::NoSpecSlots`] when a replica's system speculates with no
+/// slots.
 pub fn run<'s, S: DerefMut<Target = dyn ServingSystem + 's>>(
     systems: &mut [S],
     spec: &RunSpec,
@@ -2617,8 +2896,9 @@ mod tests {
     /// Clean runs must end at every kind of boundary: small slot pools
     /// deny issues, miss rates up to 0.3 miss, and token-fault rates down
     /// to 0.001 leave long clean stretches between faults. Lookahead cases
-    /// reach 256K contexts, where a 1B model's speculated chain outlasts a
-    /// hit step: slots stay busy into the next step and fill mid-run.
+    /// reach 256K and 1M contexts, where a 1B model's speculated chain
+    /// outlasts a hit step (2–15 steps at 1M): slots stay busy across
+    /// several steps, and pools of 1–8 slots fill mid-run.
     fn gen_driver_case(g: &mut longsight_tensor::check::Gen) -> DriverCase {
         use crate::longsight::LookaheadConfig;
         use longsight_faults::ReplicaFaultProfile;
@@ -2639,12 +2919,14 @@ mod tests {
             hbm_watermark: [0.9, 0.2, 0.01][g.usize_in(0, 3)],
         };
         let lookahead = (g.usize_in(0, 3) == 0).then(|| LookaheadConfig {
-            slots: [1usize, 2, 32][g.usize_in(0, 3)],
+            slots: [1usize, 2, 4, 8, 32][g.usize_in(0, 5)],
             miss_rate: [0.0, 0.02, 0.3][g.usize_in(0, 3)],
             ..LookaheadConfig::serving_default()
         });
-        let max_ctx = [16_384usize, 32_768, 65_536, 262_144]
-            [g.usize_in(if lookahead.is_some() { 2 } else { 0 }, 4)];
+        let max_ctx = match lookahead {
+            Some(_) => [65_536usize, 262_144, 1_048_576][g.usize_in(0, 3)],
+            None => [16_384usize, 32_768, 65_536, 262_144][g.usize_in(0, 4)],
+        };
         let crashes = fleet && g.bool();
         let fopts = FleetFaultOptions {
             profile: if crashes {
@@ -2852,34 +3134,85 @@ mod tests {
         }
     }
 
-    /// A run costs one loop turn per step only for what each step emits or
-    /// draws: an unrecorded, draw-free run (attribution included) takes
-    /// none, a recorded one takes one per step, and both equal single
-    /// steps byte for byte, Chrome trace and time series included.
+    /// One lone 1B replica at 256K–1M contexts, where a speculated chain
+    /// spans 2–15 hit steps, behind a 4-slot pool that saturates, with
+    /// stale misses and token faults: every way a speculated run ends.
+    fn tiny_lookahead_with_token_faults(recorded: bool) -> DriverCase {
+        use crate::longsight::LookaheadConfig;
+        DriverCase {
+            replicas: 1,
+            wl: WorkloadConfig {
+                arrivals_per_s: 6.0,
+                context_tokens: (262_144, 1_048_576),
+                output_tokens: (16, 96),
+                duration_s: 3.0,
+                seed: 2,
+            },
+            opts: SchedOptions::fifo(),
+            router: RouterPolicy::JsqSpillover,
+            lookahead: Some(LookaheadConfig {
+                slots: 4,
+                ..LookaheadConfig::serving_default()
+            }),
+            recorder: recorded,
+            timeseries: recorded,
+            attribution: true,
+            token_faults: Some((0.01, 7)),
+            fopts: FleetFaultOptions::disabled(),
+            sess: SessionOptions::disabled(),
+        }
+    }
+
+    /// A run costs one loop turn per step only for what each step emits:
+    /// an unrecorded run takes none, whether it draws nothing (attribution
+    /// included) or draws speculation and token faults, and a recorded one
+    /// takes one per step. Each equals single steps byte for byte: Chrome
+    /// trace, fault log, metrics (`serving.spec_peak_slots` among them)
+    /// and time series.
     #[test]
     fn only_per_step_side_effects_cost_loop_turns() {
-        let unrecorded = tiny_crashy_fleet(false);
-        let ((out, _, rep), (calls, steps, turns)) =
-            with_run_cap(usize::MAX, || run_driver(&unrecorded));
-        assert!(
-            rep.faults.as_ref().is_some_and(|f| f.crashes > 0),
-            "{rep:?}"
-        );
-        assert_eq!(turns, 0, "{calls} calls over {steps} steps");
-        assert!(steps >= 10 * calls, "{steps} steps over {calls} calls");
-        let ((single, ..), _) = with_run_cap(1, || run_driver(&unrecorded));
-        assert_eq!(first_difference(&out, &single), None);
+        // Each shape with the fewest steps its runs must average per call.
+        let shape: fn(bool) -> DriverCase = tiny_crashy_fleet;
+        for (shape, per_call) in [(shape, 10), (tiny_lookahead_with_token_faults, 1)] {
+            let unrecorded = shape(false);
+            let ((out, m, rep), (calls, steps, turns)) =
+                with_run_cap(usize::MAX, || run_driver(&unrecorded));
+            if unrecorded.lookahead.is_none() {
+                assert!(
+                    rep.faults.as_ref().is_some_and(|f| f.crashes > 0),
+                    "{rep:?}"
+                );
+            }
+            assert_eq!(turns, 0, "{calls} calls over {steps} steps");
+            assert!(steps > per_call * calls, "{steps} steps over {calls} calls");
+            let ((single, ..), _) = with_run_cap(1, || run_driver(&unrecorded));
+            assert_eq!(first_difference(&out, &single), None);
 
-        let recorded = tiny_crashy_fleet(true);
-        let ((out, ..), (rec_calls, rec_steps, turns)) =
-            with_run_cap(usize::MAX, || run_driver(&recorded));
-        assert_eq!((rec_calls, rec_steps), (calls, steps));
-        assert_eq!(turns, steps, "one loop turn per recorded step");
-        let ((single, ..), (_, single_steps, single_turns)) =
-            with_run_cap(1, || run_driver(&recorded));
-        assert_eq!((single_steps, single_turns), (steps, steps));
-        assert!(out.contains("decode.step") && out.contains("r0.queue.interactive"));
-        assert_eq!(first_difference(&out, &single), None);
+            let recorded = shape(true);
+            let ((out, ..), (rec_calls, rec_steps, turns)) =
+                with_run_cap(usize::MAX, || run_driver(&recorded));
+            assert_eq!((rec_calls, rec_steps), (calls, steps));
+            assert_eq!(turns, steps, "one loop turn per recorded step");
+            let ((single, ..), (_, single_steps, single_turns)) =
+                with_run_cap(1, || run_driver(&recorded));
+            assert_eq!((single_steps, single_turns), (steps, steps));
+            assert!(out.contains("decode.step"));
+            if unrecorded.lookahead.is_some() {
+                assert!(m.spec_misses > 0 && m.spec_denied > 0, "{m:?}");
+                assert!(m.retried_tokens > 0, "{m:?}");
+                for what in [
+                    "spec.hit",
+                    "spec.miss",
+                    "fault.timeout",
+                    "spec_peak_slots\":4",
+                ] {
+                    assert!(out.contains(what), "no {what} in the recorded run");
+                }
+            } else {
+                assert!(out.contains("r0.queue.interactive"));
+            }
+            assert_eq!(first_difference(&out, &single), None);
+        }
     }
 
     /// Token faults and speculation draw per token, so a run under them
@@ -2921,8 +3254,9 @@ mod tests {
 
     /// The long-context single-replica shape (8B, FIFO, 128K-1M contexts,
     /// default lookahead, mild token faults without hard failures) over a
-    /// short window: its run lengths pinned exactly, and its metrics and
-    /// fault log equal to single steps.
+    /// short window: its run lengths pinned exactly, no loop turn
+    /// unrecorded, and its metrics, fault log and, recorded, its trace,
+    /// metrics export and time series equal to single steps.
     #[test]
     fn long_context_lookahead_with_token_faults_runs_macro_steps() {
         use crate::longsight::LookaheadConfig;
@@ -2946,12 +3280,16 @@ mod tests {
             token_faults: Some((inj, RetryPolicy::serving_default())),
             ..RunSpec::new(model.clone(), wl)
         };
-        let once = || {
+        let once = |recorded: bool| {
             let mut sys = LongSightSystem::new(
                 LongSightConfig::paper_default().with_lookahead(LookaheadConfig::serving_default()),
                 model.clone(),
             );
             let mut rec = Recorder::disabled();
+            if recorded {
+                rec = Recorder::enabled();
+                rec.enable_timeseries(250e6, longsight_obs::BurnConfig::default());
+            }
             let (m, rep, log) = run(
                 &mut [&mut sys as &mut dyn ServingSystem],
                 &spec,
@@ -2960,13 +3298,28 @@ mod tests {
             )
             .expect("one replica runs");
             assert!(m.spec_misses > 0 && m.retried_tokens > 0, "{m:?}");
-            format!("{m:?}\n{:?}\n{log:?}", rep.replicas[0])
+            let exports = [
+                rec.chrome_trace_json(),
+                rec.metrics_json(),
+                rec.timeseries.to_tsv(),
+            ];
+            format!(
+                "{m:?}\n{:?}\n{log:?}\n{}",
+                rep.replicas[0],
+                exports.concat()
+            )
         };
-        let (macro_out, (calls, steps, _)) = with_run_cap(usize::MAX, once);
-        let (single_out, (single_calls, single_steps, _)) = with_run_cap(1, once);
+        let (macro_out, (calls, steps, turns)) = with_run_cap(usize::MAX, || once(false));
+        let (single_out, (single_calls, single_steps, _)) = with_run_cap(1, || once(false));
         assert_eq!(macro_out, single_out);
         assert_eq!((single_calls, single_steps), (steps, steps));
         assert_eq!((calls, steps), (187, 1649), "(step calls, scheduler steps)");
+        assert_eq!(turns, 0, "an unrecorded run draws without a loop turn");
+        let (rec_out, (rec_calls, rec_steps, rec_turns)) = with_run_cap(usize::MAX, || once(true));
+        let (rec_single, _) = with_run_cap(1, || once(true));
+        assert_eq!((rec_calls, rec_steps, rec_turns), (calls, steps, steps));
+        assert!(rec_out.contains("spec.hit") && rec_out.contains("serving.spec_peak_slots"));
+        assert_eq!(first_difference(&rec_out, &rec_single), None);
     }
 
     /// The long-context single-replica shape over a longer window: misses
@@ -3166,6 +3519,37 @@ mod tests {
         };
         assert_eq!(serve(idle, off()).map(|m| m.completed), Ok(0));
         assert!(serve(base.clone(), think(0.0)).is_ok());
+    }
+
+    /// A lookahead pool of zero slots could issue nothing. The CLI refuses
+    /// `--spec-slots 0`; the library halts the replica at its first
+    /// speculated step with a typed error instead of panicking.
+    #[test]
+    fn a_zero_slot_lookahead_is_a_typed_error() {
+        use crate::longsight::LookaheadConfig;
+        let model = ModelConfig::llama3_1b();
+        let wl = WorkloadConfig {
+            duration_s: 2.0,
+            ..WorkloadConfig::long_context_chat()
+        };
+        let lookahead = LookaheadConfig {
+            slots: 0,
+            ..LookaheadConfig::serving_default()
+        };
+        let cfg = LongSightConfig::paper_default().with_lookahead(lookahead);
+        let mut sys = LongSightSystem::new(cfg, model.clone());
+        let err = run(
+            &mut [&mut sys as &mut dyn ServingSystem],
+            &RunSpec::new(model, wl),
+            &mut Recorder::disabled(),
+            None,
+        )
+        .expect_err("a zero-slot pool cannot speculate");
+        assert_eq!(err, RunError::NoSpecSlots { replica: 0 });
+        assert_eq!(
+            err.to_string(),
+            "replica 0 speculates with a lookahead pool of zero slots"
+        );
     }
 
     /// A LongSight replica whose system refuses one `(users, context

@@ -21,8 +21,9 @@
 #      with --timeseries-out validated by `perf-diff --self-check`; its
 #      `dashboard` must reproduce results/fleet_timeseries.txt from the
 #      `== fleet_ts.tsv` line on
-#   9. lookahead smoke: speculative loadtest with a traced run, validated
-#      the same way
+#   9. lookahead smokes: speculative loadtest with a traced run, validated
+#      the same way, then the same load behind a 2-slot pool under mild
+#      token faults (the pool saturates while tokens retry and slots void)
 #  10. session smoke: 2-replica session workload under affinity routing
 #      with a traced run, then the same workload under replica crashes
 #      with the breaker on, both validated the same way
@@ -172,11 +173,16 @@ longsight_bin="$PWD/target/release/longsight"
 (cd "$obs_tmp" && "$longsight_bin" dashboard --file fleet_ts.tsv) >"$obs_tmp/fleet_dashboard.txt"
 sed -n '/^== fleet_ts.tsv/,$p' results/fleet_timeseries.txt | cmp - "$obs_tmp/fleet_dashboard.txt"
 
-echo "== lookahead smoke (speculative loadtest, trace-validate) =="
+echo "== lookahead smokes (speculative loadtest, then a saturated pool under token faults, trace-validate) =="
 target/release/longsight loadtest --model 8b --rate 2 --duration 4 \
     --ctx-min 131072 --ctx-max 131072 --lookahead on \
     --trace-out "$obs_tmp/lookahead_trace.json"
 target/release/longsight trace-validate --file "$obs_tmp/lookahead_trace.json"
+target/release/longsight loadtest --model 8b --rate 2 --duration 4 \
+    --ctx-min 131072 --ctx-max 131072 --lookahead on \
+    --fault-profile mild --fault-seed 7 --spec-slots 2 \
+    --trace-out "$obs_tmp/lookahead_faults_trace.json"
+target/release/longsight trace-validate --file "$obs_tmp/lookahead_faults_trace.json"
 
 echo "== session smoke (2-replica affinity loadtest, trace-validate) =="
 target/release/longsight loadtest --model 1b --duration 8 \

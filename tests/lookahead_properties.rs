@@ -149,14 +149,14 @@ fn slot_pool_occupancy_never_exceeds_its_bound() {
     run_cases("slot_pool_occupancy_never_exceeds_its_bound", 64, |g| {
         let slots = g.usize_in(1, 48);
         let mut pool = SpecSlotPool::new(slots);
-        let mut now = 0.0f64;
+        let mut now = 0u64;
         let steps = g.usize_in(1, 200);
         let mut attempts = 0u64;
         for _ in 0..steps {
-            now += g.f64_in(0.0, 2.0e6);
+            now += g.u64_in(0, 2_000_000_000);
             pool.release_until(now);
             for _ in 0..g.usize_in(0, 8) {
-                pool.try_issue(now, g.f64_in(0.0, 10.0e6));
+                pool.try_issue(now, g.u64_in(0, 10_000_000_000));
                 attempts += 1;
                 prop_ensure!(
                     pool.occupancy() <= pool.capacity(),

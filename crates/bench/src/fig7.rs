@@ -139,7 +139,8 @@ impl ScanKernelBench {
 }
 
 /// Times both scan kernels over `keys` random sign vectors of `dim`
-/// dimensions and cross-checks their survivor sets bit-for-bit.
+/// dimensions, their samples interleaved ([`timing::measure_pair`]), and
+/// cross-checks their survivor sets bit-for-bit.
 ///
 /// The threshold is placed one standard deviation above the random-sign
 /// mean (`dim/2 + √dim/2`), giving a realistically sparse survivor rate in
@@ -169,23 +170,27 @@ pub fn scan_kernel_bench(keys: usize, dim: usize) -> ScanKernelBench {
         block = end;
     }
 
-    let t_per_key = timing::measure(|| {
-        let mut survivors = 0u32;
-        for k in &per_key {
-            survivors += u32::from(scf_pass(&q, k, threshold));
-        }
-        survivors
-    });
-    let t_packed = timing::measure(|| {
-        let mut survivors = 0u32;
-        let mut block = 0;
-        while block < keys {
-            let end = (block + PFU_BLOCK_KEYS).min(keys);
-            survivors += filter_block_packed(&q, &arena, block..end, threshold).count_ones();
-            block = end;
-        }
-        survivors
-    });
+    // The two kernels' samples alternate, so a load phase of the host
+    // slows both rather than one.
+    let (t_per_key, t_packed) = timing::measure_pair(
+        || {
+            let mut survivors = 0u32;
+            for k in &per_key {
+                survivors += u32::from(scf_pass(&q, k, threshold));
+            }
+            survivors
+        },
+        || {
+            let mut survivors = 0u32;
+            let mut block = 0;
+            while block < keys {
+                let end = (block + PFU_BLOCK_KEYS).min(keys);
+                survivors += filter_block_packed(&q, &arena, block..end, threshold).count_ones();
+                block = end;
+            }
+            survivors
+        },
+    );
     ScanKernelBench {
         keys,
         dim,

@@ -51,8 +51,46 @@ pub struct Timing {
 /// inputs/outputs in [`std::hint::black_box`] inside `f` to keep the
 /// optimizer honest.
 pub fn measure<R, F: FnMut() -> R>(mut f: F) -> Timing {
-    // Calibration: grow the iteration count until one batch is measurable,
-    // then scale to the target sample time.
+    let iters = calibrate(&mut f);
+    let warm_start = Instant::now();
+    while (warm_start.elapsed().as_nanos() as f64) < WARMUP_NS {
+        std::hint::black_box(f());
+    }
+    summarize(iters, (0..SAMPLES).map(|_| sample(&mut f, iters)).collect())
+}
+
+/// Times `f` and `g` against each other: [`measure`] for both, with their
+/// warm-up and their samples interleaved (`f`, `g`, `g`, `f`, `f`, `g`, …)
+/// so that a slow phase of a shared host lands on both alike rather than
+/// on whichever ran during it.
+pub fn measure_pair<R, S, F, G>(mut f: F, mut g: G) -> (Timing, Timing)
+where
+    F: FnMut() -> R,
+    G: FnMut() -> S,
+{
+    let (f_iters, g_iters) = (calibrate(&mut f), calibrate(&mut g));
+    let warm_start = Instant::now();
+    while (warm_start.elapsed().as_nanos() as f64) < WARMUP_NS {
+        std::hint::black_box(f());
+        std::hint::black_box(g());
+    }
+    let (mut fs, mut gs) = (Vec::with_capacity(SAMPLES), Vec::with_capacity(SAMPLES));
+    for i in 0..SAMPLES {
+        if i % 2 == 0 {
+            fs.push(sample(&mut f, f_iters));
+            gs.push(sample(&mut g, g_iters));
+        } else {
+            gs.push(sample(&mut g, g_iters));
+            fs.push(sample(&mut f, f_iters));
+        }
+    }
+    (summarize(f_iters, fs), summarize(g_iters, gs))
+}
+
+/// The inner iteration count that makes one sample of `f` take about
+/// [`TARGET_SAMPLE_NS`]: grow the count until one batch is measurable,
+/// then scale to the target.
+fn calibrate<R>(f: &mut impl FnMut() -> R) -> u64 {
     let mut iters: u64 = 1;
     let per_iter_ns = loop {
         let start = Instant::now();
@@ -65,23 +103,19 @@ pub fn measure<R, F: FnMut() -> R>(mut f: F) -> Timing {
         }
         iters *= 10;
     };
-    let iters_per_sample = ((TARGET_SAMPLE_NS / per_iter_ns).max(1.0)) as u64;
+    ((TARGET_SAMPLE_NS / per_iter_ns).max(1.0)) as u64
+}
 
-    // Warmup: reach steady state (caches, branch predictors, allocator).
-    let warm_start = Instant::now();
-    while (warm_start.elapsed().as_nanos() as f64) < WARMUP_NS {
+/// Mean nanoseconds per iteration over one sample of `iters` calls.
+fn sample<R>(f: &mut impl FnMut() -> R, iters: u64) -> f64 {
+    let start = Instant::now();
+    for _ in 0..iters {
         std::hint::black_box(f());
     }
+    start.elapsed().as_nanos() as f64 / iters as f64
+}
 
-    let mut samples: Vec<f64> = (0..SAMPLES)
-        .map(|_| {
-            let start = Instant::now();
-            for _ in 0..iters_per_sample {
-                std::hint::black_box(f());
-            }
-            start.elapsed().as_nanos() as f64 / iters_per_sample as f64
-        })
-        .collect();
+fn summarize(iters_per_sample: u64, mut samples: Vec<f64>) -> Timing {
     samples.sort_by(f64::total_cmp);
     Timing {
         min_ns: samples[0],
@@ -150,6 +184,19 @@ mod tests {
         assert!(t.min_ns <= t.median_ns);
         assert!(t.median_ns <= t.max_ns);
         assert!(t.iters_per_sample >= 1);
+    }
+
+    #[test]
+    fn measure_pair_orders_both_statistics() {
+        let (a, b) = measure_pair(
+            || std::hint::black_box((0..100u64).sum::<u64>()),
+            || std::hint::black_box((0..10u64).product::<u64>()),
+        );
+        for t in [a, b] {
+            assert!(t.min_ns > 0.0);
+            assert!(t.min_ns <= t.median_ns && t.median_ns <= t.max_ns);
+            assert!(t.iters_per_sample >= 1);
+        }
     }
 
     #[test]

@@ -28,6 +28,8 @@
 //! worker count for the deterministic parallel maps (`longsight-exec`);
 //! results are bit-identical at any setting.
 
+#![forbid(unsafe_code)]
+
 mod args;
 mod commands;
 mod perf;

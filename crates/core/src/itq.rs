@@ -18,10 +18,6 @@
 
 use longsight_tensor::{linalg, Matrix, SignArena, SignBits, SimRng};
 
-/// Keys that share one pass over a row of `R` in
-/// [`ItqRotation::rotate_and_pack`].
-pub const ROTATE_BLOCK_KEYS: usize = 8;
-
 /// Keys per parallel chunk of [`ItqRotation::rotate_and_pack`]; runs of at
 /// most this many keys are packed serially on the calling thread.
 pub const ROTATE_CHUNK_KEYS: usize = 256;
@@ -144,14 +140,11 @@ impl ItqRotation {
     /// appends their sign bits to `arena` in key order — the append path of
     /// the packed sign store.
     ///
-    /// Each key's rotation is bit-identical to [`ItqRotation::apply`]: every
-    /// output element accumulates `x_r · R[r][j]` over `r` in ascending
-    /// order and skips `x_r == 0.0`, so `-0.0` and NaN inputs pack exactly
-    /// as the per-key product does. [`ROTATE_BLOCK_KEYS`] keys share each
-    /// pass over a row of `R`, and runs longer than [`ROTATE_CHUNK_KEYS`]
-    /// are split into chunks on the deterministic worker pool, each packed
-    /// into its own arena and appended in index order. No rotated `f32` key
-    /// outlives its block.
+    /// Each key's rotation is bit-identical to [`ItqRotation::apply`] (the
+    /// kernel is [`SignArena::push_rotated`]). Runs longer than
+    /// [`ROTATE_CHUNK_KEYS`] are split into chunks on the deterministic
+    /// worker pool, each packed into its own arena and appended in index
+    /// order.
     ///
     /// # Panics
     ///
@@ -163,45 +156,17 @@ impl ItqRotation {
         assert_eq!(keys.len() % d, 0, "key slice is not whole keys");
         let n = keys.len() / d;
         if n <= ROTATE_CHUNK_KEYS {
-            self.pack_chunk(keys, arena);
+            arena.push_rotated(&self.r, keys);
             return;
         }
         let chunk = ROTATE_CHUNK_KEYS * d;
         let parts = longsight_exec::map_range(n.div_ceil(ROTATE_CHUNK_KEYS), |c| {
             let mut part = SignArena::new(d);
-            self.pack_chunk(
-                &keys[c * chunk..((c + 1) * chunk).min(keys.len())],
-                &mut part,
-            );
+            part.push_rotated(&self.r, &keys[c * chunk..((c + 1) * chunk).min(keys.len())]);
             part
         });
         for part in &parts {
             arena.append(part);
-        }
-    }
-
-    /// The serial kernel behind [`ItqRotation::rotate_and_pack`].
-    fn pack_chunk(&self, keys: &[f32], arena: &mut SignArena) {
-        let d = self.dim();
-        let block = ROTATE_BLOCK_KEYS * d;
-        let mut acc = vec![0.0f32; block.min(keys.len())];
-        for keys in keys.chunks(block) {
-            let acc = &mut acc[..keys.len()];
-            acc.fill(0.0);
-            for (r, row) in self.r.iter_rows().enumerate() {
-                for (key, out) in keys.chunks_exact(d).zip(acc.chunks_exact_mut(d)) {
-                    let x = key[r];
-                    if x == 0.0 {
-                        continue;
-                    }
-                    for (o, &m) in out.iter_mut().zip(row) {
-                        *o += x * m;
-                    }
-                }
-            }
-            for out in acc.chunks_exact(d) {
-                arena.push_signs_of(out);
-            }
         }
     }
 

@@ -38,11 +38,15 @@
 //! four probes' independent add chains interleaved, and one pass over the
 //! value store accumulates every probe's dense output. Both top-k lists are
 //! selected in one batch by [`select_top_k`] rather than streamed through a
-//! heap. On the trace_sweep shape (32K keys, `d = 128`, 32 probes) at one
-//! worker thread, eight [`evaluate_trace`] calls spend ~265 ms instead of
-//! ~500 ms in the score pass and ~145 ms instead of ~330 ms in the SCF scan
-//! and top-k, and one sweep over the same eight thresholds takes ~0.3 s
-//! against ~1.7 s for the eight calls (`DESIGN.md` §4).
+//! heap. The key rotation and both passes are tensor kernels
+//! ([`SignArena::push_rotated`] per chunk, [`vecops::dot_batch_rows`] and
+//! [`vecops::axpy_rows`] per probe block) that run an AVX2 build, with the
+//! same bits, on hosts that have it. On the trace_sweep shape (32K keys,
+//! `d = 128`, 32 probes) at one worker thread, one sweep over eight
+//! thresholds takes ~0.37 s against ~1.7 s for eight [`evaluate_trace`]
+//! calls; of the sweep, the rotation takes ~94 ms, the score pass ~41 ms,
+//! the value pass ~35 ms and the eight evaluations ~173 ms (`DESIGN.md`
+//! §4).
 //!
 //! Every metric is bit-identical to per-probe attention over
 //! [`longsight_model::attend_over_kv`]: the softmax inputs are the same
@@ -356,17 +360,8 @@ impl<'a> TraceSweep<'a> {
         let n = keys.len();
         let queries: Vec<&[f32]> = probes.iter().map(|p| p.q.as_slice()).collect();
         let mut raw = vec![vec![0.0f32; n]; probes.len()];
-        let mut dots = [0.0f32; PROBE_BLOCK];
-        let dots = &mut dots[..probes.len()];
-        let mut finite = true;
-        for (i, k) in keys.iter().enumerate() {
-            vecops::dot_batch(&queries, k, dots);
-            for (row, &s) in raw.iter_mut().zip(dots.iter()) {
-                row[i] = s;
-                finite &= s.is_finite();
-            }
-        }
-        if !finite {
+        vecops::dot_batch_rows(&queries, keys, &mut raw);
+        if raw.iter().flatten().any(|s| !s.is_finite()) {
             let index = first_non_finite(keys.iter()).unwrap_or(n);
             return Err(TraceError::NonFinite {
                 array: "keys",
@@ -385,11 +380,7 @@ impl<'a> TraceSweep<'a> {
             })
             .collect();
         let mut dense = vec![vec![0.0f32; self.values.dim()]; probes.len()];
-        for (i, v) in self.values.iter().enumerate() {
-            for (w, out) in weights.iter().zip(dense.iter_mut()) {
-                vecops::axpy(w[i], v, out);
-            }
-        }
+        vecops::axpy_rows(&weights, self.values, &mut dense);
         if dense.iter().flatten().any(|x| !x.is_finite()) {
             let index = first_non_finite(self.values.iter()).unwrap_or(n);
             return Err(TraceError::NonFinite {

@@ -97,22 +97,131 @@ impl HeadTrace {
     }
 }
 
-/// Generates a head trace.
+/// Why [`try_generate_head_trace`] rejects a [`TraceConfig`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum TraceGenError {
+    /// `context_len` is below 2.
+    ContextTooShort {
+        /// The configured context length.
+        context_len: usize,
+    },
+    /// `head_dim` is zero or odd: RoPE rotates dimensions in pairs.
+    OddHeadDim {
+        /// The configured head dimension.
+        head_dim: usize,
+    },
+    /// `relevant_per_query` is not below `context_len`, so a query cannot
+    /// draw that many distinct past positions.
+    TooManyRelevant {
+        /// The configured relevant positions per query.
+        relevant_per_query: usize,
+        /// The configured context length.
+        context_len: usize,
+    },
+    /// A magnitude is NaN or infinite, which would make every key or
+    /// query it scales non-finite.
+    NonFinite {
+        /// `"dc_magnitude"`, `"cluster_spread"` or `"relevance_strength"`.
+        field: &'static str,
+        /// The configured value.
+        value: f32,
+    },
+    /// `rope_theta` is not a finite positive base.
+    BadRopeTheta {
+        /// The configured base.
+        theta: f64,
+    },
+}
+
+impl std::fmt::Display for TraceGenError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            TraceGenError::ContextTooShort { context_len } => {
+                write!(f, "context too short: {context_len} tokens, need at least 2")
+            }
+            TraceGenError::OddHeadDim { head_dim } => {
+                write!(f, "head_dim must be even and positive for RoPE, got {head_dim}")
+            }
+            TraceGenError::TooManyRelevant {
+                relevant_per_query,
+                context_len,
+            } => write!(
+                f,
+                "relevant_per_query must be below context_len: {relevant_per_query} >= {context_len}"
+            ),
+            TraceGenError::NonFinite { field, value } => {
+                write!(f, "{field} must be finite, got {value}")
+            }
+            TraceGenError::BadRopeTheta { theta } => {
+                write!(f, "rope_theta must be finite and positive, got {theta}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for TraceGenError {}
+
+/// Generates a head trace: [`try_generate_head_trace`], panicking on a
+/// rejected configuration.
 ///
 /// # Panics
 ///
-/// Panics if `context_len < 2`, `head_dim` is odd, or
-/// `relevant_per_query >= context_len`.
+/// Panics with the [`TraceGenError`] that [`try_generate_head_trace`]
+/// returns.
 pub fn generate_head_trace(cfg: &TraceConfig, rng: &mut SimRng) -> HeadTrace {
-    assert!(cfg.context_len >= 2, "context too short");
-    assert!(
-        cfg.head_dim.is_multiple_of(2),
-        "head_dim must be even for RoPE"
-    );
-    assert!(
-        cfg.relevant_per_query < cfg.context_len,
-        "relevant_per_query must be below context_len"
-    );
+    match try_generate_head_trace(cfg, rng) {
+        Ok(trace) => trace,
+        Err(e) => panic!("generate_head_trace: {e}"),
+    }
+}
+
+/// Generates a head trace, or says why `cfg` cannot give one.
+///
+/// A rejected configuration draws nothing from `rng`.
+///
+/// # Errors
+///
+/// [`TraceGenError::ContextTooShort`] if `context_len < 2`,
+/// [`TraceGenError::OddHeadDim`] if `head_dim` is zero or odd,
+/// [`TraceGenError::TooManyRelevant`] if `relevant_per_query >=
+/// context_len`, [`TraceGenError::NonFinite`] if `dc_magnitude`,
+/// `cluster_spread` or `relevance_strength` is NaN or infinite, and
+/// [`TraceGenError::BadRopeTheta`] if `rope_theta` is `Some` of a
+/// non-finite or non-positive base.
+pub fn try_generate_head_trace(
+    cfg: &TraceConfig,
+    rng: &mut SimRng,
+) -> Result<HeadTrace, TraceGenError> {
+    if cfg.context_len < 2 {
+        return Err(TraceGenError::ContextTooShort {
+            context_len: cfg.context_len,
+        });
+    }
+    if cfg.head_dim == 0 || !cfg.head_dim.is_multiple_of(2) {
+        return Err(TraceGenError::OddHeadDim {
+            head_dim: cfg.head_dim,
+        });
+    }
+    if cfg.relevant_per_query >= cfg.context_len {
+        return Err(TraceGenError::TooManyRelevant {
+            relevant_per_query: cfg.relevant_per_query,
+            context_len: cfg.context_len,
+        });
+    }
+    for (field, value) in [
+        ("dc_magnitude", cfg.dc_magnitude),
+        ("cluster_spread", cfg.cluster_spread),
+        ("relevance_strength", cfg.relevance_strength),
+    ] {
+        if !value.is_finite() {
+            return Err(TraceGenError::NonFinite { field, value });
+        }
+    }
+    if let Some(theta) = cfg.rope_theta {
+        if !(theta.is_finite() && theta > 0.0) {
+            return Err(TraceGenError::BadRopeTheta { theta });
+        }
+    }
     let d = cfg.head_dim;
     let rope = cfg.rope_theta.map(|t| Rope::new(d, t));
 
@@ -231,11 +340,11 @@ pub fn generate_head_trace(cfg: &TraceConfig, rng: &mut SimRng) -> HeadTrace {
         });
     }
 
-    HeadTrace {
+    Ok(HeadTrace {
         keys,
         values,
         queries,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -318,6 +427,109 @@ mod tests {
             max_imbalance > 0.25,
             "expected strongly imbalanced sign dimensions, max imbalance {max_imbalance}"
         );
+    }
+
+    /// `small_cfg` with one field changed, through the fallible form.
+    fn rejected(edit: impl FnOnce(&mut TraceConfig)) -> TraceGenError {
+        let mut cfg = small_cfg();
+        edit(&mut cfg);
+        let mut rng = SimRng::seed_from(6);
+        let mut before = rng.clone();
+        let err = try_generate_head_trace(&cfg, &mut rng).unwrap_err();
+        assert_eq!(
+            rng.next_u64(),
+            before.next_u64(),
+            "a rejected config must draw nothing"
+        );
+        err
+    }
+
+    #[test]
+    fn short_context_is_rejected() {
+        assert_eq!(
+            rejected(|c| c.context_len = 1),
+            TraceGenError::ContextTooShort { context_len: 1 }
+        );
+    }
+
+    #[test]
+    fn odd_or_zero_head_dim_is_rejected() {
+        for head_dim in [0, 63] {
+            assert_eq!(
+                rejected(|c| c.head_dim = head_dim),
+                TraceGenError::OddHeadDim { head_dim }
+            );
+        }
+    }
+
+    #[test]
+    fn too_many_relevant_positions_are_rejected() {
+        assert_eq!(
+            rejected(|c| c.relevant_per_query = 2048),
+            TraceGenError::TooManyRelevant {
+                relevant_per_query: 2048,
+                context_len: 2048
+            }
+        );
+    }
+
+    #[test]
+    fn non_finite_magnitudes_are_rejected() {
+        for value in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let field = |e: TraceGenError| match e {
+                TraceGenError::NonFinite { field, value: v } => {
+                    assert_eq!(v.to_bits(), value.to_bits());
+                    field
+                }
+                other => panic!("unexpected {other:?}"),
+            };
+            assert_eq!(field(rejected(|c| c.dc_magnitude = value)), "dc_magnitude");
+            assert_eq!(
+                field(rejected(|c| c.cluster_spread = value)),
+                "cluster_spread"
+            );
+            assert_eq!(
+                field(rejected(|c| c.relevance_strength = value)),
+                "relevance_strength"
+            );
+        }
+    }
+
+    #[test]
+    fn bad_rope_bases_are_rejected() {
+        for theta in [0.0, -0.0, -1.0, f64::INFINITY, f64::NAN] {
+            match rejected(|c| c.rope_theta = Some(theta)) {
+                TraceGenError::BadRopeTheta { theta: t } => {
+                    assert_eq!(t.to_bits(), theta.to_bits())
+                }
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn fallible_form_gives_the_panicking_forms_trace() {
+        let cfg = small_cfg();
+        let a = generate_head_trace(&cfg, &mut SimRng::seed_from(7));
+        let b = try_generate_head_trace(&cfg, &mut SimRng::seed_from(7)).unwrap();
+        assert_eq!(a.keys, b.keys);
+        assert_eq!(a.values, b.values);
+        for (x, y) in a.queries.iter().zip(&b.queries) {
+            assert_eq!(
+                (x.position, &x.q, &x.relevant),
+                (y.position, &y.q, &y.relevant)
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "generate_head_trace: context too short")]
+    fn panicking_form_panics_with_the_error() {
+        let cfg = TraceConfig {
+            context_len: 1,
+            ..small_cfg()
+        };
+        generate_head_trace(&cfg, &mut SimRng::seed_from(8));
     }
 
     #[test]

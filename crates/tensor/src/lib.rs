@@ -20,8 +20,14 @@
 //! * [`check`] — a minimal seeded property-test runner used by the workspace's
 //!   randomized test suites.
 //!
-//! Everything here is deterministic given a seed and free of unsafe code, with
-//! no dependencies outside the standard library.
+//! Everything here is deterministic given a seed, with no dependencies
+//! outside the standard library. The hot kernels (the ITQ rotate-and-pack,
+//! the score and value passes over a [`FlatVecs`] store, [`Matrix::matmul`],
+//! [`Matrix::transpose_matmul`] and [`linalg::svd_square`]) also have an
+//! AVX2 build, chosen at run time on hosts that have it and bit-identical
+//! to the plain one. The one private module that dispatches to those builds
+//! holds the workspace's only `unsafe` code: one call per kernel, behind
+//! the feature check.
 //!
 //! # Example
 //!
@@ -35,7 +41,7 @@
 //! assert_eq!((c.rows(), c.cols()), (4, 3));
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod bf16;
@@ -45,6 +51,8 @@ pub mod linalg;
 mod matrix;
 mod rng;
 mod sign;
+#[allow(unsafe_code)]
+mod simd;
 mod topk;
 pub mod vecops;
 
@@ -52,5 +60,5 @@ pub use bf16::{quantize_bf16_in_place, Bf16};
 pub use flatvecs::FlatVecs;
 pub use matrix::Matrix;
 pub use rng::SimRng;
-pub use sign::{SignArena, SignBits};
+pub use sign::{SignArena, SignBits, ROTATE_BLOCK_KEYS};
 pub use topk::{select_top_k, top_k_indices, ScoredIndex, TopK};

@@ -34,13 +34,21 @@ const JACOBI_TOL: f64 = 1e-12;
 /// the column norms become the singular values and the normalized columns
 /// become `U`. Columns with (numerically) zero singular values have their `U`
 /// columns completed to an orthonormal basis so that `U` is always orthogonal
-/// — this is what the Procrustes solve requires.
+/// — this is what the Procrustes solve requires. On a host with AVX2 the
+/// solve runs its AVX2 build, with the same bits.
 ///
 /// # Panics
 ///
 /// Panics if `a` is not square.
 pub fn svd_square(a: &Matrix) -> Svd {
     assert_eq!(a.rows(), a.cols(), "svd_square requires a square matrix");
+    crate::simd::svd_square(a)
+}
+
+/// [`svd_square`]'s body, compiled once per instruction set. Its helpers
+/// are `#[inline(always)]` so that each build carries its own copy.
+#[inline(always)]
+pub(crate) fn svd_square_body(a: &Matrix) -> Svd {
     let n = a.rows();
     // Column-major f64 working copies: column `c` of U is `u[c·n..(c+1)·n]`,
     // so every dot product and plane rotation below streams contiguous
@@ -157,12 +165,14 @@ pub fn svd_square(a: &Matrix) -> Svd {
 }
 
 /// Columns `p < q` of the column-major `n×n` matrix `m`, borrowed together.
+#[inline(always)]
 fn column_pair(m: &mut [f64], n: usize, p: usize, q: usize) -> (&mut [f64], &mut [f64]) {
     let (head, tail) = m.split_at_mut(q * n);
     (&mut head[p * n..(p + 1) * n], &mut tail[..n])
 }
 
 /// Dot product accumulated in index order.
+#[inline(always)]
 fn dot(a: &[f64], b: &[f64]) -> f64 {
     let mut s = 0.0;
     for (x, y) in a.iter().zip(b) {
@@ -175,6 +185,7 @@ fn dot(a: &[f64], b: &[f64]) -> f64 {
 /// only when no cached value is given. Each sum accumulates in index order,
 /// exactly as separate [`dot`] calls would; interleaving them only overlaps
 /// their latency.
+#[inline(always)]
 fn gram(a: &[f64], b: &[f64], norm_a: Option<f64>, norm_b: Option<f64>) -> (f64, f64, f64) {
     let (mut aa, mut bb, mut ab) = (0.0, 0.0, 0.0);
     match (norm_a, norm_b) {
@@ -205,6 +216,7 @@ fn gram(a: &[f64], b: &[f64], norm_a: Option<f64>, norm_b: Option<f64>) -> (f64,
 }
 
 /// Applies the plane rotation `(a, b) ← (c·a − s·b, s·a + c·b)` elementwise.
+#[inline(always)]
 fn rotate(a: &mut [f64], b: &mut [f64], c: f64, s: f64) {
     for (x, y) in a.iter_mut().zip(b.iter_mut()) {
         let (xa, yb) = (*x, *y);

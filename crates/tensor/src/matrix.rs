@@ -188,6 +188,9 @@ impl Matrix {
 
     /// Dense matrix–matrix product `self · rhs`.
     ///
+    /// On a host with AVX2 the product runs its AVX2 build, with the same
+    /// bits.
+    ///
     /// # Panics
     ///
     /// Panics if `self.cols() != rhs.rows()`.
@@ -197,29 +200,15 @@ impl Matrix {
             "matmul shape mismatch: {}x{} · {}x{}",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
-        // i-k-j loop order keeps the inner loop streaming over contiguous rows.
-        for i in 0..self.rows {
-            let a_row = self.row(i);
-            let out_row = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
-            for (k, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let b_row = &rhs.data[k * rhs.cols..(k + 1) * rhs.cols];
-                for (o, &b) in out_row.iter_mut().zip(b_row.iter()) {
-                    *o += a * b;
-                }
-            }
-        }
-        out
+        crate::simd::matmul(self, rhs)
     }
 
     /// `selfᵀ · rhs` without materializing the transpose.
     ///
     /// Bit-identical to `self.transpose().matmul(rhs)`: every output element
     /// accumulates over the shared row index in ascending order and skips
-    /// zero entries of `self`, exactly as [`Matrix::matmul`] does.
+    /// zero entries of `self`, exactly as [`Matrix::matmul`] does. On a host
+    /// with AVX2 the product runs its AVX2 build, with the same bits.
     ///
     /// # Panics
     ///
@@ -230,18 +219,7 @@ impl Matrix {
             "transpose_matmul shape mismatch: ({}x{})ᵀ · {}x{}",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        let mut out = Matrix::zeros(self.cols, rhs.cols);
-        for (a_row, b_row) in self.iter_rows().zip(rhs.iter_rows()) {
-            for (out_row, &a) in out.data.chunks_exact_mut(rhs.cols).zip(a_row) {
-                if a == 0.0 {
-                    continue;
-                }
-                for (o, &b) in out_row.iter_mut().zip(b_row) {
-                    *o += a * b;
-                }
-            }
-        }
-        out
+        crate::simd::transpose_matmul(self, rhs)
     }
 
     /// Matrix–vector product `self · v`.
@@ -334,6 +312,44 @@ impl Matrix {
         }
         means
     }
+}
+
+/// [`Matrix::matmul`]'s body, compiled once per instruction set.
+#[inline(always)]
+pub(crate) fn matmul_body(a: &Matrix, b: &Matrix) -> Matrix {
+    let mut out = Matrix::zeros(a.rows, b.cols);
+    // i-k-j loop order keeps the inner loop streaming over contiguous rows.
+    for i in 0..a.rows {
+        let a_row = a.row(i);
+        let out_row = &mut out.data[i * b.cols..(i + 1) * b.cols];
+        for (k, &x) in a_row.iter().enumerate() {
+            if x == 0.0 {
+                continue;
+            }
+            let b_row = &b.data[k * b.cols..(k + 1) * b.cols];
+            for (o, &y) in out_row.iter_mut().zip(b_row.iter()) {
+                *o += x * y;
+            }
+        }
+    }
+    out
+}
+
+/// [`Matrix::transpose_matmul`]'s body, compiled once per instruction set.
+#[inline(always)]
+pub(crate) fn transpose_matmul_body(a: &Matrix, b: &Matrix) -> Matrix {
+    let mut out = Matrix::zeros(a.cols, b.cols);
+    for (a_row, b_row) in a.iter_rows().zip(b.iter_rows()) {
+        for (out_row, &x) in out.data.chunks_exact_mut(b.cols).zip(a_row) {
+            if x == 0.0 {
+                continue;
+            }
+            for (o, &y) in out_row.iter_mut().zip(b_row) {
+                *o += x * y;
+            }
+        }
+    }
+    out
 }
 
 impl Default for Matrix {

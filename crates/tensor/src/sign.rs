@@ -6,6 +6,12 @@
 //! XOR and popcount instructions, exactly the operation the in-DRAM filter
 //! units implement.
 
+use crate::Matrix;
+
+/// Keys that share one pass over a row of the rotation in
+/// [`SignArena::push_rotated`].
+pub const ROTATE_BLOCK_KEYS: usize = 8;
+
 /// Packs the signs of up to 64 values into one word: bit `i` is set when
 /// `lane[i] < 0.0`. Branch-free, so random signs cost no mispredictions.
 fn pack_word(lane: &[f32]) -> u64 {
@@ -176,10 +182,37 @@ impl SignArena {
     /// # Panics
     ///
     /// Panics if `v.len() != dim`.
+    #[inline]
     pub fn push_signs_of(&mut self, v: &[f32]) {
         assert_eq!(v.len(), self.dim, "sign vector dimension mismatch");
         self.words.extend(v.chunks(64).map(pack_word));
         self.len += 1;
+    }
+
+    /// Rotates every key of `keys` (key-major, `dim` floats per key) by `r`
+    /// and appends the sign bits of each `key · r` in key order — the
+    /// serial kernel of the ITQ append path.
+    ///
+    /// Each key's rotation is bit-identical to [`Matrix::vecmat`]: every
+    /// output element accumulates `x_r · r[r][j]` over `r` in ascending
+    /// order and skips `x_r == 0.0`, so `-0.0` and NaN inputs pack exactly
+    /// as the per-key product does. [`ROTATE_BLOCK_KEYS`] keys share each
+    /// pass over a row of `r`, and no rotated `f32` key outlives its block.
+    /// On a host with AVX2 the kernel runs its AVX2 build, with the same
+    /// bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r` is not `dim × dim` or `keys.len()` is not a multiple
+    /// of `dim`.
+    pub fn push_rotated(&mut self, r: &Matrix, keys: &[f32]) {
+        assert_eq!(
+            (r.rows(), r.cols()),
+            (self.dim, self.dim),
+            "sign vector dimension mismatch"
+        );
+        assert_eq!(keys.len() % self.dim, 0, "key slice is not whole keys");
+        crate::simd::push_rotated(self, r, keys);
     }
 
     /// Appends an already-packed sign vector.
@@ -258,6 +291,32 @@ impl SignArena {
             .map(|(a, b)| (a ^ b).count_ones())
             .sum();
         self.dim as u32 - hamming
+    }
+}
+
+/// [`SignArena::push_rotated`]'s body, compiled once per instruction set.
+#[inline(always)]
+pub(crate) fn push_rotated_body(arena: &mut SignArena, r: &Matrix, keys: &[f32]) {
+    let d = arena.dim;
+    let block = ROTATE_BLOCK_KEYS * d;
+    let mut acc = vec![0.0f32; block.min(keys.len())];
+    for keys in keys.chunks(block) {
+        let acc = &mut acc[..keys.len()];
+        acc.fill(0.0);
+        for (r, row) in r.iter_rows().enumerate() {
+            for (key, out) in keys.chunks_exact(d).zip(acc.chunks_exact_mut(d)) {
+                let x = key[r];
+                if x == 0.0 {
+                    continue;
+                }
+                for (o, &m) in out.iter_mut().zip(row) {
+                    *o += x * m;
+                }
+            }
+        }
+        for out in acc.chunks_exact(d) {
+            arena.push_signs_of(out);
+        }
     }
 }
 

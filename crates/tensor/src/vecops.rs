@@ -2,6 +2,10 @@
 //!
 //! These are the scalar building blocks of the attention math. They operate on
 //! plain `&[f32]` slices so callers control allocation (C-CALLER-CONTROL).
+//! [`dot_batch_rows`] and [`axpy_rows`] run them over a whole [`FlatVecs`]
+//! store, in an AVX2 build on hosts that have it.
+
+use crate::FlatVecs;
 
 /// Dot product of two equal-length slices.
 ///
@@ -66,7 +70,7 @@ pub const DOT_BATCH: usize = 4;
 /// dot_batch(&[&a, &c], &b, &mut out);
 /// assert_eq!(out, [dot(&a, &b), dot(&c, &b)]);
 /// ```
-#[inline]
+#[inline(always)]
 pub fn dot_batch(rows: &[&[f32]], b: &[f32], out: &mut [f32]) {
     assert!(
         rows.len() <= DOT_BATCH,
@@ -123,11 +127,107 @@ fn lane_step(acc: &mut [f32; 4], a: &[f32; 4], b: &[f32; 4]) {
 /// # Panics
 ///
 /// Panics if the slices have different lengths.
-#[inline]
+#[inline(always)]
 pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
     assert_eq!(x.len(), y.len(), "axpy length mismatch");
     for (yi, xi) in y.iter_mut().zip(x) {
         *yi += alpha * xi;
+    }
+}
+
+/// `out[p][i] = dot(rows[p], keys[i])` for up to [`DOT_BATCH`] rows and
+/// every key: one [`dot_batch`] per key, bit-identical to [`dot`]. On a
+/// host with AVX2 the pass runs its AVX2 build, with the same bits.
+///
+/// # Panics
+///
+/// Panics if `rows` holds more than [`DOT_BATCH`] rows, if `out` and
+/// `rows` differ in length, or if a row's length is not `keys.dim()` or an
+/// output row's is not `keys.len()`.
+///
+/// # Example
+///
+/// ```
+/// use longsight_tensor::vecops::{dot, dot_batch_rows};
+/// use longsight_tensor::FlatVecs;
+///
+/// let mut keys = FlatVecs::new(2);
+/// keys.push(&[1.0, 2.0]);
+/// keys.push(&[3.0, -1.0]);
+/// let q = [0.5, 4.0];
+/// let mut out = vec![vec![0.0; 2]];
+/// dot_batch_rows(&[&q], &keys, &mut out);
+/// assert_eq!(out[0], [dot(&q, keys.get(0)), dot(&q, keys.get(1))]);
+/// ```
+pub fn dot_batch_rows(rows: &[&[f32]], keys: &FlatVecs, out: &mut [Vec<f32>]) {
+    assert!(
+        rows.len() <= DOT_BATCH,
+        "dot_batch takes at most {DOT_BATCH} rows"
+    );
+    assert_eq!(rows.len(), out.len(), "dot_batch output length mismatch");
+    assert!(
+        out.iter().all(|o| o.len() == keys.len()),
+        "dot_batch_rows output row length mismatch"
+    );
+    for row in rows {
+        assert_eq!(row.len(), keys.dim(), "dot length mismatch");
+    }
+    crate::simd::dot_batch_rows(rows, keys, out);
+}
+
+/// [`dot_batch_rows`]' body, compiled once per instruction set.
+#[inline(always)]
+pub(crate) fn dot_batch_rows_body(rows: &[&[f32]], keys: &FlatVecs, out: &mut [Vec<f32>]) {
+    let mut dots = [0.0f32; DOT_BATCH];
+    let dots = &mut dots[..rows.len()];
+    for (i, k) in keys.iter().enumerate() {
+        dot_batch(rows, k, dots);
+        for (row, &s) in out.iter_mut().zip(dots.iter()) {
+            row[i] = s;
+        }
+    }
+}
+
+/// `out[p] += weights[p][i] · values[i]` for every value row `i` in
+/// ascending order: one [`axpy`] per (value row, output), every output
+/// updated by row `i` before any by row `i + 1`. Bit-identical to one
+/// output at a time. On a host with AVX2 the pass runs its AVX2 build,
+/// with the same bits.
+///
+/// # Panics
+///
+/// Panics if `weights` and `out` differ in length, or if a weight row's
+/// length is not `values.len()` or an output's is not `values.dim()`.
+///
+/// # Example
+///
+/// ```
+/// use longsight_tensor::vecops::axpy_rows;
+/// use longsight_tensor::FlatVecs;
+///
+/// let mut values = FlatVecs::new(2);
+/// values.push(&[1.0, 2.0]);
+/// values.push(&[3.0, -1.0]);
+/// let mut out = vec![vec![0.0; 2]];
+/// axpy_rows(&[vec![0.5, 2.0]], &values, &mut out);
+/// assert_eq!(out[0], [6.5, -1.0]);
+/// ```
+pub fn axpy_rows(weights: &[Vec<f32>], values: &FlatVecs, out: &mut [Vec<f32>]) {
+    assert_eq!(weights.len(), out.len(), "axpy_rows output length mismatch");
+    for (w, o) in weights.iter().zip(out.iter()) {
+        assert_eq!(w.len(), values.len(), "axpy_rows weight length mismatch");
+        assert_eq!(o.len(), values.dim(), "axpy length mismatch");
+    }
+    crate::simd::axpy_rows(weights, values, out);
+}
+
+/// [`axpy_rows`]' body, compiled once per instruction set.
+#[inline(always)]
+pub(crate) fn axpy_rows_body(weights: &[Vec<f32>], values: &FlatVecs, out: &mut [Vec<f32>]) {
+    for (i, v) in values.iter().enumerate() {
+        for (w, out) in weights.iter().zip(out.iter_mut()) {
+            axpy(w[i], v, out);
+        }
     }
 }
 

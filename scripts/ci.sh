@@ -8,6 +8,9 @@
 #   3. no-unwrap gate for the fault-hardened crates
 #   3b. packed-sign-store gate (no per-key SignBits in the hybrid scan)
 #   4. sim-time-only gate (no wall-clock reads in the instrumented crates)
+#   4b. unsafe gate: `unsafe` code only in crates/tensor/src/simd.rs (the
+#      AVX2 kernel dispatch), and every other library or binary crate root
+#      `#![forbid(unsafe_code)]`
 #   5. release build (all crates, all bench targets compile), then the
 #      scf kernel smoke (packed scan bit-identical to and faster than the
 #      per-key walk)
@@ -104,6 +107,33 @@ clock_hits=$(grep -rn 'std::time::Instant\|SystemTime' \
 if [ -n "$clock_hits" ]; then
     echo "error: wall-clock reads in sim-time-instrumented crates:" >&2
     echo "$clock_hits" >&2
+    exit 1
+fi
+
+# The workspace's only `unsafe` code is the AVX2 dispatch of the numeric
+# kernels: one call per kernel behind `is_x86_feature_detected!`, in
+# crates/tensor/src/simd.rs. The tensor crate root denies `unsafe_code` and
+# allows it on that one module; every other library and binary root
+# forbids it. The search covers every Rust file (tests, benches, examples
+# and perfbench too), skipping comment lines.
+echo "== unsafe gate (only crates/tensor/src/simd.rs) =="
+unsafe_hits=$(
+    grep -rnE --include='*.rs' \
+        '(^|[^[:alnum:]_])unsafe([[:space:]]*(\{|fn|impl|trait|extern)|\()|allow\(unsafe_code\)' \
+        crates src tests examples perfbench/src perfbench/tests |
+        grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' |
+        grep -v '^crates/tensor/src/simd\.rs:' |
+        grep -vx 'crates/tensor/src/lib\.rs:[0-9]*:#\[allow(unsafe_code)\]' || true
+)
+for root in crates/*/src/lib.rs crates/*/src/main.rs src/lib.rs; do
+    [ -e "$root" ] || continue
+    want='#![forbid(unsafe_code)]'
+    [ "$root" = crates/tensor/src/lib.rs ] && want='#![deny(unsafe_code)]'
+    grep -qxF "$want" "$root" || unsafe_hits+="${unsafe_hits:+$'\n'}$root: missing $want"
+done
+if [ -n "$unsafe_hits" ]; then
+    echo "error: unsafe code outside crates/tensor/src/simd.rs, or a crate root without its unsafe_code lint:" >&2
+    echo "$unsafe_hits" >&2
     exit 1
 fi
 

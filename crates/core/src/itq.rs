@@ -22,6 +22,12 @@ use longsight_tensor::{linalg, Matrix, SignArena, SignBits, SimRng};
 /// most this many keys are packed serially on the calling thread.
 pub const ROTATE_CHUNK_KEYS: usize = 256;
 
+/// Training rows per parallel block of [`ItqRotation::train`]'s `X·R`.
+const TRAIN_ROW_BLOCK: usize = 128;
+
+/// Training columns per parallel block of [`ItqRotation::train`]'s `Xᵀ·B`.
+const TRAIN_COL_BLOCK: usize = 32;
+
 /// A learned orthogonal rotation for one KV head.
 #[derive(Debug, Clone)]
 pub struct ItqRotation {
@@ -71,29 +77,45 @@ impl ItqRotation {
     /// Panics if `data` has no rows.
     pub fn train(data: &Matrix, cfg: &ItqConfig) -> Self {
         assert!(data.rows() > 0, "ITQ needs at least one training vector");
-        let d = data.cols();
+        let (n, d) = (data.rows(), data.cols());
         let means = data.col_means();
-        let centered = Matrix::from_fn(data.rows(), d, |r, c| data.get(r, c) - means[c]);
-        let data = &centered;
+        // The centered data, once as row blocks (for `X·R`) and once as
+        // column blocks (for `Xᵀ·B`), so both products split across the
+        // worker pool. Each output element sums the same terms in the same
+        // order as the whole product, so the rotation is bit-identical at
+        // any thread count.
+        let row_blocks: Vec<Matrix> = (0..n)
+            .step_by(TRAIN_ROW_BLOCK)
+            .map(|r0| {
+                let rows = TRAIN_ROW_BLOCK.min(n - r0);
+                Matrix::from_fn(rows, d, |r, c| data.get(r0 + r, c) - means[c])
+            })
+            .collect();
+        let col_blocks: Vec<Matrix> = (0..d)
+            .step_by(TRAIN_COL_BLOCK)
+            .map(|c0| {
+                let cols = TRAIN_COL_BLOCK.min(d - c0);
+                Matrix::from_fn(n, cols, |r, c| data.get(r, c0 + c) - means[c0 + c])
+            })
+            .collect();
         let mut rng = SimRng::seed_from(cfg.seed);
         let mut r = linalg::random_orthogonal(d, &mut rng);
         for _ in 0..cfg.iterations {
             // B = sign(X R), entries in {-1, +1}.
-            let xr = data.matmul(&r);
-            let b = Matrix::from_fn(
-                xr.rows(),
-                d,
-                |i, j| {
-                    if xr.get(i, j) < 0.0 {
-                        -1.0
-                    } else {
-                        1.0
-                    }
-                },
-            );
-            // Procrustes: R = U Vᵀ of M = Xᵀ B, read straight from X.
-            let m = data.transpose_matmul(&b);
-            r = linalg::procrustes_rotation(&m);
+            let b_rows = longsight_exec::map_range(row_blocks.len(), |i| {
+                let xr = row_blocks[i].matmul(&r);
+                xr.data()
+                    .iter()
+                    .map(|&x| if x < 0.0 { -1.0 } else { 1.0 })
+                    .collect::<Vec<f32>>()
+            });
+            let b = Matrix::from_vec(n, d, b_rows.concat());
+            // Procrustes: R = U Vᵀ of M = Xᵀ B; column block j of X gives
+            // row block j of M.
+            let m_rows =
+                longsight_exec::map_range(col_blocks.len(), |j| col_blocks[j].transpose_matmul(&b));
+            let m_data: Vec<f32> = m_rows.iter().flat_map(|m| m.data()).copied().collect();
+            r = linalg::procrustes_rotation(&Matrix::from_vec(d, d, m_data));
         }
         Self { r }
     }

@@ -94,6 +94,17 @@ pub enum TraceError {
         /// The trace's key dimension.
         trace: usize,
     },
+    /// An array's length disagrees with the keys': the value count with
+    /// the key count, or a query's length with the key dimension.
+    ShapeMismatch {
+        /// `"values"` or `"queries"`.
+        array: &'static str,
+        /// The length the keys give: their count for values, their
+        /// dimension for queries.
+        expected: usize,
+        /// The value count, or the first mismatched query's length.
+        found: usize,
+    },
     /// A key, value or query holds a NaN or an infinity. Such a score has
     /// no rank: its sign, and so its place in a top-k, depends on the
     /// kernel that computed it.
@@ -114,6 +125,14 @@ impl std::fmt::Display for TraceError {
             TraceError::DimensionMismatch { rotation, trace } => write!(
                 f,
                 "rotation dimension mismatch: rotation {rotation}, trace keys {trace}"
+            ),
+            TraceError::ShapeMismatch {
+                array,
+                expected,
+                found,
+            } => write!(
+                f,
+                "{array} length mismatch: expected {expected}, found {found}"
             ),
             TraceError::NonFinite { array, index } => {
                 write!(f, "non-finite element in {array} row {index}")
@@ -231,8 +250,10 @@ impl<'a> TraceSweep<'a> {
     ///
     /// [`TraceError::EmptyTrace`] if the trace has no keys,
     /// [`TraceError::DimensionMismatch`] if `rotation`'s dimension is not
-    /// the trace's key dimension, and [`TraceError::NonFinite`] if a key,
-    /// value or query holds a NaN or an infinity.
+    /// the trace's key dimension, [`TraceError::ShapeMismatch`] if the
+    /// value count differs from the key count or a query's length from the
+    /// key dimension, and [`TraceError::NonFinite`] if a key, value or
+    /// query holds a NaN or an infinity.
     pub fn new(
         trace: &'a HeadTrace,
         rotation: &ItqRotation,
@@ -247,6 +268,22 @@ impl<'a> TraceSweep<'a> {
             return Err(TraceError::DimensionMismatch {
                 rotation: rotation.dim(),
                 trace: d,
+            });
+        }
+        // Shapes are checked before any pass, so a trace without probes is
+        // checked too.
+        if trace.values.len() != n {
+            return Err(TraceError::ShapeMismatch {
+                array: "values",
+                expected: n,
+                found: trace.values.len(),
+            });
+        }
+        if let Some(p) = trace.queries.iter().find(|p| p.q.len() != d) {
+            return Err(TraceError::ShapeMismatch {
+                array: "queries",
+                expected: d,
+                found: p.q.len(),
             });
         }
         let queries = trace.queries.iter().map(|p| p.q.as_slice());
@@ -529,6 +566,50 @@ mod tests {
             TraceError::DimensionMismatch {
                 rotation: 32,
                 trace: 64
+            }
+        );
+    }
+
+    #[test]
+    fn value_count_mismatch_is_an_error() {
+        for probes in [true, false] {
+            let mut t = trace();
+            t.values.truncate(4095);
+            if !probes {
+                t.queries.clear();
+            }
+            let got = TraceSweep::new(
+                &t,
+                &ItqRotation::identity(64),
+                &HybridConfig::paper_default(),
+            );
+            assert_eq!(
+                got.unwrap_err(),
+                TraceError::ShapeMismatch {
+                    array: "values",
+                    expected: 4096,
+                    found: 4095
+                },
+                "probes: {probes}"
+            );
+        }
+    }
+
+    #[test]
+    fn query_length_mismatch_is_an_error() {
+        let mut t = trace();
+        t.queries[1].q.push(0.5);
+        let got = TraceSweep::new(
+            &t,
+            &ItqRotation::identity(64),
+            &HybridConfig::paper_default(),
+        );
+        assert_eq!(
+            got.unwrap_err(),
+            TraceError::ShapeMismatch {
+                array: "queries",
+                expected: 64,
+                found: 65
             }
         );
     }

@@ -5,12 +5,14 @@
 //! The oracle rotates one key at a time with [`ItqRotation::apply`] (the
 //! plain `v · R` vector–matrix product) and packs it with
 //! [`SignArena::push_signs_of`]. The kernel must produce the same arena at
-//! every worker-thread count. This file is its own test binary because it
-//! sets the process-wide thread count.
+//! every worker-thread count. So must [`ItqRotation::train`], which splits
+//! its two products into row and column blocks, against the whole-matrix
+//! loop it replaced ([`whole_product_train`]). This file is its own test
+//! binary because it sets the process-wide thread count.
 
 use longsight_core::{ItqConfig, ItqRotation, ROTATE_BLOCK_KEYS, ROTATE_CHUNK_KEYS};
 use longsight_tensor::check::{run_cases, run_seed, Gen};
-use longsight_tensor::{prop_ensure_eq, FlatVecs, Matrix, SignArena, SignBits};
+use longsight_tensor::{linalg, prop_ensure_eq, FlatVecs, Matrix, SignArena, SignBits, SimRng};
 use std::sync::Mutex;
 
 /// Serializes the tests of this binary around the process-wide thread count.
@@ -143,4 +145,78 @@ fn rotate_and_pack_matches_per_key_at_boundaries() {
             });
         }
     }
+}
+
+/// ITQ training as one whole-matrix `X·R` and one `Xᵀ·B` per iteration:
+/// the loop `ItqRotation::train` replaced, kept verbatim as its oracle.
+fn whole_product_train(data: &Matrix, cfg: &ItqConfig) -> Matrix {
+    let d = data.cols();
+    let means = data.col_means();
+    let centered = Matrix::from_fn(data.rows(), d, |r, c| data.get(r, c) - means[c]);
+    let data = &centered;
+    let mut rng = SimRng::seed_from(cfg.seed);
+    let mut r = linalg::random_orthogonal(d, &mut rng);
+    for _ in 0..cfg.iterations {
+        // B = sign(X R), entries in {-1, +1}.
+        let xr = data.matmul(&r);
+        let b = Matrix::from_fn(
+            xr.rows(),
+            d,
+            |i, j| {
+                if xr.get(i, j) < 0.0 {
+                    -1.0
+                } else {
+                    1.0
+                }
+            },
+        );
+        // Procrustes: R = U Vᵀ of M = Xᵀ B, read straight from X.
+        let m = data.transpose_matmul(&b);
+        r = linalg::procrustes_rotation(&m);
+    }
+    r
+}
+
+/// Training data of `n` rows around an offset. About one column in six
+/// is constant, so the centered data holds exact zeros, which the
+/// products skip.
+fn training_data(g: &mut Gen, n: usize, d: usize) -> Matrix {
+    let offset = g.f32_in(-2.0, 2.0);
+    let constant: Vec<bool> = (0..d).map(|_| g.usize_in(0, 6) == 0).collect();
+    Matrix::from_fn(n, d, |_, c| {
+        if constant[c] {
+            1.5
+        } else {
+            offset + g.rng().normal() as f32
+        }
+    })
+}
+
+/// Row counts on both sides of the 128-row blocks, column counts on both
+/// sides of the 32-column blocks.
+#[test]
+fn train_matches_the_whole_product_loop() {
+    run_cases("train_matches_the_whole_product_loop", 24, |g| {
+        let n = [1, 3, 127, 128, 129, 300][g.usize_in(0, 6)];
+        let d = [2, 6, 31, 32, 33, 64, 70][g.usize_in(0, 7)];
+        let data = training_data(g, n, d);
+        let cfg = ItqConfig {
+            iterations: g.usize_in(0, 4),
+            seed: g.u64_in(0, 1 << 20),
+        };
+        let want: Vec<u32> = whole_product_train(&data, &cfg)
+            .data()
+            .iter()
+            .map(|x| x.to_bits())
+            .collect();
+        let _serial = THREADS.lock().unwrap_or_else(|e| e.into_inner());
+        for threads in thread_counts() {
+            longsight_exec::set_thread_count(threads);
+            let got = ItqRotation::train(&data, &cfg);
+            longsight_exec::set_thread_count(0);
+            let got: Vec<u32> = got.matrix().data().iter().map(|x| x.to_bits()).collect();
+            prop_ensure_eq!(got, want, "n {n}, d {d}, {threads} threads");
+        }
+        Ok(())
+    });
 }

@@ -21,6 +21,15 @@
 
 use crate::Rope;
 use longsight_tensor::{FlatVecs, SimRng};
+use std::ops::Range;
+
+/// Keys per generation chunk. The generator is snapshotted at each chunk's
+/// first key, so chunks are generated independently.
+const CHUNK_KEYS: usize = 256;
+
+/// Chunks generated per round on the worker pool: ~4 MB of keys and values
+/// at `head_dim = 128`, so the chunk buffers stay small next to the trace.
+const WAVE_CHUNKS: usize = 16;
 
 /// Parameters of the trace generator.
 #[derive(Debug, Clone)]
@@ -177,7 +186,10 @@ pub fn generate_head_trace(cfg: &TraceConfig, rng: &mut SimRng) -> HeadTrace {
 
 /// Generates a head trace, or says why `cfg` cannot give one.
 ///
-/// A rejected configuration draws nothing from `rng`.
+/// A rejected configuration draws nothing from `rng`. Keys and values are
+/// generated in chunks on the deterministic worker pool, each from a
+/// snapshot of `rng` at its first key, so the trace, and the state `rng` is
+/// left in, are bit-identical to one serial pass at any thread count.
 ///
 /// # Errors
 ///
@@ -229,17 +241,14 @@ pub fn try_generate_head_trace(
     // cluster/relevance content; high-frequency dims carry filler.
     let half = d / 2;
     let low_start = half / 2; // pairs with index >= half/2 rotate slowly
-    let is_content_dim = |i: usize| -> bool {
-        let pair = i % half;
-        pair >= low_start
-    };
+    let content: Vec<bool> = (0..d).map(|i| i % half >= low_start).collect();
 
     // Shared DC direction, confined to a *sparse* subset of content dims so
     // the per-dimension offset is large — this is what skews sign-bit
     // distributions the way real LLaMA keys are skewed (§5.4). It also
     // survives RoPE (content dims rotate slowly).
     let mut dc = vec![0.0f32; d];
-    let content_dims: Vec<usize> = (0..d).filter(|&i| is_content_dim(i)).collect();
+    let content_dims: Vec<usize> = (0..d).filter(|&i| content[i]).collect();
     let dc_support = (content_dims.len() / 4).max(1);
     for _ in 0..dc_support {
         let i = content_dims[rng.below(content_dims.len())];
@@ -251,44 +260,49 @@ pub fn try_generate_head_trace(
     let centers: Vec<Vec<f32>> = (0..cfg.clusters.max(1))
         .map(|_| {
             let mut c = vec![0.0f32; d];
-            for (i, v) in c.iter_mut().enumerate() {
-                if is_content_dim(i) {
+            for (v, &is_content) in c.iter_mut().zip(&content) {
+                if is_content {
                     *v = rng.normal() as f32 * 0.5;
                 }
             }
             c
         })
         .collect();
+    let model = KeyModel {
+        content,
+        dc,
+        centers,
+        dc_magnitude: cfg.dc_magnitude,
+        cluster_spread: cfg.cluster_spread,
+    };
 
-    // Keys: DC + cluster + spread noise (content dims) + filler (other dims),
-    // then RoPE by absolute position. Pre-RoPE copies are kept to build
-    // queries that target specific keys.
-    let mut pre_keys = FlatVecs::with_capacity(d, cfg.context_len);
+    // Every key draws one `below` and `2·d` normals, so a pass that skips
+    // the normals finds where each chunk starts in the stream; the chunks
+    // are then generated independently on the worker pool and appended in
+    // order. `rng` ends where the serial key loop would leave it.
+    let mut snapshots = Vec::with_capacity(cfg.context_len.div_ceil(CHUNK_KEYS));
+    for pos in 0..cfg.context_len {
+        if pos % CHUNK_KEYS == 0 {
+            snapshots.push(rng.clone());
+        }
+        model.skip_key(rng);
+    }
     let mut keys = FlatVecs::with_capacity(d, cfg.context_len);
     let mut values = FlatVecs::with_capacity(d, cfg.context_len);
-    for pos in 0..cfg.context_len {
-        let cluster = rng.below(centers.len());
-        let mut k = vec![0.0f32; d];
-        for (i, v) in k.iter_mut().enumerate() {
-            if is_content_dim(i) {
-                *v = cfg.dc_magnitude * dc[i]
-                    + centers[cluster][i]
-                    + cfg.cluster_spread * rng.normal() as f32;
-            } else {
-                *v = 0.6 * rng.normal() as f32;
+    for wave in (0..snapshots.len()).step_by(WAVE_CHUNKS) {
+        let wave_len = WAVE_CHUNKS.min(snapshots.len() - wave);
+        let parts = longsight_exec::map_range(wave_len, |i| {
+            let c = wave + i;
+            let start = c * CHUNK_KEYS;
+            let end = (start + CHUNK_KEYS).min(cfg.context_len);
+            model.chunk(&mut snapshots[c].clone(), start..end, rope.as_ref())
+        });
+        for (part_keys, part_values) in &parts {
+            for (k, v) in part_keys.iter().zip(part_values.iter()) {
+                keys.push(k);
+                values.push(v);
             }
         }
-        pre_keys.push(&k);
-        if let Some(r) = &rope {
-            r.apply_in_place(&mut k, pos);
-        }
-        keys.push(&k);
-        // Values: cluster-correlated plus noise, so attention outputs carry
-        // signal about which keys were selected.
-        let v: Vec<f32> = (0..d)
-            .map(|i| centers[cluster][i] + 0.3 * rng.normal() as f32)
-            .collect();
-        values.push(&v);
     }
 
     // Query probes: each targets `relevant_per_query` past keys — a few
@@ -316,15 +330,15 @@ pub fn try_generate_head_trace(
         // within-cluster component must stand out over cross-correlation
         // noise from the other keys, which dilution would destroy.
         for &ri in &relevant {
-            let k = pre_keys.get(ri);
-            for (i, v) in q.iter_mut().enumerate() {
-                if is_content_dim(i) {
-                    *v += k[i];
+            let k = model.pre_rope_key(&snapshots, ri);
+            for ((v, &x), &is_content) in q.iter_mut().zip(&k).zip(&model.content) {
+                if is_content {
+                    *v += x;
                 }
             }
         }
-        for (i, v) in q.iter_mut().enumerate() {
-            if is_content_dim(i) {
+        for (v, &is_content) in q.iter_mut().zip(&model.content) {
+            if is_content {
                 *v = cfg.relevance_strength * *v + 0.2 * rng.normal() as f32;
             } else {
                 *v = 0.6 * rng.normal() as f32;
@@ -345,6 +359,82 @@ pub fn try_generate_head_trace(
         values,
         queries,
     })
+}
+
+/// What every key and value of one trace is drawn from: the content mask,
+/// the DC direction and the cluster centres.
+struct KeyModel {
+    /// Whether each dimension carries cluster/relevance content.
+    content: Vec<bool>,
+    dc: Vec<f32>,
+    centers: Vec<Vec<f32>>,
+    dc_magnitude: f32,
+    cluster_spread: f32,
+}
+
+impl KeyModel {
+    /// Draws one pre-RoPE key: DC + cluster + spread noise (content dims)
+    /// + filler (other dims). Returns the key's cluster.
+    fn draw_key(&self, rng: &mut SimRng, k: &mut [f32]) -> usize {
+        let cluster = rng.below(self.centers.len());
+        let center = &self.centers[cluster];
+        for (i, v) in k.iter_mut().enumerate() {
+            if self.content[i] {
+                *v = self.dc_magnitude * self.dc[i]
+                    + center[i]
+                    + self.cluster_spread * rng.normal() as f32;
+            } else {
+                *v = 0.6 * rng.normal() as f32;
+            }
+        }
+        cluster
+    }
+
+    /// Advances `rng` past one key and its value without computing them.
+    fn skip_key(&self, rng: &mut SimRng) {
+        rng.below(self.centers.len());
+        rng.skip_normals(2 * self.content.len());
+    }
+
+    /// Generates keys `range` (RoPE by absolute position) and their values
+    /// from `rng`, which stands at the start of the range.
+    fn chunk(
+        &self,
+        rng: &mut SimRng,
+        range: Range<usize>,
+        rope: Option<&Rope>,
+    ) -> (FlatVecs, FlatVecs) {
+        let d = self.content.len();
+        let mut keys = FlatVecs::with_capacity(d, range.len());
+        let mut values = FlatVecs::with_capacity(d, range.len());
+        let mut k = vec![0.0f32; d];
+        let mut v = vec![0.0f32; d];
+        for pos in range {
+            let cluster = self.draw_key(rng, &mut k);
+            if let Some(r) = rope {
+                r.apply_in_place(&mut k, pos);
+            }
+            keys.push(&k);
+            // Values: cluster-correlated plus noise, so attention outputs
+            // carry signal about which keys were selected.
+            for (x, &c) in v.iter_mut().zip(&self.centers[cluster]) {
+                *x = c + 0.3 * rng.normal() as f32;
+            }
+            values.push(&v);
+        }
+        (keys, values)
+    }
+
+    /// Key `pos` before RoPE, redrawn from the snapshot of its chunk.
+    fn pre_rope_key(&self, snapshots: &[SimRng], pos: usize) -> Vec<f32> {
+        let mut rng = snapshots[pos / CHUNK_KEYS].clone();
+        for _ in 0..pos % CHUNK_KEYS {
+            self.skip_key(&mut rng);
+        }
+        let mut k = vec![0.0f32; self.content.len()];
+        self.draw_key(&mut rng, &mut k);
+        k
+    }
 }
 
 #[cfg(test)]

@@ -115,6 +115,27 @@ impl SimRng {
         r * theta.cos()
     }
 
+    /// Advances the generator exactly as `k` calls of [`SimRng::normal`]
+    /// would: the raw state and the cached Box–Muller spare both end where
+    /// those calls leave them.
+    ///
+    /// Skipped pairs cost their two raw draws only; the logarithm and the
+    /// sine and cosine are computed just when an odd remainder leaves a
+    /// fresh spare in the cache.
+    pub fn skip_normals(&mut self, k: usize) {
+        if k == 0 {
+            return;
+        }
+        let fresh = k - usize::from(self.cached_normal.take().is_some());
+        for _ in 0..fresh / 2 {
+            self.next_u64();
+            self.next_u64();
+        }
+        if fresh % 2 == 1 {
+            self.normal();
+        }
+    }
+
     /// Fills a fresh `f32` vector with i.i.d. `N(0, 1)` entries.
     pub fn normal_vec(&mut self, n: usize) -> Vec<f32> {
         (0..n).map(|_| self.normal() as f32).collect()
@@ -223,6 +244,39 @@ mod tests {
         0xBFE6_03E4_8643_DB8F,
     ];
     const GOLDEN_BELOW_42: [usize; 4] = [83_863, 378_981, 680_045, 924_695];
+
+    #[test]
+    fn skip_normals_leaves_the_state_of_k_normal_calls() {
+        // Both cache parities at the start, k in 0..=600; afterwards the
+        // raw stream and the normals (the cached spare first) agree by bits.
+        crate::check::run_cases(
+            "skip_normals_leaves_the_state_of_k_normal_calls",
+            256,
+            |g| {
+                let mut skipped = SimRng::seed_from(g.rng().next_u64());
+                if g.bool() {
+                    skipped.normal();
+                }
+                let k = g.usize_in(0, 601);
+                let mut called = skipped.clone();
+                skipped.skip_normals(k);
+                for _ in 0..k {
+                    called.normal();
+                }
+                for step in 0..6 {
+                    crate::prop_ensure_eq!(
+                        skipped.normal().to_bits(),
+                        called.normal().to_bits(),
+                        "normal {step} after skipping {k}"
+                    );
+                    if step % 3 == 2 {
+                        crate::prop_ensure_eq!(skipped.next_u64(), called.next_u64());
+                    }
+                }
+                Ok(())
+            },
+        );
+    }
 
     #[test]
     fn forks_are_independent_streams() {

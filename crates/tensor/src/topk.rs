@@ -244,7 +244,7 @@ mod tests {
 
     #[test]
     fn push_matches_sort_oracle() {
-        run_cases("topk_push_matches_sort_oracle", 256, |g| {
+        run_cases("push_matches_sort_oracle", 256, |g| {
             let n = g.usize_in(0, 40);
             let k = match g.usize_in(0, 4) {
                 0 => 0,
@@ -280,7 +280,7 @@ mod tests {
 
     #[test]
     fn select_matches_push_all() {
-        run_cases("topk_select_matches_push_all", 256, |g| {
+        run_cases("select_matches_push_all", 256, |g| {
             let n = g.usize_in(0, 40);
             let k = match g.usize_in(0, 4) {
                 0 => 0,

@@ -351,7 +351,7 @@ mod tests {
     /// the compiler picks at each inlined call site of `dot` itself.
     #[test]
     fn dot_batch_matches_dot_by_bits() {
-        run_cases("vecops_dot_batch_matches_dot_by_bits", 512, |g| {
+        run_cases("dot_batch_matches_dot_by_bits", 512, |g| {
             let d = [1, 3, 4, 63, 64, 65, 127, 128, 129][g.usize_in(0, 9)];
             // Ordinary values with no, a few or only edge-case entries.
             let vec = |g: &mut Gen| -> Vec<f32> {

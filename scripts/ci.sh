@@ -11,6 +11,9 @@
 #   4b. unsafe gate: `unsafe` code only in crates/tensor/src/simd.rs (the
 #      AVX2 kernel dispatch), and every other library or binary crate root
 #      `#![forbid(unsafe_code)]`
+#   4c. property-name gate: every `run_cases` name is part of the name of
+#      the test fn it runs in, so the replay line it prints on a failure
+#      (`LONGSIGHT_PROP_SEED=... cargo test <name>`) runs that test
 #   5. release build (all crates, all bench targets compile), then the
 #      scf kernel smoke (packed scan bit-identical to and faster than the
 #      per-key walk)
@@ -146,6 +149,45 @@ ignore_hits=$(grep -rn '#\[ignore\]' tests crates || true)
 if [ -n "$ignore_hits" ]; then
     echo "error: bare #[ignore] without a reason string:" >&2
     echo "$ignore_hits" >&2
+    exit 1
+fi
+
+# A failing property prints `LONGSIGHT_PROP_SEED=<seed> cargo test <name>`,
+# and cargo runs the tests whose path contains <name>: so each `run_cases`
+# name must be part of its enclosing test fn's name. The name is the first
+# string literal after `run_cases(`, on that line or a later one. Comment
+# lines are skipped, and so is crates/tensor/src/check.rs, whose runner
+# self-tests and doc example use synthetic names on purpose.
+echo "== property-name gate (run_cases names replay their tests) =="
+prop_hits=$(
+    find crates src tests examples -name '*.rs' ! -path crates/tensor/src/check.rs -print0 |
+        sort -z |
+        xargs -0 awk '
+            function check(s) {
+                if (!match(s, /"[^"]*"/)) return 0
+                name = substr(s, RSTART + 1, RLENGTH - 2)
+                if (index(test_fn, name) == 0)
+                    printf "%s:%d: run_cases name \"%s\" is not part of its test fn `%s`\n",
+                        FILENAME, at, name, test_fn
+                return 1
+            }
+            FNR == 1 { test_fn = ""; pending = 0 }
+            /^[ \t]*\/\// { next }
+            match($0, /(^|[^A-Za-z0-9_])fn [A-Za-z0-9_]+/) {
+                test_fn = substr($0, RSTART, RLENGTH)
+                sub(/.*fn /, "", test_fn)
+            }
+            pending { pending = !check($0); next }
+            /run_cases\(/ {
+                at = FNR
+                rest = $0
+                sub(/.*run_cases\(/, "", rest)
+                pending = !check(rest)
+            }'
+)
+if [ -n "$prop_hits" ]; then
+    echo "error: property names that their replay line would not select:" >&2
+    echo "$prop_hits" >&2
     exit 1
 fi
 

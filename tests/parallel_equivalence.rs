@@ -5,17 +5,18 @@
 //! results in index order and all floating-point reductions fold serially.
 //! These tests pin that contract on the hot paths the execution layer
 //! threads through: the model forward pass with the LongSight attention
-//! backend, the trace-based quality evaluation, the DReX offload timing
-//! simulation, and the fault-injection schedule (whose event log must be
-//! byte-identical at any worker count).
+//! backend, trace generation and ITQ training, the trace-based quality
+//! evaluation, the DReX offload timing simulation, and the fault-injection
+//! schedule (whose event log must be byte-identical at any worker count).
 
 use longsight::core::{
-    trace_eval, HybridConfig, ItqRotation, LongSightBackend, RotationTable, ThresholdTable,
+    trace_eval, HybridConfig, ItqConfig, ItqRotation, LongSightBackend, RotationTable,
+    ThresholdTable,
 };
 use longsight::drex::{try_time_head_offload, try_time_slice_offload, DrexParams, HeadOffloadSpec};
 use longsight::model::tracegen::{generate_head_trace, TraceConfig};
 use longsight::model::{corpus, perplexity, InductionParams, Model, ModelConfig, ModelWeights};
-use longsight::tensor::SimRng;
+use longsight::tensor::{Matrix, SimRng};
 
 mod common;
 
@@ -81,6 +82,41 @@ fn trace_eval_metrics_are_bit_identical_across_thread_counts() {
         assert_eq!(
             *got, baseline,
             "trace-eval metrics diverged at {threads} threads"
+        );
+    }
+}
+
+#[test]
+fn trace_generation_and_itq_training_are_bit_identical_across_thread_counts() {
+    // 3000 keys: eleven full generation chunks and a partial one; 300
+    // training rows: two full row blocks of `X·R` and a partial one.
+    let cfg = TraceConfig::llama_like(128, 3000);
+    let runs = across_thread_counts(|| {
+        let mut rng = SimRng::seed_from(29);
+        let trace = generate_head_trace(&cfg, &mut rng);
+        let data = Matrix::from_vec(300, 128, trace.keys.slice(0..300).to_vec());
+        let rot = ItqRotation::train(
+            &data,
+            &ItqConfig {
+                iterations: 4,
+                seed: 29,
+            },
+        );
+        let mut bits: Vec<u32> = trace.keys.iter().flatten().map(|x| x.to_bits()).collect();
+        bits.extend(trace.values.iter().flatten().map(|x| x.to_bits()));
+        for p in &trace.queries {
+            bits.extend(p.q.iter().map(|x| x.to_bits()));
+            bits.extend(p.relevant.iter().map(|&i| i as u32));
+        }
+        bits.extend(rot.matrix().data().iter().map(|x| x.to_bits()));
+        bits.push(rng.next_u64() as u32);
+        bits
+    });
+    let (_, baseline) = &runs[0];
+    for (threads, got) in &runs[1..] {
+        assert!(
+            got == baseline,
+            "trace generation or ITQ training diverged at {threads} threads"
         );
     }
 }
